@@ -27,7 +27,7 @@ from ..garbling import (
     garble,
     tables_from_bytes,
 )
-from ..ot import GROUPS, OTReceiver, OTSender, dealer_choose
+from ..ot import GROUPS, OTExtReceiver, OTExtSender, dealer_choose
 from . import wire
 from .config import HE_GC, SECSH_GC, ProtocolConfig
 from .transcript import (
@@ -62,6 +62,68 @@ def _record_bits(values, width):
     return bits
 
 
+def _recv_ot(ch) -> bytes:
+    phase, payload = ch.recv()
+    if phase != OT:
+        raise OTFailure(f"expected an OT message, got {phase}")
+    return payload
+
+
+class LabelOT:
+    """One party's end of the evaluator-input OT, for every round of a run.
+
+    In ``base`` mode the first transfer opens an IKNP extension session
+    inside that round's OT phase: the evaluator, as base-OT sender of the
+    seed pairs, sends A; the garbler answers with its KAPPA choice
+    messages; the evaluator returns the masked seeds together with the
+    round's U. Every later round is one U message and one reply of masked
+    label pairs. ``dealer`` mode sends the label pairs in the clear.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, rng: random.Random):
+        self.cfg = cfg
+        self._rng = rng
+        self._session = None
+
+    def receive(self, ch, bits) -> list:
+        """Evaluator side: the labels of `bits`, one per transfer."""
+        cfg = self.cfg
+        if cfg.ot_mode == "dealer":
+            pairs, _ = wire.unpack_label_pairs(_recv_ot(ch))
+            return dealer_choose(pairs, bits, cfg.secure_profile)
+        prefix = b""
+        if self._session is None:
+            self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng,
+                                          full_check=cfg.secure_profile)
+            ch.send(OT, wire.pack_bigints([self._session.setup_message()]))
+            bs, _ = wire.unpack_bigints(_recv_ot(ch))
+            prefix = wire.pack_label_pairs(self._session.base_respond(bs))
+        ch.send(OT, prefix + wire.pack_blob(self._session.choose(bits)))
+        pairs, _ = wire.unpack_label_pairs(_recv_ot(ch))
+        return self._session.finish(pairs)
+
+    def send(self, ch, pairs) -> None:
+        """Garbler side: deliver one label of each pair."""
+        cfg = self.cfg
+        if cfg.ot_mode == "dealer":
+            ch.send(OT, wire.pack_label_pairs(pairs))
+            return
+        payload = _recv_ot(ch)
+        off = 0
+        if self._session is None:
+            elems, _ = wire.unpack_bigints(payload)
+            if len(elems) != 1:
+                raise OTFailure(f"expected one base-OT setup element, got {len(elems)}")
+            self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0],
+                                        full_check=cfg.secure_profile)
+            ch.send(OT, wire.pack_bigints(self._session.base_choose()))
+            payload = _recv_ot(ch)
+            seeds, off = wire.unpack_label_pairs(payload)
+            self._session.base_finish(seeds)
+        u, _ = wire.unpack_blob(payload, off)
+        ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
+
+
 class CloudParty:
     """Holds the protected data and the classifier pool; learns only the
     acceptance bitmap."""
@@ -83,6 +145,7 @@ class CloudParty:
         self.mask_rng = random.Random(seeds.cloud ^ 0x6D61736B)
         self.ot_rng = random.Random(seeds.cloud ^ 0x6F745F72)
         self.enc_rng = random.Random(seeds.cloud ^ 0x656E6372)
+        self.label_ot = LabelOT(cfg, self.ot_rng)
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
         self.p_used = 0
@@ -190,28 +253,12 @@ class CloudParty:
         ev_wires = circuit.inputs_a if evaluator_partition == "a" else circuit.inputs_b
         gb_wires = circuit.inputs_b if evaluator_partition == "a" else circuit.inputs_a
         bits = _record_bits(evaluator_vals, L)
-        ev_labels = dict(zip(ev_wires, self._ot_receive(ch, bits)))
+        self.counters.ot_transfers += len(bits)
+        ev_labels = dict(zip(ev_wires, self.label_ot.receive(ch, bits)))
         gb_labels = dict(zip(gb_wires, garbler_labels))
         out_labels = evaluate(gc, ev_labels, gb_labels)
         self.counters.and_gates += circuit.and_count
         ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
-
-    def _ot_receive(self, ch, bits):
-        self.counters.ot_transfers += len(bits)
-        phase, payload = ch.recv()
-        assert phase == OT
-        if self.cfg.ot_mode == "dealer":
-            pairs, _ = wire.unpack_label_pairs(payload)
-            return dealer_choose(pairs, bits, self.cfg.secure_profile)
-        (a_elem,), _ = wire.unpack_bigints(payload)
-        group = GROUPS[self.cfg.ot_group]
-        receiver = OTReceiver(group, self.ot_rng, a_elem,
-                              full_check=self.cfg.secure_profile)
-        ch.send(OT, wire.pack_bigints(receiver.choose(bits)))
-        phase, payload = ch.recv()
-        assert phase == OT
-        pairs, _ = wire.unpack_label_pairs(payload)
-        return receiver.finish(pairs)
 
     def recv_decision(self, ch):
         phase, payload = ch.recv()
@@ -260,6 +307,7 @@ class CSPParty:
         self.mask_rng = random.Random(seeds.csp ^ 0x6D61736B)
         self.ot_rng = random.Random(seeds.csp ^ 0x6F745F73)
         self.enc_rng = random.Random(seeds.csp ^ 0x656E6372)
+        self.label_ot = LabelOT(cfg, self.ot_rng)
         self.delta = np.full(n, 1.0 / n)
         self.accepted = []                # (trial index, alpha, flipped)
         self.indicator_history = []       # I_t per tried classifier
@@ -321,28 +369,13 @@ class CSPParty:
         ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
                 + wire.pack_labels(gb_labels)
                 + wire.pack_label_pairs(gc.output_check))
-        self._ot_send(ch, [(gc.input_labels(w, 0), gc.input_labels(w, 1))
-                           for w in ev_wires])
+        pairs = [(gc.input_labels(w, 0), gc.input_labels(w, 1)) for w in ev_wires]
+        self.counters.ot_transfers += len(pairs)
+        self.label_ot.send(ch, pairs)
         phase, payload = ch.recv()
         assert phase == OUTPUT_LABELS
         out_labels, _ = wire.unpack_labels(payload)
         return decode_output(out_labels, gc.output_decode)
-
-    def _ot_send(self, ch, pairs):
-        self.counters.ot_transfers += len(pairs)
-        if self.cfg.ot_mode == "dealer":
-            ch.send(OT, wire.pack_label_pairs(pairs))
-            return
-        group = GROUPS[self.cfg.ot_group]
-        sender = OTSender(group, self.ot_rng, full_check=self.cfg.secure_profile)
-        ch.send(OT, wire.pack_bigints([sender.setup_message()]))
-        phase, payload = ch.recv()
-        if phase != OT:
-            raise OTFailure(f"expected OT choice message, got {phase}")
-        bs, _ = wire.unpack_bigints(payload)
-        responses = sender.respond(bs, pairs)
-        flat = [(e0, e1) for e0, e1 in responses]
-        ch.send(OT, wire.pack_label_pairs(flat))
 
     def update(self, indicators):
         """The Update step: runs the shared plaintext logic on CSP's weights."""

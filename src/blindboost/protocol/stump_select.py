@@ -33,14 +33,14 @@ from ..garbling import (
     garble,
     tables_from_bytes,
 )
-from ..ot import GROUPS, OTReceiver, OTSender, dealer_choose
+from ..ot import dealer_choose  # noqa: F401  (wrapped here by perfbench/tracing.py)
 from . import transport, wire
 from .config import ProtocolConfig
+from .parties import LabelOT
 from .transcript import (
     BASE_APPLY,
     DONE,
     GC_TABLES,
-    OT,
     OUTPUT_LABELS,
     RESULT_EVAL_MASK,
     SETUP,
@@ -125,11 +125,15 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
 def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot):
     n = xq.shape[0]
     L = fp.ring_bits
+    counters = ch._transcript.party("cloud")
+    label_ot = LabelOT(cfg, rng_ot)
     # one-time label masking: E(y + m), m_i kept for the circuit input
     m_bits = [rng_mask.getrandbits(1) for _ in range(n)]
     masked_labels = []
     for c, m in zip(ey, m_bits):
         masked_labels.append(paillier.he_add(pk, c, paillier.encrypt(pk, m, rng_enc)))
+    counters.encryptions += n
+    counters.he_adds += n
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
     circuit = build_stump_error_batch(L, n)
@@ -141,6 +145,8 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         for i in range(n):
             c = paillier.he_add(pk, xq.rows[i][j], neg_v)
             out.append(paillier.he_add(pk, c, paillier.encrypt(pk, lam[i], rng_enc)))
+        counters.encryptions += n
+        counters.he_adds += 2 * n
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
         # GC: evaluator holds the masks (lambda bits) and the label masks m
         phase, payload = ch.recv()
@@ -158,27 +164,13 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         bits.extend(m_bits)
         ev_wires = list(circuit.inputs_b) + list(circuit.extra_inputs_b)
         gb_wires = list(circuit.inputs_a) + list(circuit.extra_inputs_a)
-        labels = _ot_receive(ch, cfg, bits, rng_ot)
+        counters.ot_transfers += len(bits)
+        labels = label_ot.receive(ch, bits)
         out_labels = evaluate(gc, dict(zip(ev_wires, labels)),
                               dict(zip(gb_wires, garbler_labels)))
+        counters.and_gates += circuit.and_count
         ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
     ch.send(DONE, b"")
-
-
-def _ot_receive(ch, cfg, bits, rng):
-    phase, payload = ch.recv()
-    assert phase == OT
-    if cfg.ot_mode == "dealer":
-        pairs, _ = wire.unpack_label_pairs(payload)
-        return dealer_choose(pairs, bits, cfg.secure_profile)
-    (a_elem,), _ = wire.unpack_bigints(payload)
-    receiver = OTReceiver(GROUPS[cfg.ot_group], rng, a_elem,
-                          full_check=cfg.secure_profile)
-    ch.send(OT, wire.pack_bigints(receiver.choose(bits)))
-    phase, payload = ch.recv()
-    assert phase == OT
-    pairs, _ = wire.unpack_label_pairs(payload)
-    return receiver.finish(pairs)
 
 
 def _csp_loop(ch, cfg, kp, n_catalog, out):
@@ -188,11 +180,12 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
     L, off = wire.unpack_u32(payload, off)
     masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public.fingerprint)
     label_share = [paillier.decrypt(kp, c) & 1 for c in masked]  # y xor m
+    counters = ch._transcript.party("csp")
+    counters.decryptions += n
     circuit = build_stump_error_batch(L, n)
     garble_rng = random.Random(cfg.seeds.csp ^ 0x67617262)
-    ot_rng = random.Random(cfg.seeds.csp ^ 0x6F745F73)
+    label_ot = LabelOT(cfg, random.Random(cfg.seeds.csp ^ 0x6F745F73))
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
-    counters = ch._transcript.party("csp")
     while True:
         msg = ch.recv()
         if msg[0] == DONE:
@@ -216,7 +209,8 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
                 + wire.pack_labels(gb_labels)
                 + wire.pack_label_pairs(gc.output_check))
         pairs = [(gc.input_labels(w, 0), gc.input_labels(w, 1)) for w in ev_wires]
-        _ot_send(ch, cfg, pairs, ot_rng, counters)
+        counters.ot_transfers += len(pairs)
+        label_ot.send(ch, pairs)
         phase, payload = ch.recv()
         assert phase == OUTPUT_LABELS
         out_labels, _ = wire.unpack_labels(payload)
@@ -224,19 +218,6 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
     out["errors"] = errors
-
-
-def _ot_send(ch, cfg, pairs, rng, counters):
-    counters.ot_transfers += len(pairs)
-    if cfg.ot_mode == "dealer":
-        ch.send(OT, wire.pack_label_pairs(pairs))
-        return
-    sender = OTSender(GROUPS[cfg.ot_group], rng, full_check=cfg.secure_profile)
-    ch.send(OT, wire.pack_bigints([sender.setup_message()]))
-    phase, payload = ch.recv()
-    assert phase == OT
-    bs, _ = wire.unpack_bigints(payload)
-    ch.send(OT, wire.pack_label_pairs(sender.respond(bs, pairs)))
 
 
 def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
@@ -259,6 +240,7 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     ey = [paillier.encrypt(kp.public, int(b), user_rng) for b in y01]
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
+    transcript.party("user").encryptions += n * k + n
     out = {}
     errors_holder = []
 

@@ -10,7 +10,7 @@ import socket
 import struct
 import threading
 
-from ..errors import TransportClosed
+from ..errors import PhaseOrderViolation, TransportClosed
 from .transcript import BYTE_PHASE, PHASE_BYTE, Transcript
 
 _CLOSED = object()
@@ -84,8 +84,11 @@ class _SocketEndpoint:
     def recv(self):
         header = self._read_exact(5)
         phase_byte, length = struct.unpack(">BI", header)
+        phase = BYTE_PHASE.get(phase_byte)
+        if phase is None:
+            raise PhaseOrderViolation(f"unknown phase byte {phase_byte:#04x}")
         payload = self._read_exact(length) if length else b""
-        return BYTE_PHASE[phase_byte], payload
+        return phase, payload
 
     def close(self):
         try:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from blindboost import ot
@@ -100,3 +101,127 @@ def test_count_mismatch():
     sender = ot.OTSender(group, random.Random(13))
     with pytest.raises(OTFailure):
         sender.respond([4, 4], [(b"0" * 16, b"1" * 16)])
+
+
+def test_sender_second_key_matches_two_pow_formula():
+    # k1 = H(B^a * A^{-a}) must equal the textbook H((B/A)^a)
+    group = ot.GROUPS["modp-768"]
+    rng = random.Random(14)
+    sender = ot.OTSender(group, random.Random(15))
+    receiver = ot.OTReceiver(group, random.Random(16), sender.setup_message())
+    bs = receiver.choose([rng.getrandbits(1) for _ in range(6)])
+    zero = bytes(16)
+    keys = sender.respond(bs, [(zero, zero)] * len(bs))
+    a, p = sender._a, group.p
+    a_inv = pow(sender.A, p - 2, p)
+    for i, (b, (k0, k1)) in enumerate(zip(bs, keys)):
+        assert k0 == ot._kdf(pow(b, a, p), i)
+        assert k1 == ot._kdf(pow(b * a_inv % p, a, p), i)
+
+
+# ---------------------------------------------------------------------------
+# IKNP extension
+
+
+def _ext_session(seed, full_check=False):
+    """An extension (sender, receiver) pair whose base OTs have run."""
+    group = ot.GROUPS["modp-768"]
+    receiver = ot.OTExtReceiver(group, random.Random(seed), full_check=full_check)
+    sender = ot.OTExtSender(group, random.Random(seed + 1),
+                            receiver.setup_message(), full_check=full_check)
+    sender.base_finish(receiver.base_respond(sender.base_choose()))
+    return sender, receiver
+
+
+def test_transpose_matches_bit_loop():
+    # row j, bit i of the packed rows is bit j of packed column i (MSB first)
+    rng = np.random.default_rng(19)
+    for m in (1, 7, 8, 9, 209):
+        cols = rng.integers(0, 256, size=(ot.KAPPA, (m + 7) // 8), dtype=np.uint8)
+        rows = ot._rows(cols, m)
+        assert rows.shape == (m, ot.KAPPA // 8)
+        for j in range(m):
+            want = [(int(cols[i, j // 8]) >> (7 - j % 8)) & 1 for i in range(ot.KAPPA)]
+            got = [(int(rows[j, i // 8]) >> (7 - i % 8)) & 1 for i in range(ot.KAPPA)]
+            assert got == want
+
+
+def test_extension_delivers_chosen_labels_over_rounds():
+    sender, receiver = _ext_session(20)
+    rng = random.Random(21)
+    for _ in range(3):
+        for m in (1, 7, 8, 209):
+            pairs = _pairs(rng, m)
+            bits = [rng.getrandbits(1) for _ in range(m)]
+            u = receiver.choose(bits)
+            assert len(u) == ot.KAPPA * ((m + 7) // 8)
+            got = receiver.finish(sender.respond(u, pairs))
+            assert got == [p[b] for p, b in zip(pairs, bits)]
+
+
+def test_extension_same_choices_give_fresh_u():
+    # the column streams continue across rounds: a restarted PRG would
+    # repeat U for repeated choice bits
+    sender, receiver = _ext_session(22)
+    rng = random.Random(23)
+    bits = [rng.getrandbits(1) for _ in range(40)]
+    pairs = _pairs(rng, 40)
+    seen = []
+    for _ in range(2):
+        u = receiver.choose(bits)
+        seen.append(u)
+        assert receiver.finish(sender.respond(u, pairs)) == \
+            [p[b] for p, b in zip(pairs, bits)]
+    assert seen[0] != seen[1]
+
+
+def test_extension_unchosen_label_stays_masked():
+    sender, receiver = _ext_session(24)
+    rng = random.Random(25)
+    pairs = _pairs(rng, 64)
+    bits = [rng.getrandbits(1) for _ in range(64)]
+    responses = sender.respond(receiver.choose(bits), pairs)
+    r, t_rows, first = receiver._pending
+    masks = ot._hash_rows(t_rows, first)
+    for j, ((y0, y1), c) in enumerate(zip(responses, r)):
+        other = ot._xor(y0 if c else y1, masks[j].tobytes())
+        assert other not in pairs[j]
+    assert receiver.finish(responses) == [p[b] for p, b in zip(pairs, bits)]
+
+
+def test_extension_base_ots_check_subgroup():
+    group = ot.GROUPS["modp-768"]
+    receiver = ot.OTExtReceiver(group, random.Random(26), full_check=True)
+    sender = ot.OTExtSender(group, random.Random(27), receiver.setup_message(),
+                            full_check=True)
+    bs = sender.base_choose()
+    with pytest.raises(GroupElementInvalid):
+        receiver.base_respond([group.p - 4] + bs[1:])
+    with pytest.raises(GroupElementInvalid):
+        ot.OTExtSender(group, random.Random(28), group.p - 4, full_check=True)
+
+
+def test_extension_rejects_malformed_messages():
+    sender, receiver = _ext_session(30)
+    rng = random.Random(31)
+    pairs = _pairs(rng, 9)
+    bits = [rng.getrandbits(1) for _ in range(9)]
+    u = receiver.choose(bits)
+    for bad_u in (u[:-1], u + b"\x00", b""):
+        with pytest.raises(OTFailure):
+            sender.respond(bad_u, pairs)
+    responses = sender.respond(u, pairs)
+    with pytest.raises(OTFailure):
+        receiver.finish(responses[:-1])
+    receiver.choose(bits)
+    with pytest.raises(OTFailure):
+        receiver.finish(responses[:-1] + [(responses[-1][0][:5], responses[-1][1][:5])])
+    with pytest.raises(OTFailure):
+        receiver.finish(responses)  # no choose() since the last finish
+    fresh = ot.OTExtSender(ot.GROUPS["modp-768"], random.Random(32),
+                           receiver.setup_message())
+    with pytest.raises(OTFailure):
+        fresh.respond(u, pairs)  # base OTs not run
+    fresh.base_choose()
+    with pytest.raises(OTFailure):
+        fresh.base_finish([(b"\x00" * 16, b"\x00" * 16)])  # count mismatch

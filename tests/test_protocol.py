@@ -18,6 +18,7 @@ from blindboost.errors import (
     ConfigInvalid,
     IterationOutOfRange,
     ModeNotPermittedInSecureProfile,
+    OTFailure,
     PartMismatch,
     PoolExhaustedWarning,
 )
@@ -34,7 +35,7 @@ from blindboost.protocol import (
     setup,
     transcript_report,
 )
-from blindboost.protocol.parties import CloudParty, CSPParty
+from blindboost.protocol.parties import CloudParty, CSPParty, LabelOT
 
 
 def toy_folded(n=8, k=3, seed=0):
@@ -326,3 +327,60 @@ def test_mask_freshness_across_iterations():
     import blindboost.shares as sh
     masks = sh.sample_masks(10_000, cloud.fp.ring_bits, random.Random(99))
     assert len(set(masks)) == 10_000
+
+
+# ---------------------------------------------------------------------------
+# label OT over the channel
+
+
+class _Scripted:
+    """A channel end that replays fixed incoming messages."""
+
+    def __init__(self, incoming):
+        self.incoming = list(incoming)
+        self.sent = []
+
+    def send(self, phase, payload=b""):
+        self.sent.append(phase)
+
+    def recv(self):
+        return self.incoming.pop(0)
+
+
+@pytest.mark.parametrize("ot_mode", ["dealer", "base"])
+def test_label_ot_wrong_phase_is_ot_failure(ot_mode):
+    cfg = cfg_for(HE_GC, ot_mode=ot_mode)
+    pairs = [(b"\x00" * 16, b"\x01" * 16)]
+    with pytest.raises(OTFailure):
+        LabelOT(cfg, random.Random(1)).receive(_Scripted([("GC_TABLES", b"")]), [1])
+    if ot_mode == "base":  # the dealer-mode sender receives nothing
+        with pytest.raises(OTFailure):
+            LabelOT(cfg, random.Random(2)).send(_Scripted([("OUTPUT_LABELS", b"")]),
+                                                pairs)
+
+
+def test_label_ot_malformed_base_setup_is_ot_failure():
+    cfg = cfg_for(HE_GC, ot_mode="base")
+    two = (2).to_bytes(4, "big") + b"".join((1).to_bytes(4, "big") + b"\x04"
+                                           for _ in range(2))
+    with pytest.raises(OTFailure):
+        LabelOT(cfg, random.Random(3)).send(_Scripted([("OT", two)]),
+                                            [(b"\x00" * 16, b"\x01" * 16)])
+
+
+def test_base_ot_session_opens_once_per_run():
+    # 4 OT messages open the extension session in the first round; every
+    # later round is U and the masked label pairs
+    folded = toy_folded(n=5, k=2, seed=15)
+    dm, transcript, cloud, csp = run_learning(
+        cfg_for(SECSH_GC, tau=3, p_max=6, ot_mode="base"), folded,
+        with_parties=True)
+    rounds = transcript.iterations()
+    assert rounds >= 2
+    ot_msgs = [d for d, phase, _ in transcript.messages if phase == "OT"]
+    assert len(ot_msgs) == 4 + 2 * (rounds - 1)
+    assert ot_msgs[:4] == ["cloud->csp", "csp->cloud", "cloud->csp", "csp->cloud"]
+    L = cloud.fp.ring_bits
+    report = transcript_report(transcript)
+    assert report["counters"]["cloud"]["ot_transfers"] == 5 * L * rounds
+    assert report["counters"]["csp"]["ot_transfers"] == 5 * L * rounds

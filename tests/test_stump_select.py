@@ -79,9 +79,29 @@ def test_gc_gate_counter_scales_with_grid():
     res = confidential_ds_select(cfg(seed=13), ds, s=s, tau=1)
     from blindboost.protocol.transcript import transcript_report
     report = transcript_report(res.transcript)
+    n, k = 10, 2
     L = 2 * 7 + 1 + 1  # k=2 -> ceil(log2(2)) = 1
     per_comparison = 10 * (L - 1)
     assert report["counters"]["csp"]["and_gates"] == s * 2 * per_comparison
+    rounds = s * k
+    counters = report["counters"]
+    assert counters["cloud"] == {
+        "encryptions": n + rounds * n,            # label masks, then lambda
+        "decryptions": 0,
+        "he_adds": n + 2 * rounds * n,
+        "he_scalar_muls": 0,
+        "and_gates": rounds * per_comparison,
+        "ot_transfers": rounds * (n * L + n),     # lambda bits and label masks
+    }
+    assert counters["csp"] == {
+        "encryptions": 0,
+        "decryptions": rounds * n + n,            # one label decryption each
+        "he_adds": 0,
+        "he_scalar_muls": 0,
+        "and_gates": rounds * per_comparison,
+        "ot_transfers": rounds * (n * L + n),
+    }
+    assert counters["user"]["encryptions"] == n * k + n
 
 
 def test_base_ot_mode_matches_dealer():

@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import pytest
@@ -32,6 +33,15 @@ def test_socket_close_raises():
     a.close()
     with pytest.raises(TransportClosed):
         b.recv()
+
+
+def test_socket_unknown_phase_byte_raises():
+    a, b, _ = socket_pair()
+    a._sock.sendall(struct.pack(">BI", 0xFF, 3) + b"abc")
+    with pytest.raises(PhaseOrderViolation):
+        b.recv()
+    a.close()
+    b.close()
 
 
 def test_memory_close_raises():
