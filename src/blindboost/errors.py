@@ -125,6 +125,10 @@ class PhaseOrderViolation(BlindBoostError):
     pass
 
 
+class MalformedMessage(BlindBoostError):
+    """A payload is shorter than the fields and counts it declares."""
+
+
 # --- harness ---
 
 class ParseError(BlindBoostError):

@@ -16,10 +16,11 @@ Three building blocks:
   string s. Every later round of m transfers costs one message of
   KAPPA * ceil(m/8) bytes, a bit-matrix transpose and 3m keyed hashes.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
-  party pair (about 1.2 s of CPU in modp-768), then a few milliseconds of
-  hashing per round (2.6 ms at 209 transfers, 11 ms at 1216, on a 2-core
-  x86 machine without gmpy2). Its OT bytes fall below those of per-wire
-  base OT once a run moves more than about 200 transfers.
+  party pair (about 0.17 s of CPU in modp-768 with libgmp, 1.2 s with
+  builtin pow), then a few milliseconds of hashing per round (2.6 ms at
+  209 transfers, 11 ms at 1216, on a 2-core x86 machine). Its OT bytes
+  fall below those of per-wire base OT once a run moves more than about
+  200 transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
   Flagged insecure; refused when the secure profile is active.
 """
@@ -73,7 +74,7 @@ GROUPS = {
     "modp-2048": Group("modp-2048", _MODP_2048, 4),
 }
 
-from .paillier import invmod, powmod  # noqa: E402
+from .paillier import powmod  # noqa: E402
 
 
 def _validate_element(group: Group, x: int, full_check: bool = False) -> None:
@@ -101,7 +102,7 @@ class OTSender:
         self.full_check = full_check
         self._a = rng.randrange(1, group.order)
         self.A = powmod(group.g, self._a, group.p)
-        self._A_neg_a = invmod(powmod(self.A, self._a, group.p), group.p)
+        self._A_neg_a = pow(powmod(self.A, self._a, group.p), -1, group.p)
 
     def setup_message(self) -> int:
         return self.A

@@ -4,12 +4,20 @@ Plaintexts are integers in [0, N). Ring values (mod q = 2^L) are lifted into
 Z_N unchanged; every homomorphic result is reduced mod q right after
 decryption by the caller. The generator is fixed to g = N + 1 and scalar
 multiplication is ciphertext exponentiation c^s mod N^2.
+
+``powmod`` is the package's one big-number exponentiation: key generation,
+encryption, decryption, scalar multiplication and the base OTs in ``ot``
+all run through it.
 """
 
+import ctypes
+import ctypes.util
 import hashlib
 import math
 import random
+import types
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -18,21 +26,72 @@ from .errors import (
     PrimeGenFailure,
 )
 
-try:
-    from gmpy2 import invert as _g_invert, powmod as _g_powmod
 
-    def powmod(base, exp, mod):
-        return int(_g_powmod(base, exp, mod))
+class _Mpz(ctypes.Structure):
+    """GMP's __mpz_struct; only its size matters here."""
 
-    def invmod(a, mod):
-        return int(_g_invert(a, mod))
+    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int),
+                ("limbs", ctypes.c_void_p)]
 
-except ImportError:  # pragma: no cover - depends on environment
-    def powmod(base, exp, mod):
+
+def _load_gmp():
+    """The system libgmp's mpz_{init,clear,import,export,powm_sec} through
+    ctypes, or None where the library or one of the symbols is missing."""
+    path = ctypes.util.find_library("gmp")
+    if path is None:
+        return None
+    mpz_p, size_t, c_int = ctypes.POINTER(_Mpz), ctypes.c_size_t, ctypes.c_int
+    signatures = {
+        "mpz_init": [mpz_p],
+        "mpz_clear": [mpz_p],
+        "mpz_import": [mpz_p, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p],
+        "mpz_export": [ctypes.c_char_p, ctypes.POINTER(size_t), c_int, size_t, c_int,
+                       size_t, mpz_p],
+        "mpz_powm_sec": [mpz_p, mpz_p, mpz_p, mpz_p],
+    }
+    try:
+        lib = ctypes.CDLL(path)
+        fns = {name: getattr(lib, "__g" + name) for name in signatures}
+    except (OSError, AttributeError):  # pragma: no cover - depends on environment
+        return None
+    for name, argtypes in signatures.items():
+        fns[name].argtypes = argtypes
+    fns["mpz_export"].restype = ctypes.c_void_p
+    return types.SimpleNamespace(**fns)
+
+
+_gmp = _load_gmp()
+
+
+def powmod(base: int, exp: int, mod: int) -> int:
+    """base**exp mod mod, equal to builtin pow.
+
+    Runs GMP's constant-time mpz_powm_sec through ctypes, which releases
+    the GIL for the call, so two party threads exponentiate in parallel.
+    Builtin pow covers what mpz_powm_sec does not take (exp <= 0, an even
+    modulus, mod < 3) and machines without libgmp.
+    """
+    gmp = _gmp
+    if gmp is None or exp <= 0 or not mod & 1 or mod < 3:
         return pow(base, exp, mod)
-
-    def invmod(a, mod):
-        return pow(a, -1, mod)
+    width = (mod.bit_length() + 7) // 8
+    ewidth = (exp.bit_length() + 7) // 8
+    z = (_Mpz * 4)()
+    r, b, e, m = z
+    for x in z:
+        gmp.mpz_init(x)
+    try:
+        # whole bytes, least significant first, no nail bits
+        gmp.mpz_import(b, width, -1, 1, 0, 0, (base % mod).to_bytes(width, "little"))
+        gmp.mpz_import(e, ewidth, -1, 1, 0, 0, exp.to_bytes(ewidth, "little"))
+        gmp.mpz_import(m, width, -1, 1, 0, 0, mod.to_bytes(width, "little"))
+        gmp.mpz_powm_sec(r, b, e, m)
+        out = ctypes.create_string_buffer(width)  # zero-filled past the result
+        gmp.mpz_export(out, None, -1, 1, 0, 0, r)
+    finally:
+        for x in z:
+            gmp.mpz_clear(x)
+    return int.from_bytes(out.raw, "little")
 
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
@@ -79,11 +138,11 @@ class PublicKey:
     g: int
     key_bits: int
 
-    @property
+    @cached_property
     def n_sq(self) -> int:
         return self.n * self.n
 
-    @property
+    @cached_property
     def fingerprint(self) -> bytes:
         return hashlib.blake2s(self.n.to_bytes((self.n.bit_length() + 7) // 8, "big"),
                                digest_size=8).digest()
@@ -95,6 +154,26 @@ class PrivateKey:
     mu: int
     p: int
     q: int
+
+    # textbook CRT decryption constants (Paillier 1999, section 7)
+
+    @cached_property
+    def hp(self) -> int:
+        return _crt_h(self.p, self.q)
+
+    @cached_property
+    def hq(self) -> int:
+        return _crt_h(self.q, self.p)
+
+    @cached_property
+    def q_inv(self) -> int:
+        """q^-1 mod p."""
+        return pow(self.q, -1, self.p)
+
+
+def _crt_h(p: int, q: int) -> int:
+    """h_p = L_p(g^(p-1) mod p^2)^-1 mod p for g = pq + 1, L_p(x) = (x-1)/p."""
+    return pow((powmod(p * q + 1, p - 1, p * p) - 1) // p, -1, p)
 
 
 @dataclass(frozen=True)
@@ -128,7 +207,7 @@ def keygen(key_bits: int, rng: random.Random) -> KeyPair:
         lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)  # lcm
         # mu = (L(g^lam mod n^2))^-1 mod n; with g = n+1 this is lam^-1 mod n.
         x = powmod(g, lam, n * n)
-        mu = invmod((x - 1) // n, n)
+        mu = pow((x - 1) // n, -1, n)
         public = PublicKey(n=n, g=g, key_bits=key_bits)
         return KeyPair(public=public, secret=PrivateKey(lam=lam, mu=mu, p=p, q=q))
     raise PrimeGenFailure("could not assemble a valid modulus")
@@ -162,17 +241,14 @@ def _decrypt_plain(kp: KeyPair, c: int) -> int:
 
 
 def _decrypt_crt(kp: KeyPair, c: int) -> int:
-    # Exponentiations mod p^2 and q^2 recombined; bit-identical to the
-    # non-CRT result (asserted by the test suite).
-    p, q = kp.secret.p, kp.secret.q
-    n = kp.public.n
-    p2, q2 = p * p, q * q
-    xp = powmod(c % p2, kp.secret.lam, p2)
-    xq = powmod(c % q2, kp.secret.lam, q2)
-    # CRT over moduli p^2, q^2 to recover c^lam mod n^2
-    q2_inv = invmod(q2 % p2, p2)
-    x = (xq + q2 * (((xp - xq) * q2_inv) % p2)) % (n * n)
-    return ((x - 1) // n) * kp.secret.mu % n
+    # m_p = L_p(c^(p-1) mod p^2) h_p mod p, likewise mod q, recombined by
+    # CRT; equal to the plain result for every c coprime to N (asserted by
+    # the test suite).
+    sk = kp.secret
+    p, q = sk.p, sk.q
+    mp = (powmod(c, p - 1, p * p) - 1) // p * sk.hp % p
+    mq = (powmod(c, q - 1, q * q) - 1) // q * sk.hq % q
+    return mq + q * ((mp - mq) * sk.q_inv % p)
 
 
 def he_add(pk: PublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

@@ -39,6 +39,7 @@ from .transcript import (
     RESULT_EVAL_MASK,
     SETUP,
     Transcript,
+    expect_phase,
 )
 
 _DECISION_REJECT = 0
@@ -208,8 +209,7 @@ class CloudParty:
             self.counters.encryptions += self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t)
                     + paillier.ciphertexts_to_bytes(ew))
-            phase, payload = ch.recv()
-            assert phase == BASE_APPLY
+            payload = expect_phase(ch.recv(), BASE_APPLY)
             masked = paillier.ciphertexts_from_bytes(payload, pk.fingerprint)
             dec = [paillier.decrypt(self.keypair, c) for c in masked]
             self.counters.decryptions += self.n
@@ -241,8 +241,7 @@ class CloudParty:
     def _gc_evaluate(self, ch, evaluator_vals, evaluator_partition: str):
         L = self.fp.ring_bits
         circuit = _batch_circuit(L, self.n)
-        phase, payload = ch.recv()
-        assert phase == GC_TABLES
+        payload = expect_phase(ch.recv(), GC_TABLES)
         tables_blob, off = wire.unpack_blob(payload)
         garbler_labels, off = wire.unpack_labels(payload, off)
         checks, off = wire.unpack_label_pairs(payload, off)
@@ -261,8 +260,7 @@ class CloudParty:
         ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
 
     def recv_decision(self, ch):
-        phase, payload = ch.recv()
-        assert phase == OUTPUT_LABELS
+        payload = expect_phase(ch.recv(), OUTPUT_LABELS)
         accept, stop = payload[0], payload[1]
         self.acceptance.append(bool(accept))
         return bool(accept), bool(stop)
@@ -322,8 +320,7 @@ class CSPParty:
     # -- protocol steps ------------------------------------------------------
 
     def base_apply_step(self, ch, first_msg):
-        phase, payload = first_msg
-        assert phase == BASE_APPLY
+        payload = expect_phase(first_msg, BASE_APPLY)
         t, off = wire.unpack_u32(payload)
         if self.cfg.construction == SECSH_GC:
             pk = self.cloud_public
@@ -340,8 +337,7 @@ class CSPParty:
         return t
 
     def result_eval_step(self, ch):
-        phase, payload = ch.recv()
-        assert phase == RESULT_EVAL_MASK
+        payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
         if self.cfg.construction == HE_GC:
             masked = paillier.ciphertexts_from_bytes(
                 payload, self.keypair.public.fingerprint)
@@ -372,8 +368,7 @@ class CSPParty:
         pairs = [(gc.input_labels(w, 0), gc.input_labels(w, 1)) for w in ev_wires]
         self.counters.ot_transfers += len(pairs)
         self.label_ot.send(ch, pairs)
-        phase, payload = ch.recv()
-        assert phase == OUTPUT_LABELS
+        payload = expect_phase(ch.recv(), OUTPUT_LABELS)
         out_labels, _ = wire.unpack_labels(payload)
         return decode_output(out_labels, gc.output_decode)
 
@@ -390,8 +385,7 @@ class CSPParty:
 
     def run(self, ch):
         self._transcript = ch._transcript
-        phase, _ = ch.recv()
-        assert phase == SETUP
+        expect_phase(ch.recv(), SETUP)
         while True:
             msg = ch.recv()
             if msg[0] == DONE:

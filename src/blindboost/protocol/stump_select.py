@@ -45,6 +45,7 @@ from .transcript import (
     RESULT_EVAL_MASK,
     SETUP,
     Transcript,
+    expect_phase,
 )
 
 
@@ -149,8 +150,7 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         counters.he_adds += 2 * n
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
         # GC: evaluator holds the masks (lambda bits) and the label masks m
-        phase, payload = ch.recv()
-        assert phase == GC_TABLES
+        payload = expect_phase(ch.recv(), GC_TABLES)
         tables_blob, off = wire.unpack_blob(payload)
         garbler_labels, off = wire.unpack_labels(payload, off)
         checks, off = wire.unpack_label_pairs(payload, off)
@@ -174,8 +174,7 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
 
 
 def _csp_loop(ch, cfg, kp, n_catalog, out):
-    phase, payload = ch.recv()
-    assert phase == SETUP
+    payload = expect_phase(ch.recv(), SETUP)
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
     masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public.fingerprint)
@@ -190,9 +189,8 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
         msg = ch.recv()
         if msg[0] == DONE:
             break
-        index, _ = wire.unpack_u32(msg[1])
-        phase, payload = ch.recv()
-        assert phase == RESULT_EVAL_MASK
+        index, _ = wire.unpack_u32(expect_phase(msg, BASE_APPLY))
+        payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
         enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public.fingerprint)
         dec = [paillier.decrypt(kp, c) for c in enc_diffs]
         counters.decryptions += n
@@ -211,8 +209,7 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
         pairs = [(gc.input_labels(w, 0), gc.input_labels(w, 1)) for w in ev_wires]
         counters.ot_transfers += len(pairs)
         label_ot.send(ch, pairs)
-        phase, payload = ch.recv()
-        assert phase == OUTPUT_LABELS
+        payload = expect_phase(ch.recv(), OUTPUT_LABELS)
         out_labels, _ = wire.unpack_labels(payload)
         err = np.asarray(decode_output(out_labels, gc.output_decode), dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"

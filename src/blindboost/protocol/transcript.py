@@ -25,6 +25,15 @@ _PHASE_LETTER = {SETUP: "S", BASE_APPLY: "B", RESULT_EVAL_MASK: "R",
 _ORDER_RE = re.compile(r"^S?(BRGOL)*D$")
 
 
+def expect_phase(msg, phase: str) -> bytes:
+    """The payload of a received (phase, payload) message that must belong
+    to `phase`; PhaseOrderViolation otherwise."""
+    got, payload = msg
+    if got != phase:
+        raise PhaseOrderViolation(f"expected a {phase} message, got {got}")
+    return payload
+
+
 @dataclass
 class Counters:
     encryptions: int = 0

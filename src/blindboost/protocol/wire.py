@@ -3,11 +3,22 @@
 Every message travels as [phase: 1 byte][length: 4 bytes big-endian][payload]
 on the stream transport; the in-process transport carries (phase, payload)
 tuples and counts the same framed length.
+
+Every ``unpack_*`` helper raises ``MalformedMessage`` when a field or a
+declared count runs past the end of the payload.
 """
 
 import numpy as np
 
+from ..errors import MalformedMessage
+
 LABEL_BYTES = 16
+
+
+def _need(buf: bytes, off: int, nbytes: int, what: str) -> None:
+    if off + nbytes > len(buf):
+        raise MalformedMessage(f"{what} needs {nbytes} bytes at offset {off}, "
+                               f"payload has {len(buf)}")
 
 
 def pack_u32(x: int) -> bytes:
@@ -15,6 +26,7 @@ def pack_u32(x: int) -> bytes:
 
 
 def unpack_u32(buf: bytes, off: int = 0):
+    _need(buf, off, 4, "u32")
     return int.from_bytes(buf[off:off + 4], "big"), off + 4
 
 
@@ -29,9 +41,11 @@ def pack_bigints(xs) -> bytes:
 
 def unpack_bigints(buf: bytes, off: int = 0):
     count, off = unpack_u32(buf, off)
+    _need(buf, off, 4 * count, f"{count} bigint lengths")
     xs = []
     for _ in range(count):
         ln, off = unpack_u32(buf, off)
+        _need(buf, off, ln, "bigint")
         xs.append(int.from_bytes(buf[off:off + ln], "big"))
         off += ln
     return xs, off
@@ -43,6 +57,7 @@ def pack_labels(labels) -> bytes:
 
 def unpack_labels(buf: bytes, off: int = 0):
     count, off = unpack_u32(buf, off)
+    _need(buf, off, count * LABEL_BYTES, f"{count} labels")
     labels = []
     for _ in range(count):
         labels.append(buf[off:off + LABEL_BYTES])
@@ -56,6 +71,7 @@ def pack_label_pairs(pairs) -> bytes:
 
 def unpack_label_pairs(buf: bytes, off: int = 0):
     count, off = unpack_u32(buf, off)
+    _need(buf, off, count * 2 * LABEL_BYTES, f"{count} label pairs")
     pairs = []
     for _ in range(count):
         pairs.append((buf[off:off + LABEL_BYTES],
@@ -72,6 +88,7 @@ def pack_bits(bits) -> bytes:
 def unpack_bits(buf: bytes, off: int = 0):
     count, off = unpack_u32(buf, off)
     nbytes = (count + 7) // 8
+    _need(buf, off, nbytes, f"{count} bits")
     arr = np.unpackbits(np.frombuffer(buf[off:off + nbytes], dtype=np.uint8))[:count]
     return arr, off + nbytes
 
@@ -82,4 +99,5 @@ def pack_blob(blob: bytes) -> bytes:
 
 def unpack_blob(buf: bytes, off: int = 0):
     ln, off = unpack_u32(buf, off)
+    _need(buf, off, ln, "blob")
     return buf[off:off + ln], off + ln

@@ -1,3 +1,4 @@
+import ctypes.util
 import random
 
 import numpy as np
@@ -10,6 +11,85 @@ from blindboost.errors import (
     KeyMismatch,
     PlaintextOutOfRange,
 )
+
+
+# ---------------------------------------------------------------------------
+# the powmod kernel
+
+
+@pytest.mark.parametrize("bits", [64, 512, 1024, 2048, 4096])
+def test_powmod_matches_builtin_pow(bits):
+    rng = random.Random(bits)
+    for _ in range(4 if bits == 4096 else 12):
+        mod = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        base = rng.getrandbits(bits + 8)
+        exp = rng.getrandbits(bits)
+        assert paillier.powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+@pytest.mark.parametrize("base, exp, mod", [
+    (5, 0, 7919),              # exp 0
+    (0, 0, 7919),
+    (0, 12345, 7919),          # base 0
+    (7919 * 3 + 2, 77, 7919),  # base >= mod
+    (7919, 77, 7919),
+    (-12345, 77, 7919),        # negative base
+    (5, 12345, 1),             # mod 1
+    (5, 12345, 2**61),         # even mod
+    (5, 12345, 6),
+    (5, -1, 7919),             # exp -1: modular inverse
+    (2**600 + 1, 2**100, 2**521 - 1),
+])
+def test_powmod_edge_cases(base, exp, mod):
+    assert paillier.powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_powmod_fallback_without_libgmp(monkeypatch):
+    monkeypatch.setattr(paillier, "_gmp", None)
+    rng = random.Random(2)
+    mod = rng.getrandbits(1024) | 1
+    for _ in range(3):
+        base, exp = rng.getrandbits(1030), rng.getrandbits(1024)
+        assert paillier.powmod(base, exp, mod) == pow(base, exp, mod)
+    kp = paillier.keygen(512, random.Random(0xBB512))
+    c = paillier.encrypt(kp.public, 42, rng)
+    assert paillier.decrypt(kp, c) == 42
+
+
+@pytest.mark.skipif(ctypes.util.find_library("gmp") is None, reason="libgmp not installed")
+def test_gmp_kernel_is_active_where_libgmp_is_installed(monkeypatch):
+    # a silent fallback to builtin pow costs about 8x on every layer
+    assert paillier._gmp is not None
+    calls = []
+    powm_sec = paillier._gmp.mpz_powm_sec
+    monkeypatch.setattr(paillier._gmp, "mpz_powm_sec",
+                        lambda *args: calls.append(1) or powm_sec(*args))
+    assert paillier.powmod(3, 2**64 + 1, 2**127 - 1) == pow(3, 2**64 + 1, 2**127 - 1)
+    assert calls == [1]
+
+
+def test_textbook_crt_matches_plain_decrypt_2048():
+    kp = paillier.keygen(2048, random.Random(0x2048))
+    rng = random.Random(23)
+    pk = kp.public
+    for m in (0, 1, pk.n - 1, rng.randrange(pk.n), rng.randrange(pk.n)):
+        c = paillier.encrypt(pk, m, rng)
+        assert paillier.decrypt(kp, c) == paillier._decrypt_plain(kp, c.value) == m
+
+
+def test_key_constants_are_cached(keypair_512):
+    pk, sk = keypair_512.public, keypair_512.secret
+    assert pk.n_sq is pk.n_sq and pk.fingerprint is pk.fingerprint
+    assert sk.hp is sk.hp and sk.q_inv is sk.q_inv
+    assert sk.q_inv * sk.q % sk.p == 1
+    # the cached values leave equality, hashing and serialization as they were
+    fresh = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits)
+    assert fresh == pk and hash(fresh) == hash(pk)
+    assert paillier.public_key_to_bytes(fresh) == paillier.public_key_to_bytes(pk)
+
+
+# ---------------------------------------------------------------------------
+# keys and ciphertexts
 
 
 def test_keygen_exact_bits(keypair_512):

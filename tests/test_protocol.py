@@ -17,9 +17,11 @@ from blindboost.encoding import (
 from blindboost.errors import (
     ConfigInvalid,
     IterationOutOfRange,
+    MalformedMessage,
     ModeNotPermittedInSecureProfile,
     OTFailure,
     PartMismatch,
+    PhaseOrderViolation,
     PoolExhaustedWarning,
 )
 from blindboost.protocol import (
@@ -28,12 +30,14 @@ from blindboost.protocol import (
     DistributedModel,
     ProtocolConfig,
     Seeds,
+    Transcript,
     base_apply,
     reconstruct_model,
     result_eval,
     run_learning,
     setup,
     transcript_report,
+    wire,
 )
 from blindboost.protocol.parties import CloudParty, CSPParty, LabelOT
 
@@ -366,6 +370,22 @@ def test_label_ot_malformed_base_setup_is_ot_failure():
     with pytest.raises(OTFailure):
         LabelOT(cfg, random.Random(3)).send(_Scripted([("OT", two)]),
                                             [(b"\x00" * 16, b"\x01" * 16)])
+
+
+def test_label_ot_truncated_dealer_payload_is_malformed():
+    cfg = cfg_for(HE_GC, ot_mode="dealer")
+    pairs = [(bytes([i]) * 16, bytes([i + 1]) * 16) for i in range(3)]
+    truncated = wire.pack_label_pairs(pairs)[:-20]
+    with pytest.raises(MalformedMessage):
+        LabelOT(cfg, random.Random(4)).receive(_Scripted([("OT", truncated)]), [0, 1, 1])
+
+
+def test_csp_result_eval_wrong_phase_is_phase_order_violation():
+    folded = toy_folded(n=3, k=2)
+    _, csp = setup(cfg_for(HE_GC), folded)
+    csp.attach(Transcript())
+    with pytest.raises(PhaseOrderViolation):
+        csp.result_eval_step(_Scripted([("GC_TABLES", b"")]))
 
 
 def test_base_ot_session_opens_once_per_run():
