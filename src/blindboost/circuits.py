@@ -8,6 +8,7 @@ materializes its borrow chain - one AND per bit position below the msb.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import WidthOutOfRange
 
@@ -50,9 +51,14 @@ class Circuit:
         return tuple(self.inputs_a) + tuple(self.inputs_b) \
             + tuple(self.extra_inputs_a) + tuple(self.extra_inputs_b)
 
-    @property
+    @cached_property
     def and_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == AND)
+
+    @cached_property
+    def lowered(self) -> tuple:
+        """The gates as flat (kind, a, b, out) tuples, built once per circuit."""
+        return tuple((g.kind, g.a, g.b, g.out) for g in self.gates)
 
     def evaluate_plain(self, a_bits, b_bits, extra_a=(), extra_b=()):
         """Reference evaluation on plaintext bits."""
@@ -176,3 +182,9 @@ def int_to_bits(value: int, width: int):
     """LSB-first bit list of value mod 2^width."""
     value = int(value) & ((1 << width) - 1)
     return [(value >> i) & 1 for i in range(width)]
+
+
+def record_bits(values, width: int) -> list:
+    """int_to_bits of each value, concatenated: the instance-major input
+    order of the batch circuits."""
+    return [(v >> i) & 1 for v in map(int, values) for i in range(width)]

@@ -126,7 +126,11 @@ class PhaseOrderViolation(BlindBoostError):
 
 
 class MalformedMessage(BlindBoostError):
-    """A payload is shorter than the fields and counts it declares."""
+    """A payload does not match the fields and counts it declares."""
+
+
+class PartyTimeout(BlindBoostError):
+    """A party's thread was still running when the run had to end."""
 
 
 # --- harness ---

@@ -1,10 +1,16 @@
 """Garbling engine: free-XOR, point-and-permute, half-gates AND tables.
 
-Labels are 16 bytes; the permute bit is the least significant bit of the
-first byte. For every wire label1 = label0 XOR delta, with delta's permute
-bit forced to 1. The gate cipher is keyed BLAKE2s with the gate index as
-tweak. A classic 4-row point-and-permute mode exists for cross-checking; the
-two schemes must decode identically.
+Inside this module a label is a 128-bit int; wherever it leaves the module
+(input labels, tables, output labels, the decode map) it is the 16-byte
+little-endian encoding of that int. The permute bit is the label's least
+significant bit. For every wire label1 = label0 XOR delta, with delta odd so
+the two labels' permute bits differ. The gate cipher is keyed BLAKE2s over
+the label bytes followed by the 8-byte little-endian tweak (the gate index).
+A classic 4-row point-and-permute mode exists for cross-checking; the two
+schemes must decode identically.
+
+Both garbling and evaluation walk the circuit's lowered gate list
+(``Circuit.lowered``) and keep labels in a list indexed by wire number.
 
 Corruption detection: the garbler ships, per output wire, the hashes of both
 output labels ordered by permute bit. The evaluator checks its computed
@@ -16,121 +22,133 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .circuits import AND, NOT, XOR, Circuit
+from .circuits import NOT, XOR, Circuit
 from .errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
 
 LABEL_BYTES = 16
 HALF_GATES = "half"
 CLASSIC = "classic"
 
+_LABEL_BITS = 8 * LABEL_BYTES
 _GATE_KEY = b"blindboost-gc-v1"
 _OUT_DOMAIN = (1 << 48)
+# keyed once; each hash copies this state, so the key block is not rehashed
+_GATE_HASH = hashlib.blake2s(key=_GATE_KEY, digest_size=LABEL_BYTES)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _hash1(label: int, tweak: int) -> int:
+    """H(label bytes || 8-byte tweak), read back as a label."""
+    h = _GATE_HASH.copy()
+    h.update((label | tweak << _LABEL_BITS).to_bytes(LABEL_BYTES + 8, "little"))
+    return int.from_bytes(h.digest(), "little")
 
 
-def _lsb(label: bytes) -> int:
-    return label[0] & 1
+def _hash2(la: int, lb: int, tweak: int) -> int:
+    h = _GATE_HASH.copy()
+    h.update((la | lb << _LABEL_BITS | tweak << 2 * _LABEL_BITS)
+             .to_bytes(2 * LABEL_BYTES + 8, "little"))
+    return int.from_bytes(h.digest(), "little")
 
 
-def _hash1(label: bytes, tweak: int) -> bytes:
-    return hashlib.blake2s(label + tweak.to_bytes(8, "little"),
-                           key=_GATE_KEY, digest_size=LABEL_BYTES).digest()
+def _check_hash(label: int, output_index: int) -> bytes:
+    """The output-check entry of `label` on output wire `output_index`."""
+    return _hash1(label, _OUT_DOMAIN + output_index).to_bytes(LABEL_BYTES, "little")
 
 
-def _hash2(la: bytes, lb: bytes, tweak: int) -> bytes:
-    return hashlib.blake2s(la + lb + tweak.to_bytes(8, "little"),
-                           key=_GATE_KEY, digest_size=LABEL_BYTES).digest()
-
-
-def _rand_label(rng: random.Random) -> bytes:
-    return rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "little")
-
-
-ZERO = bytes(LABEL_BYTES)
+def _from_bytes(label: bytes) -> int:
+    if len(label) != LABEL_BYTES:
+        raise GCEvaluationFailure(f"label has {len(label)} bytes, expected {LABEL_BYTES}")
+    return int.from_bytes(label, "little")
 
 
 @dataclass
 class GarbledCircuit:
     circuit: Circuit
     scheme: str
-    and_tables: list          # per AND gate, tuple of 16-byte rows
+    and_tables: list          # per AND gate, tuple of rows as 128-bit ints
     output_check: list        # per output wire, (hash for lsb 0, hash for lsb 1)
     # garbler-side secrets; stripped from the evaluator's view
-    delta: bytes | None = None
-    wire_label0: dict | None = None
-    output_decode: list | None = None  # per output wire, (label0, label1)
+    delta: int | None = None
+    wire_label0: list | None = None    # per wire number, its 0-label
+    output_decode: list | None = None  # per output wire, (label0, label1) bytes
 
-    def input_labels(self, wire: int, bit: int) -> bytes:
+    def encode(self, wires, bits) -> list:
+        """The label of each wire for its bit, as bytes."""
         if self.wire_label0 is None:
             raise GCEvaluationFailure("input labels are garbler-side only")
-        l0 = self.wire_label0[wire]
-        return l0 if bit == 0 else _xor(l0, self.delta)
+        label0, delta = self.wire_label0, self.delta
+        return [(label0[w] ^ delta if bit else label0[w]).to_bytes(LABEL_BYTES, "little")
+                for w, bit in zip(wires, bits)]
+
+    def label_pairs(self, wires) -> list:
+        """(label0, label1) per wire, as bytes: the garbler's OT inputs."""
+        if self.wire_label0 is None:
+            raise GCEvaluationFailure("input labels are garbler-side only")
+        label0, delta = self.wire_label0, self.delta
+        return [(label0[w].to_bytes(LABEL_BYTES, "little"),
+                 (label0[w] ^ delta).to_bytes(LABEL_BYTES, "little")) for w in wires]
 
     def tables_bytes(self) -> bytes:
-        return b"".join(row for rows in self.and_tables for row in rows)
+        return b"".join([row.to_bytes(LABEL_BYTES, "little")
+                         for rows in self.and_tables for row in rows])
 
 
 def garble(circuit: Circuit, rng: random.Random, scheme: str = HALF_GATES) -> GarbledCircuit:
     if scheme not in (HALF_GATES, CLASSIC):
         raise ValueError(f"unknown scheme {scheme!r}")
-    delta = bytearray(_rand_label(rng))
-    delta[0] |= 1
-    delta = bytes(delta)
+    delta = rng.getrandbits(_LABEL_BITS) | 1
 
-    label0 = {}
+    label0 = [0] * circuit.n_wires
     for w in circuit.all_inputs():
-        label0[w] = _rand_label(rng)
+        label0[w] = rng.getrandbits(_LABEL_BITS)
 
     tables = []
     and_index = 0
-    for g in circuit.gates:
-        if g.kind == XOR:
-            label0[g.out] = _xor(label0[g.a], label0[g.b])
-        elif g.kind == NOT:
-            label0[g.out] = _xor(label0[g.a], delta)
+    half = scheme == HALF_GATES
+    for kind, a, b, out in circuit.lowered:
+        if kind == XOR:
+            label0[out] = label0[a] ^ label0[b]
+        elif kind == NOT:
+            label0[out] = label0[a] ^ delta
+        elif half:
+            a0, b0 = label0[a], label0[b]
+            j0, j1 = 2 * and_index, 2 * and_index + 1
+            ha0 = _hash1(a0, j0)
+            tg = ha0 ^ _hash1(a0 ^ delta, j0)
+            if b0 & 1:
+                tg ^= delta
+            wg = ha0 ^ tg if a0 & 1 else ha0
+            hb0 = _hash1(b0, j1)
+            te = hb0 ^ _hash1(b0 ^ delta, j1) ^ a0
+            we = hb0 ^ te ^ a0 if b0 & 1 else hb0
+            label0[out] = wg ^ we
+            tables.append((tg, te))
+            and_index += 1
         else:
-            a0, b0 = label0[g.a], label0[g.b]
-            a1, b1 = _xor(a0, delta), _xor(b0, delta)
-            if scheme == HALF_GATES:
-                pa, pb = _lsb(a0), _lsb(b0)
-                j0, j1 = 2 * and_index, 2 * and_index + 1
-                ha0, ha1 = _hash1(a0, j0), _hash1(a1, j0)
-                tg = _xor(ha0, ha1)
-                if pb:
-                    tg = _xor(tg, delta)
-                wg = _xor(ha0, tg) if pa else ha0
-                hb0, hb1 = _hash1(b0, j1), _hash1(b1, j1)
-                te = _xor(_xor(hb0, hb1), a0)
-                we = _xor(hb0, _xor(te, a0)) if pb else hb0
-                label0[g.out] = _xor(wg, we)
-                tables.append((tg, te))
-            else:
-                c0 = _rand_label(rng)
-                label0[g.out] = c0
-                rows = [b""] * 4
-                for va in (0, 1):
-                    for vb in (0, 1):
-                        la = a0 if va == 0 else a1
-                        lb = b0 if vb == 0 else b1
-                        lc = c0 if (va & vb) == 0 else _xor(c0, delta)
-                        rows[(_lsb(la) << 1) | _lsb(lb)] = _xor(
-                            _hash2(la, lb, and_index), lc)
-                tables.append(tuple(rows))
+            a0, b0 = label0[a], label0[b]
+            c0 = rng.getrandbits(_LABEL_BITS)
+            label0[out] = c0
+            rows = [0] * 4
+            for va in (0, 1):
+                for vb in (0, 1):
+                    la = a0 ^ delta if va else a0
+                    lb = b0 ^ delta if vb else b0
+                    lc = c0 ^ delta if va & vb else c0
+                    rows[(la & 1) << 1 | lb & 1] = _hash2(la, lb, and_index) ^ lc
+            tables.append(tuple(rows))
             and_index += 1
 
     check = []
     decode = []
     for idx, o in enumerate(circuit.outputs):
         l0 = label0[o]
-        l1 = _xor(l0, delta)
+        l1 = l0 ^ delta
         pair = [b"", b""]
-        pair[_lsb(l0)] = _hash1(l0, _OUT_DOMAIN + idx)
-        pair[_lsb(l1)] = _hash1(l1, _OUT_DOMAIN + idx)
+        pair[l0 & 1] = _check_hash(l0, idx)
+        pair[l1 & 1] = _check_hash(l1, idx)
         check.append(tuple(pair))
-        decode.append((l0, l1))
+        decode.append((l0.to_bytes(LABEL_BYTES, "little"),
+                       l1.to_bytes(LABEL_BYTES, "little")))
 
     return GarbledCircuit(circuit=circuit, scheme=scheme, and_tables=tables,
                           output_check=check, delta=delta, wire_label0=label0,
@@ -145,63 +163,67 @@ def evaluator_view(gc: GarbledCircuit) -> GarbledCircuit:
 
 def tables_from_bytes(circuit: Circuit, scheme: str, buf: bytes) -> list:
     rows_per_gate = 2 if scheme == HALF_GATES else 4
-    n_and = circuit.and_count
-    expect = n_and * rows_per_gate * LABEL_BYTES
+    expect = circuit.and_count * rows_per_gate * LABEL_BYTES
     if len(buf) != expect:
         raise GCEvaluationFailure(f"table blob has {len(buf)} bytes, expected {expect}")
-    tables = []
-    off = 0
-    for _ in range(n_and):
-        rows = []
-        for _ in range(rows_per_gate):
-            rows.append(buf[off:off + LABEL_BYTES])
-            off += LABEL_BYTES
-        tables.append(tuple(rows))
-    return tables
+    rows = iter([int.from_bytes(buf[off:off + LABEL_BYTES], "little")
+                 for off in range(0, expect, LABEL_BYTES)])
+    return list(zip(*[rows] * rows_per_gate))  # consecutive rows, per gate
 
 
 def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
     """Run the garbled circuit on one label per input wire.
 
-    Returns one output label per output wire; the evaluator cannot decode
-    them without the garbler's decode map.
+    Both label maps take wire numbers to 16-byte labels. Returns one output
+    label per output wire; the evaluator cannot decode them without the
+    garbler's decode map.
     """
-    labels = {}
-    labels.update(garbler_labels)
-    labels.update(evaluator_labels)
-    missing = [w for w in gc.circuit.all_inputs() if w not in labels]
+    circuit = gc.circuit
+    labels = [0] * circuit.n_wires
+    missing = []
+    for w in circuit.all_inputs():
+        lab = evaluator_labels.get(w, garbler_labels.get(w))
+        if lab is None:
+            missing.append(w)
+        else:
+            labels[w] = _from_bytes(lab)
     if missing:
         raise GCEvaluationFailure(f"missing labels for input wires {missing[:8]}")
+    tables = gc.and_tables
+    if len(tables) != circuit.and_count or len(gc.output_check) != len(circuit.outputs):
+        raise GCEvaluationFailure(f"{len(tables)} tables and {len(gc.output_check)} "
+                                  f"output checks do not fit the circuit")
 
     and_index = 0
-    for g in gc.circuit.gates:
-        if g.kind == XOR:
-            labels[g.out] = _xor(labels[g.a], labels[g.b])
-        elif g.kind == NOT:
-            labels[g.out] = labels[g.a]
+    half = gc.scheme == HALF_GATES
+    for kind, a, b, out in circuit.lowered:
+        if kind == XOR:
+            labels[out] = labels[a] ^ labels[b]
+        elif kind == NOT:
+            labels[out] = labels[a]
+        elif half:
+            la, lb = labels[a], labels[b]
+            tg, te = tables[and_index]
+            wg = _hash1(la, 2 * and_index)
+            if la & 1:
+                wg ^= tg
+            we = _hash1(lb, 2 * and_index + 1)
+            if lb & 1:
+                we ^= te ^ la
+            labels[out] = wg ^ we
+            and_index += 1
         else:
-            la, lb = labels[g.a], labels[g.b]
-            if gc.scheme == HALF_GATES:
-                tg, te = gc.and_tables[and_index]
-                j0, j1 = 2 * and_index, 2 * and_index + 1
-                wg = _hash1(la, j0)
-                if _lsb(la):
-                    wg = _xor(wg, tg)
-                we = _hash1(lb, j1)
-                if _lsb(lb):
-                    we = _xor(we, _xor(te, la))
-                labels[g.out] = _xor(wg, we)
-            else:
-                row = gc.and_tables[and_index][(_lsb(la) << 1) | _lsb(lb)]
-                labels[g.out] = _xor(row, _hash2(la, lb, and_index))
+            la, lb = labels[a], labels[b]
+            row = tables[and_index][(la & 1) << 1 | lb & 1]
+            labels[out] = row ^ _hash2(la, lb, and_index)
             and_index += 1
 
     out = []
-    for idx, o in enumerate(gc.circuit.outputs):
+    for idx, o in enumerate(circuit.outputs):
         lab = labels[o]
-        if _hash1(lab, _OUT_DOMAIN + idx) != gc.output_check[idx][_lsb(lab)]:
+        if _check_hash(lab, idx) != gc.output_check[idx][lab & 1]:
             raise GarbledRowAuthFailure(f"output wire {o}: no clean decryption")
-        out.append(lab)
+        out.append(lab.to_bytes(LABEL_BYTES, "little"))
     return out
 
 
@@ -209,6 +231,9 @@ def decode_output(labels, decode_map) -> list:
     """Garbler-side mapping from output labels to bits."""
     if decode_map is None:
         raise UnknownLabel("decode map withheld")
+    if len(labels) != len(decode_map):
+        raise GCEvaluationFailure(f"{len(labels)} output labels for "
+                                  f"{len(decode_map)} output wires")
     bits = []
     for lab, (l0, l1) in zip(labels, decode_map):
         if lab == l0:

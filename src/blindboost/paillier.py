@@ -22,6 +22,7 @@ from functools import cached_property
 from .errors import (
     DimensionMismatch,
     KeyMismatch,
+    MalformedMessage,
     PlaintextOutOfRange,
     PrimeGenFailure,
 )
@@ -324,9 +325,18 @@ def _pack_int(x: int) -> bytes:
 
 
 def _unpack_int(buf: bytes, off: int = 0):
+    if off + 4 > len(buf):
+        raise MalformedMessage(f"length prefix at offset {off} runs past {len(buf)} bytes")
     ln = int.from_bytes(buf[off:off + 4], "big")
-    val = int.from_bytes(buf[off + 4:off + 4 + ln], "big")
-    return val, off + 4 + ln
+    end = off + 4 + ln
+    if end > len(buf):
+        raise MalformedMessage(f"{ln}-byte value at offset {off} runs past {len(buf)} bytes")
+    return int.from_bytes(buf[off + 4:end], "big"), end
+
+
+def _no_trailing(buf: bytes, off: int) -> None:
+    if off != len(buf):
+        raise MalformedMessage(f"{len(buf) - off} trailing bytes after offset {off}")
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
@@ -337,6 +347,7 @@ def public_key_from_bytes(buf: bytes) -> PublicKey:
     key_bits, off = _unpack_int(buf, 0)
     n, off = _unpack_int(buf, off)
     g, off = _unpack_int(buf, off)
+    _no_trailing(buf, off)
     return PublicKey(n=n, g=g, key_bits=key_bits)
 
 
@@ -354,10 +365,17 @@ def ciphertexts_to_bytes(cs) -> bytes:
 
 
 def ciphertexts_from_bytes(buf: bytes, key_id: bytes) -> list:
+    """Inverse of ciphertexts_to_bytes; MalformedMessage unless `buf` holds
+    exactly the declared number of ciphertexts."""
+    if len(buf) < 4:
+        raise MalformedMessage(f"count prefix needs 4 bytes, payload has {len(buf)}")
     count = int.from_bytes(buf[:4], "big")
+    if 4 * count > len(buf) - 4:  # every ciphertext has a 4-byte length
+        raise MalformedMessage(f"{count} ciphertexts cannot fit in {len(buf)} bytes")
     out = []
     off = 4
     for _ in range(count):
         c, off = ciphertext_from_bytes(buf, key_id, off)
         out.append(c)
+    _no_trailing(buf, off)
     return out

@@ -11,11 +11,46 @@ import numpy as np
 from .. import paillier, shares
 from ..boosting import BoostedModel, LinearClassifier
 from ..encoding import FixedPointParams, FoldedMatrix, encode_array
-from ..errors import PartMismatch, PoolExhaustedWarning
+from ..errors import PartMismatch, PartyTimeout, PoolExhaustedWarning
 from .config import HE_GC, ProtocolConfig
 from .parties import CloudParty, CSPParty
 from .transcript import Transcript
 from . import transport
+
+
+JOIN_TIMEOUT_S = 600
+
+
+def run_pair(cloud_main, csp_main, ch_csp):
+    """Run `csp_main()` on a worker thread and `cloud_main()` on this one;
+    returns (Cloud's result, CSP's result).
+
+    A CSP failure closes `ch_csp`, so a Cloud waiting on recv wakes up, and
+    is raised as the root cause. A CSP thread still running JOIN_TIMEOUT_S
+    seconds after Cloud's part ended raises PartyTimeout: the run never
+    returns a partial result.
+    """
+    errors, results = [], []
+
+    def csp_wrapped():
+        try:
+            results.append(csp_main())
+        except BaseException as exc:  # propagated after join
+            errors.append(exc)
+            ch_csp.close()  # unblock a peer waiting on recv
+
+    worker = threading.Thread(target=csp_wrapped, name="csp", daemon=True)
+    worker.start()
+    try:
+        cloud_result = cloud_main()
+    finally:
+        worker.join(timeout=JOIN_TIMEOUT_S)
+        if errors:
+            raise errors[0]  # the CSP-side failure is the root cause
+    if worker.is_alive():
+        raise PartyTimeout(f"the CSP thread is still running {JOIN_TIMEOUT_S} s "
+                           f"after Cloud finished")
+    return cloud_result, results[0]
 
 
 def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
@@ -120,28 +155,7 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
     if cfg.construction == HE_GC:
         transcript.party("user").encryptions += cloud.user_encryptions
 
-    errors = []
-
-    def csp_main():
-        try:
-            csp.run(ch_csp)
-        except BaseException as exc:  # propagated after join
-            errors.append(exc)
-            ch_csp.close()  # unblock a peer waiting on recv
-
-    worker = threading.Thread(target=csp_main, name="csp", daemon=True)
-    worker.start()
-    try:
-        cloud.run(ch_cloud)
-    except BaseException:
-        worker.join(timeout=600)
-        if errors:
-            raise errors[0]  # the CSP-side failure is the root cause
-        raise
-    finally:
-        worker.join(timeout=600)
-    if errors:
-        raise errors[0]
+    run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_csp)
     ch_cloud.close()
     ch_csp.close()
     transcript.validate_phase_order()
@@ -164,27 +178,8 @@ def base_apply(state_pair, t: int):
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     cloud.attach(transcript)
     csp.attach(transcript)
-    errors = []
-
-    def csp_wrapped():
-        try:
-            csp.base_apply_step(ch_csp, ch_csp.recv())
-        except BaseException as exc:
-            errors.append(exc)
-            ch_csp.close()
-
-    worker = threading.Thread(target=csp_wrapped, daemon=True)
-    worker.start()
-    try:
-        cloud.base_apply_step(ch_cloud, t)
-    except BaseException:
-        worker.join(timeout=600)
-        if errors:
-            raise errors[0]
-        raise
-    worker.join(timeout=600)
-    if errors:
-        raise errors[0]
+    run_pair(lambda: cloud.base_apply_step(ch_cloud, t),
+             lambda: csp.base_apply_step(ch_csp, ch_csp.recv()), ch_csp)
     return transcript
 
 
@@ -194,26 +189,6 @@ def result_eval(state_pair, t: int):
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     cloud.attach(transcript)
     csp.attach(transcript)
-    result = {}
-    errors = []
-
-    def csp_wrapped():
-        try:
-            result["I"] = csp.result_eval_step(ch_csp)
-        except BaseException as exc:
-            errors.append(exc)
-            ch_csp.close()
-
-    worker = threading.Thread(target=csp_wrapped, daemon=True)
-    worker.start()
-    try:
-        cloud.result_eval_step(ch_cloud, t)
-    except BaseException:
-        worker.join(timeout=600)
-        if errors:
-            raise errors[0]
-        raise
-    worker.join(timeout=600)
-    if errors:
-        raise errors[0]
-    return result["I"]
+    _, indicators = run_pair(lambda: cloud.result_eval_step(ch_cloud, t),
+                             lambda: csp.result_eval_step(ch_csp), ch_csp)
+    return indicators

@@ -8,7 +8,9 @@ only cross-party channel is the transport handed to run()/step methods.
 GC roles are fixed for both constructions: CSP garbles, Cloud evaluates and
 returns output labels, CSP decodes. The sign-check circuit computes
 (masked - mask) mod 2^L; in HE+GC the garbler holds the masked value, in
-SecSh+GC the evaluator does.
+SecSh+GC the evaluator does. `garbler_round` / `evaluator_round` and
+`LabelOT` are the one garbled-circuit round and label OT that these parties
+and confidential stump selection share.
 """
 
 import random
@@ -17,7 +19,7 @@ import numpy as np
 
 from .. import paillier, shares
 from ..boosting import evaluate_candidate, gen_rlc
-from ..circuits import build_sub_msb_batch, int_to_bits
+from ..circuits import build_sub_msb_batch, record_bits
 from ..encoding import FixedPointParams, encode_array
 from ..errors import IterationOutOfRange, OTFailure
 from ..garbling import (
@@ -53,14 +55,6 @@ def _batch_circuit(width: int, count: int):
     if key not in _circuit_cache:
         _circuit_cache[key] = build_sub_msb_batch(width, count)
     return _circuit_cache[key]
-
-
-def _record_bits(values, width):
-    """LSB-first bit list per value, concatenated instance-major."""
-    bits = []
-    for v in values:
-        bits.extend(int_to_bits(v, width))
-    return bits
 
 
 def _recv_ot(ch) -> bytes:
@@ -123,6 +117,49 @@ class LabelOT:
             self._session.base_finish(seeds)
         u, _ = wire.unpack_blob(payload, off)
         ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
+
+
+def garbler_round(ch, circuit, scheme, rng, label_ot, counters,
+                  gb_wires, gb_bits, ev_wires) -> list:
+    """Garbler side of one garbled-circuit round; returns the output bits.
+
+    Garbles `circuit`, sends its tables, the labels of the garbler's bits on
+    `gb_wires` and the output checks (GC_TABLES), hands over the label
+    pairs of `ev_wires` by OT and decodes the evaluator's output labels.
+    """
+    gc = garble(circuit, rng, scheme)
+    counters.and_gates += circuit.and_count
+    ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
+            + wire.pack_labels(gc.encode(gb_wires, gb_bits))
+            + wire.pack_label_pairs(gc.output_check))
+    pairs = gc.label_pairs(ev_wires)
+    counters.ot_transfers += len(pairs)
+    label_ot.send(ch, pairs)
+    out_labels, _ = wire.unpack_labels(expect_phase(ch.recv(), OUTPUT_LABELS))
+    return decode_output(out_labels, gc.output_decode)
+
+
+def evaluator_round(ch, circuit, scheme, label_ot, counters,
+                    ev_wires, ev_bits, gb_wires) -> None:
+    """Evaluator side of one garbled-circuit round.
+
+    Receives the tables, the garbler's labels on `gb_wires` and the output
+    checks, obtains the labels of `ev_bits` on `ev_wires` by OT, evaluates
+    and returns the output labels (OUTPUT_LABELS) for the garbler to decode.
+    """
+    payload = expect_phase(ch.recv(), GC_TABLES)
+    tables_blob, off = wire.unpack_blob(payload)
+    garbler_labels, off = wire.unpack_labels(payload, off)
+    checks, _ = wire.unpack_label_pairs(payload, off)
+    gc = GarbledCircuit(circuit=circuit, scheme=scheme,
+                        and_tables=tables_from_bytes(circuit, scheme, tables_blob),
+                        output_check=checks)
+    counters.ot_transfers += len(ev_bits)
+    ev_labels = label_ot.receive(ch, ev_bits)
+    out_labels = evaluate(gc, dict(zip(ev_wires, ev_labels)),
+                          dict(zip(gb_wires, garbler_labels)))
+    counters.and_gates += circuit.and_count
+    ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
 
 
 class CloudParty:
@@ -220,6 +257,7 @@ class CloudParty:
 
     def result_eval_step(self, ch, t: int):
         L = self.fp.ring_bits
+        circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
             lam = shares.sample_masks(self.n, L, self.mask_rng, self.cfg.sigma)
             pk = self.csp_public
@@ -230,34 +268,12 @@ class CloudParty:
             self.counters.encryptions += self.n
             self.counters.he_adds += self.n
             ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
-            evaluator_vals = lam
-            evaluator_partition = "b"
+            evaluator_vals, ev_wires, gb_wires = lam, circuit.inputs_b, circuit.inputs_a
         else:
             ch.send(RESULT_EVAL_MASK, wire.pack_u32(t))
-            evaluator_vals = self._u0
-            evaluator_partition = "a"
-        self._gc_evaluate(ch, evaluator_vals, evaluator_partition)
-
-    def _gc_evaluate(self, ch, evaluator_vals, evaluator_partition: str):
-        L = self.fp.ring_bits
-        circuit = _batch_circuit(L, self.n)
-        payload = expect_phase(ch.recv(), GC_TABLES)
-        tables_blob, off = wire.unpack_blob(payload)
-        garbler_labels, off = wire.unpack_labels(payload, off)
-        checks, off = wire.unpack_label_pairs(payload, off)
-        gc = GarbledCircuit(circuit=circuit, scheme=self.cfg.gc_scheme,
-                            and_tables=tables_from_bytes(circuit, self.cfg.gc_scheme,
-                                                         tables_blob),
-                            output_check=checks)
-        ev_wires = circuit.inputs_a if evaluator_partition == "a" else circuit.inputs_b
-        gb_wires = circuit.inputs_b if evaluator_partition == "a" else circuit.inputs_a
-        bits = _record_bits(evaluator_vals, L)
-        self.counters.ot_transfers += len(bits)
-        ev_labels = dict(zip(ev_wires, self.label_ot.receive(ch, bits)))
-        gb_labels = dict(zip(gb_wires, garbler_labels))
-        out_labels = evaluate(gc, ev_labels, gb_labels)
-        self.counters.and_gates += circuit.and_count
-        ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
+            evaluator_vals, ev_wires, gb_wires = self._u0, circuit.inputs_a, circuit.inputs_b
+        evaluator_round(ch, circuit, self.cfg.gc_scheme, self.label_ot, self.counters,
+                        ev_wires, record_bits(evaluator_vals, L), gb_wires)
 
     def recv_decision(self, ch):
         payload = expect_phase(ch.recv(), OUTPUT_LABELS)
@@ -338,39 +354,22 @@ class CSPParty:
 
     def result_eval_step(self, ch):
         payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
+        L = self.fp.ring_bits
+        circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
             masked = paillier.ciphertexts_from_bytes(
                 payload, self.keypair.public.fingerprint)
             dec = [paillier.decrypt(self.keypair, c) for c in masked]
             self.counters.decryptions += self.n
-            garbler_vals = dec
-            garbler_partition = "a"
+            garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
         else:
-            garbler_vals = self._u1
-            garbler_partition = "b"
-        msb = self._gc_garble(ch, garbler_vals, garbler_partition)
+            garbler_vals, gb_wires, ev_wires = self._u1, circuit.inputs_b, circuit.inputs_a
+        msb = garbler_round(ch, circuit, self.cfg.gc_scheme, self.garble_rng,
+                            self.label_ot, self.counters,
+                            gb_wires, record_bits(garbler_vals, L), ev_wires)
         indicators = (1 - np.asarray(msb, dtype=np.uint8)).astype(np.uint8)
         self.indicator_history.append(indicators)
         return indicators
-
-    def _gc_garble(self, ch, garbler_vals, garbler_partition: str):
-        L = self.fp.ring_bits
-        circuit = _batch_circuit(L, self.n)
-        gc = garble(circuit, self.garble_rng, self.cfg.gc_scheme)
-        self.counters.and_gates += circuit.and_count
-        gb_wires = circuit.inputs_a if garbler_partition == "a" else circuit.inputs_b
-        ev_wires = circuit.inputs_b if garbler_partition == "a" else circuit.inputs_a
-        bits = _record_bits(garbler_vals, L)
-        gb_labels = [gc.input_labels(w, bit) for w, bit in zip(gb_wires, bits)]
-        ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
-                + wire.pack_labels(gb_labels)
-                + wire.pack_label_pairs(gc.output_check))
-        pairs = [(gc.input_labels(w, 0), gc.input_labels(w, 1)) for w in ev_wires]
-        self.counters.ot_transfers += len(pairs)
-        self.label_ot.send(ch, pairs)
-        payload = expect_phase(ch.recv(), OUTPUT_LABELS)
-        out_labels, _ = wire.unpack_labels(payload)
-        return decode_output(out_labels, gc.output_decode)
 
     def update(self, indicators):
         """The Update step: runs the shared plaintext logic on CSP's weights."""

@@ -16,32 +16,25 @@ y = (y + m mod 2) XOR m with two free XOR gates.
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import paillier, shares
 from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, update_weights
-from ..circuits import build_stump_error_batch, int_to_bits
+from ..circuits import build_stump_error_batch, record_bits
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
 from ..errors import BinCountInvalid
-from ..garbling import (
-    GarbledCircuit,
-    decode_output,
-    evaluate,
-    garble,
-    tables_from_bytes,
-)
-from ..ot import dealer_choose  # noqa: F401  (wrapped here by perfbench/tracing.py)
+# the GC round runs in .parties; perfbench/tracing.py wraps these names here too
+from ..garbling import decode_output, evaluate, garble, tables_from_bytes  # noqa: F401
+from ..ot import dealer_choose  # noqa: F401
 from . import transport, wire
 from .config import ProtocolConfig
-from .parties import LabelOT
+from .engine import run_pair
+from .parties import LabelOT, evaluator_round, garbler_round
 from .transcript import (
     BASE_APPLY,
     DONE,
-    GC_TABLES,
-    OUTPUT_LABELS,
     RESULT_EVAL_MASK,
     SETUP,
     Transcript,
@@ -138,6 +131,8 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
     circuit = build_stump_error_batch(L, n)
+    ev_wires = circuit.inputs_b + circuit.extra_inputs_b
+    gb_wires = circuit.inputs_a + circuit.extra_inputs_a
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
         lam = shares.sample_masks(n, L, rng_mask, cfg.sigma)
@@ -150,30 +145,13 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         counters.he_adds += 2 * n
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
         # GC: evaluator holds the masks (lambda bits) and the label masks m
-        payload = expect_phase(ch.recv(), GC_TABLES)
-        tables_blob, off = wire.unpack_blob(payload)
-        garbler_labels, off = wire.unpack_labels(payload, off)
-        checks, off = wire.unpack_label_pairs(payload, off)
-        gc = GarbledCircuit(circuit=circuit, scheme=cfg.gc_scheme,
-                            and_tables=tables_from_bytes(circuit, cfg.gc_scheme,
-                                                         tables_blob),
-                            output_check=checks)
-        bits = []
-        for v in lam:
-            bits.extend(int_to_bits(v, L))
-        bits.extend(m_bits)
-        ev_wires = list(circuit.inputs_b) + list(circuit.extra_inputs_b)
-        gb_wires = list(circuit.inputs_a) + list(circuit.extra_inputs_a)
-        counters.ot_transfers += len(bits)
-        labels = label_ot.receive(ch, bits)
-        out_labels = evaluate(gc, dict(zip(ev_wires, labels)),
-                              dict(zip(gb_wires, garbler_labels)))
-        counters.and_gates += circuit.and_count
-        ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
+        evaluator_round(ch, circuit, cfg.gc_scheme, label_ot, counters,
+                        ev_wires, record_bits(lam, L) + m_bits, gb_wires)
     ch.send(DONE, b"")
 
 
-def _csp_loop(ch, cfg, kp, n_catalog, out):
+def _csp_loop(ch, cfg, kp, n_catalog):
+    """CSP's side of the selection; returns the (2sk, n) error vectors."""
     payload = expect_phase(ch.recv(), SETUP)
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
@@ -182,6 +160,8 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
     counters = ch._transcript.party("csp")
     counters.decryptions += n
     circuit = build_stump_error_batch(L, n)
+    gb_wires = circuit.inputs_a + circuit.extra_inputs_a
+    ev_wires = circuit.inputs_b + circuit.extra_inputs_b
     garble_rng = random.Random(cfg.seeds.csp ^ 0x67617262)
     label_ot = LabelOT(cfg, random.Random(cfg.seeds.csp ^ 0x6F745F73))
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
@@ -194,27 +174,13 @@ def _csp_loop(ch, cfg, kp, n_catalog, out):
         enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public.fingerprint)
         dec = [paillier.decrypt(kp, c) for c in enc_diffs]
         counters.decryptions += n
-        gc = garble(circuit, garble_rng, cfg.gc_scheme)
-        counters.and_gates += circuit.and_count
-        bits = []
-        for v in dec:
-            bits.extend(int_to_bits(v, L))
-        bits.extend(label_share)
-        gb_wires = list(circuit.inputs_a) + list(circuit.extra_inputs_a)
-        ev_wires = list(circuit.inputs_b) + list(circuit.extra_inputs_b)
-        gb_labels = [gc.input_labels(w, b) for w, b in zip(gb_wires, bits)]
-        ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
-                + wire.pack_labels(gb_labels)
-                + wire.pack_label_pairs(gc.output_check))
-        pairs = [(gc.input_labels(w, 0), gc.input_labels(w, 1)) for w in ev_wires]
-        counters.ot_transfers += len(pairs)
-        label_ot.send(ch, pairs)
-        payload = expect_phase(ch.recv(), OUTPUT_LABELS)
-        out_labels, _ = wire.unpack_labels(payload)
-        err = np.asarray(decode_output(out_labels, gc.output_decode), dtype=np.uint8)
+        err = np.asarray(garbler_round(ch, circuit, cfg.gc_scheme, garble_rng, label_ot,
+                                       counters, gb_wires,
+                                       record_bits(dec, L) + label_share, ev_wires),
+                         dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
-    out["errors"] = errors
+    return errors
 
 
 def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
@@ -238,34 +204,14 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k + n
-    out = {}
-    errors_holder = []
-
-    def csp_main():
-        try:
-            _csp_loop(ch_csp, cfg, kp, len(catalog), out)
-        except BaseException as exc:
-            errors_holder.append(exc)
-            ch_csp.close()
-
-    worker = threading.Thread(target=csp_main, daemon=True)
-    worker.start()
-    try:
-        _cloud_loop(ch_cloud, cfg, fp, xq, ey, catalog_base, kp.public,
-                    random.Random(cfg.seeds.cloud ^ 0x6D61736B),
-                    random.Random(cfg.seeds.cloud ^ 0x656E6372),
-                    random.Random(cfg.seeds.cloud ^ 0x6F745F72))
-    except BaseException:
-        worker.join(timeout=600)
-        if errors_holder:
-            raise errors_holder[0]
-        raise
-    worker.join(timeout=600)
-    if errors_holder:
-        raise errors_holder[0]
+    _, error_vectors = run_pair(
+        lambda: _cloud_loop(ch_cloud, cfg, fp, xq, ey, catalog_base, kp.public,
+                            random.Random(cfg.seeds.cloud ^ 0x6D61736B),
+                            random.Random(cfg.seeds.cloud ^ 0x656E6372),
+                            random.Random(cfg.seeds.cloud ^ 0x6F745F72)),
+        lambda: _csp_loop(ch_csp, cfg, kp, len(catalog)), ch_csp)
     transcript.validate_phase_order()
 
-    error_vectors = out["errors"]
     delta = np.full(n, 1.0 / n)
     indices, alphas, _ = _csp_select(error_vectors, delta, tau)
     stumps = [Stump(feature=catalog[i][0], threshold=catalog[i][1],

@@ -260,10 +260,8 @@ def test_criterion_05_protocol_oracle_equivalence():
 
 def _garbled_msb(gc_pair, a, b, width):
     gc = gc_pair
-    ev = {w: gc.input_labels(w, bit)
-          for w, bit in zip(gc.circuit.inputs_b, int_to_bits(b, width))}
-    ga = {w: gc.input_labels(w, bit)
-          for w, bit in zip(gc.circuit.inputs_a, int_to_bits(a, width))}
+    ev = dict(zip(gc.circuit.inputs_b, gc.encode(gc.circuit.inputs_b, int_to_bits(b, width))))
+    ga = dict(zip(gc.circuit.inputs_a, gc.encode(gc.circuit.inputs_a, int_to_bits(a, width))))
     out = evaluate(evaluator_view(gc), ev, ga)
     return decode_output(out, gc.output_decode)[0]
 

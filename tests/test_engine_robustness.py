@@ -1,20 +1,34 @@
 """A failing party must not deadlock the run: the peer unblocks and the root
-cause propagates."""
+cause propagates. A hung party must not leave a partial result."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from blindboost.encoding import Dataset, fold_labels
-from blindboost.protocol import HE_GC, ProtocolConfig, run_learning
+from blindboost.errors import PartyTimeout
+from blindboost.protocol import (
+    HE_GC,
+    ProtocolConfig,
+    engine,
+    run_learning,
+    setup,
+    stump_select,
+)
 from blindboost.protocol.parties import CSPParty
 
 
-def test_csp_failure_propagates_without_deadlock(monkeypatch):
+def _folded():
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(6, 2))
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     y = rng.choice([-1, 1], size=6).astype(np.int8)
-    folded = fold_labels(Dataset(X, y))
+    return fold_labels(Dataset(X, y))
+
+
+def test_csp_failure_propagates_without_deadlock(monkeypatch):
+    folded = _folded()
 
     class Boom(RuntimeError):
         pass
@@ -26,3 +40,51 @@ def test_csp_failure_propagates_without_deadlock(monkeypatch):
     cfg = ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
     with pytest.raises(Boom, match="csp died"):
         run_learning(cfg, folded)
+
+
+@pytest.fixture
+def hung_csp(monkeypatch):
+    """Make a CSP entry point block after its real work until the test ends,
+    with the join timeout cut to a fraction of a second."""
+    release = threading.Event()
+    monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 0.2)
+
+    def hang(owner, name):
+        real = getattr(owner, name)
+
+        def blocked(*args, **kwargs):
+            out = real(*args, **kwargs)
+            release.wait(timeout=30)
+            return out
+        monkeypatch.setattr(owner, name, blocked)
+
+    yield hang
+    release.set()
+
+
+def _cfg():
+    return ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
+
+
+def test_hung_csp_thread_fails_run_learning(hung_csp):
+    hung_csp(CSPParty, "run")
+    with pytest.raises(PartyTimeout):
+        run_learning(_cfg(), _folded())
+
+
+@pytest.mark.parametrize("step", ["base_apply", "result_eval"])
+def test_hung_csp_thread_fails_single_steps(hung_csp, step):
+    pair = setup(_cfg(), _folded())
+    engine.base_apply(pair, 1)
+    hung_csp(CSPParty, f"{step}_step")
+    with pytest.raises(PartyTimeout):
+        getattr(engine, step)(pair, 1)
+
+
+def test_hung_csp_thread_fails_stump_selection(hung_csp):
+    hung_csp(stump_select, "_csp_loop")
+    rng = np.random.default_rng(1)
+    y = rng.choice([-1, 1], size=6).astype(np.int8)
+    ds = Dataset(rng.uniform(-2, 2, size=(6, 2)), y)
+    with pytest.raises(PartyTimeout):
+        stump_select.confidential_ds_select(_cfg(), ds, s=2, tau=1)

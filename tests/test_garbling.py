@@ -1,11 +1,20 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from blindboost import garbling
-from blindboost.circuits import AND, Circuit, Gate, build_sub_msb, int_to_bits
-from blindboost.errors import GarbledRowAuthFailure, UnknownLabel
+from blindboost.circuits import (
+    AND,
+    Circuit,
+    Gate,
+    build_stump_error_batch,
+    build_sub_msb,
+    build_sub_msb_batch,
+    int_to_bits,
+)
+from blindboost.errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
 from blindboost.garbling import (
     CLASSIC,
     HALF_GATES,
@@ -18,7 +27,7 @@ from blindboost.garbling import (
 
 
 def _labels_for(gc, wires, bits):
-    return {w: gc.input_labels(w, bit) for w, bit in zip(wires, bits)}
+    return dict(zip(wires, gc.encode(wires, bits)))
 
 
 def _run(gc, a_bits, b_bits, extra_a=(), extra_b=()):
@@ -57,16 +66,18 @@ def test_xor_circuit_emits_no_tables():
 def test_identity_passthrough():
     c = Circuit(n_wires=1, inputs_a=(0,), inputs_b=(), gates=(), outputs=(0,))
     gc = garble(c, random.Random(2))
-    lab = gc.input_labels(0, 1)
+    (lab,) = gc.encode([0], [1])
     out = evaluate(evaluator_view(gc), {}, {0: lab})
     assert out == [lab]
     assert decode_output(out, gc.output_decode) == [1]
 
 
 def test_free_xor_invariant_structural():
-    gc = garble(build_sub_msb(6), random.Random(3))
-    for w, l0 in gc.wire_label0.items():
-        l1 = bytes(x ^ y for x, y in zip(l0, gc.delta))
+    c = build_sub_msb(6)
+    gc = garble(c, random.Random(3))
+    delta = gc.delta.to_bytes(16, "little")
+    for l0, l1 in gc.label_pairs(range(c.n_wires)):
+        assert bytes(x ^ y for x, y in zip(l0, delta)) == l1
         # permute bits of the two labels always differ
         assert (l0[0] ^ l1[0]) & 1 == 1
 
@@ -108,10 +119,8 @@ def test_regarble_new_seed_same_outputs_different_tables():
 
 def test_corrupted_table_raises_auth_failure():
     gc = garble(single_and_circuit(), random.Random(9))
-    rows = [bytearray(r) for r in gc.and_tables[0]]
-    rows[0][3] ^= 0xFF
-    rows[1][3] ^= 0xFF
-    gc.and_tables[0] = tuple(bytes(r) for r in rows)
+    # flip byte 3 of both rows
+    gc.and_tables[0] = tuple(row ^ 0xFF << 24 for row in gc.and_tables[0])
     failures = 0
     for a, b in itertools.product((0, 1), repeat=2):
         try:
@@ -127,6 +136,28 @@ def test_decode_unknown_label():
         decode_output([b"\x00" * 16], gc.output_decode)
     with pytest.raises(UnknownLabel):
         decode_output([b"\x00" * 16], None)  # decode map withheld
+
+
+def test_decode_wrong_label_count():
+    gc = garble(build_sub_msb_batch(4, 3), random.Random(10))
+    labels = [l0 for l0, _ in gc.output_decode]
+    assert decode_output(labels, gc.output_decode) == [0, 0, 0]
+    for wrong in (labels[:1], labels + labels[:1]):
+        with pytest.raises(GCEvaluationFailure):
+            decode_output(wrong, gc.output_decode)
+
+
+def test_evaluate_rejects_malformed_inputs():
+    gc = garble(single_and_circuit(), random.Random(12))
+    view = evaluator_view(gc)
+    ga, ev = _labels_for(gc, [0], [1]), _labels_for(gc, [1], [1])
+    with pytest.raises(GCEvaluationFailure):
+        evaluate(view, {1: ev[1][:15]}, ga)  # short label
+    with pytest.raises(GCEvaluationFailure):
+        evaluate(view, {}, ga)  # missing label
+    view.and_tables = []
+    with pytest.raises(GCEvaluationFailure):
+        evaluate(view, ev, ga)  # table count does not fit the circuit
 
 
 def test_tables_round_trip_bytes():
@@ -164,3 +195,29 @@ def test_sub_msb_garbled_wide_random():
             got = _run(gc, int_to_bits(a, width), int_to_bits(b, width))
             expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
             assert got == [expect]
+
+
+# SHA-256 of tables_bytes(), of the output checks and of every input wire's
+# (label0, label1) pair, for garble(build_stump_error_batch(17, 4), Random(5)).
+# Recorded from the byte-label implementation; the label representation
+# inside the garbler must not move any of them.
+GARBLE_GOLDEN = {
+    HALF_GATES: ("550a4a16c7c8fce764490ebe7a12afd29d700cbda2aad335f586dba9f2da6e26",
+                 "f4354a9377ce8cffbb037b2bd9611d9079645ec1b104440fd1a2f90b3e3119da",
+                 "b6d6169e3d1c09f279faf51533004255270f95e2d8d52c8a50f20739452ec471"),
+    CLASSIC: ("f7ac491012c1972f0874f8c22ecb7e7286e10bd3178d5e382957f641b564aef7",
+              "b8af2565a53bf5de617f1a8f817d8a74d54ea2094b050449bc805425077f7a2d",
+              "b6d6169e3d1c09f279faf51533004255270f95e2d8d52c8a50f20739452ec471"),
+}
+
+
+@pytest.mark.parametrize("scheme", [HALF_GATES, CLASSIC])
+def test_garbled_bytes_known_answer(scheme):
+    c = build_stump_error_batch(17, 4)
+    gc = garble(c, random.Random(5), scheme)
+    labels = hashlib.sha256()
+    for l0, l1 in gc.label_pairs(c.all_inputs()):
+        labels.update(l0 + l1)
+    assert (hashlib.sha256(gc.tables_bytes()).hexdigest(),
+            hashlib.sha256(b"".join(a + b for a, b in gc.output_check)).hexdigest(),
+            labels.hexdigest()) == GARBLE_GOLDEN[scheme]

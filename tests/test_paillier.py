@@ -9,6 +9,7 @@ from blindboost.encoding import FixedPointParams, decode, encode, encode_array
 from blindboost.errors import (
     DimensionMismatch,
     KeyMismatch,
+    MalformedMessage,
     PlaintextOutOfRange,
 )
 
@@ -285,3 +286,38 @@ def test_serialization_round_trip(keypair_512):
     blob = paillier.ciphertexts_to_bytes(cs)
     back = paillier.ciphertexts_from_bytes(blob, pk.fingerprint)
     assert [c.value for c in back] == [c.value for c in cs]
+
+
+def test_declared_count_past_the_payload_is_malformed(keypair_512):
+    with pytest.raises(MalformedMessage):
+        paillier.ciphertexts_from_bytes(b"\x00\x00\x00\x05", keypair_512.public.fingerprint)
+
+
+def test_truncated_ciphertext_value_is_malformed(keypair_512):
+    pk = keypair_512.public
+    blob = paillier.ciphertexts_to_bytes([paillier.encrypt(pk, 7, random.Random(23))])
+    with pytest.raises(MalformedMessage):
+        paillier.ciphertexts_from_bytes(blob[:-30], pk.fingerprint)
+
+
+def test_every_proper_prefix_of_ciphertexts_is_malformed(keypair_512):
+    pk = keypair_512.public
+    rng = random.Random(24)
+    blob = paillier.ciphertexts_to_bytes([paillier.encrypt(pk, m, rng) for m in (0, 1, 2)])
+    for cut in range(len(blob)):
+        with pytest.raises(MalformedMessage):
+            paillier.ciphertexts_from_bytes(blob[:cut], pk.fingerprint)
+    assert len(paillier.ciphertexts_from_bytes(blob, pk.fingerprint)) == 3
+
+
+def test_trailing_bytes_are_malformed(keypair_512):
+    pk = keypair_512.public
+    blob = paillier.ciphertexts_to_bytes([paillier.encrypt(pk, 1, random.Random(25))])
+    with pytest.raises(MalformedMessage):
+        paillier.ciphertexts_from_bytes(blob + b"\x00", pk.fingerprint)
+    key_blob = paillier.public_key_to_bytes(pk)
+    with pytest.raises(MalformedMessage):
+        paillier.public_key_from_bytes(key_blob + b"\x00")
+    for cut in range(len(key_blob)):
+        with pytest.raises(MalformedMessage):
+            paillier.public_key_from_bytes(key_blob[:cut])
