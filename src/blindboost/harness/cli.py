@@ -129,7 +129,7 @@ def cmd_keygen(args):
 
     kp = paillier.keygen(args.bits, random.Random(args.seed))
     payload = {"key_bits": args.bits, "n": kp.public.n, "g": kp.public.g,
-               "lambda": kp.secret.lam, "mu": kp.secret.mu,
+               "h_n": kp.public.h_n, "lambda": kp.secret.lam, "mu": kp.secret.mu,
                "p": kp.secret.p, "q": kp.secret.q}
     _write(args.out, "keypair.json", payload)
     print(f"generated {args.bits}-bit key pair (seed {args.seed})")

@@ -5,6 +5,12 @@ Z_N unchanged; every homomorphic result is reduced mod q right after
 decryption by the caller. The generator is fixed to g = N + 1 and scalar
 multiplication is ciphertext exponentiation c^s mod N^2.
 
+Encryption is the short-exponent variant of Damgard, Jurik and Nielsen
+(IJIS 2010): the public key carries h_N = h^N mod N^2 for h = -x^2 mod N,
+and c = (1 + mN) h_N^a mod N^2 for a fresh ceil(k/2)-bit a, where k is the
+bit length of N. It replaces Paillier's r^N mod N^2, whose exponent is k
+bits long, with an exponent half that length.
+
 ``powmod`` is the package's one big-number exponentiation: key generation,
 encryption, decryption, scalar multiplication and the base OTs in ``ot``
 all run through it.
@@ -138,6 +144,13 @@ class PublicKey:
     n: int
     g: int
     key_bits: int
+    h_n: int  # DJN's fixed base h^N mod N^2
+
+    @property
+    def alpha_bits(self) -> int:
+        """Length of the DJN encryption exponent: ceil(k/2) bits for a k-bit N.
+        Taken from N, so a key_bits field that disagrees cannot shorten it."""
+        return (self.n.bit_length() + 1) // 2
 
     @cached_property
     def n_sq(self) -> int:
@@ -170,6 +183,19 @@ class PrivateKey:
     def q_inv(self) -> int:
         """q^-1 mod p."""
         return pow(self.q, -1, self.p)
+
+
+def _djn_base(x: int, p: int, q: int) -> int:
+    """h_N = h^N mod N^2 for h = -x^2 mod N, by CRT over p^2 and q^2.
+
+    The exponent N is reduced mod phi(p^2) = p(p-1), and likewise for q.
+    """
+    n = p * q
+    h = -x * x % n
+    pp, qq = p * p, q * q
+    a_p = powmod(h, n % (p * (p - 1)), pp)
+    a_q = powmod(h, n % (q * (q - 1)), qq)
+    return a_q + qq * ((a_p - a_q) * pow(qq, -1, pp) % pp)
 
 
 def _crt_h(p: int, q: int) -> int:
@@ -207,23 +233,27 @@ def keygen(key_bits: int, rng: random.Random) -> KeyPair:
         g = n + 1
         lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)  # lcm
         # mu = (L(g^lam mod n^2))^-1 mod n; with g = n+1 this is lam^-1 mod n.
-        x = powmod(g, lam, n * n)
-        mu = pow((x - 1) // n, -1, n)
-        public = PublicKey(n=n, g=g, key_bits=key_bits)
+        mu = pow((powmod(g, lam, n * n) - 1) // n, -1, n)
+        while True:
+            x = rng.randrange(1, n)
+            if math.gcd(x, n) == 1:
+                break
+        public = PublicKey(n=n, g=g, key_bits=key_bits, h_n=_djn_base(x, p, q))
         return KeyPair(public=public, secret=PrivateKey(lam=lam, mu=mu, p=p, q=q))
     raise PrimeGenFailure("could not assemble a valid modulus")
 
 
 def encrypt(pk: PublicKey, m: int, rng: random.Random) -> Ciphertext:
-    """Probabilistic encryption of m in [0, N)."""
+    """Probabilistic encryption of m in [0, N): (1 + mN) h_N^a mod N^2.
+
+    The exponent a is a fresh secret of pk.alpha_bits bits, so it goes
+    through powmod's constant-time kernel.
+    """
     m = int(m)
     if not 0 <= m < pk.n:
         raise PlaintextOutOfRange(f"plaintext must be in [0, N), got {m}")
-    while True:
-        r = rng.randrange(1, pk.n)
-        if math.gcd(r, pk.n) == 1:
-            break
-    c = ((1 + m * pk.n) % pk.n_sq) * powmod(r, pk.n, pk.n_sq) % pk.n_sq
+    alpha = rng.getrandbits(pk.alpha_bits)
+    c = (1 + m * pk.n) * powmod(pk.h_n, alpha, pk.n_sq) % pk.n_sq
     return Ciphertext(value=c, key_id=pk.fingerprint)
 
 
@@ -339,34 +369,45 @@ def _no_trailing(buf: bytes, off: int) -> None:
         raise MalformedMessage(f"{len(buf) - off} trailing bytes after offset {off}")
 
 
+def _check_unit(x: int, pk: PublicKey, what: str) -> None:
+    """MalformedMessage unless x is a unit of Z_{N^2}: 0 < x < N^2, gcd(x, N) = 1."""
+    if not 0 < x < pk.n_sq or math.gcd(x, pk.n) != 1:
+        raise MalformedMessage(f"{what} is not a unit mod N^2")
+
+
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    return _pack_int(pk.key_bits) + _pack_int(pk.n) + _pack_int(pk.g)
+    return (_pack_int(pk.key_bits) + _pack_int(pk.n) + _pack_int(pk.g)
+            + _pack_int(pk.h_n))
 
 
 def public_key_from_bytes(buf: bytes) -> PublicKey:
     key_bits, off = _unpack_int(buf, 0)
     n, off = _unpack_int(buf, off)
     g, off = _unpack_int(buf, off)
+    h_n, off = _unpack_int(buf, off)
     _no_trailing(buf, off)
-    return PublicKey(n=n, g=g, key_bits=key_bits)
+    pk = PublicKey(n=n, g=g, key_bits=key_bits, h_n=h_n)
+    _check_unit(h_n, pk, "h_N")
+    return pk
 
 
 def ciphertext_to_bytes(c: Ciphertext) -> bytes:
     return _pack_int(c.value)
 
 
-def ciphertext_from_bytes(buf: bytes, key_id: bytes, off: int = 0):
+def ciphertext_from_bytes(buf: bytes, pk: PublicKey, off: int = 0):
     val, off = _unpack_int(buf, off)
-    return Ciphertext(value=val, key_id=key_id), off
+    _check_unit(val, pk, f"ciphertext ending at offset {off}")
+    return Ciphertext(value=val, key_id=pk.fingerprint), off
 
 
 def ciphertexts_to_bytes(cs) -> bytes:
     return len(cs).to_bytes(4, "big") + b"".join(ciphertext_to_bytes(c) for c in cs)
 
 
-def ciphertexts_from_bytes(buf: bytes, key_id: bytes) -> list:
+def ciphertexts_from_bytes(buf: bytes, pk: PublicKey) -> list:
     """Inverse of ciphertexts_to_bytes; MalformedMessage unless `buf` holds
-    exactly the declared number of ciphertexts."""
+    exactly the declared number of ciphertexts, each a unit mod N^2."""
     if len(buf) < 4:
         raise MalformedMessage(f"count prefix needs 4 bytes, payload has {len(buf)}")
     count = int.from_bytes(buf[:4], "big")
@@ -375,7 +416,7 @@ def ciphertexts_from_bytes(buf: bytes, key_id: bytes) -> list:
     out = []
     off = 4
     for _ in range(count):
-        c, off = ciphertext_from_bytes(buf, key_id, off)
+        c, off = ciphertext_from_bytes(buf, pk, off)
         out.append(c)
     _no_trailing(buf, off)
     return out

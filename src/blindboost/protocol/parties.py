@@ -21,7 +21,7 @@ from .. import paillier, shares
 from ..boosting import evaluate_candidate, gen_rlc
 from ..circuits import build_sub_msb_batch, record_bits
 from ..encoding import FixedPointParams, encode_array
-from ..errors import IterationOutOfRange, OTFailure
+from ..errors import IterationOutOfRange, MalformedMessage, OTFailure
 from ..garbling import (
     GarbledCircuit,
     decode_output,
@@ -135,7 +135,9 @@ def garbler_round(ch, circuit, scheme, rng, label_ot, counters,
     pairs = gc.label_pairs(ev_wires)
     counters.ot_transfers += len(pairs)
     label_ot.send(ch, pairs)
-    out_labels, _ = wire.unpack_labels(expect_phase(ch.recv(), OUTPUT_LABELS))
+    payload = expect_phase(ch.recv(), OUTPUT_LABELS)
+    out_labels, off = wire.unpack_labels(payload)
+    wire.expect_end(payload, off)
     return decode_output(out_labels, gc.output_decode)
 
 
@@ -247,7 +249,7 @@ class CloudParty:
             ch.send(BASE_APPLY, wire.pack_u32(t)
                     + paillier.ciphertexts_to_bytes(ew))
             payload = expect_phase(ch.recv(), BASE_APPLY)
-            masked = paillier.ciphertexts_from_bytes(payload, pk.fingerprint)
+            masked = paillier.ciphertexts_from_bytes(payload, pk)
             dec = [paillier.decrypt(self.keypair, c) for c in masked]
             self.counters.decryptions += self.n
             qp = 1 << (self.fp.ring_bits + self.cfg.sigma + 1)
@@ -277,6 +279,9 @@ class CloudParty:
 
     def recv_decision(self, ch):
         payload = expect_phase(ch.recv(), OUTPUT_LABELS)
+        if len(payload) != 2 or not set(payload) <= {0, 1}:
+            raise MalformedMessage(f"decision must be two bytes, each 0 or 1, "
+                                   f"got {payload.hex() or 'nothing'}")
         accept, stop = payload[0], payload[1]
         self.acceptance.append(bool(accept))
         return bool(accept), bool(stop)
@@ -340,7 +345,7 @@ class CSPParty:
         t, off = wire.unpack_u32(payload)
         if self.cfg.construction == SECSH_GC:
             pk = self.cloud_public
-            ew = paillier.ciphertexts_from_bytes(payload[off:], pk.fingerprint)
+            ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
             lam = shares.sample_masks(self.n, self.fp.ring_bits, self.mask_rng,
                                       self.cfg.sigma)
             out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.enc_rng)
@@ -357,8 +362,7 @@ class CSPParty:
         L = self.fp.ring_bits
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
-            masked = paillier.ciphertexts_from_bytes(
-                payload, self.keypair.public.fingerprint)
+            masked = paillier.ciphertexts_from_bytes(payload, self.keypair.public)
             dec = [paillier.decrypt(self.keypair, c) for c in masked]
             self.counters.decryptions += self.n
             garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b

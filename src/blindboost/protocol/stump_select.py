@@ -155,7 +155,7 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     payload = expect_phase(ch.recv(), SETUP)
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
-    masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public.fingerprint)
+    masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public)
     label_share = [paillier.decrypt(kp, c) & 1 for c in masked]  # y xor m
     counters = ch._transcript.party("csp")
     counters.decryptions += n
@@ -171,7 +171,7 @@ def _csp_loop(ch, cfg, kp, n_catalog):
             break
         index, _ = wire.unpack_u32(expect_phase(msg, BASE_APPLY))
         payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
-        enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public.fingerprint)
+        enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public)
         dec = [paillier.decrypt(kp, c) for c in enc_diffs]
         counters.decryptions += n
         err = np.asarray(garbler_round(ch, circuit, cfg.gc_scheme, garble_rng, label_ot,

@@ -5,7 +5,8 @@ on the stream transport; the in-process transport carries (phase, payload)
 tuples and counts the same framed length.
 
 Every ``unpack_*`` helper raises ``MalformedMessage`` when a field or a
-declared count runs past the end of the payload.
+declared count runs past the end of the payload; ``expect_end`` raises it
+on bytes after the last field.
 """
 
 import numpy as np
@@ -19,6 +20,12 @@ def _need(buf: bytes, off: int, nbytes: int, what: str) -> None:
     if off + nbytes > len(buf):
         raise MalformedMessage(f"{what} needs {nbytes} bytes at offset {off}, "
                                f"payload has {len(buf)}")
+
+
+def expect_end(buf: bytes, off: int) -> None:
+    """MalformedMessage unless the payload ends at `off`."""
+    if off != len(buf):
+        raise MalformedMessage(f"{len(buf) - off} trailing bytes after offset {off}")
 
 
 def pack_u32(x: int) -> bytes:

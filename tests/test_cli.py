@@ -11,6 +11,7 @@ def test_keygen(tmp_path):
     assert rc == EXIT_OK
     payload = json.loads((tmp_path / "keypair.json").read_text())
     assert payload["n"].bit_length() == 512
+    assert pow(payload["h_n"], payload["lambda"], payload["n"] ** 2) == 1
 
 
 def test_synth_then_train_plain(tmp_path, capsys):

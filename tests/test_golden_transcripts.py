@@ -1,9 +1,9 @@
 """Known-answer tests: the exact bytes of whole protocol runs.
 
 Each case runs a protocol with payload recording on and hashes, per message
-in order, its direction, phase, framed length and payload. The constants
-were recorded before garbling moved from byte labels to integer labels;
-any change to tables, labels, OT messages or ciphertexts moves them.
+in order, its direction, phase, framed length and payload. Any change to
+tables, labels, OT messages or ciphertexts moves the constants; a change
+that re-records them must show that the models did not move.
 """
 
 import hashlib
@@ -18,23 +18,23 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer", "half"):
-        "96a329663150eaad95aaf8dfa3f14374ed9fab5ea6a312dedd7b78f7c5a1a362",
+        "b899c0b98798dd8b0f484b07527a12e2779ec870140ccfbfc9c44a8ce26fe7a3",
     (HE_GC, "dealer", "classic"):
-        "9c0f46b782e2c0e988e0632f6bc2a814a703cf8eeeb8c5bcf54e1b7d6c8acf74",
+        "5e8a559d09b37d8aed80bdfda277feb3c5389e8da22315ae473c291233a4a584",
     (HE_GC, "base", "half"):
-        "8aea30bbdedff4bed9a68a13261a3f339e1d2f0ae84f8b8b126ba3d3cef29c20",
+        "8dce00178e41549f7cdc2277d26189a31d228835facd829cd469aa30569bcf9d",
     (HE_GC, "base", "classic"):
-        "e24ca51026e016304a2f2d9b0bf9312ae9f6af96386f0cd451681207f7917ce8",
+        "d74285397ea5cabe7c1bff01d2de6dc546fc05f55cfca65cf401dd7312fed264",
     (SECSH_GC, "dealer", "half"):
-        "989b610fb776ec3ca2045be58172c7a8150015becdd0dd9aaaf1ab3c2e7fddbb",
+        "dc67e388bf62611cfbea027826f13b76fc2f8346fbaeadfc57b8a79c6999c047",
     (SECSH_GC, "dealer", "classic"):
-        "72261b2bef4aa2f22a881a5d4553801992c4001d36705b9b3115d9ef8b11402a",
+        "23a2cc88da1983694bd7fe6d48024aedc4d18d8be31553dfe93747f13b9dfdfb",
     (SECSH_GC, "base", "half"):
-        "af5efc5ffe6c78bf46140eb8e3fc6222a8380f2728f79e3737452568bf095011",
+        "a336950fe80faa563076e37a2de325c312ec5c7d31abddc441c8687e516af88f",
     (SECSH_GC, "base", "classic"):
-        "1e8fa16a6e90fe9d334b67f5f18f5610b1184ad9fe6c15b44307b4bb272f7393",
+        "fda526cea316b7afe4c9fc3ead7be8810d7ec5779dafdcf00fb026d550b04b5f",
 }
-STUMP_GOLDEN = "b2c3ec7c627a528a3485437173e845303559d4e302efa1f47a4c7c387ba5c2e5"
+STUMP_GOLDEN = "26d14197e153ee53797e1d5a7c4d2d4e7137fbdce746eb338568fa0231489273"
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import ctypes.util
+import functools
 import random
 
 import numpy as np
@@ -84,9 +85,74 @@ def test_key_constants_are_cached(keypair_512):
     assert sk.hp is sk.hp and sk.q_inv is sk.q_inv
     assert sk.q_inv * sk.q % sk.p == 1
     # the cached values leave equality, hashing and serialization as they were
-    fresh = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits)
+    fresh = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits, h_n=pk.h_n)
     assert fresh == pk and hash(fresh) == hash(pk)
     assert paillier.public_key_to_bytes(fresh) == paillier.public_key_to_bytes(pk)
+
+
+# ---------------------------------------------------------------------------
+# DJN short-exponent encryption
+
+
+@functools.lru_cache(maxsize=None)
+def _key(bits):
+    return paillier.keygen(bits, random.Random(0xD1 + bits))
+
+
+def test_every_encryption_raises_h_n_to_a_half_length_exponent(monkeypatch, keypair_512):
+    pk = keypair_512.public
+    calls = []
+    powmod = paillier.powmod
+    monkeypatch.setattr(paillier, "powmod",
+                        lambda b, e, m: calls.append((b, e, m)) or powmod(b, e, m))
+    rng = random.Random(30)
+    for i in range(64):
+        paillier.encrypt(pk, i, rng)
+    assert len(calls) == 64
+    assert all(b == pk.h_n and m == pk.n_sq for b, _, m in calls)
+    assert pk.alpha_bits == 256
+    # at most ceil(k/2) bits, and not shortened: the top bit shows up
+    assert max(e.bit_length() for _, e, _ in calls) == pk.alpha_bits
+
+
+@pytest.mark.parametrize("bits", [512, 2048])
+def test_crt_fixed_base_matches_pow(monkeypatch, bits):
+    seen = []
+    base = paillier._djn_base
+    monkeypatch.setattr(paillier, "_djn_base",
+                        lambda x, p, q: seen.append((x, p, q)) or base(x, p, q))
+    pk = paillier.keygen(bits, random.Random(0xD1 + bits)).public
+    (x, p, q), = seen
+    n = p * q
+    assert n == pk.n and pk.h_n == pow(-x * x % n, n, n * n)
+    rng = random.Random(bits)
+    for _ in range(3):
+        x = rng.randrange(2, n)
+        assert paillier._djn_base(x, p, q) == pow(-x * x % n, n, n * n)
+
+
+@pytest.mark.parametrize("bits", [512, 1024, 2048])
+def test_fixed_base_is_an_nth_residue(bits):
+    kp = _key(bits)
+    assert pow(kp.public.h_n, kp.secret.lam, kp.public.n_sq) == 1
+
+
+@pytest.mark.parametrize("bits", [512, 1024, 2048])
+def test_djn_round_trip_boundaries(bits):
+    kp = _key(bits)
+    assert kp.public.alpha_bits == bits // 2
+    rng = random.Random(31)
+    for m in (0, 1, kp.public.n - 1):
+        c = paillier.encrypt(kp.public, m, rng)
+        assert paillier.decrypt(kp, c) == paillier._decrypt_plain(kp, c.value) == m
+
+
+def test_keygen_keeps_the_modulus_of_its_seed(keypair_512):
+    # x is drawn after p and q, so N is what the seed gave before DJN
+    rng = random.Random(0xBB512)
+    p = paillier._random_prime(256, rng)
+    q = paillier._random_prime(256, rng)
+    assert keypair_512.public.n == p * q
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +350,20 @@ def test_serialization_round_trip(keypair_512):
     assert paillier.public_key_from_bytes(paillier.public_key_to_bytes(pk)) == pk
     cs = [paillier.encrypt(pk, i, rng) for i in range(5)]
     blob = paillier.ciphertexts_to_bytes(cs)
-    back = paillier.ciphertexts_from_bytes(blob, pk.fingerprint)
+    back = paillier.ciphertexts_from_bytes(blob, pk)
     assert [c.value for c in back] == [c.value for c in cs]
 
 
 def test_declared_count_past_the_payload_is_malformed(keypair_512):
     with pytest.raises(MalformedMessage):
-        paillier.ciphertexts_from_bytes(b"\x00\x00\x00\x05", keypair_512.public.fingerprint)
+        paillier.ciphertexts_from_bytes(b"\x00\x00\x00\x05", keypair_512.public)
 
 
 def test_truncated_ciphertext_value_is_malformed(keypair_512):
     pk = keypair_512.public
     blob = paillier.ciphertexts_to_bytes([paillier.encrypt(pk, 7, random.Random(23))])
     with pytest.raises(MalformedMessage):
-        paillier.ciphertexts_from_bytes(blob[:-30], pk.fingerprint)
+        paillier.ciphertexts_from_bytes(blob[:-30], pk)
 
 
 def test_every_proper_prefix_of_ciphertexts_is_malformed(keypair_512):
@@ -306,18 +372,40 @@ def test_every_proper_prefix_of_ciphertexts_is_malformed(keypair_512):
     blob = paillier.ciphertexts_to_bytes([paillier.encrypt(pk, m, rng) for m in (0, 1, 2)])
     for cut in range(len(blob)):
         with pytest.raises(MalformedMessage):
-            paillier.ciphertexts_from_bytes(blob[:cut], pk.fingerprint)
-    assert len(paillier.ciphertexts_from_bytes(blob, pk.fingerprint)) == 3
+            paillier.ciphertexts_from_bytes(blob[:cut], pk)
+    assert len(paillier.ciphertexts_from_bytes(blob, pk)) == 3
 
 
 def test_trailing_bytes_are_malformed(keypair_512):
     pk = keypair_512.public
     blob = paillier.ciphertexts_to_bytes([paillier.encrypt(pk, 1, random.Random(25))])
     with pytest.raises(MalformedMessage):
-        paillier.ciphertexts_from_bytes(blob + b"\x00", pk.fingerprint)
+        paillier.ciphertexts_from_bytes(blob + b"\x00", pk)
     key_blob = paillier.public_key_to_bytes(pk)
     with pytest.raises(MalformedMessage):
         paillier.public_key_from_bytes(key_blob + b"\x00")
     for cut in range(len(key_blob)):
         with pytest.raises(MalformedMessage):
             paillier.public_key_from_bytes(key_blob[:cut])
+
+
+def _non_units(kp):
+    pk = kp.public
+    return [0, pk.n_sq, pk.n_sq + 1, 3 * kp.secret.p]  # 0, N^2, past N^2, a multiple of p
+
+
+def test_ciphertexts_outside_the_unit_group_are_malformed(keypair_512):
+    pk = keypair_512.public
+    good = paillier.encrypt(pk, 5, random.Random(26))
+    for v in _non_units(keypair_512):
+        blob = paillier.ciphertexts_to_bytes([good, paillier.Ciphertext(v, pk.fingerprint)])
+        with pytest.raises(MalformedMessage):
+            paillier.ciphertexts_from_bytes(blob, pk)
+
+
+def test_public_key_with_a_non_unit_fixed_base_is_malformed(keypair_512):
+    pk = keypair_512.public
+    for v in _non_units(keypair_512):
+        bad = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits, h_n=v)
+        with pytest.raises(MalformedMessage):
+            paillier.public_key_from_bytes(paillier.public_key_to_bytes(bad))

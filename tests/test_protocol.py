@@ -1,11 +1,13 @@
 import random
 import re
+import types
 
 import numpy as np
 import pytest
 
 from blindboost import paillier
 from blindboost.boosting import boost_rlc
+from blindboost.circuits import build_sub_msb_batch, record_bits
 from blindboost.encoding import (
     Dataset,
     FixedPointParams,
@@ -39,7 +41,8 @@ from blindboost.protocol import (
     transcript_report,
     wire,
 )
-from blindboost.protocol.parties import CloudParty, CSPParty, LabelOT
+from blindboost.garbling import evaluate, garble
+from blindboost.protocol.parties import CloudParty, CSPParty, LabelOT, garbler_round
 
 
 def toy_folded(n=8, k=3, seed=0):
@@ -386,6 +389,36 @@ def test_csp_result_eval_wrong_phase_is_phase_order_violation():
     csp.attach(Transcript())
     with pytest.raises(PhaseOrderViolation):
         csp.result_eval_step(_Scripted([("GC_TABLES", b"")]))
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x01", b"\x01\x00\x00", b"\x02\x00",
+                                     b"\x00\xff"])
+def test_short_or_invalid_decision_is_malformed(payload):
+    cloud, _ = setup(cfg_for(HE_GC), toy_folded(n=3, k=2))
+    with pytest.raises(MalformedMessage):
+        cloud.recv_decision(_Scripted([("OUTPUT_LABELS", payload)]))
+    assert cloud.acceptance == []
+    assert cloud.recv_decision(_Scripted([("OUTPUT_LABELS", b"\x01\x00")])) == (True, False)
+
+
+def test_bytes_after_the_output_labels_are_malformed():
+    circuit = build_sub_msb_batch(4, 2)
+    gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
+    gc = garble(circuit, random.Random(5))  # what garbler_round garbles on Random(5)
+    out = evaluate(gc, dict(zip(circuit.inputs_b, gc.encode(circuit.inputs_b, ev_bits))),
+                   dict(zip(circuit.inputs_a, gc.encode(circuit.inputs_a, gb_bits))))
+    label_ot = LabelOT(cfg_for(HE_GC, ot_mode="dealer"), random.Random(6))
+
+    def run(reply):
+        counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
+        return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), circuit, "half",
+                             random.Random(5), label_ot, counters,
+                             circuit.inputs_a, gb_bits, circuit.inputs_b)
+
+    assert list(run(wire.pack_labels(out))) == list(circuit.evaluate_plain(gb_bits, ev_bits))
+    for tail in (b"\x00", out[0]):
+        with pytest.raises(MalformedMessage):
+            run(wire.pack_labels(out) + tail)
 
 
 def test_base_ot_session_opens_once_per_run():
