@@ -1,57 +1,15 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy implementations.
-
-The compiled path is used when numba imports cleanly and the env flag
-``BLINDBOOST_NUMBA`` is not set to ``0``. Both paths are exercised by the
-test suite and compared by ``blindboost bench --kind kernels``.
+"""Hot numeric kernels in numpy.
 
 All ring arithmetic here relies on q = 2^L dividing 2^64: uint64 wraparound
 is exact arithmetic mod 2^64, so masking with q-1 afterwards yields exact
 results mod q for any L <= 64.
 """
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("BLINDBOOST_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco
-
-
-USING_NUMBA = HAVE_NUMBA and _want_numba
 
 
 # ---------------------------------------------------------------------------
 # ring matrix-vector product
-
-
-def _ring_matvec_numpy(zm, w, mask):
-    u = zm @ w
-    return u & mask
-
-
-@njit(cache=True)
-def _ring_matvec_numba(zm, w, mask):  # pragma: no cover - compiled
-    n, d = zm.shape
-    out = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        acc = np.uint64(0)
-        for j in range(d):
-            acc += zm[i, j] * w[j]
-        out[i] = acc & mask
-    return out
 
 
 def ring_matvec(zm, w, ring_bits):
@@ -59,9 +17,7 @@ def ring_matvec(zm, w, ring_bits):
     mask = np.uint64((1 << ring_bits) - 1)
     zm = np.ascontiguousarray(zm, dtype=np.uint64)
     w = np.ascontiguousarray(w, dtype=np.uint64)
-    if USING_NUMBA:
-        return _ring_matvec_numba(zm, w, mask)
-    return _ring_matvec_numpy(zm, w, mask)
+    return (zm @ w) & mask
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +29,16 @@ def ring_matvec(zm, w, ring_bits):
 # error over both polarities) cut per feature.
 
 
-def _stump_scan_numpy(xs, ys, ws):
+def stump_scan(xs, ys, ws):
+    """Best cut position for one presorted feature column.
+
+    Returns (cut_min, err_min, cut_max, err_max): the minimum-error cut for
+    polarity +1 and the maximum-error cut, whose complement 1-err is the best
+    error for polarity -1.
+    """
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.int8)
+    ws = np.ascontiguousarray(ws, dtype=np.float64)
     n = xs.shape[0]
     pos_w = np.where(ys > 0, ws, 0.0)
     neg_w = ws - pos_w
@@ -92,85 +57,8 @@ def _stump_scan_numpy(xs, ys, ws):
     return c_min, float(err[c_min]), c_max, float(err[c_max])
 
 
-@njit(cache=True)
-def _stump_scan_numba(xs, ys, ws):  # pragma: no cover - compiled
-    n = xs.shape[0]
-    total_pos = 0.0
-    for i in range(n):
-        if ys[i] > 0:
-            total_pos += ws[i]
-    cum_pos = 0.0
-    cum_neg = 0.0
-    best_lo = total_pos
-    best_hi = total_pos
-    c_min = 0
-    c_max = 0
-    for c in range(1, n + 1):
-        if ys[c - 1] > 0:
-            cum_pos += ws[c - 1]
-        else:
-            cum_neg += ws[c - 1]
-        if c < n and xs[c] == xs[c - 1]:
-            continue
-        err = cum_neg + (total_pos - cum_pos)
-        if err < best_lo:
-            best_lo = err
-            c_min = c
-        if err > best_hi:
-            best_hi = err
-            c_max = c
-    return c_min, best_lo, c_max, best_hi
-
-
-def stump_scan(xs, ys, ws):
-    """Best cut position for one presorted feature column.
-
-    Returns (cut_min, err_min, cut_max, err_max): the minimum-error cut for
-    polarity +1 and the maximum-error cut, whose complement 1-err is the best
-    error for polarity -1.
-    """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.int8)
-    ws = np.ascontiguousarray(ws, dtype=np.float64)
-    if USING_NUMBA:
-        return _stump_scan_numba(xs, ys, ws)
-    return _stump_scan_numpy(xs, ys, ws)
-
-
 # ---------------------------------------------------------------------------
 # leakage pair statistics
-
-
-def _pair_stats_numpy(x, cv, pairs):
-    a = pairs[:, 0]
-    b = pairs[:, 1]
-    diff = x[a] - x[b]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    ham = (cv[a] != cv[b]).sum(axis=1).astype(np.int64)
-    return ham, dist
-
-
-@njit(cache=True)
-def _pair_stats_numba(x, cv, pairs):  # pragma: no cover - compiled
-    m = pairs.shape[0]
-    k = x.shape[1]
-    p = cv.shape[1]
-    ham = np.empty(m, dtype=np.int64)
-    dist = np.empty(m, dtype=np.float64)
-    for t in range(m):
-        i = pairs[t, 0]
-        j = pairs[t, 1]
-        acc = 0.0
-        for c in range(k):
-            d = x[i, c] - x[j, c]
-            acc += d * d
-        dist[t] = np.sqrt(acc)
-        h = 0
-        for c in range(p):
-            if cv[i, c] != cv[j, c]:
-                h += 1
-        ham[t] = h
-    return ham, dist
 
 
 def pair_stats(x, cv, pairs):
@@ -178,13 +66,9 @@ def pair_stats(x, cv, pairs):
     x = np.ascontiguousarray(x, dtype=np.float64)
     cv = np.ascontiguousarray(cv, dtype=np.uint8)
     pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-    if USING_NUMBA:
-        return _pair_stats_numba(x, cv, pairs)
-    return _pair_stats_numpy(x, cv, pairs)
-
-
-IMPLEMENTATIONS = {
-    "ring_matvec": (_ring_matvec_numba, _ring_matvec_numpy),
-    "stump_scan": (_stump_scan_numba, _stump_scan_numpy),
-    "pair_stats": (_pair_stats_numba, _pair_stats_numpy),
-}
+    a = pairs[:, 0]
+    b = pairs[:, 1]
+    diff = x[a] - x[b]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    ham = (cv[a] != cv[b]).sum(axis=1).astype(np.int64)
+    return ham, dist

@@ -226,8 +226,6 @@ def cmd_leakage(args):
 
 
 def cmd_bench(args):
-    if args.kind == "kernels":
-        return _bench_kernels(args)
     spec = ExperimentSpec(kind="COST_SCALING",
                           dataset={"synthetic": {"n": 256, "k": 8,
                                                  "seed": args.seed}},
@@ -240,52 +238,6 @@ def cmd_bench(args):
         if abs(ratio - 2.0) > 0.1:
             raise CheckFailure(f"GC bytes did not double with n (ratio {ratio:.3f})")
     print("cost scaling: GC bytes double with n (within 5%)")
-    return EXIT_OK
-
-
-def _bench_kernels(args):
-    from .. import _kernels
-
-    if not _kernels.HAVE_NUMBA:
-        print("numba not installed; only the numpy path is available")
-        return EXIT_OK
-    rng = np.random.default_rng(args.seed)
-    n, d, p = 20_000, 24, 64
-    zm = rng.integers(0, 1 << 20, size=(n, d), dtype=np.uint64)
-    w = rng.integers(0, 1 << 20, size=d, dtype=np.uint64)
-    xs = np.sort(rng.normal(size=n))
-    ys = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-    ws = rng.dirichlet(np.ones(n))
-    X = rng.normal(size=(n, d))
-    cv = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
-    pairs = rng.integers(0, n, size=(200_000, 2), dtype=np.int64)
-
-    cases = {
-        "ring_matvec": ((zm, w, np.uint64((1 << 20) - 1)), {}),
-        "stump_scan": ((xs, ys, ws), {}),
-        "pair_stats": ((X, cv, pairs), {}),
-    }
-    print(f"{'kernel':<14} {'numba (ms)':>12} {'numpy (ms)':>12} {'speedup':>9}")
-    for name, (call_args, _) in cases.items():
-        fast, slow = _kernels.IMPLEMENTATIONS[name]
-        fast(*call_args)  # compile outside the timed region
-        reps = 5
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            r_fast = fast(*call_args)
-        t_fast = (time.perf_counter() - t0) / reps
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            r_slow = slow(*call_args)
-        t_slow = (time.perf_counter() - t0) / reps
-        if isinstance(r_fast, tuple):
-            same = all(np.allclose(a, b) for a, b in zip(r_fast, r_slow))
-        else:
-            same = np.array_equal(r_fast, r_slow)
-        if not same:
-            raise CheckFailure(f"kernel {name}: numba and numpy paths disagree")
-        print(f"{name:<14} {1e3 * t_fast:>12.3f} {1e3 * t_slow:>12.3f} "
-              f"{t_slow / t_fast:>8.2f}x")
     return EXIT_OK
 
 
@@ -385,9 +337,9 @@ def build_parser():
     p.add_argument("--pair-sample", type=int, default=1_000_000)
     p.set_defaults(func=cmd_leakage)
 
-    p = sub.add_parser("bench", help="kernel and cost benchmarks")
+    p = sub.add_parser("bench", help="protocol cost benchmark")
     common(p, dataset=False)
-    p.add_argument("--kind", choices=["kernels", "scaling"], default="kernels")
+    p.add_argument("--kind", choices=["scaling"], default="scaling")
     p.add_argument("--construction", choices=["he-gc", "secsh-gc"],
                    default="he-gc")
     p.set_defaults(func=cmd_bench)

@@ -244,13 +244,13 @@ class CloudParty:
             w = self._next_rlc()
             wq = [int(v) for v in encode_array(w, self.fp)]
             pk = self.keypair.public
-            ew = [paillier.encrypt(pk, v, self.enc_rng) for v in wq]
+            ew = paillier.encrypt_many(pk, wq, self.enc_rng)
             self.counters.encryptions += self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t)
                     + paillier.ciphertexts_to_bytes(ew))
             payload = expect_phase(ch.recv(), BASE_APPLY)
             masked = paillier.ciphertexts_from_bytes(payload, pk)
-            dec = [paillier.decrypt(self.keypair, c) for c in masked]
+            dec = paillier.decrypt_many(self.keypair, masked)
             self.counters.decryptions += self.n
             qp = 1 << (self.fp.ring_bits + self.cfg.sigma + 1)
             self._u0 = shares.masked_matvec_cloud_step(
@@ -263,10 +263,8 @@ class CloudParty:
         if self.cfg.construction == HE_GC:
             lam = shares.sample_masks(self.n, L, self.mask_rng, self.cfg.sigma)
             pk = self.csp_public
-            masked = []
-            for c, m in zip(self._eu, lam):
-                e_lam = paillier.encrypt(pk, m, self.enc_rng)
-                masked.append(paillier.he_add(pk, c, e_lam))
+            masked = [paillier.he_add(pk, c, e_lam) for c, e_lam
+                      in zip(self._eu, paillier.encrypt_many(pk, lam, self.enc_rng))]
             self.counters.encryptions += self.n
             self.counters.he_adds += self.n
             ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
@@ -363,7 +361,7 @@ class CSPParty:
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
             masked = paillier.ciphertexts_from_bytes(payload, self.keypair.public)
-            dec = [paillier.decrypt(self.keypair, c) for c in masked]
+            dec = paillier.decrypt_many(self.keypair, masked)
             self.counters.decryptions += self.n
             garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
         else:

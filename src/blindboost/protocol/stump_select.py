@@ -123,9 +123,8 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
     label_ot = LabelOT(cfg, rng_ot)
     # one-time label masking: E(y + m), m_i kept for the circuit input
     m_bits = [rng_mask.getrandbits(1) for _ in range(n)]
-    masked_labels = []
-    for c, m in zip(ey, m_bits):
-        masked_labels.append(paillier.he_add(pk, c, paillier.encrypt(pk, m, rng_enc)))
+    masked_labels = [paillier.he_add(pk, c, e)
+                     for c, e in zip(ey, paillier.encrypt_many(pk, m_bits, rng_enc))]
     counters.encryptions += n
     counters.he_adds += n
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
@@ -137,10 +136,8 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         ch.send(BASE_APPLY, wire.pack_u32(index))
         lam = shares.sample_masks(n, L, rng_mask, cfg.sigma)
         neg_v = paillier.encrypt_raw(pk, (fp.q - vq) % fp.q)
-        out = []
-        for i in range(n):
-            c = paillier.he_add(pk, xq.rows[i][j], neg_v)
-            out.append(paillier.he_add(pk, c, paillier.encrypt(pk, lam[i], rng_enc)))
+        out = [paillier.he_add(pk, paillier.he_add(pk, xq.rows[i][j], neg_v), e)
+               for i, e in enumerate(paillier.encrypt_many(pk, lam, rng_enc))]
         counters.encryptions += n
         counters.he_adds += 2 * n
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
@@ -156,7 +153,7 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
     masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public)
-    label_share = [paillier.decrypt(kp, c) & 1 for c in masked]  # y xor m
+    label_share = [m & 1 for m in paillier.decrypt_many(kp, masked)]  # y xor m
     counters = ch._transcript.party("csp")
     counters.decryptions += n
     circuit = build_stump_error_batch(L, n)
@@ -172,7 +169,7 @@ def _csp_loop(ch, cfg, kp, n_catalog):
         index, _ = wire.unpack_u32(expect_phase(msg, BASE_APPLY))
         payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
         enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public)
-        dec = [paillier.decrypt(kp, c) for c in enc_diffs]
+        dec = paillier.decrypt_many(kp, enc_diffs)
         counters.decryptions += n
         err = np.asarray(garbler_round(ch, circuit, cfg.gc_scheme, garble_rng, label_ot,
                                        counters, gb_wires,
@@ -200,7 +197,7 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     kp = paillier.keygen(cfg.key_bits, random.Random(cfg.seeds.csp ^ 0x6B657967))
     user_rng = random.Random(cfg.seeds.data ^ 0x75736572)
     xq = paillier.encrypt_matrix(kp.public, encode_array(X, fp), user_rng)
-    ey = [paillier.encrypt(kp.public, int(b), user_rng) for b in y01]
+    ey = paillier.encrypt_many(kp.public, [int(b) for b in y01], user_rng)
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k + n

@@ -59,16 +59,19 @@ def masked_matvec_csp_step(z1: np.ndarray, ew: list, lam: list,
     z1 = np.asarray(z1, dtype=np.uint64)
     if z1.ndim != 2 or z1.shape[1] != len(ew):
         raise DimensionMismatch(f"share has {z1.shape} columns, vector has {len(ew)}")
-    out = []
-    for i in range(z1.shape[0]):
-        acc = paillier.encrypt(pk, int(lam[i]) % pk.n, rng)
+    masks = paillier.encrypt_many(pk, [int(lam[i]) % pk.n for i in range(z1.shape[0])],
+                                  rng)
+
+    def row(i):
+        acc = masks[i]
         for j, c in enumerate(ew):
             s = int(z1[i, j])
             if s == 0:
                 continue
             acc = paillier.he_add(pk, acc, paillier.he_scalar_mul(pk, c, s))
-        out.append(acc)
-    return out
+        return acc
+
+    return paillier.map_rows(pk, row, range(z1.shape[0]))
 
 
 def masked_matvec_cloud_step(z0: np.ndarray, w_ring, decrypted: list,

@@ -1,39 +1,6 @@
 import numpy as np
-import pytest
 
 from blindboost import _kernels
-
-
-def _cases(seed=0):
-    rng = np.random.default_rng(seed)
-    n, d, p = 500, 6, 12
-    zm = rng.integers(0, 1 << 18, size=(n, d), dtype=np.uint64)
-    w = rng.integers(0, 1 << 18, size=d, dtype=np.uint64)
-    xs = np.sort(rng.normal(size=n))
-    ys = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-    ws = rng.dirichlet(np.ones(n))
-    X = rng.normal(size=(n, d))
-    cv = rng.integers(0, 2, size=(n, p), dtype=np.uint8)
-    pairs = rng.integers(0, n, size=(2000, 2), dtype=np.int64)
-    return zm, w, xs, ys, ws, X, cv, pairs
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_paths_agree():
-    zm, w, xs, ys, ws, X, cv, pairs = _cases()
-    mask = np.uint64((1 << 18) - 1)
-    fast, slow = _kernels.IMPLEMENTATIONS["ring_matvec"]
-    assert np.array_equal(fast(zm, w, mask), slow(zm, w, mask))
-    fast, slow = _kernels.IMPLEMENTATIONS["stump_scan"]
-    rf = fast(xs, ys, ws)
-    rs = slow(xs, ys, ws)
-    assert rf[0] == rs[0] and rf[2] == rs[2]
-    assert abs(rf[1] - rs[1]) < 1e-12 and abs(rf[3] - rs[3]) < 1e-12
-    fast, slow = _kernels.IMPLEMENTATIONS["pair_stats"]
-    hf, df = fast(X, cv, pairs)
-    hs, ds = slow(X, cv, pairs)
-    assert np.array_equal(hf, hs)
-    assert np.allclose(df, ds)
 
 
 def test_ring_matvec_wraparound_exact():
@@ -53,29 +20,6 @@ def test_stump_scan_skips_tied_values():
     cut_min, err_min, _, _ = _kernels.stump_scan(xs, ys, ws)
     # no cut can separate the two tied values; best legal cut is after them
     assert cut_min in (2, 3, 4) or cut_min == 0
-
-
-def test_env_flag_disables_numba(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import blindboost
-
-    # the child must import the same package under test, from a src/
-    # checkout or an installed copy; only the flag is pinned
-    pkg_root = str(Path(blindboost.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["BLINDBOOST_NUMBA"] = "0"
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    code = ("import blindboost._kernels as k; "
-            "print(k._want_numba, k.USING_NUMBA)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False False"
 
 
 def test_pair_stats_values():

@@ -1,6 +1,9 @@
 import ctypes.util
 import functools
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -147,6 +150,18 @@ def test_djn_round_trip_boundaries(bits):
         assert paillier.decrypt(kp, c) == paillier._decrypt_plain(kp, c.value) == m
 
 
+@pytest.mark.parametrize("bits", [512, 1024, 2048])
+def test_key_constants_match_the_paillier_formulas(bits):
+    # mu = L(g^lam mod N^2)^-1 mod N and h_p = L_p(g^(p-1) mod p^2)^-1 mod p,
+    # h_q likewise, for g = N + 1
+    kp = _key(bits)
+    n, g, sk = kp.public.n, kp.public.g, kp.secret
+    assert g == n + 1
+    assert sk.mu == pow((pow(g, sk.lam, n * n) - 1) // n, -1, n)
+    assert sk.hp == pow((pow(g, sk.p - 1, sk.p ** 2) - 1) // sk.p, -1, sk.p)
+    assert sk.hq == pow((pow(g, sk.q - 1, sk.q ** 2) - 1) // sk.q, -1, sk.q)
+
+
 def test_keygen_keeps_the_modulus_of_its_seed(keypair_512):
     # x is drawn after p and q, so N is what the seed gave before DJN
     rng = random.Random(0xBB512)
@@ -212,8 +227,7 @@ def test_crt_matches_plain_decrypt(keypair_512):
     pk = keypair_512.public
     for _ in range(25):
         c = paillier.encrypt(pk, rng.randrange(pk.n), rng)
-        assert (paillier.decrypt(keypair_512, c, use_crt=True)
-                == paillier.decrypt(keypair_512, c, use_crt=False))
+        assert paillier.decrypt(keypair_512, c) == paillier._decrypt_plain(keypair_512, c.value)
 
 
 def test_he_add(keypair_512):
@@ -409,3 +423,162 @@ def test_public_key_with_a_non_unit_fixed_base_is_malformed(keypair_512):
         bad = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits, h_n=v)
         with pytest.raises(MalformedMessage):
             paillier.public_key_from_bytes(paillier.public_key_to_bytes(bad))
+
+
+# ---------------------------------------------------------------------------
+# batches over the calling thread and the pool
+
+
+def _use_pool(monkeypatch, workers):
+    pool = ThreadPoolExecutor(workers, initializer=paillier._mark_worker)
+    monkeypatch.setattr(paillier, "_pool", pool)
+    monkeypatch.setattr(paillier, "_workers", workers)
+    return pool
+
+
+@pytest.fixture
+def one_worker_pool(monkeypatch):
+    """A one-worker pool, whatever the machine's CPU count: a batch's first
+    half runs on the calling thread, its second half on the worker."""
+    pool = _use_pool(monkeypatch, 1)
+    yield pool
+    pool.shutdown()
+
+
+def _bounded(fn, timeout=60):
+    """fn() on its own thread; fails unless it returns within `timeout` s."""
+    out = []
+    runner = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _batch_outputs(kp, seed):
+    pk = kp.public
+    rng = random.Random(seed)
+    ms = [0, 1, pk.n - 1] + [rng.randrange(pk.n) for _ in range(4)]
+    cs = paillier.encrypt_many(pk, ms, rng)
+    ez = paillier.encrypt_matrix(pk, [[5, 9, 0], [1, 2, 3]], rng)
+    prods = paillier.he_matvec(pk, ez, [7, 0, (1 << 24) - 1])
+    return ([c.value for c in cs], [c.value for c in ez.rows[0] + ez.rows[1]],
+            [c.value for c in prods], paillier.decrypt_many(kp, cs), rng.getstate())
+
+
+@pytest.mark.parametrize("bits", [512, 2048])
+def test_batches_equal_their_per_element_results(bits):
+    kp = _key(bits)
+    pk = kp.public
+    a, b = random.Random(bits + 1), random.Random(bits + 1)
+    ms = [0, 1, pk.n - 1] + [a.randrange(pk.n) for _ in range(6)]
+    b.setstate(a.getstate())
+    cs = paillier.encrypt_many(pk, ms, a)
+    assert cs == [paillier.encrypt(pk, m, b) for m in ms]
+    assert a.getstate() == b.getstate()
+    assert paillier.decrypt_many(kp, cs) == [paillier.decrypt(kp, c) for c in cs] == ms
+    zm = [[1, 2, 3], [4, 0, 6], [7, 8, 9]]
+    ez = paillier.encrypt_matrix(pk, zm, a)
+    assert ez.rows == [[paillier.encrypt(pk, m, b) for m in row] for row in zm]
+    assert a.getstate() == b.getstate()
+    w = [3, 0, (1 << 24) - 1]
+    expect = []
+    for row in ez.rows:
+        acc = paillier.encrypt_raw(pk, 0)
+        for c, s in zip(row, w):
+            if s:
+                acc = paillier.he_add(pk, acc, paillier.he_scalar_mul(pk, c, s))
+        expect.append(acc)
+    assert paillier.he_matvec(pk, ez, w) == expect
+
+
+def test_batches_are_the_same_without_the_pool(monkeypatch, keypair_512, one_worker_pool):
+    pooled = _batch_outputs(keypair_512, 40)
+    monkeypatch.setattr(paillier, "_pool", None)
+    assert _batch_outputs(keypair_512, 40) == pooled
+
+
+def _spy_threads(monkeypatch, name):
+    """Records (thread, args) of every call to paillier.<name>."""
+    threads = []
+    real = getattr(paillier, name)
+
+    def spy(*args):
+        threads.append((threading.current_thread(), args))
+        return real(*args)
+
+    monkeypatch.setattr(paillier, name, spy)
+    return threads
+
+
+def test_errors_in_a_workers_chunk_keep_their_type(monkeypatch, keypair_512,
+                                                   keypair_512_alt, one_worker_pool):
+    pk = keypair_512.public
+    main = threading.current_thread()
+    rng = random.Random(42)
+    cs = [paillier.encrypt(pk, m, rng) for m in (1, 2, 3)]
+    foreign = paillier.encrypt(keypair_512_alt.public, 4, rng)
+    calls = _spy_threads(monkeypatch, "encrypt")
+    with pytest.raises(PlaintextOutOfRange):
+        paillier.encrypt_many(pk, [1, 2, 3, pk.n], random.Random(41))
+    assert [t is main for t, args in calls if args[1] == pk.n] == [False]
+    calls = _spy_threads(monkeypatch, "decrypt")
+    with pytest.raises(KeyMismatch):
+        paillier.decrypt_many(keypair_512, cs + [foreign])
+    assert [t is main for t, args in calls if args[1] is foreign] == [False]
+
+
+@pytest.mark.parametrize("bits", [512, 2048])
+def test_batches_call_the_public_functions_once_per_element(monkeypatch, bits,
+                                                           one_worker_pool):
+    kp = _key(bits)
+    pk = kp.public
+    spies = {name: _spy_threads(monkeypatch, name)
+             for name in ("encrypt", "decrypt", "he_scalar_mul")}
+    cs = paillier.encrypt_many(pk, range(6), random.Random(46))
+    paillier.decrypt_many(kp, cs)
+    paillier.he_matvec(pk, paillier.EncryptedMatrix([cs[:3], cs[3:]], pk.fingerprint),
+                       [1, 2, 3])
+    assert {name: len(calls) for name, calls in spies.items()} == {
+        "encrypt": 6, "decrypt": 6, "he_scalar_mul": 6}
+    threads = {name: len({t for t, _ in calls}) for name, calls in spies.items()}
+    # rows of scalar multiplies stay on the calling thread below 1024 bits
+    assert threads == {"encrypt": 2, "decrypt": 2, "he_scalar_mul": 1 if bits < 1024 else 2}
+
+
+def test_a_batch_started_in_a_worker_runs_inline(monkeypatch, keypair_512):
+    # two workers, one of them idle: a batch that did not run inline would
+    # show up on the idle one instead of deadlocking
+    pool = _use_pool(monkeypatch, 2)
+    calls = _spy_threads(monkeypatch, "encrypt")
+    try:
+        worker, cs = pool.submit(lambda: (threading.current_thread(), paillier.encrypt_many(
+            keypair_512.public, range(6), random.Random(47)))).result(timeout=60)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    assert len(cs) == 6 and {t for t, _ in calls} == {worker}
+
+
+def test_batches_with_more_workers_than_cores_and_fast_switching(monkeypatch):
+    # a fresh key, so the cached key constants are first computed inside
+    # the batch, by whichever threads get there
+    kp = paillier.keygen(512, random.Random(44))
+    pool = _use_pool(monkeypatch, 2 * paillier._usable_cpus() + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ms = list(range(40))
+        cs = _bounded(lambda: paillier.encrypt_many(kp.public, ms, random.Random(45)))
+        assert _bounded(lambda: paillier.decrypt_many(kp, cs)) == ms
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    rng = random.Random(45)
+    assert cs == [paillier.encrypt(kp.public, m, rng) for m in ms]
+
+
+@pytest.mark.skipif(paillier._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_a_batch_uses_a_second_thread(monkeypatch, keypair_512):
+    calls = _spy_threads(monkeypatch, "powmod")
+    paillier.encrypt_many(keypair_512.public, range(8), random.Random(43))
+    assert len({t for t, _ in calls}) >= 2

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -118,6 +119,34 @@ def test_masked_matvec_full_protocol_oracle(keypair_512):
         got = (u0[i] - u1) % (1 << L)
         expect = sum(int(zm[i, j]) * w[j] for j in range(4)) % (1 << L)
         assert got == expect
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+def test_masked_matvec_equals_the_row_by_row_loop(monkeypatch, bits):
+    # from 1024-bit keys on the rows run on the pool, below on the caller
+    kp = paillier.keygen(bits, random.Random(bits))
+    pk = kp.public
+    pool = ThreadPoolExecutor(1, initializer=paillier._mark_worker)
+    monkeypatch.setattr(paillier, "_pool", pool)
+    monkeypatch.setattr(paillier, "_workers", 1)
+    nprng = np.random.default_rng(bits)
+    z1 = nprng.integers(0, 1 << 16, size=(5, 3), dtype=np.uint64)
+    z1[1, 2] = 0
+    ew = [paillier.encrypt(pk, m, random.Random(m)) for m in (3, 0, 7)]
+    lam = shares.sample_masks(5, 16, random.Random(8))
+    rng, ref_rng = random.Random(9), random.Random(9)
+    try:
+        got = shares.masked_matvec_csp_step(z1, ew, lam, pk, rng)
+    finally:
+        pool.shutdown()
+    expect = []
+    for i in range(5):
+        acc = paillier.encrypt(pk, lam[i] % pk.n, ref_rng)
+        for j in range(3):
+            if z1[i, j]:
+                acc = paillier.he_add(pk, acc, paillier.he_scalar_mul(pk, ew[j], int(z1[i, j])))
+        expect.append(acc)
+    assert got == expect and rng.getstate() == ref_rng.getstate()
 
 
 def test_masked_matvec_boundary_mask(keypair_512):
