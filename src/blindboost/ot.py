@@ -16,9 +16,10 @@ Three building blocks:
   string s. Every later round of m transfers costs one message of
   KAPPA * ceil(m/8) bytes, a bit-matrix transpose and 3m keyed hashes.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
-  party pair (about 0.17 s of CPU in modp-768 with libgmp, 1.2 s with
-  builtin pow), then a few milliseconds of hashing per round (2.6 ms at
-  209 transfers, 11 ms at 1216, on a 2-core x86 machine). Its OT bytes
+  party pair, whose exponentiations paillier.fan_out spreads over the
+  cores (about 0.18 s of CPU in modp-768 with libgmp, 0.11 s of wall time
+  on a 2-core x86 machine), then a few milliseconds of hashing per round
+  (2.6 ms at 209 transfers, 11 ms at 1216, on the same machine). Its OT bytes
   fall below those of per-wire base OT once a run moves more than about
   200 transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
@@ -74,7 +75,7 @@ GROUPS = {
     "modp-2048": Group("modp-2048", _MODP_2048, 4),
 }
 
-from .paillier import powmod  # noqa: E402
+from .paillier import fan_out, powmod  # noqa: E402
 
 
 def _validate_element(group: Group, x: int, full_check: bool = False) -> None:
@@ -113,14 +114,14 @@ class OTSender:
         if len(bs) != len(pairs):
             raise OTFailure("choice-message count does not match pair count")
         p = self.group.p
-        out = []
-        for i, (b, (m0, m1)) in enumerate(zip(bs, pairs)):
+
+        def one(item):
+            i, (b, (m0, m1)) = item
             _validate_element(self.group, b, self.full_check)
             b_a = powmod(b, self._a, p)
-            k0 = _kdf(b_a, i)
-            k1 = _kdf(b_a * self._A_neg_a % p, i)
-            out.append((_xor(m0, k0), _xor(m1, k1)))
-        return out
+            return _xor(m0, _kdf(b_a, i)), _xor(m1, _kdf(b_a * self._A_neg_a % p, i))
+
+        return fan_out(one, enumerate(zip(bs, pairs)))
 
 
 class OTReceiver:
@@ -133,27 +134,32 @@ class OTReceiver:
         self._choices = None
 
     def choose(self, bits: list) -> list:
-        """B_i = g^{b_i} * A^{c_i}."""
+        """B_i = g^{b_i} * A^{c_i}. Every secret is drawn here, in order,
+        before any exponentiation, so the rng's use does not depend on how
+        fan_out splits the batch."""
         self._secrets = [self._rng.randrange(1, self.group.order) for _ in bits]
         self._choices = [int(c) & 1 for c in bits]
-        msgs = []
-        for b, c in zip(self._secrets, self._choices):
-            m = powmod(self.group.g, b, self.group.p)
-            if c:
-                m = m * self.A % self.group.p
-            msgs.append(m)
-        return msgs
+        p = self.group.p
+
+        def one(item):
+            b, c = item
+            m = powmod(self.group.g, b, p)
+            return m * self.A % p if c else m
+
+        return fan_out(one, zip(self._secrets, self._choices))
 
     def finish(self, responses: list) -> list:
         if self._secrets is None:
             raise OTFailure("choose() was not called")
         if len(responses) != len(self._secrets):
             raise OTFailure("response count does not match choice count")
-        labels = []
-        for i, ((e0, e1), b, c) in enumerate(zip(responses, self._secrets, self._choices)):
-            k = _kdf(powmod(self.A, b, self.group.p), i)
-            labels.append(_xor(e1 if c else e0, k))
-        return labels
+        p = self.group.p
+
+        def one(item):
+            i, ((e0, e1), b, c) = item
+            return _xor(e1 if c else e0, _kdf(powmod(self.A, b, p), i))
+
+        return fan_out(one, enumerate(zip(responses, self._secrets, self._choices)))
 
 
 KAPPA = 128                 # base OTs per extension session
@@ -314,22 +320,3 @@ def dealer_choose(pairs: list, bits: list, secure_profile: bool = False) -> list
     if len(pairs) != len(bits):
         raise OTFailure("pair/choice count mismatch")
     return [p[int(c) & 1] for p, c in zip(pairs, bits)]
-
-
-def ot_choose(pairs: list, bits: list, mode: str = "base",
-              group_name: str = "modp-768", sender_rng: random.Random | None = None,
-              receiver_rng: random.Random | None = None,
-              secure_profile: bool = False) -> list:
-    """Per-wire base OT (or the dealer) with both ends in-process. The
-    protocols split the ends over a transport and, in base mode, run the
-    extension instead (see protocol.parties.LabelOT)."""
-    if mode == "dealer":
-        return dealer_choose(pairs, bits, secure_profile)
-    if mode != "base":
-        raise ValueError(f"unknown OT mode {mode!r}")
-    group = GROUPS[group_name]
-    sender = OTSender(group, sender_rng or random.Random(), full_check=secure_profile)
-    receiver = OTReceiver(group, receiver_rng or random.Random(),
-                          sender.setup_message(), full_check=secure_profile)
-    bs = receiver.choose(bits)
-    return receiver.finish(sender.respond(bs, pairs))

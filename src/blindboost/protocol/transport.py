@@ -10,10 +10,15 @@ import socket
 import struct
 import threading
 
-from ..errors import PhaseOrderViolation, TransportClosed
+from ..errors import MalformedMessage, PhaseOrderViolation, TransportClosed
 from .transcript import BYTE_PHASE, PHASE_BYTE, Transcript
 
 _CLOSED = object()
+
+# Largest payload a socket frame may declare. A header declaring more is
+# refused before any payload byte is read, so the reader neither waits for
+# nor buffers that many bytes.
+MAX_FRAME = 1 << 26
 
 
 class _QueueEndpoint:
@@ -87,6 +92,9 @@ class _SocketEndpoint:
         phase = BYTE_PHASE.get(phase_byte)
         if phase is None:
             raise PhaseOrderViolation(f"unknown phase byte {phase_byte:#04x}")
+        if length > MAX_FRAME:
+            raise MalformedMessage(f"frame declares {length} bytes, over the "
+                                   f"{MAX_FRAME}-byte cap")
         payload = self._read_exact(length) if length else b""
         return phase, payload
 

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,3 +15,15 @@ def keypair_512():
 @pytest.fixture(scope="session")
 def keypair_512_alt():
     return paillier.keygen(512, random.Random(0xA17))
+
+
+@pytest.fixture
+def one_worker_pool(monkeypatch):
+    """A one-worker pool for paillier.fan_out, whatever the machine's CPU
+    count: a batch's first half runs on the calling thread, its second half
+    on the worker."""
+    pool = ThreadPoolExecutor(1, initializer=paillier._mark_worker)
+    monkeypatch.setattr(paillier, "_pool", pool)
+    monkeypatch.setattr(paillier, "_workers", 1)
+    yield pool
+    pool.shutdown()

@@ -1,9 +1,10 @@
 import random
+import threading
 
 import numpy as np
 import pytest
 
-from blindboost import ot
+from blindboost import ot, paillier
 from blindboost.errors import (
     GroupElementInvalid,
     ModeNotPermittedInSecureProfile,
@@ -14,6 +15,19 @@ from blindboost.errors import (
 def _pairs(rng, count):
     return [(rng.getrandbits(128).to_bytes(16, "big"),
              rng.getrandbits(128).to_bytes(16, "big")) for _ in range(count)]
+
+
+def _spy_powmod(monkeypatch):
+    """Records the thread of every ot.powmod call."""
+    threads = []
+    real = ot.powmod
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(ot, "powmod", spy)
+    return threads
 
 
 def test_groups_are_safe_primes():
@@ -39,20 +53,23 @@ def test_dealer_refused_in_secure_profile():
         ot.dealer_choose([(b"0" * 16, b"1" * 16)], [0], secure_profile=True)
 
 
+def _base_ot(pairs, bits, sender_seed, receiver_seed):
+    """Per-wire base OT in modp-768 with both ends in-process."""
+    group = ot.GROUPS["modp-768"]
+    sender = ot.OTSender(group, random.Random(sender_seed))
+    receiver = ot.OTReceiver(group, random.Random(receiver_seed), sender.setup_message())
+    return receiver.finish(sender.respond(receiver.choose(bits), pairs))
+
+
 def test_base_ot_delivers_chosen_labels():
     rng = random.Random(2)
     pairs = _pairs(rng, 64)
     bits = [rng.getrandbits(1) for _ in range(64)]
-    got = ot.ot_choose(pairs, bits, mode="base", group_name="modp-768",
-                       sender_rng=random.Random(3), receiver_rng=random.Random(4))
-    assert got == [p[b] for p, b in zip(pairs, bits)]
+    assert _base_ot(pairs, bits, 3, 4) == [p[b] for p, b in zip(pairs, bits)]
 
 
 def test_base_ot_choice_zero():
-    pairs = [(b"A" * 16, b"B" * 16)]
-    got = ot.ot_choose(pairs, [0], sender_rng=random.Random(5),
-                       receiver_rng=random.Random(6))
-    assert got == [b"A" * 16]
+    assert _base_ot([(b"A" * 16, b"B" * 16)], [0], 5, 6) == [b"A" * 16]
 
 
 def test_replayed_transcript_wrong_choice_gives_garbage():
@@ -96,11 +113,17 @@ def test_subgroup_check_in_secure_profile():
     sender.respond([ot.powmod(group.g, 12345, group.p)], [(b"0" * 16, b"1" * 16)])
 
 
-def test_count_mismatch():
+def test_count_mismatch(monkeypatch):
     group = ot.GROUPS["modp-768"]
     sender = ot.OTSender(group, random.Random(13))
+    receiver = ot.OTReceiver(group, random.Random(17), sender.setup_message())
+    responses = sender.respond(receiver.choose([0, 1, 1]), _pairs(random.Random(18), 3))
+    calls = _spy_powmod(monkeypatch)
     with pytest.raises(OTFailure):
         sender.respond([4, 4], [(b"0" * 16, b"1" * 16)])
+    with pytest.raises(OTFailure):
+        receiver.finish(responses[:2])
+    assert calls == []  # refused before any exponentiation
 
 
 def test_sender_second_key_matches_two_pow_formula():
@@ -189,14 +212,27 @@ def test_extension_unchosen_label_stays_masked():
     assert receiver.finish(responses) == [p[b] for p, b in zip(pairs, bits)]
 
 
-def test_extension_base_ots_check_subgroup():
+def test_extension_base_ots_check_subgroup(monkeypatch, one_worker_pool):
     group = ot.GROUPS["modp-768"]
     receiver = ot.OTExtReceiver(group, random.Random(26), full_check=True)
     sender = ot.OTExtSender(group, random.Random(27), receiver.setup_message(),
                             full_check=True)
     bs = sender.base_choose()
-    with pytest.raises(GroupElementInvalid):
-        receiver.base_respond([group.p - 4] + bs[1:])
+    checked = []
+    real = ot._validate_element
+
+    def spy(group, x, full_check=False):
+        checked.append((threading.current_thread(), x))
+        return real(group, x, full_check)
+
+    monkeypatch.setattr(ot, "_validate_element", spy)
+    # the first base OT runs on the calling thread, the last on the worker
+    for where in (0, ot.KAPPA - 1):
+        checked.clear()
+        with pytest.raises(GroupElementInvalid):
+            receiver.base_respond(bs[:where] + [group.p - 4] + bs[where + 1:])
+        on_main = [t is threading.current_thread() for t, x in checked if x == group.p - 4]
+        assert on_main == [where == 0]
     with pytest.raises(GroupElementInvalid):
         ot.OTExtSender(group, random.Random(28), group.p - 4, full_check=True)
 
@@ -225,3 +261,53 @@ def test_extension_rejects_malformed_messages():
     fresh.base_choose()
     with pytest.raises(OTFailure):
         fresh.base_finish([(b"\x00" * 16, b"\x00" * 16)])  # count mismatch
+
+
+# ---------------------------------------------------------------------------
+# the base-OT session over paillier.fan_out
+
+
+def _session_outputs(seed, full_check):
+    """Every value an extension session hands out or learns, and both rngs'
+    final states."""
+    group = ot.GROUPS["modp-768"]
+    r_rng, s_rng = random.Random(seed), random.Random(seed + 1)
+    receiver = ot.OTExtReceiver(group, r_rng, full_check=full_check)
+    a = receiver.setup_message()
+    sender = ot.OTExtSender(group, s_rng, a, full_check=full_check)
+    bs = sender.base_choose()
+    base = receiver.base_respond(bs)
+    learned = sender._base.finish(base)
+    sender.base_finish(base)
+    rng = random.Random(seed + 2)
+    rounds = []
+    for m in (9, 40):
+        pairs = _pairs(rng, m)
+        u = receiver.choose([rng.getrandbits(1) for _ in range(m)])
+        ys = sender.respond(u, pairs)
+        rounds.append((u, ys, receiver.finish(ys)))
+    return a, bs, base, learned, rounds, r_rng.getstate(), s_rng.getstate()
+
+
+@pytest.mark.parametrize("full_check", [False, True])
+def test_session_is_the_same_on_any_pool(monkeypatch, one_worker_pool, full_check):
+    pooled = _session_outputs(50, full_check)
+    monkeypatch.setattr(paillier, "_pool", None)
+    assert _session_outputs(50, full_check) == pooled
+
+
+@pytest.mark.skipif(paillier._usable_cpus() < 2, reason="needs two usable CPUs")
+def test_session_loops_use_a_second_thread(monkeypatch):
+    group = ot.GROUPS["modp-768"]
+    receiver = ot.OTExtReceiver(group, random.Random(52))
+    sender = ot.OTExtSender(group, random.Random(53), receiver.setup_message())
+    calls = _spy_powmod(monkeypatch)
+    bs = sender.base_choose()
+    threads = [len(set(calls))]
+    calls.clear()
+    base = receiver.base_respond(bs)
+    threads.append(len(set(calls)))
+    calls.clear()
+    sender.base_finish(base)
+    threads.append(len(set(calls)))
+    assert min(threads) >= 2

@@ -436,15 +436,6 @@ def _use_pool(monkeypatch, workers):
     return pool
 
 
-@pytest.fixture
-def one_worker_pool(monkeypatch):
-    """A one-worker pool, whatever the machine's CPU count: a batch's first
-    half runs on the calling thread, its second half on the worker."""
-    pool = _use_pool(monkeypatch, 1)
-    yield pool
-    pool.shutdown()
-
-
 def _bounded(fn, timeout=60):
     """fn() on its own thread; fails unless it returns within `timeout` s."""
     out = []

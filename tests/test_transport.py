@@ -3,9 +3,9 @@ import threading
 
 import pytest
 
-from blindboost.errors import PhaseOrderViolation, TransportClosed
-from blindboost.protocol.transcript import Transcript
-from blindboost.protocol.transport import memory_pair, socket_pair
+from blindboost.errors import MalformedMessage, PhaseOrderViolation, TransportClosed
+from blindboost.protocol.transcript import PHASE_BYTE, Transcript
+from blindboost.protocol.transport import MAX_FRAME, memory_pair, socket_pair
 
 
 @pytest.mark.parametrize("factory", [memory_pair, socket_pair])
@@ -42,6 +42,19 @@ def test_socket_unknown_phase_byte_raises():
         b.recv()
     a.close()
     b.close()
+
+
+@pytest.mark.parametrize("length", [MAX_FRAME + 1, 0xFFFFFFFF])
+def test_socket_oversized_frame_is_refused_unread(length):
+    a, b, _ = socket_pair()
+    b._sock.settimeout(10)  # a reader waiting for the payload fails, not hangs
+    try:
+        a._sock.sendall(struct.pack(">BI", PHASE_BYTE["GC_TABLES"], length))
+        with pytest.raises(MalformedMessage):
+            b.recv()
+    finally:
+        a.close()
+        b.close()
 
 
 def test_memory_close_raises():
