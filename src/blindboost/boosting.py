@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .encoding import (
     FixedPointParams,
     encode_array,
@@ -221,6 +220,31 @@ def boost_rlc(Z: np.ndarray, tau: int, p_max: int, rng: np.random.Generator,
                           decisions=decisions, errors=errors)
 
 
+def _stump_scan(xs, ys, ws):
+    """Best cut position for one presorted feature column.
+
+    Candidate cuts sit between distinct consecutive sorted values, plus one
+    below the minimum; polarity +1 means "x < threshold -> predict +1".
+    Returns (cut_min, err_min, cut_max, err_max): the minimum-error cut for
+    polarity +1 and the maximum-error cut, whose complement 1-err is the best
+    error for polarity -1.
+    """
+    n = xs.shape[0]
+    pos_w = np.where(ys > 0, ws, 0.0)
+    neg_w = ws - pos_w
+    total_pos = pos_w.sum()
+    # err[c] = error of "x < cut_c -> +1" where cut_c sits before sorted
+    # position c; c = 0 puts every record on the >= side.
+    cum_pos = np.concatenate(([0.0], np.cumsum(pos_w)))
+    cum_neg = np.concatenate(([0.0], np.cumsum(neg_w)))
+    err = cum_neg + (total_pos - cum_pos)
+    valid = np.ones(n + 1, dtype=bool)
+    valid[1:n] = xs[1:] != xs[:-1]  # no cut between equal values
+    c_min = int(np.argmin(np.where(valid, err, np.inf)))
+    c_max = int(np.argmax(np.where(valid, err, -np.inf)))
+    return c_min, float(err[c_min]), c_max, float(err[c_max])
+
+
 def _best_stump(X: np.ndarray, y: np.ndarray, delta: np.ndarray,
                 order: np.ndarray) -> tuple:
     """Exhaustively optimal single-feature threshold stump under weights."""
@@ -229,8 +253,7 @@ def _best_stump(X: np.ndarray, y: np.ndarray, delta: np.ndarray,
     for j in range(k):
         idx = order[:, j]
         xs = X[idx, j]
-        cut_min, err_min, cut_max, err_max = _kernels.stump_scan(
-            xs, y[idx], delta[idx])
+        cut_min, err_min, cut_max, err_max = _stump_scan(xs, y[idx], delta[idx])
         for cut, err, pol in ((cut_min, err_min, 1), (cut_max, 1.0 - err_max, -1)):
             if err < best[0]:
                 if cut == 0:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     AllColumnsConstant,
     DimensionMismatch,
@@ -112,7 +111,10 @@ def ring_matvec(zm: np.ndarray, w: np.ndarray, p: FixedPointParams) -> np.ndarra
     w = np.asarray(w)
     if zm.ndim != 2 or w.ndim != 1 or zm.shape[1] != w.shape[0]:
         raise DimensionMismatch(f"cannot multiply {zm.shape} by {w.shape}")
-    return _kernels.ring_matvec(zm, w, p.ring_bits)
+    # uint64 wraparound is exact mod 2^64 and q = 2^L divides 2^64, so
+    # masking with q - 1 afterwards gives the exact result mod q
+    return (np.asarray(zm, dtype=np.uint64) @ np.asarray(w, dtype=np.uint64)) \
+        & np.uint64(p.q - 1)
 
 
 def ring_indicators(u: np.ndarray, p: FixedPointParams) -> np.ndarray:

@@ -5,9 +5,9 @@ Inside this module a label is a 128-bit int; wherever it leaves the module
 little-endian encoding of that int. The permute bit is the label's least
 significant bit. For every wire label1 = label0 XOR delta, with delta odd so
 the two labels' permute bits differ. The gate cipher is keyed BLAKE2s over
-the label bytes followed by the 8-byte little-endian tweak (the gate index).
-A classic 4-row point-and-permute mode exists for cross-checking; the two
-schemes must decode identically.
+the label bytes followed by the 8-byte little-endian tweak. Every AND gate is
+a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT 2015); XOR and
+NOT gates are free.
 
 Both garbling and evaluation walk the circuit's lowered gate list
 (``Circuit.lowered``) and keep labels in a list indexed by wire number.
@@ -26,8 +26,6 @@ from .circuits import NOT, XOR, Circuit
 from .errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
 
 LABEL_BYTES = 16
-HALF_GATES = "half"
-CLASSIC = "classic"
 
 _LABEL_BITS = 8 * LABEL_BYTES
 _GATE_KEY = b"blindboost-gc-v1"
@@ -40,13 +38,6 @@ def _hash1(label: int, tweak: int) -> int:
     """H(label bytes || 8-byte tweak), read back as a label."""
     h = _GATE_HASH.copy()
     h.update((label | tweak << _LABEL_BITS).to_bytes(LABEL_BYTES + 8, "little"))
-    return int.from_bytes(h.digest(), "little")
-
-
-def _hash2(la: int, lb: int, tweak: int) -> int:
-    h = _GATE_HASH.copy()
-    h.update((la | lb << _LABEL_BITS | tweak << 2 * _LABEL_BITS)
-             .to_bytes(2 * LABEL_BYTES + 8, "little"))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -64,8 +55,7 @@ def _from_bytes(label: bytes) -> int:
 @dataclass
 class GarbledCircuit:
     circuit: Circuit
-    scheme: str
-    and_tables: list          # per AND gate, tuple of rows as 128-bit ints
+    and_tables: list          # per AND gate, its (tg, te) rows as 128-bit ints
     output_check: list        # per output wire, (hash for lsb 0, hash for lsb 1)
     # garbler-side secrets; stripped from the evaluator's view
     delta: int | None = None
@@ -93,9 +83,7 @@ class GarbledCircuit:
                          for rows in self.and_tables for row in rows])
 
 
-def garble(circuit: Circuit, rng: random.Random, scheme: str = HALF_GATES) -> GarbledCircuit:
-    if scheme not in (HALF_GATES, CLASSIC):
-        raise ValueError(f"unknown scheme {scheme!r}")
+def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:
     delta = rng.getrandbits(_LABEL_BITS) | 1
 
     label0 = [0] * circuit.n_wires
@@ -104,13 +92,12 @@ def garble(circuit: Circuit, rng: random.Random, scheme: str = HALF_GATES) -> Ga
 
     tables = []
     and_index = 0
-    half = scheme == HALF_GATES
     for kind, a, b, out in circuit.lowered:
         if kind == XOR:
             label0[out] = label0[a] ^ label0[b]
         elif kind == NOT:
             label0[out] = label0[a] ^ delta
-        elif half:
+        else:
             a0, b0 = label0[a], label0[b]
             j0, j1 = 2 * and_index, 2 * and_index + 1
             ha0 = _hash1(a0, j0)
@@ -123,19 +110,6 @@ def garble(circuit: Circuit, rng: random.Random, scheme: str = HALF_GATES) -> Ga
             we = hb0 ^ te ^ a0 if b0 & 1 else hb0
             label0[out] = wg ^ we
             tables.append((tg, te))
-            and_index += 1
-        else:
-            a0, b0 = label0[a], label0[b]
-            c0 = rng.getrandbits(_LABEL_BITS)
-            label0[out] = c0
-            rows = [0] * 4
-            for va in (0, 1):
-                for vb in (0, 1):
-                    la = a0 ^ delta if va else a0
-                    lb = b0 ^ delta if vb else b0
-                    lc = c0 ^ delta if va & vb else c0
-                    rows[(la & 1) << 1 | lb & 1] = _hash2(la, lb, and_index) ^ lc
-            tables.append(tuple(rows))
             and_index += 1
 
     check = []
@@ -150,25 +124,24 @@ def garble(circuit: Circuit, rng: random.Random, scheme: str = HALF_GATES) -> Ga
         decode.append((l0.to_bytes(LABEL_BYTES, "little"),
                        l1.to_bytes(LABEL_BYTES, "little")))
 
-    return GarbledCircuit(circuit=circuit, scheme=scheme, and_tables=tables,
+    return GarbledCircuit(circuit=circuit, and_tables=tables,
                           output_check=check, delta=delta, wire_label0=label0,
                           output_decode=decode)
 
 
 def evaluator_view(gc: GarbledCircuit) -> GarbledCircuit:
     """The shippable half: tables and output checks, no secrets."""
-    return GarbledCircuit(circuit=gc.circuit, scheme=gc.scheme,
-                          and_tables=gc.and_tables, output_check=gc.output_check)
+    return GarbledCircuit(circuit=gc.circuit, and_tables=gc.and_tables,
+                          output_check=gc.output_check)
 
 
-def tables_from_bytes(circuit: Circuit, scheme: str, buf: bytes) -> list:
-    rows_per_gate = 2 if scheme == HALF_GATES else 4
-    expect = circuit.and_count * rows_per_gate * LABEL_BYTES
+def tables_from_bytes(circuit: Circuit, buf: bytes) -> list:
+    expect = circuit.and_count * 2 * LABEL_BYTES
     if len(buf) != expect:
         raise GCEvaluationFailure(f"table blob has {len(buf)} bytes, expected {expect}")
     rows = iter([int.from_bytes(buf[off:off + LABEL_BYTES], "little")
                  for off in range(0, expect, LABEL_BYTES)])
-    return list(zip(*[rows] * rows_per_gate))  # consecutive rows, per gate
+    return list(zip(rows, rows))  # consecutive row pairs, per gate
 
 
 def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
@@ -195,13 +168,12 @@ def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
                                   f"output checks do not fit the circuit")
 
     and_index = 0
-    half = gc.scheme == HALF_GATES
     for kind, a, b, out in circuit.lowered:
         if kind == XOR:
             labels[out] = labels[a] ^ labels[b]
         elif kind == NOT:
             labels[out] = labels[a]
-        elif half:
+        else:
             la, lb = labels[a], labels[b]
             tg, te = tables[and_index]
             wg = _hash1(la, 2 * and_index)
@@ -211,11 +183,6 @@ def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
             if lb & 1:
                 we ^= te ^ la
             labels[out] = wg ^ we
-            and_index += 1
-        else:
-            la, lb = labels[a], labels[b]
-            row = tables[and_index][(la & 1) << 1 | lb & 1]
-            labels[out] = row ^ _hash2(la, lb, and_index)
             and_index += 1
 
     out = []

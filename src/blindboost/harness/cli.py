@@ -22,6 +22,7 @@ import numpy as np
 from .. import errors
 from ..boosting import cv_accuracy, model_to_json
 from ..encoding import Dataset, fold_labels, standardize
+from ..ot import GROUPS
 from ..protocol import (
     ProtocolConfig,
     Seeds,
@@ -146,8 +147,7 @@ def cmd_train(args):
     cfg = ProtocolConfig(construction=args.construction, tau=args.tau,
                          p_max=args.pmax or 2 * args.tau,
                          precision_bits=args.bits, key_bits=key_bits,
-                         ot_mode=ot_mode, ot_group=ot_group,
-                         gc_scheme=args.gc_scheme, seeds=_seeds(args),
+                         ot_mode=ot_mode, ot_group=ot_group, seeds=_seeds(args),
                          offline_base_apply=args.offline,
                          secure_profile=args.paper_faithful)
     started = time.time()
@@ -295,8 +295,7 @@ def build_parser():
     p.add_argument("--bits", type=int, default=7, help="fixed-point precision")
     p.add_argument("--key-bits", type=int, default=512)
     p.add_argument("--ot-mode", choices=["base", "dealer"], default="base")
-    p.add_argument("--ot-group", default="modp-768")
-    p.add_argument("--gc-scheme", choices=["half", "classic"], default="half")
+    p.add_argument("--ot-group", choices=sorted(GROUPS), default="modp-768")
     p.add_argument("--transport", choices=["memory", "socket"], default="memory")
     p.add_argument("--offline", action="store_true",
                    help="precompute all BaseApply products")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _kernels
 from ..boosting import boost_rlc, characterization
 from ..encoding import Dataset, fold_labels, standardize
 from ..errors import InsufficientPairsWarning
@@ -53,6 +52,15 @@ class LeakageReport:
         }
 
 
+def _pair_stats(x, cv, pairs):
+    """CV Hamming distance and Euclidean distance for sampled record pairs."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    diff = x[a] - x[b]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    ham = (cv[a] != cv[b]).sum(axis=1).astype(np.int64)
+    return ham, dist
+
+
 def characterization_from_training(dataset: Dataset, p: int, seed: int) -> np.ndarray:
     """CVs of the tried classifiers from a plaintext boosting run."""
     std = standardize(dataset)
@@ -79,7 +87,7 @@ def leakage_analysis(dataset: Dataset, p: int, seed: int,
         b = rng.integers(0, n - 1, size=pair_sample, dtype=np.int64)
         b = np.where(b >= a, b + 1, b)  # distinct partner, uniform
         pairs = np.stack([a, b], axis=1)
-    ham, dist = _kernels.pair_stats(X, cv, pairs)
+    ham, dist = _pair_stats(X, cv, pairs)
     buckets = []
     flagged = []
     for d in range(p + 1):

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 from ..errors import ConfigInvalid, ModeNotPermittedInSecureProfile
+from ..ot import GROUPS
 
 HE_GC = "he-gc"
 SECSH_GC = "secsh-gc"
@@ -25,7 +26,6 @@ class ProtocolConfig:
     key_bits: int = 512
     ot_mode: str = "base"
     ot_group: str = "modp-768"
-    gc_scheme: str = "half"
     seeds: Seeds = field(default_factory=Seeds)
     offline_base_apply: bool = False
     secure_profile: bool = False
@@ -37,8 +37,8 @@ class ProtocolConfig:
             raise ConfigInvalid("need p_max >= tau >= 1")
         if self.ot_mode not in ("base", "dealer"):
             raise ConfigInvalid(f"unknown OT mode {self.ot_mode!r}")
-        if self.gc_scheme not in ("half", "classic"):
-            raise ConfigInvalid(f"unknown GC scheme {self.gc_scheme!r}")
+        if self.ot_group not in GROUPS:
+            raise ConfigInvalid(f"unknown OT group {self.ot_group!r}")
         if self.key_bits not in (512, 1024, 2048):
             raise ConfigInvalid("key_bits must be 512, 1024 or 2048")
         if self.secure_profile:

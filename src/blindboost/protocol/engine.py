@@ -11,7 +11,7 @@ import numpy as np
 from .. import paillier, shares
 from ..boosting import BoostedModel, LinearClassifier
 from ..encoding import FixedPointParams, FoldedMatrix, encode_array
-from ..errors import PartMismatch, PartyTimeout, PoolExhaustedWarning
+from ..errors import PartMismatch, PartyTimeout, PoolExhaustedWarning, TransportClosed
 from .config import HE_GC, ProtocolConfig
 from .parties import CloudParty, CSPParty
 from .transcript import Transcript
@@ -21,14 +21,15 @@ from . import transport
 JOIN_TIMEOUT_S = 600
 
 
-def run_pair(cloud_main, csp_main, ch_csp):
+def run_pair(cloud_main, csp_main, ch_cloud, ch_csp):
     """Run `csp_main()` on a worker thread and `cloud_main()` on this one;
     returns (Cloud's result, CSP's result).
 
-    A CSP failure closes `ch_csp`, so a Cloud waiting on recv wakes up, and
-    is raised as the root cause. A CSP thread still running JOIN_TIMEOUT_S
-    seconds after Cloud's part ended raises PartyTimeout: the run never
-    returns a partial result.
+    A failing party closes its end (`ch_cloud` or `ch_csp`), so a peer
+    waiting on recv wakes up. The root cause is raised: Cloud's own error
+    when Cloud failed first, CSP's when Cloud only saw the channel close. A
+    CSP thread still running JOIN_TIMEOUT_S seconds after Cloud's part ended
+    raises PartyTimeout: the run never returns a partial result.
     """
     errors, results = [], []
 
@@ -43,10 +44,15 @@ def run_pair(cloud_main, csp_main, ch_csp):
     worker.start()
     try:
         cloud_result = cloud_main()
-    finally:
+    except BaseException as exc:
+        ch_cloud.close()  # unblock a CSP waiting on recv
         worker.join(timeout=JOIN_TIMEOUT_S)
-        if errors:
-            raise errors[0]  # the CSP-side failure is the root cause
+        if errors and isinstance(exc, TransportClosed):
+            raise errors[0]  # CSP failed first and closed its end
+        raise
+    worker.join(timeout=JOIN_TIMEOUT_S)
+    if errors:
+        raise errors[0]
     if worker.is_alive():
         raise PartyTimeout(f"the CSP thread is still running {JOIN_TIMEOUT_S} s "
                            f"after Cloud finished")
@@ -155,7 +161,7 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
     if cfg.construction == HE_GC:
         transcript.party("user").encryptions += cloud.user_encryptions
 
-    run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_csp)
+    run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_cloud, ch_csp)
     ch_cloud.close()
     ch_csp.close()
     transcript.validate_phase_order()
@@ -179,7 +185,7 @@ def base_apply(state_pair, t: int):
     cloud.attach(transcript)
     csp.attach(transcript)
     run_pair(lambda: cloud.base_apply_step(ch_cloud, t),
-             lambda: csp.base_apply_step(ch_csp, ch_csp.recv()), ch_csp)
+             lambda: csp.base_apply_step(ch_csp, ch_csp.recv()), ch_cloud, ch_csp)
     return transcript
 
 
@@ -190,5 +196,5 @@ def result_eval(state_pair, t: int):
     cloud.attach(transcript)
     csp.attach(transcript)
     _, indicators = run_pair(lambda: cloud.result_eval_step(ch_cloud, t),
-                             lambda: csp.result_eval_step(ch_csp), ch_csp)
+                             lambda: csp.result_eval_step(ch_csp), ch_cloud, ch_csp)
     return indicators

@@ -119,7 +119,7 @@ class LabelOT:
         ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
 
 
-def garbler_round(ch, circuit, scheme, rng, label_ot, counters,
+def garbler_round(ch, circuit, rng, label_ot, counters,
                   gb_wires, gb_bits, ev_wires) -> list:
     """Garbler side of one garbled-circuit round; returns the output bits.
 
@@ -127,7 +127,7 @@ def garbler_round(ch, circuit, scheme, rng, label_ot, counters,
     `gb_wires` and the output checks (GC_TABLES), hands over the label
     pairs of `ev_wires` by OT and decodes the evaluator's output labels.
     """
-    gc = garble(circuit, rng, scheme)
+    gc = garble(circuit, rng)
     counters.and_gates += circuit.and_count
     ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
             + wire.pack_labels(gc.encode(gb_wires, gb_bits))
@@ -141,7 +141,7 @@ def garbler_round(ch, circuit, scheme, rng, label_ot, counters,
     return decode_output(out_labels, gc.output_decode)
 
 
-def evaluator_round(ch, circuit, scheme, label_ot, counters,
+def evaluator_round(ch, circuit, label_ot, counters,
                     ev_wires, ev_bits, gb_wires) -> None:
     """Evaluator side of one garbled-circuit round.
 
@@ -153,8 +153,7 @@ def evaluator_round(ch, circuit, scheme, label_ot, counters,
     tables_blob, off = wire.unpack_blob(payload)
     garbler_labels, off = wire.unpack_labels(payload, off)
     checks, _ = wire.unpack_label_pairs(payload, off)
-    gc = GarbledCircuit(circuit=circuit, scheme=scheme,
-                        and_tables=tables_from_bytes(circuit, scheme, tables_blob),
+    gc = GarbledCircuit(circuit=circuit, and_tables=tables_from_bytes(circuit, tables_blob),
                         output_check=checks)
     counters.ot_transfers += len(ev_bits)
     ev_labels = label_ot.receive(ch, ev_bits)
@@ -272,7 +271,7 @@ class CloudParty:
         else:
             ch.send(RESULT_EVAL_MASK, wire.pack_u32(t))
             evaluator_vals, ev_wires, gb_wires = self._u0, circuit.inputs_a, circuit.inputs_b
-        evaluator_round(ch, circuit, self.cfg.gc_scheme, self.label_ot, self.counters,
+        evaluator_round(ch, circuit, self.label_ot, self.counters,
                         ev_wires, record_bits(evaluator_vals, L), gb_wires)
 
     def recv_decision(self, ch):
@@ -366,8 +365,7 @@ class CSPParty:
             garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
         else:
             garbler_vals, gb_wires, ev_wires = self._u1, circuit.inputs_b, circuit.inputs_a
-        msb = garbler_round(ch, circuit, self.cfg.gc_scheme, self.garble_rng,
-                            self.label_ot, self.counters,
+        msb = garbler_round(ch, circuit, self.garble_rng, self.label_ot, self.counters,
                             gb_wires, record_bits(garbler_vals, L), ev_wires)
         indicators = (1 - np.asarray(msb, dtype=np.uint8)).astype(np.uint8)
         self.indicator_history.append(indicators)

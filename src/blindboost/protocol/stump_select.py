@@ -24,7 +24,7 @@ from .. import paillier, shares
 from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, update_weights
 from ..circuits import build_stump_error_batch, record_bits
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
-from ..errors import BinCountInvalid
+from ..errors import BinCountInvalid, MalformedMessage
 # the GC round runs in .parties; perfbench/tracing.py wraps these names here too
 from ..garbling import decode_output, evaluate, garble, tables_from_bytes  # noqa: F401
 from ..ot import dealer_choose  # noqa: F401
@@ -70,12 +70,6 @@ class StumpSelectionResult:
     transcript: Transcript
 
 
-def _fp_for(dim: int, precision_bits: int) -> FixedPointParams:
-    # features and thresholds live in (-4, 4): one comparison, no products
-    ring_bits = 2 * precision_bits + math.ceil(math.log2(max(dim, 2))) + 1
-    return FixedPointParams(precision_bits=precision_bits, ring_bits=ring_bits)
-
-
 def _csp_select(error_vectors: np.ndarray, delta: np.ndarray, tau: int):
     """Iterative argmin over the candidate error vectors; lowest index wins
     ties. Returns (indices, alphas, final delta)."""
@@ -101,7 +95,7 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     X = np.asarray(dataset.X, dtype=np.float64)
     y01 = (np.asarray(dataset.y) == 1).astype(np.uint8)
     n, k = X.shape
-    fp = _fp_for(k, precision_bits)
+    fp = FixedPointParams.for_dimension(k, precision_bits)
     catalog = stump_catalog(k, s)
     xq = encode_array(X, fp)
     half = np.uint64(fp.q // 2)
@@ -142,17 +136,24 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         counters.he_adds += 2 * n
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
         # GC: evaluator holds the masks (lambda bits) and the label masks m
-        evaluator_round(ch, circuit, cfg.gc_scheme, label_ot, counters,
+        evaluator_round(ch, circuit, label_ot, counters,
                         ev_wires, record_bits(lam, L) + m_bits, gb_wires)
     ch.send(DONE, b"")
 
 
 def _csp_loop(ch, cfg, kp, n_catalog):
-    """CSP's side of the selection; returns the (2sk, n) error vectors."""
+    """CSP's side of the selection; returns the (2sk, n) error vectors.
+
+    Cloud must run the sk base comparisons in catalog order, numbered 0, 1,
+    ..., and send DONE after the last one.
+    """
     payload = expect_phase(ch.recv(), SETUP)
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
     masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public)
+    if len(masked) != n:
+        raise MalformedMessage(f"SETUP declares {n} records and carries "
+                               f"{len(masked)} label ciphertexts")
     label_share = [m & 1 for m in paillier.decrypt_many(kp, masked)]  # y xor m
     counters = ch._transcript.party("csp")
     counters.decryptions += n
@@ -162,21 +163,23 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     garble_rng = random.Random(cfg.seeds.csp ^ 0x67617262)
     label_ot = LabelOT(cfg, random.Random(cfg.seeds.csp ^ 0x6F745F73))
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
-    while True:
-        msg = ch.recv()
-        if msg[0] == DONE:
-            break
-        index, _ = wire.unpack_u32(expect_phase(msg, BASE_APPLY))
+    for expected in range(n_catalog // 2):
+        payload = expect_phase(ch.recv(), BASE_APPLY)
+        index, off = wire.unpack_u32(payload)
+        wire.expect_end(payload, off)
+        if index != expected:
+            raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
         payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
         enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public)
         dec = paillier.decrypt_many(kp, enc_diffs)
         counters.decryptions += n
-        err = np.asarray(garbler_round(ch, circuit, cfg.gc_scheme, garble_rng, label_ot,
-                                       counters, gb_wires,
-                                       record_bits(dec, L) + label_share, ev_wires),
+        err = np.asarray(garbler_round(ch, circuit, garble_rng, label_ot, counters,
+                                       gb_wires, record_bits(dec, L) + label_share,
+                                       ev_wires),
                          dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
+    wire.expect_end(expect_phase(ch.recv(), DONE), 0)
     return errors
 
 
@@ -189,7 +192,7 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     X = np.asarray(dataset.X, dtype=np.float64)
     y01 = (np.asarray(dataset.y) == 1).astype(np.uint8)
     n, k = X.shape
-    fp = _fp_for(k, cfg.precision_bits)
+    fp = FixedPointParams.for_dimension(k, cfg.precision_bits)
     catalog = stump_catalog(k, s)
     grid = threshold_grid(s)
     catalog_base = [(j, encode(float(v), fp)) for j in range(k) for v in grid]
@@ -206,7 +209,7 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
                             random.Random(cfg.seeds.cloud ^ 0x6D61736B),
                             random.Random(cfg.seeds.cloud ^ 0x656E6372),
                             random.Random(cfg.seeds.cloud ^ 0x6F745F72)),
-        lambda: _csp_loop(ch_csp, cfg, kp, len(catalog)), ch_csp)
+        lambda: _csp_loop(ch_csp, cfg, kp, len(catalog)), ch_cloud, ch_csp)
     transcript.validate_phase_order()
 
     delta = np.full(n, 1.0 / n)

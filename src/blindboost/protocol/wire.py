@@ -9,8 +9,6 @@ declared count runs past the end of the payload; ``expect_end`` raises it
 on bytes after the last field.
 """
 
-import numpy as np
-
 from ..errors import MalformedMessage
 
 LABEL_BYTES = 16
@@ -85,19 +83,6 @@ def unpack_label_pairs(buf: bytes, off: int = 0):
                       buf[off + LABEL_BYTES:off + 2 * LABEL_BYTES]))
         off += 2 * LABEL_BYTES
     return pairs, off
-
-
-def pack_bits(bits) -> bytes:
-    arr = np.asarray(bits, dtype=np.uint8)
-    return pack_u32(arr.size) + np.packbits(arr).tobytes()
-
-
-def unpack_bits(buf: bytes, off: int = 0):
-    count, off = unpack_u32(buf, off)
-    nbytes = (count + 7) // 8
-    _need(buf, off, nbytes, f"{count} bits")
-    arr = np.unpackbits(np.frombuffer(buf[off:off + nbytes], dtype=np.uint8))[:count]
-    return arr, off + nbytes
 
 
 def pack_blob(blob: bytes) -> bytes:

@@ -67,6 +67,14 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text("not a key value line\n")
     rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+    train = ["train", "--dataset", "synthetic:n=20,k=2", "--tau", "1",
+             "--out", str(tmp_path)]
+    for line in ("ot_group=modp-999", "gc_scheme=half"):
+        bad.write_text(line + "\n")
+        assert main(train + ["--config", str(bad)]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(train + ["--ot-group", "modp-999"])  # not among the choices
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_report_command(tmp_path):

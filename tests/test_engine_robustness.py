@@ -2,6 +2,7 @@
 cause propagates. A hung party must not leave a partial result."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from blindboost.protocol import (
     setup,
     stump_select,
 )
-from blindboost.protocol.parties import CSPParty
+from blindboost.protocol.parties import CloudParty, CSPParty
 
 
 def _folded():
@@ -40,6 +41,36 @@ def test_csp_failure_propagates_without_deadlock(monkeypatch):
     cfg = ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
     with pytest.raises(Boom, match="csp died"):
         run_learning(cfg, folded)
+
+
+@pytest.mark.parametrize("transport_kind", ["memory", "socket"])
+def test_cloud_failure_raises_within_seconds(monkeypatch, transport_kind):
+    # the default JOIN_TIMEOUT_S: the CSP waiting on recv must be woken by
+    # Cloud's end closing, not by the join giving up
+    class Boom(RuntimeError):
+        pass
+
+    def broken(self, ch, t):
+        raise Boom("cloud died")
+
+    monkeypatch.setattr(CloudParty, "result_eval_step", broken)
+    cfg = ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
+    folded = _folded()
+    outcome = []
+
+    def run():
+        try:
+            run_learning(cfg, folded, transport_kind=transport_kind)
+        except Exception as exc:
+            outcome.append(exc)
+
+    started = time.perf_counter()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive(), "a Cloud failure left the run waiting"
+    assert time.perf_counter() - started < 5
+    assert len(outcome) == 1 and isinstance(outcome[0], Boom)
 
 
 @pytest.fixture

@@ -16,8 +16,6 @@ from blindboost.circuits import (
 )
 from blindboost.errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
 from blindboost.garbling import (
-    CLASSIC,
-    HALF_GATES,
     decode_output,
     evaluate,
     evaluator_view,
@@ -49,9 +47,8 @@ def single_xor_circuit():
                    gates=(Gate("XOR", 0, 1, 2),), outputs=(2,))
 
 
-@pytest.mark.parametrize("scheme", [HALF_GATES, CLASSIC])
-def test_and_gate_truth_table(scheme):
-    gc = garble(single_and_circuit(), random.Random(0), scheme)
+def test_and_gate_truth_table():
+    gc = garble(single_and_circuit(), random.Random(0))
     for a, b in itertools.product((0, 1), repeat=2):
         assert _run(gc, [a], [b]) == [a & b]
 
@@ -82,11 +79,10 @@ def test_free_xor_invariant_structural():
         assert (l0[0] ^ l1[0]) & 1 == 1
 
 
-@pytest.mark.parametrize("scheme", [HALF_GATES, CLASSIC])
-def test_sub_msb_garbled_exhaustive_small(scheme):
+def test_sub_msb_garbled_exhaustive_small():
     for width in (2, 3, 4):
         c = build_sub_msb(width)
-        gc = garble(c, random.Random(width), scheme)
+        gc = garble(c, random.Random(width))
         for a in range(1 << width):
             for b in range(1 << width):
                 got = _run(gc, int_to_bits(a, width), int_to_bits(b, width))
@@ -94,17 +90,15 @@ def test_sub_msb_garbled_exhaustive_small(scheme):
                 assert got == [expect]
 
 
-def test_schemes_decode_identically():
+def test_garbled_decodes_like_plain_circuit():
     width = 8
     c = build_sub_msb(width)
     rng = random.Random(17)
     cases = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(64)]
-    gc_h = garble(c, random.Random(5), HALF_GATES)
-    gc_c = garble(c, random.Random(6), CLASSIC)
+    gc = garble(c, random.Random(5))
     for a, b in cases:
-        ra = _run(gc_h, int_to_bits(a, width), int_to_bits(b, width))
-        rb = _run(gc_c, int_to_bits(a, width), int_to_bits(b, width))
-        assert ra == rb
+        a_bits, b_bits = int_to_bits(a, width), int_to_bits(b, width)
+        assert _run(gc, a_bits, b_bits) == c.evaluate_plain(a_bits, b_bits)
 
 
 def test_regarble_new_seed_same_outputs_different_tables():
@@ -162,22 +156,18 @@ def test_evaluate_rejects_malformed_inputs():
 
 def test_tables_round_trip_bytes():
     c = build_sub_msb(6)
-    for scheme in (HALF_GATES, CLASSIC):
-        gc = garble(c, random.Random(11), scheme)
-        blob = gc.tables_bytes()
-        back = tables_from_bytes(c, scheme, blob)
-        assert back == [tuple(r) for r in gc.and_tables]
+    gc = garble(c, random.Random(11))
+    assert tables_from_bytes(c, gc.tables_bytes()) == gc.and_tables
 
 
-@pytest.mark.parametrize("scheme", [HALF_GATES, CLASSIC])
-def test_mixed_gate_circuit_exhaustive(scheme):
-    # NOT, XOR and AND mixed; all 8 assignments, both schemes
+def test_mixed_gate_circuit_exhaustive():
+    # NOT, XOR and AND mixed; all 8 assignments
     from blindboost.circuits import Gate
     c = Circuit(n_wires=7, inputs_a=(0, 1), inputs_b=(2,),
                 gates=(Gate("NOT", 0, -1, 3), Gate("XOR", 3, 1, 4),
                        Gate(AND, 4, 2, 5), Gate("NOT", 5, -1, 6)),
                 outputs=(5, 6))
-    gc = garble(c, random.Random(20), scheme)
+    gc = garble(c, random.Random(20))
     for a0, a1, b0 in itertools.product((0, 1), repeat=3):
         got = _run(gc, [a0, a1], [b0])
         v5 = ((a0 ^ 1) ^ a1) & b0
@@ -201,23 +191,17 @@ def test_sub_msb_garbled_wide_random():
 # (label0, label1) pair, for garble(build_stump_error_batch(17, 4), Random(5)).
 # Recorded from the byte-label implementation; the label representation
 # inside the garbler must not move any of them.
-GARBLE_GOLDEN = {
-    HALF_GATES: ("550a4a16c7c8fce764490ebe7a12afd29d700cbda2aad335f586dba9f2da6e26",
+GARBLE_GOLDEN = ("550a4a16c7c8fce764490ebe7a12afd29d700cbda2aad335f586dba9f2da6e26",
                  "f4354a9377ce8cffbb037b2bd9611d9079645ec1b104440fd1a2f90b3e3119da",
-                 "b6d6169e3d1c09f279faf51533004255270f95e2d8d52c8a50f20739452ec471"),
-    CLASSIC: ("f7ac491012c1972f0874f8c22ecb7e7286e10bd3178d5e382957f641b564aef7",
-              "b8af2565a53bf5de617f1a8f817d8a74d54ea2094b050449bc805425077f7a2d",
-              "b6d6169e3d1c09f279faf51533004255270f95e2d8d52c8a50f20739452ec471"),
-}
+                 "b6d6169e3d1c09f279faf51533004255270f95e2d8d52c8a50f20739452ec471")
 
 
-@pytest.mark.parametrize("scheme", [HALF_GATES, CLASSIC])
-def test_garbled_bytes_known_answer(scheme):
+def test_garbled_bytes_known_answer():
     c = build_stump_error_batch(17, 4)
-    gc = garble(c, random.Random(5), scheme)
+    gc = garble(c, random.Random(5))
     labels = hashlib.sha256()
     for l0, l1 in gc.label_pairs(c.all_inputs()):
         labels.update(l0 + l1)
     assert (hashlib.sha256(gc.tables_bytes()).hexdigest(),
             hashlib.sha256(b"".join(a + b for a, b in gc.output_check)).hexdigest(),
-            labels.hexdigest()) == GARBLE_GOLDEN[scheme]
+            labels.hexdigest()) == GARBLE_GOLDEN

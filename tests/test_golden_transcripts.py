@@ -17,22 +17,14 @@ from blindboost.protocol.stump_select import confidential_ds_select
 from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
-    (HE_GC, "dealer", "half"):
+    (HE_GC, "dealer"):
         "b899c0b98798dd8b0f484b07527a12e2779ec870140ccfbfc9c44a8ce26fe7a3",
-    (HE_GC, "dealer", "classic"):
-        "5e8a559d09b37d8aed80bdfda277feb3c5389e8da22315ae473c291233a4a584",
-    (HE_GC, "base", "half"):
+    (HE_GC, "base"):
         "8dce00178e41549f7cdc2277d26189a31d228835facd829cd469aa30569bcf9d",
-    (HE_GC, "base", "classic"):
-        "d74285397ea5cabe7c1bff01d2de6dc546fc05f55cfca65cf401dd7312fed264",
-    (SECSH_GC, "dealer", "half"):
+    (SECSH_GC, "dealer"):
         "dc67e388bf62611cfbea027826f13b76fc2f8346fbaeadfc57b8a79c6999c047",
-    (SECSH_GC, "dealer", "classic"):
-        "23a2cc88da1983694bd7fe6d48024aedc4d18d8be31553dfe93747f13b9dfdfb",
-    (SECSH_GC, "base", "half"):
+    (SECSH_GC, "base"):
         "a336950fe80faa563076e37a2de325c312ec5c7d31abddc441c8687e516af88f",
-    (SECSH_GC, "base", "classic"):
-        "fda526cea316b7afe4c9fc3ead7be8810d7ec5779dafdcf00fb026d550b04b5f",
 }
 STUMP_GOLDEN = "26d14197e153ee53797e1d5a7c4d2d4e7137fbdce746eb338568fa0231489273"
 
@@ -62,12 +54,11 @@ def _dataset(n, k, seed):
     return Dataset(X, y)
 
 
-@pytest.mark.parametrize("construction,ot_mode,scheme", sorted(BOOST_GOLDEN))
-def test_boost_transcript_bytes(recording, construction, ot_mode, scheme):
-    cfg = ProtocolConfig(construction=construction, tau=2, p_max=8,
-                         ot_mode=ot_mode, gc_scheme=scheme)
+@pytest.mark.parametrize("construction,ot_mode", sorted(BOOST_GOLDEN))
+def test_boost_transcript_bytes(recording, construction, ot_mode):
+    cfg = ProtocolConfig(construction=construction, tau=2, p_max=8, ot_mode=ot_mode)
     _, t = run_learning(cfg, fold_labels(_dataset(11, 4, seed=71)))
-    assert transcript_digest(t) == BOOST_GOLDEN[construction, ot_mode, scheme]
+    assert transcript_digest(t) == BOOST_GOLDEN[construction, ot_mode]
 
 
 def test_stump_selection_transcript_bytes(recording):

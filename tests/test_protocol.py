@@ -68,6 +68,8 @@ def test_config_validation():
         ProtocolConfig(construction="bogus", tau=1, p_max=2)
     with pytest.raises(ConfigInvalid):
         ProtocolConfig(construction=HE_GC, tau=5, p_max=3)
+    with pytest.raises(ConfigInvalid, match="modp-999"):
+        ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_group="modp-999")
     with pytest.raises(ModeNotPermittedInSecureProfile):
         ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer",
                        key_bits=2048, secure_profile=True)
@@ -298,14 +300,6 @@ def test_reconstruct_empty_model_predicts_negative():
     assert model.predict(np.zeros((2, 3))).tolist() == [-1, -1]
 
 
-def test_classic_gc_scheme_same_model():
-    folded = toy_folded(n=5, k=2, seed=12)
-    dm_half, _ = run_learning(cfg_for(HE_GC, tau=2, p_max=6), folded)
-    dm_classic, _ = run_learning(cfg_for(HE_GC, tau=2, p_max=6,
-                                         gc_scheme="classic"), folded)
-    assert dm_half.to_json() == dm_classic.to_json()
-
-
 def test_no_plaintext_classifier_in_messages():
     # transcript payload scan: the float64 byte patterns of every tried
     # classifier never appear in any message
@@ -411,7 +405,7 @@ def test_bytes_after_the_output_labels_are_malformed():
 
     def run(reply):
         counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
-        return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), circuit, "half",
+        return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), circuit,
                              random.Random(5), label_ot, counters,
                              circuit.inputs_a, gb_bits, circuit.inputs_b)
 

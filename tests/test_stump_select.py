@@ -1,10 +1,22 @@
+import random
+import threading
+
 import numpy as np
 import pytest
 
+from blindboost import paillier
 from blindboost.encoding import Dataset
-from blindboost.errors import BinCountInvalid
-from blindboost.protocol import HE_GC, ProtocolConfig, Seeds
+from blindboost.errors import BinCountInvalid, MalformedMessage, PhaseOrderViolation
+from blindboost.protocol import (
+    HE_GC,
+    ProtocolConfig,
+    Seeds,
+    stump_select,
+    transport,
+    wire,
+)
 from blindboost.protocol.stump_select import (
+    _csp_loop,
     confidential_ds_select,
     exhaustive_select_oracle,
     stump_catalog,
@@ -110,3 +122,50 @@ def test_base_ot_mode_matches_dealer():
     r2 = confidential_ds_select(cfg(seed=15, ot_mode="base"), ds, s=2, tau=1)
     assert np.array_equal(r1.error_vectors, r2.error_vectors)
     assert r1.selected_indices == r2.selected_indices
+
+
+def _setup_payload(kp, declared_n):
+    """A SETUP declaring `declared_n` records that carries two label ciphertexts."""
+    cts = paillier.encrypt_many(kp.public, [0, 1], random.Random(8))
+    return (wire.pack_u32(declared_n) + wire.pack_u32(17)
+            + paillier.ciphertexts_to_bytes(cts))
+
+
+@pytest.mark.parametrize("declared_n, messages, error", [
+    # a SETUP whose record count does not match its label ciphertexts
+    (5, [], MalformedMessage),
+    # a comparison index past the catalog's 4 base comparisons
+    (2, [("BASE_APPLY", wire.pack_u32(99))], MalformedMessage),
+    # comparisons out of catalog order
+    (2, [("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
+    # DONE before the last comparison
+    (2, [("DONE", b"")], PhaseOrderViolation),
+], ids=["setup-count", "index-out-of-range", "index-out-of-order", "early-done"])
+def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, messages, error):
+    ch_cloud, ch_csp, _ = transport.memory_pair()
+    ch_cloud.send("SETUP", _setup_payload(keypair_512, declared_n))
+    for phase, payload in messages:
+        ch_cloud.send(phase, payload)
+    ch_cloud.close()  # any further recv raises TransportClosed
+    with pytest.raises(error):
+        _csp_loop(ch_csp, cfg(), keypair_512, n_catalog=8)
+
+
+def test_csp_rejects_a_comparison_after_the_last(monkeypatch):
+    # CSP's catalog is one base comparison short of the one Cloud walks: CSP
+    # must refuse Cloud's extra comparison, or Cloud waits on it forever
+    full = stump_select.stump_catalog
+    monkeypatch.setattr(stump_select, "stump_catalog", lambda k, s: full(k, s)[:-2])
+    outcome = []
+
+    def run():
+        try:
+            confidential_ds_select(cfg(), toy_dataset(n=6, k=2), s=2, tau=1)
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "Cloud was left waiting on its extra comparison"
+    assert len(outcome) == 1 and isinstance(outcome[0], PhaseOrderViolation)

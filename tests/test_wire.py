@@ -12,16 +12,14 @@ def test_round_trips_at_offsets():
     pairs = _pairs(3)
     buf = (wire.pack_u32(7) + wire.pack_bigints([0, 1, 2**700 + 5])
            + wire.pack_labels([a for a, _ in pairs]) + wire.pack_label_pairs(pairs)
-           + wire.pack_bits([1, 0, 1, 1, 0, 0, 0, 0, 1]) + wire.pack_blob(b"xyz"))
+           + wire.pack_blob(b"xyz"))
     x, off = wire.unpack_u32(buf)
     xs, off = wire.unpack_bigints(buf, off)
     labels, off = wire.unpack_labels(buf, off)
     got_pairs, off = wire.unpack_label_pairs(buf, off)
-    bits, off = wire.unpack_bits(buf, off)
     blob, off = wire.unpack_blob(buf, off)
     assert (x, xs, blob, off) == (7, [0, 1, 2**700 + 5], b"xyz", len(buf))
     assert labels == [a for a, _ in pairs] and got_pairs == pairs
-    assert bits.tolist() == [1, 0, 1, 1, 0, 0, 0, 0, 1]
 
 
 def test_truncated_label_pairs():
@@ -41,8 +39,6 @@ def test_count_beyond_payload():
         wire.unpack_bigints(b"\x00\x00\x00\x05")
     with pytest.raises(MalformedMessage):
         wire.unpack_labels(wire.pack_u32(2) + b"\x00" * 31)
-    with pytest.raises(MalformedMessage):
-        wire.unpack_bits(wire.pack_u32(9) + b"\xff")
 
 
 def test_truncated_length_prefixed_fields():
@@ -57,7 +53,6 @@ def test_truncated_length_prefixed_fields():
     (wire.pack_bigints([5, 2**90]), wire.unpack_bigints),
     (wire.pack_labels([b"a" * 16]), wire.unpack_labels),
     (wire.pack_label_pairs(_pairs(2)), wire.unpack_label_pairs),
-    (wire.pack_bits([1, 0, 1]), wire.unpack_bits),
     (wire.pack_blob(b"xy"), wire.unpack_blob),
 ])
 def test_every_proper_prefix_is_malformed(blob, unpack):
