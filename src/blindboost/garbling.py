@@ -66,6 +66,8 @@ class GarbledCircuit:
         """The label of each wire for its bit, as bytes."""
         if self.wire_label0 is None:
             raise GCEvaluationFailure("input labels are garbler-side only")
+        if len(wires) != len(bits):
+            raise GCEvaluationFailure(f"{len(bits)} bits for {len(wires)} wires")
         label0, delta = self.wire_label0, self.delta
         return [(label0[w] ^ delta if bit else label0[w]).to_bytes(LABEL_BYTES, "little")
                 for w, bit in zip(wires, bits)]

@@ -45,10 +45,6 @@ log = logging.getLogger("blindboost")
 _CONFIG_ERRORS = (errors.ConfigInvalid, errors.ParseError, errors.NonBinaryLabels,
                   errors.ModeNotPermittedInSecureProfile, errors.BinCountInvalid,
                   FileNotFoundError, ValueError)
-_PROTOCOL_ERRORS = (errors.GCEvaluationFailure, errors.OTFailure,
-                    errors.GarbledRowAuthFailure, errors.UnknownLabel,
-                    errors.TransportClosed, errors.PhaseOrderViolation,
-                    errors.KeyMismatch)
 
 
 class CheckFailure(Exception):
@@ -148,7 +144,6 @@ def cmd_train(args):
                          p_max=args.pmax or 2 * args.tau,
                          precision_bits=args.bits, key_bits=key_bits,
                          ot_mode=ot_mode, ot_group=ot_group, seeds=_seeds(args),
-                         offline_base_apply=args.offline,
                          secure_profile=args.paper_faithful)
     started = time.time()
     dm, transcript = run_learning(cfg, folded, transport_kind=args.transport)
@@ -297,8 +292,6 @@ def build_parser():
     p.add_argument("--ot-mode", choices=["base", "dealer"], default="base")
     p.add_argument("--ot-group", choices=sorted(GROUPS), default="modp-768")
     p.add_argument("--transport", choices=["memory", "socket"], default="memory")
-    p.add_argument("--offline", action="store_true",
-                   help="precompute all BaseApply products")
     p.add_argument("--paper-faithful", action="store_true",
                    help="2048-bit keys and OT group")
     p.set_defaults(func=cmd_train)
@@ -338,7 +331,6 @@ def build_parser():
 
     p = sub.add_parser("bench", help="protocol cost benchmark")
     common(p, dataset=False)
-    p.add_argument("--kind", choices=["scaling"], default="scaling")
     p.add_argument("--construction", choices=["he-gc", "secsh-gc"],
                    default="he-gc")
     p.set_defaults(func=cmd_bench)
@@ -361,12 +353,12 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"acceptance check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except _PROTOCOL_ERRORS as exc:
-        print(f"protocol failure: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except errors.BlindBoostError as exc:
+        print(f"protocol failure: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Protocol configuration and seed discipline."""
 
+import random
 from dataclasses import dataclass, field
 
 from ..errors import ConfigInvalid, ModeNotPermittedInSecureProfile
@@ -16,6 +17,12 @@ class Seeds:
     data: int = 3
 
 
+def stream(seed: int, tag: bytes) -> random.Random:
+    """The protocols' one source of randomness: the stream of role `tag`
+    (four ASCII bytes, read big-endian) XOR `seed`."""
+    return random.Random(seed ^ int.from_bytes(tag, "big"))
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     construction: str
@@ -27,7 +34,6 @@ class ProtocolConfig:
     ot_mode: str = "base"
     ot_group: str = "modp-768"
     seeds: Seeds = field(default_factory=Seeds)
-    offline_base_apply: bool = False
     secure_profile: bool = False
 
     def __post_init__(self):

@@ -1,7 +1,6 @@
 """Protocol orchestration: setup, the learning run, and model reassembly."""
 
 import json
-import random
 import threading
 import warnings
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from .. import paillier, shares
 from ..boosting import BoostedModel, LinearClassifier
 from ..encoding import FixedPointParams, FoldedMatrix, encode_array
 from ..errors import PartMismatch, PartyTimeout, PoolExhaustedWarning, TransportClosed
-from .config import HE_GC, ProtocolConfig
+from .config import HE_GC, ProtocolConfig, stream
 from .parties import CloudParty, CSPParty
 from .transcript import Transcript
 from . import transport
@@ -69,18 +68,16 @@ def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
     n, dim = Z.shape
     fp = FixedPointParams.for_dimension(dim, cfg.precision_bits)
     zq = encode_array(Z, fp)
-    key_rng = random.Random(cfg.seeds.csp ^ 0x6B657967)
-    user_rng = random.Random(cfg.seeds.data ^ 0x75736572)
 
     if cfg.construction == HE_GC:
-        kp = paillier.keygen(cfg.key_bits, key_rng)
-        enc_data = paillier.encrypt_matrix(kp.public, zq, user_rng)
+        kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
+        enc_data = paillier.encrypt_matrix(kp.public, zq, stream(cfg.seeds.data, b"user"))
         cloud = CloudParty(cfg, fp, n, dim, enc_data=enc_data,
                            csp_public=kp.public)
         csp = CSPParty(cfg, fp, n, dim, keypair=kp)
         cloud.user_encryptions = n * dim
     else:
-        kp = paillier.keygen(cfg.key_bits, random.Random(cfg.seeds.cloud ^ 0x6B657967))
+        kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.cloud, b"keyg"))
         pair = shares.split(zq, fp.ring_bits, np.random.default_rng(cfg.seeds.data))
         cloud = CloudParty(cfg, fp, n, dim, own_keypair=kp, z0=pair.part0)
         csp = CSPParty(cfg, fp, n, dim, cloud_public=kp.public, z1=pair.part1)

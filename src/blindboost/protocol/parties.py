@@ -8,9 +8,11 @@ only cross-party channel is the transport handed to run()/step methods.
 GC roles are fixed for both constructions: CSP garbles, Cloud evaluates and
 returns output labels, CSP decodes. The sign-check circuit computes
 (masked - mask) mod 2^L; in HE+GC the garbler holds the masked value, in
-SecSh+GC the evaluator does. `garbler_round` / `evaluator_round` and
-`LabelOT` are the one garbled-circuit round and label OT that these parties
-and confidential stump selection share.
+SecSh+GC the evaluator does. These parties and confidential stump selection
+share one garbled-circuit round (`garbler_round` / `evaluator_round`), one
+label OT (`LabelOT`), one HE+GC reveal of E(c + m) (`add_masks`, then
+`recv_decrypt` at the key holder) and one source of seeded streams
+(`config.stream`).
 """
 
 import random
@@ -31,7 +33,7 @@ from ..garbling import (
 )
 from ..ot import GROUPS, OTExtReceiver, OTExtSender, dealer_choose
 from . import wire
-from .config import HE_GC, SECSH_GC, ProtocolConfig
+from .config import HE_GC, SECSH_GC, ProtocolConfig, stream
 from .transcript import (
     BASE_APPLY,
     DONE,
@@ -62,6 +64,26 @@ def _recv_ot(ch) -> bytes:
     if phase != OT:
         raise OTFailure(f"expected an OT message, got {phase}")
     return payload
+
+
+def add_masks(pk, cts, masks, rng, counters) -> list:
+    """E(c_i + m_i) for each ciphertext E(c_i) in `cts` and plaintext mask m_i."""
+    out = [paillier.he_add(pk, c, e)
+           for c, e in zip(cts, paillier.encrypt_many(pk, masks, rng))]
+    counters.encryptions += len(masks)
+    counters.he_adds += len(masks)
+    return out
+
+
+def recv_decrypt(ch, phase, kp, count, counters) -> list:
+    """Receive a `phase` message of exactly `count` ciphertexts under `kp`
+    and decrypt them."""
+    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), phase), kp.public)
+    if len(cts) != count:
+        raise MalformedMessage(f"{phase} carries {len(cts)} ciphertexts, "
+                               f"expected {count}")
+    counters.decryptions += count
+    return paillier.decrypt_many(kp, cts)
 
 
 class LabelOT:
@@ -181,14 +203,12 @@ class CloudParty:
         self.z0 = z0                      # uint64 share matrix
         seeds = cfg.seeds
         self.pool_rng = np.random.default_rng(seeds.cloud)
-        self.mask_rng = random.Random(seeds.cloud ^ 0x6D61736B)
-        self.ot_rng = random.Random(seeds.cloud ^ 0x6F745F72)
-        self.enc_rng = random.Random(seeds.cloud ^ 0x656E6372)
-        self.label_ot = LabelOT(cfg, self.ot_rng)
+        self.mask_rng = stream(seeds.cloud, b"mask")
+        self.enc_rng = stream(seeds.cloud, b"encr")
+        self.label_ot = LabelOT(cfg, stream(seeds.cloud, b"ot_r"))
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
         self.p_used = 0
-        self._precomputed = None          # offline BaseApply products
         self._eu = None                   # current E(u_t) (HE+GC)
         self._u0 = None                   # current masked share (SecSh+GC)
         self._transcript = None
@@ -204,22 +224,6 @@ class CloudParty:
         self.tried_w.append(w)
         return w
 
-    def _he_matvec_counted(self, wq, party: str):
-        out = paillier.he_matvec(self.csp_public, self.enc_data, wq)
-        c = self._transcript.party(party)
-        c.he_scalar_muls += self.n * self.dim
-        c.he_adds += self.n * self.dim
-        return out
-
-    def precompute_pool(self, transcript: Transcript):
-        """Offline BaseApply: all E(Z w_t) computed before the first message."""
-        self._transcript = transcript
-        self._precomputed = []
-        for _ in range(self.cfg.p_max):
-            w = self._next_rlc()
-            wq = [int(v) for v in encode_array(w, self.fp)]
-            self._precomputed.append(self._he_matvec_counted(wq, "cloud_offline"))
-
     # -- protocol steps ------------------------------------------------------
 
     def send_setup(self, ch):
@@ -231,26 +235,18 @@ class CloudParty:
         if t > self.cfg.p_max:
             raise IterationOutOfRange(f"iteration {t} exceeds p_max {self.cfg.p_max}")
         self.p_used = t
+        wq = [int(v) for v in encode_array(self._next_rlc(), self.fp)]
         if self.cfg.construction == HE_GC:
-            if self._precomputed is not None:
-                self._eu = self._precomputed[t - 1]
-            else:
-                w = self._next_rlc()
-                wq = [int(v) for v in encode_array(w, self.fp)]
-                self._eu = self._he_matvec_counted(wq, "cloud")
+            self._eu = paillier.he_matvec(self.csp_public, self.enc_data, wq)
+            self.counters.he_scalar_muls += self.n * self.dim
+            self.counters.he_adds += self.n * self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t))
         else:
-            w = self._next_rlc()
-            wq = [int(v) for v in encode_array(w, self.fp)]
-            pk = self.keypair.public
-            ew = paillier.encrypt_many(pk, wq, self.enc_rng)
+            ew = paillier.encrypt_many(self.keypair.public, wq, self.enc_rng)
             self.counters.encryptions += self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t)
                     + paillier.ciphertexts_to_bytes(ew))
-            payload = expect_phase(ch.recv(), BASE_APPLY)
-            masked = paillier.ciphertexts_from_bytes(payload, pk)
-            dec = paillier.decrypt_many(self.keypair, masked)
-            self.counters.decryptions += self.n
+            dec = recv_decrypt(ch, BASE_APPLY, self.keypair, self.n, self.counters)
             qp = 1 << (self.fp.ring_bits + self.cfg.sigma + 1)
             self._u0 = shares.masked_matvec_cloud_step(
                 self.z0, wq, [d % qp for d in dec], self.fp.ring_bits,
@@ -261,11 +257,8 @@ class CloudParty:
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
             lam = shares.sample_masks(self.n, L, self.mask_rng, self.cfg.sigma)
-            pk = self.csp_public
-            masked = [paillier.he_add(pk, c, e_lam) for c, e_lam
-                      in zip(self._eu, paillier.encrypt_many(pk, lam, self.enc_rng))]
-            self.counters.encryptions += self.n
-            self.counters.he_adds += self.n
+            masked = add_masks(self.csp_public, self._eu, lam, self.enc_rng,
+                               self.counters)
             ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
             evaluator_vals, ev_wires, gb_wires = lam, circuit.inputs_b, circuit.inputs_a
         else:
@@ -285,18 +278,11 @@ class CloudParty:
 
     def run(self, ch):
         self._transcript = ch._transcript
-        if self.cfg.offline_base_apply and self.cfg.construction == HE_GC:
-            self.precompute_pool(ch._transcript)
         self.send_setup(ch)
-        accepted = 0
-        t = 0
-        while accepted < self.cfg.tau and t < self.cfg.p_max:
-            t += 1
+        for t in range(1, self.cfg.p_max + 1):
             self.base_apply_step(ch, t)
             self.result_eval_step(ch, t)
-            accept, stop = self.recv_decision(ch)
-            if accept:
-                accepted += 1
+            _, stop = self.recv_decision(ch)
             if stop:
                 break
         ch.send(DONE, wire.pack_u32(t))
@@ -319,11 +305,10 @@ class CSPParty:
         self.cloud_public = cloud_public  # SecSh+GC: Cloud's public key
         self.z1 = z1                      # SecSh+GC share
         seeds = cfg.seeds
-        self.garble_rng = random.Random(seeds.csp ^ 0x67617262)
-        self.mask_rng = random.Random(seeds.csp ^ 0x6D61736B)
-        self.ot_rng = random.Random(seeds.csp ^ 0x6F745F73)
-        self.enc_rng = random.Random(seeds.csp ^ 0x656E6372)
-        self.label_ot = LabelOT(cfg, self.ot_rng)
+        self.garble_rng = stream(seeds.csp, b"garb")
+        self.mask_rng = stream(seeds.csp, b"mask")
+        self.enc_rng = stream(seeds.csp, b"encr")
+        self.label_ot = LabelOT(cfg, stream(seeds.csp, b"ot_s"))
         self.delta = np.full(n, 1.0 / n)
         self.accepted = []                # (trial index, alpha, flipped)
         self.indicator_history = []       # I_t per tried classifier
@@ -340,7 +325,13 @@ class CSPParty:
     def base_apply_step(self, ch, first_msg):
         payload = expect_phase(first_msg, BASE_APPLY)
         t, off = wire.unpack_u32(payload)
-        if self.cfg.construction == SECSH_GC:
+        expected = len(self.indicator_history) + 1  # one past the last evaluated trial
+        if t != expected or t > self.cfg.p_max:
+            raise MalformedMessage(f"BASE_APPLY names trial {t}, expected {expected} "
+                                   f"of at most {self.cfg.p_max}")
+        if self.cfg.construction == HE_GC:
+            wire.expect_end(payload, off)
+        else:
             pk = self.cloud_public
             ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
             lam = shares.sample_masks(self.n, self.fp.ring_bits, self.mask_rng,
@@ -355,15 +346,13 @@ class CSPParty:
         return t
 
     def result_eval_step(self, ch):
-        payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
         L = self.fp.ring_bits
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
-            masked = paillier.ciphertexts_from_bytes(payload, self.keypair.public)
-            dec = paillier.decrypt_many(self.keypair, masked)
-            self.counters.decryptions += self.n
+            dec = recv_decrypt(ch, RESULT_EVAL_MASK, self.keypair, self.n, self.counters)
             garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
         else:
+            expect_phase(ch.recv(), RESULT_EVAL_MASK)
             garbler_vals, gb_wires, ev_wires = self._u1, circuit.inputs_b, circuit.inputs_a
         msb = garbler_round(ch, circuit, self.garble_rng, self.label_ot, self.counters,
                             gb_wires, record_bits(garbler_vals, L), ev_wires)
@@ -385,17 +374,17 @@ class CSPParty:
     def run(self, ch):
         self._transcript = ch._transcript
         expect_phase(ch.recv(), SETUP)
-        while True:
-            msg = ch.recv()
-            if msg[0] == DONE:
-                break
-            self.base_apply_step(ch, msg)
+        t, stop = 0, False
+        while not stop and t < self.cfg.p_max:
+            t = self.base_apply_step(ch, ch.recv())
             indicators = self.result_eval_step(ch)
             step = self.update(indicators)
             accept = step.decision != "reject"
             stop = len(self.accepted) >= self.cfg.tau
             ch.send(OUTPUT_LABELS, bytes([_DECISION_ACCEPT if accept
                                           else _DECISION_REJECT, int(stop)]))
+        if expect_phase(ch.recv(), DONE) != wire.pack_u32(t):
+            raise MalformedMessage(f"DONE does not name the last trial, {t}")
 
     def attach(self, transcript: Transcript):
         self._transcript = transcript

@@ -15,7 +15,6 @@ y = (y + m mod 2) XOR m with two free XOR gates.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,9 @@ from ..errors import BinCountInvalid, MalformedMessage
 from ..garbling import decode_output, evaluate, garble, tables_from_bytes  # noqa: F401
 from ..ot import dealer_choose  # noqa: F401
 from . import transport, wire
-from .config import ProtocolConfig
+from .config import ProtocolConfig, stream
 from .engine import run_pair
-from .parties import LabelOT, evaluator_round, garbler_round
+from .parties import LabelOT, add_masks, evaluator_round, garbler_round, recv_decrypt
 from .transcript import (
     BASE_APPLY,
     DONE,
@@ -110,17 +109,16 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     return _csp_select(errors, delta, tau), errors, fp, catalog
 
 
-def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot):
+def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
     n = xq.shape[0]
     L = fp.ring_bits
     counters = ch._transcript.party("cloud")
-    label_ot = LabelOT(cfg, rng_ot)
+    rng_mask = stream(cfg.seeds.cloud, b"mask")
+    rng_enc = stream(cfg.seeds.cloud, b"encr")
+    label_ot = LabelOT(cfg, stream(cfg.seeds.cloud, b"ot_r"))
     # one-time label masking: E(y + m), m_i kept for the circuit input
     m_bits = [rng_mask.getrandbits(1) for _ in range(n)]
-    masked_labels = [paillier.he_add(pk, c, e)
-                     for c, e in zip(ey, paillier.encrypt_many(pk, m_bits, rng_enc))]
-    counters.encryptions += n
-    counters.he_adds += n
+    masked_labels = add_masks(pk, ey, m_bits, rng_enc, counters)
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
     circuit = build_stump_error_batch(L, n)
@@ -130,10 +128,9 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk, rng_mask, rng_enc, rng_ot
         ch.send(BASE_APPLY, wire.pack_u32(index))
         lam = shares.sample_masks(n, L, rng_mask, cfg.sigma)
         neg_v = paillier.encrypt_raw(pk, (fp.q - vq) % fp.q)
-        out = [paillier.he_add(pk, paillier.he_add(pk, xq.rows[i][j], neg_v), e)
-               for i, e in enumerate(paillier.encrypt_many(pk, lam, rng_enc))]
-        counters.encryptions += n
-        counters.he_adds += 2 * n
+        diffs = [paillier.he_add(pk, row[j], neg_v) for row in xq.rows]
+        counters.he_adds += n
+        out = add_masks(pk, diffs, lam, rng_enc, counters)
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
         # GC: evaluator holds the masks (lambda bits) and the label masks m
         evaluator_round(ch, circuit, label_ot, counters,
@@ -160,8 +157,8 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     circuit = build_stump_error_batch(L, n)
     gb_wires = circuit.inputs_a + circuit.extra_inputs_a
     ev_wires = circuit.inputs_b + circuit.extra_inputs_b
-    garble_rng = random.Random(cfg.seeds.csp ^ 0x67617262)
-    label_ot = LabelOT(cfg, random.Random(cfg.seeds.csp ^ 0x6F745F73))
+    garble_rng = stream(cfg.seeds.csp, b"garb")
+    label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
     for expected in range(n_catalog // 2):
         payload = expect_phase(ch.recv(), BASE_APPLY)
@@ -169,10 +166,7 @@ def _csp_loop(ch, cfg, kp, n_catalog):
         wire.expect_end(payload, off)
         if index != expected:
             raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
-        payload = expect_phase(ch.recv(), RESULT_EVAL_MASK)
-        enc_diffs = paillier.ciphertexts_from_bytes(payload, kp.public)
-        dec = paillier.decrypt_many(kp, enc_diffs)
-        counters.decryptions += n
+        dec = recv_decrypt(ch, RESULT_EVAL_MASK, kp, n, counters)
         err = np.asarray(garbler_round(ch, circuit, garble_rng, label_ot, counters,
                                        gb_wires, record_bits(dec, L) + label_share,
                                        ev_wires),
@@ -197,18 +191,15 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     grid = threshold_grid(s)
     catalog_base = [(j, encode(float(v), fp)) for j in range(k) for v in grid]
 
-    kp = paillier.keygen(cfg.key_bits, random.Random(cfg.seeds.csp ^ 0x6B657967))
-    user_rng = random.Random(cfg.seeds.data ^ 0x75736572)
+    kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
+    user_rng = stream(cfg.seeds.data, b"user")
     xq = paillier.encrypt_matrix(kp.public, encode_array(X, fp), user_rng)
     ey = paillier.encrypt_many(kp.public, [int(b) for b in y01], user_rng)
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k + n
     _, error_vectors = run_pair(
-        lambda: _cloud_loop(ch_cloud, cfg, fp, xq, ey, catalog_base, kp.public,
-                            random.Random(cfg.seeds.cloud ^ 0x6D61736B),
-                            random.Random(cfg.seeds.cloud ^ 0x656E6372),
-                            random.Random(cfg.seeds.cloud ^ 0x6F745F72)),
+        lambda: _cloud_loop(ch_cloud, cfg, fp, xq, ey, catalog_base, kp.public),
         lambda: _csp_loop(ch_csp, cfg, kp, len(catalog)), ch_cloud, ch_csp)
     transcript.validate_phase_order()
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from blindboost.harness.cli import EXIT_CONFIG, EXIT_OK, main
+from blindboost import errors
+from blindboost.harness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
 
 
 def test_keygen(tmp_path):
@@ -90,8 +91,7 @@ def test_report_command(tmp_path):
 
 
 def test_bench_scaling_check(tmp_path):
-    rc = main(["bench", "--kind", "scaling", "--seed", "1",
-               "--out", str(tmp_path)])
+    rc = main(["bench", "--seed", "1", "--out", str(tmp_path)])
     assert rc == EXIT_OK
 
 
@@ -128,3 +128,18 @@ def test_paper_faithful_flag_forces_secure_parameters(tmp_path, monkeypatch):
     assert cfg.ot_group == "modp-2048"
     assert cfg.ot_mode == "base"
     assert cfg.secure_profile
+
+
+@pytest.mark.parametrize("error", [errors.MalformedMessage, errors.PartyTimeout,
+                                   errors.GroupElementInvalid,
+                                   errors.IterationOutOfRange, errors.PartMismatch])
+def test_protocol_error_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fake_run(cfg, folded, transport_kind="memory"):
+        raise error("injected")
+
+    import blindboost.harness.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_learning", fake_run)
+    rc = main(["train", "--dataset", "synthetic:n=20,k=2", "--tau", "1",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_PROTOCOL
+    assert "protocol failure: injected" in capsys.readouterr().err

@@ -141,6 +141,16 @@ def test_decode_wrong_label_count():
             decode_output(wrong, gc.output_decode)
 
 
+def test_encode_wrong_bit_count():
+    gc = garble(build_sub_msb_batch(4, 3), random.Random(10))
+    wires = gc.circuit.inputs_a
+    bits = [1] * len(wires)
+    assert len(gc.encode(wires, bits)) == len(wires)
+    for wrong in (bits[:-1], bits + [1]):  # one bit too few, one too many
+        with pytest.raises(GCEvaluationFailure):
+            gc.encode(wires, wrong)
+
+
 def test_evaluate_rejects_malformed_inputs():
     gc = garble(single_and_circuit(), random.Random(12))
     view = evaluator_view(gc)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 import types
@@ -34,15 +35,18 @@ from blindboost.protocol import (
     Seeds,
     Transcript,
     base_apply,
+    engine,
     reconstruct_model,
     result_eval,
     run_learning,
     setup,
     transcript_report,
+    transport,
     wire,
 )
 from blindboost.garbling import evaluate, garble
 from blindboost.protocol.parties import CloudParty, CSPParty, LabelOT, garbler_round
+from blindboost.protocol.transcript import DONE
 
 
 def toy_folded(n=8, k=3, seed=0):
@@ -237,22 +241,6 @@ def test_socket_transport_identical_transcript():
     assert dm_mem.to_json() == dm_sock.to_json()
 
 
-def test_offline_precompute_same_model_and_split_counters():
-    folded = toy_folded(n=5, k=2, seed=9)
-    cfg_on = cfg_for(HE_GC, tau=2, p_max=6)
-    cfg_off = cfg_for(HE_GC, tau=2, p_max=6, offline_base_apply=True)
-    dm_on, t_on = run_learning(cfg_on, folded)
-    dm_off, t_off = run_learning(cfg_off, folded)
-    assert dm_on.to_json() == dm_off.to_json()
-    r_on = transcript_report(t_on)
-    r_off = transcript_report(t_off)
-    assert r_off["counters"]["cloud"]["he_scalar_muls"] == 0
-    assert "cloud_offline" in r_off["counters"]
-    # offline precomputes the whole pool; online computes only tried rounds
-    assert r_off["counters"]["cloud_offline"]["he_scalar_muls"] >= \
-        r_on["counters"]["cloud"]["he_scalar_muls"]
-
-
 def test_pool_exhausted_run():
     # duplicated records with contradicting labels force e == 0.5 always
     X = np.array([[1.0, -1.0]] * 4)
@@ -375,6 +363,69 @@ def test_label_ot_truncated_dealer_payload_is_malformed():
     truncated = wire.pack_label_pairs(pairs)[:-20]
     with pytest.raises(MalformedMessage):
         LabelOT(cfg, random.Random(4)).receive(_Scripted([("OT", truncated)]), [0, 1, 1])
+
+
+@pytest.mark.parametrize("payload", [wire.pack_u32(99) + b"junk", wire.pack_u32(2),
+                                     wire.pack_u32(1) + b"junk"],
+                         ids=["t99-junk", "out-of-order", "trailing-bytes"])
+def test_csp_base_apply_rejects_hostile_trial(payload):
+    _, csp = setup(cfg_for(HE_GC, tau=1, p_max=2), toy_folded(n=3, k=2))
+    with pytest.raises(MalformedMessage):
+        csp.base_apply_step(None, ("BASE_APPLY", payload))
+    assert csp.base_apply_step(None, ("BASE_APPLY", wire.pack_u32(1))) == 1
+
+
+def test_csp_base_apply_rejects_a_trial_past_p_max():
+    pair = setup(cfg_for(HE_GC, tau=1, p_max=2), toy_folded(n=3, k=2))
+    for t in (1, 2):
+        base_apply(pair, t)
+        result_eval(pair, t)
+    with pytest.raises(MalformedMessage, match="trial 3"):
+        pair[1].base_apply_step(None, ("BASE_APPLY", wire.pack_u32(3)))
+
+
+@pytest.mark.parametrize("tau, p_max, trials, done, error", [
+    (1, 1, 0, wire.pack_u32(0), PhaseOrderViolation),       # before any trial
+    (2, 6, 1, wire.pack_u32(1), PhaseOrderViolation),       # before a stop
+    (1, 1, 1, wire.pack_u32(2), MalformedMessage),          # names another trial
+    (1, 1, 1, wire.pack_u32(1) + b"x", MalformedMessage),   # trailing bytes
+    (1, 1, 1, wire.pack_u32(1), None),
+], ids=["no-trial", "early", "misnamed", "trailing-bytes", "valid"])
+def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done, error):
+    cloud, csp = setup(cfg_for(HE_GC, tau=tau, p_max=p_max), toy_folded(n=3, k=2))
+    ch_cloud, ch_csp, transcript = transport.memory_pair()
+    cloud.attach(transcript)
+
+    def hostile_cloud():
+        cloud.send_setup(ch_cloud)
+        for t in range(1, trials + 1):
+            cloud.base_apply_step(ch_cloud, t)
+            cloud.result_eval_step(ch_cloud, t)
+            cloud.recv_decision(ch_cloud)
+        ch_cloud.send(DONE, done)
+
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        engine.run_pair(hostile_cloud, lambda: csp.run(ch_csp), ch_cloud, ch_csp)
+
+
+@pytest.mark.parametrize("count", [2, 4])  # n = 3
+def test_csp_result_eval_wrong_ciphertext_count(count):
+    _, csp = setup(cfg_for(HE_GC), toy_folded(n=3, k=2))
+    csp.attach(Transcript())
+    cts = paillier.encrypt_many(csp.keypair.public, [0] * count, random.Random(1))
+    with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 3"):
+        csp.result_eval_step(_Scripted([("RESULT_EVAL_MASK",
+                                         paillier.ciphertexts_to_bytes(cts))]))
+
+
+@pytest.mark.parametrize("count", [2, 4])  # n = 3
+def test_cloud_secsh_base_apply_reply_wrong_ciphertext_count(count):
+    cloud, _ = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
+    cloud.attach(Transcript())
+    cts = paillier.encrypt_many(cloud.keypair.public, [0] * count, random.Random(2))
+    with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 3"):
+        cloud.base_apply_step(_Scripted([("BASE_APPLY",
+                                          paillier.ciphertexts_to_bytes(cts))]), 1)
 
 
 def test_csp_result_eval_wrong_phase_is_phase_order_violation():

@@ -140,11 +140,19 @@ def _setup_payload(kp, declared_n):
     (2, [("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
     # DONE before the last comparison
     (2, [("DONE", b"")], PhaseOrderViolation),
-], ids=["setup-count", "index-out-of-range", "index-out-of-order", "early-done"])
+    # a comparison's masked differences one ciphertext short or over (an int
+    # payload stands for that many valid ciphertexts)
+    (2, [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", 1)], MalformedMessage),
+    (2, [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", 3)], MalformedMessage),
+], ids=["setup-count", "index-out-of-range", "index-out-of-order", "early-done",
+        "missing-ciphertext", "extra-ciphertext"])
 def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, messages, error):
     ch_cloud, ch_csp, _ = transport.memory_pair()
     ch_cloud.send("SETUP", _setup_payload(keypair_512, declared_n))
     for phase, payload in messages:
+        if isinstance(payload, int):
+            payload = paillier.ciphertexts_to_bytes(paillier.encrypt_many(
+                keypair_512.public, [0] * payload, random.Random(9)))
         ch_cloud.send(phase, payload)
     ch_cloud.close()  # any further recv raises TransportClosed
     with pytest.raises(error):
