@@ -9,6 +9,7 @@ materializes its borrow chain - one AND per bit position below the msb.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import WidthOutOfRange
 
@@ -17,8 +18,7 @@ AND = "AND"
 NOT = "NOT"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str
     a: int
     b: int  # -1 for NOT
@@ -54,11 +54,6 @@ class Circuit:
     @cached_property
     def and_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == AND)
-
-    @cached_property
-    def lowered(self) -> tuple:
-        """The gates as flat (kind, a, b, out) tuples, built once per circuit."""
-        return tuple((g.kind, g.a, g.b, g.out) for g in self.gates)
 
     def evaluate_plain(self, a_bits, b_bits, extra_a=(), extra_b=()):
         """Reference evaluation on plaintext bits."""

@@ -9,8 +9,8 @@ the label bytes followed by the 8-byte little-endian tweak. Every AND gate is
 a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT 2015); XOR and
 NOT gates are free.
 
-Both garbling and evaluation walk the circuit's lowered gate list
-(``Circuit.lowered``) and keep labels in a list indexed by wire number.
+Both garbling and evaluation unpack the circuit's gates as (kind, a, b,
+out) tuples and keep labels in a list indexed by wire number.
 
 Corruption detection: the garbler ships, per output wire, the hashes of both
 output labels ordered by permute bit. The evaluator checks its computed
@@ -94,7 +94,7 @@ def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:
 
     tables = []
     and_index = 0
-    for kind, a, b, out in circuit.lowered:
+    for kind, a, b, out in circuit.gates:
         if kind == XOR:
             label0[out] = label0[a] ^ label0[b]
         elif kind == NOT:
@@ -170,7 +170,7 @@ def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
                                   f"output checks do not fit the circuit")
 
     and_index = 0
-    for kind, a, b, out in circuit.lowered:
+    for kind, a, b, out in circuit.gates:
         if kind == XOR:
             labels[out] = labels[a] ^ labels[b]
         elif kind == NOT:

@@ -36,17 +36,12 @@ from .errors import GroupElementInvalid, ModeNotPermittedInSecureProfile, OTFail
 
 LABEL_BYTES = 16
 
-# Safe-prime MODP groups (Oakley groups 1 and 2, and the 2048-bit group 14).
+# Safe-prime MODP groups: Oakley group 1 (768 bits) and the 2048-bit group 14.
 # g = 4 generates the prime-order subgroup of quadratic residues.
 _MODP_768 = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF", 16)
-_MODP_1024 = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF", 16)
 _MODP_2048 = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
@@ -71,7 +66,6 @@ class Group:
 
 GROUPS = {
     "modp-768": Group("modp-768", _MODP_768, 4),
-    "modp-1024": Group("modp-1024", _MODP_1024, 4),
     "modp-2048": Group("modp-2048", _MODP_2048, 4),
 }
 

@@ -192,16 +192,23 @@ def _random_prime(bits: int, rng: random.Random, max_tries: int = 100_000) -> in
 
 @dataclass(frozen=True)
 class PublicKey:
+    """N and DJN's fixed base; the generator and the key size follow from N."""
+
     n: int
-    g: int
-    key_bits: int
     h_n: int  # DJN's fixed base h^N mod N^2
 
     @property
+    def g(self) -> int:
+        return self.n + 1
+
+    @property
+    def key_bits(self) -> int:
+        return self.n.bit_length()
+
+    @property
     def alpha_bits(self) -> int:
-        """Length of the DJN encryption exponent: ceil(k/2) bits for a k-bit N.
-        Taken from N, so a key_bits field that disagrees cannot shorten it."""
-        return (self.n.bit_length() + 1) // 2
+        """Length of the DJN encryption exponent: ceil(k/2) bits for a k-bit N."""
+        return (self.key_bits + 1) // 2
 
     @cached_property
     def n_sq(self) -> int:
@@ -277,7 +284,6 @@ def keygen(key_bits: int, rng: random.Random) -> KeyPair:
             continue
         if math.gcd(n, (p - 1) * (q - 1)) != 1:
             continue
-        g = n + 1
         lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)  # lcm
         # mu = (L(g^lam mod n^2))^-1 mod n; with g = n+1 this is lam^-1 mod n.
         mu = pow(lam, -1, n)
@@ -285,7 +291,7 @@ def keygen(key_bits: int, rng: random.Random) -> KeyPair:
             x = rng.randrange(1, n)
             if math.gcd(x, n) == 1:
                 break
-        public = PublicKey(n=n, g=g, key_bits=key_bits, h_n=_djn_base(x, p, q))
+        public = PublicKey(n=n, h_n=_djn_base(x, p, q))
         return KeyPair(public=public, secret=PrivateKey(lam=lam, mu=mu, p=p, q=q))
     raise PrimeGenFailure("could not assemble a valid modulus")
 
@@ -407,6 +413,14 @@ def map_rows(pk: PublicKey, fn, rows) -> list:
     return fan_out(fn, rows)
 
 
+def he_dot(pk: PublicKey, acc: Ciphertext, cts, scalars) -> Ciphertext:
+    """acc + sum_j s_j * c_j under pk; a zero scalar costs nothing."""
+    for c, s in zip(cts, scalars):
+        if s:
+            acc = he_add(pk, acc, he_scalar_mul(pk, c, s))
+    return acc
+
+
 def he_matvec(pk: PublicKey, ez: EncryptedMatrix, w) -> list:
     """Component i encrypts sum_j z_ij * w_j over Z_N (ring values, level 2).
 
@@ -420,15 +434,7 @@ def he_matvec(pk: PublicKey, ez: EncryptedMatrix, w) -> list:
     if len(w) != n_cols:
         raise DimensionMismatch(f"matrix has {n_cols} columns, vector has {len(w)}")
 
-    def dot(row):
-        acc = encrypt_raw(pk, 0)
-        for c, s in zip(row, w):
-            if s == 0:
-                continue
-            acc = he_add(pk, acc, he_scalar_mul(pk, c, s))
-        return acc
-
-    return map_rows(pk, dot, ez.rows)
+    return map_rows(pk, lambda row: he_dot(pk, encrypt_raw(pk, 0), row, w), ez.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +468,14 @@ def _check_unit(x: int, pk: PublicKey, what: str) -> None:
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    return (_pack_int(pk.key_bits) + _pack_int(pk.n) + _pack_int(pk.g)
-            + _pack_int(pk.h_n))
+    return _pack_int(pk.n) + _pack_int(pk.h_n)
 
 
 def public_key_from_bytes(buf: bytes) -> PublicKey:
-    key_bits, off = _unpack_int(buf, 0)
-    n, off = _unpack_int(buf, off)
-    g, off = _unpack_int(buf, off)
+    n, off = _unpack_int(buf, 0)
     h_n, off = _unpack_int(buf, off)
     _no_trailing(buf, off)
-    pk = PublicKey(n=n, g=g, key_bits=key_bits, h_n=h_n)
+    pk = PublicKey(n=n, h_n=h_n)
     _check_unit(h_n, pk, "h_N")
     return pk
 

@@ -29,7 +29,6 @@ class ProtocolConfig:
     tau: int
     p_max: int
     precision_bits: int = 7
-    sigma: int = 40
     key_bits: int = 512
     ot_mode: str = "base"
     ot_group: str = "modp-768"

@@ -75,13 +75,11 @@ def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
         cloud = CloudParty(cfg, fp, n, dim, enc_data=enc_data,
                            csp_public=kp.public)
         csp = CSPParty(cfg, fp, n, dim, keypair=kp)
-        cloud.user_encryptions = n * dim
     else:
         kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.cloud, b"keyg"))
         pair = shares.split(zq, fp.ring_bits, np.random.default_rng(cfg.seeds.data))
         cloud = CloudParty(cfg, fp, n, dim, own_keypair=kp, z0=pair.part0)
         csp = CSPParty(cfg, fp, n, dim, cloud_public=kp.public, z1=pair.part1)
-        cloud.user_encryptions = 0
     return cloud, csp
 
 
@@ -155,8 +153,8 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
         ch_cloud, ch_csp, transcript = transport.socket_pair()
     else:
         raise ValueError(f"unknown transport {transport_kind!r}")
-    if cfg.construction == HE_GC:
-        transcript.party("user").encryptions += cloud.user_encryptions
+    if cfg.construction == HE_GC:  # the users' encrypted submissions
+        transcript.party("user").encryptions += cloud.n * cloud.dim
 
     run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_cloud, ch_csp)
     ch_cloud.close()
@@ -164,7 +162,7 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
     transcript.validate_phase_order()
     if len(csp.accepted) < cfg.tau:
         warnings.warn(f"only {len(csp.accepted)}/{cfg.tau} classifiers accepted "
-                      f"in {cloud.p_used} tries", PoolExhaustedWarning, stacklevel=2)
+                      f"in {len(cloud.tried_w)} tries", PoolExhaustedWarning, stacklevel=2)
     model = collect_model(cfg, cloud, csp)
     if with_parties:
         return model, transcript, cloud, csp

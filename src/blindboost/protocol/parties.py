@@ -59,11 +59,24 @@ def _batch_circuit(width: int, count: int):
     return _circuit_cache[key]
 
 
+def _setup_header(n: int, dim: int, ring_bits: int) -> bytes:
+    """SETUP's payload: the shape of the data and the ring width, as u32s."""
+    return wire.pack_u32(n) + wire.pack_u32(dim) + wire.pack_u32(ring_bits)
+
+
 def _recv_ot(ch) -> bytes:
     phase, payload = ch.recv()
     if phase != OT:
         raise OTFailure(f"expected an OT message, got {phase}")
     return payload
+
+
+def _recv_ot_field(ch, unpack):
+    """The one field of an OT message, read by `unpack`."""
+    payload = _recv_ot(ch)
+    value, off = unpack(payload)
+    wire.expect_end(payload, off)
+    return value
 
 
 def add_masks(pk, cts, masks, rng, counters) -> list:
@@ -106,18 +119,17 @@ class LabelOT:
         """Evaluator side: the labels of `bits`, one per transfer."""
         cfg = self.cfg
         if cfg.ot_mode == "dealer":
-            pairs, _ = wire.unpack_label_pairs(_recv_ot(ch))
-            return dealer_choose(pairs, bits, cfg.secure_profile)
+            return dealer_choose(_recv_ot_field(ch, wire.unpack_label_pairs), bits,
+                                 cfg.secure_profile)
         prefix = b""
         if self._session is None:
             self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng,
                                           full_check=cfg.secure_profile)
             ch.send(OT, wire.pack_bigints([self._session.setup_message()]))
-            bs, _ = wire.unpack_bigints(_recv_ot(ch))
+            bs = _recv_ot_field(ch, wire.unpack_bigints)
             prefix = wire.pack_label_pairs(self._session.base_respond(bs))
         ch.send(OT, prefix + wire.pack_blob(self._session.choose(bits)))
-        pairs, _ = wire.unpack_label_pairs(_recv_ot(ch))
-        return self._session.finish(pairs)
+        return self._session.finish(_recv_ot_field(ch, wire.unpack_label_pairs))
 
     def send(self, ch, pairs) -> None:
         """Garbler side: deliver one label of each pair."""
@@ -125,10 +137,8 @@ class LabelOT:
         if cfg.ot_mode == "dealer":
             ch.send(OT, wire.pack_label_pairs(pairs))
             return
-        payload = _recv_ot(ch)
-        off = 0
         if self._session is None:
-            elems, _ = wire.unpack_bigints(payload)
+            elems = _recv_ot_field(ch, wire.unpack_bigints)
             if len(elems) != 1:
                 raise OTFailure(f"expected one base-OT setup element, got {len(elems)}")
             self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0],
@@ -137,7 +147,10 @@ class LabelOT:
             payload = _recv_ot(ch)
             seeds, off = wire.unpack_label_pairs(payload)
             self._session.base_finish(seeds)
-        u, _ = wire.unpack_blob(payload, off)
+        else:
+            payload, off = _recv_ot(ch), 0
+        u, off = wire.unpack_blob(payload, off)
+        wire.expect_end(payload, off)
         ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
 
 
@@ -174,7 +187,11 @@ def evaluator_round(ch, circuit, label_ot, counters,
     payload = expect_phase(ch.recv(), GC_TABLES)
     tables_blob, off = wire.unpack_blob(payload)
     garbler_labels, off = wire.unpack_labels(payload, off)
-    checks, _ = wire.unpack_label_pairs(payload, off)
+    if len(garbler_labels) != len(gb_wires):
+        raise MalformedMessage(f"GC_TABLES carries {len(garbler_labels)} garbler "
+                               f"labels for {len(gb_wires)} wires")
+    checks, off = wire.unpack_label_pairs(payload, off)
+    wire.expect_end(payload, off)
     gc = GarbledCircuit(circuit=circuit, and_tables=tables_from_bytes(circuit, tables_blob),
                         output_check=checks)
     counters.ot_transfers += len(ev_bits)
@@ -208,7 +225,6 @@ class CloudParty:
         self.label_ot = LabelOT(cfg, stream(seeds.cloud, b"ot_r"))
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
-        self.p_used = 0
         self._eu = None                   # current E(u_t) (HE+GC)
         self._u0 = None                   # current masked share (SecSh+GC)
         self._transcript = None
@@ -227,14 +243,11 @@ class CloudParty:
     # -- protocol steps ------------------------------------------------------
 
     def send_setup(self, ch):
-        header = wire.pack_u32(self.n) + wire.pack_u32(self.dim) \
-            + wire.pack_u32(self.fp.ring_bits)
-        ch.send(SETUP, header)
+        ch.send(SETUP, _setup_header(self.n, self.dim, self.fp.ring_bits))
 
     def base_apply_step(self, ch, t: int):
         if t > self.cfg.p_max:
             raise IterationOutOfRange(f"iteration {t} exceeds p_max {self.cfg.p_max}")
-        self.p_used = t
         wq = [int(v) for v in encode_array(self._next_rlc(), self.fp)]
         if self.cfg.construction == HE_GC:
             self._eu = paillier.he_matvec(self.csp_public, self.enc_data, wq)
@@ -247,16 +260,14 @@ class CloudParty:
             ch.send(BASE_APPLY, wire.pack_u32(t)
                     + paillier.ciphertexts_to_bytes(ew))
             dec = recv_decrypt(ch, BASE_APPLY, self.keypair, self.n, self.counters)
-            qp = 1 << (self.fp.ring_bits + self.cfg.sigma + 1)
-            self._u0 = shares.masked_matvec_cloud_step(
-                self.z0, wq, [d % qp for d in dec], self.fp.ring_bits,
-                sigma=self.cfg.sigma)
+            self._u0 = shares.masked_matvec_cloud_step(self.z0, wq, dec,
+                                                       self.fp.ring_bits)
 
     def result_eval_step(self, ch, t: int):
         L = self.fp.ring_bits
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
-            lam = shares.sample_masks(self.n, L, self.mask_rng, self.cfg.sigma)
+            lam = shares.sample_masks(self.n, L, self.mask_rng)
             masked = add_masks(self.csp_public, self._eu, lam, self.enc_rng,
                                self.counters)
             ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
@@ -312,7 +323,6 @@ class CSPParty:
         self.delta = np.full(n, 1.0 / n)
         self.accepted = []                # (trial index, alpha, flipped)
         self.indicator_history = []       # I_t per tried classifier
-        self.decisions = []
         self._u1 = None
         self._transcript = None
 
@@ -334,15 +344,13 @@ class CSPParty:
         else:
             pk = self.cloud_public
             ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
-            lam = shares.sample_masks(self.n, self.fp.ring_bits, self.mask_rng,
-                                      self.cfg.sigma)
+            lam = shares.sample_masks(self.n, self.fp.ring_bits, self.mask_rng)
             out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.enc_rng)
             self.counters.encryptions += self.n
             self.counters.he_scalar_muls += self.n * self.dim
             self.counters.he_adds += self.n * self.dim
             ch.send(BASE_APPLY, paillier.ciphertexts_to_bytes(out))
-            qp = 1 << (self.fp.ring_bits + self.cfg.sigma + 1)
-            self._u1 = [m % qp for m in lam]
+            self._u1 = lam
         return t
 
     def result_eval_step(self, ch):
@@ -352,7 +360,9 @@ class CSPParty:
             dec = recv_decrypt(ch, RESULT_EVAL_MASK, self.keypair, self.n, self.counters)
             garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
         else:
-            expect_phase(ch.recv(), RESULT_EVAL_MASK)
+            trial = len(self.indicator_history) + 1
+            if expect_phase(ch.recv(), RESULT_EVAL_MASK) != wire.pack_u32(trial):
+                raise MalformedMessage(f"RESULT_EVAL_MASK does not name trial {trial}")
             garbler_vals, gb_wires, ev_wires = self._u1, circuit.inputs_b, circuit.inputs_a
         msb = garbler_round(ch, circuit, self.garble_rng, self.label_ot, self.counters,
                             gb_wires, record_bits(garbler_vals, L), ev_wires)
@@ -363,8 +373,7 @@ class CSPParty:
     def update(self, indicators):
         """The Update step: runs the shared plaintext logic on CSP's weights."""
         step = evaluate_candidate(self.delta, indicators)
-        self.decisions.append(step.decision)
-        trial = len(self.decisions)
+        trial = len(self.indicator_history)
         if step.decision != "reject":
             self.delta = step.delta
             self.accepted.append((trial, step.alpha,
@@ -373,7 +382,10 @@ class CSPParty:
 
     def run(self, ch):
         self._transcript = ch._transcript
-        expect_phase(ch.recv(), SETUP)
+        if expect_phase(ch.recv(), SETUP) != _setup_header(self.n, self.dim,
+                                                           self.fp.ring_bits):
+            raise MalformedMessage(f"SETUP does not declare n={self.n}, dim={self.dim}, "
+                                   f"L={self.fp.ring_bits}")
         t, stop = 0, False
         while not stop and t < self.cfg.p_max:
             t = self.base_apply_step(ch, ch.recv())

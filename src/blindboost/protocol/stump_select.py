@@ -126,7 +126,7 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
     gb_wires = circuit.inputs_a + circuit.extra_inputs_a
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
-        lam = shares.sample_masks(n, L, rng_mask, cfg.sigma)
+        lam = shares.sample_masks(n, L, rng_mask)
         neg_v = paillier.encrypt_raw(pk, (fp.q - vq) % fp.q)
         diffs = [paillier.he_add(pk, row[j], neg_v) for row in xq.rows]
         counters.he_adds += n

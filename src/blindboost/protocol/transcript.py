@@ -1,6 +1,5 @@
 """Message log and instrumented cost counters for protocol runs."""
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -108,7 +107,3 @@ def transcript_report(t: Transcript) -> dict:
         "bytes_by_phase": t.bytes_by_phase(),
         "counters": {party: c.as_dict() for party, c in sorted(t.counters.items())},
     }
-
-
-def report_to_json(t: Transcript) -> str:
-    return json.dumps(transcript_report(t), sort_keys=True, indent=2)

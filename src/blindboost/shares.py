@@ -3,8 +3,10 @@ matrix-vector multiplication steps.
 
 The shared construction: Cloud holds Z0 and the plaintext classifier w, CSP
 holds Z1 = Z - Z0. CSP computes E(Z1 w + lambda) under Cloud's key; after
-decryption Cloud holds u0 = Zw + lambda (mod q') and CSP keeps u1 = lambda.
-(u0 - u1) mod 2^L is the ring value of Zw at scale level 2.
+decryption Cloud holds u0 = Zw + lambda (mod 2^L) and CSP keeps u1 = lambda.
+(u0 - u1) mod 2^L is the ring value of Zw at scale level 2. Only those L
+bits reach the sign circuit, and Z1 w + lambda stays far below N, so the
+decryption is exact and one reduction mod 2^L is all u0 needs.
 """
 
 import random
@@ -43,10 +45,9 @@ def reconstruct(s: SharePair) -> np.ndarray:
     return (s.part0 + s.part1) & np.uint64((1 << s.ring_bits) - 1)
 
 
-def sample_masks(count: int, ring_bits: int, rng: random.Random,
-                 sigma: int = MASK_SECURITY_BITS) -> list:
+def sample_masks(count: int, ring_bits: int, rng: random.Random) -> list:
     """Fresh uniform masks over [0, 2^(L+sigma)); never reused across calls."""
-    bits = ring_bits + sigma
+    bits = ring_bits + MASK_SECURITY_BITS
     return [rng.getrandbits(bits) for _ in range(count)]
 
 
@@ -61,31 +62,23 @@ def masked_matvec_csp_step(z1: np.ndarray, ew: list, lam: list,
         raise DimensionMismatch(f"share has {z1.shape} columns, vector has {len(ew)}")
     masks = paillier.encrypt_many(pk, [int(lam[i]) % pk.n for i in range(z1.shape[0])],
                                   rng)
-
-    def row(i):
-        acc = masks[i]
-        for j, c in enumerate(ew):
-            s = int(z1[i, j])
-            if s == 0:
-                continue
-            acc = paillier.he_add(pk, acc, paillier.he_scalar_mul(pk, c, s))
-        return acc
-
-    return paillier.map_rows(pk, row, range(z1.shape[0]))
+    return paillier.map_rows(
+        pk, lambda i: paillier.he_dot(pk, masks[i], ew, z1[i].tolist()),
+        range(z1.shape[0]))
 
 
 def masked_matvec_cloud_step(z0: np.ndarray, w_ring, decrypted: list,
-                             ring_bits: int, sigma: int = MASK_SECURITY_BITS) -> list:
-    """Cloud side: u0 = Z0 w + (Z1 w + lambda) = Zw + lambda, mod q' = 2^(L+sigma+1)."""
+                             ring_bits: int) -> list:
+    """Cloud side: u0 = Z0 w + (Z1 w + lambda) = Zw + lambda, mod 2^L."""
     z0 = np.asarray(z0, dtype=np.uint64)
     w = [int(x) for x in w_ring]
     if z0.shape[1] != len(w):
         raise DimensionMismatch(f"share has {z0.shape[1]} columns, vector has {len(w)}")
     if len(decrypted) != z0.shape[0]:
         raise DimensionMismatch("decrypted vector length mismatch")
-    qp = 1 << (ring_bits + sigma + 1)
+    q = 1 << ring_bits
     out = []
     for i in range(z0.shape[0]):
         dot = sum(int(z0[i, j]) * w[j] for j in range(len(w)))
-        out.append((dot + int(decrypted[i])) % qp)
+        out.append((dot + int(decrypted[i])) % q)
     return out

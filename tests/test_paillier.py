@@ -88,7 +88,7 @@ def test_key_constants_are_cached(keypair_512):
     assert sk.hp is sk.hp and sk.q_inv is sk.q_inv
     assert sk.q_inv * sk.q % sk.p == 1
     # the cached values leave equality, hashing and serialization as they were
-    fresh = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits, h_n=pk.h_n)
+    fresh = paillier.PublicKey(n=pk.n, h_n=pk.h_n)
     assert fresh == pk and hash(fresh) == hash(pk)
     assert paillier.public_key_to_bytes(fresh) == paillier.public_key_to_bytes(pk)
 
@@ -336,6 +336,19 @@ def test_he_matvec_zero_vector(keypair_512):
     assert all(paillier.decrypt(keypair_512, c) == 0 for c in out)
 
 
+def test_he_dot_adds_weighted_ciphertexts_and_skips_zero_scalars(keypair_512, monkeypatch):
+    pk = keypair_512.public
+    rng = random.Random(31)
+    cts = paillier.encrypt_many(pk, [3, 5, 7], rng)
+    acc = paillier.encrypt(pk, 11, rng)
+    scalars, mul = [], paillier.he_scalar_mul
+    monkeypatch.setattr(paillier, "he_scalar_mul",
+                        lambda pk, c, s: scalars.append(s) or mul(pk, c, s))
+    out = paillier.he_dot(pk, acc, cts, [2, 0, 4])
+    assert paillier.decrypt(keypair_512, out) == 11 + 2 * 3 + 4 * 7
+    assert scalars == [2, 4]
+
+
 def test_he_matvec_dimension_mismatch(keypair_512):
     rng = random.Random(20)
     ez = paillier.encrypt_matrix(keypair_512.public, [[1, 2]], rng)
@@ -366,6 +379,13 @@ def test_serialization_round_trip(keypair_512):
     blob = paillier.ciphertexts_to_bytes(cs)
     back = paillier.ciphertexts_from_bytes(blob, pk)
     assert [c.value for c in back] == [c.value for c in cs]
+
+
+def test_public_key_bytes_carry_only_n_and_the_fixed_base(keypair_512):
+    pk = keypair_512.public
+    assert (pk.g, pk.key_bits) == (pk.n + 1, 512)  # both follow from N
+    assert paillier.public_key_to_bytes(pk) == \
+        paillier._pack_int(pk.n) + paillier._pack_int(pk.h_n)
 
 
 def test_declared_count_past_the_payload_is_malformed(keypair_512):
@@ -420,7 +440,7 @@ def test_ciphertexts_outside_the_unit_group_are_malformed(keypair_512):
 def test_public_key_with_a_non_unit_fixed_base_is_malformed(keypair_512):
     pk = keypair_512.public
     for v in _non_units(keypair_512):
-        bad = paillier.PublicKey(n=pk.n, g=pk.g, key_bits=pk.key_bits, h_n=v)
+        bad = paillier.PublicKey(n=pk.n, h_n=v)
         with pytest.raises(MalformedMessage):
             paillier.public_key_from_bytes(paillier.public_key_to_bytes(bad))
 

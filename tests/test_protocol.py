@@ -45,8 +45,14 @@ from blindboost.protocol import (
     wire,
 )
 from blindboost.garbling import evaluate, garble
-from blindboost.protocol.parties import CloudParty, CSPParty, LabelOT, garbler_round
-from blindboost.protocol.transcript import DONE
+from blindboost.protocol.parties import (
+    CloudParty,
+    CSPParty,
+    LabelOT,
+    evaluator_round,
+    garbler_round,
+)
+from blindboost.protocol.transcript import DONE, SETUP
 
 
 def toy_folded(n=8, k=3, seed=0):
@@ -365,6 +371,47 @@ def test_label_ot_truncated_dealer_payload_is_malformed():
         LabelOT(cfg, random.Random(4)).receive(_Scripted([("OT", truncated)]), [0, 1, 1])
 
 
+class _TailOne:
+    """A channel end that appends one byte to message number `target` of a
+    ping-pong exchange; `sent` is shared by both ends and counts messages."""
+
+    def __init__(self, ch, sent, target):
+        self.ch, self.sent, self.target = ch, sent, target
+
+    def send(self, phase, payload=b""):
+        if len(self.sent) == self.target:
+            payload += b"\x00"
+        self.sent.append(phase)
+        self.ch.send(phase, payload)
+
+    def recv(self):
+        return self.ch.recv()
+
+    def close(self):
+        self.ch.close()
+
+
+# dealer: the label pairs; base, first round: A, the B's, the seeds and U,
+# the masked pairs; base, second round: U, the masked pairs
+@pytest.mark.parametrize("ot_mode, target", [("dealer", 0)]
+                         + [("base", i) for i in range(6)])
+def test_label_ot_rejects_a_trailing_byte_on_every_message(ot_mode, target):
+    cfg = cfg_for(HE_GC, ot_mode=ot_mode)
+    receiver, sender = LabelOT(cfg, random.Random(7)), LabelOT(cfg, random.Random(8))
+    pairs = [(bytes([i]) * 16, bytes([i + 1]) * 16) for i in range(3)]
+    ch_r, ch_s, _ = transport.memory_pair()
+    sent = []
+    ch_r, ch_s = _TailOne(ch_r, sent, target), _TailOne(ch_s, sent, target)
+
+    def two_rounds(step):  # the base-OT session opens in the first round
+        return [step() for _ in range(2)]
+
+    with pytest.raises(MalformedMessage, match="trailing"):
+        engine.run_pair(lambda: two_rounds(lambda: receiver.receive(ch_r, [0, 1, 1])),
+                        lambda: two_rounds(lambda: sender.send(ch_s, pairs)),
+                        ch_r, ch_s)
+
+
 @pytest.mark.parametrize("payload", [wire.pack_u32(99) + b"junk", wire.pack_u32(2),
                                      wire.pack_u32(1) + b"junk"],
                          ids=["t99-junk", "out-of-order", "trailing-bytes"])
@@ -406,6 +453,29 @@ def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done
 
     with pytest.raises(error) if error else contextlib.nullcontext():
         engine.run_pair(hostile_cloud, lambda: csp.run(ch_csp), ch_cloud, ch_csp)
+
+
+@pytest.mark.parametrize("field", range(3), ids=["n", "dim", "L"])
+def test_csp_run_rejects_a_setup_header_that_is_not_its_own(field):
+    cloud, csp = setup(cfg_for(HE_GC, tau=1, p_max=1), toy_folded(n=3, k=2))
+    declared = [cloud.n, cloud.dim, cloud.fp.ring_bits]
+    declared[field] += 1
+    ch_cloud, ch_csp, _ = transport.memory_pair()
+    cloud.send_setup = lambda ch: ch.send(SETUP, b"".join(map(wire.pack_u32, declared)))
+    with pytest.raises(MalformedMessage, match="SETUP"):
+        engine.run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp),
+                        ch_cloud, ch_csp)
+
+
+@pytest.mark.parametrize("payload", [b"junk that is no trial number", wire.pack_u32(2),
+                                     wire.pack_u32(1) + b"\x00"],
+                         ids=["junk", "wrong-trial", "trailing-byte"])
+def test_csp_secsh_result_eval_requires_the_current_trial(payload):
+    pair = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
+    base_apply(pair, 1)
+    with pytest.raises(MalformedMessage, match="trial 1"):
+        pair[1].result_eval_step(_Scripted([("RESULT_EVAL_MASK", payload)]))
+    assert len(result_eval(pair, 1)) == 3
 
 
 @pytest.mark.parametrize("count", [2, 4])  # n = 3
@@ -464,6 +534,30 @@ def test_bytes_after_the_output_labels_are_malformed():
     for tail in (b"\x00", out[0]):
         with pytest.raises(MalformedMessage):
             run(wire.pack_labels(out) + tail)
+
+
+@pytest.mark.parametrize("count, tail", [(11, b""), (7, b""), (8, b"\x00")],
+                         ids=["11-labels", "7-labels", "trailing-byte"])
+def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
+    circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
+    gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
+    gc = garble(circuit, random.Random(5))
+    labels = gc.encode(circuit.inputs_a, gb_bits)
+    dealt = ("OT", wire.pack_label_pairs(gc.label_pairs(circuit.inputs_b)))
+
+    def run(gb_labels, tail=b""):
+        ch = _Scripted([("GC_TABLES", wire.pack_blob(gc.tables_bytes())
+                         + wire.pack_labels(gb_labels)
+                         + wire.pack_label_pairs(gc.output_check) + tail), dealt])
+        counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
+        evaluator_round(ch, circuit, LabelOT(cfg_for(HE_GC, ot_mode="dealer"),
+                                             random.Random(6)),
+                        counters, circuit.inputs_b, ev_bits, circuit.inputs_a)
+        return ch.sent
+
+    assert run(labels) == ["OUTPUT_LABELS"]
+    with pytest.raises(MalformedMessage):
+        run((labels + labels)[:count], tail)
 
 
 def test_base_ot_session_opens_once_per_run():
