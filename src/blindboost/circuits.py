@@ -5,24 +5,20 @@ Circuits carry two named input partitions: `inputs_a` (minuend bits) and
 partition is decided by the protocol layer, not here. Gates are XOR, AND and
 NOT; XOR and NOT are free under the garbling scheme, so the subtractor only
 materializes its borrow chain - one AND per bit position below the msb.
+
+A gate is a plain (kind, a, b, out) tuple, b = -1 for NOT: the garbler and
+the evaluator unpack it once per gate visit, and CPython unpacks an exact
+tuple on its fast path.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import WidthOutOfRange
 
 XOR = "XOR"
 AND = "AND"
 NOT = "NOT"
-
-
-class Gate(NamedTuple):
-    kind: str
-    a: int
-    b: int  # -1 for NOT
-    out: int
 
 
 @dataclass
@@ -37,12 +33,12 @@ class Circuit:
 
     def __post_init__(self):
         assigned = set(self.all_inputs())
-        for g in self.gates:
-            if g.a not in assigned or (g.kind != NOT and g.b not in assigned):
-                raise ValueError(f"gate {g} reads an unassigned wire")
-            if g.out in assigned:
-                raise ValueError(f"wire {g.out} assigned twice")
-            assigned.add(g.out)
+        for kind, a, b, out in self.gates:
+            if a not in assigned or (kind != NOT and b not in assigned):
+                raise ValueError(f"gate {(kind, a, b, out)} reads an unassigned wire")
+            if out in assigned:
+                raise ValueError(f"wire {out} assigned twice")
+            assigned.add(out)
         for o in self.outputs:
             if o not in assigned:
                 raise ValueError(f"output wire {o} never assigned")
@@ -53,7 +49,7 @@ class Circuit:
 
     @cached_property
     def and_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == AND)
+        return sum(1 for kind, _, _, _ in self.gates if kind == AND)
 
     def evaluate_plain(self, a_bits, b_bits, extra_a=(), extra_b=()):
         """Reference evaluation on plaintext bits."""
@@ -66,13 +62,13 @@ class Circuit:
             values[w] = bit & 1
         for w, bit in zip(self.extra_inputs_b, extra_b):
             values[w] = bit & 1
-        for g in self.gates:
-            if g.kind == XOR:
-                values[g.out] = values[g.a] ^ values[g.b]
-            elif g.kind == AND:
-                values[g.out] = values[g.a] & values[g.b]
+        for kind, a, b, out in self.gates:
+            if kind == XOR:
+                values[out] = values[a] ^ values[b]
+            elif kind == AND:
+                values[out] = values[a] & values[b]
             else:
-                values[g.out] = values[g.a] ^ 1
+                values[out] = values[a] ^ 1
         return [values[o] for o in self.outputs]
 
 
@@ -91,7 +87,7 @@ class _Builder:
 
     def emit(self, kind, a, b=-1):
         out = self.wire()
-        self.gates.append(Gate(kind, a, b, out))
+        self.gates.append((kind, a, b, out))
         return out
 
 

@@ -121,6 +121,10 @@ class TransportClosed(BlindBoostError):
     pass
 
 
+class TransportStalled(BlindBoostError):
+    """A peer declared a frame and stopped sending before its last byte."""
+
+
 class PhaseOrderViolation(BlindBoostError):
     pass
 

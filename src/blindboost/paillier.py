@@ -378,6 +378,66 @@ def encrypt_raw(pk: PublicKey, m: int) -> Ciphertext:
     return Ciphertext((1 + m * pk.n) % pk.n_sq, pk.fingerprint)
 
 
+# ---------------------------------------------------------------------------
+# slot packing: many small plaintexts in one, `width` bits apiece
+#
+# Values are taken in chunks of `slots`; within a chunk the first value lands
+# in the highest used slot, as Horner's rule acc * 2^width + x leaves it.
+
+
+def slot_count(pk: PublicKey, width: int) -> int:
+    """Slots of `width` bits per plaintext: (bits(N) - 1) // width, so a
+    packed plaintext stays below N."""
+    slots = (pk.key_bits - 1) // width
+    if slots < 1:
+        raise PlaintextOutOfRange(f"a {width}-bit slot does not fit under N")
+    return slots
+
+
+def pack_slots(values, width: int, slots: int) -> list:
+    """One plaintext per chunk of `slots` values, each value below 2^width."""
+    out = []
+    for i in range(0, len(values), slots):
+        acc = 0
+        for v in values[i:i + slots]:
+            acc = (acc << width) | v
+        out.append(acc)
+    return out
+
+
+def unpack_slots(packed, width: int, slots: int, count: int) -> list:
+    """Inverse of pack_slots for `count` values; MalformedMessage unless
+    there are ceil(count / slots) plaintexts with no bits above their last
+    used slot."""
+    if len(packed) != -(-count // slots):
+        raise MalformedMessage(f"{len(packed)} packed plaintexts for {count} values "
+                               f"in {slots} slots")
+    mask = (1 << width) - 1
+    out = []
+    for i, p in enumerate(packed):
+        used = min(slots, count - i * slots)
+        if p >> (width * used):
+            raise MalformedMessage(f"packed plaintext {i} has bits above its "
+                                   f"{used} slots")
+        out += [(p >> (width * s)) & mask for s in range(used - 1, -1, -1)]
+    return out
+
+
+def he_pack_slots(pk: PublicKey, cts, width: int, slots: int) -> list:
+    """E(pack_slots(x)) from the E(x_i), one Horner step
+    acc <- acc * 2^width + E(x_i) (he_scalar_mul, then he_add) per value
+    after the first of each chunk."""
+    shift = 1 << width
+    out = []
+    for i in range(0, len(cts), slots):
+        chunk = cts[i:i + slots]
+        acc = chunk[0]
+        for c in chunk[1:]:
+            acc = he_add(pk, he_scalar_mul(pk, acc, shift), c)
+        out.append(acc)
+    return out
+
+
 @dataclass
 class EncryptedMatrix:
     """Row-major ciphertexts of ring values lifted into Z_N."""

@@ -11,7 +11,8 @@ returns output labels, CSP decodes. The sign-check circuit computes
 SecSh+GC the evaluator does. These parties and confidential stump selection
 share one garbled-circuit round (`garbler_round` / `evaluator_round`), one
 label OT (`LabelOT`), one HE+GC reveal of E(c + m) (`add_masks`, then
-`recv_decrypt` at the key holder) and one source of seeded streams
+`recv_decrypt` or `decrypt_exact` at the key holder; stump selection packs
+its values into fewer ciphertexts first) and one source of seeded streams
 (`config.stream`).
 """
 
@@ -88,15 +89,21 @@ def add_masks(pk, cts, masks, rng, counters) -> list:
     return out
 
 
-def recv_decrypt(ch, phase, kp, count, counters) -> list:
-    """Receive a `phase` message of exactly `count` ciphertexts under `kp`
-    and decrypt them."""
-    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), phase), kp.public)
+def decrypt_exact(kp, cts, count, counters, phase) -> list:
+    """Decrypt the ciphertexts a `phase` message carries; MalformedMessage
+    unless there are exactly `count`."""
     if len(cts) != count:
         raise MalformedMessage(f"{phase} carries {len(cts)} ciphertexts, "
                                f"expected {count}")
     counters.decryptions += count
     return paillier.decrypt_many(kp, cts)
+
+
+def recv_decrypt(ch, phase, kp, count, counters) -> list:
+    """Receive a `phase` message of exactly `count` ciphertexts under `kp`
+    and decrypt them."""
+    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), phase), kp.public)
+    return decrypt_exact(kp, cts, count, counters, phase)
 
 
 class LabelOT:

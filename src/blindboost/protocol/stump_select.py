@@ -10,8 +10,15 @@ then iteratively picks argmin_r dot(I_r, delta) for tau rounds, learning only
 indices; Cloud resolves indices to stump parameters at the end.
 
 Labels travel as y in {0, 1}, encrypted separately from the features; Cloud
-re-masks them once with per-record bits m_i, so the circuit recovers
-y = (y + m mod 2) XOR m with two free XOR gates.
+re-masks them once with per-record masks m_i of sigma + 1 bits, so CSP's
+decryption y + m hides y, and the circuit recovers
+y = ((y + m) mod 2) XOR (m mod 2) with two free XOR gates.
+
+Every Paillier reveal is slot-packed (`paillier.pack_slots`): Cloud folds the
+encrypted values of a chunk of records into one ciphertext by Horner steps
+and adds one fresh encryption of the chunk's packed masks; CSP decrypts
+ceil(n / slots) ciphertexts and unpacks the per-record masked values. A slot
+holds a value plus its mask and one carry bit.
 """
 
 import math
@@ -30,7 +37,13 @@ from ..ot import dealer_choose  # noqa: F401
 from . import transport, wire
 from .config import ProtocolConfig, stream
 from .engine import run_pair
-from .parties import LabelOT, add_masks, evaluator_round, garbler_round, recv_decrypt
+from .parties import (
+    LabelOT,
+    add_masks,
+    decrypt_exact,
+    evaluator_round,
+    garbler_round,
+)
 from .transcript import (
     BASE_APPLY,
     DONE,
@@ -109,30 +122,67 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     return _csp_select(errors, delta, tau), errors, fp, catalog
 
 
+def _slot_width(value_bits: int, ring_bits: int) -> int:
+    """Slot width for a value below 2^value_bits plus a mask drawn by
+    shares.sample_masks(., ring_bits, .): the longer of the two, plus a carry."""
+    return max(value_bits, shares.mask_bits(ring_bits)) + 1
+
+
+def _he_pack(pk, cts, width, counters) -> list:
+    packed = paillier.he_pack_slots(pk, cts, width, paillier.slot_count(pk, width))
+    counters.he_scalar_muls += len(cts) - len(packed)
+    counters.he_adds += len(cts) - len(packed)
+    return packed
+
+
+def _mask_packed(pk, packed_cts, masks, width, rng, counters) -> list:
+    """Cloud's half of a packed reveal: each packed ciphertext plus a fresh
+    encryption of its chunk's packed masks."""
+    slots = paillier.slot_count(pk, width)
+    return add_masks(pk, packed_cts, paillier.pack_slots(masks, width, slots),
+                     rng, counters)
+
+
+def _unpack_masked(kp, cts, count, width, counters, phase) -> list:
+    """CSP's half of a packed reveal: the `count` masked values that the
+    `phase` message's ceil(count / slots) ciphertexts carry."""
+    slots = paillier.slot_count(kp.public, width)
+    packed = decrypt_exact(kp, cts, -(-count // slots), counters, phase)
+    return paillier.unpack_slots(packed, width, slots, count)
+
+
 def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
-    n = xq.shape[0]
+    n, k = xq.shape
     L = fp.ring_bits
     counters = ch._transcript.party("cloud")
     rng_mask = stream(cfg.seeds.cloud, b"mask")
     rng_enc = stream(cfg.seeds.cloud, b"encr")
     label_ot = LabelOT(cfg, stream(cfg.seeds.cloud, b"ot_r"))
-    # one-time label masking: E(y + m), m_i kept for the circuit input
-    m_bits = [rng_mask.getrandbits(1) for _ in range(n)]
-    masked_labels = add_masks(pk, ey, m_bits, rng_enc, counters)
+    # one-time label masking: E(y + m), m mod 2 kept for the circuit input
+    m = shares.sample_masks(n, 1, rng_mask)
+    label_width = _slot_width(1, 1)
+    masked_labels = _mask_packed(pk, _he_pack(pk, ey, label_width, counters), m,
+                                 label_width, rng_enc, counters)
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
+    m_bits = [v & 1 for v in m]
+    width = _slot_width(L + 1, L)  # x - v + q < 2q
+    slots = paillier.slot_count(pk, width)
+    columns = [_he_pack(pk, [row[j] for row in xq.rows], width, counters)
+               for j in range(k)]
     circuit = build_stump_error_batch(L, n)
     ev_wires = circuit.inputs_b + circuit.extra_inputs_b
     gb_wires = circuit.inputs_a + circuit.extra_inputs_a
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
         lam = shares.sample_masks(n, L, rng_mask)
-        neg_v = paillier.encrypt_raw(pk, (fp.q - vq) % fp.q)
-        diffs = [paillier.he_add(pk, row[j], neg_v) for row in xq.rows]
-        counters.he_adds += n
-        out = add_masks(pk, diffs, lam, rng_enc, counters)
+        shifts = paillier.pack_slots([(fp.q - vq) % fp.q] * n, width, slots)
+        diffs = [paillier.he_add(pk, c, paillier.encrypt_raw(pk, v))
+                 for c, v in zip(columns[j], shifts)]
+        counters.he_adds += len(diffs)
+        out = _mask_packed(pk, diffs, lam, width, rng_enc, counters)
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
-        # GC: evaluator holds the masks (lambda bits) and the label masks m
+        # GC: evaluator holds the masks (lambda bits) and the label masks' bits
         evaluator_round(ch, circuit, label_ot, counters,
                         ev_wires, record_bits(lam, L) + m_bits, gb_wires)
     ch.send(DONE, b"")
@@ -147,13 +197,11 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     payload = expect_phase(ch.recv(), SETUP)
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
-    masked = paillier.ciphertexts_from_bytes(payload[off:], kp.public)
-    if len(masked) != n:
-        raise MalformedMessage(f"SETUP declares {n} records and carries "
-                               f"{len(masked)} label ciphertexts")
-    label_share = [m & 1 for m in paillier.decrypt_many(kp, masked)]  # y xor m
     counters = ch._transcript.party("csp")
-    counters.decryptions += n
+    masked = _unpack_masked(kp, paillier.ciphertexts_from_bytes(payload[off:], kp.public),
+                            n, _slot_width(1, 1), counters, SETUP)
+    label_share = [v & 1 for v in masked]  # y xor (m mod 2)
+    width = _slot_width(L + 1, L)
     circuit = build_stump_error_batch(L, n)
     gb_wires = circuit.inputs_a + circuit.extra_inputs_a
     ev_wires = circuit.inputs_b + circuit.extra_inputs_b
@@ -166,7 +214,9 @@ def _csp_loop(ch, cfg, kp, n_catalog):
         wire.expect_end(payload, off)
         if index != expected:
             raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
-        dec = recv_decrypt(ch, RESULT_EVAL_MASK, kp, n, counters)
+        cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
+                                              kp.public)
+        dec = _unpack_masked(kp, cts, n, width, counters, RESULT_EVAL_MASK)
         err = np.asarray(garbler_round(ch, circuit, garble_rng, label_ot, counters,
                                        gb_wires, record_bits(dec, L) + label_share,
                                        ev_wires),

@@ -9,8 +9,9 @@ import queue
 import socket
 import struct
 import threading
+import time
 
-from ..errors import MalformedMessage, PhaseOrderViolation, TransportClosed
+from ..errors import MalformedMessage, PhaseOrderViolation, TransportClosed, TransportStalled
 from .transcript import BYTE_PHASE, PHASE_BYTE, Transcript
 
 _CLOSED = object()
@@ -19,6 +20,9 @@ _CLOSED = object()
 # refused before any payload byte is read, so the reader neither waits for
 # nor buffers that many bytes.
 MAX_FRAME = 1 << 26
+# Longest a reader waits for a frame's payload once its header has arrived;
+# a peer that stops sending mid-frame raises TransportStalled.
+FRAME_READ_TIMEOUT_S = 60.0
 
 
 class _QueueEndpoint:
@@ -76,14 +80,31 @@ class _SocketEndpoint:
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
 
-    def _read_exact(self, count: int) -> bytes:
-        chunks = []
-        while count:
-            chunk = self._sock.recv(count)
-            if not chunk:
-                raise TransportClosed("socket closed mid-message")
-            chunks.append(chunk)
-            count -= len(chunk)
+    def _read_exact(self, count: int, timeout: float | None = None) -> bytes:
+        """`count` bytes; with a `timeout`, all of them within that many
+        seconds or TransportStalled."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        chunks, left = [], count
+        saved = self._sock.gettimeout()
+        try:
+            while left:
+                if deadline is not None:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0:
+                        raise TimeoutError
+                    self._sock.settimeout(wait)
+                chunk = self._sock.recv(left)
+                if not chunk:
+                    raise TransportClosed("socket closed mid-message")
+                chunks.append(chunk)
+                left -= len(chunk)
+        except TimeoutError:
+            if deadline is None:
+                raise
+            raise TransportStalled(f"peer sent {count - left} of {count} bytes "
+                                   f"in {timeout} s") from None
+        finally:
+            self._sock.settimeout(saved)
         return b"".join(chunks)
 
     def recv(self):
@@ -95,7 +116,7 @@ class _SocketEndpoint:
         if length > MAX_FRAME:
             raise MalformedMessage(f"frame declares {length} bytes, over the "
                                    f"{MAX_FRAME}-byte cap")
-        payload = self._read_exact(length) if length else b""
+        payload = self._read_exact(length, FRAME_READ_TIMEOUT_S)
         return phase, payload
 
     def close(self):

@@ -45,9 +45,14 @@ def reconstruct(s: SharePair) -> np.ndarray:
     return (s.part0 + s.part1) & np.uint64((1 << s.ring_bits) - 1)
 
 
+def mask_bits(ring_bits: int) -> int:
+    """Bit length of the masks sample_masks draws for ring width L: L + sigma."""
+    return ring_bits + MASK_SECURITY_BITS
+
+
 def sample_masks(count: int, ring_bits: int, rng: random.Random) -> list:
     """Fresh uniform masks over [0, 2^(L+sigma)); never reused across calls."""
-    bits = ring_bits + MASK_SECURITY_BITS
+    bits = mask_bits(ring_bits)
     return [rng.getrandbits(bits) for _ in range(count)]
 
 

@@ -8,7 +8,6 @@ from blindboost import garbling
 from blindboost.circuits import (
     AND,
     Circuit,
-    Gate,
     build_stump_error_batch,
     build_sub_msb,
     build_sub_msb_batch,
@@ -39,12 +38,12 @@ def _run(gc, a_bits, b_bits, extra_a=(), extra_b=()):
 
 def single_and_circuit():
     return Circuit(n_wires=3, inputs_a=(0,), inputs_b=(1,),
-                   gates=(Gate(AND, 0, 1, 2),), outputs=(2,))
+                   gates=((AND, 0, 1, 2),), outputs=(2,))
 
 
 def single_xor_circuit():
     return Circuit(n_wires=3, inputs_a=(0,), inputs_b=(1,),
-                   gates=(Gate("XOR", 0, 1, 2),), outputs=(2,))
+                   gates=(("XOR", 0, 1, 2),), outputs=(2,))
 
 
 def test_and_gate_truth_table():
@@ -172,10 +171,9 @@ def test_tables_round_trip_bytes():
 
 def test_mixed_gate_circuit_exhaustive():
     # NOT, XOR and AND mixed; all 8 assignments
-    from blindboost.circuits import Gate
     c = Circuit(n_wires=7, inputs_a=(0, 1), inputs_b=(2,),
-                gates=(Gate("NOT", 0, -1, 3), Gate("XOR", 3, 1, 4),
-                       Gate(AND, 4, 2, 5), Gate("NOT", 5, -1, 6)),
+                gates=(("NOT", 0, -1, 3), ("XOR", 3, 1, 4),
+                       (AND, 4, 2, 5), ("NOT", 5, -1, 6)),
                 outputs=(5, 6))
     gc = garble(c, random.Random(20))
     for a0, a1, b0 in itertools.product((0, 1), repeat=3):

@@ -26,7 +26,7 @@ BOOST_GOLDEN = {
     (SECSH_GC, "base"):
         "a336950fe80faa563076e37a2de325c312ec5c7d31abddc441c8687e516af88f",
 }
-STUMP_GOLDEN = "26d14197e153ee53797e1d5a7c4d2d4e7137fbdce746eb338568fa0231489273"
+STUMP_GOLDEN = "d63e4d89e55475201ec2e7bebcf5e53f7c6f1f01f443b25a6a350b83c186337d"
 
 
 @pytest.fixture

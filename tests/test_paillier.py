@@ -356,6 +356,59 @@ def test_he_matvec_dimension_mismatch(keypair_512):
         paillier.he_matvec(keypair_512.public, ez, [1])
 
 
+# ---------------------------------------------------------------------------
+# slot packing
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_slot_packing_at_the_slot_bound(keypair_512, extra):
+    # every slot holds 2^w - 1; n = slots fills one plaintext exactly, n =
+    # slots + 1 spills one value into a second
+    pk, width = keypair_512.public, 58
+    slots = paillier.slot_count(pk, width)
+    assert slots == 511 // width == 8
+    values = [(1 << width) - 1] * (slots + extra)
+    packed = paillier.pack_slots(values, width, slots)
+    assert len(packed) == 1 + extra
+    assert all(p < pk.n for p in packed)
+    assert packed[0] == (1 << width * slots) - 1
+    assert paillier.unpack_slots(packed, width, slots, len(values)) == values
+    # the Horner fold of the E(x_i) decrypts to the plaintext packing
+    cts = paillier.encrypt_many(pk, values, random.Random(30))
+    folded = paillier.he_pack_slots(pk, cts, width, slots)
+    assert paillier.decrypt_many(keypair_512, folded) == packed
+
+
+def test_slot_packing_keeps_order_and_zeros(keypair_512):
+    rng = random.Random(31)
+    width, slots = 42, paillier.slot_count(keypair_512.public, 42)
+    for count in (1, slots - 1, slots, 2 * slots + 3):
+        values = [rng.getrandbits(width) if i % 3 else 0 for i in range(count)]
+        packed = paillier.pack_slots(values, width, slots)
+        assert paillier.unpack_slots(packed, width, slots, count) == values
+
+
+def test_slot_count_keeps_a_packed_plaintext_below_n(keypair_512):
+    pk = keypair_512.public
+    for width in (1, 42, 57, 58, 255, 511):
+        assert paillier.slot_count(pk, width) * width < pk.key_bits
+    with pytest.raises(PlaintextOutOfRange):
+        paillier.slot_count(pk, 512)
+
+
+@pytest.mark.parametrize("packed, count", [
+    ([0], 9),                    # 9 values take 2 plaintexts of 8 slots
+    ([0, 0], 8),                 # 8 values take 1
+    ([], 1),
+    ([1 << 58 * 3], 3),          # a bit above the last used slot
+    ([0, 1 << 58], 9),           # the last plaintext uses 1 slot
+    ([1 << 58 * 8], 8),          # above a full plaintext's 8 slots
+], ids=["short", "over", "none", "high-bit", "high-bit-last", "high-bit-full"])
+def test_unpack_refuses_counts_and_bits_that_do_not_fit(packed, count):
+    with pytest.raises(MalformedMessage):
+        paillier.unpack_slots(packed, 58, 8, count)
+
+
 def test_ciphertext_byte_distribution(keypair_512):
     # smoke test: over 1000 encryptions of 0 and 1, no byte position is fixed
     rng = random.Random(21)

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from blindboost import paillier
+from blindboost import paillier, shares
 from blindboost.encoding import Dataset
 from blindboost.errors import BinCountInvalid, MalformedMessage, PhaseOrderViolation
 from blindboost.protocol import (
@@ -96,24 +96,66 @@ def test_gc_gate_counter_scales_with_grid():
     per_comparison = 10 * (L - 1)
     assert report["counters"]["csp"]["and_gates"] == s * 2 * per_comparison
     rounds = s * k
+    # packed reveals under a 512-bit N: a comparison's slot holds x - v + q
+    # plus an (L + sigma)-bit mask, 57 bits, 511 // 57 = 8 slots, so n = 10
+    # records take 2 ciphertexts; a label's slot holds y plus a
+    # (1 + sigma)-bit mask, 42 bits, 12 slots, 1 ciphertext
+    sigma = shares.MASK_SECURITY_BITS
+    assert (L + sigma + 1, 511 // (L + sigma + 1)) == (57, 8)
+    assert (sigma + 2, 511 // (sigma + 2)) == (42, 12)
+    chunks, label_chunks = 2, 1
     counters = report["counters"]
     assert counters["cloud"] == {
-        "encryptions": n + rounds * n,            # label masks, then lambda
+        "encryptions": label_chunks + rounds * chunks,   # one packed mask each
         "decryptions": 0,
-        "he_adds": n + 2 * rounds * n,
-        "he_scalar_muls": 0,
+        # Horner folds of the labels and of each column, once per run; then
+        # the packed masks, and per comparison the threshold shifts
+        "he_adds": (n - label_chunks) + label_chunks + k * (n - chunks)
+                   + rounds * 2 * chunks,
+        "he_scalar_muls": (n - label_chunks) + k * (n - chunks),
         "and_gates": rounds * per_comparison,
         "ot_transfers": rounds * (n * L + n),     # lambda bits and label masks
     }
+    assert counters["cloud"]["encryptions"] == 17
     assert counters["csp"] == {
         "encryptions": 0,
-        "decryptions": rounds * n + n,            # one label decryption each
+        "decryptions": rounds * chunks + label_chunks,
         "he_adds": 0,
         "he_scalar_muls": 0,
         "and_gates": rounds * per_comparison,
         "ot_transfers": rounds * (n * L + n),
     }
     assert counters["user"]["encryptions"] == n * k + n
+
+
+def test_csp_label_view_hides_labels(monkeypatch):
+    # CSP decrypts y + m for each record; with m drawn like every other mask,
+    # the values span more than sigma bits and only their parity, XOR the
+    # parity of m, is y
+    masks, revealed = [], []
+    sample, unpack = shares.sample_masks, paillier.unpack_slots
+
+    def spy_masks(count, ring_bits, rng):
+        out = sample(count, ring_bits, rng)
+        if ring_bits == 1:
+            masks.append(out)
+        return out
+
+    def spy_unpack(*args):
+        out = unpack(*args)
+        revealed.append(out)
+        return out
+
+    monkeypatch.setattr(shares, "sample_masks", spy_masks)
+    monkeypatch.setattr(paillier, "unpack_slots", spy_unpack)
+    ds = toy_dataset(n=24, k=3, seed=8)
+    confidential_ds_select(cfg(seed=17), ds, s=2, tau=1)
+    y01 = (ds.y == 1).astype(int)
+    assert len(masks) == 1
+    labels = revealed[0]  # SETUP's reveal comes first
+    assert max(v.bit_length() for v in labels) > shares.MASK_SECURITY_BITS
+    assert [(v & 1) ^ (m & 1) for v, m in zip(labels, masks[0])] == y01.tolist()
+    assert labels == [int(y) + m for y, m in zip(y01, masks[0])]
 
 
 def test_base_ot_mode_matches_dealer():
@@ -124,35 +166,51 @@ def test_base_ot_mode_matches_dealer():
     assert r1.selected_indices == r2.selected_indices
 
 
-def _setup_payload(kp, declared_n):
-    """A SETUP declaring `declared_n` records that carries two label ciphertexts."""
-    cts = paillier.encrypt_many(kp.public, [0, 1], random.Random(8))
+# slot widths of the hostile SETUP below (L = 17): labels, then comparisons
+_LABEL_WIDTH = shares.MASK_SECURITY_BITS + 2
+_WIDTH = 17 + shares.MASK_SECURITY_BITS + 1
+
+
+def _setup_payload(kp, declared_n, labels):
+    """A SETUP declaring `declared_n` records, L = 17, that carries one
+    ciphertext for each plaintext in `labels`."""
+    cts = paillier.encrypt_many(kp.public, labels, random.Random(8))
     return (wire.pack_u32(declared_n) + wire.pack_u32(17)
             + paillier.ciphertexts_to_bytes(cts))
 
 
-@pytest.mark.parametrize("declared_n, messages, error", [
-    # a SETUP whose record count does not match its label ciphertexts
-    (5, [], MalformedMessage),
+@pytest.mark.parametrize("declared_n, labels, messages, error", [
+    # a SETUP whose record count does not match its packed label ciphertexts:
+    # 30 records take 3 of 12 slots each
+    (30, [0], [], MalformedMessage),
+    # a packed label plaintext with bits above its 2 used slots
+    (2, [1 << 2 * _LABEL_WIDTH], [], MalformedMessage),
     # a comparison index past the catalog's 4 base comparisons
-    (2, [("BASE_APPLY", wire.pack_u32(99))], MalformedMessage),
+    (2, [0], [("BASE_APPLY", wire.pack_u32(99))], MalformedMessage),
     # comparisons out of catalog order
-    (2, [("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
+    (2, [0], [("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
     # DONE before the last comparison
-    (2, [("DONE", b"")], PhaseOrderViolation),
-    # a comparison's masked differences one ciphertext short or over (an int
-    # payload stands for that many valid ciphertexts)
-    (2, [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", 1)], MalformedMessage),
-    (2, [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", 3)], MalformedMessage),
-], ids=["setup-count", "index-out-of-range", "index-out-of-order", "early-done",
-        "missing-ciphertext", "extra-ciphertext"])
-def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, messages, error):
+    (2, [0], [("DONE", b"")], PhaseOrderViolation),
+    # a comparison's packed masked differences one ciphertext short of or
+    # over the one that 2 records take (a list payload stands for one
+    # ciphertext of each plaintext in it)
+    (2, [0], [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [])],
+     MalformedMessage),
+    (2, [0], [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [0, 0])],
+     MalformedMessage),
+    # a packed comparison plaintext with bits above its 2 used slots
+    (2, [0], [("BASE_APPLY", wire.pack_u32(0)),
+              ("RESULT_EVAL_MASK", [1 << 2 * _WIDTH])], MalformedMessage),
+], ids=["setup-count", "setup-high-bits", "index-out-of-range", "index-out-of-order",
+        "early-done", "missing-ciphertext", "extra-ciphertext", "high-bits"])
+def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, labels, messages,
+                                        error):
     ch_cloud, ch_csp, _ = transport.memory_pair()
-    ch_cloud.send("SETUP", _setup_payload(keypair_512, declared_n))
+    ch_cloud.send("SETUP", _setup_payload(keypair_512, declared_n, labels))
     for phase, payload in messages:
-        if isinstance(payload, int):
+        if isinstance(payload, list):
             payload = paillier.ciphertexts_to_bytes(paillier.encrypt_many(
-                keypair_512.public, [0] * payload, random.Random(9)))
+                keypair_512.public, payload, random.Random(9)))
         ch_cloud.send(phase, payload)
     ch_cloud.close()  # any further recv raises TransportClosed
     with pytest.raises(error):

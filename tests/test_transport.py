@@ -1,9 +1,16 @@
 import struct
 import threading
+import time
 
 import pytest
 
-from blindboost.errors import MalformedMessage, PhaseOrderViolation, TransportClosed
+from blindboost.errors import (
+    MalformedMessage,
+    PhaseOrderViolation,
+    TransportClosed,
+    TransportStalled,
+)
+from blindboost.protocol import transport
 from blindboost.protocol.transcript import PHASE_BYTE, Transcript
 from blindboost.protocol.transport import MAX_FRAME, memory_pair, socket_pair
 
@@ -52,6 +59,34 @@ def test_socket_oversized_frame_is_refused_unread(length):
         a._sock.sendall(struct.pack(">BI", PHASE_BYTE["GC_TABLES"], length))
         with pytest.raises(MalformedMessage):
             b.recv()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_socket_stalled_frame_raises_typed_error(monkeypatch):
+    # a peer declares 100 bytes, sends 10 and stops: the reader gives up
+    # after FRAME_READ_TIMEOUT_S instead of waiting forever
+    monkeypatch.setattr(transport, "FRAME_READ_TIMEOUT_S", 0.2)
+    a, b, _ = socket_pair()
+    outcome = []
+
+    def reader():
+        start = time.monotonic()
+        try:
+            b.recv()
+        except Exception as exc:
+            outcome.append(exc)
+        outcome.append(time.monotonic() - start)
+
+    worker = threading.Thread(target=reader, daemon=True)
+    try:
+        a._sock.sendall(struct.pack(">BI", PHASE_BYTE["GC_TABLES"], 100) + bytes(10))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "the reader still waits on the stalled frame"
+        assert isinstance(outcome[0], TransportStalled)
+        assert outcome[1] < 5
     finally:
         a.close()
         b.close()
