@@ -28,8 +28,6 @@ class Circuit:
     inputs_b: tuple
     gates: tuple
     outputs: tuple
-    extra_inputs_a: tuple = ()  # additional garbler/evaluator single bits
-    extra_inputs_b: tuple = ()
 
     def __post_init__(self):
         assigned = set(self.all_inputs())
@@ -44,23 +42,18 @@ class Circuit:
                 raise ValueError(f"output wire {o} never assigned")
 
     def all_inputs(self):
-        return tuple(self.inputs_a) + tuple(self.inputs_b) \
-            + tuple(self.extra_inputs_a) + tuple(self.extra_inputs_b)
+        return tuple(self.inputs_a) + tuple(self.inputs_b)
 
     @cached_property
     def and_count(self) -> int:
         return sum(1 for kind, _, _, _ in self.gates if kind == AND)
 
-    def evaluate_plain(self, a_bits, b_bits, extra_a=(), extra_b=()):
+    def evaluate_plain(self, a_bits, b_bits):
         """Reference evaluation on plaintext bits."""
         values = {}
         for w, bit in zip(self.inputs_a, a_bits):
             values[w] = bit & 1
         for w, bit in zip(self.inputs_b, b_bits):
-            values[w] = bit & 1
-        for w, bit in zip(self.extra_inputs_a, extra_a):
-            values[w] = bit & 1
-        for w, bit in zip(self.extra_inputs_b, extra_b):
             values[w] = bit & 1
         for kind, a, b, out in self.gates:
             if kind == XOR:
@@ -112,21 +105,10 @@ def _sub_msb_gates(bld: _Builder, a, b):
     return msb
 
 
-def build_sub_msb(width: int) -> Circuit:
-    """Circuit computing msb((a - b) mod 2^width); width-1 AND gates."""
-    if not 2 <= width <= 128:
-        raise WidthOutOfRange(f"width must be in [2, 128], got {width}")
-    bld = _Builder()
-    a = bld.wires(width)
-    b = bld.wires(width)
-    out = _sub_msb_gates(bld, a, b)
-    return Circuit(n_wires=bld.next_wire, inputs_a=a, inputs_b=b,
-                   gates=tuple(bld.gates), outputs=(out,))
-
-
 def build_sub_msb_batch(width: int, count: int) -> Circuit:
-    """`count` independent sub-msb instances in one circuit; output i belongs
-    to record i. Input partitions are instance-major, LSB first."""
+    """`count` independent instances of msb((a - b) mod 2^width), width - 1
+    AND gates each, in one circuit; output i belongs to record i. Input
+    partitions are instance-major, LSB first."""
     if not 2 <= width <= 128:
         raise WidthOutOfRange(f"width must be in [2, 128], got {width}")
     if count < 1:
@@ -143,32 +125,6 @@ def build_sub_msb_batch(width: int, count: int) -> Circuit:
                    gates=tuple(bld.gates), outputs=tuple(outs))
 
 
-def build_stump_error_batch(width: int, count: int) -> Circuit:
-    """Per record: msb((a - b) mod 2^width) XOR ya XOR yb.
-
-    `a` carries the masked feature-minus-threshold value, `b` the mask; `ya`
-    (garbler) and `yb` (evaluator) are the two shares of the label bit, so
-    the output is the prediction-error bit of the stump "x < v -> class 1".
-    """
-    if not 2 <= width <= 128:
-        raise WidthOutOfRange(f"width must be in [2, 128], got {width}")
-    bld = _Builder()
-    a = bld.wires(width * count)
-    b = bld.wires(width * count)
-    ya = bld.wires(count)
-    yb = bld.wires(count)
-    outs = []
-    for i in range(count):
-        ai = a[i * width:(i + 1) * width]
-        bi = b[i * width:(i + 1) * width]
-        msb = _sub_msb_gates(bld, ai, bi)
-        t = bld.emit(XOR, msb, ya[i])
-        outs.append(bld.emit(XOR, t, yb[i]))
-    return Circuit(n_wires=bld.next_wire, inputs_a=a, inputs_b=b,
-                   gates=tuple(bld.gates), outputs=tuple(outs),
-                   extra_inputs_a=ya, extra_inputs_b=yb)
-
-
 def int_to_bits(value: int, width: int):
     """LSB-first bit list of value mod 2^width."""
     value = int(value) & ((1 << width) - 1)
@@ -177,5 +133,5 @@ def int_to_bits(value: int, width: int):
 
 def record_bits(values, width: int) -> list:
     """int_to_bits of each value, concatenated: the instance-major input
-    order of the batch circuits."""
+    order of the batch circuit."""
     return [(v >> i) & 1 for v in map(int, values) for i in range(width)]

@@ -122,7 +122,7 @@ class TransportClosed(BlindBoostError):
 
 
 class TransportStalled(BlindBoostError):
-    """A peer declared a frame and stopped sending before its last byte."""
+    """A peer began a frame and stopped sending before its last byte."""
 
 
 class PhaseOrderViolation(BlindBoostError):

@@ -64,26 +64,20 @@ def _read_config_file(path):
     return out
 
 
-def _apply_config_defaults(args, parser):
-    if not getattr(args, "config", None):
-        return args
-    sub = parser._command_parsers[args.command]
-    file_values = _read_config_file(args.config)
-    for key, value in file_values.items():
-        if not hasattr(args, key):
+def _set_config_defaults(sub, path):
+    """Make the config file's values the defaults of subcommand parser `sub`,
+    so that any flag given on the command line wins over the file."""
+    actions = {a.dest: a for a in sub._actions}
+    defaults = {}
+    for key, value in _read_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
             raise errors.ConfigInvalid(f"unknown config key {key!r}")
-        # flags win: only fill values the command line left at default
-        default = sub.get_default(key)
-        if default == getattr(args, key):
-            if isinstance(default, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(default, int):
-                setattr(args, key, int(value))
-            elif isinstance(default, float):
-                setattr(args, key, float(value))
-            else:
-                setattr(args, key, value)
-    return args
+        if isinstance(action.default, bool):
+            defaults[key] = value.lower() in ("1", "true", "yes")
+        else:
+            defaults[key] = action.type(value) if action.type else value
+    sub.set_defaults(**defaults)
 
 
 def _load_dataset(args) -> Dataset:
@@ -348,7 +342,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_defaults(args, parser)
+        if getattr(args, "config", None):
+            _set_config_defaults(parser._command_parsers[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except CheckFailure as exc:
         print(f"acceptance check failed: {exc}", file=sys.stderr)

@@ -9,10 +9,14 @@ the bitwise complement, computed locally. CSP
 then iteratively picks argmin_r dot(I_r, delta) for tau rounds, learning only
 indices; Cloud resolves indices to stump parameters at the end.
 
-Labels travel as y in {0, 1}, encrypted separately from the features; Cloud
-re-masks them once with per-record masks m_i of sigma + 1 bits, so CSP's
-decryption y + m hides y, and the circuit recovers
-y = ((y + m) mod 2) XOR (m mod 2) with two free XOR gates.
+Each round runs the boosting protocols' sign circuit (`build_sub_msb_batch`)
+on the masked difference x - v and its mask. Labels travel as y in {0, 1},
+encrypted separately from the features; Cloud re-masks them once with
+per-record masks m_i of sigma + 1 bits, so CSP's decryption y + m hides y,
+and y = ((y + m) mod 2) XOR (m mod 2). The two label shares never enter the
+circuit as wires: Cloud XORs m_i mod 2 into the top bit of its mask input,
+which flips the msb the circuit outputs, and CSP XORs (y_i + m_i) mod 2 into
+the bits it decodes.
 
 Every Paillier reveal is slot-packed (`paillier.pack_slots`): Cloud folds the
 encrypted values of a chunk of records into one ciphertext by Horner steps
@@ -28,10 +32,12 @@ import numpy as np
 
 from .. import paillier, shares
 from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, update_weights
-from ..circuits import build_stump_error_batch, record_bits
+from ..circuits import record_bits
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
 from ..errors import BinCountInvalid, MalformedMessage
 # the GC round runs in .parties; perfbench/tracing.py wraps these names here too
+# (build_stump_error_batch only as an alias of the circuit .parties builds)
+from ..circuits import build_sub_msb_batch as build_stump_error_batch  # noqa: F401
 from ..garbling import decode_output, evaluate, garble, tables_from_bytes  # noqa: F401
 from ..ot import dealer_choose  # noqa: F401
 from . import transport, wire
@@ -39,6 +45,7 @@ from .config import ProtocolConfig, stream
 from .engine import run_pair
 from .parties import (
     LabelOT,
+    _batch_circuit,
     add_masks,
     decrypt_exact,
     evaluator_round,
@@ -158,21 +165,19 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
     rng_mask = stream(cfg.seeds.cloud, b"mask")
     rng_enc = stream(cfg.seeds.cloud, b"encr")
     label_ot = LabelOT(cfg, stream(cfg.seeds.cloud, b"ot_r"))
-    # one-time label masking: E(y + m), m mod 2 kept for the circuit input
+    circuit = _batch_circuit(L, n)  # before SETUP: CSP then finds it cached
+    # one-time label masking: E(y + m); m mod 2 rides in the top mask bit
     m = shares.sample_masks(n, 1, rng_mask)
     label_width = _slot_width(1, 1)
     masked_labels = _mask_packed(pk, _he_pack(pk, ey, label_width, counters), m,
                                  label_width, rng_enc, counters)
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
-    m_bits = [v & 1 for v in m]
+    top = [(v & 1) << (L - 1) for v in m]
     width = _slot_width(L + 1, L)  # x - v + q < 2q
     slots = paillier.slot_count(pk, width)
     columns = [_he_pack(pk, [row[j] for row in xq.rows], width, counters)
                for j in range(k)]
-    circuit = build_stump_error_batch(L, n)
-    ev_wires = circuit.inputs_b + circuit.extra_inputs_b
-    gb_wires = circuit.inputs_a + circuit.extra_inputs_a
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
         lam = shares.sample_masks(n, L, rng_mask)
@@ -182,9 +187,11 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
         counters.he_adds += len(diffs)
         out = _mask_packed(pk, diffs, lam, width, rng_enc, counters)
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
-        # GC: evaluator holds the masks (lambda bits) and the label masks' bits
-        evaluator_round(ch, circuit, label_ot, counters,
-                        ev_wires, record_bits(lam, L) + m_bits, gb_wires)
+        # GC: Cloud evaluates on lambda with its label-mask bit in bit L - 1,
+        # so the output is msb(x - v) XOR (m mod 2)
+        evaluator_round(ch, circuit, label_ot, counters, circuit.inputs_b,
+                        record_bits([v ^ t for v, t in zip(lam, top)], L),
+                        circuit.inputs_a)
     ch.send(DONE, b"")
 
 
@@ -200,11 +207,9 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     counters = ch._transcript.party("csp")
     masked = _unpack_masked(kp, paillier.ciphertexts_from_bytes(payload[off:], kp.public),
                             n, _slot_width(1, 1), counters, SETUP)
-    label_share = [v & 1 for v in masked]  # y xor (m mod 2)
+    label_share = np.array([v & 1 for v in masked], dtype=np.uint8)  # y xor (m mod 2)
     width = _slot_width(L + 1, L)
-    circuit = build_stump_error_batch(L, n)
-    gb_wires = circuit.inputs_a + circuit.extra_inputs_a
-    ev_wires = circuit.inputs_b + circuit.extra_inputs_b
+    circuit = _batch_circuit(L, n)
     garble_rng = stream(cfg.seeds.csp, b"garb")
     label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
@@ -217,10 +222,10 @@ def _csp_loop(ch, cfg, kp, n_catalog):
         cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
                                               kp.public)
         dec = _unpack_masked(kp, cts, n, width, counters, RESULT_EVAL_MASK)
-        err = np.asarray(garbler_round(ch, circuit, garble_rng, label_ot, counters,
-                                       gb_wires, record_bits(dec, L) + label_share,
-                                       ev_wires),
-                         dtype=np.uint8)
+        err = label_share ^ np.asarray(
+            garbler_round(ch, circuit, garble_rng, label_ot, counters,
+                          circuit.inputs_a, record_bits(dec, L), circuit.inputs_b),
+            dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
     wire.expect_end(expect_phase(ch.recv(), DONE), 0)

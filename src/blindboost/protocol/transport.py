@@ -20,8 +20,10 @@ _CLOSED = object()
 # refused before any payload byte is read, so the reader neither waits for
 # nor buffers that many bytes.
 MAX_FRAME = 1 << 26
-# Longest a reader waits for a frame's payload once its header has arrived;
-# a peer that stops sending mid-frame raises TransportStalled.
+# Longest a reader waits for the rest of a frame (its length and payload)
+# once the phase byte has arrived; a peer that stops sending mid-frame raises
+# TransportStalled. The wait for a frame's first byte is unbounded: a party
+# may compute for long between messages.
 FRAME_READ_TIMEOUT_S = 60.0
 
 
@@ -80,10 +82,9 @@ class _SocketEndpoint:
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
 
-    def _read_exact(self, count: int, timeout: float | None = None) -> bytes:
-        """`count` bytes; with a `timeout`, all of them within that many
-        seconds or TransportStalled."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def _read_exact(self, count: int, deadline: float | None = None) -> bytes:
+        """`count` bytes; with a `deadline` on the time.monotonic() clock,
+        all of them by then or TransportStalled."""
         chunks, left = [], count
         saved = self._sock.gettimeout()
         try:
@@ -101,23 +102,24 @@ class _SocketEndpoint:
         except TimeoutError:
             if deadline is None:
                 raise
-            raise TransportStalled(f"peer sent {count - left} of {count} bytes "
-                                   f"in {timeout} s") from None
+            raise TransportStalled(f"peer sent {count - left} of {count} bytes and "
+                                   f"stopped; a frame must arrive within "
+                                   f"{FRAME_READ_TIMEOUT_S} s of its first byte") from None
         finally:
             self._sock.settimeout(saved)
         return b"".join(chunks)
 
     def recv(self):
-        header = self._read_exact(5)
-        phase_byte, length = struct.unpack(">BI", header)
+        phase_byte = self._read_exact(1)[0]
+        deadline = time.monotonic() + FRAME_READ_TIMEOUT_S
         phase = BYTE_PHASE.get(phase_byte)
         if phase is None:
             raise PhaseOrderViolation(f"unknown phase byte {phase_byte:#04x}")
+        (length,) = struct.unpack(">I", self._read_exact(4, deadline))
         if length > MAX_FRAME:
             raise MalformedMessage(f"frame declares {length} bytes, over the "
                                    f"{MAX_FRAME}-byte cap")
-        payload = self._read_exact(length, FRAME_READ_TIMEOUT_S)
-        return phase, payload
+        return phase, self._read_exact(length, deadline)
 
     def close(self):
         try:

@@ -23,7 +23,7 @@ from blindboost.boosting import (
     gen_rlc,
     weighted_error,
 )
-from blindboost.circuits import build_sub_msb, int_to_bits
+from blindboost.circuits import build_sub_msb_batch, int_to_bits
 from blindboost.encoding import (
     Dataset,
     FixedPointParams,
@@ -270,7 +270,7 @@ def test_criterion_06_gc_correctness():
     mismatches = 0
     total = 0
     for width in range(2, 9):
-        gc = garble(build_sub_msb(width), random.Random(width))
+        gc = garble(build_sub_msb_batch(width, 1), random.Random(width))
         for a in range(1 << width):
             for b in range(1 << width):
                 expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
@@ -278,7 +278,7 @@ def test_criterion_06_gc_correctness():
                 total += 1
     rng = random.Random(66)
     for width in (16, 25, 32):
-        gc = garble(build_sub_msb(width), random.Random(width))
+        gc = garble(build_sub_msb_batch(width, 1), random.Random(width))
         for _ in range(10_000):
             a = rng.getrandbits(width)
             b = rng.getrandbits(width)

@@ -58,6 +58,9 @@ def test_config_file_defaults_flags_win(tmp_path):
     header = out.read_text().splitlines()[0]
     assert header.count("x") == 6  # flag beat the config file
     assert len(out.read_text().splitlines()) == 121
+    rc = main(["synth", "--config", str(cfg), "--out", str(out), "--k", "10"])
+    assert rc == EXIT_OK
+    assert out.read_text().splitlines()[0].count("x") == 10  # the default wins too
 
 
 def test_config_error_exit_code(tmp_path):

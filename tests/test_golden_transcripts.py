@@ -26,7 +26,12 @@ BOOST_GOLDEN = {
     (SECSH_GC, "base"):
         "a336950fe80faa563076e37a2de325c312ec5c7d31abddc441c8687e516af88f",
 }
-STUMP_GOLDEN = "d63e4d89e55475201ec2e7bebcf5e53f7c6f1f01f443b25a6a350b83c186337d"
+STUMP_GOLDEN = "685e2e2b1aca9c425a8094af2cfc96dae1d39da2bed7620012265dc918593b67"
+# The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
+# its indices and its alphas, recorded when stump selection still ran its
+# own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.
+STUMP_MODEL = ("a3ef78babb20fea2391d6b3adc703a0663d30ab58daec7b36ea1aa734926998a",
+               [9, 7, 41], [1.5677471079645748, 0.9485599924429406, 0.66750053336617])
 
 
 @pytest.fixture
@@ -64,4 +69,9 @@ def test_boost_transcript_bytes(recording, construction, ot_mode):
 def test_stump_selection_transcript_bytes(recording):
     cfg = ProtocolConfig(construction=HE_GC, tau=3, p_max=3, ot_mode="dealer")
     res = confidential_ds_select(cfg, _dataset(24, 3, seed=72), s=8)
+    errors, indices, alphas = STUMP_MODEL
+    assert res.error_vectors.dtype == np.uint8 and res.error_vectors.shape == (48, 24)
+    assert hashlib.sha256(res.error_vectors.tobytes()).hexdigest() == errors
+    assert res.selected_indices == indices
+    assert res.alphas == pytest.approx(alphas, rel=1e-12, abs=0)
     assert transcript_digest(res.transcript) == STUMP_GOLDEN

@@ -114,7 +114,7 @@ def test_gc_gate_counter_scales_with_grid():
                    + rounds * 2 * chunks,
         "he_scalar_muls": (n - label_chunks) + k * (n - chunks),
         "and_gates": rounds * per_comparison,
-        "ot_transfers": rounds * (n * L + n),     # lambda bits and label masks
+        "ot_transfers": rounds * n * L,           # lambda bits
     }
     assert counters["cloud"]["encryptions"] == 17
     assert counters["csp"] == {
@@ -123,7 +123,7 @@ def test_gc_gate_counter_scales_with_grid():
         "he_adds": 0,
         "he_scalar_muls": 0,
         "and_gates": rounds * per_comparison,
-        "ot_transfers": rounds * (n * L + n),
+        "ot_transfers": rounds * n * L,
     }
     assert counters["user"]["encryptions"] == n * k + n
 

@@ -38,8 +38,11 @@ def test_round_trip_and_framing(factory):
 def test_socket_close_raises():
     a, b, _ = socket_pair()
     a.close()
-    with pytest.raises(TransportClosed):
-        b.recv()
+    try:
+        with pytest.raises(TransportClosed):
+            b.recv()
+    finally:
+        b.close()
 
 
 def test_socket_unknown_phase_byte_raises():
@@ -64,9 +67,9 @@ def test_socket_oversized_frame_is_refused_unread(length):
         b.close()
 
 
-def test_socket_stalled_frame_raises_typed_error(monkeypatch):
-    # a peer declares 100 bytes, sends 10 and stops: the reader gives up
-    # after FRAME_READ_TIMEOUT_S instead of waiting forever
+def _assert_reader_stalls(monkeypatch, sent):
+    """A peer that sends `sent` and stops makes recv() raise TransportStalled
+    within seconds."""
     monkeypatch.setattr(transport, "FRAME_READ_TIMEOUT_S", 0.2)
     a, b, _ = socket_pair()
     outcome = []
@@ -81,7 +84,7 @@ def test_socket_stalled_frame_raises_typed_error(monkeypatch):
 
     worker = threading.Thread(target=reader, daemon=True)
     try:
-        a._sock.sendall(struct.pack(">BI", PHASE_BYTE["GC_TABLES"], 100) + bytes(10))
+        a._sock.sendall(sent)
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive(), "the reader still waits on the stalled frame"
@@ -90,6 +93,19 @@ def test_socket_stalled_frame_raises_typed_error(monkeypatch):
     finally:
         a.close()
         b.close()
+
+
+def test_socket_stalled_frame_raises_typed_error(monkeypatch):
+    # a peer declares 100 bytes, sends 10 and stops: the reader gives up
+    # after FRAME_READ_TIMEOUT_S instead of waiting forever
+    _assert_reader_stalls(
+        monkeypatch, struct.pack(">BI", PHASE_BYTE["GC_TABLES"], 100) + bytes(10))
+
+
+def test_socket_stalled_header_raises_typed_error(monkeypatch):
+    # a phase byte starts the clock: a peer that sends two of a header's
+    # five bytes and stops stalls the reader no longer than a payload would
+    _assert_reader_stalls(monkeypatch, b"\x01\x00")
 
 
 def test_memory_close_raises():
