@@ -30,6 +30,7 @@ from ..protocol import (
     run_learning,
     transcript_report,
 )
+from ..protocol.config import stream
 from ..protocol.stump_select import confidential_ds_select
 from .datasets import gen_synthetic, load_csv
 from .experiments import ExperimentSpec, make_trainer, run_experiment
@@ -114,11 +115,9 @@ def _write(out_dir, name, payload):
 
 
 def cmd_keygen(args):
-    import random
-
     from .. import paillier
 
-    kp = paillier.keygen(args.bits, random.Random(args.seed))
+    kp = paillier.keygen(args.bits, stream(args.seed, b"keyg"))
     payload = {"key_bits": args.bits, "n": kp.public.n, "g": kp.public.g,
                "h_n": kp.public.h_n, "lambda": kp.secret.lam, "mu": kp.secret.mu,
                "p": kp.secret.p, "q": kp.secret.q}

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from blindboost import errors
+from blindboost.encoding import FoldedMatrix
 from blindboost.harness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
+from blindboost.protocol import HE_GC, ProtocolConfig
+from blindboost.protocol.engine import setup
 
 
 def test_keygen(tmp_path):
@@ -13,6 +17,14 @@ def test_keygen(tmp_path):
     payload = json.loads((tmp_path / "keypair.json").read_text())
     assert payload["n"].bit_length() == 512
     assert pow(payload["h_n"], payload["lambda"], payload["n"] ** 2) == 1
+
+
+def test_keygen_uses_the_protocols_key_stream(tmp_path):
+    # --seed 2 is CSP's default seed: the key HE+GC's set-up gives CSP
+    assert main(["keygen", "--seed", "2", "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads((tmp_path / "keypair.json").read_text())
+    _, csp = setup(ProtocolConfig(HE_GC, tau=1, p_max=1), FoldedMatrix(np.ones((2, 2))))
+    assert payload["n"] == csp.keypair.public.n
 
 
 def test_synth_then_train_plain(tmp_path, capsys):

@@ -18,15 +18,15 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer"):
-        "b899c0b98798dd8b0f484b07527a12e2779ec870140ccfbfc9c44a8ce26fe7a3",
+        "dece1d3e91bc64c0e26a743a7dda4033b36396daf714f487d44a149d62ec2fc9",
     (HE_GC, "base"):
-        "8dce00178e41549f7cdc2277d26189a31d228835facd829cd469aa30569bcf9d",
+        "4dec306723d2ef293f4026520861ac49772b49df74ec819390cda2f48075cda8",
     (SECSH_GC, "dealer"):
-        "dc67e388bf62611cfbea027826f13b76fc2f8346fbaeadfc57b8a79c6999c047",
+        "5d987b36dd469a344cde8993198b1bbfb6d1f1429368003c705801647ec2cbe0",
     (SECSH_GC, "base"):
-        "a336950fe80faa563076e37a2de325c312ec5c7d31abddc441c8687e516af88f",
+        "39d486411fcdab84f8705f72dc979d148fd920fb91dcd94c38335b1459d07b8f",
 }
-STUMP_GOLDEN = "685e2e2b1aca9c425a8094af2cfc96dae1d39da2bed7620012265dc918593b67"
+STUMP_GOLDEN = "6e0dbc5594710167b2e92b133ade14b11f9be9b7b1fd0166931d4cf9698396da"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

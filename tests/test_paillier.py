@@ -16,6 +16,7 @@ from blindboost.errors import (
     MalformedMessage,
     PlaintextOutOfRange,
 )
+from blindboost.protocol.config import stream
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +164,67 @@ def test_key_constants_match_the_paillier_formulas(bits):
 
 
 def test_keygen_keeps_the_modulus_of_its_seed(keypair_512):
-    # x is drawn after p and q, so N is what the seed gave before DJN
+    # x is drawn after p and q, so N is the product of the seed's first two primes
     rng = random.Random(0xBB512)
     p = paillier._random_prime(256, rng)
     q = paillier._random_prime(256, rng)
     assert keypair_512.public.n == p * q
+
+
+# ---------------------------------------------------------------------------
+# primes
+
+
+_PRIMES_BELOW_2000 = [p for p in range(2, 2000)
+                      if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def test_every_prime_below_2000_is_accepted():
+    rng = random.Random(40)
+    assert len(_PRIMES_BELOW_2000) == 303
+    assert all(paillier._is_probable_prime(p, rng) for p in _PRIMES_BELOW_2000)
+    assert not any(paillier._is_probable_prime(n, rng) for n in (-7, 0, 1))
+
+
+def test_the_sieve_rejects_products_of_two_small_primes_without_powmod(monkeypatch):
+    calls = []
+    powmod = paillier.powmod
+    monkeypatch.setattr(paillier, "powmod",
+                        lambda b, e, m: calls.append(m) or powmod(b, e, m))
+    rng = random.Random(41)
+    state = rng.getstate()
+    for i, p in enumerate(_PRIMES_BELOW_2000):
+        for q in _PRIMES_BELOW_2000[i:]:
+            assert not paillier._is_probable_prime(p * q, rng), (p, q)
+    assert calls == []
+    assert rng.getstate() == state  # the sieve draws nothing
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_random_primes_have_exact_size_are_3_mod_4_and_pass_40_rounds(bits):
+    rng = random.Random(bits)
+    check = random.Random(bits + 1)
+    for _ in range(4 if bits == 256 else 2):
+        p = paillier._random_prime(bits, rng)
+        assert p.bit_length() == bits
+        assert p % 4 == 3
+        assert paillier._is_probable_prime(p, check, rounds=40)
+
+
+# The three seeded keys of the benchmark's workloads: a change to how
+# keygen draws from its rng moves these before any transcript digest.
+SEEDED_KEY_FINGERPRINTS = {
+    (512, 1): "2691d3d4e128c374",
+    (512, 2): "49bfbede3ec50020",
+    (2048, 2): "3eb58aab18d39717",
+}
+
+
+@pytest.mark.parametrize("bits, seed", sorted(SEEDED_KEY_FINGERPRINTS))
+def test_seeded_keys_known_answer(bits, seed):
+    kp = paillier.keygen(bits, stream(seed, b"keyg"))
+    assert kp.public.fingerprint.hex() == SEEDED_KEY_FINGERPRINTS[bits, seed]
+    assert kp.secret.p % 4 == kp.secret.q % 4 == 3
 
 
 # ---------------------------------------------------------------------------
