@@ -44,8 +44,7 @@ EXIT_CHECK = 4
 log = logging.getLogger("blindboost")
 
 _CONFIG_ERRORS = (errors.ConfigInvalid, errors.ParseError, errors.NonBinaryLabels,
-                  errors.ModeNotPermittedInSecureProfile, errors.BinCountInvalid,
-                  FileNotFoundError, ValueError)
+                  errors.BinCountInvalid, FileNotFoundError, ValueError)
 
 
 class CheckFailure(Exception):
@@ -130,13 +129,13 @@ def cmd_train(args):
     ds = _load_dataset(args)
     std = standardize(ds)
     folded = fold_labels(std)
-    key_bits, ot_group, ot_mode = args.key_bits, args.ot_group, args.ot_mode
+    key_bits, ot_group = args.key_bits, args.ot_group
     if args.paper_faithful:
-        key_bits, ot_group, ot_mode = 2048, "modp-2048", "base"
+        key_bits, ot_group = 2048, "modp-2048"
     cfg = ProtocolConfig(construction=args.construction, tau=args.tau,
                          p_max=args.pmax or 2 * args.tau,
                          precision_bits=args.bits, key_bits=key_bits,
-                         ot_mode=ot_mode, ot_group=ot_group, seeds=_seeds(args),
+                         ot_group=ot_group, seeds=_seeds(args),
                          secure_profile=args.paper_faithful)
     started = time.time()
     dm, transcript = run_learning(cfg, folded, transport_kind=args.transport)
@@ -172,7 +171,7 @@ def cmd_ds_select(args):
     std = standardize(ds)
     cfg = ProtocolConfig(construction="he-gc", tau=args.tau, p_max=args.tau,
                          precision_bits=args.bits, key_bits=args.key_bits,
-                         ot_mode=args.ot_mode, seeds=_seeds(args))
+                         seeds=_seeds(args))
     res = confidential_ds_select(cfg, std, s=args.bins, tau=args.tau)
     payload = {"bins": args.bins, "tau": args.tau,
                "selected_indices": res.selected_indices, "alphas": res.alphas,
@@ -282,7 +281,6 @@ def build_parser():
     p.add_argument("--pmax", type=int, default=0, help="default 2*tau")
     p.add_argument("--bits", type=int, default=7, help="fixed-point precision")
     p.add_argument("--key-bits", type=int, default=512)
-    p.add_argument("--ot-mode", choices=["base", "dealer"], default="base")
     p.add_argument("--ot-group", choices=sorted(GROUPS), default="modp-768")
     p.add_argument("--transport", choices=["memory", "socket"], default="memory")
     p.add_argument("--paper-faithful", action="store_true",
@@ -305,7 +303,6 @@ def build_parser():
     p.add_argument("--tau", type=int, default=5)
     p.add_argument("--bits", type=int, default=7)
     p.add_argument("--key-bits", type=int, default=512)
-    p.add_argument("--ot-mode", choices=["base", "dealer"], default="dealer")
     p.set_defaults(func=cmd_ds_select)
 
     p = sub.add_parser("synth", help="emit a synthetic dataset CSV")

@@ -1,5 +1,6 @@
 """Dataset ingestion and synthetic data generation."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,12 @@ def load_csv(path, label_column: int = -1, label_mapping: dict | None = None,
                         raise ParseError(f"bad label {cell!r}", row=r, column=c) from exc
             else:
                 try:
-                    feat.append(float(cell))
+                    value = float(cell)
                 except ValueError as exc:
                     raise ParseError(f"bad value {cell!r}", row=r, column=c) from exc
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {cell!r}", row=r, column=c)
+                feat.append(value)
         features.append(feat)
     y = np.asarray(labels)
     values = sorted(set(y.tolist()))

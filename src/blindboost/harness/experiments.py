@@ -183,9 +183,8 @@ def _exp_precision_sweep(spec: ExperimentSpec, ds: Dataset) -> dict:
     return report, points, ["bits", "accuracy_mean", "accuracy_std"]
 
 
-def _protocol_counters(construction, folded, tau, seeds, ot_mode="dealer"):
-    cfg = ProtocolConfig(construction=construction, tau=tau, p_max=tau,
-                         ot_mode=ot_mode, seeds=seeds)
+def _protocol_counters(construction, folded, tau, seeds):
+    cfg = ProtocolConfig(construction=construction, tau=tau, p_max=tau, seeds=seeds)
     _, transcript = run_learning(cfg, folded)
     return transcript_report(transcript)
 
@@ -197,28 +196,20 @@ def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
     n_grid = [int(x) for x in p.get("n_grid", (16, 32, 64, 128))]
     k_grid = [int(x) for x in p.get("k_grid", (2, 4, 8))]
     seeds = Seeds(cloud=spec.seed, csp=spec.seed + 1, data=spec.seed + 2)
-    rows = []
+
+    def row(vary, sub):
+        rep = _protocol_counters(construction, fold_labels(sub), tau, seeds)
+        cloud, csp = rep["counters"]["cloud"], rep["counters"]["csp"]
+        return {"vary": vary, "n": sub.n, "k": sub.k,
+                "cloud_he_ops": cloud["he_adds"] + cloud["he_scalar_muls"],
+                "cloud_decryptions": cloud["decryptions"],
+                "csp_decryptions": csp["decryptions"],
+                "gc_bytes": rep["gc_bytes"], "iterations": rep["iterations"]}
+
     std = standardize(ds)
-    for n in n_grid:
-        sub = std.subset(np.arange(n))
-        rep = _protocol_counters(construction, fold_labels(sub), tau, seeds)
-        rows.append({"vary": "n", "n": n, "k": ds.k,
-                     "cloud_he_ops": rep["counters"]["cloud"]["he_adds"]
-                     + rep["counters"]["cloud"]["he_scalar_muls"],
-                     "cloud_decryptions": rep["counters"]["cloud"]["decryptions"],
-                     "csp_decryptions": rep["counters"]["csp"]["decryptions"],
-                     "gc_bytes": rep["gc_bytes"],
-                     "iterations": rep["iterations"]})
-    for k in k_grid:
-        sub = Dataset(std.X[:max(n_grid), :k], std.y[:max(n_grid)])
-        rep = _protocol_counters(construction, fold_labels(sub), tau, seeds)
-        rows.append({"vary": "k", "n": sub.n, "k": k,
-                     "cloud_he_ops": rep["counters"]["cloud"]["he_adds"]
-                     + rep["counters"]["cloud"]["he_scalar_muls"],
-                     "cloud_decryptions": rep["counters"]["cloud"]["decryptions"],
-                     "csp_decryptions": rep["counters"]["csp"]["decryptions"],
-                     "gc_bytes": rep["gc_bytes"],
-                     "iterations": rep["iterations"]})
+    rows = [row("n", std.subset(np.arange(n))) for n in n_grid]
+    rows += [row("k", Dataset(std.X[:max(n_grid), :k], std.y[:max(n_grid)]))
+             for k in k_grid]
     n_rows = [r for r in rows if r["vary"] == "n"]
     ratios = [n_rows[i + 1]["gc_bytes"] / n_rows[i]["gc_bytes"]
               for i in range(len(n_rows) - 1)]

@@ -16,7 +16,7 @@ Three building blocks:
   string s. Every later round of m transfers costs one message of
   KAPPA * ceil(m/8) bytes, a bit-matrix transpose and 3m keyed hashes.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
-  party pair, whose exponentiations paillier.fan_out spreads over the
+  party pair, once in SETUP, whose exponentiations paillier.fan_out spreads over the
   cores (about 0.18 s of CPU in modp-768 with libgmp, 0.11 s of wall time
   on a 2-core x86 machine), then a few milliseconds of hashing per round
   (2.6 ms at 209 transfers, 11 ms at 1216, on the same machine). Its OT bytes
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupElementInvalid, ModeNotPermittedInSecureProfile, OTFailure
-
-LABEL_BYTES = 16
+from .garbling import LABEL_BYTES
+from .paillier import fan_out, powmod
 
 # Safe-prime MODP groups: Oakley group 1 (768 bits) and the 2048-bit group 14.
 # g = 4 generates the prime-order subgroup of quadratic residues.
@@ -68,8 +68,6 @@ GROUPS = {
     "modp-768": Group("modp-768", _MODP_768, 4),
     "modp-2048": Group("modp-2048", _MODP_2048, 4),
 }
-
-from .paillier import fan_out, powmod  # noqa: E402
 
 
 def _validate_element(group: Group, x: int, full_check: bool = False) -> None:

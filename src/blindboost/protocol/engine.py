@@ -174,11 +174,14 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
 
 
 def base_apply(state_pair, t: int):
-    """One BaseApply round over an in-process channel."""
+    """One BaseApply round over an in-process channel. Trial 1 runs SETUP
+    before it, as `run` does."""
     cloud, csp = state_pair
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     cloud.attach(transcript)
     csp.attach(transcript)
+    if t == 1:
+        run_pair(lambda: cloud.open(ch_cloud), lambda: csp.open(ch_csp), ch_cloud, ch_csp)
     run_pair(lambda: cloud.base_apply_step(ch_cloud, t),
              lambda: csp.base_apply_step(ch_csp, ch_csp.recv()), ch_cloud, ch_csp)
     return transcript

@@ -65,16 +65,9 @@ def _setup_header(n: int, dim: int, ring_bits: int) -> bytes:
     return wire.pack_u32(n) + wire.pack_u32(dim) + wire.pack_u32(ring_bits)
 
 
-def _recv_ot(ch) -> bytes:
-    phase, payload = ch.recv()
-    if phase != OT:
-        raise OTFailure(f"expected an OT message, got {phase}")
-    return payload
-
-
-def _recv_ot_field(ch, unpack):
-    """The one field of an OT message, read by `unpack`."""
-    payload = _recv_ot(ch)
+def recv_field(ch, phase, unpack):
+    """The one field of a `phase` message, read by `unpack`."""
+    payload = expect_phase(ch.recv(), phase)
     value, off = unpack(payload)
     wire.expect_end(payload, off)
     return value
@@ -109,12 +102,12 @@ def recv_decrypt(ch, phase, kp, count, counters) -> list:
 class LabelOT:
     """One party's end of the evaluator-input OT, for every round of a run.
 
-    In ``base`` mode the first transfer opens an IKNP extension session
-    inside that round's OT phase: the evaluator, as base-OT sender of the
-    seed pairs, sends A; the garbler answers with its KAPPA choice
-    messages; the evaluator returns the masked seeds together with the
-    round's U. Every later round is one U message and one reply of masked
-    label pairs. ``dealer`` mode sends the label pairs in the clear.
+    In ``base`` mode `open_receiver` / `open_sender` run the IKNP extension
+    session once, as SETUP messages, before the first round: the evaluator,
+    as base-OT sender of the seed pairs, sends A; the garbler answers with
+    its KAPPA choice messages; the evaluator returns the masked seed pairs.
+    Every round is then one U message and one reply of masked label pairs.
+    ``dealer`` mode opens nothing and sends the label pairs in the clear.
     """
 
     def __init__(self, cfg: ProtocolConfig, rng: random.Random):
@@ -122,42 +115,44 @@ class LabelOT:
         self._rng = rng
         self._session = None
 
-    def receive(self, ch, bits) -> list:
-        """Evaluator side: the labels of `bits`, one per transfer."""
+    def open_receiver(self, ch) -> None:
+        """Evaluator side of the base-OT session."""
         cfg = self.cfg
         if cfg.ot_mode == "dealer":
-            return dealer_choose(_recv_ot_field(ch, wire.unpack_label_pairs), bits,
-                                 cfg.secure_profile)
-        prefix = b""
-        if self._session is None:
-            self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng,
-                                          full_check=cfg.secure_profile)
-            ch.send(OT, wire.pack_bigints([self._session.setup_message()]))
-            bs = _recv_ot_field(ch, wire.unpack_bigints)
-            prefix = wire.pack_label_pairs(self._session.base_respond(bs))
-        ch.send(OT, prefix + wire.pack_blob(self._session.choose(bits)))
-        return self._session.finish(_recv_ot_field(ch, wire.unpack_label_pairs))
+            return
+        self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng,
+                                      full_check=cfg.secure_profile)
+        ch.send(SETUP, wire.pack_bigints([self._session.setup_message()]))
+        bs = recv_field(ch, SETUP, wire.unpack_bigints)
+        ch.send(SETUP, wire.pack_label_pairs(self._session.base_respond(bs)))
+
+    def open_sender(self, ch) -> None:
+        """Garbler side of the base-OT session."""
+        cfg = self.cfg
+        if cfg.ot_mode == "dealer":
+            return
+        elems = recv_field(ch, SETUP, wire.unpack_bigints)
+        if len(elems) != 1:
+            raise OTFailure(f"expected one base-OT setup element, got {len(elems)}")
+        self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0],
+                                    full_check=cfg.secure_profile)
+        ch.send(SETUP, wire.pack_bigints(self._session.base_choose()))
+        self._session.base_finish(recv_field(ch, SETUP, wire.unpack_label_pairs))
+
+    def receive(self, ch, bits) -> list:
+        """Evaluator side: the labels of `bits`, one per transfer."""
+        if self.cfg.ot_mode == "dealer":
+            return dealer_choose(recv_field(ch, OT, wire.unpack_label_pairs), bits,
+                                 self.cfg.secure_profile)
+        ch.send(OT, wire.pack_blob(self._session.choose(bits)))
+        return self._session.finish(recv_field(ch, OT, wire.unpack_label_pairs))
 
     def send(self, ch, pairs) -> None:
         """Garbler side: deliver one label of each pair."""
-        cfg = self.cfg
-        if cfg.ot_mode == "dealer":
+        if self.cfg.ot_mode == "dealer":
             ch.send(OT, wire.pack_label_pairs(pairs))
             return
-        if self._session is None:
-            elems = _recv_ot_field(ch, wire.unpack_bigints)
-            if len(elems) != 1:
-                raise OTFailure(f"expected one base-OT setup element, got {len(elems)}")
-            self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0],
-                                        full_check=cfg.secure_profile)
-            ch.send(OT, wire.pack_bigints(self._session.base_choose()))
-            payload = _recv_ot(ch)
-            seeds, off = wire.unpack_label_pairs(payload)
-            self._session.base_finish(seeds)
-        else:
-            payload, off = _recv_ot(ch), 0
-        u, off = wire.unpack_blob(payload, off)
-        wire.expect_end(payload, off)
+        u = recv_field(ch, OT, wire.unpack_blob)
         ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
 
 
@@ -177,10 +172,8 @@ def garbler_round(ch, circuit, rng, label_ot, counters,
     pairs = gc.label_pairs(ev_wires)
     counters.ot_transfers += len(pairs)
     label_ot.send(ch, pairs)
-    payload = expect_phase(ch.recv(), OUTPUT_LABELS)
-    out_labels, off = wire.unpack_labels(payload)
-    wire.expect_end(payload, off)
-    return decode_output(out_labels, gc.output_decode)
+    return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels),
+                         gc.output_decode)
 
 
 def evaluator_round(ch, circuit, label_ot, counters,
@@ -249,8 +242,10 @@ class CloudParty:
 
     # -- protocol steps ------------------------------------------------------
 
-    def send_setup(self, ch):
+    def open(self, ch):
+        """SETUP: the header, then the base-OT session."""
         ch.send(SETUP, _setup_header(self.n, self.dim, self.fp.ring_bits))
+        self.label_ot.open_receiver(ch)
 
     def base_apply_step(self, ch, t: int):
         if t > self.cfg.p_max:
@@ -296,7 +291,7 @@ class CloudParty:
 
     def run(self, ch):
         self._transcript = ch._transcript
-        self.send_setup(ch)
+        self.open(ch)
         for t in range(1, self.cfg.p_max + 1):
             self.base_apply_step(ch, t)
             self.result_eval_step(ch, t)
@@ -387,12 +382,18 @@ class CSPParty:
                                   step.decision == "accept_flipped"))
         return step
 
-    def run(self, ch):
-        self._transcript = ch._transcript
+    def open(self, ch):
+        """SETUP: Cloud's header must match this party's own; then the
+        base-OT session."""
         if expect_phase(ch.recv(), SETUP) != _setup_header(self.n, self.dim,
                                                            self.fp.ring_bits):
             raise MalformedMessage(f"SETUP does not declare n={self.n}, dim={self.dim}, "
                                    f"L={self.fp.ring_bits}")
+        self.label_ot.open_sender(ch)
+
+    def run(self, ch):
+        self._transcript = ch._transcript
+        self.open(ch)
         t, stop = 0, False
         while not stop and t < self.cfg.p_max:
             t = self.base_apply_step(ch, ch.recv())

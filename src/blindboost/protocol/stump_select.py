@@ -50,6 +50,7 @@ from .parties import (
     decrypt_exact,
     evaluator_round,
     garbler_round,
+    recv_field,
 )
 from .transcript import (
     BASE_APPLY,
@@ -173,6 +174,7 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
                                  label_width, rng_enc, counters)
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
+    label_ot.open_receiver(ch)
     top = [(v & 1) << (L - 1) for v in m]
     width = _slot_width(L + 1, L)  # x - v + q < 2q
     slots = paillier.slot_count(pk, width)
@@ -204,19 +206,20 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     payload = expect_phase(ch.recv(), SETUP)
     n, off = wire.unpack_u32(payload)
     L, off = wire.unpack_u32(payload, off)
+    if n == 0:
+        raise MalformedMessage("SETUP declares no records")
     counters = ch._transcript.party("csp")
     masked = _unpack_masked(kp, paillier.ciphertexts_from_bytes(payload[off:], kp.public),
                             n, _slot_width(1, 1), counters, SETUP)
     label_share = np.array([v & 1 for v in masked], dtype=np.uint8)  # y xor (m mod 2)
+    label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
+    label_ot.open_sender(ch)
     width = _slot_width(L + 1, L)
     circuit = _batch_circuit(L, n)
     garble_rng = stream(cfg.seeds.csp, b"garb")
-    label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
     for expected in range(n_catalog // 2):
-        payload = expect_phase(ch.recv(), BASE_APPLY)
-        index, off = wire.unpack_u32(payload)
-        wire.expect_end(payload, off)
+        index = recv_field(ch, BASE_APPLY, wire.unpack_u32)
         if index != expected:
             raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
         cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),

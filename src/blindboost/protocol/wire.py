@@ -10,8 +10,7 @@ on bytes after the last field.
 """
 
 from ..errors import MalformedMessage
-
-LABEL_BYTES = 16
+from ..garbling import LABEL_BYTES
 
 
 def _need(buf: bytes, off: int, nbytes: int, what: str) -> None:

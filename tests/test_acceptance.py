@@ -334,8 +334,7 @@ def test_criterion_08_cost_shapes():
 
     def he_counters(n):
         folded = fold_labels(std.subset(np.arange(n)))
-        cfg = ProtocolConfig(construction=HE_GC, tau=2, p_max=2,
-                             ot_mode="dealer", seeds=seeds)
+        cfg = ProtocolConfig(construction=HE_GC, tau=2, p_max=2, seeds=seeds)
         _, transcript = run_learning(cfg, folded)
         rep = transcript_report(transcript)
         he_ops = (rep["counters"]["cloud"]["he_adds"]
@@ -351,8 +350,7 @@ def test_criterion_08_cost_shapes():
     def secsh_cloud_dec_per_iter(k):
         ds = gen_synthetic(64, k, seed=89)
         folded = fold_labels(standardize(ds.subset(np.arange(24))))
-        cfg = ProtocolConfig(construction=SECSH_GC, tau=2, p_max=2,
-                             ot_mode="dealer", seeds=seeds)
+        cfg = ProtocolConfig(construction=SECSH_GC, tau=2, p_max=2, seeds=seeds)
         _, transcript = run_learning(cfg, folded)
         rep = transcript_report(transcript)
         return rep["counters"]["cloud"]["decryptions"] / rep["iterations"]

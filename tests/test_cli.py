@@ -43,7 +43,7 @@ def test_train_protocol_outputs(tmp_path):
     csv = tmp_path / "d.csv"
     main(["synth", "--n", "60", "--k", "3", "--seed", "4", "--out", str(csv)])
     rc = main(["train", "--dataset", str(csv), "--construction", "secsh-gc",
-               "--tau", "2", "--ot-mode", "dealer", "--out", str(tmp_path / "r")])
+               "--tau", "2", "--out", str(tmp_path / "r")])
     assert rc == EXIT_OK
     for name in ("distributed_model.json", "model.json", "transcript.json"):
         assert (tmp_path / "r" / name).exists()
@@ -114,8 +114,7 @@ def test_train_bitwise_reproducible(tmp_path):
     csv = tmp_path / "d.csv"
     main(["synth", "--n", "50", "--k", "3", "--seed", "6", "--out", str(csv)])
     for sub in ("a", "b"):
-        rc = main(["train", "--dataset", str(csv), "--tau", "2",
-                   "--ot-mode", "dealer", "--seed", "5",
+        rc = main(["train", "--dataset", str(csv), "--tau", "2", "--seed", "5",
                    "--out", str(tmp_path / sub)])
         assert rc == EXIT_OK
     for name in ("distributed_model.json", "model.json", "transcript.json"):

@@ -47,6 +47,16 @@ def test_load_csv_malformed_cell_location(tmp_path):
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_cell_location(tmp_path, cell):
+    # standardize would drop such a column as "zero-variance" and train on
+    f = tmp_path / "bad.csv"
+    f.write_text(f"1.0,2.0,1\n3.5,4.0,-1\n0.5,{cell},1\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        load_csv(f)
+    assert (err.value.row, err.value.column) == (2, 1)
+
+
 def test_load_csv_ragged_row(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("1,2,1\n3,4\n")

@@ -20,11 +20,11 @@ BOOST_GOLDEN = {
     (HE_GC, "dealer"):
         "dece1d3e91bc64c0e26a743a7dda4033b36396daf714f487d44a149d62ec2fc9",
     (HE_GC, "base"):
-        "4dec306723d2ef293f4026520861ac49772b49df74ec819390cda2f48075cda8",
+        "530513660c99da26b9cf611347b96d160f75af0ad6dcce93499300329b9e4ca7",
     (SECSH_GC, "dealer"):
         "5d987b36dd469a344cde8993198b1bbfb6d1f1429368003c705801647ec2cbe0",
     (SECSH_GC, "base"):
-        "39d486411fcdab84f8705f72dc979d148fd920fb91dcd94c38335b1459d07b8f",
+        "3f0f6048fbc1dd30984b867f098c0047b9d7be5b973c673da95034de4e8a5bd3",
 }
 STUMP_GOLDEN = "6e0dbc5594710167b2e92b133ade14b11f9be9b7b1fd0166931d4cf9698396da"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,

@@ -156,7 +156,7 @@ def test_base_apply_iteration_out_of_range():
 def test_result_eval_matches_oracle(construction, ot_mode):
     folded = toy_folded(n=4, k=2, seed=3)
     cloud, csp = setup(cfg_for(construction, ot_mode=ot_mode), folded)
-    base_apply((cloud, csp), 1)
+    assert base_apply((cloud, csp), 1).phase_sequence() == "SB"  # SETUP runs first
     indicators = result_eval((cloud, csp), 1)
     fp = cloud.fp
     w = cloud.tried_w[0]
@@ -342,16 +342,30 @@ class _Scripted:
         return self.incoming.pop(0)
 
 
+def _opened(cfg):
+    """A (receiver, sender) pair of LabelOTs whose SETUP has run."""
+    receiver, sender = LabelOT(cfg, random.Random(1)), LabelOT(cfg, random.Random(2))
+    ch_r, ch_s, _ = transport.memory_pair()
+    engine.run_pair(lambda: receiver.open_receiver(ch_r),
+                    lambda: sender.open_sender(ch_s), ch_r, ch_s)
+    return receiver, sender
+
+
 @pytest.mark.parametrize("ot_mode", ["dealer", "base"])
-def test_label_ot_wrong_phase_is_ot_failure(ot_mode):
+def test_label_ot_wrong_phase_is_phase_order_violation(ot_mode):
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
     pairs = [(b"\x00" * 16, b"\x01" * 16)]
-    with pytest.raises(OTFailure):
-        LabelOT(cfg, random.Random(1)).receive(_Scripted([("GC_TABLES", b"")]), [1])
+    receiver, sender = _opened(cfg)
+    with pytest.raises(PhaseOrderViolation):
+        receiver.receive(_Scripted([("GC_TABLES", b"")]), [1])
     if ot_mode == "base":  # the dealer-mode sender receives nothing
-        with pytest.raises(OTFailure):
-            LabelOT(cfg, random.Random(2)).send(_Scripted([("OUTPUT_LABELS", b"")]),
-                                                pairs)
+        with pytest.raises(PhaseOrderViolation):
+            sender.send(_Scripted([("OUTPUT_LABELS", b"")]), pairs)
+        # the session's messages belong to SETUP
+        with pytest.raises(PhaseOrderViolation):
+            LabelOT(cfg, random.Random(3)).open_receiver(_Scripted([("OT", b"")]))
+        with pytest.raises(PhaseOrderViolation):
+            LabelOT(cfg, random.Random(4)).open_sender(_Scripted([("OT", b"")]))
 
 
 def test_label_ot_malformed_base_setup_is_ot_failure():
@@ -359,8 +373,7 @@ def test_label_ot_malformed_base_setup_is_ot_failure():
     two = (2).to_bytes(4, "big") + b"".join((1).to_bytes(4, "big") + b"\x04"
                                            for _ in range(2))
     with pytest.raises(OTFailure):
-        LabelOT(cfg, random.Random(3)).send(_Scripted([("OT", two)]),
-                                            [(b"\x00" * 16, b"\x01" * 16)])
+        LabelOT(cfg, random.Random(3)).open_sender(_Scripted([("SETUP", two)]))
 
 
 def test_label_ot_truncated_dealer_payload_is_malformed():
@@ -372,15 +385,16 @@ def test_label_ot_truncated_dealer_payload_is_malformed():
 
 
 class _TailOne:
-    """A channel end that appends one byte to message number `target` of a
-    ping-pong exchange; `sent` is shared by both ends and counts messages."""
+    """A channel end that passes the payload of message number `target` of a
+    ping-pong exchange through `edit`; `sent` is shared by both ends and
+    counts messages."""
 
-    def __init__(self, ch, sent, target):
-        self.ch, self.sent, self.target = ch, sent, target
+    def __init__(self, ch, sent, target, edit):
+        self.ch, self.sent, self.target, self.edit = ch, sent, target, edit
 
     def send(self, phase, payload=b""):
         if len(self.sent) == self.target:
-            payload += b"\x00"
+            payload = self.edit(payload)
         self.sent.append(phase)
         self.ch.send(phase, payload)
 
@@ -391,25 +405,41 @@ class _TailOne:
         self.ch.close()
 
 
-# dealer: the label pairs; base, first round: A, the B's, the seeds and U,
-# the masked pairs; base, second round: U, the masked pairs
-@pytest.mark.parametrize("ot_mode, target", [("dealer", 0)]
-                         + [("base", i) for i in range(6)])
-def test_label_ot_rejects_a_trailing_byte_on_every_message(ot_mode, target):
+def _label_ot_run(ot_mode, target, edit):
+    """SETUP, then two rounds of label OT, with message `target` edited."""
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
     receiver, sender = LabelOT(cfg, random.Random(7)), LabelOT(cfg, random.Random(8))
     pairs = [(bytes([i]) * 16, bytes([i + 1]) * 16) for i in range(3)]
     ch_r, ch_s, _ = transport.memory_pair()
     sent = []
-    ch_r, ch_s = _TailOne(ch_r, sent, target), _TailOne(ch_s, sent, target)
+    ch_r, ch_s = _TailOne(ch_r, sent, target, edit), _TailOne(ch_s, sent, target, edit)
 
-    def two_rounds(step):  # the base-OT session opens in the first round
+    def run(open_session, step):
+        open_session()
         return [step() for _ in range(2)]
 
+    engine.run_pair(lambda: run(lambda: receiver.open_receiver(ch_r),
+                                lambda: receiver.receive(ch_r, [0, 1, 1])),
+                    lambda: run(lambda: sender.open_sender(ch_s),
+                                lambda: sender.send(ch_s, pairs)),
+                    ch_r, ch_s)
+
+
+# dealer: the label pairs; base: A, the B's and the seed pairs in SETUP, then
+# per round U and the masked pairs
+_OT_MESSAGES = [("dealer", 0)] + [("base", i) for i in range(7)]
+
+
+@pytest.mark.parametrize("ot_mode, target", _OT_MESSAGES)
+def test_label_ot_rejects_a_trailing_byte_on_every_message(ot_mode, target):
     with pytest.raises(MalformedMessage, match="trailing"):
-        engine.run_pair(lambda: two_rounds(lambda: receiver.receive(ch_r, [0, 1, 1])),
-                        lambda: two_rounds(lambda: sender.send(ch_s, pairs)),
-                        ch_r, ch_s)
+        _label_ot_run(ot_mode, target, lambda payload: payload + b"\x00")
+
+
+@pytest.mark.parametrize("ot_mode, target", _OT_MESSAGES)
+def test_label_ot_rejects_every_message_one_byte_short(ot_mode, target):
+    with pytest.raises(MalformedMessage, match="needs"):
+        _label_ot_run(ot_mode, target, lambda payload: payload[:-1])
 
 
 @pytest.mark.parametrize("payload", [wire.pack_u32(99) + b"junk", wire.pack_u32(2),
@@ -444,7 +474,7 @@ def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done
     cloud.attach(transcript)
 
     def hostile_cloud():
-        cloud.send_setup(ch_cloud)
+        cloud.open(ch_cloud)
         for t in range(1, trials + 1):
             cloud.base_apply_step(ch_cloud, t)
             cloud.result_eval_step(ch_cloud, t)
@@ -461,7 +491,7 @@ def test_csp_run_rejects_a_setup_header_that_is_not_its_own(field):
     declared = [cloud.n, cloud.dim, cloud.fp.ring_bits]
     declared[field] += 1
     ch_cloud, ch_csp, _ = transport.memory_pair()
-    cloud.send_setup = lambda ch: ch.send(SETUP, b"".join(map(wire.pack_u32, declared)))
+    cloud.open = lambda ch: ch.send(SETUP, b"".join(map(wire.pack_u32, declared)))
     with pytest.raises(MalformedMessage, match="SETUP"):
         engine.run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp),
                         ch_cloud, ch_csp)
@@ -561,17 +591,18 @@ def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
 
 
 def test_base_ot_session_opens_once_per_run():
-    # 4 OT messages open the extension session in the first round; every
-    # later round is U and the masked label pairs
+    # the extension session is three SETUP messages after Cloud's header:
+    # A, the B's, the seed pairs; every round is U and the masked label pairs
     folded = toy_folded(n=5, k=2, seed=15)
     dm, transcript, cloud, csp = run_learning(
         cfg_for(SECSH_GC, tau=3, p_max=6, ot_mode="base"), folded,
         with_parties=True)
     rounds = transcript.iterations()
     assert rounds >= 2
+    setup_msgs = [d for d, phase, _ in transcript.messages if phase == "SETUP"]
+    assert setup_msgs == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
     ot_msgs = [d for d, phase, _ in transcript.messages if phase == "OT"]
-    assert len(ot_msgs) == 4 + 2 * (rounds - 1)
-    assert ot_msgs[:4] == ["cloud->csp", "csp->cloud", "cloud->csp", "csp->cloud"]
+    assert ot_msgs == ["cloud->csp", "csp->cloud"] * rounds
     L = cloud.fp.ring_bits
     report = transcript_report(transcript)
     assert report["counters"]["cloud"]["ot_transfers"] == 5 * L * rounds

@@ -164,6 +164,12 @@ def test_base_ot_mode_matches_dealer():
     r2 = confidential_ds_select(cfg(seed=15, ot_mode="base"), ds, s=2, tau=1)
     assert np.array_equal(r1.error_vectors, r2.error_vectors)
     assert r1.selected_indices == r2.selected_indices
+    # the base-OT session runs in SETUP: each comparison is U and its reply
+    comparisons = 2 * 2  # s * k
+    ot_msgs = [d for d, phase, _ in r2.transcript.messages if phase == "OT"]
+    assert ot_msgs == ["cloud->csp", "csp->cloud"] * comparisons
+    setup = [d for d, phase, _ in r2.transcript.messages if phase == "SETUP"]
+    assert setup == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
 
 
 # slot widths of the hostile SETUP below (L = 17): labels, then comparisons
@@ -183,6 +189,8 @@ def _setup_payload(kp, declared_n, labels):
     # a SETUP whose record count does not match its packed label ciphertexts:
     # 30 records take 3 of 12 slots each
     (30, [0], [], MalformedMessage),
+    # a SETUP that declares no records and carries no label ciphertexts
+    (0, [], [], MalformedMessage),
     # a packed label plaintext with bits above its 2 used slots
     (2, [1 << 2 * _LABEL_WIDTH], [], MalformedMessage),
     # a comparison index past the catalog's 4 base comparisons
@@ -201,7 +209,7 @@ def _setup_payload(kp, declared_n, labels):
     # a packed comparison plaintext with bits above its 2 used slots
     (2, [0], [("BASE_APPLY", wire.pack_u32(0)),
               ("RESULT_EVAL_MASK", [1 << 2 * _WIDTH])], MalformedMessage),
-], ids=["setup-count", "setup-high-bits", "index-out-of-range", "index-out-of-order",
+], ids=["setup-count", "setup-no-records", "setup-high-bits", "index-out-of-range", "index-out-of-order",
         "early-done", "missing-ciphertext", "extra-ciphertext", "high-bits"])
 def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, labels, messages,
                                         error):
