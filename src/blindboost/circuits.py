@@ -11,8 +11,7 @@ the evaluator unpack it once per gate visit, and CPython unpacks an exact
 tuple on its fast path.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import WidthOutOfRange
 
@@ -28,25 +27,25 @@ class Circuit:
     inputs_b: tuple
     gates: tuple
     outputs: tuple
+    and_count: int = field(init=False)  # counted by the validation pass
 
     def __post_init__(self):
         assigned = set(self.all_inputs())
+        ands = 0
         for kind, a, b, out in self.gates:
             if a not in assigned or (kind != NOT and b not in assigned):
                 raise ValueError(f"gate {(kind, a, b, out)} reads an unassigned wire")
             if out in assigned:
                 raise ValueError(f"wire {out} assigned twice")
             assigned.add(out)
+            ands += kind == AND
+        self.and_count = ands
         for o in self.outputs:
             if o not in assigned:
                 raise ValueError(f"output wire {o} never assigned")
 
     def all_inputs(self):
         return tuple(self.inputs_a) + tuple(self.inputs_b)
-
-    @cached_property
-    def and_count(self) -> int:
-        return sum(1 for kind, _, _, _ in self.gates if kind == AND)
 
     def evaluate_plain(self, a_bits, b_bits):
         """Reference evaluation on plaintext bits."""

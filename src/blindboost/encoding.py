@@ -56,6 +56,18 @@ class FixedPointParams:
         ring_bits = 2 * precision_bits + math.ceil(math.log2(max(folded_dim, 2))) + 1
         return cls(precision_bits=precision_bits, ring_bits=ring_bits)
 
+    def product_bits(self, folded_dim: int) -> int:
+        """Bit bound of a masked product: a dot product of `folded_dim` ring
+        representatives by ring representatives, taken over the integers,
+        is at most d (q - 1)^2 < 2^(2L + ceil(log2(d))).
+
+        It bounds what the boosting protocols reveal under a mask: HE+GC's
+        u = Z w and SecSh+GC's Z1 w.
+        """
+        if folded_dim < 1:
+            raise ValueError("folded_dim must be >= 1")
+        return 2 * self.ring_bits + math.ceil(math.log2(folded_dim))
+
 
 def encode(x: float, p: FixedPointParams) -> int:
     """Map a real to its ring representative; raises Overflow out of range."""

@@ -10,10 +10,19 @@ returns output labels, CSP decodes. The sign-check circuit computes
 (masked - mask) mod 2^L; in HE+GC the garbler holds the masked value, in
 SecSh+GC the evaluator does. These parties and confidential stump selection
 share one garbled-circuit round (`garbler_round` / `evaluator_round`), one
-label OT (`LabelOT`), one HE+GC reveal of E(c + m) (`add_masks`, then
-`recv_decrypt` or `decrypt_exact` at the key holder; stump selection packs
-its values into fewer ciphertexts first) and one source of seeded streams
-(`config.stream`).
+label OT (`LabelOT`), one packed Paillier reveal and one source of seeded
+streams (`config.stream`).
+
+The packed reveal: Cloud folds encrypted values, a chunk of records per
+ciphertext, by Horner steps (`he_pack`, `pack_columns`) and adds one fresh
+encryption of the chunk's packed masks (`mask_packed`); the key holder
+decrypts ceil(n / slots) ciphertexts and unpacks the masked values
+(`unpack_masked`). A value below 2^b gets a mask of b + sigma bits, and its
+slot is b + sigma + 1 bits wide (`reveal_width`). HE+GC's ResultEval packs
+u = Z w, with b = `FixedPointParams.product_bits(d)`; Cloud folds its d
+encrypted columns once, in SETUP, so a trial's matrix-vector product runs
+over ceil(n / slots) rows. SecSh+GC's BaseApply reveal stays one ciphertext
+per record, with masks of the same bound.
 """
 
 import random
@@ -73,13 +82,54 @@ def recv_field(ch, phase, unpack):
     return value
 
 
-def add_masks(pk, cts, masks, rng, counters) -> list:
-    """E(c_i + m_i) for each ciphertext E(c_i) in `cts` and plaintext mask m_i."""
+def reveal_width(value_bits: int) -> int:
+    """Slot width of a packed reveal of values below 2^value_bits: a value
+    plus its mask from shares.sample_masks(., value_bits, .) is below
+    2^(value_bits + sigma + 1)."""
+    return value_bits + shares.MASK_SECURITY_BITS + 1
+
+
+def he_pack(pk, cts, width, counters) -> list:
+    """The E(x_i) of `cts` folded into ceil(len / slots) packed ciphertexts."""
+    packed = paillier.he_pack_slots(pk, cts, width, paillier.slot_count(pk, width))
+    counters.he_scalar_muls += len(cts) - len(packed)
+    counters.he_adds += len(cts) - len(packed)
+    return packed
+
+
+def pack_columns(pk, em, width, counters) -> paillier.EncryptedMatrix:
+    """Each column of `em` folded like he_pack, one column per
+    paillier.map_rows row: row r of the result holds, per column, the
+    packed r-th chunk of records."""
+    n_rows, n_cols = em.shape
+    slots = paillier.slot_count(pk, width)
+    columns = paillier.map_rows(
+        pk, lambda j: paillier.he_pack_slots(pk, [row[j] for row in em.rows], width, slots),
+        range(n_cols))
+    steps = n_cols * (n_rows - -(-n_rows // slots))
+    counters.he_scalar_muls += steps
+    counters.he_adds += steps
+    return paillier.EncryptedMatrix(rows=[list(r) for r in zip(*columns)],
+                                    key_id=em.key_id)
+
+
+def mask_packed(pk, packed_cts, masks, width, rng, counters) -> list:
+    """Cloud's half of a packed reveal: each packed ciphertext plus a fresh
+    encryption of its chunk's packed masks."""
+    packed = paillier.pack_slots(masks, width, paillier.slot_count(pk, width))
     out = [paillier.he_add(pk, c, e)
-           for c, e in zip(cts, paillier.encrypt_many(pk, masks, rng))]
-    counters.encryptions += len(masks)
-    counters.he_adds += len(masks)
+           for c, e in zip(packed_cts, paillier.encrypt_many(pk, packed, rng))]
+    counters.encryptions += len(packed)
+    counters.he_adds += len(packed)
     return out
+
+
+def unpack_masked(kp, cts, count, width, counters, phase) -> list:
+    """The key holder's half of a packed reveal: the `count` masked values
+    that the `phase` message's ceil(count / slots) ciphertexts carry."""
+    slots = paillier.slot_count(kp.public, width)
+    packed = decrypt_exact(kp, cts, -(-count // slots), counters, phase)
+    return paillier.unpack_slots(packed, width, slots, count)
 
 
 def decrypt_exact(kp, cts, count, counters, phase) -> list:
@@ -212,9 +262,11 @@ class CloudParty:
         self.fp = fp
         self.n = n
         self.dim = dim
+        self._value_bits = fp.product_bits(dim)  # bound of the revealed u or Z1 w
         # HE+GC holdings
         self.enc_data = enc_data          # EncryptedMatrix under CSP's key
         self.csp_public = csp_public
+        self.packed_data = None           # enc_data's columns, folded in SETUP
         # SecSh+GC holdings
         self.keypair = own_keypair        # Cloud's own AHE keys
         self.z0 = z0                      # uint64 share matrix
@@ -225,7 +277,7 @@ class CloudParty:
         self.label_ot = LabelOT(cfg, stream(seeds.cloud, b"ot_r"))
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
-        self._eu = None                   # current E(u_t) (HE+GC)
+        self._eu = None                   # current packed E(u_t) (HE+GC)
         self._u0 = None                   # current masked share (SecSh+GC)
         self._transcript = None
 
@@ -243,18 +295,22 @@ class CloudParty:
     # -- protocol steps ------------------------------------------------------
 
     def open(self, ch):
-        """SETUP: the header, then the base-OT session."""
+        """SETUP: the header, then the base-OT session; in HE+GC Cloud then
+        folds its encrypted columns for the packed ResultEval reveal."""
         ch.send(SETUP, _setup_header(self.n, self.dim, self.fp.ring_bits))
         self.label_ot.open_receiver(ch)
+        if self.cfg.construction == HE_GC:
+            self.packed_data = pack_columns(self.csp_public, self.enc_data,
+                                            reveal_width(self._value_bits), self.counters)
 
     def base_apply_step(self, ch, t: int):
         if t > self.cfg.p_max:
             raise IterationOutOfRange(f"iteration {t} exceeds p_max {self.cfg.p_max}")
         wq = [int(v) for v in encode_array(self._next_rlc(), self.fp)]
         if self.cfg.construction == HE_GC:
-            self._eu = paillier.he_matvec(self.csp_public, self.enc_data, wq)
-            self.counters.he_scalar_muls += self.n * self.dim
-            self.counters.he_adds += self.n * self.dim
+            self._eu = paillier.he_matvec(self.csp_public, self.packed_data, wq)
+            self.counters.he_scalar_muls += len(self._eu) * self.dim
+            self.counters.he_adds += len(self._eu) * self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t))
         else:
             ew = paillier.encrypt_many(self.keypair.public, wq, self.enc_rng)
@@ -269,9 +325,9 @@ class CloudParty:
         L = self.fp.ring_bits
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
-            lam = shares.sample_masks(self.n, L, self.mask_rng)
-            masked = add_masks(self.csp_public, self._eu, lam, self.enc_rng,
-                               self.counters)
+            lam = shares.sample_masks(self.n, self._value_bits, self.mask_rng)
+            masked = mask_packed(self.csp_public, self._eu, lam,
+                                 reveal_width(self._value_bits), self.enc_rng, self.counters)
             ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
             evaluator_vals, ev_wires, gb_wires = lam, circuit.inputs_b, circuit.inputs_a
         else:
@@ -314,6 +370,7 @@ class CSPParty:
         self.fp = fp
         self.n = n
         self.dim = dim
+        self._value_bits = fp.product_bits(dim)  # bound of the revealed u or Z1 w
         self.keypair = keypair            # HE+GC: CSP owns the AHE keys
         self.cloud_public = cloud_public  # SecSh+GC: Cloud's public key
         self.z1 = z1                      # SecSh+GC share
@@ -346,7 +403,7 @@ class CSPParty:
         else:
             pk = self.cloud_public
             ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
-            lam = shares.sample_masks(self.n, self.fp.ring_bits, self.mask_rng)
+            lam = shares.sample_masks(self.n, self._value_bits, self.mask_rng)
             out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.enc_rng)
             self.counters.encryptions += self.n
             self.counters.he_scalar_muls += self.n * self.dim
@@ -359,7 +416,10 @@ class CSPParty:
         L = self.fp.ring_bits
         circuit = _batch_circuit(L, self.n)
         if self.cfg.construction == HE_GC:
-            dec = recv_decrypt(ch, RESULT_EVAL_MASK, self.keypair, self.n, self.counters)
+            cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
+                                                  self.keypair.public)
+            dec = unpack_masked(self.keypair, cts, self.n, reveal_width(self._value_bits),
+                                self.counters, RESULT_EVAL_MASK)
             garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
         else:
             trial = len(self.indicator_history) + 1
@@ -384,12 +444,13 @@ class CSPParty:
 
     def open(self, ch):
         """SETUP: Cloud's header must match this party's own; then the
-        base-OT session."""
+        base-OT session and the sign circuit the header fixes."""
         if expect_phase(ch.recv(), SETUP) != _setup_header(self.n, self.dim,
                                                            self.fp.ring_bits):
             raise MalformedMessage(f"SETUP does not declare n={self.n}, dim={self.dim}, "
                                    f"L={self.fp.ring_bits}")
         self.label_ot.open_sender(ch)
+        _batch_circuit(self.fp.ring_bits, self.n)  # while Cloud folds its columns
 
     def run(self, ch):
         self._transcript = ch._transcript

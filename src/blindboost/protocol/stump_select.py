@@ -18,11 +18,11 @@ circuit as wires: Cloud XORs m_i mod 2 into the top bit of its mask input,
 which flips the msb the circuit outputs, and CSP XORs (y_i + m_i) mod 2 into
 the bits it decodes.
 
-Every Paillier reveal is slot-packed (`paillier.pack_slots`): Cloud folds the
+Every Paillier reveal is the packed reveal of .parties: Cloud folds the
 encrypted values of a chunk of records into one ciphertext by Horner steps
 and adds one fresh encryption of the chunk's packed masks; CSP decrypts
-ceil(n / slots) ciphertexts and unpacks the per-record masked values. A slot
-holds a value plus its mask and one carry bit.
+ceil(n / slots) ciphertexts and unpacks the per-record masked values. A
+comparison hides x - v + q < 2^(L+1), a label y < 2^1.
 """
 
 import math
@@ -46,11 +46,14 @@ from .engine import run_pair
 from .parties import (
     LabelOT,
     _batch_circuit,
-    add_masks,
-    decrypt_exact,
     evaluator_round,
     garbler_round,
+    he_pack,
+    mask_packed,
+    pack_columns,
     recv_field,
+    reveal_width,
+    unpack_masked,
 )
 from .transcript import (
     BASE_APPLY,
@@ -130,37 +133,8 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     return _csp_select(errors, delta, tau), errors, fp, catalog
 
 
-def _slot_width(value_bits: int, ring_bits: int) -> int:
-    """Slot width for a value below 2^value_bits plus a mask drawn by
-    shares.sample_masks(., ring_bits, .): the longer of the two, plus a carry."""
-    return max(value_bits, shares.mask_bits(ring_bits)) + 1
-
-
-def _he_pack(pk, cts, width, counters) -> list:
-    packed = paillier.he_pack_slots(pk, cts, width, paillier.slot_count(pk, width))
-    counters.he_scalar_muls += len(cts) - len(packed)
-    counters.he_adds += len(cts) - len(packed)
-    return packed
-
-
-def _mask_packed(pk, packed_cts, masks, width, rng, counters) -> list:
-    """Cloud's half of a packed reveal: each packed ciphertext plus a fresh
-    encryption of its chunk's packed masks."""
-    slots = paillier.slot_count(pk, width)
-    return add_masks(pk, packed_cts, paillier.pack_slots(masks, width, slots),
-                     rng, counters)
-
-
-def _unpack_masked(kp, cts, count, width, counters, phase) -> list:
-    """CSP's half of a packed reveal: the `count` masked values that the
-    `phase` message's ceil(count / slots) ciphertexts carry."""
-    slots = paillier.slot_count(kp.public, width)
-    packed = decrypt_exact(kp, cts, -(-count // slots), counters, phase)
-    return paillier.unpack_slots(packed, width, slots, count)
-
-
 def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
-    n, k = xq.shape
+    n = xq.shape[0]
     L = fp.ring_bits
     counters = ch._transcript.party("cloud")
     rng_mask = stream(cfg.seeds.cloud, b"mask")
@@ -169,25 +143,24 @@ def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
     circuit = _batch_circuit(L, n)  # before SETUP: CSP then finds it cached
     # one-time label masking: E(y + m); m mod 2 rides in the top mask bit
     m = shares.sample_masks(n, 1, rng_mask)
-    label_width = _slot_width(1, 1)
-    masked_labels = _mask_packed(pk, _he_pack(pk, ey, label_width, counters), m,
-                                 label_width, rng_enc, counters)
+    label_width = reveal_width(1)
+    masked_labels = mask_packed(pk, he_pack(pk, ey, label_width, counters), m,
+                                label_width, rng_enc, counters)
     ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
             + paillier.ciphertexts_to_bytes(masked_labels))
     label_ot.open_receiver(ch)
     top = [(v & 1) << (L - 1) for v in m]
-    width = _slot_width(L + 1, L)  # x - v + q < 2q
+    width = reveal_width(L + 1)  # x - v + q < 2q
     slots = paillier.slot_count(pk, width)
-    columns = [_he_pack(pk, [row[j] for row in xq.rows], width, counters)
-               for j in range(k)]
+    packed = pack_columns(pk, xq, width, counters)
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
-        lam = shares.sample_masks(n, L, rng_mask)
+        lam = shares.sample_masks(n, L + 1, rng_mask)
         shifts = paillier.pack_slots([(fp.q - vq) % fp.q] * n, width, slots)
-        diffs = [paillier.he_add(pk, c, paillier.encrypt_raw(pk, v))
-                 for c, v in zip(columns[j], shifts)]
+        diffs = [paillier.he_add(pk, row[j], paillier.encrypt_raw(pk, v))
+                 for row, v in zip(packed.rows, shifts)]
         counters.he_adds += len(diffs)
-        out = _mask_packed(pk, diffs, lam, width, rng_enc, counters)
+        out = mask_packed(pk, diffs, lam, width, rng_enc, counters)
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
         # GC: Cloud evaluates on lambda with its label-mask bit in bit L - 1,
         # so the output is msb(x - v) XOR (m mod 2)
@@ -209,12 +182,12 @@ def _csp_loop(ch, cfg, kp, n_catalog):
     if n == 0:
         raise MalformedMessage("SETUP declares no records")
     counters = ch._transcript.party("csp")
-    masked = _unpack_masked(kp, paillier.ciphertexts_from_bytes(payload[off:], kp.public),
-                            n, _slot_width(1, 1), counters, SETUP)
+    masked = unpack_masked(kp, paillier.ciphertexts_from_bytes(payload[off:], kp.public),
+                           n, reveal_width(1), counters, SETUP)
     label_share = np.array([v & 1 for v in masked], dtype=np.uint8)  # y xor (m mod 2)
     label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
     label_ot.open_sender(ch)
-    width = _slot_width(L + 1, L)
+    width = reveal_width(L + 1)
     circuit = _batch_circuit(L, n)
     garble_rng = stream(cfg.seeds.csp, b"garb")
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
@@ -224,7 +197,7 @@ def _csp_loop(ch, cfg, kp, n_catalog):
             raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
         cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
                                               kp.public)
-        dec = _unpack_masked(kp, cts, n, width, counters, RESULT_EVAL_MASK)
+        dec = unpack_masked(kp, cts, n, width, counters, RESULT_EVAL_MASK)
         err = label_share ^ np.asarray(
             garbler_round(ch, circuit, garble_rng, label_ot, counters,
                           circuit.inputs_a, record_bits(dec, L), circuit.inputs_b),

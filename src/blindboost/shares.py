@@ -6,7 +6,9 @@ holds Z1 = Z - Z0. CSP computes E(Z1 w + lambda) under Cloud's key; after
 decryption Cloud holds u0 = Zw + lambda (mod 2^L) and CSP keeps u1 = lambda.
 (u0 - u1) mod 2^L is the ring value of Zw at scale level 2. Only those L
 bits reach the sign circuit, and Z1 w + lambda stays far below N, so the
-decryption is exact and one reduction mod 2^L is all u0 needs.
+decryption is exact and one reduction mod 2^L is all u0 needs. Z1 w is an
+integer below 2^(FixedPointParams.product_bits(d)), and lambda is sigma
+bits longer.
 """
 
 import random
@@ -17,7 +19,7 @@ import numpy as np
 from . import paillier
 from .errors import DimensionMismatch, ShapeMismatch
 
-MASK_SECURITY_BITS = 40  # sigma: lambda is uniform over [0, 2^(L+sigma))
+MASK_SECURITY_BITS = 40  # sigma: a mask is sigma bits longer than its value
 
 
 @dataclass
@@ -45,14 +47,10 @@ def reconstruct(s: SharePair) -> np.ndarray:
     return (s.part0 + s.part1) & np.uint64((1 << s.ring_bits) - 1)
 
 
-def mask_bits(ring_bits: int) -> int:
-    """Bit length of the masks sample_masks draws for ring width L: L + sigma."""
-    return ring_bits + MASK_SECURITY_BITS
-
-
-def sample_masks(count: int, ring_bits: int, rng: random.Random) -> list:
-    """Fresh uniform masks over [0, 2^(L+sigma)); never reused across calls."""
-    bits = mask_bits(ring_bits)
+def sample_masks(count: int, value_bits: int, rng: random.Random) -> list:
+    """Fresh uniform masks over [0, 2^(value_bits + sigma)) for values below
+    2^value_bits; never reused across calls."""
+    bits = value_bits + MASK_SECURITY_BITS
     return [rng.getrandbits(bits) for _ in range(count)]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from blindboost.harness.experiments import (
 )
 from blindboost.harness.leakage import leakage_analysis
 from blindboost.boosting import boost_ds
+from blindboost.shares import MASK_SECURITY_BITS
 
 
 def test_spec_validation():
@@ -83,8 +85,18 @@ def test_cost_scaling_experiment(tmp_path):
     report = run_experiment(spec)
     for ratio in report["gc_bytes_doubling_ratios"]:
         assert abs(ratio - 2.0) < 0.1
-    n_rows = [r for r in report["rows"] if r["vary"] == "n"]
-    assert n_rows[1]["cloud_he_ops"] == 2 * n_rows[0]["cloud_he_ops"]
+    # HE+GC packs u into slots of 2L + ceil(log2 d) + sigma + 1 bits under a
+    # 512-bit N. Cloud folds its d columns once, n - chunks Horner steps of
+    # one scalar multiply and one add per column; per trial it multiplies
+    # and adds d times per chunk and adds one packed mask per chunk
+    for r in report["rows"]:
+        d = r["k"] + 1
+        L = 2 * 7 + math.ceil(math.log2(d)) + 1
+        slots = 511 // (2 * L + math.ceil(math.log2(d)) + MASK_SECURITY_BITS + 1)
+        chunks, iters = -(-r["n"] // slots), r["iterations"]
+        assert r["cloud_he_ops"] == 2 * (r["n"] - chunks) * d \
+            + iters * (2 * chunks * d + chunks)
+        assert r["csp_decryptions"] == chunks * iters
 
 
 def test_leakage_experiment_duplicates_bucket_zero():

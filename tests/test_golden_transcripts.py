@@ -18,15 +18,15 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer"):
-        "dece1d3e91bc64c0e26a743a7dda4033b36396daf714f487d44a149d62ec2fc9",
+        "44196040f7d96e260b1679148c404cf460249ad69423d641ca8db8c8bfcdc236",
     (HE_GC, "base"):
-        "530513660c99da26b9cf611347b96d160f75af0ad6dcce93499300329b9e4ca7",
+        "aaf520ea212d3db161633b3027035bcbd4ace6798c158b14d69eb833225fc04c",
     (SECSH_GC, "dealer"):
-        "5d987b36dd469a344cde8993198b1bbfb6d1f1429368003c705801647ec2cbe0",
+        "132feb42ebf7d79630e57dcf57d5ba2cb81c43412d4c1bc8dd894bbbf709d86f",
     (SECSH_GC, "base"):
-        "3f0f6048fbc1dd30984b867f098c0047b9d7be5b973c673da95034de4e8a5bd3",
+        "a2f8f6c0f553170410470ced257bbc965dd7546e030abdbee078fdb73759f483",
 }
-STUMP_GOLDEN = "6e0dbc5594710167b2e92b133ade14b11f9be9b7b1fd0166931d4cf9698396da"
+STUMP_GOLDEN = "10fee9ec462d01afb554a43b9bf9b324080b4a85f0fea247d5b626d2dd2e4496"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

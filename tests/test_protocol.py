@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from blindboost import paillier
+from blindboost import paillier, shares
 from blindboost.boosting import boost_rlc
 from blindboost.circuits import build_sub_msb_batch, record_bits
 from blindboost.encoding import (
@@ -51,8 +51,12 @@ from blindboost.protocol.parties import (
     LabelOT,
     evaluator_round,
     garbler_round,
+    he_pack,
+    mask_packed,
+    reveal_width,
+    unpack_masked,
 )
-from blindboost.protocol.transcript import DONE, SETUP
+from blindboost.protocol.transcript import DONE, Counters
 
 
 def toy_folded(n=8, k=3, seed=0):
@@ -129,7 +133,11 @@ def test_base_apply_he_gc_decrypts_to_plaintext_encoding():
     fp = cloud.fp
     w = cloud.tried_w[0]
     expected = ring_matvec(encode_array(folded.Z, fp), encode_array(w, fp), fp)
-    got = [paillier.decrypt(csp.keypair, c) % fp.q for c in cloud._eu]  # test hook
+    # a slot holds u < 2^(2L + ceil(log2 3)), its mask and a carry bit
+    width = 2 * fp.ring_bits + 2 + shares.MASK_SECURITY_BITS + 1
+    slots = paillier.slot_count(csp.keypair.public, width)
+    packed = [paillier.decrypt(csp.keypair, c) for c in cloud._eu]  # test hook
+    got = [v % fp.q for v in paillier.unpack_slots(packed, width, slots, 3)]
     assert [int(e) for e in expected] == got
 
 
@@ -222,9 +230,37 @@ def test_phase_order_and_report():
     report = transcript_report(transcript)
     assert report["iterations"] == transcript.iterations()
     assert report["counters"]["csp"]["encryptions"] == 0  # HE+GC: CSP never encrypts
+    # d = 3, L = 17: a slot is 2L + 2 + sigma + 1 = 77 bits, 6 under a
+    # 512-bit N, so the n = 6 records are one packed ciphertext per trial
     n, iters = 6, report["iterations"]
-    assert report["counters"]["csp"]["decryptions"] == n * iters
-    assert report["counters"]["cloud"]["encryptions"] == n * iters
+    chunks = -(-n // (511 // (2 * 17 + 2 + shares.MASK_SECURITY_BITS + 1)))
+    assert chunks == 1
+    assert report["counters"]["csp"]["decryptions"] == chunks * iters
+    assert report["counters"]["cloud"]["encryptions"] == chunks * iters
+
+
+@pytest.mark.parametrize("n", [6, 7, 13])
+def test_he_gc_packed_reveal_counters(n):
+    # 6 slots of 77 bits (d = 3, L = 17) under a 512-bit N. Cloud folds its
+    # d columns once: n - chunks Horner steps per column, each one scalar
+    # multiply and one add. Per trial: the matrix-vector product over the
+    # chunks, then one encryption of the packed masks per chunk, added on
+    folded = toy_folded(n=n, k=2, seed=16)
+    _, transcript = run_learning(cfg_for(HE_GC, tau=2, p_max=4), folded)
+    report = transcript_report(transcript)
+    d, iters = 3, report["iterations"]
+    chunks = -(-n // 6)
+    fold = (n - chunks) * d
+    assert report["counters"]["cloud"] == {
+        "encryptions": chunks * iters,
+        "decryptions": 0,
+        "he_scalar_muls": fold + chunks * d * iters,
+        "he_adds": fold + (chunks * d + chunks) * iters,
+        "and_gates": report["counters"]["csp"]["and_gates"],
+        "ot_transfers": n * 17 * iters,
+    }
+    assert report["counters"]["csp"]["decryptions"] == chunks * iters
+    assert report["counters"]["user"]["encryptions"] == n * d
 
 
 def test_secsh_counter_shapes():
@@ -491,9 +527,11 @@ def test_csp_run_rejects_a_setup_header_that_is_not_its_own(field):
     declared = [cloud.n, cloud.dim, cloud.fp.ring_bits]
     declared[field] += 1
     ch_cloud, ch_csp, _ = transport.memory_pair()
-    cloud.open = lambda ch: ch.send(SETUP, b"".join(map(wire.pack_u32, declared)))
+    # Cloud's first message, its header, is rewritten on the way
+    hostile = _TailOne(ch_cloud, [], 0, lambda _: b"".join(map(wire.pack_u32, declared)))
+    hostile._transcript = ch_cloud._transcript
     with pytest.raises(MalformedMessage, match="SETUP"):
-        engine.run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp),
+        engine.run_pair(lambda: cloud.run(hostile), lambda: csp.run(ch_csp),
                         ch_cloud, ch_csp)
 
 
@@ -508,12 +546,37 @@ def test_csp_secsh_result_eval_requires_the_current_trial(payload):
     assert len(result_eval(pair, 1)) == 3
 
 
-@pytest.mark.parametrize("count", [2, 4])  # n = 3
+@pytest.mark.parametrize("extra", [0, 1])
+def test_packed_reveal_slot_edge(keypair_512, extra):
+    # the largest u under the bound plus the largest mask fills its slot to
+    # the last bit; no carry reaches the neighbouring slot, at n = slots
+    # and at n = slots + 1 records
+    pk = keypair_512.public
+    bound = FixedPointParams(7, 17).product_bits(3)
+    width = reveal_width(bound)
+    assert (bound, width, paillier.slot_count(pk, width)) == (36, 77, 6)
+    n = 6 + extra
+    u = (1 << bound) - 1
+    lam = (1 << (bound + shares.MASK_SECURITY_BITS)) - 1
+    assert (u + lam).bit_length() == width
+    counters = Counters()
+    packed = he_pack(pk, paillier.encrypt_many(pk, [u] * n, random.Random(1)),
+                     width, counters)
+    assert len(packed) == 1 + extra
+    masked = mask_packed(pk, packed, [lam] * n, width, random.Random(2), counters)
+    assert unpack_masked(keypair_512, masked, n, width, counters,
+                         "RESULT_EVAL_MASK") == [u + lam] * n
+    assert counters == Counters(encryptions=1 + extra, decryptions=1 + extra,
+                                he_adds=(n - 1 - extra) + 1 + extra,
+                                he_scalar_muls=n - 1 - extra)
+
+
+@pytest.mark.parametrize("count", [0, 2])  # n = 3 records pack into 1 ciphertext
 def test_csp_result_eval_wrong_ciphertext_count(count):
     _, csp = setup(cfg_for(HE_GC), toy_folded(n=3, k=2))
     csp.attach(Transcript())
     cts = paillier.encrypt_many(csp.keypair.public, [0] * count, random.Random(1))
-    with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 3"):
+    with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 1"):
         csp.result_eval_step(_Scripted([("RESULT_EVAL_MASK",
                                          paillier.ciphertexts_to_bytes(cts))]))
 

@@ -96,12 +96,12 @@ def test_gc_gate_counter_scales_with_grid():
     per_comparison = 10 * (L - 1)
     assert report["counters"]["csp"]["and_gates"] == s * 2 * per_comparison
     rounds = s * k
-    # packed reveals under a 512-bit N: a comparison's slot holds x - v + q
-    # plus an (L + sigma)-bit mask, 57 bits, 511 // 57 = 8 slots, so n = 10
-    # records take 2 ciphertexts; a label's slot holds y plus a
-    # (1 + sigma)-bit mask, 42 bits, 12 slots, 1 ciphertext
+    # packed reveals under a 512-bit N: a comparison's slot holds
+    # x - v + q < 2^(L+1) plus an (L + 1 + sigma)-bit mask, 58 bits,
+    # 511 // 58 = 8 slots, so n = 10 records take 2 ciphertexts; a label's
+    # slot holds y plus a (1 + sigma)-bit mask, 42 bits, 12 slots, 1 ciphertext
     sigma = shares.MASK_SECURITY_BITS
-    assert (L + sigma + 1, 511 // (L + sigma + 1)) == (57, 8)
+    assert (L + sigma + 2, 511 // (L + sigma + 2)) == (58, 8)
     assert (sigma + 2, 511 // (sigma + 2)) == (42, 12)
     chunks, label_chunks = 2, 1
     counters = report["counters"]
@@ -172,9 +172,11 @@ def test_base_ot_mode_matches_dealer():
     assert setup == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
 
 
-# slot widths of the hostile SETUP below (L = 17): labels, then comparisons
+# slot widths of the hostile SETUP below (L = 17): a label y < 2^1 and a
+# comparison's x - v + q < 2^(L+1), each with a mask sigma bits longer and
+# a carry bit
 _LABEL_WIDTH = shares.MASK_SECURITY_BITS + 2
-_WIDTH = 17 + shares.MASK_SECURITY_BITS + 1
+_WIDTH = 17 + 1 + shares.MASK_SECURITY_BITS + 1
 
 
 def _setup_payload(kp, declared_n, labels):
