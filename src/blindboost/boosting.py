@@ -115,10 +115,10 @@ def weighted_error(indicators: np.ndarray, delta: np.ndarray) -> float:
 
 
 def alpha(e: float) -> float:
-    """0.5 * ln((1-e)/e); only defined on the open interval (eps, 0.5)."""
+    """0.5 * ln((1-e)/e); only defined on [EPSILON_FLOOR, 0.5)."""
     if e >= 0.5:
         raise InvalidBaseClassifier(f"weighted error {e} >= 0.5")
-    if e <= EPSILON_FLOOR:
+    if e < EPSILON_FLOOR:
         raise DegenerateError(f"weighted error {e} below floor")
     return 0.5 * math.log((1.0 - e) / e)
 
@@ -155,7 +155,7 @@ def evaluate_candidate(delta: np.ndarray, indicators: np.ndarray) -> StepResult:
         decision = "accept"
         e_eff = e
     e_eff = max(e_eff, EPSILON_FLOOR)
-    a = 0.5 * math.log((1.0 - e_eff) / e_eff)
+    a = alpha(e_eff)
     new_delta = update_weights(delta, indicators, a)
     return StepResult(decision, e, e_eff, a, new_delta, indicators)
 
@@ -280,8 +280,7 @@ def boost_ds(X: np.ndarray, y: np.ndarray, tau: int, seed: int | None = None) ->
             warnings.warn("no stump beats chance on the current weights",
                           PoolExhaustedWarning, stacklevel=2)
             break
-        e_eff = max(err, EPSILON_FLOOR)
-        a = 0.5 * math.log((1.0 - e_eff) / e_eff)
+        a = alpha(max(err, EPSILON_FLOOR))
         pred = stump.predict(X)
         ind = (pred == y).astype(np.uint8)
         delta = update_weights(delta, ind, a)

@@ -10,28 +10,26 @@ then iteratively picks argmin_r dot(I_r, delta) for tau rounds, learning only
 indices; Cloud resolves indices to stump parameters at the end.
 
 Each round runs the boosting protocols' sign circuit (`build_sub_msb_batch`)
-on the masked difference x - v and its mask. Labels travel as y in {0, 1},
-encrypted separately from the features; Cloud re-masks them once with
-per-record masks m_i of sigma + 1 bits, so CSP's decryption y + m hides y,
-and y = ((y + m) mod 2) XOR (m mod 2). The two label shares never enter the
-circuit as wires: Cloud XORs m_i mod 2 into the top bit of its mask input,
-which flips the msb the circuit outputs, and CSP XORs (y_i + m_i) mod 2 into
-the bits it decodes.
+on a masked value and its mask. The label y in {0, 1} travels inside the
+compared value: adding y * 2^(L-1) mod 2^L flips exactly the msb, so the
+circuit outputs msb(x - v) XOR y, the error bit. Cloud adds E(y * 2^(L-1))
+into its packed feature columns once per run; a comparison then masks
+column j with the plaintext masks lambda + (q - v), and Cloud evaluates on
+lambda.
 
 Every Paillier reveal is the packed reveal of .parties: Cloud folds the
 encrypted values of a chunk of records into one ciphertext by Horner steps
 and adds one fresh encryption of the chunk's packed masks; CSP decrypts
 ceil(n / slots) ciphertexts and unpacks the per-record masked values. A
-comparison hides x - v + q < 2^(L+1), a label y < 2^1.
+comparison hides x - v + q + y * 2^(L-1) < 2^(L+2).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import paillier, shares
-from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, update_weights
+from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, alpha, update_weights
 from ..circuits import record_bits
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
 from ..errors import BinCountInvalid, MalformedMessage
@@ -46,6 +44,7 @@ from .engine import run_pair
 from .parties import (
     LabelOT,
     _batch_circuit,
+    _setup_header,
     evaluator_round,
     garbler_round,
     he_pack,
@@ -103,8 +102,7 @@ def _csp_select(error_vectors: np.ndarray, delta: np.ndarray, tau: int):
         e = float(errs[best])
         if e >= 0.5:
             break  # conjugate pairs guarantee min <= 0.5; equality is degenerate
-        e_eff = max(e, EPSILON_FLOOR)
-        a = 0.5 * math.log((1.0 - e_eff) / e_eff)
+        a = alpha(max(e, EPSILON_FLOOR))
         correct = (1 - error_vectors[best]).astype(np.uint8)
         delta = update_weights(delta, correct, a)
         indices.append(best)
@@ -134,60 +132,51 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
 
 
 def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
-    n = xq.shape[0]
+    n, k = xq.shape
     L = fp.ring_bits
     counters = ch._transcript.party("cloud")
     rng_mask = stream(cfg.seeds.cloud, b"mask")
     rng_enc = stream(cfg.seeds.cloud, b"encr")
     label_ot = LabelOT(cfg, stream(cfg.seeds.cloud, b"ot_r"))
     circuit = _batch_circuit(L, n)  # before SETUP: CSP then finds it cached
-    # one-time label masking: E(y + m); m mod 2 rides in the top mask bit
-    m = shares.sample_masks(n, 1, rng_mask)
-    label_width = reveal_width(1)
-    masked_labels = mask_packed(pk, he_pack(pk, ey, label_width, counters), m,
-                                label_width, rng_enc, counters)
-    ch.send(SETUP, wire.pack_u32(n) + wire.pack_u32(L)
-            + paillier.ciphertexts_to_bytes(masked_labels))
+    ch.send(SETUP, _setup_header(n, k, L))
     label_ot.open_receiver(ch)
-    top = [(v & 1) << (L - 1) for v in m]
-    width = reveal_width(L + 1)  # x - v + q < 2q
-    slots = paillier.slot_count(pk, width)
+    width = reveal_width(L + 2)  # x - v + q + y * 2^(L-1) < 2^(L+2)
     packed = pack_columns(pk, xq, width, counters)
+    # E(y * 2^(L-1)) per chunk, added into every column once per run
+    labels = [paillier.he_scalar_mul(pk, c, 1 << (L - 1))
+              for c in he_pack(pk, ey, width, counters)]
+    counters.he_scalar_muls += len(labels)
+    columns = [[paillier.he_add(pk, row[j], c) for row, c in zip(packed.rows, labels)]
+               for j in range(k)]
+    counters.he_adds += k * len(labels)
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
-        lam = shares.sample_masks(n, L + 1, rng_mask)
-        shifts = paillier.pack_slots([(fp.q - vq) % fp.q] * n, width, slots)
-        diffs = [paillier.he_add(pk, row[j], paillier.encrypt_raw(pk, v))
-                 for row, v in zip(packed.rows, shifts)]
-        counters.he_adds += len(diffs)
-        out = mask_packed(pk, diffs, lam, width, rng_enc, counters)
+        lam = shares.sample_masks(n, L + 2, rng_mask)
+        shift = (fp.q - vq) % fp.q
+        out = mask_packed(pk, columns[j], [m + shift for m in lam], width, rng_enc,
+                          counters)
         ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
-        # GC: Cloud evaluates on lambda with its label-mask bit in bit L - 1,
-        # so the output is msb(x - v) XOR (m mod 2)
+        # (x - v + q + y * 2^(L-1) + lambda) - lambda mod 2^L: msb(x - v) XOR y
         evaluator_round(ch, circuit, label_ot, counters, circuit.inputs_b,
-                        record_bits([v ^ t for v, t in zip(lam, top)], L),
-                        circuit.inputs_a)
+                        record_bits(lam, L), circuit.inputs_a)
     ch.send(DONE, b"")
 
 
-def _csp_loop(ch, cfg, kp, n_catalog):
-    """CSP's side of the selection; returns the (2sk, n) error vectors.
+def _csp_loop(ch, cfg, kp, n, k, L, n_catalog):
+    """CSP's side of the selection over its own n records, k features and
+    ring width L; returns the (2sk, n) error vectors.
 
-    Cloud must run the sk base comparisons in catalog order, numbered 0, 1,
-    ..., and send DONE after the last one.
+    Cloud's SETUP must declare exactly n, k and L. Cloud must run the sk
+    base comparisons in catalog order, numbered 0, 1, ..., and send DONE
+    after the last one.
     """
-    payload = expect_phase(ch.recv(), SETUP)
-    n, off = wire.unpack_u32(payload)
-    L, off = wire.unpack_u32(payload, off)
-    if n == 0:
-        raise MalformedMessage("SETUP declares no records")
+    if expect_phase(ch.recv(), SETUP) != _setup_header(n, k, L):
+        raise MalformedMessage(f"SETUP does not declare n={n}, k={k}, L={L}")
     counters = ch._transcript.party("csp")
-    masked = unpack_masked(kp, paillier.ciphertexts_from_bytes(payload[off:], kp.public),
-                           n, reveal_width(1), counters, SETUP)
-    label_share = np.array([v & 1 for v in masked], dtype=np.uint8)  # y xor (m mod 2)
     label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
     label_ot.open_sender(ch)
-    width = reveal_width(L + 1)
+    width = reveal_width(L + 2)
     circuit = _batch_circuit(L, n)
     garble_rng = stream(cfg.seeds.csp, b"garb")
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
@@ -198,10 +187,9 @@ def _csp_loop(ch, cfg, kp, n_catalog):
         cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
                                               kp.public)
         dec = unpack_masked(kp, cts, n, width, counters, RESULT_EVAL_MASK)
-        err = label_share ^ np.asarray(
-            garbler_round(ch, circuit, garble_rng, label_ot, counters,
-                          circuit.inputs_a, record_bits(dec, L), circuit.inputs_b),
-            dtype=np.uint8)
+        err = np.asarray(garbler_round(ch, circuit, garble_rng, label_ot, counters,
+                                       circuit.inputs_a, record_bits(dec, L),
+                                       circuit.inputs_b), dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
     wire.expect_end(expect_phase(ch.recv(), DONE), 0)
@@ -211,8 +199,6 @@ def _csp_loop(ch, cfg, kp, n_catalog):
 def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
                            tau: int | None = None) -> StumpSelectionResult:
     """Run the two-party stump-selection protocol end to end."""
-    if s < 2:
-        raise BinCountInvalid(f"need at least 2 bins, got {s}")
     tau = tau if tau is not None else cfg.tau
     X = np.asarray(dataset.X, dtype=np.float64)
     y01 = (np.asarray(dataset.y) == 1).astype(np.uint8)
@@ -231,7 +217,8 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     transcript.party("user").encryptions += n * k + n
     _, error_vectors = run_pair(
         lambda: _cloud_loop(ch_cloud, cfg, fp, xq, ey, catalog_base, kp.public),
-        lambda: _csp_loop(ch_csp, cfg, kp, len(catalog)), ch_cloud, ch_csp)
+        lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp.ring_bits, len(catalog)),
+        ch_cloud, ch_csp)
     transcript.validate_phase_order()
 
     delta = np.full(n, 1.0 / n)

@@ -15,6 +15,13 @@ from blindboost.protocol import (
     transport,
     wire,
 )
+from blindboost.protocol.parties import (
+    _setup_header,
+    he_pack,
+    mask_packed,
+    reveal_width,
+    unpack_masked,
+)
 from blindboost.protocol.stump_select import (
     _csp_loop,
     confidential_ds_select,
@@ -22,6 +29,7 @@ from blindboost.protocol.stump_select import (
     stump_catalog,
     threshold_grid,
 )
+from blindboost.protocol.transcript import Counters
 
 
 def cfg(seed=1, **kw):
@@ -97,29 +105,27 @@ def test_gc_gate_counter_scales_with_grid():
     assert report["counters"]["csp"]["and_gates"] == s * 2 * per_comparison
     rounds = s * k
     # packed reveals under a 512-bit N: a comparison's slot holds
-    # x - v + q < 2^(L+1) plus an (L + 1 + sigma)-bit mask, 58 bits,
-    # 511 // 58 = 8 slots, so n = 10 records take 2 ciphertexts; a label's
-    # slot holds y plus a (1 + sigma)-bit mask, 42 bits, 12 slots, 1 ciphertext
+    # x - v + q + y * 2^(L-1) < 2^(L+2) plus an (L + 2 + sigma)-bit mask,
+    # 59 bits, 511 // 59 = 8 slots, so n = 10 records take 2 ciphertexts
     sigma = shares.MASK_SECURITY_BITS
-    assert (L + sigma + 2, 511 // (L + sigma + 2)) == (58, 8)
-    assert (sigma + 2, 511 // (sigma + 2)) == (42, 12)
-    chunks, label_chunks = 2, 1
+    assert (L + sigma + 3, 511 // (L + sigma + 3)) == (59, 8)
+    chunks = 2
     counters = report["counters"]
     assert counters["cloud"] == {
-        "encryptions": label_chunks + rounds * chunks,   # one packed mask each
+        "encryptions": rounds * chunks,   # one packed mask each
         "decryptions": 0,
-        # Horner folds of the labels and of each column, once per run; then
-        # the packed masks, and per comparison the threshold shifts
-        "he_adds": (n - label_chunks) + label_chunks + k * (n - chunks)
-                   + rounds * 2 * chunks,
-        "he_scalar_muls": (n - label_chunks) + k * (n - chunks),
+        # Horner folds of the labels and of each column, once per run, and
+        # E(y * 2^(L-1)) added into each column; then the packed masks
+        "he_adds": (n - chunks) + k * (n - chunks) + k * chunks + rounds * chunks,
+        # the folds, and one 2^(L-1) product per label chunk
+        "he_scalar_muls": (n - chunks) + k * (n - chunks) + chunks,
         "and_gates": rounds * per_comparison,
         "ot_transfers": rounds * n * L,           # lambda bits
     }
-    assert counters["cloud"]["encryptions"] == 17
+    assert counters["cloud"]["encryptions"] == 16
     assert counters["csp"] == {
         "encryptions": 0,
-        "decryptions": rounds * chunks + label_chunks,
+        "decryptions": rounds * chunks,
         "he_adds": 0,
         "he_scalar_muls": 0,
         "and_gates": rounds * per_comparison,
@@ -128,34 +134,36 @@ def test_gc_gate_counter_scales_with_grid():
     assert counters["user"]["encryptions"] == n * k + n
 
 
-def test_csp_label_view_hides_labels(monkeypatch):
-    # CSP decrypts y + m for each record; with m drawn like every other mask,
-    # the values span more than sigma bits and only their parity, XOR the
-    # parity of m, is y
-    masks, revealed = [], []
-    sample, unpack = shares.sample_masks, paillier.unpack_slots
+def test_single_bin_raises_before_keygen(monkeypatch):
+    def keygen(*args):
+        raise AssertionError("a key was generated for an invalid grid")
 
-    def spy_masks(count, ring_bits, rng):
-        out = sample(count, ring_bits, rng)
-        if ring_bits == 1:
-            masks.append(out)
-        return out
+    monkeypatch.setattr(paillier, "keygen", keygen)
+    with pytest.raises(BinCountInvalid, match="need at least 2 bins, got 1"):
+        confidential_ds_select(cfg(), toy_dataset(n=6, k=2), s=1, tau=1)
 
-    def spy_unpack(*args):
-        out = unpack(*args)
-        revealed.append(out)
-        return out
 
-    monkeypatch.setattr(shares, "sample_masks", spy_masks)
-    monkeypatch.setattr(paillier, "unpack_slots", spy_unpack)
-    ds = toy_dataset(n=24, k=3, seed=8)
-    confidential_ds_select(cfg(seed=17), ds, s=2, tau=1)
-    y01 = (ds.y == 1).astype(int)
-    assert len(masks) == 1
-    labels = revealed[0]  # SETUP's reveal comes first
-    assert max(v.bit_length() for v in labels) > shares.MASK_SECURITY_BITS
-    assert [(v & 1) ^ (m & 1) for v, m in zip(labels, masks[0])] == y01.tolist()
-    assert labels == [int(y) + m for y, m in zip(y01, masks[0])]
+@pytest.mark.parametrize("extra", [0, 1])
+def test_comparison_slot_edge(keypair_512, extra):
+    # the largest x + y * 2^(L-1) plus the largest lambda + (q - v) fills a
+    # comparison's slot to the last bit; no carry reaches the neighbouring
+    # slot, at n = slots and at n = slots + 1 records
+    pk = keypair_512.public
+    L = 17
+    q = 1 << L
+    width = reveal_width(L + 2)
+    assert (width, paillier.slot_count(pk, width)) == (60, 8)
+    n = 8 + extra
+    value = (q - 1) + (1 << (L - 1))
+    mask = (1 << (L + 2 + shares.MASK_SECURITY_BITS)) - 1 + (q - 1)
+    assert (value + mask).bit_length() == width
+    counters = Counters()
+    packed = he_pack(pk, paillier.encrypt_many(pk, [value] * n, random.Random(1)),
+                     width, counters)
+    assert len(packed) == 1 + extra
+    masked = mask_packed(pk, packed, [mask] * n, width, random.Random(2), counters)
+    assert unpack_masked(keypair_512, masked, n, width, counters,
+                         "RESULT_EVAL_MASK") == [value + mask] * n
 
 
 def test_base_ot_mode_matches_dealer():
@@ -172,51 +180,54 @@ def test_base_ot_mode_matches_dealer():
     assert setup == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
 
 
-# slot widths of the hostile SETUP below (L = 17): a label y < 2^1 and a
-# comparison's x - v + q < 2^(L+1), each with a mask sigma bits longer and
-# a carry bit
-_LABEL_WIDTH = shares.MASK_SECURITY_BITS + 2
-_WIDTH = 17 + 1 + shares.MASK_SECURITY_BITS + 1
+# CSP's own shape in the hostile runs below: n = 2 records, k = 2 features,
+# L = 17, and the 2 bins' 8 catalog entries. A comparison's slot holds
+# x - v + q + y * 2^(L-1) < 2^(L+2), a mask sigma bits longer and a carry bit
+_N, _K, _L, _CATALOG = 2, 2, 17, 8
+_WIDTH = _L + 2 + shares.MASK_SECURITY_BITS + 1
 
 
-def _setup_payload(kp, declared_n, labels):
-    """A SETUP declaring `declared_n` records, L = 17, that carries one
-    ciphertext for each plaintext in `labels`."""
-    cts = paillier.encrypt_many(kp.public, labels, random.Random(8))
-    return (wire.pack_u32(declared_n) + wire.pack_u32(17)
-            + paillier.ciphertexts_to_bytes(cts))
-
-
-@pytest.mark.parametrize("declared_n, labels, messages, error", [
-    # a SETUP whose record count does not match its packed label ciphertexts:
-    # 30 records take 3 of 12 slots each
-    (30, [0], [], MalformedMessage),
-    # a SETUP that declares no records and carries no label ciphertexts
-    (0, [], [], MalformedMessage),
-    # a packed label plaintext with bits above its 2 used slots
-    (2, [1 << 2 * _LABEL_WIDTH], [], MalformedMessage),
-    # a comparison index past the catalog's 4 base comparisons
-    (2, [0], [("BASE_APPLY", wire.pack_u32(99))], MalformedMessage),
-    # comparisons out of catalog order
-    (2, [0], [("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
-    # DONE before the last comparison
-    (2, [0], [("DONE", b"")], PhaseOrderViolation),
-    # a comparison's packed masked differences one ciphertext short of or
-    # over the one that 2 records take (a list payload stands for one
-    # ciphertext of each plaintext in it)
-    (2, [0], [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [])],
-     MalformedMessage),
-    (2, [0], [("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [0, 0])],
-     MalformedMessage),
-    # a packed comparison plaintext with bits above its 2 used slots
-    (2, [0], [("BASE_APPLY", wire.pack_u32(0)),
-              ("RESULT_EVAL_MASK", [1 << 2 * _WIDTH])], MalformedMessage),
-], ids=["setup-count", "setup-no-records", "setup-high-bits", "index-out-of-range", "index-out-of-order",
-        "early-done", "missing-ciphertext", "extra-ciphertext", "high-bits"])
-def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, labels, messages,
-                                        error):
+@pytest.mark.parametrize("setup", [
+    _setup_header(_N + 28, _K, _L),
+    _setup_header(0, _K, _L),
+    _setup_header(_N, _K + 1, _L),
+    _setup_header(_N, _K, _L + 1),
+    _setup_header(_N, _K, _L) + b"\x00",
+    _setup_header(_N, _K, _L)[:-1],
+], ids=["other-n", "no-records", "other-k", "other-L", "trailing-bytes", "truncated"])
+def test_csp_loop_refuses_a_foreign_setup(keypair_512, monkeypatch, setup):
+    # a Cloud-declared shape must not reach the circuit builder: a hostile n
+    # would have CSP build n * 2L wires
+    built = []
+    monkeypatch.setattr(stump_select, "_batch_circuit", lambda *a: built.append(a))
     ch_cloud, ch_csp, _ = transport.memory_pair()
-    ch_cloud.send("SETUP", _setup_payload(keypair_512, declared_n, labels))
+    ch_cloud.send("SETUP", setup)
+    ch_cloud.close()
+    with pytest.raises(MalformedMessage, match="SETUP does not declare"):
+        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _L, _CATALOG)
+    assert built == []
+
+
+@pytest.mark.parametrize("messages, error", [
+    # a comparison index past the catalog's 4 base comparisons
+    ([("BASE_APPLY", wire.pack_u32(99))], MalformedMessage),
+    # comparisons out of catalog order
+    ([("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
+    # DONE before the last comparison
+    ([("DONE", b"")], PhaseOrderViolation),
+    # a comparison's packed masked values one ciphertext short of or over
+    # the one that 2 records take (a list payload stands for one ciphertext
+    # of each plaintext in it)
+    ([("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [])], MalformedMessage),
+    ([("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [0, 0])], MalformedMessage),
+    # a packed comparison plaintext with bits above its 2 used slots
+    ([("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [1 << 2 * _WIDTH])],
+     MalformedMessage),
+], ids=["index-out-of-range", "index-out-of-order", "early-done", "missing-ciphertext",
+        "extra-ciphertext", "high-bits"])
+def test_csp_loop_rejects_hostile_cloud(keypair_512, messages, error):
+    ch_cloud, ch_csp, _ = transport.memory_pair()
+    ch_cloud.send("SETUP", _setup_header(_N, _K, _L))
     for phase, payload in messages:
         if isinstance(payload, list):
             payload = paillier.ciphertexts_to_bytes(paillier.encrypt_many(
@@ -224,7 +235,7 @@ def test_csp_loop_rejects_hostile_cloud(keypair_512, declared_n, labels, message
         ch_cloud.send(phase, payload)
     ch_cloud.close()  # any further recv raises TransportClosed
     with pytest.raises(error):
-        _csp_loop(ch_csp, cfg(), keypair_512, n_catalog=8)
+        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _L, _CATALOG)
 
 
 def test_csp_rejects_a_comparison_after_the_last(monkeypatch):

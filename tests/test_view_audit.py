@@ -38,6 +38,7 @@ from blindboost.protocol import (
     transport,
 )
 from blindboost.protocol.config import stream
+from blindboost.protocol.parties import _setup_header
 from blindboost.protocol.stump_select import confidential_ds_select, threshold_grid
 from blindboost.protocol.transcript import BASE_APPLY, RESULT_EVAL_MASK, SETUP, Transcript
 
@@ -46,8 +47,8 @@ SIGMA = shares.MASK_SECURITY_BITS
 
 @dataclass
 class Site:
-    """One reveal site: the messages `direction` carries in `phase`, from
-    byte `skip` of the payload on, and per message the hidden values."""
+    """One reveal site: the messages `direction` carries in `phase`, and
+    per message the hidden values."""
 
     name: str
     direction: str
@@ -55,7 +56,6 @@ class Site:
     hidden: list        # per message, the n hidden integers
     bound_bits: int     # every hidden value is below 2^bound_bits
     packed: bool
-    skip: int = 0
 
 
 def _unpack(plains, width, slots, count):
@@ -80,7 +80,7 @@ def audit_reveals(transcript: Transcript, kp, sites) -> None:
         for payload, hidden in zip(payloads, site.hidden):
             n = len(hidden)
             assert all(0 <= h < 1 << site.bound_bits for h in hidden)
-            cts = paillier.ciphertexts_from_bytes(payload[site.skip:], kp.public)
+            cts = paillier.ciphertexts_from_bytes(payload, kp.public)
             plains = [paillier.decrypt(kp, c) for c in cts]
             if site.packed:
                 slots = (kp.public.key_bits - 1) // width
@@ -152,15 +152,22 @@ def test_stump_selection_reveals_are_masked_sigma_bits_past_their_bound(recordin
     n, k = ds.X.shape
     fp = FixedPointParams.for_dimension(k)
     xq = encode_array(ds.X, fp)
-    y01 = [int(v == 1) for v in ds.y]
-    # each comparison hides x + (q - v) mod q <= 2q - 2, in catalog order
-    comparisons = [[int(x) + (fp.q - encode(float(v), fp)) % fp.q for x in xq[:, j]]
+    lifted = [(fp.q // 2) * int(v == 1) for v in ds.y]  # y * 2^(L-1)
+    # each comparison hides x + (q - v) mod q + y * 2^(L-1), in catalog order:
+    # at most (q - 1) + (q - 1) + q / 2, an (L + 2)-bit value
+    comparisons = [[int(x) + (fp.q - encode(float(v), fp)) % fp.q + y
+                    for x, y in zip(xq[:, j], lifted)]
                    for j in range(k) for v in threshold_grid(s)]
-    sites = [Site("stump labels", "cloud->csp", SETUP, [y01], 1, packed=True, skip=8),
-             Site("stump comparisons", "cloud->csp", RESULT_EVAL_MASK, comparisons,
-                  (2 * fp.q - 2).bit_length(), packed=True)]
+    bound = (2 * (fp.q - 1) + fp.q // 2).bit_length()
+    assert bound == fp.ring_bits + 2
+    # no label-only reveal remains: Cloud's SETUP is the shared header alone
+    setups = [p for (d, phase, _), p in zip(res.transcript.messages, res.transcript.payloads)
+              if (d, phase) == ("cloud->csp", SETUP)]
+    assert setups == [_setup_header(n, k, fp.ring_bits)]
+    site = Site("stump comparisons", "cloud->csp", RESULT_EVAL_MASK, comparisons,
+                bound, packed=True)
     key = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
-    audit_reveals(res.transcript, key, sites)
+    audit_reveals(res.transcript, key, [site])
 
 
 def test_audit_refuses_masks_drawn_for_the_ring_width(recording, monkeypatch):
