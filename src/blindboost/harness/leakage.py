@@ -61,8 +61,10 @@ def _pair_stats(x, cv, pairs):
     return ham, dist
 
 
-def characterization_from_training(dataset: Dataset, p: int, seed: int) -> np.ndarray:
-    """CVs of the tried classifiers from a plaintext boosting run."""
+def characterization_from_training(dataset: Dataset, p: int,
+                                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(CVs of the tried classifiers from a plaintext boosting run, the
+    standardized records)."""
     std = standardize(dataset)
     folded = fold_labels(std)
     res = boost_rlc(folded.Z, tau=p, p_max=p, rng=np.random.default_rng(seed))

@@ -512,25 +512,46 @@ def he_matvec(pk: PublicKey, ez: EncryptedMatrix, w) -> list:
 
 
 # ---------------------------------------------------------------------------
-# serialization: big-endian byte arrays with 4-byte length prefixes
+# serialization: the package's one integer codec. A list of non-negative
+# integers is a 4-byte big-endian count, then each integer as a 4-byte
+# length and its big-endian bytes. protocol.wire re-exports it with its
+# bound checks, require_bytes and expect_end.
 
 
-def _pack_int(x: int) -> bytes:
-    raw = x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")
-    return len(raw).to_bytes(4, "big") + raw
+def pack_bigints(xs) -> bytes:
+    out = [len(xs).to_bytes(4, "big")]
+    for x in map(int, xs):
+        raw = x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")
+        out += (len(raw).to_bytes(4, "big"), raw)
+    return b"".join(out)
 
 
-def _unpack_int(buf: bytes, off: int = 0):
-    if off + 4 > len(buf):
-        raise MalformedMessage(f"length prefix at offset {off} runs past {len(buf)} bytes")
-    ln = int.from_bytes(buf[off:off + 4], "big")
-    end = off + 4 + ln
-    if end > len(buf):
-        raise MalformedMessage(f"{ln}-byte value at offset {off} runs past {len(buf)} bytes")
-    return int.from_bytes(buf[off + 4:end], "big"), end
+def require_bytes(buf: bytes, off: int, nbytes: int, what: str) -> None:
+    """MalformedMessage unless `buf` holds `nbytes` bytes from `off` on."""
+    if off + nbytes > len(buf):
+        raise MalformedMessage(f"{what} needs {nbytes} bytes at offset {off}, "
+                               f"payload has {len(buf)}")
 
 
-def _no_trailing(buf: bytes, off: int) -> None:
+def unpack_bigints(buf: bytes, off: int = 0, count: int | None = None):
+    """Inverse of pack_bigints from offset `off`: (integers, end offset).
+    With `count` given there is no count prefix. MalformedMessage where a
+    prefix or an integer runs past the payload."""
+    if count is None:
+        require_bytes(buf, off, 4, "count")
+        count, off = int.from_bytes(buf[off:off + 4], "big"), off + 4
+    require_bytes(buf, off, 4 * count, f"{count} bigint lengths")
+    xs = []
+    for _ in range(count):
+        ln = int.from_bytes(buf[off:off + 4], "big")
+        require_bytes(buf, off + 4, ln, "bigint")
+        xs.append(int.from_bytes(buf[off + 4:off + 4 + ln], "big"))
+        off += 4 + ln
+    return xs, off
+
+
+def expect_end(buf: bytes, off: int) -> None:
+    """MalformedMessage unless the payload ends at `off`."""
     if off != len(buf):
         raise MalformedMessage(f"{len(buf) - off} trailing bytes after offset {off}")
 
@@ -542,44 +563,27 @@ def _check_unit(x: int, pk: PublicKey, what: str) -> None:
 
 
 def public_key_to_bytes(pk: PublicKey) -> bytes:
-    return _pack_int(pk.n) + _pack_int(pk.h_n)
+    """N and h_N as pack_bigints writes them, without the count."""
+    return pack_bigints([pk.n, pk.h_n])[4:]
 
 
 def public_key_from_bytes(buf: bytes) -> PublicKey:
-    n, off = _unpack_int(buf, 0)
-    h_n, off = _unpack_int(buf, off)
-    _no_trailing(buf, off)
+    (n, h_n), off = unpack_bigints(buf, count=2)
+    expect_end(buf, off)
     pk = PublicKey(n=n, h_n=h_n)
     _check_unit(h_n, pk, "h_N")
     return pk
 
 
-def ciphertext_to_bytes(c: Ciphertext) -> bytes:
-    return _pack_int(c.value)
-
-
-def ciphertext_from_bytes(buf: bytes, pk: PublicKey, off: int = 0):
-    val, off = _unpack_int(buf, off)
-    _check_unit(val, pk, f"ciphertext ending at offset {off}")
-    return Ciphertext(value=val, key_id=pk.fingerprint), off
-
-
 def ciphertexts_to_bytes(cs) -> bytes:
-    return len(cs).to_bytes(4, "big") + b"".join(ciphertext_to_bytes(c) for c in cs)
+    return pack_bigints([c.value for c in cs])
 
 
 def ciphertexts_from_bytes(buf: bytes, pk: PublicKey) -> list:
     """Inverse of ciphertexts_to_bytes; MalformedMessage unless `buf` holds
     exactly the declared number of ciphertexts, each a unit mod N^2."""
-    if len(buf) < 4:
-        raise MalformedMessage(f"count prefix needs 4 bytes, payload has {len(buf)}")
-    count = int.from_bytes(buf[:4], "big")
-    if 4 * count > len(buf) - 4:  # every ciphertext has a 4-byte length
-        raise MalformedMessage(f"{count} ciphertexts cannot fit in {len(buf)} bytes")
-    out = []
-    off = 4
-    for _ in range(count):
-        c, off = ciphertext_from_bytes(buf, pk, off)
-        out.append(c)
-    _no_trailing(buf, off)
-    return out
+    values, off = unpack_bigints(buf)
+    expect_end(buf, off)
+    for i, v in enumerate(values):
+        _check_unit(v, pk, f"ciphertext {i}")
+    return [Ciphertext(value=v, key_id=pk.fingerprint) for v in values]

@@ -156,9 +156,11 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
     if cfg.construction == HE_GC:  # the users' encrypted submissions
         transcript.party("user").encryptions += cloud.n * cloud.dim
 
-    run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_cloud, ch_csp)
-    ch_cloud.close()
-    ch_csp.close()
+    try:
+        run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_cloud, ch_csp)
+    finally:  # also when a party fails or the CSP thread times out
+        ch_cloud.close()
+        ch_csp.close()
     transcript.validate_phase_order()
     if len(csp.accepted) < cfg.tau:
         warnings.warn(f"only {len(csp.accepted)}/{cfg.tau} classifiers accepted "

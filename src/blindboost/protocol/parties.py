@@ -9,12 +9,13 @@ GC roles are fixed for both constructions: CSP garbles, Cloud evaluates and
 returns output labels, CSP decodes. The sign-check circuit computes
 (masked - mask) mod 2^L; in HE+GC the garbler holds the masked value, in
 SecSh+GC the evaluator does. These parties and confidential stump selection
-share one garbled-circuit round (`garbler_round` / `evaluator_round`), one
-label OT (`LabelOT`), one packed Paillier reveal and one source of seeded
-streams (`config.stream`).
+share one SETUP opening per side (`open_cloud` / `open_csp`: the header, the
+base-OT session and that party's own sign circuit), one garbled-circuit
+round (`garbler_round` / `evaluator_round`), one label OT (`LabelOT`), one
+packed Paillier reveal and one source of seeded streams (`config.stream`).
 
-The packed reveal: Cloud folds encrypted values, a chunk of records per
-ciphertext, by Horner steps (`he_pack`, `pack_columns`) and adds one fresh
+The packed reveal: Cloud folds its encrypted columns, a chunk of records per
+ciphertext, by Horner steps (`pack_columns`) and adds one fresh
 encryption of the chunk's packed masks (`mask_packed`); the key holder
 decrypts ceil(n / slots) ciphertexts and unpacks the masked values
 (`unpack_masked`). A value below 2^b gets a mask of b + sigma bits, and its
@@ -43,7 +44,7 @@ from ..garbling import (
 )
 from ..ot import GROUPS, OTExtReceiver, OTExtSender, dealer_choose
 from . import wire
-from .config import HE_GC, SECSH_GC, ProtocolConfig, stream
+from .config import HE_GC, ProtocolConfig, stream
 from .transcript import (
     BASE_APPLY,
     DONE,
@@ -59,19 +60,29 @@ from .transcript import (
 _DECISION_REJECT = 0
 _DECISION_ACCEPT = 1
 
-_circuit_cache = {}
-
-
-def _batch_circuit(width: int, count: int):
-    key = (width, count)
-    if key not in _circuit_cache:
-        _circuit_cache[key] = build_sub_msb_batch(width, count)
-    return _circuit_cache[key]
-
 
 def _setup_header(n: int, dim: int, ring_bits: int) -> bytes:
     """SETUP's payload: the shape of the data and the ring width, as u32s."""
     return wire.pack_u32(n) + wire.pack_u32(dim) + wire.pack_u32(ring_bits)
+
+
+def open_cloud(ch, label_ot, n: int, dim: int, ring_bits: int):
+    """Cloud's SETUP: the header declaring n records of `dim` columns in a
+    ring of `ring_bits`, then the base-OT session. Returns Cloud's sign
+    circuit for the run."""
+    ch.send(SETUP, _setup_header(n, dim, ring_bits))
+    label_ot.open_receiver(ch)
+    return build_sub_msb_batch(ring_bits, n)
+
+
+def open_csp(ch, label_ot, n: int, dim: int, ring_bits: int):
+    """CSP's SETUP: Cloud's header must declare exactly CSP's own shape and
+    ring width, checked before any circuit is built; then the base-OT
+    session. Returns CSP's sign circuit for the run."""
+    if expect_phase(ch.recv(), SETUP) != _setup_header(n, dim, ring_bits):
+        raise MalformedMessage(f"SETUP does not declare n={n}, dim={dim}, L={ring_bits}")
+    label_ot.open_sender(ch)
+    return build_sub_msb_batch(ring_bits, n)
 
 
 def recv_field(ch, phase, unpack):
@@ -89,18 +100,10 @@ def reveal_width(value_bits: int) -> int:
     return value_bits + shares.MASK_SECURITY_BITS + 1
 
 
-def he_pack(pk, cts, width, counters) -> list:
-    """The E(x_i) of `cts` folded into ceil(len / slots) packed ciphertexts."""
-    packed = paillier.he_pack_slots(pk, cts, width, paillier.slot_count(pk, width))
-    counters.he_scalar_muls += len(cts) - len(packed)
-    counters.he_adds += len(cts) - len(packed)
-    return packed
-
-
 def pack_columns(pk, em, width, counters) -> paillier.EncryptedMatrix:
-    """Each column of `em` folded like he_pack, one column per
-    paillier.map_rows row: row r of the result holds, per column, the
-    packed r-th chunk of records."""
+    """Each column of `em` folded into ceil(n / slots) packed ciphertexts,
+    one column per paillier.map_rows row: row r of the result holds, per
+    column, the packed r-th chunk of records."""
     n_rows, n_cols = em.shape
     slots = paillier.slot_count(pk, width)
     columns = paillier.map_rows(
@@ -275,6 +278,7 @@ class CloudParty:
         self.mask_rng = stream(seeds.cloud, b"mask")
         self.enc_rng = stream(seeds.cloud, b"encr")
         self.label_ot = LabelOT(cfg, stream(seeds.cloud, b"ot_r"))
+        self.circuit = None               # the sign circuit, built in SETUP
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
         self._eu = None                   # current packed E(u_t) (HE+GC)
@@ -295,10 +299,9 @@ class CloudParty:
     # -- protocol steps ------------------------------------------------------
 
     def open(self, ch):
-        """SETUP: the header, then the base-OT session; in HE+GC Cloud then
-        folds its encrypted columns for the packed ResultEval reveal."""
-        ch.send(SETUP, _setup_header(self.n, self.dim, self.fp.ring_bits))
-        self.label_ot.open_receiver(ch)
+        """SETUP (`open_cloud`); in HE+GC Cloud then folds its encrypted
+        columns for the packed ResultEval reveal."""
+        self.circuit = open_cloud(ch, self.label_ot, self.n, self.dim, self.fp.ring_bits)
         if self.cfg.construction == HE_GC:
             self.packed_data = pack_columns(self.csp_public, self.enc_data,
                                             reveal_width(self._value_bits), self.counters)
@@ -322,8 +325,7 @@ class CloudParty:
                                                        self.fp.ring_bits)
 
     def result_eval_step(self, ch, t: int):
-        L = self.fp.ring_bits
-        circuit = _batch_circuit(L, self.n)
+        L, circuit = self.fp.ring_bits, self.circuit
         if self.cfg.construction == HE_GC:
             lam = shares.sample_masks(self.n, self._value_bits, self.mask_rng)
             masked = mask_packed(self.csp_public, self._eu, lam,
@@ -379,6 +381,7 @@ class CSPParty:
         self.mask_rng = stream(seeds.csp, b"mask")
         self.enc_rng = stream(seeds.csp, b"encr")
         self.label_ot = LabelOT(cfg, stream(seeds.csp, b"ot_s"))
+        self.circuit = None               # the sign circuit, built in SETUP
         self.delta = np.full(n, 1.0 / n)
         self.accepted = []                # (trial index, alpha, flipped)
         self.indicator_history = []       # I_t per tried classifier
@@ -413,8 +416,7 @@ class CSPParty:
         return t
 
     def result_eval_step(self, ch):
-        L = self.fp.ring_bits
-        circuit = _batch_circuit(L, self.n)
+        L, circuit = self.fp.ring_bits, self.circuit
         if self.cfg.construction == HE_GC:
             cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
                                                   self.keypair.public)
@@ -443,14 +445,8 @@ class CSPParty:
         return step
 
     def open(self, ch):
-        """SETUP: Cloud's header must match this party's own; then the
-        base-OT session and the sign circuit the header fixes."""
-        if expect_phase(ch.recv(), SETUP) != _setup_header(self.n, self.dim,
-                                                           self.fp.ring_bits):
-            raise MalformedMessage(f"SETUP does not declare n={self.n}, dim={self.dim}, "
-                                   f"L={self.fp.ring_bits}")
-        self.label_ot.open_sender(ch)
-        _batch_circuit(self.fp.ring_bits, self.n)  # while Cloud folds its columns
+        """SETUP (`open_csp`)."""
+        self.circuit = open_csp(ch, self.label_ot, self.n, self.dim, self.fp.ring_bits)
 
     def run(self, ch):
         self._transcript = ch._transcript

@@ -11,17 +11,19 @@ indices; Cloud resolves indices to stump parameters at the end.
 
 Each round runs the boosting protocols' sign circuit (`build_sub_msb_batch`)
 on a masked value and its mask. The label y in {0, 1} travels inside the
-compared value: adding y * 2^(L-1) mod 2^L flips exactly the msb, so the
-circuit outputs msb(x - v) XOR y, the error bit. Cloud adds E(y * 2^(L-1))
-into its packed feature columns once per run; a comparison then masks
+compared value: each user encrypts x + y * 2^(L-1), with no reduction mod
+2^L, and adding y * 2^(L-1) mod 2^L flips exactly the msb, so the circuit
+outputs msb(x - v) XOR y, the error bit. A comparison masks Cloud's packed
 column j with the plaintext masks lambda + (q - v), and Cloud evaluates on
 lambda.
 
-Every Paillier reveal is the packed reveal of .parties: Cloud folds the
-encrypted values of a chunk of records into one ciphertext by Horner steps
-and adds one fresh encryption of the chunk's packed masks; CSP decrypts
-ceil(n / slots) ciphertexts and unpacks the per-record masked values. A
-comparison hides x - v + q + y * 2^(L-1) < 2^(L+2).
+SETUP is the boosting protocols' opening (`open_cloud` / `open_csp`), with
+the k features as the dimension. Every Paillier reveal is the packed reveal
+of .parties: Cloud folds the encrypted values of a chunk of records into one
+ciphertext by Horner steps, once per run and column, and adds one fresh
+encryption of the chunk's packed masks; CSP decrypts ceil(n / slots)
+ciphertexts and unpacks the per-record masked values. A comparison hides
+x - v + q + y * 2^(L-1) < 2^(L+2).
 """
 
 from dataclasses import dataclass
@@ -43,12 +45,11 @@ from .config import ProtocolConfig, stream
 from .engine import run_pair
 from .parties import (
     LabelOT,
-    _batch_circuit,
-    _setup_header,
     evaluator_round,
     garbler_round,
-    he_pack,
     mask_packed,
+    open_cloud,
+    open_csp,
     pack_columns,
     recv_field,
     reveal_width,
@@ -58,7 +59,6 @@ from .transcript import (
     BASE_APPLY,
     DONE,
     RESULT_EVAL_MASK,
-    SETUP,
     Transcript,
     expect_phase,
 )
@@ -131,25 +131,16 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     return _csp_select(errors, delta, tau), errors, fp, catalog
 
 
-def _cloud_loop(ch, cfg, fp, xq, ey, catalog_base, pk):
-    n, k = xq.shape
+def _cloud_loop(ch, cfg, fp, ez, catalog_base, pk):
+    n, k = ez.shape
     L = fp.ring_bits
     counters = ch._transcript.party("cloud")
     rng_mask = stream(cfg.seeds.cloud, b"mask")
     rng_enc = stream(cfg.seeds.cloud, b"encr")
     label_ot = LabelOT(cfg, stream(cfg.seeds.cloud, b"ot_r"))
-    circuit = _batch_circuit(L, n)  # before SETUP: CSP then finds it cached
-    ch.send(SETUP, _setup_header(n, k, L))
-    label_ot.open_receiver(ch)
+    circuit = open_cloud(ch, label_ot, n, k, L)
     width = reveal_width(L + 2)  # x - v + q + y * 2^(L-1) < 2^(L+2)
-    packed = pack_columns(pk, xq, width, counters)
-    # E(y * 2^(L-1)) per chunk, added into every column once per run
-    labels = [paillier.he_scalar_mul(pk, c, 1 << (L - 1))
-              for c in he_pack(pk, ey, width, counters)]
-    counters.he_scalar_muls += len(labels)
-    columns = [[paillier.he_add(pk, row[j], c) for row, c in zip(packed.rows, labels)]
-               for j in range(k)]
-    counters.he_adds += k * len(labels)
+    columns = list(zip(*pack_columns(pk, ez, width, counters).rows))
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
         lam = shares.sample_masks(n, L + 2, rng_mask)
@@ -171,13 +162,10 @@ def _csp_loop(ch, cfg, kp, n, k, L, n_catalog):
     base comparisons in catalog order, numbered 0, 1, ..., and send DONE
     after the last one.
     """
-    if expect_phase(ch.recv(), SETUP) != _setup_header(n, k, L):
-        raise MalformedMessage(f"SETUP does not declare n={n}, k={k}, L={L}")
-    counters = ch._transcript.party("csp")
     label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
-    label_ot.open_sender(ch)
+    circuit = open_csp(ch, label_ot, n, k, L)
+    counters = ch._transcript.party("csp")
     width = reveal_width(L + 2)
-    circuit = _batch_circuit(L, n)
     garble_rng = stream(cfg.seeds.csp, b"garb")
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
     for expected in range(n_catalog // 2):
@@ -209,14 +197,15 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     catalog_base = [(j, encode(float(v), fp)) for j in range(k) for v in grid]
 
     kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
-    user_rng = stream(cfg.seeds.data, b"user")
-    xq = paillier.encrypt_matrix(kp.public, encode_array(X, fp), user_rng)
-    ey = paillier.encrypt_many(kp.public, [int(b) for b in y01], user_rng)
+    # each user folds the label in: x + y * 2^(L-1), below 2^L + 2^(L-1)
+    xy = [[int(x) + (int(y) << (fp.ring_bits - 1)) for x in row]
+          for row, y in zip(encode_array(X, fp), y01)]
+    ez = paillier.encrypt_matrix(kp.public, xy, stream(cfg.seeds.data, b"user"))
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
-    transcript.party("user").encryptions += n * k + n
+    transcript.party("user").encryptions += n * k
     _, error_vectors = run_pair(
-        lambda: _cloud_loop(ch_cloud, cfg, fp, xq, ey, catalog_base, kp.public),
+        lambda: _cloud_loop(ch_cloud, cfg, fp, ez, catalog_base, kp.public),
         lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp.ring_bits, len(catalog)),
         ch_cloud, ch_csp)
     transcript.validate_phase_order()

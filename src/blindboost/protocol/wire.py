@@ -9,20 +9,14 @@ declared count runs past the end of the payload; ``expect_end`` raises it
 on bytes after the last field.
 """
 
-from ..errors import MalformedMessage
 from ..garbling import LABEL_BYTES
-
-
-def _need(buf: bytes, off: int, nbytes: int, what: str) -> None:
-    if off + nbytes > len(buf):
-        raise MalformedMessage(f"{what} needs {nbytes} bytes at offset {off}, "
-                               f"payload has {len(buf)}")
-
-
-def expect_end(buf: bytes, off: int) -> None:
-    """MalformedMessage unless the payload ends at `off`."""
-    if off != len(buf):
-        raise MalformedMessage(f"{len(buf) - off} trailing bytes after offset {off}")
+# the one integer codec and its checks live with the ciphertexts it serializes
+from ..paillier import (  # noqa: F401
+    expect_end,
+    pack_bigints,
+    require_bytes,
+    unpack_bigints,
+)
 
 
 def pack_u32(x: int) -> bytes:
@@ -30,29 +24,8 @@ def pack_u32(x: int) -> bytes:
 
 
 def unpack_u32(buf: bytes, off: int = 0):
-    _need(buf, off, 4, "u32")
+    require_bytes(buf, off, 4, "u32")
     return int.from_bytes(buf[off:off + 4], "big"), off + 4
-
-
-def pack_bigints(xs) -> bytes:
-    out = [pack_u32(len(xs))]
-    for x in xs:
-        raw = int(x).to_bytes((int(x).bit_length() + 7) // 8 or 1, "big")
-        out.append(pack_u32(len(raw)))
-        out.append(raw)
-    return b"".join(out)
-
-
-def unpack_bigints(buf: bytes, off: int = 0):
-    count, off = unpack_u32(buf, off)
-    _need(buf, off, 4 * count, f"{count} bigint lengths")
-    xs = []
-    for _ in range(count):
-        ln, off = unpack_u32(buf, off)
-        _need(buf, off, ln, "bigint")
-        xs.append(int.from_bytes(buf[off:off + ln], "big"))
-        off += ln
-    return xs, off
 
 
 def pack_labels(labels) -> bytes:
@@ -61,7 +34,7 @@ def pack_labels(labels) -> bytes:
 
 def unpack_labels(buf: bytes, off: int = 0):
     count, off = unpack_u32(buf, off)
-    _need(buf, off, count * LABEL_BYTES, f"{count} labels")
+    require_bytes(buf, off, count * LABEL_BYTES, f"{count} labels")
     labels = []
     for _ in range(count):
         labels.append(buf[off:off + LABEL_BYTES])
@@ -75,7 +48,7 @@ def pack_label_pairs(pairs) -> bytes:
 
 def unpack_label_pairs(buf: bytes, off: int = 0):
     count, off = unpack_u32(buf, off)
-    _need(buf, off, count * 2 * LABEL_BYTES, f"{count} label pairs")
+    require_bytes(buf, off, count * 2 * LABEL_BYTES, f"{count} label pairs")
     pairs = []
     for _ in range(count):
         pairs.append((buf[off:off + LABEL_BYTES],
@@ -90,5 +63,5 @@ def pack_blob(blob: bytes) -> bytes:
 
 def unpack_blob(buf: bytes, off: int = 0):
     ln, off = unpack_u32(buf, off)
-    _need(buf, off, ln, "blob")
+    require_bytes(buf, off, ln, "blob")
     return buf[off:off + ln], off + ln

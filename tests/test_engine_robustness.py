@@ -16,6 +16,7 @@ from blindboost.protocol import (
     run_learning,
     setup,
     stump_select,
+    transport,
 )
 from blindboost.protocol.parties import CloudParty, CSPParty
 
@@ -101,6 +102,22 @@ def test_hung_csp_thread_fails_run_learning(hung_csp):
     hung_csp(CSPParty, "run")
     with pytest.raises(PartyTimeout):
         run_learning(_cfg(), _folded())
+
+
+def test_hung_csp_thread_leaves_no_socket_open(hung_csp, monkeypatch):
+    hung_csp(CSPParty, "run")
+    ends = []
+    socket_pair = transport.socket_pair
+
+    def recorded_pair():
+        pair = socket_pair()
+        ends.extend(pair[:2])
+        return pair
+
+    monkeypatch.setattr(transport, "socket_pair", recorded_pair)
+    with pytest.raises(PartyTimeout):
+        run_learning(_cfg(), _folded(), transport_kind="socket")
+    assert [end._sock.fileno() for end in ends] == [-1, -1]  # both closed
 
 
 @pytest.mark.parametrize("step", ["base_apply", "result_eval"])

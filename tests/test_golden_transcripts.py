@@ -26,7 +26,7 @@ BOOST_GOLDEN = {
     (SECSH_GC, "base"):
         "a2f8f6c0f553170410470ced257bbc965dd7546e030abdbee078fdb73759f483",
 }
-STUMP_GOLDEN = "f3fa42a042e39ef0a018b3be51357f0832384b57e9fb85f24c74a0cd8335f95c"
+STUMP_GOLDEN = "b838391151797b3c81020efd08d5f3750aa6de8a750cfefe95c035bfae036116"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

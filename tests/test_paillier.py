@@ -494,8 +494,7 @@ def test_serialization_round_trip(keypair_512):
 def test_public_key_bytes_carry_only_n_and_the_fixed_base(keypair_512):
     pk = keypair_512.public
     assert (pk.g, pk.key_bits) == (pk.n + 1, 512)  # both follow from N
-    assert paillier.public_key_to_bytes(pk) == \
-        paillier._pack_int(pk.n) + paillier._pack_int(pk.h_n)
+    assert paillier.public_key_to_bytes(pk) == paillier.pack_bigints([pk.n, pk.h_n])[4:]
 
 
 def test_declared_count_past_the_payload_is_malformed(keypair_512):

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from blindboost import paillier, shares
-from blindboost.encoding import Dataset
+from blindboost.encoding import Dataset, FixedPointParams
 from blindboost.errors import BinCountInvalid, MalformedMessage, PhaseOrderViolation
 from blindboost.protocol import (
     HE_GC,
     ProtocolConfig,
     Seeds,
+    parties,
     stump_select,
     transport,
     wire,
 )
 from blindboost.protocol.parties import (
+    CSPParty,
     _setup_header,
-    he_pack,
     mask_packed,
+    pack_columns,
     reveal_width,
     unpack_masked,
 )
@@ -114,11 +116,9 @@ def test_gc_gate_counter_scales_with_grid():
     assert counters["cloud"] == {
         "encryptions": rounds * chunks,   # one packed mask each
         "decryptions": 0,
-        # Horner folds of the labels and of each column, once per run, and
-        # E(y * 2^(L-1)) added into each column; then the packed masks
-        "he_adds": (n - chunks) + k * (n - chunks) + k * chunks + rounds * chunks,
-        # the folds, and one 2^(L-1) product per label chunk
-        "he_scalar_muls": (n - chunks) + k * (n - chunks) + chunks,
+        # Horner folds of each column, once per run; then the packed masks
+        "he_adds": k * (n - chunks) + rounds * chunks,
+        "he_scalar_muls": k * (n - chunks),
         "and_gates": rounds * per_comparison,
         "ot_transfers": rounds * n * L,           # lambda bits
     }
@@ -131,7 +131,7 @@ def test_gc_gate_counter_scales_with_grid():
         "and_gates": rounds * per_comparison,
         "ot_transfers": rounds * n * L,
     }
-    assert counters["user"]["encryptions"] == n * k + n
+    assert counters["user"]["encryptions"] == n * k  # x + y * 2^(L-1) per feature
 
 
 def test_single_bin_raises_before_keygen(monkeypatch):
@@ -158,8 +158,8 @@ def test_comparison_slot_edge(keypair_512, extra):
     mask = (1 << (L + 2 + shares.MASK_SECURITY_BITS)) - 1 + (q - 1)
     assert (value + mask).bit_length() == width
     counters = Counters()
-    packed = he_pack(pk, paillier.encrypt_many(pk, [value] * n, random.Random(1)),
-                     width, counters)
+    column = paillier.encrypt_matrix(pk, [[value]] * n, random.Random(1))
+    packed = [row[0] for row in pack_columns(pk, column, width, counters).rows]
     assert len(packed) == 1 + extra
     masked = mask_packed(pk, packed, [mask] * n, width, random.Random(2), counters)
     assert unpack_masked(keypair_512, masked, n, width, counters,
@@ -187,24 +187,39 @@ _N, _K, _L, _CATALOG = 2, 2, 17, 8
 _WIDTH = _L + 2 + shares.MASK_SECURITY_BITS + 1
 
 
-@pytest.mark.parametrize("setup", [
-    _setup_header(_N + 28, _K, _L),
-    _setup_header(0, _K, _L),
-    _setup_header(_N, _K + 1, _L),
-    _setup_header(_N, _K, _L + 1),
-    _setup_header(_N, _K, _L) + b"\x00",
-    _setup_header(_N, _K, _L)[:-1],
-], ids=["other-n", "no-records", "other-k", "other-L", "trailing-bytes", "truncated"])
-def test_csp_loop_refuses_a_foreign_setup(keypair_512, monkeypatch, setup):
-    # a Cloud-declared shape must not reach the circuit builder: a hostile n
-    # would have CSP build n * 2L wires
+_FOREIGN_SETUPS = [
+    (_setup_header(_N + 28, _K, _L), "other-n"),
+    (_setup_header(0, _K, _L), "no-records"),
+    (_setup_header(_N, _K + 1, _L), "other-k"),
+    (_setup_header(_N, _K, _L + 1), "other-L"),
+    (_setup_header(_N, _K, _L) + b"\x00", "trailing-bytes"),
+    (_setup_header(_N, _K, _L)[:-1], "truncated"),
+]
+
+
+def _stump_csp(ch, kp):
+    _csp_loop(ch, cfg(), kp, _N, _K, _L, _CATALOG)
+
+
+def _boosting_csp(ch, kp):
+    CSPParty(cfg(), FixedPointParams(7, _L), _N, _K, keypair=kp).run(ch)
+
+
+@pytest.mark.parametrize("csp_main, setup", [
+    pytest.param(csp_main, setup, id=prefix + name)
+    for csp_main, prefix in ((_stump_csp, ""), (_boosting_csp, "boosting-"))
+    for setup, name in _FOREIGN_SETUPS])
+def test_csp_loop_refuses_a_foreign_setup(keypair_512, monkeypatch, csp_main, setup):
+    # both CSP openings, stump selection's and the boosting protocols' (whose
+    # dimension stands where k does): a Cloud-declared shape must not reach
+    # the circuit builder, or a hostile n would have CSP build n * 2L wires
     built = []
-    monkeypatch.setattr(stump_select, "_batch_circuit", lambda *a: built.append(a))
+    monkeypatch.setattr(parties, "build_sub_msb_batch", lambda *a: built.append(a))
     ch_cloud, ch_csp, _ = transport.memory_pair()
     ch_cloud.send("SETUP", setup)
     ch_cloud.close()
     with pytest.raises(MalformedMessage, match="SETUP does not declare"):
-        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _L, _CATALOG)
+        csp_main(ch_csp, keypair_512)
     assert built == []
 
 
