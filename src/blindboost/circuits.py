@@ -1,8 +1,8 @@
 """Boolean circuit builder for the subtract-then-msb sign check.
 
 Circuits carry two named input partitions: `inputs_a` (minuend bits) and
-`inputs_b` (subtrahend bits), LSB first. Which protocol party feeds which
-partition is decided by the protocol layer, not here. Gates are XOR, AND and
+`inputs_b` (subtrahend bits), LSB first. In every protocol the garbler (CSP)
+feeds `inputs_a` and the evaluator (Cloud) `inputs_b`. Gates are XOR, AND and
 NOT; XOR and NOT are free under the garbling scheme, so the subtractor only
 materializes its borrow chain - one AND per bit position below the msb.
 

@@ -185,9 +185,6 @@ class FoldedMatrix:
     def dim(self) -> int:
         return self.Z.shape[1]
 
-    def encoded(self, p: FixedPointParams) -> np.ndarray:
-        return encode_array(self.Z, p)
-
 
 def standardize(raw: Dataset) -> Dataset:
     """Column-standardized copy using population statistics.
@@ -230,9 +227,3 @@ def fold_labels(d: Dataset) -> FoldedMatrix:
         raise InvalidLabel(f"labels must be in {{-1, +1}}, got {bad}")
     ones = np.ones((d.n, 1))
     return FoldedMatrix(np.hstack([d.X, ones]) * y[:, None])
-
-
-def fold_vector(x: np.ndarray, y: float) -> np.ndarray:
-    if y not in (-1, 1):
-        raise InvalidLabel(f"label must be -1 or +1, got {y}")
-    return np.append(np.asarray(x, dtype=np.float64), 1.0) * y

@@ -58,6 +58,13 @@ def run_pair(cloud_main, csp_main, ch_cloud, ch_csp):
     return cloud_result, results[0]
 
 
+def encrypt_submissions(cfg: ProtocolConfig, rows):
+    """CSP's key pair, and the users' encryptions of `rows` under it: HE+GC's
+    and stump selection's data set-up."""
+    kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
+    return kp, paillier.encrypt_matrix(kp.public, rows, stream(cfg.seeds.data, b"user"))
+
+
 def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
     """Distribute the training data and keys; returns (CloudParty, CSPParty).
 
@@ -70,8 +77,7 @@ def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
     zq = encode_array(Z, fp)
 
     if cfg.construction == HE_GC:
-        kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
-        enc_data = paillier.encrypt_matrix(kp.public, zq, stream(cfg.seeds.data, b"user"))
+        kp, enc_data = encrypt_submissions(cfg, zq)
         cloud = CloudParty(cfg, fp, n, dim, enc_data=enc_data,
                            csp_public=kp.public)
         csp = CSPParty(cfg, fp, n, dim, keypair=kp)
@@ -146,13 +152,11 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
     chosen transport. `with_parties` additionally returns the two party
     objects (test hook for inspecting per-iteration state).
     """
-    cloud, csp = setup(cfg, folded)
-    if transport_kind == "memory":
-        ch_cloud, ch_csp, transcript = transport.memory_pair()
-    elif transport_kind == "socket":
-        ch_cloud, ch_csp, transcript = transport.socket_pair()
-    else:
+    if transport_kind not in ("memory", "socket"):
         raise ValueError(f"unknown transport {transport_kind!r}")
+    cloud, csp = setup(cfg, folded)
+    make_pair = transport.memory_pair if transport_kind == "memory" else transport.socket_pair
+    ch_cloud, ch_csp, transcript = make_pair()
     if cfg.construction == HE_GC:  # the users' encrypted submissions
         transcript.party("user").encryptions += cloud.n * cloud.dim
 

@@ -5,14 +5,17 @@ weights, model weights or any decrypted matrix-vector result; CSPParty has no
 field for a plaintext classifier or (in HE+GC) for the training data. The
 only cross-party channel is the transport handed to run()/step methods.
 
-GC roles are fixed for both constructions: CSP garbles, Cloud evaluates and
-returns output labels, CSP decodes. The sign-check circuit computes
-(masked - mask) mod 2^L; in HE+GC the garbler holds the masked value, in
-SecSh+GC the evaluator does. These parties and confidential stump selection
-share one SETUP opening per side (`open_cloud` / `open_csp`: the header, the
-base-OT session and that party's own sign circuit), one garbled-circuit
-round (`garbler_round` / `evaluator_round`), one label OT (`LabelOT`), one
-packed Paillier reveal and one source of seeded streams (`config.stream`).
+GC roles are fixed for both constructions and for stump selection: CSP
+garbles and feeds the minuend wires `inputs_a`, Cloud evaluates, feeds the
+subtrahend wires `inputs_b` and returns the output labels, CSP decodes
+msb((a - b) mod 2^L). In HE+GC and stump selection CSP feeds the masked
+value and Cloud its mask; in SecSh+GC CSP feeds -lambda and Cloud -u0 (mod
+2^L), and (-lambda) - (-u0) = Z w. These parties and confidential stump
+selection share one SETUP opening per side (`open_cloud` / `open_csp`: the
+header, the base-OT session, and a `Side` with that party's seeded streams,
+label OT and own sign circuit), one garbled-circuit round (`garbler_round`
+/ `evaluator_round`) and one packed sign round (`packed_sign_cloud` /
+`packed_sign_csp`).
 
 The packed reveal: Cloud folds its encrypted columns, a chunk of records per
 ciphertext, by Horner steps (`pack_columns`) and adds one fresh
@@ -64,25 +67,6 @@ _DECISION_ACCEPT = 1
 def _setup_header(n: int, dim: int, ring_bits: int) -> bytes:
     """SETUP's payload: the shape of the data and the ring width, as u32s."""
     return wire.pack_u32(n) + wire.pack_u32(dim) + wire.pack_u32(ring_bits)
-
-
-def open_cloud(ch, label_ot, n: int, dim: int, ring_bits: int):
-    """Cloud's SETUP: the header declaring n records of `dim` columns in a
-    ring of `ring_bits`, then the base-OT session. Returns Cloud's sign
-    circuit for the run."""
-    ch.send(SETUP, _setup_header(n, dim, ring_bits))
-    label_ot.open_receiver(ch)
-    return build_sub_msb_batch(ring_bits, n)
-
-
-def open_csp(ch, label_ot, n: int, dim: int, ring_bits: int):
-    """CSP's SETUP: Cloud's header must declare exactly CSP's own shape and
-    ring width, checked before any circuit is built; then the base-OT
-    session. Returns CSP's sign circuit for the run."""
-    if expect_phase(ch.recv(), SETUP) != _setup_header(n, dim, ring_bits):
-        raise MalformedMessage(f"SETUP does not declare n={n}, dim={dim}, L={ring_bits}")
-    label_ot.open_sender(ch)
-    return build_sub_msb_batch(ring_bits, n)
 
 
 def recv_field(ch, phase, unpack):
@@ -209,50 +193,110 @@ class LabelOT:
         ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
 
 
-def garbler_round(ch, circuit, rng, label_ot, counters,
-                  gb_wires, gb_bits, ev_wires) -> list:
-    """Garbler side of one garbled-circuit round; returns the output bits.
+class Side:
+    """One party's own state for a run, made in SETUP by `open_cloud` /
+    `open_csp`: its seeded streams, its end of the label OT and its sign
+    circuit over n records in a ring of ring_bits."""
 
-    Garbles `circuit`, sends its tables, the labels of the garbler's bits on
-    `gb_wires` and the output checks (GC_TABLES), hands over the label
-    pairs of `ev_wires` by OT and decodes the evaluator's output labels.
+    def __init__(self, cfg: ProtocolConfig, seed: int, ot_tag: bytes, n: int,
+                 ring_bits: int):
+        self.n = n
+        self.ring_bits = ring_bits
+        self.mask_rng = stream(seed, b"mask")
+        self.enc_rng = stream(seed, b"encr")
+        self.garble_rng = stream(seed, b"garb")
+        self.label_ot = LabelOT(cfg, stream(seed, ot_tag))
+        self.circuit = build_sub_msb_batch(ring_bits, n)
+
+
+def open_cloud(ch, cfg, n: int, dim: int, ring_bits: int) -> Side:
+    """Cloud's SETUP: the header declaring n records of `dim` columns in a
+    ring of `ring_bits`, then the base-OT session."""
+    ch.send(SETUP, _setup_header(n, dim, ring_bits))
+    side = Side(cfg, cfg.seeds.cloud, b"ot_r", n, ring_bits)
+    side.label_ot.open_receiver(ch)
+    return side
+
+
+def open_csp(ch, cfg, n: int, dim: int, ring_bits: int) -> Side:
+    """CSP's SETUP: Cloud's header must declare exactly CSP's own shape and
+    ring width, checked before any circuit is built; then the base-OT
+    session."""
+    if expect_phase(ch.recv(), SETUP) != _setup_header(n, dim, ring_bits):
+        raise MalformedMessage(f"SETUP does not declare n={n}, dim={dim}, L={ring_bits}")
+    side = Side(cfg, cfg.seeds.csp, b"ot_s", n, ring_bits)
+    side.label_ot.open_sender(ch)
+    return side
+
+
+def garbler_round(ch, side, values, counters) -> list:
+    """CSP's side of one garbled-circuit round; returns the output bits.
+
+    Garbles the sign circuit, sends its tables, the labels of `values` on
+    the minuend wires and the output checks (GC_TABLES), hands over the
+    label pairs of the subtrahend wires by OT and decodes Cloud's output
+    labels.
     """
-    gc = garble(circuit, rng)
+    circuit = side.circuit
+    gc = garble(circuit, side.garble_rng)
     counters.and_gates += circuit.and_count
     ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
-            + wire.pack_labels(gc.encode(gb_wires, gb_bits))
+            + wire.pack_labels(gc.encode(circuit.inputs_a,
+                                         record_bits(values, side.ring_bits)))
             + wire.pack_label_pairs(gc.output_check))
-    pairs = gc.label_pairs(ev_wires)
+    pairs = gc.label_pairs(circuit.inputs_b)
     counters.ot_transfers += len(pairs)
-    label_ot.send(ch, pairs)
+    side.label_ot.send(ch, pairs)
     return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels),
                          gc.output_decode)
 
 
-def evaluator_round(ch, circuit, label_ot, counters,
-                    ev_wires, ev_bits, gb_wires) -> None:
-    """Evaluator side of one garbled-circuit round.
+def evaluator_round(ch, side, values, counters) -> None:
+    """Cloud's side of one garbled-circuit round.
 
-    Receives the tables, the garbler's labels on `gb_wires` and the output
-    checks, obtains the labels of `ev_bits` on `ev_wires` by OT, evaluates
-    and returns the output labels (OUTPUT_LABELS) for the garbler to decode.
+    Receives the tables, CSP's minuend labels and the output checks,
+    obtains the labels of `values` on the subtrahend wires by OT, evaluates
+    and returns the output labels (OUTPUT_LABELS) for CSP to decode.
     """
+    circuit = side.circuit
     payload = expect_phase(ch.recv(), GC_TABLES)
     tables_blob, off = wire.unpack_blob(payload)
     garbler_labels, off = wire.unpack_labels(payload, off)
-    if len(garbler_labels) != len(gb_wires):
+    if len(garbler_labels) != len(circuit.inputs_a):
         raise MalformedMessage(f"GC_TABLES carries {len(garbler_labels)} garbler "
-                               f"labels for {len(gb_wires)} wires")
+                               f"labels for {len(circuit.inputs_a)} wires")
     checks, off = wire.unpack_label_pairs(payload, off)
     wire.expect_end(payload, off)
     gc = GarbledCircuit(circuit=circuit, and_tables=tables_from_bytes(circuit, tables_blob),
                         output_check=checks)
-    counters.ot_transfers += len(ev_bits)
-    ev_labels = label_ot.receive(ch, ev_bits)
-    out_labels = evaluate(gc, dict(zip(ev_wires, ev_labels)),
-                          dict(zip(gb_wires, garbler_labels)))
+    bits = record_bits(values, side.ring_bits)
+    counters.ot_transfers += len(bits)
+    ev_labels = side.label_ot.receive(ch, bits)
+    out_labels = evaluate(gc, dict(zip(circuit.inputs_b, ev_labels)),
+                          dict(zip(circuit.inputs_a, garbler_labels)))
     counters.and_gates += circuit.and_count
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
+
+
+def packed_sign_cloud(ch, side, pk, packed_cts, value_bits, shift, counters) -> None:
+    """Cloud's packed sign round over values below 2^value_bits that
+    `packed_cts` carry: masks them with lambda + shift (RESULT_EVAL_MASK)
+    and evaluates on lambda, so CSP learns msb((value + shift) mod 2^L)."""
+    lam = shares.sample_masks(side.n, value_bits, side.mask_rng)
+    masked = mask_packed(pk, packed_cts, [m + shift for m in lam],
+                         reveal_width(value_bits), side.enc_rng, counters)
+    ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
+    evaluator_round(ch, side, lam, counters)
+
+
+def packed_sign_csp(ch, side, kp, value_bits, counters) -> list:
+    """CSP's packed sign round: unpacks RESULT_EVAL_MASK's masked values,
+    garbles on them and returns the msb bits."""
+    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
+                                          kp.public)
+    masked = unpack_masked(kp, cts, side.n, reveal_width(value_bits), counters,
+                           RESULT_EVAL_MASK)
+    return garbler_round(ch, side, masked, counters)
 
 
 class CloudParty:
@@ -273,12 +317,8 @@ class CloudParty:
         # SecSh+GC holdings
         self.keypair = own_keypair        # Cloud's own AHE keys
         self.z0 = z0                      # uint64 share matrix
-        seeds = cfg.seeds
-        self.pool_rng = np.random.default_rng(seeds.cloud)
-        self.mask_rng = stream(seeds.cloud, b"mask")
-        self.enc_rng = stream(seeds.cloud, b"encr")
-        self.label_ot = LabelOT(cfg, stream(seeds.cloud, b"ot_r"))
-        self.circuit = None               # the sign circuit, built in SETUP
+        self.pool_rng = np.random.default_rng(cfg.seeds.cloud)
+        self.side = None                  # this party's Side, opened in SETUP
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
         self._eu = None                   # current packed E(u_t) (HE+GC)
@@ -301,7 +341,7 @@ class CloudParty:
     def open(self, ch):
         """SETUP (`open_cloud`); in HE+GC Cloud then folds its encrypted
         columns for the packed ResultEval reveal."""
-        self.circuit = open_cloud(ch, self.label_ot, self.n, self.dim, self.fp.ring_bits)
+        self.side = open_cloud(ch, self.cfg, self.n, self.dim, self.fp.ring_bits)
         if self.cfg.construction == HE_GC:
             self.packed_data = pack_columns(self.csp_public, self.enc_data,
                                             reveal_width(self._value_bits), self.counters)
@@ -316,7 +356,7 @@ class CloudParty:
             self.counters.he_adds += len(self._eu) * self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t))
         else:
-            ew = paillier.encrypt_many(self.keypair.public, wq, self.enc_rng)
+            ew = paillier.encrypt_many(self.keypair.public, wq, self.side.enc_rng)
             self.counters.encryptions += self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t)
                     + paillier.ciphertexts_to_bytes(ew))
@@ -325,18 +365,13 @@ class CloudParty:
                                                        self.fp.ring_bits)
 
     def result_eval_step(self, ch, t: int):
-        L, circuit = self.fp.ring_bits, self.circuit
         if self.cfg.construction == HE_GC:
-            lam = shares.sample_masks(self.n, self._value_bits, self.mask_rng)
-            masked = mask_packed(self.csp_public, self._eu, lam,
-                                 reveal_width(self._value_bits), self.enc_rng, self.counters)
-            ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
-            evaluator_vals, ev_wires, gb_wires = lam, circuit.inputs_b, circuit.inputs_a
+            packed_sign_cloud(ch, self.side, self.csp_public, self._eu, self._value_bits,
+                              0, self.counters)
         else:
             ch.send(RESULT_EVAL_MASK, wire.pack_u32(t))
-            evaluator_vals, ev_wires, gb_wires = self._u0, circuit.inputs_a, circuit.inputs_b
-        evaluator_round(ch, circuit, self.label_ot, self.counters,
-                        ev_wires, record_bits(evaluator_vals, L), gb_wires)
+            evaluator_round(ch, self.side, [-u % self.fp.q for u in self._u0],
+                            self.counters)
 
     def recv_decision(self, ch):
         payload = expect_phase(ch.recv(), OUTPUT_LABELS)
@@ -376,12 +411,7 @@ class CSPParty:
         self.keypair = keypair            # HE+GC: CSP owns the AHE keys
         self.cloud_public = cloud_public  # SecSh+GC: Cloud's public key
         self.z1 = z1                      # SecSh+GC share
-        seeds = cfg.seeds
-        self.garble_rng = stream(seeds.csp, b"garb")
-        self.mask_rng = stream(seeds.csp, b"mask")
-        self.enc_rng = stream(seeds.csp, b"encr")
-        self.label_ot = LabelOT(cfg, stream(seeds.csp, b"ot_s"))
-        self.circuit = None               # the sign circuit, built in SETUP
+        self.side = None                  # this party's Side, opened in SETUP
         self.delta = np.full(n, 1.0 / n)
         self.accepted = []                # (trial index, alpha, flipped)
         self.indicator_history = []       # I_t per tried classifier
@@ -406,8 +436,8 @@ class CSPParty:
         else:
             pk = self.cloud_public
             ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
-            lam = shares.sample_masks(self.n, self._value_bits, self.mask_rng)
-            out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.enc_rng)
+            lam = shares.sample_masks(self.n, self._value_bits, self.side.mask_rng)
+            out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.side.enc_rng)
             self.counters.encryptions += self.n
             self.counters.he_scalar_muls += self.n * self.dim
             self.counters.he_adds += self.n * self.dim
@@ -416,20 +446,15 @@ class CSPParty:
         return t
 
     def result_eval_step(self, ch):
-        L, circuit = self.fp.ring_bits, self.circuit
         if self.cfg.construction == HE_GC:
-            cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
-                                                  self.keypair.public)
-            dec = unpack_masked(self.keypair, cts, self.n, reveal_width(self._value_bits),
-                                self.counters, RESULT_EVAL_MASK)
-            garbler_vals, gb_wires, ev_wires = dec, circuit.inputs_a, circuit.inputs_b
+            msb = packed_sign_csp(ch, self.side, self.keypair, self._value_bits,
+                                  self.counters)
         else:
             trial = len(self.indicator_history) + 1
             if expect_phase(ch.recv(), RESULT_EVAL_MASK) != wire.pack_u32(trial):
                 raise MalformedMessage(f"RESULT_EVAL_MASK does not name trial {trial}")
-            garbler_vals, gb_wires, ev_wires = self._u1, circuit.inputs_b, circuit.inputs_a
-        msb = garbler_round(ch, circuit, self.garble_rng, self.label_ot, self.counters,
-                            gb_wires, record_bits(garbler_vals, L), ev_wires)
+            msb = garbler_round(ch, self.side, [-lam % self.fp.q for lam in self._u1],
+                                self.counters)
         indicators = (1 - np.asarray(msb, dtype=np.uint8)).astype(np.uint8)
         self.indicator_history.append(indicators)
         return indicators
@@ -446,7 +471,7 @@ class CSPParty:
 
     def open(self, ch):
         """SETUP (`open_csp`)."""
-        self.circuit = open_csp(ch, self.label_ot, self.n, self.dim, self.fp.ring_bits)
+        self.side = open_csp(ch, self.cfg, self.n, self.dim, self.fp.ring_bits)
 
     def run(self, ch):
         self._transcript = ch._transcript

@@ -13,16 +13,15 @@ Each round runs the boosting protocols' sign circuit (`build_sub_msb_batch`)
 on a masked value and its mask. The label y in {0, 1} travels inside the
 compared value: each user encrypts x + y * 2^(L-1), with no reduction mod
 2^L, and adding y * 2^(L-1) mod 2^L flips exactly the msb, so the circuit
-outputs msb(x - v) XOR y, the error bit. A comparison masks Cloud's packed
-column j with the plaintext masks lambda + (q - v), and Cloud evaluates on
-lambda.
+outputs msb(x - v) XOR y, the error bit.
 
 SETUP is the boosting protocols' opening (`open_cloud` / `open_csp`), with
-the k features as the dimension. Every Paillier reveal is the packed reveal
-of .parties: Cloud folds the encrypted values of a chunk of records into one
-ciphertext by Horner steps, once per run and column, and adds one fresh
-encryption of the chunk's packed masks; CSP decrypts ceil(n / slots)
-ciphertexts and unpacks the per-record masked values. A comparison hides
+the k features as the dimension. Cloud folds the encrypted values of a chunk
+of records into one ciphertext by Horner steps, once per run and column, and
+each comparison is the packed sign round of .parties (`packed_sign_cloud` /
+`packed_sign_csp`) that HE+GC's ResultEval runs with shift 0, here with
+shift q - v: CSP decrypts ceil(n / slots) ciphertexts, unpacks the
+per-record masked values and garbles on them. A comparison hides
 x - v + q + y * 2^(L-1) < 2^(L+2).
 """
 
@@ -30,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import paillier, shares
 from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, alpha, update_weights
-from ..circuits import record_bits
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
 from ..errors import BinCountInvalid, MalformedMessage
 # the GC round runs in .parties; perfbench/tracing.py wraps these names here too
@@ -41,27 +38,18 @@ from ..circuits import build_sub_msb_batch as build_stump_error_batch  # noqa: F
 from ..garbling import decode_output, evaluate, garble, tables_from_bytes  # noqa: F401
 from ..ot import dealer_choose  # noqa: F401
 from . import transport, wire
-from .config import ProtocolConfig, stream
-from .engine import run_pair
+from .config import ProtocolConfig
+from .engine import encrypt_submissions, run_pair
 from .parties import (
-    LabelOT,
-    evaluator_round,
-    garbler_round,
-    mask_packed,
     open_cloud,
     open_csp,
     pack_columns,
+    packed_sign_cloud,
+    packed_sign_csp,
     recv_field,
     reveal_width,
-    unpack_masked,
 )
-from .transcript import (
-    BASE_APPLY,
-    DONE,
-    RESULT_EVAL_MASK,
-    Transcript,
-    expect_phase,
-)
+from .transcript import BASE_APPLY, DONE, Transcript, expect_phase
 
 
 def threshold_grid(s: int) -> np.ndarray:
@@ -133,24 +121,14 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
 
 def _cloud_loop(ch, cfg, fp, ez, catalog_base, pk):
     n, k = ez.shape
-    L = fp.ring_bits
     counters = ch._transcript.party("cloud")
-    rng_mask = stream(cfg.seeds.cloud, b"mask")
-    rng_enc = stream(cfg.seeds.cloud, b"encr")
-    label_ot = LabelOT(cfg, stream(cfg.seeds.cloud, b"ot_r"))
-    circuit = open_cloud(ch, label_ot, n, k, L)
-    width = reveal_width(L + 2)  # x - v + q + y * 2^(L-1) < 2^(L+2)
-    columns = list(zip(*pack_columns(pk, ez, width, counters).rows))
+    side = open_cloud(ch, cfg, n, k, fp.ring_bits)
+    bound = fp.ring_bits + 2  # x - v + q + y * 2^(L-1) < 2^(L+2)
+    columns = list(zip(*pack_columns(pk, ez, reveal_width(bound), counters).rows))
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
-        lam = shares.sample_masks(n, L + 2, rng_mask)
-        shift = (fp.q - vq) % fp.q
-        out = mask_packed(pk, columns[j], [m + shift for m in lam], width, rng_enc,
-                          counters)
-        ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
-        # (x - v + q + y * 2^(L-1) + lambda) - lambda mod 2^L: msb(x - v) XOR y
-        evaluator_round(ch, circuit, label_ot, counters, circuit.inputs_b,
-                        record_bits(lam, L), circuit.inputs_a)
+        # msb((x - v + q + y * 2^(L-1)) mod 2^L) = msb(x - v) XOR y
+        packed_sign_cloud(ch, side, pk, columns[j], bound, (fp.q - vq) % fp.q, counters)
     ch.send(DONE, b"")
 
 
@@ -162,22 +140,14 @@ def _csp_loop(ch, cfg, kp, n, k, L, n_catalog):
     base comparisons in catalog order, numbered 0, 1, ..., and send DONE
     after the last one.
     """
-    label_ot = LabelOT(cfg, stream(cfg.seeds.csp, b"ot_s"))
-    circuit = open_csp(ch, label_ot, n, k, L)
+    side = open_csp(ch, cfg, n, k, L)
     counters = ch._transcript.party("csp")
-    width = reveal_width(L + 2)
-    garble_rng = stream(cfg.seeds.csp, b"garb")
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
     for expected in range(n_catalog // 2):
         index = recv_field(ch, BASE_APPLY, wire.unpack_u32)
         if index != expected:
             raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
-        cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
-                                              kp.public)
-        dec = unpack_masked(kp, cts, n, width, counters, RESULT_EVAL_MASK)
-        err = np.asarray(garbler_round(ch, circuit, garble_rng, label_ot, counters,
-                                       circuit.inputs_a, record_bits(dec, L),
-                                       circuit.inputs_b), dtype=np.uint8)
+        err = np.asarray(packed_sign_csp(ch, side, kp, L + 2, counters), dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
     wire.expect_end(expect_phase(ch.recv(), DONE), 0)
@@ -196,11 +166,10 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     grid = threshold_grid(s)
     catalog_base = [(j, encode(float(v), fp)) for j in range(k) for v in grid]
 
-    kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
     # each user folds the label in: x + y * 2^(L-1), below 2^L + 2^(L-1)
     xy = [[int(x) + (int(y) << (fp.ring_bits - 1)) for x in row]
           for row, y in zip(encode_array(X, fp), y01)]
-    ez = paillier.encrypt_matrix(kp.public, xy, stream(cfg.seeds.data, b"user"))
+    kp, ez = encrypt_submissions(cfg, xy)
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k

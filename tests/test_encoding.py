@@ -12,7 +12,6 @@ from blindboost.encoding import (
     encode,
     encode_array,
     fold_labels,
-    fold_vector,
     is_negative,
     ring_indicators,
     ring_matvec,
@@ -195,10 +194,6 @@ def test_fold_labels_values():
     assert np.allclose(fm.Z[1], [1.0, 2.0, 1.0])
 
 
-def test_fold_vector_matches_matrix():
-    assert np.allclose(fold_vector(np.array([0.5, -0.2]), -1), [-0.5, 0.2, -1.0])
-
-
 def test_fold_labels_rejects_bad_labels():
     ds = Dataset(np.ones((2, 2)), np.array([0, 1]))
     with pytest.raises(InvalidLabel):
@@ -206,13 +201,12 @@ def test_fold_labels_rejects_bad_labels():
 
 
 def test_fold_preserves_sign_semantics():
-    # sign(z . w) == sign((w . (x||1)) * y) for random draws
+    # sign(z_i . w_i) == sign((w_i . (x_i||1)) * y_i) for random draws
     rng = np.random.default_rng(123)
-    for _ in range(1000):
-        x = rng.uniform(-2, 2, size=4)
-        y = rng.choice([-1, 1])
-        w = rng.uniform(-1, 1, size=5)
-        z = fold_vector(x, y)
-        lhs = np.sign(z @ w)
-        rhs = np.sign((w[:4] @ x + w[4]) * y)
-        assert lhs == rhs
+    X = rng.uniform(-2, 2, size=(1000, 4))
+    y = rng.choice([-1, 1], size=1000)
+    W = rng.uniform(-1, 1, size=(1000, 5))
+    Z = fold_labels(Dataset(X, y)).Z
+    lhs = np.sign(np.einsum("ij,ij->i", Z, W))
+    rhs = np.sign((np.einsum("ij,ij->i", X, W[:, :4]) + W[:, 4]) * y)
+    assert np.array_equal(lhs, rhs)

@@ -22,9 +22,9 @@ BOOST_GOLDEN = {
     (HE_GC, "base"):
         "aaf520ea212d3db161633b3027035bcbd4ace6798c158b14d69eb833225fc04c",
     (SECSH_GC, "dealer"):
-        "132feb42ebf7d79630e57dcf57d5ba2cb81c43412d4c1bc8dd894bbbf709d86f",
+        "f28ce7d985bed851bca659c7dd807bfb38a5a0529630a9aba4e6b04cc7421f86",
     (SECSH_GC, "base"):
-        "a2f8f6c0f553170410470ced257bbc965dd7546e030abdbee078fdb73759f483",
+        "16108b74fcf9f1285f8cb590a22d559ce601480b051aaa9e2a8afdcaaaa73c77",
 }
 STUMP_GOLDEN = "b838391151797b3c81020efd08d5f3750aa6de8a750cfefe95c035bfae036116"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,

@@ -36,6 +36,7 @@ from blindboost.protocol import (
     Transcript,
     base_apply,
     engine,
+    parties,
     reconstruct_model,
     result_eval,
     run_learning,
@@ -51,10 +52,12 @@ from blindboost.protocol.parties import (
     LabelOT,
     evaluator_round,
     garbler_round,
-    mask_packed,
+    open_cloud,
+    open_csp,
     pack_columns,
+    packed_sign_cloud,
+    packed_sign_csp,
     reveal_width,
-    unpack_masked,
 )
 from blindboost.protocol.transcript import DONE, Counters
 
@@ -272,6 +275,15 @@ def test_secsh_counter_shapes():
     assert report["counters"]["cloud"]["encryptions"] == d * iters
     assert report["counters"]["csp"]["encryptions"] == n * iters
     assert report["counters"]["csp"]["he_scalar_muls"] == n * d * iters
+
+
+def test_unknown_transport_is_refused_before_keygen(monkeypatch):
+    def keygen(*args):
+        raise AssertionError("a key was generated for an unknown transport")
+
+    monkeypatch.setattr(paillier, "keygen", keygen)
+    with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
+        run_learning(cfg_for(HE_GC), toy_folded(n=3, k=2), transport_kind="carrier-pigeon")
 
 
 def test_socket_transport_identical_transcript():
@@ -532,35 +544,93 @@ def test_csp_secsh_result_eval_requires_the_current_trial(payload):
     assert len(result_eval(pair, 1)) == 3
 
 
+def _opened_sides(n, ring_bits, dim=1):
+    """Cloud's and CSP's `Side` for n records, after a dealer-OT SETUP, with
+    the channel pair and transcript they ran it on."""
+    cfg = cfg_for(HE_GC)
+    ch_cloud, ch_csp, transcript = transport.memory_pair()
+    sides = engine.run_pair(lambda: open_cloud(ch_cloud, cfg, n, dim, ring_bits),
+                            lambda: open_csp(ch_csp, cfg, n, dim, ring_bits),
+                            ch_cloud, ch_csp)
+    return ch_cloud, ch_csp, transcript, sides
+
+
 @pytest.mark.parametrize("extra", [0, 1])
-def test_packed_reveal_slot_edge(keypair_512, extra):
-    # the largest u under the bound plus the largest mask fills its slot to
-    # the last bit; no carry reaches the neighbouring slot, at n = slots
-    # and at n = slots + 1 records
-    pk = keypair_512.public
-    bound = FixedPointParams(7, 17).product_bits(3)
+@pytest.mark.parametrize("bound, value, shift, slots", [
+    # HE+GC ResultEval: the largest u = Z w of d = 3 columns, shift 0
+    (FixedPointParams(7, 17).product_bits(3), (1 << 36) - 1, 0, 6),
+    # stump selection at v = 1: the largest x + y * 2^(L-1), shift q - 1
+    (17 + 2, (1 << 17) - 1 + (1 << 16), (1 << 17) - 1, 8),
+], ids=["he-gc", "stump"])
+def test_packed_sign_round_slot_edge(keypair_512, monkeypatch, bound, value, shift,
+                                     slots, extra):
+    # the largest value under the bound plus the largest mask and the shift
+    # fills its slot to the last bit; no carry reaches the neighbouring slot,
+    # at n = slots and at n = slots + 1 records
+    pk, L = keypair_512.public, 17
     width = reveal_width(bound)
-    assert (bound, width, paillier.slot_count(pk, width)) == (36, 77, 6)
-    n = 6 + extra
-    u = (1 << bound) - 1
+    assert paillier.slot_count(pk, width) == slots
     lam = (1 << (bound + shares.MASK_SECURITY_BITS)) - 1
-    assert (u + lam).bit_length() == width
-    counters = Counters()
-    column = paillier.encrypt_matrix(pk, [[u]] * n, random.Random(1))
-    packed = [row[0] for row in pack_columns(pk, column, width, counters).rows]
+    assert (value + lam + shift).bit_length() == width
+    monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
+    unpacked = []
+    unpack = parties.unpack_masked
+
+    def spy(*args):
+        unpacked.append(unpack(*args))
+        return unpacked[-1]
+
+    monkeypatch.setattr(parties, "unpack_masked", spy)
+    n = slots + extra
+    ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L)
+    cloud_counters = transcript.party("cloud")
+    column = paillier.encrypt_matrix(pk, [[value]] * n, random.Random(1))
+    packed = [row[0] for row in pack_columns(pk, column, width, cloud_counters).rows]
     assert len(packed) == 1 + extra
-    masked = mask_packed(pk, packed, [lam] * n, width, random.Random(2), counters)
-    assert unpack_masked(keypair_512, masked, n, width, counters,
-                         "RESULT_EVAL_MASK") == [u + lam] * n
-    assert counters == Counters(encryptions=1 + extra, decryptions=1 + extra,
-                                he_adds=(n - 1 - extra) + 1 + extra,
-                                he_scalar_muls=n - 1 - extra)
+    _, msb = engine.run_pair(
+        lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound, shift, cloud_counters),
+        lambda: packed_sign_csp(ch_csp, csp, keypair_512, bound, transcript.party("csp")),
+        ch_cloud, ch_csp)
+    assert unpacked == [[value + lam + shift] * n]
+    assert list(msb) == [((value + shift) >> (L - 1)) & 1] * n
+    ands, transfers = n * (L - 1), n * L
+    assert transcript.party("cloud") == Counters(
+        encryptions=1 + extra, he_adds=(n - 1 - extra) + 1 + extra,
+        he_scalar_muls=n - 1 - extra, and_gates=ands, ot_transfers=transfers)
+    assert transcript.party("csp") == Counters(decryptions=1 + extra, and_gates=ands,
+                                               ot_transfers=transfers)
+
+
+def test_negated_secsh_shares_give_the_msb_at_the_ring_edges():
+    # CSP feeds -lambda on the minuend wires, Cloud -u0 = -(u + lambda) on
+    # the subtrahend wires: the circuit outputs msb(u), for any lambda
+    L = 9
+    q = 1 << L
+    edges = [0, 1, q // 2 - 1, q // 2, q - 1]
+    expected = [u >> (L - 1) for u in edges]
+    assert expected == [0, 0, 0, 1, 1]
+    circuit = build_sub_msb_batch(L, len(edges))
+    rng = random.Random(19)
+    for _ in range(50):
+        lam = [rng.getrandbits(L + 30) for _ in edges]
+        u0 = [(u + m) % q for u, m in zip(edges, lam)]
+        csp_in, cloud_in = [-m % q for m in lam], [-v % q for v in u0]
+        assert circuit.evaluate_plain(record_bits(csp_in, L),
+                                      record_bits(cloud_in, L)) == expected
+    # one garbled round, on the last draw
+    ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(len(edges), L)
+    _, msb = engine.run_pair(
+        lambda: evaluator_round(ch_cloud, cloud, cloud_in, transcript.party("cloud")),
+        lambda: garbler_round(ch_csp, csp, csp_in, transcript.party("csp")),
+        ch_cloud, ch_csp)
+    assert list(msb) == expected
 
 
 @pytest.mark.parametrize("count", [0, 2])  # n = 3 records pack into 1 ciphertext
 def test_csp_result_eval_wrong_ciphertext_count(count):
-    _, csp = setup(cfg_for(HE_GC), toy_folded(n=3, k=2))
-    csp.attach(Transcript())
+    pair = setup(cfg_for(HE_GC), toy_folded(n=3, k=2))
+    base_apply(pair, 1)  # SETUP, then trial 1's BaseApply
+    csp = pair[1]
     cts = paillier.encrypt_many(csp.keypair.public, [0] * count, random.Random(1))
     with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 1"):
         csp.result_eval_step(_Scripted([("RESULT_EVAL_MASK",
@@ -571,6 +641,7 @@ def test_csp_result_eval_wrong_ciphertext_count(count):
 def test_cloud_secsh_base_apply_reply_wrong_ciphertext_count(count):
     cloud, _ = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
     cloud.attach(Transcript())
+    cloud.open(_Scripted([]))  # dealer OT: SETUP is Cloud's header alone
     cts = paillier.encrypt_many(cloud.keypair.public, [0] * count, random.Random(2))
     with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 3"):
         cloud.base_apply_step(_Scripted([("BASE_APPLY",
@@ -595,19 +666,24 @@ def test_short_or_invalid_decision_is_malformed(payload):
     assert cloud.recv_decision(_Scripted([("OUTPUT_LABELS", b"\x01\x00")])) == (True, False)
 
 
+def _side(circuit, ring_bits):
+    """A dealer-OT Side over `circuit`, garbling on Random(5)."""
+    return types.SimpleNamespace(
+        circuit=circuit, ring_bits=ring_bits, garble_rng=random.Random(5),
+        label_ot=LabelOT(cfg_for(HE_GC, ot_mode="dealer"), random.Random(6)))
+
+
 def test_bytes_after_the_output_labels_are_malformed():
     circuit = build_sub_msb_batch(4, 2)
     gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
     gc = garble(circuit, random.Random(5))  # what garbler_round garbles on Random(5)
     out = evaluate(gc, dict(zip(circuit.inputs_b, gc.encode(circuit.inputs_b, ev_bits))),
                    dict(zip(circuit.inputs_a, gc.encode(circuit.inputs_a, gb_bits))))
-    label_ot = LabelOT(cfg_for(HE_GC, ot_mode="dealer"), random.Random(6))
 
     def run(reply):
         counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
-        return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), circuit,
-                             random.Random(5), label_ot, counters,
-                             circuit.inputs_a, gb_bits, circuit.inputs_b)
+        return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), _side(circuit, 4),
+                             [3, 9], counters)
 
     assert list(run(wire.pack_labels(out))) == list(circuit.evaluate_plain(gb_bits, ev_bits))
     for tail in (b"\x00", out[0]):
@@ -619,9 +695,8 @@ def test_bytes_after_the_output_labels_are_malformed():
                          ids=["11-labels", "7-labels", "trailing-byte"])
 def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
     circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
-    gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
     gc = garble(circuit, random.Random(5))
-    labels = gc.encode(circuit.inputs_a, gb_bits)
+    labels = gc.encode(circuit.inputs_a, record_bits([3, 9], 4))
     dealt = ("OT", wire.pack_label_pairs(gc.label_pairs(circuit.inputs_b)))
 
     def run(gb_labels, tail=b""):
@@ -629,9 +704,7 @@ def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
                          + wire.pack_labels(gb_labels)
                          + wire.pack_label_pairs(gc.output_check) + tail), dealt])
         counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
-        evaluator_round(ch, circuit, LabelOT(cfg_for(HE_GC, ot_mode="dealer"),
-                                             random.Random(6)),
-                        counters, circuit.inputs_b, ev_bits, circuit.inputs_a)
+        evaluator_round(ch, _side(circuit, 4), [5, 12], counters)
         return ch.sent
 
     assert run(labels) == ["OUTPUT_LABELS"]

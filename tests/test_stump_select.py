@@ -16,14 +16,7 @@ from blindboost.protocol import (
     transport,
     wire,
 )
-from blindboost.protocol.parties import (
-    CSPParty,
-    _setup_header,
-    mask_packed,
-    pack_columns,
-    reveal_width,
-    unpack_masked,
-)
+from blindboost.protocol.parties import CSPParty, _setup_header
 from blindboost.protocol.stump_select import (
     _csp_loop,
     confidential_ds_select,
@@ -31,7 +24,6 @@ from blindboost.protocol.stump_select import (
     stump_catalog,
     threshold_grid,
 )
-from blindboost.protocol.transcript import Counters
 
 
 def cfg(seed=1, **kw):
@@ -141,29 +133,6 @@ def test_single_bin_raises_before_keygen(monkeypatch):
     monkeypatch.setattr(paillier, "keygen", keygen)
     with pytest.raises(BinCountInvalid, match="need at least 2 bins, got 1"):
         confidential_ds_select(cfg(), toy_dataset(n=6, k=2), s=1, tau=1)
-
-
-@pytest.mark.parametrize("extra", [0, 1])
-def test_comparison_slot_edge(keypair_512, extra):
-    # the largest x + y * 2^(L-1) plus the largest lambda + (q - v) fills a
-    # comparison's slot to the last bit; no carry reaches the neighbouring
-    # slot, at n = slots and at n = slots + 1 records
-    pk = keypair_512.public
-    L = 17
-    q = 1 << L
-    width = reveal_width(L + 2)
-    assert (width, paillier.slot_count(pk, width)) == (60, 8)
-    n = 8 + extra
-    value = (q - 1) + (1 << (L - 1))
-    mask = (1 << (L + 2 + shares.MASK_SECURITY_BITS)) - 1 + (q - 1)
-    assert (value + mask).bit_length() == width
-    counters = Counters()
-    column = paillier.encrypt_matrix(pk, [[value]] * n, random.Random(1))
-    packed = [row[0] for row in pack_columns(pk, column, width, counters).rows]
-    assert len(packed) == 1 + extra
-    masked = mask_packed(pk, packed, [mask] * n, width, random.Random(2), counters)
-    assert unpack_masked(keypair_512, masked, n, width, counters,
-                         "RESULT_EVAL_MASK") == [value + mask] * n
 
 
 def test_base_ot_mode_matches_dealer():
