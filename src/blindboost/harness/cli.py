@@ -244,17 +244,9 @@ def cmd_report(args):
 
 
 def build_parser():
+    """The top-level parser and its subcommand parsers, by name."""
     parser = argparse.ArgumentParser(prog="blindboost")
-    parser._command_parsers = {}
     sub = parser.add_subparsers(dest="command", required=True)
-    _add = sub.add_parser
-
-    def add_parser(name, **kw):
-        p = _add(name, **kw)
-        parser._command_parsers[name] = p
-        return p
-
-    sub.add_parser = add_parser
 
     def common(p, dataset=True):
         p.add_argument("--config", default=None,
@@ -330,16 +322,16 @@ def build_parser():
     p.add_argument("--spec", required=True, help="ExperimentSpec JSON file")
     p.set_defaults(func=cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("BLINDBOOST_LOG", "WARNING").upper())
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _set_config_defaults(parser._command_parsers[args.command], args.config)
+            _set_config_defaults(commands[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except CheckFailure as exc:

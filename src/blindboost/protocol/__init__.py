@@ -1,10 +1,8 @@
 from .config import HE_GC, SECSH_GC, ProtocolConfig, Seeds, paper_faithful
 from .engine import (
     DistributedModel,
-    base_apply,
     collect_model,
     reconstruct_model,
-    result_eval,
     run_learning,
     setup,
 )
@@ -12,6 +10,6 @@ from .transcript import Transcript, transcript_report
 
 __all__ = [
     "HE_GC", "SECSH_GC", "ProtocolConfig", "Seeds", "paper_faithful",
-    "DistributedModel", "base_apply", "collect_model", "reconstruct_model",
-    "result_eval", "run_learning", "setup", "Transcript", "transcript_report",
+    "DistributedModel", "collect_model", "reconstruct_model", "run_learning",
+    "setup", "Transcript", "transcript_report",
 ]

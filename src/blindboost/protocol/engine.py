@@ -13,7 +13,6 @@ from ..encoding import FixedPointParams, FoldedMatrix, encode_array
 from ..errors import PartMismatch, PartyTimeout, PoolExhaustedWarning, TransportClosed
 from .config import HE_GC, ProtocolConfig, stream
 from .parties import CloudParty, CSPParty
-from .transcript import Transcript
 from . import transport
 
 
@@ -150,7 +149,7 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
 
     The parties run concurrently in two threads and communicate only via the
     chosen transport. `with_parties` additionally returns the two party
-    objects (test hook for inspecting per-iteration state).
+    objects, with what each holds at the end of the run.
     """
     if transport_kind not in ("memory", "socket"):
         raise ValueError(f"unknown transport {transport_kind!r}")
@@ -174,31 +173,3 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
         return model, transcript, cloud, csp
     return model, transcript
 
-
-# ---------------------------------------------------------------------------
-# granular steps on a state pair (spec-shaped surface, used by tests)
-
-
-def base_apply(state_pair, t: int):
-    """One BaseApply round over an in-process channel. Trial 1 runs SETUP
-    before it, as `run` does."""
-    cloud, csp = state_pair
-    ch_cloud, ch_csp, transcript = transport.memory_pair()
-    cloud.attach(transcript)
-    csp.attach(transcript)
-    if t == 1:
-        run_pair(lambda: cloud.open(ch_cloud), lambda: csp.open(ch_csp), ch_cloud, ch_csp)
-    run_pair(lambda: cloud.base_apply_step(ch_cloud, t),
-             lambda: csp.base_apply_step(ch_csp, ch_csp.recv()), ch_cloud, ch_csp)
-    return transcript
-
-
-def result_eval(state_pair, t: int):
-    """One ResultEval round; returns the indicator vector held by CSP."""
-    cloud, csp = state_pair
-    ch_cloud, ch_csp, transcript = transport.memory_pair()
-    cloud.attach(transcript)
-    csp.attach(transcript)
-    _, indicators = run_pair(lambda: cloud.result_eval_step(ch_cloud, t),
-                             lambda: csp.result_eval_step(ch_csp), ch_cloud, ch_csp)
-    return indicators

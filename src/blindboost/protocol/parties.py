@@ -2,8 +2,10 @@
 
 Knowledge separation is structural: CloudParty has no field for sample
 weights, model weights or any decrypted matrix-vector result; CSPParty has no
-field for a plaintext classifier or (in HE+GC) for the training data. The
-only cross-party channel is the transport handed to run()/step methods.
+field for a plaintext classifier or (in HE+GC) for the training data, and
+neither keeps a trial's masks or masked values past that trial. The only
+cross-party channel is the transport end handed to `open`, `trial` and `run`;
+each party's cost counters live on its end (`ch.counters`).
 
 GC roles are fixed for both constructions and for stump selection: CSP
 garbles and feeds the minuend wires `inputs_a`, Cloud evaluates, feeds the
@@ -56,7 +58,6 @@ from .transcript import (
     OUTPUT_LABELS,
     RESULT_EVAL_MASK,
     SETUP,
-    Transcript,
     expect_phase,
 )
 
@@ -129,11 +130,11 @@ def decrypt_exact(kp, cts, count, counters, phase) -> list:
     return paillier.decrypt_many(kp, cts)
 
 
-def recv_decrypt(ch, phase, kp, count, counters) -> list:
+def recv_decrypt(ch, phase, kp, count) -> list:
     """Receive a `phase` message of exactly `count` ciphertexts under `kp`
     and decrypt them."""
     cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), phase), kp.public)
-    return decrypt_exact(kp, cts, count, counters, phase)
+    return decrypt_exact(kp, cts, count, ch.counters, phase)
 
 
 class LabelOT:
@@ -229,7 +230,7 @@ def open_csp(ch, cfg, n: int, dim: int, ring_bits: int) -> Side:
     return side
 
 
-def garbler_round(ch, side, values, counters) -> list:
+def garbler_round(ch, side, values) -> list:
     """CSP's side of one garbled-circuit round; returns the output bits.
 
     Garbles the sign circuit, sends its tables, the labels of `values` on
@@ -237,7 +238,7 @@ def garbler_round(ch, side, values, counters) -> list:
     label pairs of the subtrahend wires by OT and decodes Cloud's output
     labels.
     """
-    circuit = side.circuit
+    circuit, counters = side.circuit, ch.counters
     gc = garble(circuit, side.garble_rng)
     counters.and_gates += circuit.and_count
     ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
@@ -251,14 +252,14 @@ def garbler_round(ch, side, values, counters) -> list:
                          gc.output_decode)
 
 
-def evaluator_round(ch, side, values, counters) -> None:
+def evaluator_round(ch, side, values) -> None:
     """Cloud's side of one garbled-circuit round.
 
     Receives the tables, CSP's minuend labels and the output checks,
     obtains the labels of `values` on the subtrahend wires by OT, evaluates
     and returns the output labels (OUTPUT_LABELS) for CSP to decode.
     """
-    circuit = side.circuit
+    circuit, counters = side.circuit, ch.counters
     payload = expect_phase(ch.recv(), GC_TABLES)
     tables_blob, off = wire.unpack_blob(payload)
     garbler_labels, off = wire.unpack_labels(payload, off)
@@ -278,25 +279,25 @@ def evaluator_round(ch, side, values, counters) -> None:
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
 
 
-def packed_sign_cloud(ch, side, pk, packed_cts, value_bits, shift, counters) -> None:
+def packed_sign_cloud(ch, side, pk, packed_cts, value_bits, shift) -> None:
     """Cloud's packed sign round over values below 2^value_bits that
     `packed_cts` carry: masks them with lambda + shift (RESULT_EVAL_MASK)
     and evaluates on lambda, so CSP learns msb((value + shift) mod 2^L)."""
     lam = shares.sample_masks(side.n, value_bits, side.mask_rng)
     masked = mask_packed(pk, packed_cts, [m + shift for m in lam],
-                         reveal_width(value_bits), side.enc_rng, counters)
+                         reveal_width(value_bits), side.enc_rng, ch.counters)
     ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
-    evaluator_round(ch, side, lam, counters)
+    evaluator_round(ch, side, lam)
 
 
-def packed_sign_csp(ch, side, kp, value_bits, counters) -> list:
+def packed_sign_csp(ch, side, kp, value_bits) -> list:
     """CSP's packed sign round: unpacks RESULT_EVAL_MASK's masked values,
     garbles on them and returns the msb bits."""
     cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
                                           kp.public)
-    masked = unpack_masked(kp, cts, side.n, reveal_width(value_bits), counters,
+    masked = unpack_masked(kp, cts, side.n, reveal_width(value_bits), ch.counters,
                            RESULT_EVAL_MASK)
-    return garbler_round(ch, side, masked, counters)
+    return garbler_round(ch, side, masked)
 
 
 class CloudParty:
@@ -321,22 +322,6 @@ class CloudParty:
         self.side = None                  # this party's Side, opened in SETUP
         self.tried_w = []                 # plaintext RLCs, in trial order
         self.acceptance = []              # per-trial accept bit (CSP's verdict)
-        self._eu = None                   # current packed E(u_t) (HE+GC)
-        self._u0 = None                   # current masked share (SecSh+GC)
-        self._transcript = None
-
-    # -- helpers ------------------------------------------------------------
-
-    @property
-    def counters(self):
-        return self._transcript.party("cloud")
-
-    def _next_rlc(self):
-        w = gen_rlc(self.dim - 1, self.pool_rng)
-        self.tried_w.append(w)
-        return w
-
-    # -- protocol steps ------------------------------------------------------
 
     def open(self, ch):
         """SETUP (`open_cloud`); in HE+GC Cloud then folds its encrypted
@@ -344,34 +329,36 @@ class CloudParty:
         self.side = open_cloud(ch, self.cfg, self.n, self.dim, self.fp.ring_bits)
         if self.cfg.construction == HE_GC:
             self.packed_data = pack_columns(self.csp_public, self.enc_data,
-                                            reveal_width(self._value_bits), self.counters)
+                                            reveal_width(self._value_bits), ch.counters)
 
-    def base_apply_step(self, ch, t: int):
+    def trial(self, ch, t: int) -> bool:
+        """Trial t on a fresh RLC w: BaseApply, ResultEval, then CSP's
+        decision; returns whether CSP stops the run.
+
+        HE+GC: E(u) = E(Z) w over the packed columns, then the packed sign
+        round. SecSh+GC: E(w) to CSP, which answers Z1 w + lambda under
+        Cloud's key; Cloud's u0 = Z0 w + Z1 w + lambda, and the GC round
+        gives CSP msb(u0 - lambda) = msb(Z w)."""
         if t > self.cfg.p_max:
             raise IterationOutOfRange(f"iteration {t} exceeds p_max {self.cfg.p_max}")
-        wq = [int(v) for v in encode_array(self._next_rlc(), self.fp)]
+        w = gen_rlc(self.dim - 1, self.pool_rng)
+        self.tried_w.append(w)
+        wq = [int(v) for v in encode_array(w, self.fp)]
         if self.cfg.construction == HE_GC:
-            self._eu = paillier.he_matvec(self.csp_public, self.packed_data, wq)
-            self.counters.he_scalar_muls += len(self._eu) * self.dim
-            self.counters.he_adds += len(self._eu) * self.dim
+            eu = paillier.he_matvec(self.csp_public, self.packed_data, wq)
+            ch.counters.he_scalar_muls += len(eu) * self.dim
+            ch.counters.he_adds += len(eu) * self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t))
+            packed_sign_cloud(ch, self.side, self.csp_public, eu, self._value_bits, 0)
         else:
             ew = paillier.encrypt_many(self.keypair.public, wq, self.side.enc_rng)
-            self.counters.encryptions += self.dim
-            ch.send(BASE_APPLY, wire.pack_u32(t)
-                    + paillier.ciphertexts_to_bytes(ew))
-            dec = recv_decrypt(ch, BASE_APPLY, self.keypair, self.n, self.counters)
-            self._u0 = shares.masked_matvec_cloud_step(self.z0, wq, dec,
-                                                       self.fp.ring_bits)
-
-    def result_eval_step(self, ch, t: int):
-        if self.cfg.construction == HE_GC:
-            packed_sign_cloud(ch, self.side, self.csp_public, self._eu, self._value_bits,
-                              0, self.counters)
-        else:
+            ch.counters.encryptions += self.dim
+            ch.send(BASE_APPLY, wire.pack_u32(t) + paillier.ciphertexts_to_bytes(ew))
+            dec = recv_decrypt(ch, BASE_APPLY, self.keypair, self.n)
+            u0 = shares.masked_matvec_cloud_step(self.z0, wq, dec, self.fp.ring_bits)
             ch.send(RESULT_EVAL_MASK, wire.pack_u32(t))
-            evaluator_round(ch, self.side, [-u % self.fp.q for u in self._u0],
-                            self.counters)
+            evaluator_round(ch, self.side, [-u % self.fp.q for u in u0])
+        return self.recv_decision(ch)[1]
 
     def recv_decision(self, ch):
         payload = expect_phase(ch.recv(), OUTPUT_LABELS)
@@ -383,18 +370,11 @@ class CloudParty:
         return bool(accept), bool(stop)
 
     def run(self, ch):
-        self._transcript = ch._transcript
         self.open(ch)
         for t in range(1, self.cfg.p_max + 1):
-            self.base_apply_step(ch, t)
-            self.result_eval_step(ch, t)
-            _, stop = self.recv_decision(ch)
-            if stop:
+            if self.trial(ch, t):
                 break
         ch.send(DONE, wire.pack_u32(t))
-
-    def attach(self, transcript: Transcript):
-        self._transcript = transcript
 
 
 class CSPParty:
@@ -415,78 +395,52 @@ class CSPParty:
         self.delta = np.full(n, 1.0 / n)
         self.accepted = []                # (trial index, alpha, flipped)
         self.indicator_history = []       # I_t per tried classifier
-        self._u1 = None
-        self._transcript = None
-
-    @property
-    def counters(self):
-        return self._transcript.party("csp")
-
-    # -- protocol steps ------------------------------------------------------
-
-    def base_apply_step(self, ch, first_msg):
-        payload = expect_phase(first_msg, BASE_APPLY)
-        t, off = wire.unpack_u32(payload)
-        expected = len(self.indicator_history) + 1  # one past the last evaluated trial
-        if t != expected or t > self.cfg.p_max:
-            raise MalformedMessage(f"BASE_APPLY names trial {t}, expected {expected} "
-                                   f"of at most {self.cfg.p_max}")
-        if self.cfg.construction == HE_GC:
-            wire.expect_end(payload, off)
-        else:
-            pk = self.cloud_public
-            ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
-            lam = shares.sample_masks(self.n, self._value_bits, self.side.mask_rng)
-            out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.side.enc_rng)
-            self.counters.encryptions += self.n
-            self.counters.he_scalar_muls += self.n * self.dim
-            self.counters.he_adds += self.n * self.dim
-            ch.send(BASE_APPLY, paillier.ciphertexts_to_bytes(out))
-            self._u1 = lam
-        return t
-
-    def result_eval_step(self, ch):
-        if self.cfg.construction == HE_GC:
-            msb = packed_sign_csp(ch, self.side, self.keypair, self._value_bits,
-                                  self.counters)
-        else:
-            trial = len(self.indicator_history) + 1
-            if expect_phase(ch.recv(), RESULT_EVAL_MASK) != wire.pack_u32(trial):
-                raise MalformedMessage(f"RESULT_EVAL_MASK does not name trial {trial}")
-            msb = garbler_round(ch, self.side, [-lam % self.fp.q for lam in self._u1],
-                                self.counters)
-        indicators = (1 - np.asarray(msb, dtype=np.uint8)).astype(np.uint8)
-        self.indicator_history.append(indicators)
-        return indicators
-
-    def update(self, indicators):
-        """The Update step: runs the shared plaintext logic on CSP's weights."""
-        step = evaluate_candidate(self.delta, indicators)
-        trial = len(self.indicator_history)
-        if step.decision != "reject":
-            self.delta = step.delta
-            self.accepted.append((trial, step.alpha,
-                                  step.decision == "accept_flipped"))
-        return step
 
     def open(self, ch):
         """SETUP (`open_csp`)."""
         self.side = open_csp(ch, self.cfg, self.n, self.dim, self.fp.ring_bits)
 
+    def trial(self, ch) -> bool:
+        """The next trial, which Cloud's BASE_APPLY must name: the indicator
+        vector I_t, the Update step on it and the decision sent back;
+        returns whether the run stops."""
+        t = len(self.indicator_history) + 1
+        payload = expect_phase(ch.recv(), BASE_APPLY)
+        named, off = wire.unpack_u32(payload)
+        if named != t or t > self.cfg.p_max:
+            raise MalformedMessage(f"BASE_APPLY names trial {named}, expected {t} "
+                                   f"of at most {self.cfg.p_max}")
+        if self.cfg.construction == HE_GC:
+            wire.expect_end(payload, off)
+            msb = packed_sign_csp(ch, self.side, self.keypair, self._value_bits)
+        else:
+            pk = self.cloud_public
+            ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
+            lam = shares.sample_masks(self.n, self._value_bits, self.side.mask_rng)
+            out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.side.enc_rng)
+            ch.counters.encryptions += self.n
+            ch.counters.he_scalar_muls += self.n * self.dim
+            ch.counters.he_adds += self.n * self.dim
+            ch.send(BASE_APPLY, paillier.ciphertexts_to_bytes(out))
+            if expect_phase(ch.recv(), RESULT_EVAL_MASK) != wire.pack_u32(t):
+                raise MalformedMessage(f"RESULT_EVAL_MASK does not name trial {t}")
+            msb = garbler_round(ch, self.side, [-m % self.fp.q for m in lam])
+        indicators = (1 - np.asarray(msb, dtype=np.uint8)).astype(np.uint8)
+        self.indicator_history.append(indicators)
+        step = evaluate_candidate(self.delta, indicators)
+        if step.decision != "reject":  # the Update step, on CSP's weights
+            self.delta = step.delta
+            self.accepted.append((t, step.alpha, step.decision == "accept_flipped"))
+        stop = len(self.accepted) >= self.cfg.tau
+        ch.send(OUTPUT_LABELS, bytes([_DECISION_REJECT if step.decision == "reject"
+                                      else _DECISION_ACCEPT, int(stop)]))
+        return stop
+
     def run(self, ch):
-        self._transcript = ch._transcript
         self.open(ch)
-        t, stop = 0, False
-        while not stop and t < self.cfg.p_max:
-            t = self.base_apply_step(ch, ch.recv())
-            indicators = self.result_eval_step(ch)
-            step = self.update(indicators)
-            accept = step.decision != "reject"
-            stop = len(self.accepted) >= self.cfg.tau
-            ch.send(OUTPUT_LABELS, bytes([_DECISION_ACCEPT if accept
-                                          else _DECISION_REJECT, int(stop)]))
+        stop = False
+        while not stop and len(self.indicator_history) < self.cfg.p_max:
+            stop = self.trial(ch)
+        t = len(self.indicator_history)
         if expect_phase(ch.recv(), DONE) != wire.pack_u32(t):
             raise MalformedMessage(f"DONE does not name the last trial, {t}")
-
-    def attach(self, transcript: Transcript):
-        self._transcript = transcript

@@ -121,14 +121,13 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
 
 def _cloud_loop(ch, cfg, fp, ez, catalog_base, pk):
     n, k = ez.shape
-    counters = ch._transcript.party("cloud")
     side = open_cloud(ch, cfg, n, k, fp.ring_bits)
     bound = fp.ring_bits + 2  # x - v + q + y * 2^(L-1) < 2^(L+2)
-    columns = list(zip(*pack_columns(pk, ez, reveal_width(bound), counters).rows))
+    columns = list(zip(*pack_columns(pk, ez, reveal_width(bound), ch.counters).rows))
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
         # msb((x - v + q + y * 2^(L-1)) mod 2^L) = msb(x - v) XOR y
-        packed_sign_cloud(ch, side, pk, columns[j], bound, (fp.q - vq) % fp.q, counters)
+        packed_sign_cloud(ch, side, pk, columns[j], bound, (fp.q - vq) % fp.q)
     ch.send(DONE, b"")
 
 
@@ -141,13 +140,12 @@ def _csp_loop(ch, cfg, kp, n, k, L, n_catalog):
     after the last one.
     """
     side = open_csp(ch, cfg, n, k, L)
-    counters = ch._transcript.party("csp")
     errors = np.zeros((n_catalog, n), dtype=np.uint8)
     for expected in range(n_catalog // 2):
         index = recv_field(ch, BASE_APPLY, wire.unpack_u32)
         if index != expected:
             raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
-        err = np.asarray(packed_sign_csp(ch, side, kp, L + 2, counters), dtype=np.uint8)
+        err = np.asarray(packed_sign_csp(ch, side, kp, L + 2), dtype=np.uint8)
         errors[2 * index] = err            # "x < v -> class 1"
         errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
     wire.expect_end(expect_phase(ch.recv(), DONE), 0)

@@ -1,6 +1,7 @@
 """Transports: an in-process duplex queue and a byte-framed stream socket.
 
 Both expose send(phase, payload) / recv() and log every message into a shared
+Transcript; each end's `counters` are its party's Counters in that
 Transcript. The protocol is strict ping-pong, so the transcript order is
 deterministic for either transport.
 """
@@ -28,8 +29,9 @@ FRAME_READ_TIMEOUT_S = 60.0
 
 
 class _QueueEndpoint:
-    def __init__(self, name: str, outbox, inbox, transcript, lock):
-        self.name = name
+    def __init__(self, party: str, peer: str, outbox, inbox, transcript, lock):
+        self.name = f"{party}->{peer}"
+        self.counters = transcript.party(party)
         self._outbox = outbox
         self._inbox = inbox
         self._transcript = transcript
@@ -59,16 +61,17 @@ def memory_pair(transcript: Transcript | None = None):
     transcript = transcript if transcript is not None else Transcript()
     lock = threading.Lock()
     a2b, b2a = queue.Queue(), queue.Queue()
-    cloud = _QueueEndpoint("cloud->csp", a2b, b2a, transcript, lock)
-    csp = _QueueEndpoint("csp->cloud", b2a, a2b, transcript, lock)
+    cloud = _QueueEndpoint("cloud", "csp", a2b, b2a, transcript, lock)
+    csp = _QueueEndpoint("csp", "cloud", b2a, a2b, transcript, lock)
     return cloud, csp, transcript
 
 
 class _SocketEndpoint:
     """Frames messages as [phase: 1][length: 4 big-endian][payload]."""
 
-    def __init__(self, name: str, sock: socket.socket, transcript, lock):
-        self.name = name
+    def __init__(self, party: str, peer: str, sock: socket.socket, transcript, lock):
+        self.name = f"{party}->{peer}"
+        self.counters = transcript.party(party)
         self._sock = sock
         self._transcript = transcript
         self._lock = lock
@@ -134,6 +137,6 @@ def socket_pair(transcript: Transcript | None = None):
     transcript = transcript if transcript is not None else Transcript()
     lock = threading.Lock()
     s1, s2 = socket.socketpair()
-    cloud = _SocketEndpoint("cloud->csp", s1, transcript, lock)
-    csp = _SocketEndpoint("csp->cloud", s2, transcript, lock)
+    cloud = _SocketEndpoint("cloud", "csp", s1, transcript, lock)
+    csp = _SocketEndpoint("csp", "cloud", s2, transcript, lock)
     return cloud, csp, transcript

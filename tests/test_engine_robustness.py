@@ -14,7 +14,6 @@ from blindboost.protocol import (
     ProtocolConfig,
     engine,
     run_learning,
-    setup,
     stump_select,
     transport,
 )
@@ -38,7 +37,7 @@ def test_csp_failure_propagates_without_deadlock(monkeypatch):
     def broken(self, ch):
         raise Boom("csp died")
 
-    monkeypatch.setattr(CSPParty, "result_eval_step", broken)
+    monkeypatch.setattr(CSPParty, "trial", broken)
     cfg = ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
     with pytest.raises(Boom, match="csp died"):
         run_learning(cfg, folded)
@@ -54,7 +53,7 @@ def test_cloud_failure_raises_within_seconds(monkeypatch, transport_kind):
     def broken(self, ch, t):
         raise Boom("cloud died")
 
-    monkeypatch.setattr(CloudParty, "result_eval_step", broken)
+    monkeypatch.setattr(CloudParty, "trial", broken)
     cfg = ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
     folded = _folded()
     outcome = []
@@ -118,15 +117,6 @@ def test_hung_csp_thread_leaves_no_socket_open(hung_csp, monkeypatch):
     with pytest.raises(PartyTimeout):
         run_learning(_cfg(), _folded(), transport_kind="socket")
     assert [end._sock.fileno() for end in ends] == [-1, -1]  # both closed
-
-
-@pytest.mark.parametrize("step", ["base_apply", "result_eval"])
-def test_hung_csp_thread_fails_single_steps(hung_csp, step):
-    pair = setup(_cfg(), _folded())
-    engine.base_apply(pair, 1)
-    hung_csp(CSPParty, f"{step}_step")
-    with pytest.raises(PartyTimeout):
-        getattr(engine, step)(pair, 1)
 
 
 def test_hung_csp_thread_fails_stump_selection(hung_csp):

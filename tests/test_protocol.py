@@ -33,12 +33,9 @@ from blindboost.protocol import (
     DistributedModel,
     ProtocolConfig,
     Seeds,
-    Transcript,
-    base_apply,
     engine,
     parties,
     reconstruct_model,
-    result_eval,
     run_learning,
     setup,
     transcript_report,
@@ -50,6 +47,7 @@ from blindboost.protocol.parties import (
     CloudParty,
     CSPParty,
     LabelOT,
+    _setup_header,
     evaluator_round,
     garbler_round,
     open_cloud,
@@ -125,33 +123,86 @@ def test_knowledge_separation_structural():
     assert {"tried_w", "pool_rng", "enc_data", "z0"}.isdisjoint(csp_fields)
 
 
+_CLOUD_FIELDS = {"cfg", "fp", "n", "dim", "_value_bits", "enc_data", "csp_public",
+                 "packed_data", "keypair", "z0", "pool_rng", "side", "tried_w",
+                 "acceptance"}
+_CSP_FIELDS = {"cfg", "fp", "n", "dim", "_value_bits", "keypair", "cloud_public", "z1",
+               "side", "delta", "accepted", "indicator_history"}
+
+
+@pytest.mark.parametrize("construction", [HE_GC, SECSH_GC])
+def test_parties_keep_no_trial_secret_after_a_run(construction):
+    # Cloud ends a run with its data, its RLCs and CSP's verdicts, CSP with
+    # its keys or share, the weights and the indicators: no field holds a
+    # trial's masks, masked share or encrypted matrix-vector product
+    _, transcript, cloud, csp = run_learning(cfg_for(construction, tau=2, p_max=6),
+                                             toy_folded(n=6, k=2, seed=17),
+                                             with_parties=True)
+    assert transcript.iterations() >= 2
+    assert set(vars(cloud)) == _CLOUD_FIELDS
+    assert set(vars(csp)) == _CSP_FIELDS
+
+
 # ---------------------------------------------------------------------------
-# granular steps
+# one trial per call
 
 
-def test_base_apply_he_gc_decrypts_to_plaintext_encoding():
+def run_trials(cloud, csp, trials):
+    """SETUP, then `trials` trials over one in-memory channel pair; returns
+    the transcript."""
+    ch_cloud, ch_csp, transcript = transport.memory_pair()
+
+    def cloud_main():
+        cloud.open(ch_cloud)
+        for t in range(1, trials + 1):
+            cloud.trial(ch_cloud, t)
+
+    def csp_main():
+        csp.open(ch_csp)
+        for _ in range(trials):
+            csp.trial(ch_csp)
+
+    engine.run_pair(cloud_main, csp_main, ch_cloud, ch_csp)
+    return transcript
+
+
+def _spy(monkeypatch, module, name):
+    """The values that `module.name` returns from now on, in call order."""
+    real, seen = getattr(module, name), []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_base_apply_he_gc_decrypts_to_plaintext_encoding(monkeypatch):
     folded = toy_folded(n=3, k=2, seed=1)
     cloud, csp = setup(cfg_for(HE_GC), folded)
-    base_apply((cloud, csp), 1)
+    eu = _spy(monkeypatch, paillier, "he_matvec")
+    run_trials(cloud, csp, 1)
     fp = cloud.fp
     w = cloud.tried_w[0]
     expected = ring_matvec(encode_array(folded.Z, fp), encode_array(w, fp), fp)
     # a slot holds u < 2^(2L + ceil(log2 3)), its mask and a carry bit
     width = 2 * fp.ring_bits + 2 + shares.MASK_SECURITY_BITS + 1
     slots = paillier.slot_count(csp.keypair.public, width)
-    packed = [paillier.decrypt(csp.keypair, c) for c in cloud._eu]  # test hook
+    packed = [paillier.decrypt(csp.keypair, c) for c in eu[0]]
     got = [v % fp.q for v in paillier.unpack_slots(packed, width, slots, 3)]
     assert [int(e) for e in expected] == got
 
 
-def test_base_apply_secsh_shares_reconstruct():
+def test_base_apply_secsh_shares_reconstruct(monkeypatch):
     folded = toy_folded(n=4, k=2, seed=2)
     cloud, csp = setup(cfg_for(SECSH_GC), folded)
-    base_apply((cloud, csp), 1)
+    u0 = _spy(monkeypatch, shares, "masked_matvec_cloud_step")
+    lam = _spy(monkeypatch, shares, "sample_masks")  # CSP's masks
+    run_trials(cloud, csp, 1)
     fp = cloud.fp
     w = cloud.tried_w[0]
     expected = ring_matvec(encode_array(folded.Z, fp), encode_array(w, fp), fp)
-    got = [(u0 - u1) % fp.q for u0, u1 in zip(cloud._u0, csp._u1)]
+    got = [(a - b) % fp.q for a, b in zip(u0[0], lam[0])]
     assert [int(e) for e in expected] == got
 
 
@@ -159,20 +210,22 @@ def test_base_apply_iteration_out_of_range():
     folded = toy_folded(n=3, k=2)
     cloud, csp = setup(cfg_for(HE_GC, tau=1, p_max=1), folded)
     with pytest.raises(IterationOutOfRange):
-        cloud.base_apply_step(None, 2)
+        cloud.trial(None, 2)
 
 
+@pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
 @pytest.mark.parametrize("construction", [HE_GC, SECSH_GC])
 @pytest.mark.parametrize("ot_mode", ["dealer", "base"])
 def test_result_eval_matches_oracle(construction, ot_mode):
     folded = toy_folded(n=4, k=2, seed=3)
-    cloud, csp = setup(cfg_for(construction, ot_mode=ot_mode), folded)
-    assert base_apply((cloud, csp), 1).phase_sequence() == "SB"  # SETUP runs first
-    indicators = result_eval((cloud, csp), 1)
+    _, transcript, cloud, csp = run_learning(cfg_for(construction, ot_mode=ot_mode),
+                                             folded, with_parties=True)
+    assert len(csp.indicator_history) == len(cloud.tried_w) == transcript.iterations()
     fp = cloud.fp
-    w = cloud.tried_w[0]
-    u = ring_matvec(encode_array(folded.Z, fp), encode_array(w, fp), fp)
-    assert np.array_equal(indicators, ring_indicators(u, fp))
+    zq = encode_array(folded.Z, fp)
+    for w, indicators in zip(cloud.tried_w, csp.indicator_history):
+        u = ring_matvec(zq, encode_array(w, fp), fp)
+        assert np.array_equal(indicators, ring_indicators(u, fp))
 
 
 def test_result_eval_all_correct_on_separable_toy():
@@ -184,14 +237,8 @@ def test_result_eval_all_correct_on_separable_toy():
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     folded = fold_labels(Dataset(X, y))
     cloud, csp = setup(cfg_for(HE_GC, tau=3, p_max=10), folded)
-    found = False
-    for t in range(1, 9):
-        base_apply((cloud, csp), t)
-        ind = result_eval((cloud, csp), t)
-        if ind.all():
-            found = True
-            break
-    assert found
+    assert run_trials(cloud, csp, 8).phase_sequence() == "S" + "BRGOL" * 8
+    assert any(ind.all() for ind in csp.indicator_history)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +429,7 @@ class _Scripted:
     def __init__(self, incoming):
         self.incoming = list(incoming)
         self.sent = []
+        self.counters = Counters()
 
     def send(self, phase, payload=b""):
         self.sent.append(phase)
@@ -439,6 +487,7 @@ class _TailOne:
 
     def __init__(self, ch, sent, target, edit):
         self.ch, self.sent, self.target, self.edit = ch, sent, target, edit
+        self.counters = ch.counters
 
     def send(self, phase, payload=b""):
         if len(self.sent) == self.target:
@@ -494,19 +543,18 @@ def test_label_ot_rejects_every_message_one_byte_short(ot_mode, target):
                                      wire.pack_u32(1) + b"junk"],
                          ids=["t99-junk", "out-of-order", "trailing-bytes"])
 def test_csp_base_apply_rejects_hostile_trial(payload):
-    _, csp = setup(cfg_for(HE_GC, tau=1, p_max=2), toy_folded(n=3, k=2))
+    cloud, csp = setup(cfg_for(HE_GC, tau=1, p_max=2), toy_folded(n=3, k=2))
     with pytest.raises(MalformedMessage):
-        csp.base_apply_step(None, ("BASE_APPLY", payload))
-    assert csp.base_apply_step(None, ("BASE_APPLY", wire.pack_u32(1))) == 1
+        csp.trial(_Scripted([("BASE_APPLY", payload)]))
+    run_trials(cloud, csp, 1)  # the refusal left CSP waiting for trial 1
+    assert len(csp.indicator_history) == 1
 
 
 def test_csp_base_apply_rejects_a_trial_past_p_max():
-    pair = setup(cfg_for(HE_GC, tau=1, p_max=2), toy_folded(n=3, k=2))
-    for t in (1, 2):
-        base_apply(pair, t)
-        result_eval(pair, t)
+    cloud, csp = setup(cfg_for(HE_GC, tau=1, p_max=2), toy_folded(n=3, k=2))
+    run_trials(cloud, csp, 2)
     with pytest.raises(MalformedMessage, match="trial 3"):
-        pair[1].base_apply_step(None, ("BASE_APPLY", wire.pack_u32(3)))
+        csp.trial(_Scripted([("BASE_APPLY", wire.pack_u32(3))]))
 
 
 @pytest.mark.parametrize("tau, p_max, trials, done, error", [
@@ -518,15 +566,12 @@ def test_csp_base_apply_rejects_a_trial_past_p_max():
 ], ids=["no-trial", "early", "misnamed", "trailing-bytes", "valid"])
 def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done, error):
     cloud, csp = setup(cfg_for(HE_GC, tau=tau, p_max=p_max), toy_folded(n=3, k=2))
-    ch_cloud, ch_csp, transcript = transport.memory_pair()
-    cloud.attach(transcript)
+    ch_cloud, ch_csp, _ = transport.memory_pair()
 
     def hostile_cloud():
         cloud.open(ch_cloud)
         for t in range(1, trials + 1):
-            cloud.base_apply_step(ch_cloud, t)
-            cloud.result_eval_step(ch_cloud, t)
-            cloud.recv_decision(ch_cloud)
+            cloud.trial(ch_cloud, t)
         ch_cloud.send(DONE, done)
 
     with pytest.raises(error) if error else contextlib.nullcontext():
@@ -537,11 +582,21 @@ def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done
                                      wire.pack_u32(1) + b"\x00"],
                          ids=["junk", "wrong-trial", "trailing-byte"])
 def test_csp_secsh_result_eval_requires_the_current_trial(payload):
-    pair = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
-    base_apply(pair, 1)
+    # Cloud's messages: its SETUP header (0), E(w) (1), RESULT_EVAL_MASK (2)
+    cloud, csp = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
+    ch_cloud, ch_csp, _ = transport.memory_pair()
+    ch_cloud = _TailOne(ch_cloud, [], 2, lambda _: payload)
+
+    def cloud_main():
+        cloud.open(ch_cloud)
+        cloud.trial(ch_cloud, 1)
+
     with pytest.raises(MalformedMessage, match="trial 1"):
-        pair[1].result_eval_step(_Scripted([("RESULT_EVAL_MASK", payload)]))
-    assert len(result_eval(pair, 1)) == 3
+        engine.run_pair(cloud_main, lambda: (csp.open(ch_csp), csp.trial(ch_csp)),
+                        ch_cloud, ch_csp)
+    cloud, csp = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
+    run_trials(cloud, csp, 1)
+    assert len(csp.indicator_history[0]) == 3
 
 
 def _opened_sides(n, ring_bits, dim=1):
@@ -573,23 +628,15 @@ def test_packed_sign_round_slot_edge(keypair_512, monkeypatch, bound, value, shi
     lam = (1 << (bound + shares.MASK_SECURITY_BITS)) - 1
     assert (value + lam + shift).bit_length() == width
     monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
-    unpacked = []
-    unpack = parties.unpack_masked
-
-    def spy(*args):
-        unpacked.append(unpack(*args))
-        return unpacked[-1]
-
-    monkeypatch.setattr(parties, "unpack_masked", spy)
+    unpacked = _spy(monkeypatch, parties, "unpack_masked")
     n = slots + extra
     ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L)
-    cloud_counters = transcript.party("cloud")
     column = paillier.encrypt_matrix(pk, [[value]] * n, random.Random(1))
-    packed = [row[0] for row in pack_columns(pk, column, width, cloud_counters).rows]
+    packed = [row[0] for row in pack_columns(pk, column, width, ch_cloud.counters).rows]
     assert len(packed) == 1 + extra
     _, msb = engine.run_pair(
-        lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound, shift, cloud_counters),
-        lambda: packed_sign_csp(ch_csp, csp, keypair_512, bound, transcript.party("csp")),
+        lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound, shift),
+        lambda: packed_sign_csp(ch_csp, csp, keypair_512, bound),
         ch_cloud, ch_csp)
     assert unpacked == [[value + lam + shift] * n]
     assert list(msb) == [((value + shift) >> (L - 1)) & 1] * n
@@ -620,40 +667,42 @@ def test_negated_secsh_shares_give_the_msb_at_the_ring_edges():
     # one garbled round, on the last draw
     ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(len(edges), L)
     _, msb = engine.run_pair(
-        lambda: evaluator_round(ch_cloud, cloud, cloud_in, transcript.party("cloud")),
-        lambda: garbler_round(ch_csp, csp, csp_in, transcript.party("csp")),
+        lambda: evaluator_round(ch_cloud, cloud, cloud_in),
+        lambda: garbler_round(ch_csp, csp, csp_in),
         ch_cloud, ch_csp)
     assert list(msb) == expected
 
 
+def _opened_csp(construction, n=3, k=2):
+    """A dealer-OT CSP over n records of k features, after Cloud's SETUP
+    header."""
+    _, csp = setup(cfg_for(construction), toy_folded(n=n, k=k))
+    csp.open(_Scripted([("SETUP", _setup_header(n, k + 1, csp.fp.ring_bits))]))
+    return csp
+
+
 @pytest.mark.parametrize("count", [0, 2])  # n = 3 records pack into 1 ciphertext
 def test_csp_result_eval_wrong_ciphertext_count(count):
-    pair = setup(cfg_for(HE_GC), toy_folded(n=3, k=2))
-    base_apply(pair, 1)  # SETUP, then trial 1's BaseApply
-    csp = pair[1]
+    csp = _opened_csp(HE_GC)
     cts = paillier.encrypt_many(csp.keypair.public, [0] * count, random.Random(1))
     with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 1"):
-        csp.result_eval_step(_Scripted([("RESULT_EVAL_MASK",
-                                         paillier.ciphertexts_to_bytes(cts))]))
+        csp.trial(_Scripted([("BASE_APPLY", wire.pack_u32(1)),
+                             ("RESULT_EVAL_MASK", paillier.ciphertexts_to_bytes(cts))]))
 
 
 @pytest.mark.parametrize("count", [2, 4])  # n = 3
 def test_cloud_secsh_base_apply_reply_wrong_ciphertext_count(count):
     cloud, _ = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
-    cloud.attach(Transcript())
     cloud.open(_Scripted([]))  # dealer OT: SETUP is Cloud's header alone
     cts = paillier.encrypt_many(cloud.keypair.public, [0] * count, random.Random(2))
     with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 3"):
-        cloud.base_apply_step(_Scripted([("BASE_APPLY",
-                                          paillier.ciphertexts_to_bytes(cts))]), 1)
+        cloud.trial(_Scripted([("BASE_APPLY", paillier.ciphertexts_to_bytes(cts))]), 1)
 
 
 def test_csp_result_eval_wrong_phase_is_phase_order_violation():
-    folded = toy_folded(n=3, k=2)
-    _, csp = setup(cfg_for(HE_GC), folded)
-    csp.attach(Transcript())
-    with pytest.raises(PhaseOrderViolation):
-        csp.result_eval_step(_Scripted([("GC_TABLES", b"")]))
+    csp = _opened_csp(HE_GC)
+    with pytest.raises(PhaseOrderViolation, match="expected a RESULT_EVAL_MASK"):
+        csp.trial(_Scripted([("BASE_APPLY", wire.pack_u32(1)), ("GC_TABLES", b"")]))
 
 
 @pytest.mark.parametrize("payload", [b"", b"\x01", b"\x01\x00\x00", b"\x02\x00",
@@ -681,9 +730,8 @@ def test_bytes_after_the_output_labels_are_malformed():
                    dict(zip(circuit.inputs_a, gc.encode(circuit.inputs_a, gb_bits))))
 
     def run(reply):
-        counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
         return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), _side(circuit, 4),
-                             [3, 9], counters)
+                             [3, 9])
 
     assert list(run(wire.pack_labels(out))) == list(circuit.evaluate_plain(gb_bits, ev_bits))
     for tail in (b"\x00", out[0]):
@@ -703,8 +751,7 @@ def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
         ch = _Scripted([("GC_TABLES", wire.pack_blob(gc.tables_bytes())
                          + wire.pack_labels(gb_labels)
                          + wire.pack_label_pairs(gc.output_check) + tail), dealt])
-        counters = types.SimpleNamespace(and_gates=0, ot_transfers=0)
-        evaluator_round(ch, _side(circuit, 4), [5, 12], counters)
+        evaluator_round(ch, _side(circuit, 4), [5, 12])
         return ch.sent
 
     assert run(labels) == ["OUTPUT_LABELS"]
