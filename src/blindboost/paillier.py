@@ -396,7 +396,8 @@ def encrypt_raw(pk: PublicKey, m: int) -> Ciphertext:
 # slot packing: many small plaintexts in one, `width` bits apiece
 #
 # Values are taken in chunks of `slots`; within a chunk the first value lands
-# in the highest used slot, as Horner's rule acc * 2^width + x leaves it.
+# in the highest used slot. A packed plaintext is the sum of its values, each
+# shifted by slot_shifts, so the sum of a chunk's E(x_i * 2^shift_i) is one.
 
 
 def slot_count(pk: PublicKey, width: int) -> int:
@@ -408,15 +409,18 @@ def slot_count(pk: PublicKey, width: int) -> int:
     return slots
 
 
+def slot_shifts(count: int, width: int, slots: int) -> list:
+    """The bit offset of each of `count` values in its packed plaintext:
+    width * (used - 1 - i mod slots), where `used` is the number of values
+    in value i's chunk."""
+    return [width * (min(slots, count - i // slots * slots) - 1 - i % slots)
+            for i in range(count)]
+
+
 def pack_slots(values, width: int, slots: int) -> list:
     """One plaintext per chunk of `slots` values, each value below 2^width."""
-    out = []
-    for i in range(0, len(values), slots):
-        acc = 0
-        for v in values[i:i + slots]:
-            acc = (acc << width) | v
-        out.append(acc)
-    return out
+    shifted = [v << s for v, s in zip(values, slot_shifts(len(values), width, slots))]
+    return [sum(shifted[i:i + slots]) for i in range(0, len(shifted), slots)]
 
 
 def unpack_slots(packed, width: int, slots: int, count: int) -> list:
@@ -426,30 +430,12 @@ def unpack_slots(packed, width: int, slots: int, count: int) -> list:
     if len(packed) != -(-count // slots):
         raise MalformedMessage(f"{len(packed)} packed plaintexts for {count} values "
                                f"in {slots} slots")
-    mask = (1 << width) - 1
-    out = []
+    shifts = slot_shifts(count, width, slots)
     for i, p in enumerate(packed):
-        used = min(slots, count - i * slots)
-        if p >> (width * used):
-            raise MalformedMessage(f"packed plaintext {i} has bits above its "
-                                   f"{used} slots")
-        out += [(p >> (width * s)) & mask for s in range(used - 1, -1, -1)]
-    return out
-
-
-def he_pack_slots(pk: PublicKey, cts, width: int, slots: int) -> list:
-    """E(pack_slots(x)) from the E(x_i), one Horner step
-    acc <- acc * 2^width + E(x_i) (he_scalar_mul, then he_add) per value
-    after the first of each chunk."""
-    shift = 1 << width
-    out = []
-    for i in range(0, len(cts), slots):
-        chunk = cts[i:i + slots]
-        acc = chunk[0]
-        for c in chunk[1:]:
-            acc = he_add(pk, he_scalar_mul(pk, acc, shift), c)
-        out.append(acc)
-    return out
+        if p >> (shifts[i * slots] + width):  # above the chunk's first, highest slot
+            raise MalformedMessage(f"packed plaintext {i} has bits above its used slots")
+    mask = (1 << width) - 1
+    return [(packed[i // slots] >> s) & mask for i, s in enumerate(shifts)]
 
 
 @dataclass

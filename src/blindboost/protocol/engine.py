@@ -12,7 +12,7 @@ from ..boosting import BoostedModel, LinearClassifier
 from ..encoding import FixedPointParams, FoldedMatrix, encode_array
 from ..errors import PartMismatch, PartyTimeout, PoolExhaustedWarning, TransportClosed
 from .config import HE_GC, ProtocolConfig, stream
-from .parties import CloudParty, CSPParty
+from .parties import CloudParty, CSPParty, reveal_width
 from . import transport
 
 
@@ -57,11 +57,15 @@ def run_pair(cloud_main, csp_main, ch_cloud, ch_csp):
     return cloud_result, results[0]
 
 
-def encrypt_submissions(cfg: ProtocolConfig, rows):
+def encrypt_submissions(cfg: ProtocolConfig, rows, width: int):
     """CSP's key pair, and the users' encryptions of `rows` under it: HE+GC's
-    and stump selection's data set-up."""
+    and stump selection's data set-up. Each user first shifts its values into
+    its record's `width`-bit slot (paillier.slot_shifts, from public values
+    only), so Cloud packs a chunk of records by adding ciphertexts."""
     kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
-    return kp, paillier.encrypt_matrix(kp.public, rows, stream(cfg.seeds.data, b"user"))
+    shifts = paillier.slot_shifts(len(rows), width, paillier.slot_count(kp.public, width))
+    shifted = [[int(x) << s for x in row] for row, s in zip(rows, shifts)]
+    return kp, paillier.encrypt_matrix(kp.public, shifted, stream(cfg.seeds.data, b"user"))
 
 
 def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
@@ -76,7 +80,7 @@ def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
     zq = encode_array(Z, fp)
 
     if cfg.construction == HE_GC:
-        kp, enc_data = encrypt_submissions(cfg, zq)
+        kp, enc_data = encrypt_submissions(cfg, zq, reveal_width(fp.product_bits(dim)))
         cloud = CloudParty(cfg, fp, n, dim, enc_data=enc_data,
                            csp_public=kp.public)
         csp = CSPParty(cfg, fp, n, dim, keypair=kp)

@@ -19,8 +19,9 @@ label OT and own sign circuit), one garbled-circuit round (`garbler_round`
 / `evaluator_round`) and one packed sign round (`packed_sign_cloud` /
 `packed_sign_csp`).
 
-The packed reveal: Cloud folds its encrypted columns, a chunk of records per
-ciphertext, by Horner steps (`pack_columns`) and adds one fresh
+The packed reveal: each user encrypts its values already shifted into its
+record's slot, so Cloud folds its encrypted columns, a chunk of records per
+ciphertext, by adding them (`pack_columns`), and adds one fresh
 encryption of the chunk's packed masks (`mask_packed`); the key holder
 decrypts ceil(n / slots) ciphertexts and unpacks the masked values
 (`unpack_masked`). A value below 2^b gets a mask of b + sigma bits, and its
@@ -31,6 +32,7 @@ over ceil(n / slots) rows. SecSh+GC's BaseApply reveal stays one ciphertext
 per record, with masks of the same bound.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -86,19 +88,17 @@ def reveal_width(value_bits: int) -> int:
 
 
 def pack_columns(pk, em, width, counters) -> paillier.EncryptedMatrix:
-    """Each column of `em` folded into ceil(n / slots) packed ciphertexts,
-    one column per paillier.map_rows row: row r of the result holds, per
-    column, the packed r-th chunk of records."""
+    """Each column of `em` folded into ceil(n / slots) packed ciphertexts:
+    row r of the result holds, per column, the sum of the r-th chunk of
+    records, which the users shifted into their slots
+    (engine.encrypt_submissions)."""
     n_rows, n_cols = em.shape
     slots = paillier.slot_count(pk, width)
-    columns = paillier.map_rows(
-        pk, lambda j: paillier.he_pack_slots(pk, [row[j] for row in em.rows], width, slots),
-        range(n_cols))
-    steps = n_cols * (n_rows - -(-n_rows // slots))
-    counters.he_scalar_muls += steps
-    counters.he_adds += steps
-    return paillier.EncryptedMatrix(rows=[list(r) for r in zip(*columns)],
-                                    key_id=em.key_id)
+    rows = [[functools.reduce(lambda a, b: paillier.he_add(pk, a, b), column)
+             for column in zip(*em.rows[i:i + slots])]
+            for i in range(0, n_rows, slots)]
+    counters.he_adds += n_cols * (n_rows - len(rows))
+    return paillier.EncryptedMatrix(rows=rows, key_id=em.key_id)
 
 
 def mask_packed(pk, packed_cts, masks, width, rng, counters) -> list:

@@ -16,22 +16,24 @@ compared value: each user encrypts x + y * 2^(L-1), with no reduction mod
 outputs msb(x - v) XOR y, the error bit.
 
 SETUP is the boosting protocols' opening (`open_cloud` / `open_csp`), with
-the k features as the dimension. Cloud folds the encrypted values of a chunk
-of records into one ciphertext by Horner steps, once per run and column, and
-each comparison is the packed sign round of .parties (`packed_sign_cloud` /
+the k features as the dimension. The users encrypt their values shifted
+into their slots, so Cloud adds those of a chunk of records into one
+ciphertext, once per run and column (`pack_columns`), and each comparison
+is the packed sign round of .parties (`packed_sign_cloud` /
 `packed_sign_csp`) that HE+GC's ResultEval runs with shift 0, here with
 shift q - v: CSP decrypts ceil(n / slots) ciphertexts, unpacks the
 per-record masked values and garbles on them. A comparison hides
 x - v + q + y * 2^(L-1) < 2^(L+2).
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, alpha, update_weights
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
-from ..errors import BinCountInvalid, MalformedMessage
+from ..errors import BinCountInvalid, ConfigInvalid, MalformedMessage, PoolExhaustedWarning
 # the GC round runs in .parties; perfbench/tracing.py wraps these names here too
 # (build_stump_error_batch only as an alias of the circuit .parties builds)
 from ..circuits import build_sub_msb_batch as build_stump_error_batch  # noqa: F401
@@ -154,8 +156,11 @@ def _csp_loop(ch, cfg, kp, n, k, L, n_catalog):
 
 def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
                            tau: int | None = None) -> StumpSelectionResult:
-    """Run the two-party stump-selection protocol end to end."""
+    """Run the two-party stump-selection protocol end to end; a selection
+    that stops before tau stumps warns with PoolExhaustedWarning."""
     tau = tau if tau is not None else cfg.tau
+    if tau < 1:
+        raise ConfigInvalid(f"need tau >= 1, got {tau}")
     X = np.asarray(dataset.X, dtype=np.float64)
     y01 = (np.asarray(dataset.y) == 1).astype(np.uint8)
     n, k = X.shape
@@ -167,7 +172,7 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     # each user folds the label in: x + y * 2^(L-1), below 2^L + 2^(L-1)
     xy = [[int(x) + (int(y) << (fp.ring_bits - 1)) for x in row]
           for row, y in zip(encode_array(X, fp), y01)]
-    kp, ez = encrypt_submissions(cfg, xy)
+    kp, ez = encrypt_submissions(cfg, xy, reveal_width(fp.ring_bits + 2))
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k
@@ -179,6 +184,9 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
 
     delta = np.full(n, 1.0 / n)
     indices, alphas, _ = _csp_select(error_vectors, delta, tau)
+    if len(indices) < tau:
+        warnings.warn(f"only {len(indices)}/{tau} stumps beat chance on the current "
+                      f"weights", PoolExhaustedWarning, stacklevel=2)
     stumps = [Stump(feature=catalog[i][0], threshold=catalog[i][1],
                     polarity=catalog[i][2]) for i in indices]
     model = BoostedModel(kind="ds", classifiers=stumps, alphas=alphas)

@@ -18,15 +18,15 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer"):
-        "44196040f7d96e260b1679148c404cf460249ad69423d641ca8db8c8bfcdc236",
+        "d6734f40fff8830621a0d0927b15db4b88d392ef3f16c8bf5ecbddcb6bd7220d",
     (HE_GC, "base"):
-        "aaf520ea212d3db161633b3027035bcbd4ace6798c158b14d69eb833225fc04c",
+        "bc9ba3caaed623e91a0c0f18bc9a6701c6d77d1c783e81be2843a2ac5385b5af",
     (SECSH_GC, "dealer"):
         "f28ce7d985bed851bca659c7dd807bfb38a5a0529630a9aba4e6b04cc7421f86",
     (SECSH_GC, "base"):
         "16108b74fcf9f1285f8cb590a22d559ce601480b051aaa9e2a8afdcaaaa73c77",
 }
-STUMP_GOLDEN = "b838391151797b3c81020efd08d5f3750aa6de8a750cfefe95c035bfae036116"
+STUMP_GOLDEN = "6cc9327ac916ef9205d18ff1aec3ddc44241fb8811a18b2b0a59d321237634f6"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

@@ -430,9 +430,14 @@ def test_slot_packing_at_the_slot_bound(keypair_512, extra):
     assert all(p < pk.n for p in packed)
     assert packed[0] == (1 << width * slots) - 1
     assert paillier.unpack_slots(packed, width, slots, len(values)) == values
-    # the Horner fold of the E(x_i) decrypts to the plaintext packing
-    cts = paillier.encrypt_many(pk, values, random.Random(30))
-    folded = paillier.he_pack_slots(pk, cts, width, slots)
+    # every value shifted into its slot stays below N, and the per-chunk sum
+    # of the E(x_i * 2^shift_i) decrypts to the plaintext packing
+    shifted = [v << s for v, s in zip(values, paillier.slot_shifts(len(values), width,
+                                                                    slots))]
+    assert all(v < pk.n for v in shifted)
+    cts = paillier.encrypt_many(pk, shifted, random.Random(30))
+    folded = [functools.reduce(lambda a, b: paillier.he_add(pk, a, b), cts[i:i + slots])
+              for i in range(0, len(cts), slots)]
     assert paillier.decrypt_many(keypair_512, folded) == packed
 
 

@@ -291,10 +291,11 @@ def test_phase_order_and_report():
 
 @pytest.mark.parametrize("n", [6, 7, 13])
 def test_he_gc_packed_reveal_counters(n):
-    # 6 slots of 77 bits (d = 3, L = 17) under a 512-bit N. Cloud folds its
-    # d columns once: n - chunks Horner steps per column, each one scalar
-    # multiply and one add. Per trial: the matrix-vector product over the
-    # chunks, then one encryption of the packed masks per chunk, added on
+    # 6 slots of 77 bits (d = 3, L = 17) under a 512-bit N. The users shift
+    # their values into their slots, so Cloud folds its d columns once with
+    # n - chunks adds per column and no scalar multiply. Per trial: the
+    # matrix-vector product over the chunks, then one encryption of the
+    # packed masks per chunk, added on
     folded = toy_folded(n=n, k=2, seed=16)
     _, transcript = run_learning(cfg_for(HE_GC, tau=2, p_max=4), folded)
     report = transcript_report(transcript)
@@ -304,7 +305,7 @@ def test_he_gc_packed_reveal_counters(n):
     assert report["counters"]["cloud"] == {
         "encryptions": chunks * iters,
         "decryptions": 0,
-        "he_scalar_muls": fold + chunks * d * iters,
+        "he_scalar_muls": chunks * d * iters,
         "he_adds": fold + (chunks * d + chunks) * iters,
         "and_gates": report["counters"]["csp"]["and_gates"],
         "ot_transfers": n * 17 * iters,
@@ -617,33 +618,32 @@ def _opened_sides(n, ring_bits, dim=1):
     # stump selection at v = 1: the largest x + y * 2^(L-1), shift q - 1
     (17 + 2, (1 << 17) - 1 + (1 << 16), (1 << 17) - 1, 8),
 ], ids=["he-gc", "stump"])
-def test_packed_sign_round_slot_edge(keypair_512, monkeypatch, bound, value, shift,
-                                     slots, extra):
+def test_packed_sign_round_slot_edge(monkeypatch, bound, value, shift, slots, extra):
     # the largest value under the bound plus the largest mask and the shift
     # fills its slot to the last bit; no carry reaches the neighbouring slot,
-    # at n = slots and at n = slots + 1 records
-    pk, L = keypair_512.public, 17
-    width = reveal_width(bound)
+    # at n = slots and at n = slots + 1 records, over the users' pre-shifted
+    # encryptions that Cloud folds by adds alone
+    L, width, n = 17, reveal_width(bound), slots + extra
+    kp, column = engine.encrypt_submissions(cfg_for(HE_GC), [[value]] * n, width)
+    pk = kp.public
     assert paillier.slot_count(pk, width) == slots
     lam = (1 << (bound + shares.MASK_SECURITY_BITS)) - 1
     assert (value + lam + shift).bit_length() == width
     monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
     unpacked = _spy(monkeypatch, parties, "unpack_masked")
-    n = slots + extra
     ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L)
-    column = paillier.encrypt_matrix(pk, [[value]] * n, random.Random(1))
     packed = [row[0] for row in pack_columns(pk, column, width, ch_cloud.counters).rows]
     assert len(packed) == 1 + extra
     _, msb = engine.run_pair(
         lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound, shift),
-        lambda: packed_sign_csp(ch_csp, csp, keypair_512, bound),
+        lambda: packed_sign_csp(ch_csp, csp, kp, bound),
         ch_cloud, ch_csp)
     assert unpacked == [[value + lam + shift] * n]
     assert list(msb) == [((value + shift) >> (L - 1)) & 1] * n
     ands, transfers = n * (L - 1), n * L
     assert transcript.party("cloud") == Counters(
         encryptions=1 + extra, he_adds=(n - 1 - extra) + 1 + extra,
-        he_scalar_muls=n - 1 - extra, and_gates=ands, ot_transfers=transfers)
+        and_gates=ands, ot_transfers=transfers)
     assert transcript.party("csp") == Counters(decryptions=1 + extra, and_gates=ands,
                                                ot_transfers=transfers)
 

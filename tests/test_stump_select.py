@@ -6,7 +6,13 @@ import pytest
 
 from blindboost import paillier, shares
 from blindboost.encoding import Dataset, FixedPointParams
-from blindboost.errors import BinCountInvalid, MalformedMessage, PhaseOrderViolation
+from blindboost.errors import (
+    BinCountInvalid,
+    ConfigInvalid,
+    MalformedMessage,
+    PhaseOrderViolation,
+    PoolExhaustedWarning,
+)
 from blindboost.protocol import (
     HE_GC,
     ProtocolConfig,
@@ -108,9 +114,9 @@ def test_gc_gate_counter_scales_with_grid():
     assert counters["cloud"] == {
         "encryptions": rounds * chunks,   # one packed mask each
         "decryptions": 0,
-        # Horner folds of each column, once per run; then the packed masks
+        # each column folded by adds, once per run; then the packed masks
         "he_adds": k * (n - chunks) + rounds * chunks,
-        "he_scalar_muls": k * (n - chunks),
+        "he_scalar_muls": 0,
         "and_gates": rounds * per_comparison,
         "ot_transfers": rounds * n * L,           # lambda bits
     }
@@ -133,6 +139,25 @@ def test_single_bin_raises_before_keygen(monkeypatch):
     monkeypatch.setattr(paillier, "keygen", keygen)
     with pytest.raises(BinCountInvalid, match="need at least 2 bins, got 1"):
         confidential_ds_select(cfg(), toy_dataset(n=6, k=2), s=1, tau=1)
+
+
+@pytest.mark.parametrize("tau", [0, -3])
+def test_tau_below_one_raises_before_keygen(monkeypatch, tau):
+    def keygen(*args):
+        raise AssertionError("a key was generated for a selection of no stumps")
+
+    monkeypatch.setattr(paillier, "keygen", keygen)
+    with pytest.raises(ConfigInvalid, match=f"need tau >= 1, got {tau}"):
+        confidential_ds_select(cfg(), toy_dataset(n=12, k=2), s=4, tau=tau)
+
+
+def test_selection_that_stops_before_tau_warns():
+    # equal records with opposite labels: every stump errs on exactly half
+    # the weight, so none is selected
+    ds = Dataset(np.array([[0.5, -1.0], [0.5, -1.0]]), np.array([1, -1], dtype=np.int8))
+    with pytest.warns(PoolExhaustedWarning, match="only 0/2 stumps"):
+        res = confidential_ds_select(cfg(), ds, s=2, tau=2)
+    assert res.selected_indices == [] and res.model.classifiers == []
 
 
 def test_base_ot_mode_matches_dealer():
