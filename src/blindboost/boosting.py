@@ -73,7 +73,6 @@ class BoostedModel:
     classifiers: list
     alphas: list
     fixed_point: FixedPointParams | None = None
-    seed: int | None = None
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         if not self.classifiers:
@@ -86,10 +85,6 @@ class BoostedModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """sign of the weighted vote; sign(0) = -1 by convention."""
         return np.where(self.decision(X) > 0, 1, -1)
-
-
-def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    return model.predict(np.asarray(X, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,6 @@ def update_weights(delta: np.ndarray, indicators: np.ndarray, a: float) -> np.nd
 @dataclass(frozen=True)
 class StepResult:
     decision: str  # 'accept' | 'accept_flipped' | 'reject'
-    error: float          # raw error of the candidate as presented
     effective_error: float | None
     alpha: float | None
     delta: np.ndarray     # weights after the step (unchanged on reject)
@@ -146,7 +140,7 @@ def evaluate_candidate(delta: np.ndarray, indicators: np.ndarray) -> StepResult:
     """The Update step shared by the plaintext trainer and the CSP party."""
     e = weighted_error(indicators, delta)
     if e == 0.5:
-        return StepResult("reject", e, None, None, delta, indicators)
+        return StepResult("reject", None, None, delta, indicators)
     if e > 0.5:
         indicators = (1 - indicators).astype(np.uint8)
         decision = "accept_flipped"
@@ -157,7 +151,7 @@ def evaluate_candidate(delta: np.ndarray, indicators: np.ndarray) -> StepResult:
     e_eff = max(e_eff, EPSILON_FLOOR)
     a = alpha(e_eff)
     new_delta = update_weights(delta, indicators, a)
-    return StepResult(decision, e, e_eff, a, new_delta, indicators)
+    return StepResult(decision, e_eff, a, new_delta, indicators)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +164,11 @@ class RLCBoostResult:
     p_used: int
     accepted: int
     indicator_history: np.ndarray  # (p_used, n) uint8, per tried classifier
-    decisions: list
     errors: list                   # effective error per accepted round
 
 
 def boost_rlc(Z: np.ndarray, tau: int, p_max: int, rng: np.random.Generator,
-              fp: FixedPointParams | None = None, seed: int | None = None) -> RLCBoostResult:
+              fp: FixedPointParams | None = None) -> RLCBoostResult:
     """Boost random linear classifiers on a folded matrix.
 
     With `fp` set, indicators come from the fixed-point ring (matching the
@@ -189,7 +182,7 @@ def boost_rlc(Z: np.ndarray, tau: int, p_max: int, rng: np.random.Generator,
     Zq = encode_array(Z, fp) if fp is not None else None
 
     delta = np.full(n, 1.0 / n)
-    classifiers, alphas, errors, decisions = [], [], [], []
+    classifiers, alphas, errors = [], [], []
     history = np.zeros((p_max, n), dtype=np.uint8)
     p_used = 0
     while p_used < p_max and len(classifiers) < tau:
@@ -202,7 +195,6 @@ def boost_rlc(Z: np.ndarray, tau: int, p_max: int, rng: np.random.Generator,
         history[p_used] = ind
         p_used += 1
         step = evaluate_candidate(delta, ind)
-        decisions.append(step.decision)
         if step.decision == "reject":
             continue
         delta = step.delta
@@ -214,10 +206,9 @@ def boost_rlc(Z: np.ndarray, tau: int, p_max: int, rng: np.random.Generator,
         warnings.warn(f"only {len(classifiers)}/{tau} valid classifiers in "
                       f"{p_max} tries", PoolExhaustedWarning, stacklevel=2)
     model = BoostedModel(kind="rlc", classifiers=classifiers, alphas=alphas,
-                         fixed_point=fp, seed=seed)
+                         fixed_point=fp)
     return RLCBoostResult(model=model, p_used=p_used, accepted=len(classifiers),
-                          indicator_history=history[:p_used],
-                          decisions=decisions, errors=errors)
+                          indicator_history=history[:p_used], errors=errors)
 
 
 def _stump_scan(xs, ys, ws):
@@ -266,7 +257,7 @@ def _best_stump(X: np.ndarray, y: np.ndarray, delta: np.ndarray,
     return best[1], best[0]
 
 
-def boost_ds(X: np.ndarray, y: np.ndarray, tau: int, seed: int | None = None) -> BoostedModel:
+def boost_ds(X: np.ndarray, y: np.ndarray, tau: int) -> BoostedModel:
     """Classic AdaBoost with exhaustively optimal decision stumps."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int8)
@@ -286,7 +277,7 @@ def boost_ds(X: np.ndarray, y: np.ndarray, tau: int, seed: int | None = None) ->
         delta = update_weights(delta, ind, a)
         classifiers.append(stump)
         alphas.append(a)
-    return BoostedModel(kind="ds", classifiers=classifiers, alphas=alphas, seed=seed)
+    return BoostedModel(kind="ds", classifiers=classifiers, alphas=alphas)
 
 
 def fit_lmc(X: np.ndarray, y: np.ndarray, delta: np.ndarray) -> LinearClassifier:
@@ -303,7 +294,7 @@ def fit_lmc(X: np.ndarray, y: np.ndarray, delta: np.ndarray) -> LinearClassifier
     return LinearClassifier(w=np.append(w, b))
 
 
-def boost_lmc(X: np.ndarray, y: np.ndarray, tau: int, seed: int | None = None) -> BoostedModel:
+def boost_lmc(X: np.ndarray, y: np.ndarray, tau: int) -> BoostedModel:
     """Boosting with linear-means classifiers (weak-baseline reproduction)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int8)
@@ -321,7 +312,7 @@ def boost_lmc(X: np.ndarray, y: np.ndarray, tau: int, seed: int | None = None) -
         delta = step.delta
         classifiers.append(clf)
         alphas.append(step.alpha)
-    return BoostedModel(kind="lmc", classifiers=classifiers, alphas=alphas, seed=seed)
+    return BoostedModel(kind="lmc", classifiers=classifiers, alphas=alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +378,6 @@ def model_to_json(model: BoostedModel) -> str:
     payload = {
         "kind": model.kind,
         "alphas": model.alphas,
-        "seed": model.seed,
         "fixed_point": None if model.fixed_point is None else {
             "precision_bits": model.fixed_point.precision_bits,
             "ring_bits": model.fixed_point.ring_bits,
@@ -418,5 +408,4 @@ def model_from_json(text: str) -> BoostedModel:
     fp = payload["fixed_point"]
     return BoostedModel(
         kind=payload["kind"], classifiers=classifiers, alphas=payload["alphas"],
-        fixed_point=None if fp is None else FixedPointParams(**fp),
-        seed=payload["seed"])
+        fixed_point=None if fp is None else FixedPointParams(**fp))

@@ -107,16 +107,6 @@ def encode_array(x: np.ndarray, p: FixedPointParams) -> np.ndarray:
     return np.where(x < 0, neg, m)
 
 
-def decode_array(v: np.ndarray, p: FixedPointParams, scale_level: int = 1) -> np.ndarray:
-    if scale_level not in (1, 2):
-        raise ValueError("scale_level must be 1 or 2")
-    v = np.asarray(v, dtype=np.uint64) & np.uint64(p.q - 1)
-    half = np.uint64(p.q // 2)
-    signed = v.astype(np.float64)
-    signed = np.where(v >= half, signed - float(p.q), signed)
-    return signed / float(1 << (p.precision_bits * scale_level))
-
-
 def ring_matvec(zm: np.ndarray, w: np.ndarray, p: FixedPointParams) -> np.ndarray:
     """(zm @ w) mod q over encoded values; result is at scale level 2."""
     zm = np.asarray(zm)

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,15 @@ from ..ot import GROUPS
 from ..protocol import (
     ProtocolConfig,
     Seeds,
+    paper_faithful,
     reconstruct_model,
     run_learning,
     transcript_report,
 )
 from ..protocol.config import stream
 from ..protocol.stump_select import confidential_ds_select
-from .datasets import gen_synthetic, load_csv
-from .experiments import ExperimentSpec, make_trainer, run_experiment
+from .datasets import gen_synthetic
+from .experiments import ExperimentSpec, make_trainer, resolve_dataset, run_experiment
 from .leakage import leakage_analysis
 
 EXIT_OK = 0
@@ -83,20 +85,12 @@ def _set_config_defaults(sub, path):
 def _load_dataset(args) -> Dataset:
     ref = args.dataset
     if ref.startswith("synthetic"):
-        params = dict(n=10_000, k=10, seed=args.seed)
-        if ":" in ref:
-            for part in ref.split(":", 1)[1].split(","):
-                key, value = part.split("=")
-                params[key] = int(value)
-        return gen_synthetic(params["n"], params["k"], params["seed"])
+        params = ref.split(":", 1)[1].split(",") if ":" in ref else []
+        return resolve_dataset({"synthetic": dict(p.split("=") for p in params)},
+                               args.seed)
     mapping = json.loads(args.label_mapping) if args.label_mapping else None
-    if mapping:
-        mapping = {k: int(v) for k, v in mapping.items()}
-    return load_csv(ref, label_column=args.label_column, label_mapping=mapping)
-
-
-def _seeds(args) -> Seeds:
-    return Seeds(cloud=args.seed, csp=args.seed + 1, data=args.seed + 2)
+    return resolve_dataset({"csv": {"path": ref, "label_column": args.label_column,
+                                    "label_mapping": mapping}}, args.seed)
 
 
 def _write(out_dir, name, payload):
@@ -129,14 +123,14 @@ def cmd_train(args):
     ds = _load_dataset(args)
     std = standardize(ds)
     folded = fold_labels(std)
-    key_bits, ot_group = args.key_bits, args.ot_group
+    p_max, seeds = args.pmax or 2 * args.tau, Seeds.derive(args.seed)
     if args.paper_faithful:
-        key_bits, ot_group = 2048, "modp-2048"
-    cfg = ProtocolConfig(construction=args.construction, tau=args.tau,
-                         p_max=args.pmax or 2 * args.tau,
-                         precision_bits=args.bits, key_bits=key_bits,
-                         ot_group=ot_group, seeds=_seeds(args),
-                         secure_profile=args.paper_faithful)
+        cfg = replace(paper_faithful(args.construction, args.tau, p_max, seeds),
+                      precision_bits=args.bits)
+    else:
+        cfg = ProtocolConfig(construction=args.construction, tau=args.tau, p_max=p_max,
+                             precision_bits=args.bits, key_bits=args.key_bits,
+                             ot_group=args.ot_group, seeds=seeds)
     started = time.time()
     dm, transcript = run_learning(cfg, folded, transport_kind=args.transport)
     elapsed = time.time() - started
@@ -171,7 +165,7 @@ def cmd_ds_select(args):
     std = standardize(ds)
     cfg = ProtocolConfig(construction="he-gc", tau=args.tau, p_max=args.tau,
                          precision_bits=args.bits, key_bits=args.key_bits,
-                         seeds=_seeds(args))
+                         seeds=Seeds.derive(args.seed))
     res = confidential_ds_select(cfg, std, s=args.bins, tau=args.tau)
     payload = {"bins": args.bins, "tau": args.tau,
                "selected_indices": res.selected_indices, "alphas": res.alphas,

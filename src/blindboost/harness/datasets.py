@@ -9,8 +9,7 @@ from ..encoding import Dataset
 from ..errors import NonBinaryLabels, ParseError
 
 
-def load_csv(path, label_column: int = -1, label_mapping: dict | None = None,
-             skip_header: bool | None = None) -> Dataset:
+def load_csv(path, label_column: int = -1, label_mapping: dict | None = None) -> Dataset:
     """Rectangular numeric CSV (comma or whitespace separated) with a binary
     label column. Row order is preserved; labels map to {-1, +1}.
 
@@ -25,19 +24,15 @@ def load_csv(path, label_column: int = -1, label_mapping: dict | None = None,
     rows = []
     for ln in lines:
         rows.append(ln.split(",") if delim else ln.split())
-    if skip_header is None:
-        # a header is any first row whose non-label cells fail to parse
-        skip_header = False
-        for cell in rows[0]:
-            try:
-                float(cell)
-            except ValueError:
-                if label_mapping and cell.strip() in label_mapping:
-                    continue
-                skip_header = True
-                break
-    if skip_header:
-        rows = rows[1:]
+    # a header is any first row whose non-label cells fail to parse
+    for cell in rows[0]:
+        try:
+            float(cell)
+        except ValueError:
+            if label_mapping and cell.strip() in label_mapping:
+                continue
+            rows = rows[1:]
+            break
     if not rows:
         raise ParseError("no data rows")
     width = len(rows[0])

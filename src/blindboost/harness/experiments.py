@@ -55,8 +55,10 @@ def resolve_dataset(ref: dict, seed: int) -> Dataset:
                              int(cfg.get("seed", seed)))
     if "csv" in ref:
         cfg = ref["csv"]
+        mapping = cfg.get("label_mapping")
         return load_csv(cfg["path"], label_column=int(cfg.get("label_column", -1)),
-                        label_mapping=cfg.get("label_mapping"))
+                        label_mapping={k: int(v) for k, v in mapping.items()}
+                        if mapping else None)
     raise ConfigInvalid(f"dataset ref needs 'synthetic' or 'csv', got {sorted(ref)}")
 
 
@@ -195,7 +197,7 @@ def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
     tau = int(p.get("tau", 2))
     n_grid = [int(x) for x in p.get("n_grid", (16, 32, 64, 128))]
     k_grid = [int(x) for x in p.get("k_grid", (2, 4, 8))]
-    seeds = Seeds(cloud=spec.seed, csp=spec.seed + 1, data=spec.seed + 2)
+    seeds = Seeds.derive(spec.seed)
 
     def row(vary, sub):
         rep = _protocol_counters(construction, fold_labels(sub), tau, seeds)

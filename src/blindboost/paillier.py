@@ -438,24 +438,11 @@ def unpack_slots(packed, width: int, slots: int, count: int) -> list:
     return [(packed[i // slots] >> s) & mask for i, s in enumerate(shifts)]
 
 
-@dataclass
-class EncryptedMatrix:
-    """Row-major ciphertexts of ring values lifted into Z_N."""
-
-    rows: list
-    key_id: bytes
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-
-def encrypt_matrix(pk: PublicKey, zm, rng: random.Random) -> EncryptedMatrix:
-    """Row-major encrypt_many: the exponents are drawn in row-major order."""
-    shape = [len(row) for row in zm]
+def encrypt_matrix(pk: PublicKey, zm, rng: random.Random) -> list:
+    """Row-major encrypt_many, as a list of rows of ciphertexts: the
+    exponents are drawn in row-major order."""
     flat = iter(encrypt_many(pk, [int(v) for row in zm for v in row], rng))
-    rows = [[next(flat) for _ in range(width)] for width in shape]
-    return EncryptedMatrix(rows=rows, key_id=pk.fingerprint)
+    return [[next(flat) for _ in row] for row in zm]
 
 
 # Below 1024-bit keys a row of short scalar multiplies spends most of its
@@ -474,27 +461,26 @@ def map_rows(pk: PublicKey, fn, rows) -> list:
 
 
 def he_dot(pk: PublicKey, acc: Ciphertext, cts, scalars) -> Ciphertext:
-    """acc + sum_j s_j * c_j under pk; a zero scalar costs nothing."""
+    """acc + sum_j s_j * c_j under pk: one he_scalar_mul and one he_add per
+    ciphertext, a zero scalar included, so each ciphertext's key is checked."""
     for c, s in zip(cts, scalars):
-        if s:
-            acc = he_add(pk, acc, he_scalar_mul(pk, c, s))
+        acc = he_add(pk, acc, he_scalar_mul(pk, c, s))
     return acc
 
 
-def he_matvec(pk: PublicKey, ez: EncryptedMatrix, w) -> list:
-    """Component i encrypts sum_j z_ij * w_j over Z_N (ring values, level 2).
+def he_matvec(pk: PublicKey, rows, w) -> list:
+    """Component i encrypts sum_j z_ij * w_j over Z_N (ring values, level 2),
+    for rows of ciphertexts under pk.
 
     w entries are plaintext ring representatives in [0, q). The rows run
     through map_rows.
     """
-    if ez.key_id != pk.fingerprint:
-        raise KeyMismatch("matrix is under a different key")
-    n_rows, n_cols = ez.shape
     w = [int(x) for x in w]
-    if len(w) != n_cols:
-        raise DimensionMismatch(f"matrix has {n_cols} columns, vector has {len(w)}")
-
-    return map_rows(pk, lambda row: he_dot(pk, encrypt_raw(pk, 0), row, w), ez.rows)
+    for row in rows:
+        if len(row) != len(w):
+            raise DimensionMismatch(f"matrix row has {len(row)} columns, "
+                                    f"vector has {len(w)}")
+    return map_rows(pk, lambda row: he_dot(pk, encrypt_raw(pk, 0), row, w), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ class Seeds:
     csp: int = 2
     data: int = 3
 
+    @classmethod
+    def derive(cls, seed: int) -> "Seeds":
+        """The role seeds of one run seed. They differ above bit 31 and
+        stream's tags are below 2^31, so no two (role, tag) streams meet."""
+        return cls(cloud=seed, csp=seed + (1 << 32), data=seed + (2 << 32))
+
 
 def stream(seed: int, tag: bytes) -> random.Random:
     """The protocols' one source of randomness: the stream of role `tag`

@@ -87,18 +87,17 @@ def reveal_width(value_bits: int) -> int:
     return value_bits + shares.MASK_SECURITY_BITS + 1
 
 
-def pack_columns(pk, em, width, counters) -> paillier.EncryptedMatrix:
-    """Each column of `em` folded into ceil(n / slots) packed ciphertexts:
-    row r of the result holds, per column, the sum of the r-th chunk of
-    records, which the users shifted into their slots
+def pack_columns(pk, rows, width, counters) -> list:
+    """The columns of `rows` (ciphertexts under pk) folded into
+    ceil(n / slots) packed rows: packed row r holds, per column, the sum of
+    the r-th chunk of records, which the users shifted into their slots
     (engine.encrypt_submissions)."""
-    n_rows, n_cols = em.shape
     slots = paillier.slot_count(pk, width)
-    rows = [[functools.reduce(lambda a, b: paillier.he_add(pk, a, b), column)
-             for column in zip(*em.rows[i:i + slots])]
-            for i in range(0, n_rows, slots)]
-    counters.he_adds += n_cols * (n_rows - len(rows))
-    return paillier.EncryptedMatrix(rows=rows, key_id=em.key_id)
+    packed = [[functools.reduce(lambda a, b: paillier.he_add(pk, a, b), column)
+               for column in zip(*rows[i:i + slots])]
+              for i in range(0, len(rows), slots)]
+    counters.he_adds += sum(map(len, rows)) - sum(map(len, packed))
+    return packed
 
 
 def mask_packed(pk, packed_cts, masks, width, rng, counters) -> list:
@@ -312,7 +311,7 @@ class CloudParty:
         self.dim = dim
         self._value_bits = fp.product_bits(dim)  # bound of the revealed u or Z1 w
         # HE+GC holdings
-        self.enc_data = enc_data          # EncryptedMatrix under CSP's key
+        self.enc_data = enc_data          # rows of ciphertexts under CSP's key
         self.csp_public = csp_public
         self.packed_data = None           # enc_data's columns, folded in SETUP
         # SecSh+GC holdings
@@ -355,7 +354,7 @@ class CloudParty:
             ch.counters.encryptions += self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t) + paillier.ciphertexts_to_bytes(ew))
             dec = recv_decrypt(ch, BASE_APPLY, self.keypair, self.n)
-            u0 = shares.masked_matvec_cloud_step(self.z0, wq, dec, self.fp.ring_bits)
+            u0 = shares.masked_matvec_cloud_step(self.z0, wq, dec, self.fp)
             ch.send(RESULT_EVAL_MASK, wire.pack_u32(t))
             evaluator_round(ch, self.side, [-u % self.fp.q for u in u0])
         return self.recv_decision(ch)[1]

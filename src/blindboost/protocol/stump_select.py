@@ -121,11 +121,12 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     return _csp_select(errors, delta, tau), errors, fp, catalog
 
 
-def _cloud_loop(ch, cfg, fp, ez, catalog_base, pk):
-    n, k = ez.shape
-    side = open_cloud(ch, cfg, n, k, fp.ring_bits)
+def _cloud_loop(ch, cfg, fp, rows, k, catalog_base, pk):
+    """Cloud's side of the selection over the users' encrypted rows of k
+    features under CSP's key `pk`."""
+    side = open_cloud(ch, cfg, len(rows), k, fp.ring_bits)
     bound = fp.ring_bits + 2  # x - v + q + y * 2^(L-1) < 2^(L+2)
-    columns = list(zip(*pack_columns(pk, ez, reveal_width(bound), ch.counters).rows))
+    columns = list(zip(*pack_columns(pk, rows, reveal_width(bound), ch.counters)))
     for index, (j, vq) in enumerate(catalog_base):
         ch.send(BASE_APPLY, wire.pack_u32(index))
         # msb((x - v + q + y * 2^(L-1)) mod 2^L) = msb(x - v) XOR y
@@ -172,12 +173,12 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     # each user folds the label in: x + y * 2^(L-1), below 2^L + 2^(L-1)
     xy = [[int(x) + (int(y) << (fp.ring_bits - 1)) for x in row]
           for row, y in zip(encode_array(X, fp), y01)]
-    kp, ez = encrypt_submissions(cfg, xy, reveal_width(fp.ring_bits + 2))
+    kp, rows = encrypt_submissions(cfg, xy, reveal_width(fp.ring_bits + 2))
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k
     _, error_vectors = run_pair(
-        lambda: _cloud_loop(ch_cloud, cfg, fp, ez, catalog_base, kp.public),
+        lambda: _cloud_loop(ch_cloud, cfg, fp, rows, k, catalog_base, kp.public),
         lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp.ring_bits, len(catalog)),
         ch_cloud, ch_csp)
     transcript.validate_phase_order()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paillier
+from .encoding import FixedPointParams, ring_matvec
 from .errors import DimensionMismatch, ShapeMismatch
 
 MASK_SECURITY_BITS = 40  # sigma: a mask is sigma bits longer than its value
@@ -71,17 +72,9 @@ def masked_matvec_csp_step(z1: np.ndarray, ew: list, lam: list,
 
 
 def masked_matvec_cloud_step(z0: np.ndarray, w_ring, decrypted: list,
-                             ring_bits: int) -> list:
+                             fp: FixedPointParams) -> list:
     """Cloud side: u0 = Z0 w + (Z1 w + lambda) = Zw + lambda, mod 2^L."""
-    z0 = np.asarray(z0, dtype=np.uint64)
-    w = [int(x) for x in w_ring]
-    if z0.shape[1] != len(w):
-        raise DimensionMismatch(f"share has {z0.shape[1]} columns, vector has {len(w)}")
-    if len(decrypted) != z0.shape[0]:
-        raise DimensionMismatch("decrypted vector length mismatch")
-    q = 1 << ring_bits
-    out = []
-    for i in range(z0.shape[0]):
-        dot = sum(int(z0[i, j]) * w[j] for j in range(len(w)))
-        out.append((dot + int(decrypted[i])) % q)
-    return out
+    zw = ring_matvec(z0, w_ring, fp)
+    if len(decrypted) != len(zw):
+        raise DimensionMismatch(f"{len(decrypted)} decrypted values for {len(zw)} rows")
+    return [(int(a) + int(b)) % fp.q for a, b in zip(zw, decrypted)]

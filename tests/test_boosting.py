@@ -19,7 +19,6 @@ from blindboost.boosting import (
     gen_rlc,
     model_from_json,
     model_to_json,
-    predict,
     stratified_folds,
     update_weights,
     weighted_error,
@@ -280,12 +279,12 @@ def test_predict_single_classifier_sign():
     clf = LinearClassifier(w=np.array([1.0, 0.0]))
     model = BoostedModel(kind="rlc", classifiers=[clf], alphas=[1.0])
     X = np.array([[2.0], [-2.0]])
-    assert predict(model, X).tolist() == [1, -1]
+    assert model.predict(X).tolist() == [1, -1]
 
 
 def test_predict_empty_model_is_negative():
     model = BoostedModel(kind="rlc", classifiers=[], alphas=[])
-    assert predict(model, np.zeros((3, 2))).tolist() == [-1, -1, -1]
+    assert model.predict(np.zeros((3, 2))).tolist() == [-1, -1, -1]
 
 
 def test_stratified_folds_cover_everything():
@@ -341,7 +340,7 @@ def test_model_json_round_trip():
     assert np.array_equal(back.predict(X), model.predict(X))
     Z = fold_labels(Dataset(X, y)).Z
     fp = FixedPointParams.for_dimension(Z.shape[1])
-    rm = boost_rlc(Z, 5, 15, np.random.default_rng(18), fp=fp, seed=18).model
+    rm = boost_rlc(Z, 5, 15, np.random.default_rng(18), fp=fp).model
     back2 = model_from_json(model_to_json(rm))
     assert back2.fixed_point == fp
     assert np.array_equal(back2.predict(X), rm.predict(X))

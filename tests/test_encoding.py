@@ -8,7 +8,6 @@ from blindboost.encoding import (
     Dataset,
     FixedPointParams,
     decode,
-    decode_array,
     encode,
     encode_array,
     fold_labels,
@@ -106,8 +105,6 @@ def test_encode_array_matches_scalar():
     enc = encode_array(xs, P32)
     for x, v in zip(xs, enc):
         assert int(v) == encode(float(x), P32)
-    back = decode_array(enc, P32)
-    assert np.allclose(back, np.array([decode(encode(float(x), P32), P32) for x in xs]))
 
 
 def test_ring_matvec_matches_bigint_oracle():

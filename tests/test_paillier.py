@@ -393,7 +393,8 @@ def test_he_matvec_zero_vector(keypair_512):
     assert all(paillier.decrypt(keypair_512, c) == 0 for c in out)
 
 
-def test_he_dot_adds_weighted_ciphertexts_and_skips_zero_scalars(keypair_512, monkeypatch):
+def test_he_dot_adds_weighted_ciphertexts_and_multiplies_zero_scalars(keypair_512,
+                                                                      monkeypatch):
     pk = keypair_512.public
     rng = random.Random(31)
     cts = paillier.encrypt_many(pk, [3, 5, 7], rng)
@@ -403,14 +404,27 @@ def test_he_dot_adds_weighted_ciphertexts_and_skips_zero_scalars(keypair_512, mo
                         lambda pk, c, s: scalars.append(s) or mul(pk, c, s))
     out = paillier.he_dot(pk, acc, cts, [2, 0, 4])
     assert paillier.decrypt(keypair_512, out) == 11 + 2 * 3 + 4 * 7
-    assert scalars == [2, 4]
+    assert scalars == [2, 0, 4]
 
 
 def test_he_matvec_dimension_mismatch(keypair_512):
     rng = random.Random(20)
-    ez = paillier.encrypt_matrix(keypair_512.public, [[1, 2]], rng)
+    ez = paillier.encrypt_matrix(keypair_512.public, [[1, 2], [3]], rng)
     with pytest.raises(DimensionMismatch):
-        paillier.he_matvec(keypair_512.public, ez, [1])
+        paillier.he_matvec(keypair_512.public, ez[:1], [1])
+    with pytest.raises(DimensionMismatch):
+        paillier.he_matvec(keypair_512.public, ez, [1, 2])
+
+
+def test_he_matvec_refuses_a_foreign_ciphertext_at_a_zero_coefficient(
+        keypair_512, keypair_512_alt):
+    # every ciphertext carries its key: a row that mixes in one under
+    # another key is refused even where its coefficient is 0
+    rng = random.Random(21)
+    pk = keypair_512.public
+    row = [paillier.encrypt(pk, 3, rng), paillier.encrypt(keypair_512_alt.public, 4, rng)]
+    with pytest.raises(KeyMismatch):
+        paillier.he_matvec(pk, [row], [5, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +601,7 @@ def _batch_outputs(kp, seed):
     cs = paillier.encrypt_many(pk, ms, rng)
     ez = paillier.encrypt_matrix(pk, [[5, 9, 0], [1, 2, 3]], rng)
     prods = paillier.he_matvec(pk, ez, [7, 0, (1 << 24) - 1])
-    return ([c.value for c in cs], [c.value for c in ez.rows[0] + ez.rows[1]],
+    return ([c.value for c in cs], [c.value for c in ez[0] + ez[1]],
             [c.value for c in prods], paillier.decrypt_many(kp, cs), rng.getstate())
 
 
@@ -604,11 +618,11 @@ def test_batches_equal_their_per_element_results(bits):
     assert paillier.decrypt_many(kp, cs) == [paillier.decrypt(kp, c) for c in cs] == ms
     zm = [[1, 2, 3], [4, 0, 6], [7, 8, 9]]
     ez = paillier.encrypt_matrix(pk, zm, a)
-    assert ez.rows == [[paillier.encrypt(pk, m, b) for m in row] for row in zm]
+    assert ez == [[paillier.encrypt(pk, m, b) for m in row] for row in zm]
     assert a.getstate() == b.getstate()
     w = [3, 0, (1 << 24) - 1]
     expect = []
-    for row in ez.rows:
+    for row in ez:
         acc = paillier.encrypt_raw(pk, 0)
         for c, s in zip(row, w):
             if s:
@@ -662,8 +676,7 @@ def test_batches_call_the_public_functions_once_per_element(monkeypatch, bits,
              for name in ("encrypt", "decrypt", "he_scalar_mul")}
     cs = paillier.encrypt_many(pk, range(6), random.Random(46))
     paillier.decrypt_many(kp, cs)
-    paillier.he_matvec(pk, paillier.EncryptedMatrix([cs[:3], cs[3:]], pk.fingerprint),
-                       [1, 2, 3])
+    paillier.he_matvec(pk, [cs[:3], cs[3:]], [1, 2, 3])
     assert {name: len(calls) for name, calls in spies.items()} == {
         "encrypt": 6, "decrypt": 6, "he_scalar_mul": 6}
     threads = {name: len({t for t, _ in calls}) for name, calls in spies.items()}

@@ -57,6 +57,7 @@ from blindboost.protocol.parties import (
     packed_sign_csp,
     reveal_width,
 )
+from blindboost.protocol.config import stream
 from blindboost.protocol.transcript import DONE, Counters
 
 
@@ -90,6 +91,23 @@ def test_config_validation():
                        key_bits=2048, secure_profile=True)
 
 
+_STREAM_TAGS = (b"keyg", b"user", b"mask", b"encr", b"garb", b"ot_r", b"ot_s")
+
+
+def _streams_meet(seeds):
+    """Whether two (role, tag) streams of `seeds` start in the same state."""
+    states = {stream(seed, tag).getstate()
+              for seed in (seeds.cloud, seeds.csp, seeds.data) for tag in _STREAM_TAGS}
+    return len(states) < 3 * len(_STREAM_TAGS)
+
+
+def test_derived_role_seeds_give_distinct_streams():
+    # the hand fan-out (s, s + 1, s + 2) gave Cloud's ot_r stream to CSP's
+    # ot_s at every even s
+    assert all(_streams_meet(Seeds(s, s + 1, s + 2)) for s in range(0, 512, 2))
+    assert not any(_streams_meet(Seeds.derive(s)) for s in range(512))
+
+
 # ---------------------------------------------------------------------------
 # setup
 
@@ -97,7 +115,7 @@ def test_config_validation():
 def test_setup_he_gc_states():
     folded = toy_folded(n=4, k=2)
     cloud, csp = setup(cfg_for(HE_GC), folded)
-    assert cloud.enc_data.shape == (4, 3)
+    assert [len(row) for row in cloud.enc_data] == [3] * 4
     assert cloud.z0 is None  # no plaintext rows at the cloud
     assert csp.keypair is not None
     assert np.allclose(csp.delta, 0.25)
@@ -312,6 +330,30 @@ def test_he_gc_packed_reveal_counters(n):
     }
     assert report["counters"]["csp"]["decryptions"] == chunks * iters
     assert report["counters"]["user"]["encryptions"] == n * d
+
+
+def test_he_gc_counters_are_the_calls_made_at_a_zero_coefficient(monkeypatch):
+    # an RLC coefficient that encodes to 0 still costs Cloud one scalar
+    # multiply and one add per packed row, as its counters say
+    gen_rlc = parties.gen_rlc
+
+    def gen_with_a_zero(k, rng):
+        w = gen_rlc(k, rng)
+        w[0] = 0.0
+        return w
+
+    monkeypatch.setattr(parties, "gen_rlc", gen_with_a_zero)
+    calls = {"he_scalar_mul": [], "he_add": []}
+    for name, seen in calls.items():
+        def spy(*args, real=getattr(paillier, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+        monkeypatch.setattr(paillier, name, spy)
+    _, transcript = run_learning(cfg_for(HE_GC, tau=2, p_max=4), toy_folded(n=9, k=2, seed=18))
+    cloud = transcript.party("cloud")
+    assert cloud.he_scalar_muls == len(calls["he_scalar_mul"])
+    assert cloud.he_adds == len(calls["he_add"])
+    assert 0 in [args[2] for args in calls["he_scalar_mul"]]
 
 
 def test_secsh_counter_shapes():
@@ -632,7 +674,7 @@ def test_packed_sign_round_slot_edge(monkeypatch, bound, value, shift, slots, ex
     monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
     unpacked = _spy(monkeypatch, parties, "unpack_masked")
     ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L)
-    packed = [row[0] for row in pack_columns(pk, column, width, ch_cloud.counters).rows]
+    packed = [row[0] for row in pack_columns(pk, column, width, ch_cloud.counters)]
     assert len(packed) == 1 + extra
     _, msb = engine.run_pair(
         lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound, shift),

@@ -112,7 +112,8 @@ def test_masked_matvec_full_protocol_oracle(keypair_512):
     for i in range(10):
         expect = (sum(int(pair.part1[i, j]) * w[j] for j in range(4)) + lam[i])
         assert dec[i] == expect
-    u0 = shares.masked_matvec_cloud_step(pair.part0, w, [d % qp for d in dec], L)
+    u0 = shares.masked_matvec_cloud_step(pair.part0, w, [d % qp for d in dec],
+                                         FixedPointParams(7, L))
     # (u0 - u1) mod 2^L is the ring value of Z w
     for i in range(10):
         u1 = lam[i] % qp
@@ -160,9 +161,19 @@ def test_masked_matvec_boundary_mask(keypair_512):
     dec = paillier.decrypt(keypair_512, enc[0])
     qp = 1 << (L + shares.MASK_SECURITY_BITS + 1)
     u0 = shares.masked_matvec_cloud_step(
-        np.array([[2]], dtype=np.uint64), [3], [dec % qp], L)
+        np.array([[2]], dtype=np.uint64), [3], [dec % qp], FixedPointParams(6, L))
     got = (u0[0] - lam_max % qp) % (1 << L)
     assert got == (11 * 3) % (1 << L)
+    # the largest share row by the largest w, against the integer reference
+    q = 1 << L
+    z0 = np.full((2, 3), q - 1, dtype=np.uint64)
+    z0[1, 0] = 0
+    w, dec = [q - 1] * 3, [lam_max, qp - 1]
+    u0 = shares.masked_matvec_cloud_step(z0, w, dec, FixedPointParams(6, L))
+    assert u0 == [(sum(int(z) * x for z, x in zip(row, w)) + d) % q
+                  for row, d in zip(z0, dec)]
+    with pytest.raises(DimensionMismatch):
+        shares.masked_matvec_cloud_step(z0, w, dec[:1], FixedPointParams(6, L))
 
 
 def test_masked_matvec_dimension_mismatch(keypair_512):
@@ -172,6 +183,9 @@ def test_masked_matvec_dimension_mismatch(keypair_512):
     with pytest.raises(DimensionMismatch):
         shares.masked_matvec_csp_step(np.zeros((2, 3), dtype=np.uint64),
                                       ew, [0, 0], pk, rng)
+    with pytest.raises(DimensionMismatch):
+        shares.masked_matvec_cloud_step(np.zeros((2, 3), dtype=np.uint64),
+                                        [1, 2], [0, 0], FixedPointParams(7, 17))
 
 
 def test_sign_recovery_through_shares(keypair_512):
@@ -192,8 +206,7 @@ def test_sign_recovery_through_shares(keypair_512):
     enc = shares.masked_matvec_csp_step(pair.part1, ew, lam, pk, rng)
     qp = 1 << (p.ring_bits + shares.MASK_SECURITY_BITS + 1)
     dec = [paillier.decrypt(keypair_512, c) % qp for c in enc]
-    u0 = shares.masked_matvec_cloud_step(pair.part0, [int(v) for v in wq], dec,
-                                         p.ring_bits)
+    u0 = shares.masked_matvec_cloud_step(pair.part0, [int(v) for v in wq], dec, p)
     u = np.array([(u0[i] - lam[i] % qp) % p.q for i in range(8)], dtype=np.uint64)
     got = ring_indicators(u, p)
     expect = ring_indicators(ring_matvec(zq, wq, p), p)
