@@ -7,7 +7,10 @@ Three building blocks:
   safe-prime MODP group. The sender publishes A = g^a once per batch; the
   receiver answers B_i = g^{b_i} * A^{c_i} per wire; the sender encrypts
   each pair under H(B_i^a) and H((B_i/A)^a) = H(B_i^a * A^{-a}). Three
-  modular exponentiations per transfer, two of them the receiver's.
+  modular exponentiations per transfer, two of them the receiver's. The
+  secrets a and b_i are 256-bit exponents (NIST SP 800-56A Rev. 3,
+  5.6.1.1.4, allows 2s bits at security strength s), and every received
+  element must lie in (1, p-1) with Legendre symbol 1, in both profiles.
 * ``OTExtSender`` / ``OTExtReceiver``: semi-honest IKNP OT extension
   (Ishai, Kilian, Nissim and Petrank, CRYPTO 2003). A session runs
   KAPPA = 128 base OTs once, with the roles reversed: the extension
@@ -16,12 +19,13 @@ Three building blocks:
   string s. Every later round of m transfers costs one message of
   KAPPA * ceil(m/8) bytes, a bit-matrix transpose and 3m keyed hashes.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
-  party pair, once in SETUP, whose exponentiations paillier.fan_out spreads over the
-  cores (about 0.18 s of CPU in modp-768 with libgmp, 0.11 s of wall time
-  on a 2-core x86 machine), then a few milliseconds of hashing per round
-  (2.6 ms at 209 transfers, 11 ms at 1216, on the same machine). Its OT bytes
-  fall below those of per-wire base OT once a run moves more than about
-  200 transfers.
+  party pair, once in SETUP, whose exponentiations paillier.fan_out
+  spreads over the cores (with libgmp on a 2-core x86 machine: about
+  0.07 s of CPU and 0.04 s of wall time in modp-768, 0.18 s on one thread
+  in modp-2048), then a few milliseconds of hashing per round (2.6 ms at
+  209 transfers, 11 ms at 1216, on the same machine). Its OT bytes fall
+  below those of per-wire base OT once a run moves more than about 200
+  transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
   Flagged insecure; refused when the secure profile is active.
 """
@@ -34,7 +38,7 @@ import numpy as np
 
 from .errors import GroupElementInvalid, ModeNotPermittedInSecureProfile, OTFailure
 from .garbling import LABEL_BYTES
-from .paillier import fan_out, powmod
+from .paillier import fan_out, legendre, powmod
 
 # Safe-prime MODP groups: Oakley group 1 (768 bits) and the 2048-bit group 14.
 # g = 4 generates the prime-order subgroup of quadratic residues.
@@ -70,10 +74,18 @@ GROUPS = {
 }
 
 
-def _validate_element(group: Group, x: int, full_check: bool = False) -> None:
+def _secret(rng: random.Random) -> int:
+    """A 256-bit exponent with the top bit set, so every exponentiation by a
+    secret runs over the same number of limbs."""
+    return rng.getrandbits(255) | 1 << 255
+
+
+def _validate_element(group: Group, x: int) -> None:
+    """x is in the order-q subgroup of p = 2q + 1 iff it is a quadratic
+    residue: (x | p) = 1."""
     if not 1 < x < group.p - 1:
         raise GroupElementInvalid(f"element outside (1, p-1) in {group.name}")
-    if full_check and powmod(x, group.order, group.p) != 1:
+    if legendre(x, group.p) != 1:
         raise GroupElementInvalid(f"element outside prime-order subgroup of {group.name}")
 
 
@@ -90,10 +102,9 @@ def _xor(a: bytes, b: bytes) -> bytes:
 class OTSender:
     """Holds the label pairs; one instance per batch."""
 
-    def __init__(self, group: Group, rng: random.Random, full_check: bool = False):
+    def __init__(self, group: Group, rng: random.Random):
         self.group = group
-        self.full_check = full_check
-        self._a = rng.randrange(1, group.order)
+        self._a = _secret(rng)
         self.A = powmod(group.g, self._a, group.p)
         self._A_neg_a = pow(powmod(self.A, self._a, group.p), -1, group.p)
 
@@ -109,7 +120,7 @@ class OTSender:
 
         def one(item):
             i, (b, (m0, m1)) = item
-            _validate_element(self.group, b, self.full_check)
+            _validate_element(self.group, b)
             b_a = powmod(b, self._a, p)
             return _xor(m0, _kdf(b_a, i)), _xor(m1, _kdf(b_a * self._A_neg_a % p, i))
 
@@ -117,8 +128,8 @@ class OTSender:
 
 
 class OTReceiver:
-    def __init__(self, group: Group, rng: random.Random, A: int, full_check: bool = False):
-        _validate_element(group, A, full_check)
+    def __init__(self, group: Group, rng: random.Random, A: int):
+        _validate_element(group, A)
         self.group = group
         self.A = A
         self._rng = rng
@@ -129,7 +140,7 @@ class OTReceiver:
         """B_i = g^{b_i} * A^{c_i}. Every secret is drawn here, in order,
         before any exponentiation, so the rng's use does not depend on how
         fan_out splits the batch."""
-        self._secrets = [self._rng.randrange(1, self.group.order) for _ in bits]
+        self._secrets = [_secret(self._rng) for _ in bits]
         self._choices = [int(c) & 1 for c in bits]
         p = self.group.p
 
@@ -224,8 +235,8 @@ class OTExtReceiver:
     It is the base-OT *sender* of KAPPA random seed pairs (k0_i, k1_i). One
     session serves every round of a run."""
 
-    def __init__(self, group: Group, rng: random.Random, full_check: bool = False):
-        self._base = OTSender(group, rng, full_check=full_check)
+    def __init__(self, group: Group, rng: random.Random):
+        self._base = OTSender(group, rng)
         self._seeds = [(rng.getrandbits(128).to_bytes(LABEL_BYTES, "big"),
                         rng.getrandbits(128).to_bytes(LABEL_BYTES, "big"))
                        for _ in range(KAPPA)]
@@ -270,9 +281,8 @@ class OTExtSender:
     It is the base-OT *receiver*, with a secret KAPPA-bit choice string s;
     it learns k_i^{s_i} of each seed pair."""
 
-    def __init__(self, group: Group, rng: random.Random, A: int,
-                 full_check: bool = False):
-        self._base = OTReceiver(group, rng, A, full_check=full_check)
+    def __init__(self, group: Group, rng: random.Random, A: int):
+        self._base = OTReceiver(group, rng, A)
         s = rng.getrandbits(KAPPA).to_bytes(_ROW_BYTES, "big")
         self._s_row = np.frombuffer(s, dtype=np.uint8)
         self._s_bits = np.unpackbits(self._s_row)

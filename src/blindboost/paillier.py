@@ -13,7 +13,7 @@ bits long, with an exponent half that length.
 
 ``powmod`` is the package's one big-number exponentiation: key generation,
 encryption, decryption, scalar multiplication and the base OTs in ``ot``
-all run through it.
+all run through it. ``legendre`` is the base OTs' subgroup check.
 
 ``encrypt_many``, ``decrypt_many`` and ``he_matvec`` (from 1024-bit keys
 on) split a batch between the calling thread and a module-level thread
@@ -53,8 +53,9 @@ class _Mpz(ctypes.Structure):
 
 
 def _load_gmp():
-    """The system libgmp's mpz_{init,clear,import,export,powm_sec} through
-    ctypes, or None where the library or one of the symbols is missing."""
+    """The system libgmp's mpz_{init,clear,import,export,powm_sec,jacobi}
+    through ctypes, or None where the library or one of the symbols is
+    missing."""
     path = ctypes.util.find_library("gmp")
     if path is None:
         return None
@@ -66,6 +67,7 @@ def _load_gmp():
         "mpz_export": [ctypes.c_char_p, ctypes.POINTER(size_t), c_int, size_t, c_int,
                        size_t, mpz_p],
         "mpz_powm_sec": [mpz_p, mpz_p, mpz_p, mpz_p],
+        "mpz_jacobi": [mpz_p, mpz_p],
     }
     try:
         lib = ctypes.CDLL(path)
@@ -75,10 +77,28 @@ def _load_gmp():
     for name, argtypes in signatures.items():
         fns[name].argtypes = argtypes
     fns["mpz_export"].restype = ctypes.c_void_p
+    fns["mpz_jacobi"].restype = c_int
     return types.SimpleNamespace(**fns)
 
 
 _gmp = _load_gmp()
+
+
+def _with_mpz(gmp, values, fn):
+    """fn(r, *xs) on a fresh libgmp integer r and libgmp copies xs of the
+    non-negative ints `values`, all cleared after."""
+    r, *xs = z = list((_Mpz * (1 + len(values)))())
+    for x in z:
+        gmp.mpz_init(x)
+    try:
+        for x, v in zip(xs, values):
+            # whole bytes, least significant first, no nail bits
+            size = (v.bit_length() + 7) // 8
+            gmp.mpz_import(x, size, -1, 1, 0, 0, v.to_bytes(size, "little"))
+        return fn(r, *xs)
+    finally:
+        for x in z:
+            gmp.mpz_clear(x)
 
 
 def powmod(base: int, exp: int, mod: int) -> int:
@@ -93,23 +113,27 @@ def powmod(base: int, exp: int, mod: int) -> int:
     if gmp is None or exp <= 0 or not mod & 1 or mod < 3:
         return pow(base, exp, mod)
     width = (mod.bit_length() + 7) // 8
-    ewidth = (exp.bit_length() + 7) // 8
-    z = (_Mpz * 4)()
-    r, b, e, m = z
-    for x in z:
-        gmp.mpz_init(x)
-    try:
-        # whole bytes, least significant first, no nail bits
-        gmp.mpz_import(b, width, -1, 1, 0, 0, (base % mod).to_bytes(width, "little"))
-        gmp.mpz_import(e, ewidth, -1, 1, 0, 0, exp.to_bytes(ewidth, "little"))
-        gmp.mpz_import(m, width, -1, 1, 0, 0, mod.to_bytes(width, "little"))
+
+    def powm(r, b, e, m):
         gmp.mpz_powm_sec(r, b, e, m)
         out = ctypes.create_string_buffer(width)  # zero-filled past the result
         gmp.mpz_export(out, None, -1, 1, 0, 0, r)
-    finally:
-        for x in z:
-            gmp.mpz_clear(x)
-    return int.from_bytes(out.raw, "little")
+        return int.from_bytes(out.raw, "little")
+
+    return _with_mpz(gmp, (base % mod, exp, mod), powm)
+
+
+def legendre(x: int, p: int) -> int:
+    """The Legendre symbol (x | p) of an odd prime p: 1, -1 or 0.
+
+    Runs GMP's mpz_jacobi, which is not constant time: for public x only.
+    Machines without libgmp get Euler's criterion x^((p-1)/2) mod p.
+    """
+    gmp = _gmp
+    if gmp is None:
+        r = pow(x, (p - 1) // 2, p)
+        return -1 if r == p - 1 else r
+    return _with_mpz(gmp, (x % p, p), lambda _, a, n: gmp.mpz_jacobi(a, n))
 
 
 def _usable_cpus() -> int:

@@ -58,6 +58,8 @@ class ProtocolConfig:
                     "dealer OT is a test mode; secure profile requires base OT")
             if self.key_bits < 2048:
                 raise ConfigInvalid("secure profile requires 2048-bit keys")
+            if self.ot_group != "modp-2048":
+                raise ConfigInvalid("secure profile requires the modp-2048 OT group")
 
 
 def paper_faithful(construction: str, tau: int, p_max: int,

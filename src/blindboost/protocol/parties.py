@@ -157,8 +157,7 @@ class LabelOT:
         cfg = self.cfg
         if cfg.ot_mode == "dealer":
             return
-        self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng,
-                                      full_check=cfg.secure_profile)
+        self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng)
         ch.send(SETUP, wire.pack_bigints([self._session.setup_message()]))
         bs = recv_field(ch, SETUP, wire.unpack_bigints)
         ch.send(SETUP, wire.pack_label_pairs(self._session.base_respond(bs)))
@@ -171,8 +170,7 @@ class LabelOT:
         elems = recv_field(ch, SETUP, wire.unpack_bigints)
         if len(elems) != 1:
             raise OTFailure(f"expected one base-OT setup element, got {len(elems)}")
-        self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0],
-                                    full_check=cfg.secure_profile)
+        self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0])
         ch.send(SETUP, wire.pack_bigints(self._session.base_choose()))
         self._session.base_finish(recv_field(ch, SETUP, wire.unpack_label_pairs))
 

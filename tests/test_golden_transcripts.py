@@ -20,11 +20,11 @@ BOOST_GOLDEN = {
     (HE_GC, "dealer"):
         "d6734f40fff8830621a0d0927b15db4b88d392ef3f16c8bf5ecbddcb6bd7220d",
     (HE_GC, "base"):
-        "bc9ba3caaed623e91a0c0f18bc9a6701c6d77d1c783e81be2843a2ac5385b5af",
+        "4799dd73c4ef83d58dfbaeb2ae0bdfe7e4bc7fbcae9ca48de80a001276702634",
     (SECSH_GC, "dealer"):
         "f28ce7d985bed851bca659c7dd807bfb38a5a0529630a9aba4e6b04cc7421f86",
     (SECSH_GC, "base"):
-        "16108b74fcf9f1285f8cb590a22d559ce601480b051aaa9e2a8afdcaaaa73c77",
+        "e7fe4ad1d4a1b8c37857e1864d60a27a03400b6ef66f7bef4735ace4646e3a4a",
 }
 STUMP_GOLDEN = "6cc9327ac916ef9205d18ff1aec3ddc44241fb8811a18b2b0a59d321237634f6"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,

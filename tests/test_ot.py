@@ -10,6 +10,8 @@ from blindboost.errors import (
     ModeNotPermittedInSecureProfile,
     OTFailure,
 )
+from blindboost.protocol import engine, parties, transport
+from blindboost.protocol.config import HE_GC, ProtocolConfig, paper_faithful, stream
 
 
 def _pairs(rng, count):
@@ -28,6 +30,19 @@ def _spy_powmod(monkeypatch):
 
     monkeypatch.setattr(ot, "powmod", spy)
     return threads
+
+
+def _spy_checks(monkeypatch):
+    """Records (thread, element) of every ot._validate_element call."""
+    checked = []
+    real = ot._validate_element
+
+    def spy(group, x):
+        checked.append((threading.current_thread(), x))
+        return real(group, x)
+
+    monkeypatch.setattr(ot, "_validate_element", spy)
+    return checked
 
 
 def test_groups_are_safe_primes():
@@ -105,12 +120,62 @@ def test_group_element_validation():
 
 def test_subgroup_check_in_secure_profile():
     group = ot.GROUPS["modp-768"]
-    sender = ot.OTSender(group, random.Random(12), full_check=True)
+    sender = ot.OTSender(group, random.Random(12))
     # -4 is a non-residue (p = 3 mod 4), hence outside the order-q subgroup
     with pytest.raises(GroupElementInvalid):
         sender.respond([group.p - 4], [(b"0" * 16, b"1" * 16)])
-    # a genuine subgroup element passes the full check
+    # a genuine subgroup element passes the check
     sender.respond([ot.powmod(group.g, 12345, group.p)], [(b"0" * 16, b"1" * 16)])
+
+
+@pytest.mark.parametrize("name", sorted(ot.GROUPS))
+def test_every_received_element_is_checked(monkeypatch, one_worker_pool, name):
+    # 0, 1, p - 1, p and p + 4 are out of range (p + 4 is a residue mod p);
+    # p - 4 = -4 is a non-residue (p = 3 mod 4), outside the order-q subgroup
+    group = ot.GROUPS[name]
+    p = group.p
+    receiver = ot.OTExtReceiver(group, random.Random(60))
+    bs = ot.OTExtSender(group, random.Random(61), receiver.setup_message()).base_choose()
+    sender = ot.OTSender(group, random.Random(62))
+    pairs = _pairs(random.Random(63), 4)
+    checked = _spy_checks(monkeypatch)
+    for bad in (0, 1, p - 1, p, p - 4, p + 4):
+        for make in (ot.OTReceiver, ot.OTExtSender):
+            with pytest.raises(GroupElementInvalid):
+                make(group, random.Random(64), bad)
+        # the first element is checked on the calling thread, the last on the worker
+        for respond, good in ((lambda xs: sender.respond(xs, pairs), bs[:4]),
+                              (receiver.base_respond, bs)):
+            for where in (0, len(good) - 1):
+                checked.clear()
+                with pytest.raises(GroupElementInvalid):
+                    respond(good[:where] + [bad] + good[where + 1:])
+                on_main = [t is threading.current_thread() for t, x in checked if x == bad]
+                assert on_main == [where == 0]
+
+
+@pytest.mark.parametrize("cfg", [ProtocolConfig(HE_GC, tau=1, p_max=2),
+                                 paper_faithful(HE_GC, tau=1, p_max=2)],
+                         ids=["modp-768", "modp-2048"])
+def test_base_ot_secrets_are_short_and_drawn_from_the_party_stream(
+        monkeypatch, one_worker_pool, cfg):
+    def secrets():
+        ch_cloud, ch_csp, _ = transport.memory_pair()
+        cloud, csp = engine.run_pair(lambda: parties.open_cloud(ch_cloud, cfg, 4, 1, 17),
+                                     lambda: parties.open_csp(ch_csp, cfg, 4, 1, 17),
+                                     ch_cloud, ch_csp)
+        return cloud.label_ot._session._base._a, csp.label_ot._session._base._secrets
+
+    a, bs = secrets()
+    assert {x.bit_length() for x in [a, *bs]} == {256}
+    # Cloud's a is the first draw of its ot_r stream; CSP's b_i follow its
+    # KAPPA-bit choice string on its ot_s stream
+    cloud_rng, csp_rng = stream(cfg.seeds.cloud, b"ot_r"), stream(cfg.seeds.csp, b"ot_s")
+    assert a == cloud_rng.getrandbits(255) | 1 << 255
+    csp_rng.getrandbits(ot.KAPPA)
+    assert bs == [csp_rng.getrandbits(255) | 1 << 255 for _ in range(ot.KAPPA)]
+    monkeypatch.setattr(paillier, "_pool", None)
+    assert secrets() == (a, bs)
 
 
 def test_count_mismatch(monkeypatch):
@@ -146,12 +211,11 @@ def test_sender_second_key_matches_two_pow_formula():
 # IKNP extension
 
 
-def _ext_session(seed, full_check=False):
+def _ext_session(seed):
     """An extension (sender, receiver) pair whose base OTs have run."""
     group = ot.GROUPS["modp-768"]
-    receiver = ot.OTExtReceiver(group, random.Random(seed), full_check=full_check)
-    sender = ot.OTExtSender(group, random.Random(seed + 1),
-                            receiver.setup_message(), full_check=full_check)
+    receiver = ot.OTExtReceiver(group, random.Random(seed))
+    sender = ot.OTExtSender(group, random.Random(seed + 1), receiver.setup_message())
     sender.base_finish(receiver.base_respond(sender.base_choose()))
     return sender, receiver
 
@@ -214,18 +278,10 @@ def test_extension_unchosen_label_stays_masked():
 
 def test_extension_base_ots_check_subgroup(monkeypatch, one_worker_pool):
     group = ot.GROUPS["modp-768"]
-    receiver = ot.OTExtReceiver(group, random.Random(26), full_check=True)
-    sender = ot.OTExtSender(group, random.Random(27), receiver.setup_message(),
-                            full_check=True)
+    receiver = ot.OTExtReceiver(group, random.Random(26))
+    sender = ot.OTExtSender(group, random.Random(27), receiver.setup_message())
     bs = sender.base_choose()
-    checked = []
-    real = ot._validate_element
-
-    def spy(group, x, full_check=False):
-        checked.append((threading.current_thread(), x))
-        return real(group, x, full_check)
-
-    monkeypatch.setattr(ot, "_validate_element", spy)
+    checked = _spy_checks(monkeypatch)
     # the first base OT runs on the calling thread, the last on the worker
     for where in (0, ot.KAPPA - 1):
         checked.clear()
@@ -234,7 +290,7 @@ def test_extension_base_ots_check_subgroup(monkeypatch, one_worker_pool):
         on_main = [t is threading.current_thread() for t, x in checked if x == group.p - 4]
         assert on_main == [where == 0]
     with pytest.raises(GroupElementInvalid):
-        ot.OTExtSender(group, random.Random(28), group.p - 4, full_check=True)
+        ot.OTExtSender(group, random.Random(28), group.p - 4)
 
 
 def test_extension_rejects_malformed_messages():
@@ -267,14 +323,13 @@ def test_extension_rejects_malformed_messages():
 # the base-OT session over paillier.fan_out
 
 
-def _session_outputs(seed, full_check):
+def _session_outputs(seed, group):
     """Every value an extension session hands out or learns, and both rngs'
     final states."""
-    group = ot.GROUPS["modp-768"]
     r_rng, s_rng = random.Random(seed), random.Random(seed + 1)
-    receiver = ot.OTExtReceiver(group, r_rng, full_check=full_check)
+    receiver = ot.OTExtReceiver(group, r_rng)
     a = receiver.setup_message()
-    sender = ot.OTExtSender(group, s_rng, a, full_check=full_check)
+    sender = ot.OTExtSender(group, s_rng, a)
     bs = sender.base_choose()
     base = receiver.base_respond(bs)
     learned = sender._base.finish(base)
@@ -289,11 +344,11 @@ def _session_outputs(seed, full_check):
     return a, bs, base, learned, rounds, r_rng.getstate(), s_rng.getstate()
 
 
-@pytest.mark.parametrize("full_check", [False, True])
-def test_session_is_the_same_on_any_pool(monkeypatch, one_worker_pool, full_check):
-    pooled = _session_outputs(50, full_check)
+@pytest.mark.parametrize("name", sorted(ot.GROUPS))
+def test_session_is_the_same_on_any_pool(monkeypatch, one_worker_pool, name):
+    pooled = _session_outputs(50, ot.GROUPS[name])
     monkeypatch.setattr(paillier, "_pool", None)
-    assert _session_outputs(50, full_check) == pooled
+    assert _session_outputs(50, ot.GROUPS[name]) == pooled
 
 
 @pytest.mark.skipif(paillier._usable_cpus() < 2, reason="needs two usable CPUs")

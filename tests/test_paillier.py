@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from blindboost import paillier
+from blindboost import ot, paillier
 from blindboost.encoding import FixedPointParams, decode, encode, encode_array
 from blindboost.errors import (
     DimensionMismatch,
@@ -72,6 +72,35 @@ def test_gmp_kernel_is_active_where_libgmp_is_installed(monkeypatch):
                         lambda *args: calls.append(1) or powm_sec(*args))
     assert paillier.powmod(3, 2**64 + 1, 2**127 - 1) == pow(3, 2**64 + 1, 2**127 - 1)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("gmp", ["libgmp", "fallback"])
+@pytest.mark.parametrize("name", sorted(ot.GROUPS))
+def test_legendre_matches_euler_criterion(monkeypatch, name, gmp):
+    if gmp == "fallback":
+        monkeypatch.setattr(paillier, "_gmp", None)
+    group = ot.GROUPS[name]
+    p, rng = group.p, random.Random(70)
+    residues = [pow(group.g, rng.getrandbits(256), p) for _ in range(8)]
+    # p = 3 mod 4, so -1 is a non-residue and -x is one for every residue x
+    assert {paillier.legendre(x, p) for x in residues} == {1}
+    assert {paillier.legendre(p - x, p) for x in residues} == {-1}
+    values = [rng.randrange(p) for _ in range(16)] + [0, 1, 4, p - 1, p, p + 4, 3 * p - 4]
+    euler = {1: 1, p - 1: -1, 0: 0}
+    assert [paillier.legendre(x, p) for x in values] == \
+        [euler[pow(x, (p - 1) // 2, p)] for x in values]
+
+
+@pytest.mark.skipif(ctypes.util.find_library("gmp") is None, reason="libgmp not installed")
+def test_legendre_runs_in_libgmp_where_installed(monkeypatch):
+    # the base-OT subgroup check on every received element
+    calls = []
+    jacobi = paillier._gmp.mpz_jacobi
+    monkeypatch.setattr(paillier._gmp, "mpz_jacobi",
+                        lambda *args: calls.append(1) or jacobi(*args))
+    p = ot.GROUPS["modp-768"].p
+    assert (paillier.legendre(4, p), paillier.legendre(p - 4, p)) == (1, -1)
+    assert calls == [1, 1]
 
 
 def test_textbook_crt_matches_plain_decrypt_2048():

@@ -34,6 +34,7 @@ from blindboost.protocol import (
     ProtocolConfig,
     Seeds,
     engine,
+    paper_faithful,
     parties,
     reconstruct_model,
     run_learning,
@@ -89,6 +90,13 @@ def test_config_validation():
     with pytest.raises(ModeNotPermittedInSecureProfile):
         ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer",
                        key_bits=2048, secure_profile=True)
+
+
+def test_secure_profile_requires_the_2048_bit_ot_group():
+    with pytest.raises(ConfigInvalid, match="modp-2048"):
+        ProtocolConfig(construction=HE_GC, tau=1, p_max=2, key_bits=2048,
+                       ot_group="modp-768", secure_profile=True)
+    assert paper_faithful(HE_GC, tau=1, p_max=2).ot_group == "modp-2048"
 
 
 _STREAM_TAGS = (b"keyg", b"user", b"mask", b"encr", b"garb", b"ot_r", b"ot_s")
