@@ -1,13 +1,17 @@
 """Garbling engine: free-XOR, point-and-permute, half-gates AND tables.
 
-Inside this module a label is a 128-bit int; wherever it leaves the module
-(input labels, tables, output labels, the decode map) it is the 16-byte
-little-endian encoding of that int. The permute bit is the label's least
-significant bit. For every wire label1 = label0 XOR delta, with delta odd so
-the two labels' permute bits differ. The gate cipher is keyed BLAKE2s over
-the label bytes followed by the 8-byte little-endian tweak. Every AND gate is
-a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT 2015); XOR and
-NOT gates are free.
+Inside this module a label is a 128-bit int; wherever labels leave it, a
+batch of them is one uint8 array of 16-byte little-endian labels, (count,
+16) or, for pairs, (count, 2, 16), and the AND tables leave it as bytes.
+The permute bit is the label's least significant bit. For every wire
+label1 = label0 XOR delta, with delta odd so the two labels' permute bits
+differ. The gate cipher is keyed BLAKE2s over the label bytes followed by
+the 8-byte little-endian tweak. Every AND gate is a half-gates pair of rows
+(Zahur, Rosulek and Evans, EUROCRYPT 2015); XOR and NOT gates are free.
+
+The garbler encodes its bits on the minuend wires `inputs_a` (`encode`) and
+hands the subtrahend wires' label pairs to OT (`label_pairs`); `evaluate`
+takes both label arrays in wire order.
 
 Both garbling and evaluation unpack the circuit's gates as (kind, a, b,
 out) tuples and keep labels in a list indexed by wire number.
@@ -21,6 +25,8 @@ reveals nothing it does not already know.
 import hashlib
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuits import NOT, XOR, Circuit
 from .errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
@@ -41,44 +47,47 @@ def _hash1(label: int, tweak: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _check_hash(label: int, output_index: int) -> bytes:
-    """The output-check entry of `label` on output wire `output_index`."""
-    return _hash1(label, _OUT_DOMAIN + output_index).to_bytes(LABEL_BYTES, "little")
+def _ints(blob: bytes) -> list:
+    """The consecutive 16-byte labels of `blob`, as ints."""
+    return [int.from_bytes(blob[off:off + LABEL_BYTES], "little")
+            for off in range(0, len(blob), LABEL_BYTES)]
 
 
-def _from_bytes(label: bytes) -> int:
-    if len(label) != LABEL_BYTES:
-        raise GCEvaluationFailure(f"label has {len(label)} bytes, expected {LABEL_BYTES}")
-    return int.from_bytes(label, "little")
+def _array(labels, pairs: bool = False) -> np.ndarray:
+    """Int labels as a (count, 16) array, or as (count, 2, 16) pairs."""
+    blob = b"".join([x.to_bytes(LABEL_BYTES, "little") for x in labels])
+    shape = (-1, 2, LABEL_BYTES) if pairs else (-1, LABEL_BYTES)
+    return np.frombuffer(blob, dtype=np.uint8).reshape(shape)
 
 
 @dataclass
 class GarbledCircuit:
     circuit: Circuit
     and_tables: list          # per AND gate, its (tg, te) rows as 128-bit ints
-    output_check: list        # per output wire, (hash for lsb 0, hash for lsb 1)
+    output_check: np.ndarray  # per output wire, (hash for lsb 0, hash for lsb 1)
     # garbler-side secrets; stripped from the evaluator's view
     delta: int | None = None
-    wire_label0: list | None = None    # per wire number, its 0-label
-    output_decode: list | None = None  # per output wire, (label0, label1) bytes
+    wire_label0: list | None = None          # per wire number, its 0-label
+    output_decode: np.ndarray | None = None  # per output wire, (label0, label1)
 
-    def encode(self, wires, bits) -> list:
-        """The label of each wire for its bit, as bytes."""
+    def encode(self, bits) -> np.ndarray:
+        """The label of each minuend wire for its bit."""
         if self.wire_label0 is None:
             raise GCEvaluationFailure("input labels are garbler-side only")
+        wires = self.circuit.inputs_a
         if len(wires) != len(bits):
             raise GCEvaluationFailure(f"{len(bits)} bits for {len(wires)} wires")
         label0, delta = self.wire_label0, self.delta
-        return [(label0[w] ^ delta if bit else label0[w]).to_bytes(LABEL_BYTES, "little")
-                for w, bit in zip(wires, bits)]
+        return _array([label0[w] ^ delta if bit else label0[w]
+                       for w, bit in zip(wires, bits)])
 
-    def label_pairs(self, wires) -> list:
-        """(label0, label1) per wire, as bytes: the garbler's OT inputs."""
+    def label_pairs(self) -> np.ndarray:
+        """(label0, label1) per subtrahend wire: the garbler's OT inputs."""
         if self.wire_label0 is None:
             raise GCEvaluationFailure("input labels are garbler-side only")
         label0, delta = self.wire_label0, self.delta
-        return [(label0[w].to_bytes(LABEL_BYTES, "little"),
-                 (label0[w] ^ delta).to_bytes(LABEL_BYTES, "little")) for w in wires]
+        return _array([x for w in self.circuit.inputs_b
+                       for x in (label0[w], label0[w] ^ delta)], pairs=True)
 
     def tables_bytes(self) -> bytes:
         return b"".join([row.to_bytes(LABEL_BYTES, "little")
@@ -119,16 +128,13 @@ def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:
     for idx, o in enumerate(circuit.outputs):
         l0 = label0[o]
         l1 = l0 ^ delta
-        pair = [b"", b""]
-        pair[l0 & 1] = _check_hash(l0, idx)
-        pair[l1 & 1] = _check_hash(l1, idx)
-        check.append(tuple(pair))
-        decode.append((l0.to_bytes(LABEL_BYTES, "little"),
-                       l1.to_bytes(LABEL_BYTES, "little")))
+        h0, h1 = _hash1(l0, _OUT_DOMAIN + idx), _hash1(l1, _OUT_DOMAIN + idx)
+        check += (h1, h0) if l0 & 1 else (h0, h1)
+        decode += (l0, l1)
 
     return GarbledCircuit(circuit=circuit, and_tables=tables,
-                          output_check=check, delta=delta, wire_label0=label0,
-                          output_decode=decode)
+                          output_check=_array(check, pairs=True), delta=delta,
+                          wire_label0=label0, output_decode=_array(decode, pairs=True))
 
 
 def evaluator_view(gc: GarbledCircuit) -> GarbledCircuit:
@@ -141,33 +147,28 @@ def tables_from_bytes(circuit: Circuit, buf: bytes) -> list:
     expect = circuit.and_count * 2 * LABEL_BYTES
     if len(buf) != expect:
         raise GCEvaluationFailure(f"table blob has {len(buf)} bytes, expected {expect}")
-    rows = iter([int.from_bytes(buf[off:off + LABEL_BYTES], "little")
-                 for off in range(0, expect, LABEL_BYTES)])
+    rows = iter(_ints(buf))
     return list(zip(rows, rows))  # consecutive row pairs, per gate
 
 
-def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
-    """Run the garbled circuit on one label per input wire.
+def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
+    """Run the garbled circuit on the labels of the minuend wires and of the
+    subtrahend wires, each a (wires, 16) array in wire order.
 
-    Both label maps take wire numbers to 16-byte labels. Returns one output
-    label per output wire; the evaluator cannot decode them without the
-    garbler's decode map.
+    Returns one output label per output wire; the evaluator cannot decode
+    them without the garbler's decode map.
     """
     circuit = gc.circuit
-    labels = [0] * circuit.n_wires
-    missing = []
-    for w in circuit.all_inputs():
-        lab = evaluator_labels.get(w, garbler_labels.get(w))
-        if lab is None:
-            missing.append(w)
-        else:
-            labels[w] = _from_bytes(lab)
-    if missing:
-        raise GCEvaluationFailure(f"missing labels for input wires {missing[:8]}")
+    for given, wires in ((labels_a, circuit.inputs_a), (labels_b, circuit.inputs_b)):
+        if given.shape != (len(wires), LABEL_BYTES):
+            raise GCEvaluationFailure(f"{given.shape} labels for {len(wires)} input wires")
     tables = gc.and_tables
     if len(tables) != circuit.and_count or len(gc.output_check) != len(circuit.outputs):
         raise GCEvaluationFailure(f"{len(tables)} tables and {len(gc.output_check)} "
                                   f"output checks do not fit the circuit")
+    labels = [0] * circuit.n_wires
+    for w, lab in zip(circuit.all_inputs(), _ints(labels_a.tobytes() + labels_b.tobytes())):
+        labels[w] = lab
 
     and_index = 0
     for kind, a, b, out in circuit.gates:
@@ -187,28 +188,23 @@ def evaluate(gc: GarbledCircuit, evaluator_labels, garbler_labels) -> list:
             labels[out] = wg ^ we
             and_index += 1
 
-    out = []
-    for idx, o in enumerate(circuit.outputs):
-        lab = labels[o]
-        if _check_hash(lab, idx) != gc.output_check[idx][lab & 1]:
+    checks = _ints(gc.output_check.tobytes())
+    out = [labels[o] for o in circuit.outputs]
+    for idx, (o, lab) in enumerate(zip(circuit.outputs, out)):
+        if _hash1(lab, _OUT_DOMAIN + idx) != checks[2 * idx + (lab & 1)]:
             raise GarbledRowAuthFailure(f"output wire {o}: no clean decryption")
-        out.append(lab.to_bytes(LABEL_BYTES, "little"))
-    return out
+    return _array(out)
 
 
-def decode_output(labels, decode_map) -> list:
+def decode_output(labels: np.ndarray, decode_map: np.ndarray | None) -> list:
     """Garbler-side mapping from output labels to bits."""
     if decode_map is None:
         raise UnknownLabel("decode map withheld")
-    if len(labels) != len(decode_map):
-        raise GCEvaluationFailure(f"{len(labels)} output labels for "
+    if labels.shape != (len(decode_map), LABEL_BYTES):
+        raise GCEvaluationFailure(f"{labels.shape} output labels for "
                                   f"{len(decode_map)} output wires")
-    bits = []
-    for lab, (l0, l1) in zip(labels, decode_map):
-        if lab == l0:
-            bits.append(0)
-        elif lab == l1:
-            bits.append(1)
-        else:
-            raise UnknownLabel("label matches neither decode entry")
-    return bits
+    is0 = (labels == decode_map[:, 0]).all(axis=1)
+    is1 = (labels == decode_map[:, 1]).all(axis=1)
+    if not (is0 | is1).all():
+        raise UnknownLabel("label matches neither decode entry")
+    return is1.astype(np.uint8).tolist()

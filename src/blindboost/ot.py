@@ -28,6 +28,9 @@ Three building blocks:
   transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
   Flagged insecure; refused when the secure profile is active.
+
+Labels, label pairs and the seed pairs are garbling's uint8 arrays, (count,
+16) and (count, 2, 16), and every step computes on them as such.
 """
 
 import hashlib
@@ -95,8 +98,9 @@ def _kdf(elem: int, index: int) -> bytes:
                            key=b"blindboost-ot-v1", digest_size=LABEL_BYTES).digest()
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _pick(pairs: np.ndarray, bits) -> np.ndarray:
+    """Label bits[i] of pair i, for every pair."""
+    return pairs[np.arange(len(pairs)), np.asarray(bits, dtype=np.intp) & 1]
 
 
 class OTSender:
@@ -111,7 +115,7 @@ class OTSender:
     def setup_message(self) -> int:
         return self.A
 
-    def respond(self, bs: list, pairs: list) -> list:
+    def respond(self, bs: list, pairs: np.ndarray) -> np.ndarray:
         """Per wire i: (m0 ^ H(B^a), m1 ^ H(B^a * A^{-a})), where
         B^a * A^{-a} = (B/A)^a."""
         if len(bs) != len(pairs):
@@ -119,12 +123,13 @@ class OTSender:
         p = self.group.p
 
         def one(item):
-            i, (b, (m0, m1)) = item
+            i, b = item
             _validate_element(self.group, b)
             b_a = powmod(b, self._a, p)
-            return _xor(m0, _kdf(b_a, i)), _xor(m1, _kdf(b_a * self._A_neg_a % p, i))
+            return _kdf(b_a, i) + _kdf(b_a * self._A_neg_a % p, i)
 
-        return fan_out(one, enumerate(zip(bs, pairs)))
+        keys = np.frombuffer(b"".join(fan_out(one, enumerate(bs))), dtype=np.uint8)
+        return pairs ^ keys.reshape(pairs.shape)
 
 
 class OTReceiver:
@@ -151,18 +156,19 @@ class OTReceiver:
 
         return fan_out(one, zip(self._secrets, self._choices))
 
-    def finish(self, responses: list) -> list:
+    def finish(self, responses: np.ndarray) -> np.ndarray:
         if self._secrets is None:
             raise OTFailure("choose() was not called")
-        if len(responses) != len(self._secrets):
-            raise OTFailure("response count does not match choice count")
+        if responses.shape != (len(self._secrets), 2, LABEL_BYTES):
+            raise OTFailure(f"{responses.shape} responses for {len(self._secrets)} choices")
         p = self.group.p
 
         def one(item):
-            i, ((e0, e1), b, c) = item
-            return _xor(e1 if c else e0, _kdf(powmod(self.A, b, p), i))
+            i, b = item
+            return _kdf(powmod(self.A, b, p), i)
 
-        return fan_out(one, enumerate(zip(responses, self._secrets, self._choices)))
+        keys = np.frombuffer(b"".join(fan_out(one, enumerate(self._secrets))), dtype=np.uint8)
+        return _pick(responses, self._choices) ^ keys.reshape(-1, LABEL_BYTES)
 
 
 KAPPA = 128                 # base OTs per extension session
@@ -176,10 +182,8 @@ class _Prg:
     Each read continues after the last block handed out, so no part of a
     column stream is ever used twice."""
 
-    def __init__(self, seeds: list):
-        if any(len(k) != LABEL_BYTES for k in seeds):
-            raise OTFailure("extension seed of the wrong length")
-        self._keyed = [hashlib.blake2b(key=k, digest_size=_PRG_BLOCK,
+    def __init__(self, seeds: np.ndarray):
+        self._keyed = [hashlib.blake2b(key=k.tobytes(), digest_size=_PRG_BLOCK,
                                        person=b"blindboost-prg") for k in seeds]
         self._block = 0
 
@@ -217,18 +221,6 @@ def _hash_rows(rows: np.ndarray, first: int) -> np.ndarray:
     return np.frombuffer(bytes(out), dtype=np.uint8).reshape(len(rows), LABEL_BYTES)
 
 
-def _label_matrix(labels: list) -> np.ndarray:
-    blob = b"".join(labels)
-    if len(blob) != LABEL_BYTES * len(labels):
-        raise OTFailure("label of the wrong length")
-    return np.frombuffer(blob, dtype=np.uint8).reshape(len(labels), LABEL_BYTES)
-
-
-def _label_list(mat: np.ndarray) -> list:
-    blob = mat.tobytes()
-    return [blob[i:i + LABEL_BYTES] for i in range(0, len(blob), LABEL_BYTES)]
-
-
 class OTExtReceiver:
     """IKNP extension receiver: the chooser (the garbled-circuit evaluator).
 
@@ -237,11 +229,11 @@ class OTExtReceiver:
 
     def __init__(self, group: Group, rng: random.Random):
         self._base = OTSender(group, rng)
-        self._seeds = [(rng.getrandbits(128).to_bytes(LABEL_BYTES, "big"),
-                        rng.getrandbits(128).to_bytes(LABEL_BYTES, "big"))
-                       for _ in range(KAPPA)]
-        self._g0 = _Prg([k0 for k0, _ in self._seeds])
-        self._g1 = _Prg([k1 for _, k1 in self._seeds])
+        seeds = b"".join([rng.getrandbits(128).to_bytes(LABEL_BYTES, "big")
+                          for _ in range(2 * KAPPA)])
+        self._seeds = np.frombuffer(seeds, dtype=np.uint8).reshape(KAPPA, 2, LABEL_BYTES)
+        self._g0 = _Prg(self._seeds[:, 0])
+        self._g1 = _Prg(self._seeds[:, 1])
         self._next = 0              # session-wide index of the next transfer
         self._pending = None
 
@@ -263,16 +255,15 @@ class OTExtReceiver:
         self._next += len(r)
         return u.tobytes()
 
-    def finish(self, responses: list) -> list:
+    def finish(self, responses: np.ndarray) -> np.ndarray:
         """The chosen label x_{r_j} = y_{r_j} ^ H(j, t_j) per transfer."""
         if self._pending is None:
             raise OTFailure("choose() was not called")
         r, t_rows, first = self._pending
         self._pending = None
-        if len(responses) != len(r):
-            raise OTFailure("response count does not match choice count")
-        chosen = _label_matrix([pair[c] for pair, c in zip(responses, r)])
-        return _label_list(chosen ^ _hash_rows(t_rows, first))
+        if responses.shape != (len(r), 2, LABEL_BYTES):
+            raise OTFailure(f"{responses.shape} responses for {len(r)} choices")
+        return _pick(responses, r) ^ _hash_rows(t_rows, first)
 
 
 class OTExtSender:
@@ -292,10 +283,10 @@ class OTExtSender:
     def base_choose(self) -> list:
         return self._base.choose(self._s_bits.tolist())
 
-    def base_finish(self, responses: list) -> None:
+    def base_finish(self, responses: np.ndarray) -> None:
         self._prg = _Prg(self._base.finish(responses))
 
-    def respond(self, u: bytes, pairs: list) -> list:
+    def respond(self, u: bytes, pairs: np.ndarray) -> np.ndarray:
         """Per transfer j: (x0 ^ H(j, q_j), x1 ^ H(j, q_j ^ s)), where
         Q = G(k^s) ^ s*U holds rows q_j = t_j ^ r_j*s."""
         if self._prg is None:
@@ -309,16 +300,14 @@ class OTExtSender:
         q_rows = _rows(q, m)
         first = self._next
         self._next += m
-        y0 = _label_matrix([x0 for x0, _ in pairs]) ^ _hash_rows(q_rows, first)
-        y1 = _label_matrix([x1 for _, x1 in pairs]) ^ _hash_rows(q_rows ^ self._s_row,
-                                                                  first)
-        return list(zip(_label_list(y0), _label_list(y1)))
+        return pairs ^ np.stack([_hash_rows(q_rows, first),
+                                 _hash_rows(q_rows ^ self._s_row, first)], axis=1)
 
 
-def dealer_choose(pairs: list, bits: list, secure_profile: bool = False) -> list:
+def dealer_choose(pairs: np.ndarray, bits: list, secure_profile: bool = False) -> np.ndarray:
     """Trusted-dealer shortcut; test mode only."""
     if secure_profile:
         raise ModeNotPermittedInSecureProfile("dealer OT is a test mode")
     if len(pairs) != len(bits):
         raise OTFailure("pair/choice count mismatch")
-    return [p[int(c) & 1] for p, c in zip(pairs, bits)]
+    return _pick(pairs, bits)

@@ -106,11 +106,13 @@ def powmod(base: int, exp: int, mod: int) -> int:
 
     Runs GMP's constant-time mpz_powm_sec through ctypes, which releases
     the GIL for the call, so two party threads exponentiate in parallel.
-    Builtin pow covers what mpz_powm_sec does not take (exp <= 0, an even
-    modulus, mod < 3) and machines without libgmp.
+    A zero exponent runs it on exponent 1 and returns 1, so a secret 0
+    takes the time of any other one-limb exponent. Builtin pow covers what
+    mpz_powm_sec does not take (exp < 0, an even modulus, mod < 3) and
+    machines without libgmp.
     """
     gmp = _gmp
-    if gmp is None or exp <= 0 or not mod & 1 or mod < 3:
+    if gmp is None or exp < 0 or not mod & 1 or mod < 3:
         return pow(base, exp, mod)
     width = (mod.bit_length() + 7) // 8
 
@@ -120,7 +122,8 @@ def powmod(base: int, exp: int, mod: int) -> int:
         gmp.mpz_export(out, None, -1, 1, 0, 0, r)
         return int.from_bytes(out.raw, "little")
 
-    return _with_mpz(gmp, (base % mod, exp, mod), powm)
+    r = _with_mpz(gmp, (base % mod, exp or 1, mod), powm)
+    return r if exp else 1
 
 
 def legendre(x: int, p: int) -> int:

@@ -239,10 +239,9 @@ def garbler_round(ch, side, values) -> list:
     gc = garble(circuit, side.garble_rng)
     counters.and_gates += circuit.and_count
     ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
-            + wire.pack_labels(gc.encode(circuit.inputs_a,
-                                         record_bits(values, side.ring_bits)))
+            + wire.pack_labels(gc.encode(record_bits(values, side.ring_bits)))
             + wire.pack_label_pairs(gc.output_check))
-    pairs = gc.label_pairs(circuit.inputs_b)
+    pairs = gc.label_pairs()
     counters.ot_transfers += len(pairs)
     side.label_ot.send(ch, pairs)
     return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels),
@@ -269,9 +268,7 @@ def evaluator_round(ch, side, values) -> None:
                         output_check=checks)
     bits = record_bits(values, side.ring_bits)
     counters.ot_transfers += len(bits)
-    ev_labels = side.label_ot.receive(ch, bits)
-    out_labels = evaluate(gc, dict(zip(circuit.inputs_b, ev_labels)),
-                          dict(zip(circuit.inputs_a, garbler_labels)))
+    out_labels = evaluate(gc, garbler_labels, side.label_ot.receive(ch, bits))
     counters.and_gates += circuit.and_count
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
 

@@ -177,10 +177,14 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k
-    _, error_vectors = run_pair(
-        lambda: _cloud_loop(ch_cloud, cfg, fp, rows, k, catalog_base, kp.public),
-        lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp.ring_bits, len(catalog)),
-        ch_cloud, ch_csp)
+    try:
+        _, error_vectors = run_pair(
+            lambda: _cloud_loop(ch_cloud, cfg, fp, rows, k, catalog_base, kp.public),
+            lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp.ring_bits, len(catalog)),
+            ch_cloud, ch_csp)
+    finally:  # also when a party fails or the CSP thread times out
+        ch_cloud.close()
+        ch_csp.close()
     transcript.validate_phase_order()
 
     delta = np.full(n, 1.0 / n)

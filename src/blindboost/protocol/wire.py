@@ -7,7 +7,15 @@ tuples and counts the same framed length.
 Every ``unpack_*`` helper raises ``MalformedMessage`` when a field or a
 declared count runs past the end of the payload; ``expect_end`` raises it
 on bytes after the last field.
+
+Labels travel as a u32 count and the bytes of garbling's label array; their
+unpackers check the count against the payload before they return a
+read-only (count, 16) or (count, 2, 16) view of it.
 """
+
+import math
+
+import numpy as np
 
 from ..garbling import LABEL_BYTES
 # the one integer codec and its checks live with the ciphertexts it serializes
@@ -28,33 +36,28 @@ def unpack_u32(buf: bytes, off: int = 0):
     return int.from_bytes(buf[off:off + 4], "big"), off + 4
 
 
+def _unpack_rows(buf: bytes, off: int, row_shape: tuple, what: str):
+    count, off = unpack_u32(buf, off)
+    nbytes = count * math.prod(row_shape)
+    require_bytes(buf, off, nbytes, f"{count} {what}")
+    rows = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off)
+    return rows.reshape(count, *row_shape), off + nbytes
+
+
 def pack_labels(labels) -> bytes:
-    return pack_u32(len(labels)) + b"".join(labels)
+    return pack_u32(len(labels)) + labels.tobytes()
 
 
 def unpack_labels(buf: bytes, off: int = 0):
-    count, off = unpack_u32(buf, off)
-    require_bytes(buf, off, count * LABEL_BYTES, f"{count} labels")
-    labels = []
-    for _ in range(count):
-        labels.append(buf[off:off + LABEL_BYTES])
-        off += LABEL_BYTES
-    return labels, off
+    return _unpack_rows(buf, off, (LABEL_BYTES,), "labels")
 
 
 def pack_label_pairs(pairs) -> bytes:
-    return pack_u32(len(pairs)) + b"".join(a + b for a, b in pairs)
+    return pack_u32(len(pairs)) + pairs.tobytes()
 
 
 def unpack_label_pairs(buf: bytes, off: int = 0):
-    count, off = unpack_u32(buf, off)
-    require_bytes(buf, off, count * 2 * LABEL_BYTES, f"{count} label pairs")
-    pairs = []
-    for _ in range(count):
-        pairs.append((buf[off:off + LABEL_BYTES],
-                      buf[off + LABEL_BYTES:off + 2 * LABEL_BYTES]))
-        off += 2 * LABEL_BYTES
-    return pairs, off
+    return _unpack_rows(buf, off, (2, LABEL_BYTES), "label pairs")
 
 
 def pack_blob(blob: bytes) -> bytes:

@@ -36,6 +36,7 @@ from blindboost.garbling import decode_output, evaluate, evaluator_view, garble
 from blindboost.harness.datasets import gen_synthetic, load_csv
 from blindboost.harness.experiments import make_trainer
 from blindboost.harness.leakage import leakage_analysis
+from blindboost.ot import dealer_choose
 from blindboost.protocol import (
     HE_GC,
     SECSH_GC,
@@ -260,9 +261,8 @@ def test_criterion_05_protocol_oracle_equivalence():
 
 def _garbled_msb(gc_pair, a, b, width):
     gc = gc_pair
-    ev = dict(zip(gc.circuit.inputs_b, gc.encode(gc.circuit.inputs_b, int_to_bits(b, width))))
-    ga = dict(zip(gc.circuit.inputs_a, gc.encode(gc.circuit.inputs_a, int_to_bits(a, width))))
-    out = evaluate(evaluator_view(gc), ev, ga)
+    ev = dealer_choose(gc.label_pairs(), int_to_bits(b, width))
+    out = evaluate(evaluator_view(gc), gc.encode(int_to_bits(a, width)), ev)
     return decode_output(out, gc.output_decode)[0]
 
 

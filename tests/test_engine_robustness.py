@@ -119,10 +119,40 @@ def test_hung_csp_thread_leaves_no_socket_open(hung_csp, monkeypatch):
     assert [end._sock.fileno() for end in ends] == [-1, -1]  # both closed
 
 
-def test_hung_csp_thread_fails_stump_selection(hung_csp):
-    hung_csp(stump_select, "_csp_loop")
+def _stump_dataset():
     rng = np.random.default_rng(1)
     y = rng.choice([-1, 1], size=6).astype(np.int8)
-    ds = Dataset(rng.uniform(-2, 2, size=(6, 2)), y)
+    return Dataset(rng.uniform(-2, 2, size=(6, 2)), y)
+
+
+def test_hung_csp_thread_fails_stump_selection(hung_csp):
+    hung_csp(stump_select, "_csp_loop")
     with pytest.raises(PartyTimeout):
-        stump_select.confidential_ds_select(_cfg(), ds, s=2, tau=1)
+        stump_select.confidential_ds_select(_cfg(), _stump_dataset(), s=2, tau=1)
+
+
+@pytest.mark.parametrize("owner, name, ch_arg, run", [
+    (CSPParty, "run", 1, lambda: run_learning(_cfg(), _folded())),
+    (stump_select, "_csp_loop", 0,
+     lambda: stump_select.confidential_ds_select(_cfg(), _stump_dataset(), s=2, tau=1)),
+], ids=["run_learning", "stump_selection"])
+def test_csp_thread_waiting_on_recv_ends_with_the_run(monkeypatch, owner, name, ch_arg,
+                                                       run):
+    # the CSP waits for one more message after its last: the run times out,
+    # and closing both ends wakes the CSP thread from its recv
+    monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 0.5)
+    real = getattr(owner, name)
+
+    def one_more_recv(*args):
+        out = real(*args)
+        args[ch_arg].recv()
+        return out
+
+    monkeypatch.setattr(owner, name, one_more_recv)
+    before = set(threading.enumerate())
+    with pytest.raises(PartyTimeout):
+        run()
+    left = [t for t in threading.enumerate() if t.name == "csp" and t not in before]
+    for t in left:
+        t.join(timeout=1)
+    assert not any(t.is_alive() for t in left), "the CSP thread is still in recv"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from blindboost import garbling
@@ -21,14 +22,14 @@ from blindboost.garbling import (
 )
 
 
-def _labels_for(gc, wires, bits):
-    return dict(zip(wires, gc.encode(wires, bits)))
+def _chosen(gc, b_bits):
+    """The subtrahend labels of `b_bits`: label b_bits[i] of pair i."""
+    pairs = gc.label_pairs()
+    return pairs[np.arange(len(pairs)), np.asarray(b_bits, dtype=np.intp)]
 
 
 def _run(gc, a_bits, b_bits):
-    ga = _labels_for(gc, gc.circuit.inputs_a, a_bits)
-    ev = _labels_for(gc, gc.circuit.inputs_b, b_bits)
-    out = evaluate(evaluator_view(gc), ev, ga)
+    out = evaluate(evaluator_view(gc), gc.encode(a_bits), _chosen(gc, b_bits))
     return decode_output(out, gc.output_decode)
 
 
@@ -58,18 +59,27 @@ def test_xor_circuit_emits_no_tables():
 def test_identity_passthrough():
     c = Circuit(n_wires=1, inputs_a=(0,), inputs_b=(), gates=(), outputs=(0,))
     gc = garble(c, random.Random(2))
-    (lab,) = gc.encode([0], [1])
-    out = evaluate(evaluator_view(gc), {}, {0: lab})
-    assert out == [lab]
+    lab = gc.encode([1])
+    out = evaluate(evaluator_view(gc), lab, _chosen(gc, []))
+    assert np.array_equal(out, lab)
     assert decode_output(out, gc.output_decode) == [1]
+
+
+def _input_pairs(gc):
+    """(label0, label1) of every input wire, minuend wires first."""
+    zeros = [0] * len(gc.circuit.inputs_a)
+    minuend = np.stack([gc.encode(zeros), gc.encode([1 for _ in zeros])], axis=1)
+    return np.concatenate([minuend, gc.label_pairs()])
 
 
 def test_free_xor_invariant_structural():
     c = build_sub_msb_batch(6, 1)
     gc = garble(c, random.Random(3))
     delta = gc.delta.to_bytes(16, "little")
-    for l0, l1 in gc.label_pairs(range(c.n_wires)):
-        assert bytes(x ^ y for x, y in zip(l0, delta)) == l1
+    # every other wire's label1 is its label0 ^ delta by construction
+    assert gc.delta & 1 == 1
+    for l0, l1 in _input_pairs(gc):
+        assert (l0 ^ l1).tobytes() == delta
         # permute bits of the two labels always differ
         assert (l0[0] ^ l1[0]) & 1 == 1
 
@@ -121,17 +131,18 @@ def test_corrupted_table_raises_auth_failure():
 
 def test_decode_unknown_label():
     gc = garble(single_and_circuit(), random.Random(10))
+    zero = np.zeros((1, 16), dtype=np.uint8)
     with pytest.raises(UnknownLabel):
-        decode_output([b"\x00" * 16], gc.output_decode)
+        decode_output(zero, gc.output_decode)
     with pytest.raises(UnknownLabel):
-        decode_output([b"\x00" * 16], None)  # decode map withheld
+        decode_output(zero, None)  # decode map withheld
 
 
 def test_decode_wrong_label_count():
     gc = garble(build_sub_msb_batch(4, 3), random.Random(10))
-    labels = [l0 for l0, _ in gc.output_decode]
+    labels = gc.output_decode[:, 0]
     assert decode_output(labels, gc.output_decode) == [0, 0, 0]
-    for wrong in (labels[:1], labels + labels[:1]):
+    for wrong in (labels[:1], np.concatenate([labels, labels[:1]])):
         with pytest.raises(GCEvaluationFailure):
             decode_output(wrong, gc.output_decode)
 
@@ -140,29 +151,41 @@ def test_encode_wrong_bit_count():
     gc = garble(build_sub_msb_batch(4, 3), random.Random(10))
     wires = gc.circuit.inputs_a
     bits = [1] * len(wires)
-    assert len(gc.encode(wires, bits)) == len(wires)
+    assert gc.encode(bits).shape == (len(wires), 16)
     for wrong in (bits[:-1], bits + [1]):  # one bit too few, one too many
         with pytest.raises(GCEvaluationFailure):
-            gc.encode(wires, wrong)
+            gc.encode(wrong)
+
+
+def test_input_labels_are_garbler_side_only():
+    gc = garble(build_sub_msb_batch(4, 3), random.Random(10))
+    view = evaluator_view(gc)
+    with pytest.raises(GCEvaluationFailure, match="garbler-side only"):
+        view.encode([1] * len(gc.circuit.inputs_a))
+    with pytest.raises(GCEvaluationFailure, match="garbler-side only"):
+        view.label_pairs()
 
 
 def test_evaluate_rejects_malformed_inputs():
     gc = garble(single_and_circuit(), random.Random(12))
     view = evaluator_view(gc)
-    ga, ev = _labels_for(gc, [0], [1]), _labels_for(gc, [1], [1])
+    ga, ev = gc.encode([1]), _chosen(gc, [1])
     with pytest.raises(GCEvaluationFailure):
-        evaluate(view, {1: ev[1][:15]}, ga)  # short label
+        evaluate(view, ga, ev[:, :15])  # short label
     with pytest.raises(GCEvaluationFailure):
-        evaluate(view, {}, ga)  # missing label
+        evaluate(view, ga, ev[:0])  # missing label
     view.and_tables = []
     with pytest.raises(GCEvaluationFailure):
-        evaluate(view, ev, ga)  # table count does not fit the circuit
+        evaluate(view, ga, ev)  # table count does not fit the circuit
 
 
 def test_tables_round_trip_bytes():
     c = build_sub_msb_batch(6, 1)
     gc = garble(c, random.Random(11))
     assert tables_from_bytes(c, gc.tables_bytes()) == gc.and_tables
+    for wrong in (gc.tables_bytes()[:-1], gc.tables_bytes() + b"\x00"):
+        with pytest.raises(GCEvaluationFailure, match="table blob"):
+            tables_from_bytes(c, wrong)
 
 
 def test_mixed_gate_circuit_exhaustive():
@@ -203,9 +226,6 @@ GARBLE_GOLDEN = ("550a4a16c7c8fce764490ebe7a12afd29d700cbda2aad335f586dba9f2da6e
 def test_garbled_bytes_known_answer():
     c = build_sub_msb_batch(17, 4)
     gc = garble(c, random.Random(5))
-    labels = hashlib.sha256()
-    for l0, l1 in gc.label_pairs(c.all_inputs()):
-        labels.update(l0 + l1)
     assert (hashlib.sha256(gc.tables_bytes()).hexdigest(),
-            hashlib.sha256(b"".join(a + b for a, b in gc.output_check)).hexdigest(),
-            labels.hexdigest()) == GARBLE_GOLDEN
+            hashlib.sha256(gc.output_check.tobytes()).hexdigest(),
+            hashlib.sha256(_input_pairs(gc).tobytes()).hexdigest()) == GARBLE_GOLDEN

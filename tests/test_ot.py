@@ -15,8 +15,16 @@ from blindboost.protocol.config import HE_GC, ProtocolConfig, paper_faithful, st
 
 
 def _pairs(rng, count):
-    return [(rng.getrandbits(128).to_bytes(16, "big"),
-             rng.getrandbits(128).to_bytes(16, "big")) for _ in range(count)]
+    blob = b"".join(rng.getrandbits(128).to_bytes(16, "big") for _ in range(2 * count))
+    return np.frombuffer(blob, dtype=np.uint8).reshape(count, 2, 16)
+
+
+def _chosen(pairs, bits):
+    """Label bits[i] of pair i, as a (count, 16) array."""
+    return np.stack([p[b] for p, b in zip(pairs, bits)]).reshape(-1, 16)
+
+
+_ONE_PAIR = np.frombuffer(b"0" * 16 + b"1" * 16, dtype=np.uint8).reshape(1, 2, 16)
 
 
 def _spy_powmod(monkeypatch):
@@ -60,12 +68,15 @@ def test_dealer_choice():
     pairs = _pairs(rng, 8)
     bits = [0, 1, 1, 0, 1, 0, 0, 1]
     got = ot.dealer_choose(pairs, bits)
-    assert got == [p[b] for p, b in zip(pairs, bits)]
+    assert np.array_equal(got, _chosen(pairs, bits))
+    for wrong in (bits[:-1], bits + [0]):
+        with pytest.raises(OTFailure, match="count mismatch"):
+            ot.dealer_choose(pairs, wrong)
 
 
 def test_dealer_refused_in_secure_profile():
     with pytest.raises(ModeNotPermittedInSecureProfile):
-        ot.dealer_choose([(b"0" * 16, b"1" * 16)], [0], secure_profile=True)
+        ot.dealer_choose(_ONE_PAIR, [0], secure_profile=True)
 
 
 def _base_ot(pairs, bits, sender_seed, receiver_seed):
@@ -80,11 +91,12 @@ def test_base_ot_delivers_chosen_labels():
     rng = random.Random(2)
     pairs = _pairs(rng, 64)
     bits = [rng.getrandbits(1) for _ in range(64)]
-    assert _base_ot(pairs, bits, 3, 4) == [p[b] for p, b in zip(pairs, bits)]
+    assert np.array_equal(_base_ot(pairs, bits, 3, 4), _chosen(pairs, bits))
 
 
 def test_base_ot_choice_zero():
-    assert _base_ot([(b"A" * 16, b"B" * 16)], [0], 5, 6) == [b"A" * 16]
+    pair = np.frombuffer(b"A" * 16 + b"B" * 16, dtype=np.uint8).reshape(1, 2, 16)
+    assert _base_ot(pair, [0], 5, 6).tobytes() == b"A" * 16
 
 
 def test_replayed_transcript_wrong_choice_gives_garbage():
@@ -99,21 +111,21 @@ def test_replayed_transcript_wrong_choice_gives_garbage():
     bs = receiver.choose(bits)
     responses = sender.respond(bs, pairs)
     labels = receiver.finish(responses)
-    assert labels == [p[b] for p, b in zip(pairs, bits)]
+    assert np.array_equal(labels, _chosen(pairs, bits))
     # decrypt the other row with the same key material
     for i, ((e0, e1), c) in enumerate(zip(responses, bits)):
         k = ot._kdf(ot.powmod(receiver.A, receiver._secrets[i], group.p), i)
-        wrong = ot._xor(e0 if c else e1, k)
-        assert wrong != pairs[i][0] and wrong != pairs[i][1]
+        wrong = (e0 if c else e1) ^ np.frombuffer(k, dtype=np.uint8)
+        assert not any(np.array_equal(wrong, x) for x in pairs[i])
 
 
 def test_group_element_validation():
     group = ot.GROUPS["modp-768"]
     sender = ot.OTSender(group, random.Random(10))
     with pytest.raises(GroupElementInvalid):
-        sender.respond([1], [(b"0" * 16, b"1" * 16)])
+        sender.respond([1], _ONE_PAIR)
     with pytest.raises(GroupElementInvalid):
-        sender.respond([group.p - 1], [(b"0" * 16, b"1" * 16)])
+        sender.respond([group.p - 1], _ONE_PAIR)
     with pytest.raises(GroupElementInvalid):
         ot.OTReceiver(group, random.Random(11), 0)
 
@@ -123,9 +135,9 @@ def test_subgroup_check_in_secure_profile():
     sender = ot.OTSender(group, random.Random(12))
     # -4 is a non-residue (p = 3 mod 4), hence outside the order-q subgroup
     with pytest.raises(GroupElementInvalid):
-        sender.respond([group.p - 4], [(b"0" * 16, b"1" * 16)])
+        sender.respond([group.p - 4], _ONE_PAIR)
     # a genuine subgroup element passes the check
-    sender.respond([ot.powmod(group.g, 12345, group.p)], [(b"0" * 16, b"1" * 16)])
+    sender.respond([ot.powmod(group.g, 12345, group.p)], _ONE_PAIR)
 
 
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
@@ -185,10 +197,18 @@ def test_count_mismatch(monkeypatch):
     responses = sender.respond(receiver.choose([0, 1, 1]), _pairs(random.Random(18), 3))
     calls = _spy_powmod(monkeypatch)
     with pytest.raises(OTFailure):
-        sender.respond([4, 4], [(b"0" * 16, b"1" * 16)])
+        sender.respond([4, 4], _ONE_PAIR)
     with pytest.raises(OTFailure):
         receiver.finish(responses[:2])
     assert calls == []  # refused before any exponentiation
+
+
+def test_finish_before_choose_is_refused():
+    group = ot.GROUPS["modp-768"]
+    sender = ot.OTSender(group, random.Random(13))
+    receiver = ot.OTReceiver(group, random.Random(17), sender.setup_message())
+    with pytest.raises(OTFailure, match="choose"):
+        receiver.finish(_pairs(random.Random(18), 0))
 
 
 def test_sender_second_key_matches_two_pow_formula():
@@ -198,13 +218,12 @@ def test_sender_second_key_matches_two_pow_formula():
     sender = ot.OTSender(group, random.Random(15))
     receiver = ot.OTReceiver(group, random.Random(16), sender.setup_message())
     bs = receiver.choose([rng.getrandbits(1) for _ in range(6)])
-    zero = bytes(16)
-    keys = sender.respond(bs, [(zero, zero)] * len(bs))
+    keys = sender.respond(bs, np.zeros((len(bs), 2, 16), dtype=np.uint8))
     a, p = sender._a, group.p
     a_inv = pow(sender.A, p - 2, p)
     for i, (b, (k0, k1)) in enumerate(zip(bs, keys)):
-        assert k0 == ot._kdf(pow(b, a, p), i)
-        assert k1 == ot._kdf(pow(b * a_inv % p, a, p), i)
+        assert k0.tobytes() == ot._kdf(pow(b, a, p), i)
+        assert k1.tobytes() == ot._kdf(pow(b * a_inv % p, a, p), i)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +262,7 @@ def test_extension_delivers_chosen_labels_over_rounds():
             u = receiver.choose(bits)
             assert len(u) == ot.KAPPA * ((m + 7) // 8)
             got = receiver.finish(sender.respond(u, pairs))
-            assert got == [p[b] for p, b in zip(pairs, bits)]
+            assert np.array_equal(got, _chosen(pairs, bits))
 
 
 def test_extension_same_choices_give_fresh_u():
@@ -257,8 +276,8 @@ def test_extension_same_choices_give_fresh_u():
     for _ in range(2):
         u = receiver.choose(bits)
         seen.append(u)
-        assert receiver.finish(sender.respond(u, pairs)) == \
-            [p[b] for p, b in zip(pairs, bits)]
+        assert np.array_equal(receiver.finish(sender.respond(u, pairs)),
+                              _chosen(pairs, bits))
     assert seen[0] != seen[1]
 
 
@@ -271,9 +290,9 @@ def test_extension_unchosen_label_stays_masked():
     r, t_rows, first = receiver._pending
     masks = ot._hash_rows(t_rows, first)
     for j, ((y0, y1), c) in enumerate(zip(responses, r)):
-        other = ot._xor(y0 if c else y1, masks[j].tobytes())
-        assert other not in pairs[j]
-    assert receiver.finish(responses) == [p[b] for p, b in zip(pairs, bits)]
+        other = (y0 if c else y1) ^ masks[j]
+        assert not any(np.array_equal(other, x) for x in pairs[j])
+    assert np.array_equal(receiver.finish(responses), _chosen(pairs, bits))
 
 
 def test_extension_base_ots_check_subgroup(monkeypatch, one_worker_pool):
@@ -307,7 +326,7 @@ def test_extension_rejects_malformed_messages():
         receiver.finish(responses[:-1])
     receiver.choose(bits)
     with pytest.raises(OTFailure):
-        receiver.finish(responses[:-1] + [(responses[-1][0][:5], responses[-1][1][:5])])
+        receiver.finish(responses[:, :, :5])  # labels of the wrong length
     with pytest.raises(OTFailure):
         receiver.finish(responses)  # no choose() since the last finish
     fresh = ot.OTExtSender(ot.GROUPS["modp-768"], random.Random(32),
@@ -316,7 +335,7 @@ def test_extension_rejects_malformed_messages():
         fresh.respond(u, pairs)  # base OTs not run
     fresh.base_choose()
     with pytest.raises(OTFailure):
-        fresh.base_finish([(b"\x00" * 16, b"\x00" * 16)])  # count mismatch
+        fresh.base_finish(np.zeros((1, 2, 16), dtype=np.uint8))  # count mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +359,9 @@ def _session_outputs(seed, group):
         pairs = _pairs(rng, m)
         u = receiver.choose([rng.getrandbits(1) for _ in range(m)])
         ys = sender.respond(u, pairs)
-        rounds.append((u, ys, receiver.finish(ys)))
-    return a, bs, base, learned, rounds, r_rng.getstate(), s_rng.getstate()
+        rounds.append((u, ys.tobytes(), receiver.finish(ys).tobytes()))
+    return (a, bs, base.tobytes(), learned.tobytes(), rounds, r_rng.getstate(),
+            s_rng.getstate())
 
 
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))

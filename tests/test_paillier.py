@@ -74,6 +74,21 @@ def test_gmp_kernel_is_active_where_libgmp_is_installed(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.skipif(ctypes.util.find_library("gmp") is None, reason="libgmp not installed")
+def test_zero_scalar_runs_the_constant_time_kernel(monkeypatch, keypair_512):
+    # a zero secret scalar must cost what any other does: one that skipped
+    # the kernel would return at once, and the time of a reply would show
+    # which scalars are 0
+    pk = keypair_512.public
+    c = paillier.encrypt(pk, 42, random.Random(3))
+    calls = []
+    powm_sec = paillier._gmp.mpz_powm_sec
+    monkeypatch.setattr(paillier._gmp, "mpz_powm_sec",
+                        lambda *args: calls.append(1) or powm_sec(*args))
+    assert paillier.he_scalar_mul(pk, c, 0) == paillier.Ciphertext(1, c.key_id)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("gmp", ["libgmp", "fallback"])
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
 def test_legendre_matches_euler_criterion(monkeypatch, name, gmp):

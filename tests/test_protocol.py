@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import random
 import re
+import threading
 import types
 
 import numpy as np
@@ -18,12 +20,14 @@ from blindboost.encoding import (
     ring_matvec,
 )
 from blindboost.errors import (
+    BlindBoostError,
     ConfigInvalid,
     IterationOutOfRange,
     MalformedMessage,
     ModeNotPermittedInSecureProfile,
     OTFailure,
     PartMismatch,
+    PartyTimeout,
     PhaseOrderViolation,
     PoolExhaustedWarning,
 )
@@ -44,6 +48,7 @@ from blindboost.protocol import (
     wire,
 )
 from blindboost.garbling import evaluate, garble
+from blindboost.ot import dealer_choose
 from blindboost.protocol.parties import (
     CloudParty,
     CSPParty,
@@ -59,6 +64,7 @@ from blindboost.protocol.parties import (
     reveal_width,
 )
 from blindboost.protocol.config import stream
+from blindboost.protocol.stump_select import confidential_ds_select
 from blindboost.protocol.transcript import DONE, Counters
 
 
@@ -69,6 +75,12 @@ def toy_folded(n=8, k=3, seed=0):
     # standardized columns keep the ring in range
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     return fold_labels(Dataset(X, y))
+
+
+def label_pairs(count):
+    """`count` distinct label pairs: pair i is (byte i, byte i + 1) x 16."""
+    blob = b"".join(bytes([i]) * 16 + bytes([i + 1]) * 16 for i in range(count))
+    return np.frombuffer(blob, dtype=np.uint8).reshape(count, 2, 16)
 
 
 def cfg_for(construction, tau=2, p_max=6, ot_mode="dealer", seeds=Seeds(), **kw):
@@ -501,7 +513,7 @@ def _opened(cfg):
 @pytest.mark.parametrize("ot_mode", ["dealer", "base"])
 def test_label_ot_wrong_phase_is_phase_order_violation(ot_mode):
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
-    pairs = [(b"\x00" * 16, b"\x01" * 16)]
+    pairs = label_pairs(1)
     receiver, sender = _opened(cfg)
     with pytest.raises(PhaseOrderViolation):
         receiver.receive(_Scripted([("GC_TABLES", b"")]), [1])
@@ -525,8 +537,7 @@ def test_label_ot_malformed_base_setup_is_ot_failure():
 
 def test_label_ot_truncated_dealer_payload_is_malformed():
     cfg = cfg_for(HE_GC, ot_mode="dealer")
-    pairs = [(bytes([i]) * 16, bytes([i + 1]) * 16) for i in range(3)]
-    truncated = wire.pack_label_pairs(pairs)[:-20]
+    truncated = wire.pack_label_pairs(label_pairs(3))[:-20]
     with pytest.raises(MalformedMessage):
         LabelOT(cfg, random.Random(4)).receive(_Scripted([("OT", truncated)]), [0, 1, 1])
 
@@ -557,7 +568,7 @@ def _label_ot_run(ot_mode, target, edit):
     """SETUP, then two rounds of label OT, with message `target` edited."""
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
     receiver, sender = LabelOT(cfg, random.Random(7)), LabelOT(cfg, random.Random(8))
-    pairs = [(bytes([i]) * 16, bytes([i + 1]) * 16) for i in range(3)]
+    pairs = label_pairs(3)
     ch_r, ch_s, _ = transport.memory_pair()
     sent = []
     ch_r, ch_s = _TailOne(ch_r, sent, target, edit), _TailOne(ch_s, sent, target, edit)
@@ -588,6 +599,92 @@ def test_label_ot_rejects_a_trailing_byte_on_every_message(ot_mode, target):
 def test_label_ot_rejects_every_message_one_byte_short(ot_mode, target):
     with pytest.raises(MalformedMessage, match="needs"):
         _label_ot_run(ot_mode, target, lambda payload: payload[:-1])
+
+
+# each protocol on a few records: (construction or stump selection, OT mode)
+_MUTATED_RUNS = {
+    "he-gc": lambda ot_mode: run_learning(cfg_for(HE_GC, tau=2, p_max=3, ot_mode=ot_mode),
+                                          toy_folded(n=4, k=2, seed=3)),
+    "secsh-gc": lambda ot_mode: run_learning(
+        cfg_for(SECSH_GC, tau=2, p_max=3, ot_mode=ot_mode), toy_folded(n=4, k=2, seed=3)),
+    "stump": lambda ot_mode: confidential_ds_select(
+        cfg_for(HE_GC, tau=1, p_max=1, ot_mode=ot_mode),
+        Dataset(np.linspace(-1.5, 1.5, 8).reshape(4, 2), np.array([1, -1, -1, 1])), s=2),
+}
+_EDITS = {
+    "drop": lambda payload, rng: payload[:-1],
+    "append": lambda payload, rng: payload + b"\x00",
+    "flip": lambda payload, rng: (int.from_bytes(payload, "big")
+                                  ^ 1 << rng.randrange(8 * len(payload))).to_bytes(
+                                      len(payload), "big"),
+}
+
+
+def _run_edited(monkeypatch, run, target, edit):
+    """run() over memory pairs that pass the payload of message number
+    `target` through `edit`; the phases of the messages sent. A run still
+    going after 30 s, or a CSP thread still alive 5 s after it, fails the
+    test."""
+    pair, sent, outcome = transport.memory_pair, [], []
+
+    def edited_pair():
+        ch_cloud, ch_csp, transcript = pair()
+        return (_TailOne(ch_cloud, sent, target, edit), _TailOne(ch_csp, sent, target, edit),
+                transcript)
+
+    def bounded():
+        try:
+            run()
+        except BaseException as exc:
+            outcome.append(exc)
+
+    before = set(threading.enumerate())
+    with monkeypatch.context() as patched:
+        patched.setattr(transport, "memory_pair", edited_pair)
+        runner = threading.Thread(target=bounded, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+    # pytest.fail, not assert: the python -O run of this test strips asserts
+    if runner.is_alive():
+        pytest.fail(f"message {target} edited: the run hangs")
+    for t in set(threading.enumerate()) - before:
+        if t.name == "csp":
+            t.join(timeout=5)
+            if t.is_alive():
+                pytest.fail(f"message {target} edited: the CSP thread hangs")
+    if outcome:
+        raise outcome[0]
+    return sent
+
+
+@pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
+@pytest.mark.parametrize("ot_mode", ["dealer", "base"])
+@pytest.mark.parametrize("kind", sorted(_MUTATED_RUNS))
+def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, kind,
+                                                                  ot_mode):
+    # one edited message at a time among SETUP's seed pairs (base OT: the
+    # last SETUP message), GC_TABLES, OT and OUTPUT_LABELS: the run raises
+    # a BlindBoostError, never a numpy, index or assertion error and never
+    # a hang; only a flipped bit may go unnoticed (say, in a label that
+    # the evaluator did not choose)
+    monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 5)
+    run = functools.partial(_MUTATED_RUNS[kind], ot_mode)
+    phases = _run_edited(monkeypatch, run, -1, None)
+    targets = [[i for i, phase in enumerate(phases) if phase == label_phase]
+               for label_phase in ("GC_TABLES", "OT", "OUTPUT_LABELS")]
+    if ot_mode == "base":
+        targets.append([max(i for i, phase in enumerate(phases) if phase == "SETUP")])
+    rng = random.Random(f"{kind}-{ot_mode}")
+    for name, edit in sorted(_EDITS.items()):
+        for target in [rng.choice(of_phase) for of_phase in targets]:
+            try:
+                _run_edited(monkeypatch, run, target, lambda p: edit(p, rng))
+            except PartyTimeout:
+                pytest.fail(f"{name} on message {target} ({phases[target]}): a hang")
+            except BlindBoostError:
+                continue
+            if name != "flip":
+                pytest.fail(f"{name} on message {target} ({phases[target]}) went unnoticed")
 
 
 @pytest.mark.parametrize("payload", [wire.pack_u32(99) + b"junk", wire.pack_u32(2),
@@ -776,15 +873,14 @@ def test_bytes_after_the_output_labels_are_malformed():
     circuit = build_sub_msb_batch(4, 2)
     gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
     gc = garble(circuit, random.Random(5))  # what garbler_round garbles on Random(5)
-    out = evaluate(gc, dict(zip(circuit.inputs_b, gc.encode(circuit.inputs_b, ev_bits))),
-                   dict(zip(circuit.inputs_a, gc.encode(circuit.inputs_a, gb_bits))))
+    out = evaluate(gc, gc.encode(gb_bits), dealer_choose(gc.label_pairs(), ev_bits))
 
     def run(reply):
         return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), _side(circuit, 4),
                              [3, 9])
 
     assert list(run(wire.pack_labels(out))) == list(circuit.evaluate_plain(gb_bits, ev_bits))
-    for tail in (b"\x00", out[0]):
+    for tail in (b"\x00", out[0].tobytes()):
         with pytest.raises(MalformedMessage):
             run(wire.pack_labels(out) + tail)
 
@@ -794,8 +890,8 @@ def test_bytes_after_the_output_labels_are_malformed():
 def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
     circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
     gc = garble(circuit, random.Random(5))
-    labels = gc.encode(circuit.inputs_a, record_bits([3, 9], 4))
-    dealt = ("OT", wire.pack_label_pairs(gc.label_pairs(circuit.inputs_b)))
+    labels = gc.encode(record_bits([3, 9], 4))
+    dealt = ("OT", wire.pack_label_pairs(gc.label_pairs()))
 
     def run(gb_labels, tail=b""):
         ch = _Scripted([("GC_TABLES", wire.pack_blob(gc.tables_bytes())
@@ -806,7 +902,7 @@ def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
 
     assert run(labels) == ["OUTPUT_LABELS"]
     with pytest.raises(MalformedMessage):
-        run((labels + labels)[:count], tail)
+        run(np.concatenate([labels, labels])[:count], tail)
 
 
 def test_base_ot_session_opens_once_per_run():
