@@ -90,8 +90,13 @@ class GarbledCircuit:
                        for x in (label0[w], label0[w] ^ delta)], pairs=True)
 
     def tables_bytes(self) -> bytes:
-        return b"".join([row.to_bytes(LABEL_BYTES, "little")
-                         for rows in self.and_tables for row in rows])
+        # appended row by row: a list of every row's bytes would, for a
+        # moment, take several times the blob's memory
+        out = bytearray()
+        for tg, te in self.and_tables:
+            out += tg.to_bytes(LABEL_BYTES, "little")
+            out += te.to_bytes(LABEL_BYTES, "little")
+        return bytes(out)
 
 
 def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:

@@ -10,11 +10,34 @@ HE_GC = "he-gc"
 SECSH_GC = "secsh-gc"
 
 
+# the stream tags each role draws: the parties' in parties.Side and
+# engine's key generation, the users' in engine.encrypt_submissions
+_ROLE_TAGS = {"cloud": (b"keyg", b"mask", b"encr", b"garb", b"ot_r"),
+              "csp": (b"keyg", b"mask", b"encr", b"garb", b"ot_s"),
+              "data": (b"user",)}
+
+
 @dataclass(frozen=True)
 class Seeds:
+    """The role seeds of a run. Two roles must never draw the same stream,
+    or one could recompute the other's secrets (CSP, say, Cloud's IKNP seed
+    pairs and with them its choice bits): role seeds under which two roles'
+    stream seeds meet are refused."""
+
     cloud: int = 1
     csp: int = 2
     data: int = 3
+
+    def __post_init__(self):
+        owner = {}
+        for role, tags in _ROLE_TAGS.items():
+            seed = getattr(self, role)
+            for tag in tags:
+                # random.Random seeds from the absolute value of an int
+                met = owner.setdefault(abs(seed ^ int.from_bytes(tag, "big")), role)
+                if met != role:
+                    raise ConfigInvalid(f"{self}: {role}'s {tag.decode()} stream is one "
+                                        f"of {met}'s streams")
 
     @classmethod
     def derive(cls, seed: int) -> "Seeds":

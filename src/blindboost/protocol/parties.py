@@ -10,13 +10,17 @@ each party's cost counters live on its end (`ch.counters`).
 GC roles are fixed for both constructions and for stump selection: CSP
 garbles and feeds the minuend wires `inputs_a`, Cloud evaluates, feeds the
 subtrahend wires `inputs_b` and returns the output labels, CSP decodes
-msb((a - b) mod 2^L). In HE+GC and stump selection CSP feeds the masked
-value and Cloud its mask; in SecSh+GC CSP feeds -lambda and Cloud -u0 (mod
-2^L), and (-lambda) - (-u0) = Z w. These parties and confidential stump
-selection share one SETUP opening per side (`open_cloud` / `open_csp`: the
-header, the base-OT session, and a `Side` with that party's seeded streams,
-label OT and own sign circuit), one garbled-circuit round (`garbler_round`
-/ `evaluator_round`) and one packed sign round (`packed_sign_cloud` /
+msb((a - b - v) mod 2^L) for each public constant v of the sign circuit.
+The boosting protocols' only constant is 0; stump selection's are the
+encodings of its s thresholds, which each party derives itself and hands
+to its own opening, so one round compares a feature with every threshold.
+In HE+GC and stump selection CSP feeds the masked value and Cloud its mask;
+in SecSh+GC CSP feeds -lambda and Cloud -u0 (mod 2^L), and
+(-lambda) - (-u0) = Z w. These parties and confidential stump selection
+share one SETUP opening per side (`open_cloud` / `open_csp`: the header,
+the base-OT session, and a `Side` with that party's seeded streams, label
+OT and own sign circuit), one garbled-circuit round (`garbler_round` /
+`evaluator_round`) and one packed sign round (`packed_sign_cloud` /
 `packed_sign_csp`).
 
 The packed reveal: each user encrypts its values already shifted into its
@@ -28,8 +32,9 @@ decrypts ceil(n / slots) ciphertexts and unpacks the masked values
 slot is b + sigma + 1 bits wide (`reveal_width`). HE+GC's ResultEval packs
 u = Z w, with b = `FixedPointParams.product_bits(d)`; Cloud folds its d
 encrypted columns once, in SETUP, so a trial's matrix-vector product runs
-over ceil(n / slots) rows. SecSh+GC's BaseApply reveal stays one ciphertext
-per record, with masks of the same bound.
+over ceil(n / slots) rows. Stump selection packs each feature's
+x + y * 2^(L-1), with b = L + 1, once per feature. SecSh+GC's BaseApply
+reveal stays one ciphertext per record, with masks of the same bound.
 """
 
 import functools
@@ -194,35 +199,38 @@ class LabelOT:
 class Side:
     """One party's own state for a run, made in SETUP by `open_cloud` /
     `open_csp`: its seeded streams, its end of the label OT and its sign
-    circuit over n records in a ring of ring_bits."""
+    circuit over n records in a ring of ring_bits, which compares each
+    record's value with every public constant (`build_sub_msb_batch`)."""
 
     def __init__(self, cfg: ProtocolConfig, seed: int, ot_tag: bytes, n: int,
-                 ring_bits: int):
+                 ring_bits: int, constants):
         self.n = n
         self.ring_bits = ring_bits
         self.mask_rng = stream(seed, b"mask")
         self.enc_rng = stream(seed, b"encr")
         self.garble_rng = stream(seed, b"garb")
         self.label_ot = LabelOT(cfg, stream(seed, ot_tag))
-        self.circuit = build_sub_msb_batch(ring_bits, n)
+        self.circuit = build_sub_msb_batch(ring_bits, n, constants)
 
 
-def open_cloud(ch, cfg, n: int, dim: int, ring_bits: int) -> Side:
+def open_cloud(ch, cfg, n: int, dim: int, ring_bits: int, constants=(0,)) -> Side:
     """Cloud's SETUP: the header declaring n records of `dim` columns in a
-    ring of `ring_bits`, then the base-OT session."""
+    ring of `ring_bits`, then the base-OT session. The sign circuit's
+    `constants` are Cloud's own, never sent."""
     ch.send(SETUP, _setup_header(n, dim, ring_bits))
-    side = Side(cfg, cfg.seeds.cloud, b"ot_r", n, ring_bits)
+    side = Side(cfg, cfg.seeds.cloud, b"ot_r", n, ring_bits, constants)
     side.label_ot.open_receiver(ch)
     return side
 
 
-def open_csp(ch, cfg, n: int, dim: int, ring_bits: int) -> Side:
+def open_csp(ch, cfg, n: int, dim: int, ring_bits: int, constants=(0,)) -> Side:
     """CSP's SETUP: Cloud's header must declare exactly CSP's own shape and
     ring width, checked before any circuit is built; then the base-OT
-    session."""
+    session. The sign circuit's `constants` are CSP's own, never read from
+    a message."""
     if expect_phase(ch.recv(), SETUP) != _setup_header(n, dim, ring_bits):
         raise MalformedMessage(f"SETUP does not declare n={n}, dim={dim}, L={ring_bits}")
-    side = Side(cfg, cfg.seeds.csp, b"ot_s", n, ring_bits)
+    side = Side(cfg, cfg.seeds.csp, b"ot_s", n, ring_bits, constants)
     side.label_ot.open_sender(ch)
     return side
 
@@ -241,11 +249,11 @@ def garbler_round(ch, side, values) -> list:
     ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
             + wire.pack_labels(gc.encode(record_bits(values, side.ring_bits)))
             + wire.pack_label_pairs(gc.output_check))
-    pairs = gc.label_pairs()
+    pairs, decode = gc.label_pairs(), gc.output_decode
+    del gc  # its wire labels and tables are dead weight while Cloud evaluates
     counters.ot_transfers += len(pairs)
     side.label_ot.send(ch, pairs)
-    return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels),
-                         gc.output_decode)
+    return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels), decode)
 
 
 def evaluator_round(ch, side, values) -> None:
@@ -273,20 +281,22 @@ def evaluator_round(ch, side, values) -> None:
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
 
 
-def packed_sign_cloud(ch, side, pk, packed_cts, value_bits, shift) -> None:
+def packed_sign_cloud(ch, side, pk, packed_cts, value_bits) -> None:
     """Cloud's packed sign round over values below 2^value_bits that
-    `packed_cts` carry: masks them with lambda + shift (RESULT_EVAL_MASK)
-    and evaluates on lambda, so CSP learns msb((value + shift) mod 2^L)."""
+    `packed_cts` carry: masks them with lambda (RESULT_EVAL_MASK) and
+    evaluates on lambda, so CSP learns msb((value - v) mod 2^L) for each of
+    the sign circuit's constants v."""
     lam = shares.sample_masks(side.n, value_bits, side.mask_rng)
-    masked = mask_packed(pk, packed_cts, [m + shift for m in lam],
-                         reveal_width(value_bits), side.enc_rng, ch.counters)
+    masked = mask_packed(pk, packed_cts, lam, reveal_width(value_bits), side.enc_rng,
+                         ch.counters)
     ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
     evaluator_round(ch, side, lam)
 
 
 def packed_sign_csp(ch, side, kp, value_bits) -> list:
     """CSP's packed sign round: unpacks RESULT_EVAL_MASK's masked values,
-    garbles on them and returns the msb bits."""
+    garbles on them and returns the circuit's output bits, constant-major
+    (bit r * n + i is constant r on record i)."""
     cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
                                           kp.public)
     masked = unpack_masked(kp, cts, side.n, reveal_width(value_bits), ch.counters,
@@ -343,7 +353,7 @@ class CloudParty:
             ch.counters.he_scalar_muls += len(eu) * self.dim
             ch.counters.he_adds += len(eu) * self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t))
-            packed_sign_cloud(ch, self.side, self.csp_public, eu, self._value_bits, 0)
+            packed_sign_cloud(ch, self.side, self.csp_public, eu, self._value_bits)
         else:
             ew = paillier.encrypt_many(self.keypair.public, wq, self.side.enc_rng)
             ch.counters.encryptions += self.dim

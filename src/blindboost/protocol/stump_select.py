@@ -2,28 +2,32 @@
 
 Every normalized dimension is split by s equispaced thresholds strictly
 inside (-4, 4); each threshold yields two conjugate stumps ("x < v -> class
-1" and its complement), 2sk candidates in total. For each of the sk base
-comparisons the parties run one batched GC round that outputs the
-prediction-ERROR bit per record (1 = wrong); the conjugate stump's vector is
-the bitwise complement, computed locally. CSP
-then iteratively picks argmin_r dot(I_r, delta) for tau rounds, learning only
+1" and its complement), 2sk candidates in total. For each of the k features
+the parties run one batched GC round whose circuit takes each record's
+value once and compares it with all s public thresholds, outputting the
+prediction-ERROR bit per record and threshold (1 = wrong); the conjugate
+stump's vector is the bitwise complement, computed locally. CSP then
+iteratively picks argmin_r dot(I_r, delta) for tau rounds, learning only
 indices; Cloud resolves indices to stump parameters at the end.
 
-Each round runs the boosting protocols' sign circuit (`build_sub_msb_batch`)
-on a masked value and its mask. The label y in {0, 1} travels inside the
-compared value: each user encrypts x + y * 2^(L-1), with no reduction mod
-2^L, and adding y * 2^(L-1) mod 2^L flips exactly the msb, so the circuit
-outputs msb(x - v) XOR y, the error bit.
+Each round is the boosting protocols' sign round with the s thresholds as
+the sign circuit's public constants (`build_sub_msb_batch`): on a masked
+value and its mask the circuit takes d = value mod 2^L once and outputs
+msb((d - v) mod 2^L) for every threshold v. Each party encodes the
+thresholds itself from its own s and fixed-point parameters
+(`threshold_constants`); they never travel. The label y in {0, 1} travels
+inside the compared value: each user encrypts x + y * 2^(L-1), with no
+reduction mod 2^L, and adding y * 2^(L-1) mod 2^L flips exactly the msb,
+so msb((x + y * 2^(L-1) - v) mod 2^L) = msb(x - v) XOR y, the error bit.
 
 SETUP is the boosting protocols' opening (`open_cloud` / `open_csp`), with
 the k features as the dimension. The users encrypt their values shifted
 into their slots, so Cloud adds those of a chunk of records into one
-ciphertext, once per run and column (`pack_columns`), and each comparison
-is the packed sign round of .parties (`packed_sign_cloud` /
-`packed_sign_csp`) that HE+GC's ResultEval runs with shift 0, here with
-shift q - v: CSP decrypts ceil(n / slots) ciphertexts, unpacks the
-per-record masked values and garbles on them. A comparison hides
-x - v + q + y * 2^(L-1) < 2^(L+2).
+ciphertext, once per run and column (`pack_columns`). Feature j is then a
+BASE_APPLY naming j, in order from 0, and the packed sign round of
+.parties (`packed_sign_cloud` / `packed_sign_csp`) that HE+GC's ResultEval
+runs too: CSP decrypts ceil(n / slots) ciphertexts, unpacks the per-record
+masked values and garbles on them. A round hides x + y * 2^(L-1) < 2^(L+1).
 """
 
 import warnings
@@ -121,36 +125,45 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
     return _csp_select(errors, delta, tau), errors, fp, catalog
 
 
-def _cloud_loop(ch, cfg, fp, rows, k, catalog_base, pk):
+def threshold_constants(s: int, fp: FixedPointParams) -> tuple:
+    """The ring encodings of the s thresholds: the public constants of
+    every feature's sign circuit."""
+    return tuple(encode(float(v), fp) for v in threshold_grid(s))
+
+
+def _cloud_loop(ch, cfg, fp, rows, k, s, pk):
     """Cloud's side of the selection over the users' encrypted rows of k
-    features under CSP's key `pk`."""
-    side = open_cloud(ch, cfg, len(rows), k, fp.ring_bits)
-    bound = fp.ring_bits + 2  # x - v + q + y * 2^(L-1) < 2^(L+2)
-    columns = list(zip(*pack_columns(pk, rows, reveal_width(bound), ch.counters)))
-    for index, (j, vq) in enumerate(catalog_base):
-        ch.send(BASE_APPLY, wire.pack_u32(index))
-        # msb((x - v + q + y * 2^(L-1)) mod 2^L) = msb(x - v) XOR y
-        packed_sign_cloud(ch, side, pk, columns[j], bound, (fp.q - vq) % fp.q)
+    features under CSP's key `pk`, with s thresholds."""
+    side = open_cloud(ch, cfg, len(rows), k, fp.ring_bits, threshold_constants(s, fp))
+    bound = fp.ring_bits + 1  # x + y * 2^(L-1) < 2^L + 2^(L-1)
+    columns = zip(*pack_columns(pk, rows, reveal_width(bound), ch.counters))
+    for j, column in enumerate(columns):
+        ch.send(BASE_APPLY, wire.pack_u32(j))
+        # msb((x + y * 2^(L-1) - v) mod 2^L) = msb(x - v) XOR y, per threshold v
+        packed_sign_cloud(ch, side, pk, column, bound)
     ch.send(DONE, b"")
 
 
-def _csp_loop(ch, cfg, kp, n, k, L, n_catalog):
-    """CSP's side of the selection over its own n records, k features and
-    ring width L; returns the (2sk, n) error vectors.
+def _csp_loop(ch, cfg, kp, n, k, fp, s):
+    """CSP's side of the selection over its own n records, k features,
+    fixed-point parameters `fp` and s thresholds; returns the (2sk, n)
+    error vectors.
 
-    Cloud's SETUP must declare exactly n, k and L. Cloud must run the sk
-    base comparisons in catalog order, numbered 0, 1, ..., and send DONE
-    after the last one.
+    Cloud's SETUP must declare exactly n, k and fp's ring width. Cloud must
+    run the k features in order, numbered 0, 1, ..., and send DONE after
+    the last one.
     """
-    side = open_csp(ch, cfg, n, k, L)
-    errors = np.zeros((n_catalog, n), dtype=np.uint8)
-    for expected in range(n_catalog // 2):
-        index = recv_field(ch, BASE_APPLY, wire.unpack_u32)
-        if index != expected:
-            raise MalformedMessage(f"comparison {index} arrived in place of {expected}")
-        err = np.asarray(packed_sign_csp(ch, side, kp, L + 2), dtype=np.uint8)
-        errors[2 * index] = err            # "x < v -> class 1"
-        errors[2 * index + 1] = 1 - err    # conjugate: flipped vector
+    L = fp.ring_bits
+    side = open_csp(ch, cfg, n, k, L, threshold_constants(s, fp))
+    errors = np.zeros((2 * s * k, n), dtype=np.uint8)
+    for expected in range(k):
+        j = recv_field(ch, BASE_APPLY, wire.unpack_u32)
+        if j != expected:
+            raise MalformedMessage(f"feature {j} arrived in place of {expected}")
+        err = np.asarray(packed_sign_csp(ch, side, kp, L + 1), dtype=np.uint8)
+        rows = errors[2 * s * j:2 * s * (j + 1)]
+        rows[0::2] = err.reshape(s, n)   # "x < v -> class 1", per threshold
+        rows[1::2] = 1 - rows[0::2]      # conjugates: flipped vectors
     wire.expect_end(expect_phase(ch.recv(), DONE), 0)
     return errors
 
@@ -167,20 +180,18 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     n, k = X.shape
     fp = FixedPointParams.for_dimension(k, cfg.precision_bits)
     catalog = stump_catalog(k, s)
-    grid = threshold_grid(s)
-    catalog_base = [(j, encode(float(v), fp)) for j in range(k) for v in grid]
 
     # each user folds the label in: x + y * 2^(L-1), below 2^L + 2^(L-1)
     xy = [[int(x) + (int(y) << (fp.ring_bits - 1)) for x in row]
           for row, y in zip(encode_array(X, fp), y01)]
-    kp, rows = encrypt_submissions(cfg, xy, reveal_width(fp.ring_bits + 2))
+    kp, rows = encrypt_submissions(cfg, xy, reveal_width(fp.ring_bits + 1))
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k
     try:
         _, error_vectors = run_pair(
-            lambda: _cloud_loop(ch_cloud, cfg, fp, rows, k, catalog_base, kp.public),
-            lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp.ring_bits, len(catalog)),
+            lambda: _cloud_loop(ch_cloud, cfg, fp, rows, k, s, kp.public),
+            lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp, s),
             ch_cloud, ch_csp)
     finally:  # also when a party fails or the CSP thread times out
         ch_cloud.close()

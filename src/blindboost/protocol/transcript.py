@@ -95,6 +95,12 @@ class Transcript:
     def iterations(self) -> int:
         return self.phase_sequence().count("B")
 
+    def flights(self) -> int:
+        """The number of maximal runs of consecutive messages in one
+        direction: each change of direction is a network round trip's half."""
+        directions = [d for d, _, _ in self.messages]
+        return sum(1 for i, d in enumerate(directions) if i == 0 or d != directions[i - 1])
+
 
 def transcript_report(t: Transcript) -> dict:
     """Structured cost summary: per-party counters and bytes by phase."""
@@ -102,6 +108,7 @@ def transcript_report(t: Transcript) -> dict:
     return {
         "iterations": t.iterations(),
         "messages": len(t.messages),
+        "flights": t.flights(),
         "total_bytes": t.total_bytes(),
         "gc_bytes": t.gc_bytes(),
         "bytes_by_phase": t.bytes_by_phase(),

@@ -330,7 +330,7 @@ def test_criterion_07_ahe_property_suite(keypair_512):
 def test_criterion_08_cost_shapes():
     base = gen_synthetic(96, 4, seed=88)
     std = standardize(base)
-    seeds = Seeds(cloud=8, csp=9, data=10)
+    seeds = Seeds.derive(8)
 
     def he_counters(n):
         folded = fold_labels(std.subset(np.arange(n)))

@@ -26,7 +26,7 @@ BOOST_GOLDEN = {
     (SECSH_GC, "base"):
         "e7fe4ad1d4a1b8c37857e1864d60a27a03400b6ef66f7bef4735ace4646e3a4a",
 }
-STUMP_GOLDEN = "6cc9327ac916ef9205d18ff1aec3ddc44241fb8811a18b2b0a59d321237634f6"
+STUMP_GOLDEN = "dbbce5e7e3d6b3fe395198a6c88de478904709fce8cf61cc15a289df55b71a9f"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

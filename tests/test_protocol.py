@@ -63,6 +63,7 @@ from blindboost.protocol.parties import (
     packed_sign_csp,
     reveal_width,
 )
+from blindboost.protocol import config
 from blindboost.protocol.config import stream
 from blindboost.protocol.stump_select import confidential_ds_select
 from blindboost.protocol.transcript import DONE, Counters
@@ -123,9 +124,44 @@ def _streams_meet(seeds):
 
 def test_derived_role_seeds_give_distinct_streams():
     # the hand fan-out (s, s + 1, s + 2) gave Cloud's ot_r stream to CSP's
-    # ot_s at every even s
-    assert all(_streams_meet(Seeds(s, s + 1, s + 2)) for s in range(0, 512, 2))
+    # ot_s at every even s; such role seeds are now refused
+    for s in range(0, 512, 2):
+        with pytest.raises(ConfigInvalid, match="ot_s stream is one of cloud's"):
+            Seeds(s, s + 1, s + 2)
     assert not any(_streams_meet(Seeds.derive(s)) for s in range(512))
+
+
+@pytest.mark.parametrize("seeds, stream_tag", [((4, 5, 6), "ot_s"), ((8, 9, 10), "ot_s"),
+                                               ((7, 7, 9), "keyg")],
+                         ids=["4-5-6", "8-9-10", "equal-role-seeds"])
+def test_role_seeds_whose_streams_meet_are_refused(seeds, stream_tag):
+    with pytest.raises(ConfigInvalid, match=f"{stream_tag} stream"):
+        Seeds(*seeds)
+    assert Seeds() == Seeds(1, 2, 3)  # the defaults stay accepted
+
+
+@pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
+def test_seed_check_covers_every_stream_the_roles_draw(monkeypatch):
+    # the (seed, tag) pairs drawn by both constructions and stump selection
+    # under base OT are exactly the role tags that Seeds checks
+    drawn = set()
+
+    def spy(seed, tag):
+        drawn.add((seed, tag))
+        return stream(seed, tag)
+
+    for module in (parties, engine):
+        monkeypatch.setattr(module, "stream", spy)
+    for construction in (HE_GC, SECSH_GC):
+        run_learning(cfg_for(construction, tau=1, p_max=2, ot_mode="base"),
+                     toy_folded(n=4, k=2, seed=3))
+    confidential_ds_select(cfg_for(HE_GC, tau=1, p_max=1, ot_mode="base"),
+                           Dataset(np.linspace(-1.5, 1.5, 8).reshape(4, 2),
+                                   np.array([1, -1, -1, 1])), s=2)
+    seeds = Seeds()
+    role = {seeds.cloud: "cloud", seeds.csp: "csp", seeds.data: "data"}
+    assert {(role[seed], tag) for seed, tag in drawn} == \
+        {(r, tag) for r, tags in config._ROLE_TAGS.items() for tag in tags}
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +361,27 @@ def test_phase_order_and_report():
     assert chunks == 1
     assert report["counters"]["csp"]["decryptions"] == chunks * iters
     assert report["counters"]["cloud"]["encryptions"] == chunks * iters
+
+
+@pytest.mark.parametrize("construction, ot_mode, session, per_trial", [
+    (HE_GC, "dealer", 0, 4),
+    (HE_GC, "base", 2, 6),
+    (SECSH_GC, "dealer", 0, 6),
+    (SECSH_GC, "base", 2, 8),
+])
+def test_flights_per_construction_and_ot_mode(construction, ot_mode, session, per_trial):
+    # a flight is a run of messages in one direction. Base OT opens with
+    # two (Cloud's header and A, CSP's B's); its seed pairs ride with the
+    # first BASE_APPLY, as Cloud's SETUP header does under dealer OT. A
+    # trial is Cloud's reveal, the tables and label pairs, the output
+    # labels and the decision: base OT splits the label OT into U and its
+    # reply, SecSh+GC adds CSP's BASE_APPLY answer and Cloud's
+    # RESULT_EVAL_MASK. DONE is the last flight.
+    _, transcript = run_learning(cfg_for(construction, tau=2, p_max=4, ot_mode=ot_mode),
+                                 toy_folded(n=5, k=2, seed=15))
+    report = transcript_report(transcript)
+    assert report["iterations"] >= 2
+    assert report["flights"] == session + per_trial * report["iterations"] + 1
 
 
 @pytest.mark.parametrize("n", [6, 7, 13])
@@ -687,6 +744,31 @@ def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, k
                 pytest.fail(f"{name} on message {target} ({phases[target]}) went unnoticed")
 
 
+@pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
+@pytest.mark.parametrize("kind", sorted(_MUTATED_RUNS))
+def test_edited_reveal_messages_finish_or_raise_typed_errors(monkeypatch, kind):
+    # the sibling of the label-phase test for the reveals: one edited
+    # BASE_APPLY or RESULT_EVAL_MASK message at a time (a trial or feature
+    # number, E(w), CSP's masked answer, the packed masked values), under
+    # dealer OT, which these phases do not touch. A flip may go unnoticed
+    # inside a ciphertext, and the run then finishes on a wrong value
+    monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 5)
+    run = functools.partial(_MUTATED_RUNS[kind], "dealer")
+    phases = _run_edited(monkeypatch, run, -1, None)
+    rng = random.Random(f"{kind}-reveals")
+    for name, edit in sorted(_EDITS.items()):
+        for of_phase in ("BASE_APPLY", "RESULT_EVAL_MASK"):
+            target = rng.choice([i for i, phase in enumerate(phases) if phase == of_phase])
+            try:
+                _run_edited(monkeypatch, run, target, lambda p: edit(p, rng))
+            except PartyTimeout:
+                pytest.fail(f"{name} on message {target} ({of_phase}): a hang")
+            except BlindBoostError:
+                continue
+            if name != "flip":
+                pytest.fail(f"{name} on message {target} ({of_phase}) went unnoticed")
+
+
 @pytest.mark.parametrize("payload", [wire.pack_u32(99) + b"junk", wire.pack_u32(2),
                                      wire.pack_u32(1) + b"junk"],
                          ids=["t99-junk", "out-of-order", "trailing-bytes"])
@@ -747,47 +829,49 @@ def test_csp_secsh_result_eval_requires_the_current_trial(payload):
     assert len(csp.indicator_history[0]) == 3
 
 
-def _opened_sides(n, ring_bits, dim=1):
-    """Cloud's and CSP's `Side` for n records, after a dealer-OT SETUP, with
-    the channel pair and transcript they ran it on."""
+def _opened_sides(n, ring_bits, dim=1, constants=(0,)):
+    """Cloud's and CSP's `Side` for n records and the sign circuit's
+    `constants`, after a dealer-OT SETUP, with the channel pair and
+    transcript they ran it on."""
     cfg = cfg_for(HE_GC)
     ch_cloud, ch_csp, transcript = transport.memory_pair()
-    sides = engine.run_pair(lambda: open_cloud(ch_cloud, cfg, n, dim, ring_bits),
-                            lambda: open_csp(ch_csp, cfg, n, dim, ring_bits),
+    sides = engine.run_pair(lambda: open_cloud(ch_cloud, cfg, n, dim, ring_bits, constants),
+                            lambda: open_csp(ch_csp, cfg, n, dim, ring_bits, constants),
                             ch_cloud, ch_csp)
     return ch_cloud, ch_csp, transcript, sides
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-@pytest.mark.parametrize("bound, value, shift, slots", [
-    # HE+GC ResultEval: the largest u = Z w of d = 3 columns, shift 0
-    (FixedPointParams(7, 17).product_bits(3), (1 << 36) - 1, 0, 6),
-    # stump selection at v = 1: the largest x + y * 2^(L-1), shift q - 1
-    (17 + 2, (1 << 17) - 1 + (1 << 16), (1 << 17) - 1, 8),
+@pytest.mark.parametrize("bound, value, constants, slots", [
+    # HE+GC ResultEval: the largest u = Z w of d = 3 columns, constant 0
+    (FixedPointParams(7, 17).product_bits(3), (1 << 36) - 1, (0,), 6),
+    # stump selection: the largest x + y * 2^(L-1), at thresholds 1 and q - 1
+    (17 + 1, (1 << 17) - 1 + (1 << 16), (1, (1 << 17) - 1), 8),
 ], ids=["he-gc", "stump"])
-def test_packed_sign_round_slot_edge(monkeypatch, bound, value, shift, slots, extra):
-    # the largest value under the bound plus the largest mask and the shift
-    # fills its slot to the last bit; no carry reaches the neighbouring slot,
-    # at n = slots and at n = slots + 1 records, over the users' pre-shifted
-    # encryptions that Cloud folds by adds alone
+def test_packed_sign_round_slot_edge(monkeypatch, bound, value, constants, slots, extra):
+    # the largest value under the bound plus the largest mask fills its slot
+    # to the last bit; no carry reaches the neighbouring slot, at n = slots
+    # and at n = slots + 1 records, over the users' pre-shifted encryptions
+    # that Cloud folds by adds alone
     L, width, n = 17, reveal_width(bound), slots + extra
     kp, column = engine.encrypt_submissions(cfg_for(HE_GC), [[value]] * n, width)
     pk = kp.public
     assert paillier.slot_count(pk, width) == slots
     lam = (1 << (bound + shares.MASK_SECURITY_BITS)) - 1
-    assert (value + lam + shift).bit_length() == width
+    assert (value + lam).bit_length() == width
     monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
     unpacked = _spy(monkeypatch, parties, "unpack_masked")
-    ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L)
+    ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L, constants=constants)
     packed = [row[0] for row in pack_columns(pk, column, width, ch_cloud.counters)]
     assert len(packed) == 1 + extra
     _, msb = engine.run_pair(
-        lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound, shift),
+        lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound),
         lambda: packed_sign_csp(ch_csp, csp, kp, bound),
         ch_cloud, ch_csp)
-    assert unpacked == [[value + lam + shift] * n]
-    assert list(msb) == [((value + shift) >> (L - 1)) & 1] * n
-    ands, transfers = n * (L - 1), n * L
+    assert unpacked == [[value + lam] * n]
+    assert list(msb) == [(((value - v) % (1 << L)) >> (L - 1)) & 1
+                         for v in constants for _ in range(n)]
+    ands, transfers = cloud.circuit.and_count, n * L
     assert transcript.party("cloud") == Counters(
         encryptions=1 + extra, he_adds=(n - 1 - extra) + 1 + extra,
         and_gates=ands, ot_transfers=transfers)

@@ -13,6 +13,7 @@ from blindboost.errors import (
     PhaseOrderViolation,
     PoolExhaustedWarning,
 )
+from blindboost.circuits import build_sub_msb_batch
 from blindboost.protocol import (
     HE_GC,
     ProtocolConfig,
@@ -28,8 +29,10 @@ from blindboost.protocol.stump_select import (
     confidential_ds_select,
     exhaustive_select_oracle,
     stump_catalog,
+    threshold_constants,
     threshold_grid,
 )
+from blindboost.protocol.transcript import transcript_report
 
 
 def cfg(seed=1, **kw):
@@ -97,18 +100,24 @@ def test_gc_gate_counter_scales_with_grid():
     ds = toy_dataset(n=10, k=2, seed=6)
     s = 4
     res = confidential_ds_select(cfg(seed=13), ds, s=s, tau=1)
-    from blindboost.protocol.transcript import transcript_report
     report = transcript_report(res.transcript)
     n, k = 10, 2
+    fp = FixedPointParams.for_dimension(k)
     L = 2 * 7 + 1 + 1  # k=2 -> ceil(log2(2)) = 1
-    per_comparison = 10 * (L - 1)
-    assert report["counters"]["csp"]["and_gates"] == s * 2 * per_comparison
-    rounds = s * k
-    # packed reveals under a 512-bit N: a comparison's slot holds
-    # x - v + q + y * 2^(L-1) < 2^(L+2) plus an (L + 2 + sigma)-bit mask,
-    # 59 bits, 511 // 59 = 8 slots, so n = 10 records take 2 ciphertexts
+    assert fp.ring_bits == L
+    # one round per feature, on a circuit that takes each record's value
+    # once (L - 1 ANDs) and compares it with each threshold v (L - 2 - t
+    # ANDs, t the lowest set bit of v's encoding)
+    constants = threshold_constants(s, fp)
+    per_round = build_sub_msb_batch(L, n, constants).and_count
+    lowest = [(v & -v).bit_length() - 1 for v in constants]
+    assert per_round == n * ((L - 1) + sum(L - 2 - t for t in lowest))
+    rounds = k
+    # packed reveals under a 512-bit N: a feature's slot holds
+    # x + y * 2^(L-1) < 2^(L+1) plus an (L + 1 + sigma)-bit mask, 58 bits,
+    # 511 // 58 = 8 slots, so n = 10 records take 2 ciphertexts
     sigma = shares.MASK_SECURITY_BITS
-    assert (L + sigma + 3, 511 // (L + sigma + 3)) == (59, 8)
+    assert (L + sigma + 2, 511 // (L + sigma + 2)) == (58, 8)
     chunks = 2
     counters = report["counters"]
     assert counters["cloud"] == {
@@ -117,19 +126,23 @@ def test_gc_gate_counter_scales_with_grid():
         # each column folded by adds, once per run; then the packed masks
         "he_adds": k * (n - chunks) + rounds * chunks,
         "he_scalar_muls": 0,
-        "and_gates": rounds * per_comparison,
+        "and_gates": rounds * per_round,
         "ot_transfers": rounds * n * L,           # lambda bits
     }
-    assert counters["cloud"]["encryptions"] == 16
+    assert counters["cloud"]["encryptions"] == 4
     assert counters["csp"] == {
         "encryptions": 0,
         "decryptions": rounds * chunks,
         "he_adds": 0,
         "he_scalar_muls": 0,
-        "and_gates": rounds * per_comparison,
+        "and_gates": rounds * per_round,
         "ot_transfers": rounds * n * L,
     }
     assert counters["user"]["encryptions"] == n * k  # x + y * 2^(L-1) per feature
+    # dealer OT: SETUP, BASE_APPLY and RESULT_EVAL_MASK, then the tables
+    # and the label pairs, per feature; the output labels go with the next
+    # feature's reveal or with DONE
+    assert report["flights"] == 2 * k + 1
 
 
 def test_single_bin_raises_before_keygen(monkeypatch):
@@ -166,19 +179,32 @@ def test_base_ot_mode_matches_dealer():
     r2 = confidential_ds_select(cfg(seed=15, ot_mode="base"), ds, s=2, tau=1)
     assert np.array_equal(r1.error_vectors, r2.error_vectors)
     assert r1.selected_indices == r2.selected_indices
-    # the base-OT session runs in SETUP: each comparison is U and its reply
-    comparisons = 2 * 2  # s * k
+    # the base-OT session runs in SETUP: each feature's round is U and its
+    # reply, n * L transfers
+    n, k, fp = 8, 2, FixedPointParams.for_dimension(2)
+    L = fp.ring_bits
     ot_msgs = [d for d, phase, _ in r2.transcript.messages if phase == "OT"]
-    assert ot_msgs == ["cloud->csp", "csp->cloud"] * comparisons
+    assert ot_msgs == ["cloud->csp", "csp->cloud"] * k
     setup = [d for d, phase, _ in r2.transcript.messages if phase == "SETUP"]
     assert setup == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
+    per_round = build_sub_msb_batch(L, n, threshold_constants(2, fp)).and_count
+    for report in map(transcript_report, (r1.transcript, r2.transcript)):
+        for party in ("cloud", "csp"):
+            assert report["counters"][party]["ot_transfers"] == k * n * L
+            assert report["counters"][party]["and_gates"] == k * per_round
+    # base OT: the header and A, then the B's; per feature the seed pairs or
+    # the last output labels with the reveal, the tables, U, the masked
+    # pairs; DONE with the last output labels
+    assert transcript_report(r1.transcript)["flights"] == 2 * k + 1
+    assert transcript_report(r2.transcript)["flights"] == 2 + 4 * k + 1
 
 
 # CSP's own shape in the hostile runs below: n = 2 records, k = 2 features,
-# L = 17, and the 2 bins' 8 catalog entries. A comparison's slot holds
-# x - v + q + y * 2^(L-1) < 2^(L+2), a mask sigma bits longer and a carry bit
-_N, _K, _L, _CATALOG = 2, 2, 17, 8
-_WIDTH = _L + 2 + shares.MASK_SECURITY_BITS + 1
+# L = 17 and 2 bins. A feature's slot holds x + y * 2^(L-1) < 2^(L+1), a
+# mask sigma bits longer and a carry bit
+_N, _K, _FP, _S = 2, 2, FixedPointParams(7, 17), 2
+_L = _FP.ring_bits
+_WIDTH = _L + 1 + shares.MASK_SECURITY_BITS + 1
 
 
 _FOREIGN_SETUPS = [
@@ -192,11 +218,11 @@ _FOREIGN_SETUPS = [
 
 
 def _stump_csp(ch, kp):
-    _csp_loop(ch, cfg(), kp, _N, _K, _L, _CATALOG)
+    _csp_loop(ch, cfg(), kp, _N, _K, _FP, _S)
 
 
 def _boosting_csp(ch, kp):
-    CSPParty(cfg(), FixedPointParams(7, _L), _N, _K, keypair=kp).run(ch)
+    CSPParty(cfg(), _FP, _N, _K, keypair=kp).run(ch)
 
 
 @pytest.mark.parametrize("csp_main, setup", [
@@ -218,22 +244,27 @@ def test_csp_loop_refuses_a_foreign_setup(keypair_512, monkeypatch, csp_main, se
 
 
 @pytest.mark.parametrize("messages, error", [
-    # a comparison index past the catalog's 4 base comparisons
+    # a feature index past the k = 2 features, at k and far past it
+    ([("BASE_APPLY", wire.pack_u32(_K))], MalformedMessage),
     ([("BASE_APPLY", wire.pack_u32(99))], MalformedMessage),
-    # comparisons out of catalog order
+    # features out of order
     ([("BASE_APPLY", wire.pack_u32(1))], MalformedMessage),
-    # DONE before the last comparison
+    # a feature index cut short or with a trailing byte
+    ([("BASE_APPLY", wire.pack_u32(0)[:-1])], MalformedMessage),
+    ([("BASE_APPLY", wire.pack_u32(0) + b"\x00")], MalformedMessage),
+    # DONE before the first feature
     ([("DONE", b"")], PhaseOrderViolation),
-    # a comparison's packed masked values one ciphertext short of or over
-    # the one that 2 records take (a list payload stands for one ciphertext
-    # of each plaintext in it)
+    # a feature's packed masked values one ciphertext short of or over the
+    # one that 2 records take (a list payload stands for one ciphertext of
+    # each plaintext in it)
     ([("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [])], MalformedMessage),
     ([("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [0, 0])], MalformedMessage),
-    # a packed comparison plaintext with bits above its 2 used slots
+    # a packed feature plaintext with bits above its 2 used slots
     ([("BASE_APPLY", wire.pack_u32(0)), ("RESULT_EVAL_MASK", [1 << 2 * _WIDTH])],
      MalformedMessage),
-], ids=["index-out-of-range", "index-out-of-order", "early-done", "missing-ciphertext",
-        "extra-ciphertext", "high-bits"])
+], ids=["index-k", "index-out-of-range", "index-out-of-order", "short-index",
+        "trailing-index-byte", "early-done", "missing-ciphertext", "extra-ciphertext",
+        "high-bits"])
 def test_csp_loop_rejects_hostile_cloud(keypair_512, messages, error):
     ch_cloud, ch_csp, _ = transport.memory_pair()
     ch_cloud.send("SETUP", _setup_header(_N, _K, _L))
@@ -244,14 +275,15 @@ def test_csp_loop_rejects_hostile_cloud(keypair_512, messages, error):
         ch_cloud.send(phase, payload)
     ch_cloud.close()  # any further recv raises TransportClosed
     with pytest.raises(error):
-        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _L, _CATALOG)
+        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _FP, _S)
 
 
-def test_csp_rejects_a_comparison_after_the_last(monkeypatch):
-    # CSP's catalog is one base comparison short of the one Cloud walks: CSP
-    # must refuse Cloud's extra comparison, or Cloud waits on it forever
-    full = stump_select.stump_catalog
-    monkeypatch.setattr(stump_select, "stump_catalog", lambda k, s: full(k, s)[:-2])
+def _walk_other_features(monkeypatch, edit):
+    """A selection in which Cloud walks the packed columns that `edit`
+    makes of the k it packs; returns what the run raised."""
+    pack = stump_select.pack_columns
+    monkeypatch.setattr(stump_select, "pack_columns",
+                        lambda *args: [edit(row) for row in pack(*args)])
     outcome = []
 
     def run():
@@ -263,5 +295,18 @@ def test_csp_rejects_a_comparison_after_the_last(monkeypatch):
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(timeout=30)
-    assert not runner.is_alive(), "Cloud was left waiting on its extra comparison"
+    assert not runner.is_alive(), "a party was left waiting"
+    return outcome
+
+
+def test_csp_rejects_a_comparison_after_the_last(monkeypatch):
+    # Cloud runs a feature past CSP's k: CSP must refuse it, or Cloud waits
+    # on it forever
+    outcome = _walk_other_features(monkeypatch, lambda row: row + row[-1:])
+    assert len(outcome) == 1 and isinstance(outcome[0], PhaseOrderViolation)
+
+
+def test_csp_refuses_done_before_the_last_feature(monkeypatch):
+    # Cloud runs the first of the k = 2 features in full, then sends DONE
+    outcome = _walk_other_features(monkeypatch, lambda row: row[:1])
     assert len(outcome) == 1 and isinstance(outcome[0], PhaseOrderViolation)

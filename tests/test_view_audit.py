@@ -22,13 +22,7 @@ import numpy as np
 import pytest
 
 from blindboost import paillier, shares
-from blindboost.encoding import (
-    Dataset,
-    FixedPointParams,
-    encode,
-    encode_array,
-    fold_labels,
-)
+from blindboost.encoding import Dataset, FixedPointParams, encode_array, fold_labels
 from blindboost.protocol import (
     HE_GC,
     SECSH_GC,
@@ -39,7 +33,7 @@ from blindboost.protocol import (
 )
 from blindboost.protocol.config import stream
 from blindboost.protocol.parties import _setup_header
-from blindboost.protocol.stump_select import confidential_ds_select, threshold_grid
+from blindboost.protocol.stump_select import confidential_ds_select
 from blindboost.protocol.transcript import BASE_APPLY, RESULT_EVAL_MASK, SETUP, Transcript
 
 SIGMA = shares.MASK_SECURITY_BITS
@@ -122,7 +116,7 @@ def _dot(rows, wq):
 def test_boosting_reveals_are_masked_sigma_bits_past_their_bound(recording, construction):
     folded = fold_labels(_dataset(13, 3, seed=81))
     cfg = ProtocolConfig(construction=construction, tau=2, p_max=6, ot_mode="dealer",
-                         seeds=Seeds(cloud=4, csp=5, data=6))
+                         seeds=Seeds.derive(4))
     _, transcript, cloud, csp = run_learning(cfg, folded, with_parties=True)
     n, d = folded.Z.shape
     fp = FixedPointParams.for_dimension(d)
@@ -153,18 +147,16 @@ def test_stump_selection_reveals_are_masked_sigma_bits_past_their_bound(recordin
     fp = FixedPointParams.for_dimension(k)
     xq = encode_array(ds.X, fp)
     lifted = [(fp.q // 2) * int(v == 1) for v in ds.y]  # y * 2^(L-1)
-    # each comparison hides x + (q - v) mod q + y * 2^(L-1), in catalog order:
-    # at most (q - 1) + (q - 1) + q / 2, an (L + 2)-bit value
-    comparisons = [[int(x) + (fp.q - encode(float(v), fp)) % fp.q + y
-                    for x, y in zip(xq[:, j], lifted)]
-                   for j in range(k) for v in threshold_grid(s)]
-    bound = (2 * (fp.q - 1) + fp.q // 2).bit_length()
-    assert bound == fp.ring_bits + 2
+    # each feature's one reveal hides x + y * 2^(L-1), in feature order, for
+    # all s thresholds at once: at most (q - 1) + q / 2, an (L + 1)-bit value
+    features = [[int(x) + y for x, y in zip(xq[:, j], lifted)] for j in range(k)]
+    bound = (fp.q - 1 + fp.q // 2).bit_length()
+    assert bound == fp.ring_bits + 1
     # no label-only reveal remains: Cloud's SETUP is the shared header alone
     setups = [p for (d, phase, _), p in zip(res.transcript.messages, res.transcript.payloads)
               if (d, phase) == ("cloud->csp", SETUP)]
     assert setups == [_setup_header(n, k, fp.ring_bits)]
-    site = Site("stump comparisons", "cloud->csp", RESULT_EVAL_MASK, comparisons,
+    site = Site("stump features", "cloud->csp", RESULT_EVAL_MASK, features,
                 bound, packed=True)
     key = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
     audit_reveals(res.transcript, key, [site])
