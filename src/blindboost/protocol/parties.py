@@ -11,9 +11,10 @@ GC roles are fixed for both constructions and for stump selection: CSP
 garbles and feeds the minuend wires `inputs_a`, Cloud evaluates, feeds the
 subtrahend wires `inputs_b` and returns the output labels, CSP decodes
 msb((a - b - v) mod 2^L) for each public constant v of the sign circuit.
-The boosting protocols' only constant is 0; stump selection's are the
-encodings of its s thresholds, which each party derives itself and hands
-to its own opening, so one round compares a feature with every threshold.
+The boosting protocols' only constant is 0; stump selection's are the bin
+boundaries 1 ... s of its s thresholds, in a ring of L_s bits, which each
+party derives itself and hands to its own opening, so one round compares a
+feature's bins with every threshold.
 In HE+GC and stump selection CSP feeds the masked value and Cloud its mask;
 in SecSh+GC CSP feeds -lambda and Cloud -u0 (mod 2^L), and
 (-lambda) - (-u0) = Z w. These parties and confidential stump selection
@@ -33,7 +34,7 @@ slot is b + sigma + 1 bits wide (`reveal_width`). HE+GC's ResultEval packs
 u = Z w, with b = `FixedPointParams.product_bits(d)`; Cloud folds its d
 encrypted columns once, in SETUP, so a trial's matrix-vector product runs
 over ceil(n / slots) rows. Stump selection packs each feature's
-x + y * 2^(L-1), with b = L + 1, once per feature. SecSh+GC's BaseApply
+bin + y * 2^(L_s-1), with b = L_s + 1, once per feature. SecSh+GC's BaseApply
 reveal stays one ciphertext per record, with masks of the same bound.
 """
 

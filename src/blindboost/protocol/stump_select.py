@@ -3,31 +3,46 @@
 Every normalized dimension is split by s equispaced thresholds strictly
 inside (-4, 4); each threshold yields two conjugate stumps ("x < v -> class
 1" and its complement), 2sk candidates in total. For each of the k features
-the parties run one batched GC round whose circuit takes each record's
-value once and compares it with all s public thresholds, outputting the
-prediction-ERROR bit per record and threshold (1 = wrong); the conjugate
-stump's vector is the bitwise complement, computed locally. CSP then
-iteratively picks argmin_r dot(I_r, delta) for tau rounds, learning only
-indices; Cloud resolves indices to stump parameters at the end.
+the parties run one batched GC round whose circuit takes each record's bin
+once and compares it with all s thresholds, outputting the prediction-ERROR
+bit per record and threshold (1 = wrong); the conjugate stump's vector is
+the bitwise complement, computed locally. CSP then iteratively picks
+argmin_r dot(I_r, delta) for tau rounds, learning only indices; Cloud
+resolves indices to stump parameters at the end.
 
-Each round is the boosting protocols' sign round with the s thresholds as
-the sign circuit's public constants (`build_sub_msb_batch`): on a masked
-value and its mask the circuit takes d = value mod 2^L once and outputs
-msb((d - v) mod 2^L) for every threshold v. Each party encodes the
-thresholds itself from its own s and fixed-point parameters
-(`threshold_constants`); they never travel. The label y in {0, 1} travels
-inside the compared value: each user encrypts x + y * 2^(L-1), with no
-reduction mod 2^L, and adding y * 2^(L-1) mod 2^L flips exactly the msb,
-so msb((x + y * 2^(L-1) - v) mod 2^L) = msb(x - v) XOR y, the error bit.
+Each user submits, per feature, its bin = #{r : v_r <= x} rather than its
+value x: the count of thresholds at or below x, from the same ring
+comparisons msb((x - v) mod 2^L) = [x < v] that the oracle makes
+(`threshold_constants`). The grid is monotone, so [x < v_r] = [bin <= r].
+Each round is the boosting protocols' sign round in the ring of
+L_s = ceil(log2 s) + 1 bits (`stump_ring_bits`), with the constants
+1 ... s (`build_sub_msb_batch`): on a masked bin and its mask the circuit
+takes d = bin mod 2^L_s once and outputs msb((d - (r + 1)) mod 2^L_s) =
+[bin <= r] for every r. Each party derives the constants itself from s;
+they never travel. The label y in {0, 1} travels inside the compared value:
+each user encrypts bin + y * 2^(L_s-1), and adding y * 2^(L_s-1) mod 2^L_s
+flips exactly the msb, so output r is [x < v_r] XOR y, the error bit.
 
 SETUP is the boosting protocols' opening (`open_cloud` / `open_csp`), with
-the k features as the dimension. The users encrypt their values shifted
-into their slots, so Cloud adds those of a chunk of records into one
-ciphertext, once per run and column (`pack_columns`). Feature j is then a
-BASE_APPLY naming j, in order from 0, and the packed sign round of
-.parties (`packed_sign_cloud` / `packed_sign_csp`) that HE+GC's ResultEval
-runs too: CSP decrypts ceil(n / slots) ciphertexts, unpacks the per-record
-masked values and garbles on them. A round hides x + y * 2^(L-1) < 2^(L+1).
+the k features as the dimension and L_s as the ring width. The users
+encrypt their values shifted into their slots, so Cloud adds those of a
+chunk of records into one ciphertext, once per run and column
+(`pack_columns`). Feature j is then a BASE_APPLY naming j, in order from 0,
+and the packed sign round of .parties (`packed_sign_cloud` /
+`packed_sign_csp`) that HE+GC's ResultEval runs too: CSP decrypts
+ceil(n / slots) ciphertexts, unpacks the per-record masked values and
+garbles on them. A round hides bin + y * 2^(L_s-1) <= s + 2^(L_s-1) <=
+2^L_s, below 2^(L_s+1).
+
+What CSP learns: its error vectors over a public monotone grid give each
+record's label and each feature's bin. A record's s bits of one feature are
+[bin <= r] XOR y: non-decreasing in r when y = 0, non-increasing when y = 1,
+and bin of them equal y. Unless they are constant, as they are exactly when
+bin is 0 or s, they give y, and y gives every bin of the record. The one
+exception is a record whose every feature lies below the first threshold or
+at or above the last: CSP sees it as y = 0 or as y = 1, with each bin 0 or s
+to match, and cannot tell which. So a submitted bin shows CSP nothing that
+its output does not, and Cloud sees only ciphertexts.
 """
 
 import warnings
@@ -126,41 +141,48 @@ def exhaustive_select_oracle(dataset: Dataset, s: int, tau: int,
 
 
 def threshold_constants(s: int, fp: FixedPointParams) -> tuple:
-    """The ring encodings of the s thresholds: the public constants of
-    every feature's sign circuit."""
+    """The ring encodings of the s thresholds, which the users' bin step
+    compares their values with."""
     return tuple(encode(float(v), fp) for v in threshold_grid(s))
 
 
-def _cloud_loop(ch, cfg, fp, rows, k, s, pk):
+def stump_ring_bits(s: int) -> int:
+    """L_s = ceil(log2 s) + 1, the ring of every stump circuit: a bin in
+    [0, s] differs from each of the constants 1 ... s by less than
+    2^(L_s - 1) in either direction."""
+    return (s - 1).bit_length() + 1
+
+
+def _cloud_loop(ch, cfg, rows, k, s, pk):
     """Cloud's side of the selection over the users' encrypted rows of k
     features under CSP's key `pk`, with s thresholds."""
-    side = open_cloud(ch, cfg, len(rows), k, fp.ring_bits, threshold_constants(s, fp))
-    bound = fp.ring_bits + 1  # x + y * 2^(L-1) < 2^L + 2^(L-1)
+    ring_bits = stump_ring_bits(s)
+    side = open_cloud(ch, cfg, len(rows), k, ring_bits, range(1, s + 1))
+    bound = ring_bits + 1  # bin + y * 2^(L_s-1) <= s + 2^(L_s-1) <= 2^L_s
     columns = zip(*pack_columns(pk, rows, reveal_width(bound), ch.counters))
     for j, column in enumerate(columns):
         ch.send(BASE_APPLY, wire.pack_u32(j))
-        # msb((x + y * 2^(L-1) - v) mod 2^L) = msb(x - v) XOR y, per threshold v
+        # msb((bin + y * 2^(L_s-1) - c) mod 2^L_s) = [bin < c] XOR y, per c = r + 1
         packed_sign_cloud(ch, side, pk, column, bound)
     ch.send(DONE, b"")
 
 
-def _csp_loop(ch, cfg, kp, n, k, fp, s):
-    """CSP's side of the selection over its own n records, k features,
-    fixed-point parameters `fp` and s thresholds; returns the (2sk, n)
-    error vectors.
+def _csp_loop(ch, cfg, kp, n, k, s):
+    """CSP's side of the selection over its own n records, k features and
+    s thresholds; returns the (2sk, n) error vectors.
 
-    Cloud's SETUP must declare exactly n, k and fp's ring width. Cloud must
-    run the k features in order, numbered 0, 1, ..., and send DONE after
-    the last one.
+    Cloud's SETUP must declare exactly n, k and the stump ring width L_s.
+    Cloud must run the k features in order, numbered 0, 1, ..., and send
+    DONE after the last one.
     """
-    L = fp.ring_bits
-    side = open_csp(ch, cfg, n, k, L, threshold_constants(s, fp))
+    ring_bits = stump_ring_bits(s)
+    side = open_csp(ch, cfg, n, k, ring_bits, range(1, s + 1))
     errors = np.zeros((2 * s * k, n), dtype=np.uint8)
     for expected in range(k):
         j = recv_field(ch, BASE_APPLY, wire.unpack_u32)
         if j != expected:
             raise MalformedMessage(f"feature {j} arrived in place of {expected}")
-        err = np.asarray(packed_sign_csp(ch, side, kp, L + 1), dtype=np.uint8)
+        err = np.asarray(packed_sign_csp(ch, side, kp, ring_bits + 1), dtype=np.uint8)
         rows = errors[2 * s * j:2 * s * (j + 1)]
         rows[0::2] = err.reshape(s, n)   # "x < v -> class 1", per threshold
         rows[1::2] = 1 - rows[0::2]      # conjugates: flipped vectors
@@ -181,17 +203,22 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
     fp = FixedPointParams.for_dimension(k, cfg.precision_bits)
     catalog = stump_catalog(k, s)
 
-    # each user folds the label in: x + y * 2^(L-1), below 2^L + 2^(L-1)
-    xy = [[int(x) + (int(y) << (fp.ring_bits - 1)) for x in row]
-          for row, y in zip(encode_array(X, fp), y01)]
-    kp, rows = encrypt_submissions(cfg, xy, reveal_width(fp.ring_bits + 1))
+    # each user's bin per feature, #{r : v_r <= x}, by the oracle's ring
+    # comparison msb((x - v) mod 2^L) = [x < v]; the label folded in on top:
+    # bin + y * 2^(L_s-1), at most 2^L_s
+    xq, vq = encode_array(X, fp), np.array(threshold_constants(s, fp), dtype=np.uint64)
+    bins = (((xq[:, :, None] - vq) & np.uint64(fp.q - 1)) < np.uint64(fp.q // 2)).sum(axis=2)
+    ring_bits = stump_ring_bits(s)
+    submitted = [[int(b) + (int(y) << (ring_bits - 1)) for b in row]
+                 for row, y in zip(bins, y01)]
+    kp, rows = encrypt_submissions(cfg, submitted, reveal_width(ring_bits + 1))
 
     ch_cloud, ch_csp, transcript = transport.memory_pair()
     transcript.party("user").encryptions += n * k
     try:
         _, error_vectors = run_pair(
-            lambda: _cloud_loop(ch_cloud, cfg, fp, rows, k, s, kp.public),
-            lambda: _csp_loop(ch_csp, cfg, kp, n, k, fp, s),
+            lambda: _cloud_loop(ch_cloud, cfg, rows, k, s, kp.public),
+            lambda: _csp_loop(ch_csp, cfg, kp, n, k, s),
             ch_cloud, ch_csp)
     finally:  # also when a party fails or the CSP thread times out
         ch_cloud.close()

@@ -26,7 +26,7 @@ BOOST_GOLDEN = {
     (SECSH_GC, "base"):
         "e7fe4ad1d4a1b8c37857e1864d60a27a03400b6ef66f7bef4735ace4646e3a4a",
 }
-STUMP_GOLDEN = "dbbce5e7e3d6b3fe395198a6c88de478904709fce8cf61cc15a289df55b71a9f"
+STUMP_GOLDEN = "f07ad38f82102990f438fd04ba1e8302ecb8762fe92a2ad6beeedbe915976348"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

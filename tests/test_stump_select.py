@@ -1,3 +1,4 @@
+import math
 import random
 import threading
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from blindboost import paillier, shares
-from blindboost.encoding import Dataset, FixedPointParams
+from blindboost.encoding import Dataset, FixedPointParams, encode_array
 from blindboost.errors import (
     BinCountInvalid,
     ConfigInvalid,
@@ -13,7 +14,7 @@ from blindboost.errors import (
     PhaseOrderViolation,
     PoolExhaustedWarning,
 )
-from blindboost.circuits import build_sub_msb_batch
+from blindboost.circuits import build_sub_msb_batch, int_to_bits
 from blindboost.protocol import (
     HE_GC,
     ProtocolConfig,
@@ -29,6 +30,7 @@ from blindboost.protocol.stump_select import (
     confidential_ds_select,
     exhaustive_select_oracle,
     stump_catalog,
+    stump_ring_bits,
     threshold_constants,
     threshold_grid,
 )
@@ -102,23 +104,23 @@ def test_gc_gate_counter_scales_with_grid():
     res = confidential_ds_select(cfg(seed=13), ds, s=s, tau=1)
     report = transcript_report(res.transcript)
     n, k = 10, 2
-    fp = FixedPointParams.for_dimension(k)
-    L = 2 * 7 + 1 + 1  # k=2 -> ceil(log2(2)) = 1
-    assert fp.ring_bits == L
-    # one round per feature, on a circuit that takes each record's value
-    # once (L - 1 ANDs) and compares it with each threshold v (L - 2 - t
-    # ANDs, t the lowest set bit of v's encoding)
-    constants = threshold_constants(s, fp)
-    per_round = build_sub_msb_batch(L, n, constants).and_count
-    lowest = [(v & -v).bit_length() - 1 for v in constants]
-    assert per_round == n * ((L - 1) + sum(L - 2 - t for t in lowest))
+    L_s = 3  # ceil(log2(4)) + 1: bins 0 ... 4 against the constants 1 ... 4
+    assert stump_ring_bits(s) == L_s
+    # one round per feature, on a circuit that takes each record's bin once
+    # (L_s - 1 ANDs) and compares it with each constant c (L_s - 2 - t
+    # ANDs, t the lowest set bit of c; none for c = 2^(L_s-1), a NOT)
+    constants = range(1, s + 1)
+    per_round = build_sub_msb_batch(L_s, n, constants).and_count
+    lowest = [(c & -c).bit_length() - 1 for c in constants]
+    assert per_round == n * ((L_s - 1) + sum(max(L_s - 2 - t, 0) for t in lowest))
+    assert per_round == 40
     rounds = k
     # packed reveals under a 512-bit N: a feature's slot holds
-    # x + y * 2^(L-1) < 2^(L+1) plus an (L + 1 + sigma)-bit mask, 58 bits,
-    # 511 // 58 = 8 slots, so n = 10 records take 2 ciphertexts
+    # bin + y * 2^(L_s-1) <= 2^L_s plus an (L_s + 1 + sigma)-bit mask, 45
+    # bits, 511 // 45 = 11 slots, so n = 10 records take 1 ciphertext
     sigma = shares.MASK_SECURITY_BITS
-    assert (L + sigma + 2, 511 // (L + sigma + 2)) == (58, 8)
-    chunks = 2
+    assert (L_s + sigma + 2, 511 // (L_s + sigma + 2)) == (45, 11)
+    chunks = 1
     counters = report["counters"]
     assert counters["cloud"] == {
         "encryptions": rounds * chunks,   # one packed mask each
@@ -127,18 +129,18 @@ def test_gc_gate_counter_scales_with_grid():
         "he_adds": k * (n - chunks) + rounds * chunks,
         "he_scalar_muls": 0,
         "and_gates": rounds * per_round,
-        "ot_transfers": rounds * n * L,           # lambda bits
+        "ot_transfers": rounds * n * L_s,         # lambda bits
     }
-    assert counters["cloud"]["encryptions"] == 4
+    assert counters["cloud"]["encryptions"] == 2
     assert counters["csp"] == {
         "encryptions": 0,
         "decryptions": rounds * chunks,
         "he_adds": 0,
         "he_scalar_muls": 0,
         "and_gates": rounds * per_round,
-        "ot_transfers": rounds * n * L,
+        "ot_transfers": rounds * n * L_s,
     }
-    assert counters["user"]["encryptions"] == n * k  # x + y * 2^(L-1) per feature
+    assert counters["user"]["encryptions"] == n * k  # bin + y * 2^(L_s-1) per feature
     # dealer OT: SETUP, BASE_APPLY and RESULT_EVAL_MASK, then the tables
     # and the label pairs, per feature; the output labels go with the next
     # feature's reveal or with DONE
@@ -180,17 +182,16 @@ def test_base_ot_mode_matches_dealer():
     assert np.array_equal(r1.error_vectors, r2.error_vectors)
     assert r1.selected_indices == r2.selected_indices
     # the base-OT session runs in SETUP: each feature's round is U and its
-    # reply, n * L transfers
-    n, k, fp = 8, 2, FixedPointParams.for_dimension(2)
-    L = fp.ring_bits
+    # reply, n * L_s transfers, L_s = 2 at s = 2
+    n, k, L_s = 8, 2, 2
     ot_msgs = [d for d, phase, _ in r2.transcript.messages if phase == "OT"]
     assert ot_msgs == ["cloud->csp", "csp->cloud"] * k
     setup = [d for d, phase, _ in r2.transcript.messages if phase == "SETUP"]
     assert setup == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
-    per_round = build_sub_msb_batch(L, n, threshold_constants(2, fp)).and_count
+    per_round = build_sub_msb_batch(L_s, n, (1, 2)).and_count
     for report in map(transcript_report, (r1.transcript, r2.transcript)):
         for party in ("cloud", "csp"):
-            assert report["counters"][party]["ot_transfers"] == k * n * L
+            assert report["counters"][party]["ot_transfers"] == k * n * L_s
             assert report["counters"][party]["and_gates"] == k * per_round
     # base OT: the header and A, then the B's; per feature the seed pairs or
     # the last output labels with the reveal, the tables, U, the masked
@@ -199,26 +200,28 @@ def test_base_ot_mode_matches_dealer():
     assert transcript_report(r2.transcript)["flights"] == 2 + 4 * k + 1
 
 
-# CSP's own shape in the hostile runs below: n = 2 records, k = 2 features,
-# L = 17 and 2 bins. A feature's slot holds x + y * 2^(L-1) < 2^(L+1), a
-# mask sigma bits longer and a carry bit
+# CSP's own shape in the hostile runs below: n = 2 records, k = 2 features
+# and 2 bins, so stump selection's ring has L_s = 2 bits; the boosting
+# protocols' ring has L = 17. A feature's slot holds
+# bin + y * 2^(L_s-1) <= 2^L_s, a mask sigma bits longer and a carry bit
 _N, _K, _FP, _S = 2, 2, FixedPointParams(7, 17), 2
-_L = _FP.ring_bits
-_WIDTH = _L + 1 + shares.MASK_SECURITY_BITS + 1
+_L_S = 2
+_WIDTH = _L_S + 1 + shares.MASK_SECURITY_BITS + 1
 
 
+# each a header for the ring width L that CSP expects
 _FOREIGN_SETUPS = [
-    (_setup_header(_N + 28, _K, _L), "other-n"),
-    (_setup_header(0, _K, _L), "no-records"),
-    (_setup_header(_N, _K + 1, _L), "other-k"),
-    (_setup_header(_N, _K, _L + 1), "other-L"),
-    (_setup_header(_N, _K, _L) + b"\x00", "trailing-bytes"),
-    (_setup_header(_N, _K, _L)[:-1], "truncated"),
+    (lambda L: _setup_header(_N + 28, _K, L), "other-n"),
+    (lambda L: _setup_header(0, _K, L), "no-records"),
+    (lambda L: _setup_header(_N, _K + 1, L), "other-k"),
+    (lambda L: _setup_header(_N, _K, L + 1), "other-L"),
+    (lambda L: _setup_header(_N, _K, L) + b"\x00", "trailing-bytes"),
+    (lambda L: _setup_header(_N, _K, L)[:-1], "truncated"),
 ]
 
 
 def _stump_csp(ch, kp):
-    _csp_loop(ch, cfg(), kp, _N, _K, _FP, _S)
+    _csp_loop(ch, cfg(), kp, _N, _K, _S)
 
 
 def _boosting_csp(ch, kp):
@@ -226,9 +229,12 @@ def _boosting_csp(ch, kp):
 
 
 @pytest.mark.parametrize("csp_main, setup", [
-    pytest.param(csp_main, setup, id=prefix + name)
-    for csp_main, prefix in ((_stump_csp, ""), (_boosting_csp, "boosting-"))
-    for setup, name in _FOREIGN_SETUPS])
+    pytest.param(csp_main, header(L), id=prefix + name)
+    for csp_main, prefix, L in ((_stump_csp, "", _L_S),
+                                (_boosting_csp, "boosting-", _FP.ring_bits))
+    for header, name in _FOREIGN_SETUPS] + [
+    # a stump SETUP that declares the fixed-point ring where L_s belongs
+    pytest.param(_stump_csp, _setup_header(_N, _K, _FP.ring_bits), id="old-width")])
 def test_csp_loop_refuses_a_foreign_setup(keypair_512, monkeypatch, csp_main, setup):
     # both CSP openings, stump selection's and the boosting protocols' (whose
     # dimension stands where k does): a Cloud-declared shape must not reach
@@ -267,7 +273,7 @@ def test_csp_loop_refuses_a_foreign_setup(keypair_512, monkeypatch, csp_main, se
         "high-bits"])
 def test_csp_loop_rejects_hostile_cloud(keypair_512, messages, error):
     ch_cloud, ch_csp, _ = transport.memory_pair()
-    ch_cloud.send("SETUP", _setup_header(_N, _K, _L))
+    ch_cloud.send("SETUP", _setup_header(_N, _K, _L_S))
     for phase, payload in messages:
         if isinstance(payload, list):
             payload = paillier.ciphertexts_to_bytes(paillier.encrypt_many(
@@ -275,7 +281,7 @@ def test_csp_loop_rejects_hostile_cloud(keypair_512, messages, error):
         ch_cloud.send(phase, payload)
     ch_cloud.close()  # any further recv raises TransportClosed
     with pytest.raises(error):
-        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _FP, _S)
+        _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _S)
 
 
 def _walk_other_features(monkeypatch, edit):
@@ -310,3 +316,93 @@ def test_csp_refuses_done_before_the_last_feature(monkeypatch):
     # Cloud runs the first of the k = 2 features in full, then sends DONE
     outcome = _walk_other_features(monkeypatch, lambda row: row[:1])
     assert len(outcome) == 1 and isinstance(outcome[0], PhaseOrderViolation)
+
+
+def _ring_bins(X, s, fp):
+    """Each record's bin per feature, #{r : v_r <= x}, counted here from
+    the ring comparison msb((x - v) mod 2^L) = [x < v] on the encodings."""
+    xq = encode_array(X, fp)
+    return np.array([[sum(((int(x) - v) % fp.q) < fp.q // 2
+                          for v in threshold_constants(s, fp)) for x in row]
+                     for row in xq])
+
+
+@pytest.mark.parametrize("s", range(2, 18))
+def test_bin_circuit_gives_the_error_bit_for_every_bin_and_label(s):
+    # the stump circuit in plain: CSP's minuend is bin + y * 2^(L_s-1) plus
+    # Cloud's mask, Cloud's subtrahend the mask; output r must be
+    # [bin <= r] XOR y for each constant r + 1, whatever the mask
+    L_s = math.ceil(math.log2(s)) + 1
+    assert stump_ring_bits(s) == L_s
+    circuit = build_sub_msb_batch(L_s, 1, tuple(range(1, s + 1)))
+    rng = random.Random(s)
+    sigma = shares.MASK_SECURITY_BITS
+    masks = [0, 1, (1 << L_s) - 1, (1 << (L_s + 1 + sigma)) - 1] + \
+        [rng.getrandbits(L_s + 1 + sigma) for _ in range(4)]
+    for b in range(s + 1):
+        for y in (0, 1):
+            for m in masks:
+                got = circuit.evaluate_plain(int_to_bits(b + (y << (L_s - 1)) + m, L_s),
+                                             int_to_bits(m, L_s))
+                assert got == [int(b <= r) ^ y for r in range(s)], (b, y, m)
+
+
+@pytest.mark.parametrize("s", [2, 5, 8, 16])
+def test_values_on_and_past_the_thresholds_match_the_oracle(s):
+    # ties: values exactly on each threshold and one fixed-point step to
+    # either side of it; edges: the domain bounds +-4 and values past them
+    grid = threshold_grid(s)
+    step = 1 / 128
+    values = np.concatenate([grid, grid - step, grid + step,
+                             [-4.0, 4.0, -4.0 - step, 4.0 - step, -9.5, 9.5, 0.0]])
+    rng = np.random.default_rng(s)
+    X = np.stack([values, rng.permutation(values)], axis=1)
+    y = np.where(rng.random(len(values)) < 0.5, 1, -1).astype(np.int8)
+    ds = Dataset(X, y)
+    fp = FixedPointParams.for_dimension(2)
+    bins = _ring_bins(X, s, fp)
+    assert {0, s} <= set(bins.ravel())  # both ends of the grid are hit
+    res = confidential_ds_select(cfg(), ds, s=s, tau=2)
+    (oracle_idx, oracle_alpha, _), oracle_errors, _, _ = \
+        exhaustive_select_oracle(ds, s=s, tau=2)
+    assert np.array_equal(res.error_vectors, oracle_errors)
+    assert res.selected_indices == oracle_idx
+    assert res.alphas == oracle_alpha
+
+
+def _read_labels_and_bins(error_vectors, k, s):
+    """What CSP's error vectors give: per record its label (-1 where they
+    do not fix it) and per feature its bin (-1 likewise). The '+1' stump
+    of threshold r errs by [bin <= r] XOR y."""
+    bits = error_vectors[0::2].reshape(k, s, -1).transpose(2, 0, 1)  # (n, k, s)
+    n = bits.shape[0]
+    labels, bins = np.full(n, -1), np.full((n, k), -1)
+    for i in range(n):
+        stepped = [row for row in bits[i] if row.min() != row.max()]
+        if stepped:  # non-decreasing when y = 0, non-increasing when y = 1
+            labels[i] = stepped[0][0]
+            bins[i] = (bits[i] == labels[i]).sum(axis=1)  # bin of the s bits equal y
+    return labels, bins
+
+
+def test_error_vectors_give_csp_every_label_and_bin():
+    # CSP's designed output already fixes each record's label and bins, so
+    # the bins that the users submit show it nothing more; the exception is
+    # a record whose every feature lies below the first threshold or at or
+    # above the last
+    s, k = 8, 3
+    ds = toy_dataset(n=30, k=k, seed=8)
+    outside = np.array([[-4.5, 3.9, -3.9], [5.0, 6.0, -7.0]])
+    X = np.concatenate([ds.X, outside])
+    y01 = (np.concatenate([ds.y, [1, -1]]) == 1).astype(int)
+    ds = Dataset(X, np.where(y01 == 1, 1, -1).astype(np.int8))
+    truth = _ring_bins(X, s, FixedPointParams.for_dimension(k))
+    hidden = ((truth == 0) | (truth == s)).all(axis=1)
+    assert hidden.sum() >= 2 and not hidden.all()
+    _, oracle_errors, _, _ = exhaustive_select_oracle(ds, s=s, tau=1)
+    protocol_errors = confidential_ds_select(cfg(seed=5), ds, s=s, tau=1).error_vectors
+    for errors in (oracle_errors, protocol_errors):
+        labels, bins = _read_labels_and_bins(errors, k, s)
+        assert np.array_equal(labels[~hidden], y01[~hidden])
+        assert np.array_equal(bins[~hidden], truth[~hidden])
+        assert (labels[hidden] == -1).all()

@@ -146,16 +146,22 @@ def test_stump_selection_reveals_are_masked_sigma_bits_past_their_bound(recordin
     n, k = ds.X.shape
     fp = FixedPointParams.for_dimension(k)
     xq = encode_array(ds.X, fp)
-    lifted = [(fp.q // 2) * int(v == 1) for v in ds.y]  # y * 2^(L-1)
-    # each feature's one reveal hides x + y * 2^(L-1), in feature order, for
-    # all s thresholds at once: at most (q - 1) + q / 2, an (L + 1)-bit value
-    features = [[int(x) + y for x, y in zip(xq[:, j], lifted)] for j in range(k)]
-    bound = (fp.q - 1 + fp.q // 2).bit_length()
-    assert bound == fp.ring_bits + 1
+    vq = [encode_array(np.array([-4 + 8 * (r + 1) / (s + 1)]), fp)[0] for r in range(s)]
+    L_s = (s - 1).bit_length() + 1  # the bins 0 ... s against the constants 1 ... s
+    lifted = [(1 << (L_s - 1)) * int(v == 1) for v in ds.y]  # y * 2^(L_s-1)
+    # each feature's one reveal hides the records' bins #{r : v_r <= x},
+    # from the ring comparisons msb((x - v) mod 2^L) = [x < v], plus the
+    # lifted labels, in feature order, for all s thresholds at once:
+    # bin <= s <= 2^(L_s-1), so at most 2^L_s, an (L_s + 1)-bit value
+    bins = [[sum((int(x) - int(v)) % fp.q < fp.q // 2 for v in vq) for x in xq[:, j]]
+            for j in range(k)]
+    features = [[b + y for b, y in zip(bins[j], lifted)] for j in range(k)]
+    bound = (2 ** (L_s - 1) + 2 ** (L_s - 1)).bit_length()  # for any s of this L_s
+    assert bound == L_s + 1
     # no label-only reveal remains: Cloud's SETUP is the shared header alone
     setups = [p for (d, phase, _), p in zip(res.transcript.messages, res.transcript.payloads)
               if (d, phase) == ("cloud->csp", SETUP)]
-    assert setups == [_setup_header(n, k, fp.ring_bits)]
+    assert setups == [_setup_header(n, k, L_s)]
     site = Site("stump features", "cloud->csp", RESULT_EVAL_MASK, features,
                 bound, packed=True)
     key = paillier.keygen(cfg.key_bits, stream(cfg.seeds.csp, b"keyg"))
