@@ -154,7 +154,8 @@ def build_sub_msb_batch(width: int, count: int, constants=(0,)) -> Circuit:
     instance-major, LSB first.
 
     Each record takes d once, width - 1 AND gates, and each nonzero
-    constant with lowest set bit t adds width - 2 - t more. With the
+    constant with lowest set bit t adds max(width - 2 - t, 0) more: the
+    constant 2^(width-1) costs one NOT and no AND. With the
     constant 0 alone the circuit is msb((a - b) mod 2^width): d's top bit
     is the only one materialized."""
     if not 2 <= width <= 128:

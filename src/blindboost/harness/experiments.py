@@ -6,7 +6,7 @@ keys) and validate against the schema files shipped in blindboost/schemas.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -45,7 +45,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls(**json.loads(text))
+        spec = json.loads(text)
+        if not isinstance(spec, dict):
+            raise ConfigInvalid(f"a spec is a JSON object, got {type(spec).__name__}")
+        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+        missing = [key for key in ("kind", "dataset", "output_dir") if key not in spec]
+        if unknown or missing:
+            raise ConfigInvalid(f"spec has unknown keys {unknown}, lacks {missing}")
+        return cls(**spec)
 
 
 def resolve_dataset(ref: dict, seed: int) -> Dataset:

@@ -1,7 +1,6 @@
 from .config import HE_GC, SECSH_GC, ProtocolConfig, Seeds, paper_faithful
 from .engine import (
     DistributedModel,
-    collect_model,
     reconstruct_model,
     run_learning,
     setup,
@@ -10,6 +9,6 @@ from .transcript import Transcript, transcript_report
 
 __all__ = [
     "HE_GC", "SECSH_GC", "ProtocolConfig", "Seeds", "paper_faithful",
-    "DistributedModel", "collect_model", "reconstruct_model", "run_learning",
+    "DistributedModel", "reconstruct_model", "run_learning",
     "setup", "Transcript", "transcript_report",
 ]

@@ -1,4 +1,4 @@
-"""Protocol orchestration: setup, the learning run, and model reassembly."""
+"""Protocol orchestration: setup, the session runner, the learning run, model reassembly."""
 
 import json
 import threading
@@ -19,21 +19,28 @@ from . import transport
 JOIN_TIMEOUT_S = 600
 
 
-def run_pair(cloud_main, csp_main, ch_cloud, ch_csp):
-    """Run `csp_main()` on a worker thread and `cloud_main()` on this one;
-    returns (Cloud's result, CSP's result).
+def run_pair(cloud_main, csp_main, transport_kind: str = "memory"):
+    """One two-party session over a fresh channel pair of `transport_kind`:
+    `csp_main(ch)` runs on a worker thread named "csp" and `cloud_main(ch)`
+    on this one, each on its own end. Returns (Cloud's result, CSP's result,
+    transcript); both ends are closed when it returns or raises.
 
-    A failing party closes its end (`ch_cloud` or `ch_csp`), so a peer
-    waiting on recv wakes up. The root cause is raised: Cloud's own error
-    when Cloud failed first, CSP's when Cloud only saw the channel close. A
-    CSP thread still running JOIN_TIMEOUT_S seconds after Cloud's part ended
-    raises PartyTimeout: the run never returns a partial result.
+    A failing party closes its end, so a peer waiting on recv wakes up. The
+    root cause is raised: Cloud's own error when Cloud failed first, CSP's
+    when Cloud only saw the channel close. A CSP thread still running
+    JOIN_TIMEOUT_S seconds after Cloud's part ended raises PartyTimeout: the
+    run never returns a partial result.
     """
+    if transport_kind not in ("memory", "socket"):
+        raise ValueError(f"unknown transport {transport_kind!r}")
+    # looked up per call: tests and the benchmark's set-up clock replace them
+    make_pair = transport.memory_pair if transport_kind == "memory" else transport.socket_pair
+    ch_cloud, ch_csp, transcript = make_pair()
     errors, results = [], []
 
     def csp_wrapped():
         try:
-            results.append(csp_main())
+            results.append(csp_main(ch_csp))
         except BaseException as exc:  # propagated after join
             errors.append(exc)
             ch_csp.close()  # unblock a peer waiting on recv
@@ -41,20 +48,24 @@ def run_pair(cloud_main, csp_main, ch_cloud, ch_csp):
     worker = threading.Thread(target=csp_wrapped, name="csp", daemon=True)
     worker.start()
     try:
-        cloud_result = cloud_main()
+        cloud_result = cloud_main(ch_cloud)
     except BaseException as exc:
         ch_cloud.close()  # unblock a CSP waiting on recv
         worker.join(timeout=JOIN_TIMEOUT_S)
         if errors and isinstance(exc, TransportClosed):
             raise errors[0]  # CSP failed first and closed its end
         raise
-    worker.join(timeout=JOIN_TIMEOUT_S)
-    if errors:
-        raise errors[0]
-    if worker.is_alive():
-        raise PartyTimeout(f"the CSP thread is still running {JOIN_TIMEOUT_S} s "
-                           f"after Cloud finished")
-    return cloud_result, results[0]
+    else:
+        worker.join(timeout=JOIN_TIMEOUT_S)
+        if errors:
+            raise errors[0]
+        if worker.is_alive():
+            raise PartyTimeout(f"the CSP thread is still running {JOIN_TIMEOUT_S} s "
+                               f"after Cloud finished")
+    finally:  # also wakes a CSP thread still waiting on recv
+        ch_cloud.close()
+        ch_csp.close()
+    return cloud_result, results[0], transcript
 
 
 def encrypt_submissions(cfg: ProtocolConfig, rows, width: int):
@@ -122,16 +133,6 @@ class DistributedModel:
                    fp=FixedPointParams(**d["fixed_point"]))
 
 
-def collect_model(cfg: ProtocolConfig, cloud: CloudParty, csp: CSPParty) -> DistributedModel:
-    cloud_part = [(t + 1, cloud.tried_w[t]) for t, acc in enumerate(cloud.acceptance)
-                  if acc]
-    return DistributedModel(construction=cfg.construction,
-                            cloud_part=cloud_part,
-                            csp_part=list(csp.accepted),
-                            acceptance=list(cloud.acceptance),
-                            fp=cloud.fp)
-
-
 def reconstruct_model(dm: DistributedModel) -> BoostedModel:
     """Recombine the parts the data owner downloads from the two parties."""
     cloud_idx = [t for t, _ in dm.cloud_part]
@@ -151,29 +152,25 @@ def run_learning(cfg: ProtocolConfig, folded: FoldedMatrix,
                  transport_kind: str = "memory", with_parties: bool = False):
     """Full two-party run; returns (DistributedModel, Transcript).
 
-    The parties run concurrently in two threads and communicate only via the
+    The parties run as one `run_pair` session and communicate only via the
     chosen transport. `with_parties` additionally returns the two party
     objects, with what each holds at the end of the run.
     """
     if transport_kind not in ("memory", "socket"):
         raise ValueError(f"unknown transport {transport_kind!r}")
     cloud, csp = setup(cfg, folded)
-    make_pair = transport.memory_pair if transport_kind == "memory" else transport.socket_pair
-    ch_cloud, ch_csp, transcript = make_pair()
+    _, _, transcript = run_pair(cloud.run, csp.run, transport_kind)
     if cfg.construction == HE_GC:  # the users' encrypted submissions
         transcript.party("user").encryptions += cloud.n * cloud.dim
-
-    try:
-        run_pair(lambda: cloud.run(ch_cloud), lambda: csp.run(ch_csp), ch_cloud, ch_csp)
-    finally:  # also when a party fails or the CSP thread times out
-        ch_cloud.close()
-        ch_csp.close()
     transcript.validate_phase_order()
     if len(csp.accepted) < cfg.tau:
         warnings.warn(f"only {len(csp.accepted)}/{cfg.tau} classifiers accepted "
                       f"in {len(cloud.tried_w)} tries", PoolExhaustedWarning, stacklevel=2)
-    model = collect_model(cfg, cloud, csp)
+    model = DistributedModel(
+        construction=cfg.construction,
+        cloud_part=[(t + 1, cloud.tried_w[t]) for t, acc in enumerate(cloud.acceptance)
+                    if acc],
+        csp_part=list(csp.accepted), acceptance=list(cloud.acceptance), fp=cloud.fp)
     if with_parties:
         return model, transcript, cloud, csp
     return model, transcript
-

@@ -4,8 +4,9 @@ Knowledge separation is structural: CloudParty has no field for sample
 weights, model weights or any decrypted matrix-vector result; CSPParty has no
 field for a plaintext classifier or (in HE+GC) for the training data, and
 neither keeps a trial's masks or masked values past that trial. The only
-cross-party channel is the transport end handed to `open`, `trial` and `run`;
-each party's cost counters live on its end (`ch.counters`).
+cross-party channel is the transport end handed to `open`, `trial` and `run`,
+which the session runner `engine.run_pair` makes and closes; each party's
+cost counters live on its end (`ch.counters`).
 
 GC roles are fixed for both constructions and for stump selection: CSP
 garbles and feeds the minuend wires `inputs_a`, Cloud evaluates, feeds the

@@ -58,7 +58,7 @@ from ..errors import BinCountInvalid, ConfigInvalid, MalformedMessage, PoolExhau
 from ..circuits import build_sub_msb_batch as build_stump_error_batch  # noqa: F401
 from ..garbling import decode_output, evaluate, garble, tables_from_bytes  # noqa: F401
 from ..ot import dealer_choose  # noqa: F401
-from . import transport, wire
+from . import wire
 from .config import ProtocolConfig
 from .engine import encrypt_submissions, run_pair
 from .parties import (
@@ -213,16 +213,10 @@ def confidential_ds_select(cfg: ProtocolConfig, dataset: Dataset, s: int,
                  for row, y in zip(bins, y01)]
     kp, rows = encrypt_submissions(cfg, submitted, reveal_width(ring_bits + 1))
 
-    ch_cloud, ch_csp, transcript = transport.memory_pair()
+    _, error_vectors, transcript = run_pair(
+        lambda ch: _cloud_loop(ch, cfg, rows, k, s, kp.public),
+        lambda ch: _csp_loop(ch, cfg, kp, n, k, s))
     transcript.party("user").encryptions += n * k
-    try:
-        _, error_vectors = run_pair(
-            lambda: _cloud_loop(ch_cloud, cfg, rows, k, s, kp.public),
-            lambda: _csp_loop(ch_csp, cfg, kp, n, k, s),
-            ch_cloud, ch_csp)
-    finally:  # also when a party fails or the CSP thread times out
-        ch_cloud.close()
-        ch_csp.close()
     transcript.validate_phase_order()
 
     delta = np.full(n, 1.0 / n)

@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from blindboost import paillier
+from blindboost.protocol import transport
+from blindboost.protocol.transcript import Transcript
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +17,14 @@ def keypair_512():
 @pytest.fixture(scope="session")
 def keypair_512_alt():
     return paillier.keygen(512, random.Random(0xA17))
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Every in-memory channel pair keeps its payloads."""
+    pair = transport.memory_pair
+    monkeypatch.setattr(transport, "memory_pair",
+                        lambda: pair(Transcript(keep_payloads=True)))
 
 
 @pytest.fixture

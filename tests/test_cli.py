@@ -105,6 +105,16 @@ def test_report_command(tmp_path):
     assert (tmp_path / "rep" / "cv_accuracy.json").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"bogus": 1}, [1, 2], {"kind": "CV_ACCURACY", "output_dir": "x"},
+    {"dataset": {"synthetic": {}}, "output_dir": "x", "seed": 1, "bogus": 1},
+], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key"])
+def test_report_spec_error_exit_code(tmp_path, capsys, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["report", "--spec", str(tmp_path / "spec.json")]) == EXIT_CONFIG
+    assert "configuration error: " in capsys.readouterr().err
+
+
 def test_bench_scaling_check(tmp_path):
     rc = main(["bench", "--seed", "1", "--out", str(tmp_path)])
     assert rc == EXIT_OK

@@ -1,6 +1,7 @@
 """A failing party must not deadlock the run: the peer unblocks and the root
 cause propagates. A hung party must not leave a partial result."""
 
+import contextlib
 import threading
 import time
 
@@ -20,6 +21,10 @@ from blindboost.protocol import (
 from blindboost.protocol.parties import CloudParty, CSPParty
 
 
+class Boom(RuntimeError):
+    pass
+
+
 def _folded():
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(6, 2))
@@ -30,9 +35,6 @@ def _folded():
 
 def test_csp_failure_propagates_without_deadlock(monkeypatch):
     folded = _folded()
-
-    class Boom(RuntimeError):
-        pass
 
     def broken(self, ch):
         raise Boom("csp died")
@@ -47,9 +49,6 @@ def test_csp_failure_propagates_without_deadlock(monkeypatch):
 def test_cloud_failure_raises_within_seconds(monkeypatch, transport_kind):
     # the default JOIN_TIMEOUT_S: the CSP waiting on recv must be woken by
     # Cloud's end closing, not by the join giving up
-    class Boom(RuntimeError):
-        pass
-
     def broken(self, ch, t):
         raise Boom("cloud died")
 
@@ -103,10 +102,10 @@ def test_hung_csp_thread_fails_run_learning(hung_csp):
         run_learning(_cfg(), _folded())
 
 
-def test_hung_csp_thread_leaves_no_socket_open(hung_csp, monkeypatch):
-    hung_csp(CSPParty, "run")
-    ends = []
-    socket_pair = transport.socket_pair
+@pytest.fixture
+def socket_ends(monkeypatch):
+    """The ends of every socket pair made from now on."""
+    ends, socket_pair = [], transport.socket_pair
 
     def recorded_pair():
         pair = socket_pair()
@@ -114,9 +113,33 @@ def test_hung_csp_thread_leaves_no_socket_open(hung_csp, monkeypatch):
         return pair
 
     monkeypatch.setattr(transport, "socket_pair", recorded_pair)
+    return ends
+
+
+def test_hung_csp_thread_leaves_no_socket_open(hung_csp, socket_ends):
+    hung_csp(CSPParty, "run")
     with pytest.raises(PartyTimeout):
         run_learning(_cfg(), _folded(), transport_kind="socket")
-    assert [end._sock.fileno() for end in ends] == [-1, -1]  # both closed
+    assert [end._sock.fileno() for end in socket_ends] == [-1, -1]  # both closed
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "cloud-failure"])
+def test_runner_closes_both_socket_ends(socket_ends, fails):
+    def cloud_main(ch):
+        if fails:
+            raise Boom("cloud died")
+        ch.send("SETUP", b"hello")
+        return ch.recv()
+
+    def csp_main(ch):
+        phase, payload = ch.recv()
+        ch.send("DONE", payload)
+        return phase
+
+    with pytest.raises(Boom) if fails else contextlib.nullcontext():
+        assert engine.run_pair(cloud_main, csp_main, "socket")[:2] == (("DONE", b"hello"),
+                                                                       "SETUP")
+    assert [end._sock.fileno() for end in socket_ends] == [-1, -1]  # both closed
 
 
 def _stump_dataset():

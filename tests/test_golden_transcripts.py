@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from blindboost.encoding import Dataset, fold_labels
-from blindboost.protocol import HE_GC, SECSH_GC, ProtocolConfig, run_learning, transport
+from blindboost.protocol import HE_GC, SECSH_GC, ProtocolConfig, run_learning
 from blindboost.protocol.stump_select import confidential_ds_select
 from blindboost.protocol.transcript import Transcript
 
@@ -32,14 +32,6 @@ STUMP_GOLDEN = "f07ad38f82102990f438fd04ba1e8302ecb8762fe92a2ad6beeedbe915976348
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.
 STUMP_MODEL = ("a3ef78babb20fea2391d6b3adc703a0663d30ab58daec7b36ea1aa734926998a",
                [9, 7, 41], [1.5677471079645748, 0.9485599924429406, 0.66750053336617])
-
-
-@pytest.fixture
-def recording(monkeypatch):
-    """Every in-memory channel pair keeps its payloads."""
-    pair = transport.memory_pair
-    monkeypatch.setattr(transport, "memory_pair",
-                        lambda: pair(Transcript(keep_payloads=True)))
 
 
 def transcript_digest(t: Transcript) -> str:

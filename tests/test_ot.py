@@ -10,7 +10,7 @@ from blindboost.errors import (
     ModeNotPermittedInSecureProfile,
     OTFailure,
 )
-from blindboost.protocol import engine, parties, transport
+from blindboost.protocol import engine, parties
 from blindboost.protocol.config import HE_GC, ProtocolConfig, paper_faithful, stream
 
 
@@ -172,10 +172,8 @@ def test_every_received_element_is_checked(monkeypatch, one_worker_pool, name):
 def test_base_ot_secrets_are_short_and_drawn_from_the_party_stream(
         monkeypatch, one_worker_pool, cfg):
     def secrets():
-        ch_cloud, ch_csp, _ = transport.memory_pair()
-        cloud, csp = engine.run_pair(lambda: parties.open_cloud(ch_cloud, cfg, 4, 1, 17),
-                                     lambda: parties.open_csp(ch_csp, cfg, 4, 1, 17),
-                                     ch_cloud, ch_csp)
+        cloud, csp, _ = engine.run_pair(lambda ch: parties.open_cloud(ch, cfg, 4, 1, 17),
+                                        lambda ch: parties.open_csp(ch, cfg, 4, 1, 17))
         return cloud.label_ot._session._base._a, csp.label_ot._session._base._secrets
 
     a, bs = secrets()

@@ -222,22 +222,19 @@ def test_parties_keep_no_trial_secret_after_a_run(construction):
 
 
 def run_trials(cloud, csp, trials):
-    """SETUP, then `trials` trials over one in-memory channel pair; returns
-    the transcript."""
-    ch_cloud, ch_csp, transcript = transport.memory_pair()
-
-    def cloud_main():
-        cloud.open(ch_cloud)
+    """SETUP, then `trials` trials in one in-memory session; returns the
+    transcript."""
+    def cloud_main(ch):
+        cloud.open(ch)
         for t in range(1, trials + 1):
-            cloud.trial(ch_cloud, t)
+            cloud.trial(ch, t)
 
-    def csp_main():
-        csp.open(ch_csp)
+    def csp_main(ch):
+        csp.open(ch)
         for _ in range(trials):
-            csp.trial(ch_csp)
+            csp.trial(ch)
 
-    engine.run_pair(cloud_main, csp_main, ch_cloud, ch_csp)
-    return transcript
+    return engine.run_pair(cloud_main, csp_main)[2]
 
 
 def _spy(monkeypatch, module, name):
@@ -509,20 +506,11 @@ def test_reconstruct_empty_model_predicts_negative():
     assert model.predict(np.zeros((2, 3))).tolist() == [-1, -1]
 
 
-def test_no_plaintext_classifier_in_messages():
+def test_no_plaintext_classifier_in_messages(recording):
     # transcript payload scan: the float64 byte patterns of every tried
     # classifier never appear in any message
-    folded = toy_folded(n=5, k=2, seed=13)
-    cfg = cfg_for(SECSH_GC, tau=2, p_max=6)
-    cloud, csp = setup(cfg, folded)
-    from blindboost.protocol import transport as tr
-    ch_cloud, ch_csp, transcript = tr.memory_pair()
-    transcript.keep_payloads = True
-    import threading
-    worker = threading.Thread(target=csp.run, args=(ch_csp,), daemon=True)
-    worker.start()
-    cloud.run(ch_cloud)
-    worker.join(timeout=600)
+    _, transcript, cloud, _ = run_learning(cfg_for(SECSH_GC, tau=2, p_max=6),
+                                           toy_folded(n=5, k=2, seed=13), with_parties=True)
     blob = b"".join(transcript.payloads)
     for w in cloud.tried_w:
         assert w.tobytes() not in blob
@@ -531,11 +519,8 @@ def test_no_plaintext_classifier_in_messages():
 
 
 def test_mask_freshness_across_iterations():
-    folded = toy_folded(n=6, k=2, seed=14)
-    cfg = cfg_for(HE_GC, tau=3, p_max=8)
-    cloud, csp = setup(cfg, folded)
-    import blindboost.shares as sh
-    masks = sh.sample_masks(10_000, cloud.fp.ring_bits, random.Random(99))
+    ring_bits = FixedPointParams.for_dimension(3).ring_bits  # 2 features, folded
+    masks = shares.sample_masks(10_000, ring_bits, random.Random(99))
     assert len(set(masks)) == 10_000
 
 
@@ -561,9 +546,7 @@ class _Scripted:
 def _opened(cfg):
     """A (receiver, sender) pair of LabelOTs whose SETUP has run."""
     receiver, sender = LabelOT(cfg, random.Random(1)), LabelOT(cfg, random.Random(2))
-    ch_r, ch_s, _ = transport.memory_pair()
-    engine.run_pair(lambda: receiver.open_receiver(ch_r),
-                    lambda: sender.open_sender(ch_s), ch_r, ch_s)
+    engine.run_pair(receiver.open_receiver, sender.open_sender)
     return receiver, sender
 
 
@@ -625,20 +608,17 @@ def _label_ot_run(ot_mode, target, edit):
     """SETUP, then two rounds of label OT, with message `target` edited."""
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
     receiver, sender = LabelOT(cfg, random.Random(7)), LabelOT(cfg, random.Random(8))
-    pairs = label_pairs(3)
-    ch_r, ch_s, _ = transport.memory_pair()
-    sent = []
-    ch_r, ch_s = _TailOne(ch_r, sent, target, edit), _TailOne(ch_s, sent, target, edit)
+    pairs, sent = label_pairs(3), []
 
-    def run(open_session, step):
-        open_session()
-        return [step() for _ in range(2)]
+    def main(open_session, step):
+        def run(ch):
+            ch = _TailOne(ch, sent, target, edit)
+            open_session(ch)
+            return [step(ch) for _ in range(2)]
+        return run
 
-    engine.run_pair(lambda: run(lambda: receiver.open_receiver(ch_r),
-                                lambda: receiver.receive(ch_r, [0, 1, 1])),
-                    lambda: run(lambda: sender.open_sender(ch_s),
-                                lambda: sender.send(ch_s, pairs)),
-                    ch_r, ch_s)
+    engine.run_pair(main(receiver.open_receiver, lambda ch: receiver.receive(ch, [0, 1, 1])),
+                    main(sender.open_sender, lambda ch: sender.send(ch, pairs)))
 
 
 # dealer: the label pairs; base: A, the B's and the seed pairs in SETUP, then
@@ -796,16 +776,15 @@ def test_csp_base_apply_rejects_a_trial_past_p_max():
 ], ids=["no-trial", "early", "misnamed", "trailing-bytes", "valid"])
 def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done, error):
     cloud, csp = setup(cfg_for(HE_GC, tau=tau, p_max=p_max), toy_folded(n=3, k=2))
-    ch_cloud, ch_csp, _ = transport.memory_pair()
 
-    def hostile_cloud():
-        cloud.open(ch_cloud)
+    def hostile_cloud(ch):
+        cloud.open(ch)
         for t in range(1, trials + 1):
-            cloud.trial(ch_cloud, t)
-        ch_cloud.send(DONE, done)
+            cloud.trial(ch, t)
+        ch.send(DONE, done)
 
     with pytest.raises(error) if error else contextlib.nullcontext():
-        engine.run_pair(hostile_cloud, lambda: csp.run(ch_csp), ch_cloud, ch_csp)
+        engine.run_pair(hostile_cloud, csp.run)
 
 
 @pytest.mark.parametrize("payload", [b"junk that is no trial number", wire.pack_u32(2),
@@ -814,31 +793,17 @@ def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done
 def test_csp_secsh_result_eval_requires_the_current_trial(payload):
     # Cloud's messages: its SETUP header (0), E(w) (1), RESULT_EVAL_MASK (2)
     cloud, csp = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
-    ch_cloud, ch_csp, _ = transport.memory_pair()
-    ch_cloud = _TailOne(ch_cloud, [], 2, lambda _: payload)
 
-    def cloud_main():
-        cloud.open(ch_cloud)
-        cloud.trial(ch_cloud, 1)
+    def cloud_main(ch):
+        ch = _TailOne(ch, [], 2, lambda _: payload)
+        cloud.open(ch)
+        cloud.trial(ch, 1)
 
     with pytest.raises(MalformedMessage, match="trial 1"):
-        engine.run_pair(cloud_main, lambda: (csp.open(ch_csp), csp.trial(ch_csp)),
-                        ch_cloud, ch_csp)
+        engine.run_pair(cloud_main, lambda ch: (csp.open(ch), csp.trial(ch)))
     cloud, csp = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
     run_trials(cloud, csp, 1)
     assert len(csp.indicator_history[0]) == 3
-
-
-def _opened_sides(n, ring_bits, dim=1, constants=(0,)):
-    """Cloud's and CSP's `Side` for n records and the sign circuit's
-    `constants`, after a dealer-OT SETUP, with the channel pair and
-    transcript they ran it on."""
-    cfg = cfg_for(HE_GC)
-    ch_cloud, ch_csp, transcript = transport.memory_pair()
-    sides = engine.run_pair(lambda: open_cloud(ch_cloud, cfg, n, dim, ring_bits, constants),
-                            lambda: open_csp(ch_csp, cfg, n, dim, ring_bits, constants),
-                            ch_cloud, ch_csp)
-    return ch_cloud, ch_csp, transcript, sides
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -861,13 +826,18 @@ def test_packed_sign_round_slot_edge(monkeypatch, bound, value, constants, slots
     assert (value + lam).bit_length() == width
     monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
     unpacked = _spy(monkeypatch, parties, "unpack_masked")
-    ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(n, L, constants=constants)
-    packed = [row[0] for row in pack_columns(pk, column, width, ch_cloud.counters)]
-    assert len(packed) == 1 + extra
-    _, msb = engine.run_pair(
-        lambda: packed_sign_cloud(ch_cloud, cloud, pk, packed, bound),
-        lambda: packed_sign_csp(ch_csp, csp, kp, bound),
-        ch_cloud, ch_csp)
+    cfg = cfg_for(HE_GC)
+
+    def cloud_main(ch):  # SETUP, then the round, in one session
+        side = open_cloud(ch, cfg, n, 1, L, constants)
+        packed = [row[0] for row in pack_columns(pk, column, width, ch.counters)]
+        assert len(packed) == 1 + extra
+        packed_sign_cloud(ch, side, pk, packed, bound)
+        return side
+
+    cloud, msb, transcript = engine.run_pair(
+        cloud_main, lambda ch: packed_sign_csp(ch, open_csp(ch, cfg, n, 1, L, constants),
+                                               kp, bound))
     assert unpacked == [[value + lam] * n]
     assert list(msb) == [(((value - v) % (1 << L)) >> (L - 1)) & 1
                          for v in constants for _ in range(n)]
@@ -896,11 +866,10 @@ def test_negated_secsh_shares_give_the_msb_at_the_ring_edges():
         assert circuit.evaluate_plain(record_bits(csp_in, L),
                                       record_bits(cloud_in, L)) == expected
     # one garbled round, on the last draw
-    ch_cloud, ch_csp, transcript, (cloud, csp) = _opened_sides(len(edges), L)
-    _, msb = engine.run_pair(
-        lambda: evaluator_round(ch_cloud, cloud, cloud_in),
-        lambda: garbler_round(ch_csp, csp, csp_in),
-        ch_cloud, ch_csp)
+    cfg, n = cfg_for(HE_GC), len(edges)
+    _, msb, _ = engine.run_pair(
+        lambda ch: evaluator_round(ch, open_cloud(ch, cfg, n, 1, L), cloud_in),
+        lambda ch: garbler_round(ch, open_csp(ch, cfg, n, 1, L), csp_in))
     assert list(msb) == expected
 
 

@@ -29,7 +29,6 @@ from blindboost.protocol import (
     ProtocolConfig,
     Seeds,
     run_learning,
-    transport,
 )
 from blindboost.protocol.config import stream
 from blindboost.protocol.parties import _setup_header
@@ -91,13 +90,6 @@ def audit_reveals(transcript: Transcript, kp, sites) -> None:
         longest = max(m.bit_length() for m in masks)
         assert longest >= site.bound_bits + SIGMA, \
             f"{site.name}: {longest}-bit masks hide {site.bound_bits}-bit values"
-
-
-@pytest.fixture
-def recording(monkeypatch):
-    pair = transport.memory_pair
-    monkeypatch.setattr(transport, "memory_pair",
-                        lambda: pair(Transcript(keep_payloads=True)))
 
 
 def _dataset(n, k, seed):
