@@ -33,6 +33,10 @@ class PlaintextOutOfRange(BlindBoostError):
     pass
 
 
+class ExponentOutOfRange(BlindBoostError):
+    """An exponent is not below 2^bits for the public bound `bits` it is given with."""
+
+
 class KeyMismatch(BlindBoostError):
     pass
 

@@ -40,6 +40,12 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, kind in (("kind", str), ("dataset", dict), ("output_dir", str),
+                           ("seed", int), ("params", dict)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigInvalid(f"spec field {name!r} must be a {kind.__name__}, "
+                                    f"got {type(value).__name__}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigInvalid(f"unknown experiment kind {self.kind!r}")
 

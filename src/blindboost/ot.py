@@ -77,10 +77,12 @@ GROUPS = {
 }
 
 
+SECRET_BITS = 256  # the public bound of every exponentiation by a secret
+
+
 def _secret(rng: random.Random) -> int:
-    """A 256-bit exponent with the top bit set, so every exponentiation by a
-    secret runs over the same number of limbs."""
-    return rng.getrandbits(255) | 1 << 255
+    """A SECRET_BITS-bit exponent with the top bit set."""
+    return rng.getrandbits(SECRET_BITS - 1) | 1 << (SECRET_BITS - 1)
 
 
 def _validate_element(group: Group, x: int) -> None:
@@ -109,8 +111,8 @@ class OTSender:
     def __init__(self, group: Group, rng: random.Random):
         self.group = group
         self._a = _secret(rng)
-        self.A = powmod(group.g, self._a, group.p)
-        self._A_neg_a = pow(powmod(self.A, self._a, group.p), -1, group.p)
+        self.A = powmod(group.g, self._a, group.p, SECRET_BITS)
+        self._A_neg_a = pow(powmod(self.A, self._a, group.p, SECRET_BITS), -1, group.p)
 
     def setup_message(self) -> int:
         return self.A
@@ -125,7 +127,7 @@ class OTSender:
         def one(item):
             i, b = item
             _validate_element(self.group, b)
-            b_a = powmod(b, self._a, p)
+            b_a = powmod(b, self._a, p, SECRET_BITS)
             return _kdf(b_a, i) + _kdf(b_a * self._A_neg_a % p, i)
 
         keys = np.frombuffer(b"".join(fan_out(one, enumerate(bs))), dtype=np.uint8)
@@ -151,7 +153,7 @@ class OTReceiver:
 
         def one(item):
             b, c = item
-            m = powmod(self.group.g, b, p)
+            m = powmod(self.group.g, b, p, SECRET_BITS)
             return m * self.A % p if c else m
 
         return fan_out(one, zip(self._secrets, self._choices))
@@ -165,7 +167,7 @@ class OTReceiver:
 
         def one(item):
             i, b = item
-            return _kdf(powmod(self.A, b, p), i)
+            return _kdf(powmod(self.A, b, p, SECRET_BITS), i)
 
         keys = np.frombuffer(b"".join(fan_out(one, enumerate(self._secrets))), dtype=np.uint8)
         return _pick(responses, self._choices) ^ keys.reshape(-1, LABEL_BYTES)

@@ -13,15 +13,22 @@ bits long, with an exponent half that length.
 
 ``powmod`` is the package's one big-number exponentiation: key generation,
 encryption, decryption, scalar multiplication and the base OTs in ``ot``
-all run through it. ``legendre`` is the base OTs' subgroup check.
+all run through it, in libgmp's constant-time mpn_sec_powm. Every caller
+names a public bound on its exponent's bit length, and the time of a call
+depends on that bound and the operand sizes alone: the ring width for a
+scalar, alpha_bits for an encryption exponent, the bit length of p or q
+for CRT decryption, 256 for an OT secret and the modulus size for
+Miller-Rabin and the fixed base h_N. ``legendre`` is the base OTs'
+subgroup check.
 
 ``encrypt_many``, ``decrypt_many`` and ``he_matvec`` (from 1024-bit keys
 on) split a batch between the calling thread and a module-level thread
 pool with one worker fewer than the process's usable CPUs (none on one
-CPU); libgmp's powm releases the GIL, so the chunks run on separate cores. Each element still goes
-through the public per-element function, and every encryption exponent is
-drawn on the calling thread in element order, so ciphertexts and rng
-states do not depend on the number of CPUs.
+CPU); the ctypes call into libgmp releases the GIL, so the chunks run on
+separate cores. Each element still goes through the public per-element
+function, and every encryption exponent is drawn on the calling thread in
+element order, so ciphertexts and rng states do not depend on the number
+of CPUs.
 """
 
 import ctypes
@@ -34,10 +41,11 @@ import threading
 import types
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     DimensionMismatch,
+    ExponentOutOfRange,
     KeyMismatch,
     MalformedMessage,
     PlaintextOutOfRange,
@@ -46,97 +54,99 @@ from .errors import (
 
 
 class _Mpz(ctypes.Structure):
-    """GMP's __mpz_struct; only its size matters here."""
+    """GMP's __mpz_struct. Setting `limbs` to a bytes object keeps that
+    object alive as long as the struct."""
 
     _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int),
-                ("limbs", ctypes.c_void_p)]
+                ("limbs", ctypes.c_char_p)]
 
 
 def _load_gmp():
-    """The system libgmp's mpz_{init,clear,import,export,powm_sec,jacobi}
-    through ctypes, or None where the library or one of the symbols is
-    missing."""
+    """The system libgmp's mpn_sec_powm, its scratch size mpn_sec_powm_itch
+    and mpz_jacobi through ctypes, with the limb size, or None where the
+    library or one of the symbols is missing."""
     path = ctypes.util.find_library("gmp")
     if path is None:
         return None
-    mpz_p, size_t, c_int = ctypes.POINTER(_Mpz), ctypes.c_size_t, ctypes.c_int
-    signatures = {
-        "mpz_init": [mpz_p],
-        "mpz_clear": [mpz_p],
-        "mpz_import": [mpz_p, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p],
-        "mpz_export": [ctypes.c_char_p, ctypes.POINTER(size_t), c_int, size_t, c_int,
-                       size_t, mpz_p],
-        "mpz_powm_sec": [mpz_p, mpz_p, mpz_p, mpz_p],
-        "mpz_jacobi": [mpz_p, mpz_p],
+    ptr, size, bitcnt = ctypes.c_char_p, ctypes.c_long, ctypes.c_ulong
+    mpz_p = ctypes.POINTER(_Mpz)
+    signatures = {  # name: (argument types, return type)
+        "mpn_sec_powm": ([ptr, ptr, size, ptr, bitcnt, ptr, size, ptr], None),
+        "mpn_sec_powm_itch": ([size, bitcnt, size], size),
+        "mpz_jacobi": ([mpz_p, mpz_p], ctypes.c_int),
     }
     try:
         lib = ctypes.CDLL(path)
+        limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
         fns = {name: getattr(lib, "__g" + name) for name in signatures}
-    except (OSError, AttributeError):  # pragma: no cover - depends on environment
+    except (OSError, ValueError, AttributeError):  # pragma: no cover - depends on environment
         return None
-    for name, argtypes in signatures.items():
-        fns[name].argtypes = argtypes
-    fns["mpz_export"].restype = ctypes.c_void_p
-    fns["mpz_jacobi"].restype = c_int
-    return types.SimpleNamespace(**fns)
+    for name, (argtypes, restype) in signatures.items():
+        fns[name].argtypes, fns[name].restype = argtypes, restype
+    return types.SimpleNamespace(limb_bits=limb_bits, **fns)
 
 
 _gmp = _load_gmp()
 
 
-def _with_mpz(gmp, values, fn):
-    """fn(r, *xs) on a fresh libgmp integer r and libgmp copies xs of the
-    non-negative ints `values`, all cleared after."""
-    r, *xs = z = list((_Mpz * (1 + len(values)))())
-    for x in z:
-        gmp.mpz_init(x)
-    try:
-        for x, v in zip(xs, values):
-            # whole bytes, least significant first, no nail bits
-            size = (v.bit_length() + 7) // 8
-            gmp.mpz_import(x, size, -1, 1, 0, 0, v.to_bytes(size, "little"))
-        return fn(r, *xs)
-    finally:
-        for x in z:
-            gmp.mpz_clear(x)
+def _limbs(x: int, count: int, limb_bits: int) -> bytes:
+    """`count` limbs of x >= 0, least significant first."""
+    return x.to_bytes(count * limb_bits // 8, "little")
 
 
-def powmod(base: int, exp: int, mod: int) -> int:
-    """base**exp mod mod, equal to builtin pow.
+@lru_cache(maxsize=64)
+def _scratch_bytes(n: int, enb: int) -> int:
+    """Bytes of scratch mpn_sec_powm needs for an n-limb base and modulus
+    and an enb-bit exponent; a run uses a handful of (n, enb) pairs."""
+    return _gmp.mpn_sec_powm_itch(n, enb, n) * _gmp.limb_bits // 8
 
-    Runs GMP's constant-time mpz_powm_sec through ctypes, which releases
-    the GIL for the call, so two party threads exponentiate in parallel.
-    A zero exponent runs it on exponent 1 and returns 1, so a secret 0
-    takes the time of any other one-limb exponent. Builtin pow covers what
-    mpz_powm_sec does not take (exp < 0, an even modulus, mod < 3) and
-    machines without libgmp.
+
+def powmod(base: int, exp: int, mod: int, bits: int) -> int:
+    """base**exp mod mod, equal to builtin pow, for an exponent below 2^bits.
+
+    `bits` is a public bound on the exponent, which the caller names and
+    which is never read off the exponent itself. GMP's mpn_sec_powm takes
+    time that depends on the operand sizes and on `bits` alone, and runs
+    through ctypes, which releases the GIL for the call, so two party
+    threads exponentiate in parallel. A zero exponent goes through it like
+    any other. ExponentOutOfRange where exp >= 2^bits, on every path.
+    Builtin pow covers what mpn_sec_powm does not take (exp < 0, a base
+    divisible by the modulus, an even modulus, mod < 3) and machines
+    without libgmp.
     """
+    if exp >> bits > 0:
+        raise ExponentOutOfRange(f"exponent is not below its {bits}-bit bound")
     gmp = _gmp
-    if gmp is None or exp < 0 or not mod & 1 or mod < 3:
+    if gmp is None or exp < 0 or not mod & 1 or mod < 3 or not base % mod:
         return pow(base, exp, mod)
-    width = (mod.bit_length() + 7) // 8
-
-    def powm(r, b, e, m):
-        gmp.mpz_powm_sec(r, b, e, m)
-        out = ctypes.create_string_buffer(width)  # zero-filled past the result
-        gmp.mpz_export(out, None, -1, 1, 0, 0, r)
-        return int.from_bytes(out.raw, "little")
-
-    r = _with_mpz(gmp, (base % mod, exp or 1, mod), powm)
-    return r if exp else 1
+    limb_bits, enb = gmp.limb_bits, max(bits, 1)
+    n = -(-mod.bit_length() // limb_bits)
+    out = ctypes.create_string_buffer(n * limb_bits // 8)
+    gmp.mpn_sec_powm(out, _limbs(base % mod, n, limb_bits), n,
+                     _limbs(exp, -(-enb // limb_bits), limb_bits), enb,
+                     _limbs(mod, n, limb_bits), n,
+                     ctypes.create_string_buffer(_scratch_bytes(n, enb)))
+    return int.from_bytes(out.raw, "little")
 
 
 def legendre(x: int, p: int) -> int:
     """The Legendre symbol (x | p) of an odd prime p: 1, -1 or 0.
 
     Runs GMP's mpz_jacobi, which is not constant time: for public x only.
-    Machines without libgmp get Euler's criterion x^((p-1)/2) mod p.
+    Its operands are read-only GMP integers over Python-owned limbs, as
+    GMP's MPZ_ROINIT_N builds them. Machines without libgmp get Euler's
+    criterion x^((p-1)/2) mod p.
     """
     gmp = _gmp
     if gmp is None:
         r = pow(x, (p - 1) // 2, p)
         return -1 if r == p - 1 else r
-    return _with_mpz(gmp, (x % p, p), lambda _, a, n: gmp.mpz_jacobi(a, n))
+
+    def read_only(v):
+        count = -(-v.bit_length() // gmp.limb_bits)
+        return _Mpz(0, count, _limbs(v, count, gmp.limb_bits))
+
+    return gmp.mpz_jacobi(read_only(x % p), read_only(p))
 
 
 def _usable_cpus() -> int:
@@ -200,7 +210,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
         r += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = powmod(a, d, n)
+        x = powmod(a, d, n, n.bit_length())
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -293,8 +303,8 @@ def _djn_base(x: int, p: int, q: int) -> int:
     n = p * q
     h = -x * x % n
     pp, qq = p * p, q * q
-    a_p = powmod(h, n % (p * (p - 1)), pp)
-    a_q = powmod(h, n % (q * (q - 1)), qq)
+    a_p = powmod(h, n % (p * (p - 1)), pp, pp.bit_length())
+    a_q = powmod(h, n % (q * (q - 1)), qq, qq.bit_length())
     return a_q + qq * ((a_p - a_q) * pow(qq, -1, pp) % pp)
 
 
@@ -341,13 +351,13 @@ def encrypt(pk: PublicKey, m: int, rng: random.Random) -> Ciphertext:
     """Probabilistic encryption of m in [0, N): (1 + mN) h_N^a mod N^2.
 
     The exponent a is a fresh secret of pk.alpha_bits bits, so it goes
-    through powmod's constant-time kernel.
+    through powmod's constant-time kernel with that bound.
     """
     m = int(m)
     if not 0 <= m < pk.n:
         raise PlaintextOutOfRange(f"plaintext must be in [0, N), got {m}")
     alpha = rng.getrandbits(pk.alpha_bits)
-    c = (1 + m * pk.n) * powmod(pk.h_n, alpha, pk.n_sq) % pk.n_sq
+    c = (1 + m * pk.n) * powmod(pk.h_n, alpha, pk.n_sq, pk.alpha_bits) % pk.n_sq
     return Ciphertext(value=c, key_id=pk.fingerprint)
 
 
@@ -373,13 +383,14 @@ def encrypt_many(pk: PublicKey, ms, rng: random.Random) -> list:
 def decrypt(kp: KeyPair, c: Ciphertext) -> int:
     """Textbook CRT decryption: m_p = L_p(c^(p-1) mod p^2) h_p mod p,
     likewise mod q, recombined by CRT; equal to _decrypt_plain for every c
-    coprime to N (asserted by the test suite)."""
+    coprime to N (asserted by the test suite). The secret exponents p - 1
+    and q - 1 run under the public bounds bits(p) and bits(q)."""
     if c.key_id != kp.public.fingerprint:
         raise KeyMismatch("ciphertext was produced under a different key")
     sk = kp.secret
     p, q = sk.p, sk.q
-    mp = (powmod(c.value, p - 1, p * p) - 1) // p * sk.hp % p
-    mq = (powmod(c.value, q - 1, q * q) - 1) // q * sk.hq % q
+    mp = (powmod(c.value, p - 1, p * p, p.bit_length()) - 1) // p * sk.hp % p
+    mq = (powmod(c.value, q - 1, q * q, q.bit_length()) - 1) // q * sk.hq % q
     return mq + q * ((mp - mq) * sk.q_inv % p)
 
 
@@ -391,7 +402,7 @@ def decrypt_many(kp: KeyPair, cs) -> list:
 def _decrypt_plain(kp: KeyPair, c: int) -> int:
     """L(c^lam mod N^2) mu mod N; the test oracle for decrypt."""
     n = kp.public.n
-    x = powmod(c, kp.secret.lam, n * n)
+    x = powmod(c, kp.secret.lam, n * n, n.bit_length())
     return ((x - 1) // n) * kp.secret.mu % n
 
 
@@ -401,13 +412,20 @@ def he_add(pk: PublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     return Ciphertext((c1.value * c2.value) % pk.n_sq, c1.key_id)
 
 
-def he_scalar_mul(pk: PublicKey, c: Ciphertext, s: int) -> Ciphertext:
+def he_scalar_mul(pk: PublicKey, c: Ciphertext, s: int, bits: int | None = None) -> Ciphertext:
+    """s * c: c^s mod N^2 for a scalar s in [0, N), which may be secret.
+
+    `bits` is the caller's public bound on s; by default the bit length of
+    N, which bounds every scalar in [0, N). The exponentiation takes the
+    time of a `bits`-bit exponent whatever s is, 0 included.
+    """
     if c.key_id != pk.fingerprint:
         raise KeyMismatch("ciphertext is under a different key")
     s = int(s)
     if not 0 <= s < pk.n:
         raise PlaintextOutOfRange(f"scalar must be in [0, N), got {s}")
-    return Ciphertext(powmod(c.value, s, pk.n_sq), c.key_id)
+    return Ciphertext(powmod(c.value, s, pk.n_sq, pk.key_bits if bits is None else bits),
+                      c.key_id)
 
 
 def encrypt_raw(pk: PublicKey, m: int) -> Ciphertext:
@@ -472,10 +490,13 @@ def encrypt_matrix(pk: PublicKey, zm, rng: random.Random) -> list:
     return [[next(flat) for _ in row] for row in zm]
 
 
-# Below 1024-bit keys a row of short scalar multiplies spends most of its
-# time holding the GIL, in the ctypes marshalling around a short powm: on
-# the pool, a 512-bit SecSh+GC run's scalar multiplies took 70% more CPU
-# time and no less wall time. From 1024 bits on the powm dominates.
+# Below 1024-bit keys a row of short scalar multiplies is too short to
+# share: with mpn_sec_powm a 19-bit scalar multiply at 512 bits costs about
+# 25 us, 4 of them Python holding the GIL. On a 2-core x86 machine the 11
+# rows of 9 of a 512-bit SecSh+GC trial took 3.0-3.8 ms (medians) on the
+# calling thread and 3.5-4.3 ms on the pool, with up to 65% more CPU time;
+# the pool was faster in 6 of 30 alternating pairs. From 1024 bits on the
+# exponentiation dominates.
 _ROW_POOL_MIN_BITS = 1024
 
 
@@ -487,27 +508,29 @@ def map_rows(pk: PublicKey, fn, rows) -> list:
     return fan_out(fn, rows)
 
 
-def he_dot(pk: PublicKey, acc: Ciphertext, cts, scalars) -> Ciphertext:
+def he_dot(pk: PublicKey, acc: Ciphertext, cts, scalars, bits: int | None = None) -> Ciphertext:
     """acc + sum_j s_j * c_j under pk: one he_scalar_mul and one he_add per
-    ciphertext, a zero scalar included, so each ciphertext's key is checked."""
+    ciphertext, a zero scalar included, so each ciphertext's key is checked.
+    `bits` is he_scalar_mul's public bound on every scalar."""
     for c, s in zip(cts, scalars):
-        acc = he_add(pk, acc, he_scalar_mul(pk, c, s))
+        acc = he_add(pk, acc, he_scalar_mul(pk, c, s, bits))
     return acc
 
 
-def he_matvec(pk: PublicKey, rows, w) -> list:
+def he_matvec(pk: PublicKey, rows, w, bits: int | None = None) -> list:
     """Component i encrypts sum_j z_ij * w_j over Z_N (ring values, level 2),
     for rows of ciphertexts under pk.
 
-    w entries are plaintext ring representatives in [0, q). The rows run
-    through map_rows.
+    w entries are plaintext ring representatives in [0, q), below 2^bits
+    for he_scalar_mul's public bound `bits` (q = 2^bits for ring bits L).
+    The rows run through map_rows.
     """
     w = [int(x) for x in w]
     for row in rows:
         if len(row) != len(w):
             raise DimensionMismatch(f"matrix row has {len(row)} columns, "
                                     f"vector has {len(w)}")
-    return map_rows(pk, lambda row: he_dot(pk, encrypt_raw(pk, 0), row, w), rows)
+    return map_rows(pk, lambda row: he_dot(pk, encrypt_raw(pk, 0), row, w, bits), rows)
 
 
 # ---------------------------------------------------------------------------

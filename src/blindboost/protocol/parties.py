@@ -351,7 +351,7 @@ class CloudParty:
         self.tried_w.append(w)
         wq = [int(v) for v in encode_array(w, self.fp)]
         if self.cfg.construction == HE_GC:
-            eu = paillier.he_matvec(self.csp_public, self.packed_data, wq)
+            eu = paillier.he_matvec(self.csp_public, self.packed_data, wq, self.fp.ring_bits)
             ch.counters.he_scalar_muls += len(eu) * self.dim
             ch.counters.he_adds += len(eu) * self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t))
@@ -423,7 +423,8 @@ class CSPParty:
             pk = self.cloud_public
             ew = paillier.ciphertexts_from_bytes(payload[off:], pk)
             lam = shares.sample_masks(self.n, self._value_bits, self.side.mask_rng)
-            out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.side.enc_rng)
+            out = shares.masked_matvec_csp_step(self.z1, ew, lam, pk, self.side.enc_rng,
+                                                self.fp.ring_bits)
             ch.counters.encryptions += self.n
             ch.counters.he_scalar_muls += self.n * self.dim
             ch.counters.he_adds += self.n * self.dim

@@ -56,10 +56,13 @@ def sample_masks(count: int, value_bits: int, rng: random.Random) -> list:
 
 
 def masked_matvec_csp_step(z1: np.ndarray, ew: list, lam: list,
-                           pk: paillier.PublicKey, rng: random.Random) -> list:
+                           pk: paillier.PublicKey, rng: random.Random,
+                           ring_bits: int = 64) -> list:
     """CSP side: E(Z1 w + lambda) via pseudo-homomorphic products.
 
-    z1 entries are ring representatives; ew encrypts w under Cloud's key.
+    z1 entries are ring representatives below 2^ring_bits, the public bound
+    of every scalar multiply (by default 64, since z1 is read as uint64);
+    ew encrypts w under Cloud's key.
     """
     z1 = np.asarray(z1, dtype=np.uint64)
     if z1.ndim != 2 or z1.shape[1] != len(ew):
@@ -67,7 +70,7 @@ def masked_matvec_csp_step(z1: np.ndarray, ew: list, lam: list,
     masks = paillier.encrypt_many(pk, [int(lam[i]) % pk.n for i in range(z1.shape[0])],
                                   rng)
     return paillier.map_rows(
-        pk, lambda i: paillier.he_dot(pk, masks[i], ew, z1[i].tolist()),
+        pk, lambda i: paillier.he_dot(pk, masks[i], ew, z1[i].tolist(), ring_bits),
         range(z1.shape[0]))
 
 

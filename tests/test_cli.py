@@ -108,7 +108,12 @@ def test_report_command(tmp_path):
 @pytest.mark.parametrize("spec", [
     {"bogus": 1}, [1, 2], {"kind": "CV_ACCURACY", "output_dir": "x"},
     {"dataset": {"synthetic": {}}, "output_dir": "x", "seed": 1, "bogus": 1},
-], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key"])
+    {"kind": "CV_ACCURACY", "dataset": 5, "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "params": [1]},
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "seed": "5"},
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "seed": True},
+], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key", "int-dataset",
+        "list-params", "str-seed", "bool-seed"])
 def test_report_spec_error_exit_code(tmp_path, capsys, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert main(["report", "--spec", str(tmp_path / "spec.json")]) == EXIT_CONFIG

@@ -114,7 +114,7 @@ def test_replayed_transcript_wrong_choice_gives_garbage():
     assert np.array_equal(labels, _chosen(pairs, bits))
     # decrypt the other row with the same key material
     for i, ((e0, e1), c) in enumerate(zip(responses, bits)):
-        k = ot._kdf(ot.powmod(receiver.A, receiver._secrets[i], group.p), i)
+        k = ot._kdf(ot.powmod(receiver.A, receiver._secrets[i], group.p, ot.SECRET_BITS), i)
         wrong = (e0 if c else e1) ^ np.frombuffer(k, dtype=np.uint8)
         assert not any(np.array_equal(wrong, x) for x in pairs[i])
 
@@ -137,7 +137,7 @@ def test_subgroup_check_in_secure_profile():
     with pytest.raises(GroupElementInvalid):
         sender.respond([group.p - 4], _ONE_PAIR)
     # a genuine subgroup element passes the check
-    sender.respond([ot.powmod(group.g, 12345, group.p)], _ONE_PAIR)
+    sender.respond([ot.powmod(group.g, 12345, group.p, 14)], _ONE_PAIR)
 
 
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
@@ -367,6 +367,31 @@ def test_session_is_the_same_on_any_pool(monkeypatch, one_worker_pool, name):
     pooled = _session_outputs(50, ot.GROUPS[name])
     monkeypatch.setattr(paillier, "_pool", None)
     assert _session_outputs(50, ot.GROUPS[name]) == pooled
+
+
+@pytest.mark.skipif(paillier._gmp is None, reason="libgmp not installed")
+@pytest.mark.parametrize("name", sorted(ot.GROUPS))
+def test_every_base_ot_exponentiation_runs_over_the_256_bit_bound(monkeypatch, name):
+    # the sender's a and the receiver's b_i are secrets: each kernel call
+    # names 256 bits and the group's limb count, whatever the secret is
+    group = ot.GROUPS[name]
+    calls = []
+    real = paillier._gmp.mpn_sec_powm
+
+    def spy(rp, bp, bn, ep, enb, mp, n, tp):
+        calls.append((int.from_bytes(mp, "little"), n, enb))
+        return real(rp, bp, bn, ep, enb, mp, n, tp)
+
+    monkeypatch.setattr(paillier._gmp, "mpn_sec_powm", spy)
+    pairs = _pairs(random.Random(54), 5)
+    sender = ot.OTSender(group, random.Random(55))
+    receiver = ot.OTReceiver(group, random.Random(56), sender.setup_message())
+    bits = [0, 1, 1, 0, 1]
+    labels = receiver.finish(sender.respond(receiver.choose(bits), pairs))
+    assert np.array_equal(labels, _chosen(pairs, bits))
+    # A and A^a, then B_i, B_i^a and A^(b_i) per transfer
+    assert calls == [(group.p, group.p.bit_length() // 64, 256)] * (2 + 3 * len(bits))
+    assert ot.SECRET_BITS == 256
 
 
 @pytest.mark.skipif(paillier._usable_cpus() < 2, reason="needs two usable CPUs")

@@ -9,18 +9,45 @@ import numpy as np
 import pytest
 
 from blindboost import ot, paillier
-from blindboost.encoding import FixedPointParams, decode, encode, encode_array
+from blindboost.encoding import (
+    Dataset,
+    FixedPointParams,
+    decode,
+    encode,
+    encode_array,
+    fold_labels,
+)
 from blindboost.errors import (
     DimensionMismatch,
+    ExponentOutOfRange,
     KeyMismatch,
     MalformedMessage,
     PlaintextOutOfRange,
 )
+from blindboost.protocol import HE_GC, SECSH_GC, ProtocolConfig, Seeds, engine, setup
 from blindboost.protocol.config import stream
 
 
 # ---------------------------------------------------------------------------
 # the powmod kernel
+
+
+_needs_gmp = pytest.mark.skipif(ctypes.util.find_library("gmp") is None,
+                                reason="libgmp not installed")
+
+
+def _spy_kernel(monkeypatch):
+    """Records (modulus, n, enb, base) of every mpn_sec_powm call, on any
+    thread: the limb count of the modulus and the exponent's bit bound."""
+    calls = []
+    real = paillier._gmp.mpn_sec_powm
+
+    def spy(rp, bp, bn, ep, enb, mp, n, tp):
+        calls.append((int.from_bytes(mp, "little"), n, enb, int.from_bytes(bp, "little")))
+        return real(rp, bp, bn, ep, enb, mp, n, tp)
+
+    monkeypatch.setattr(paillier._gmp, "mpn_sec_powm", spy)
+    return calls
 
 
 @pytest.mark.parametrize("bits", [64, 512, 1024, 2048, 4096])
@@ -30,7 +57,20 @@ def test_powmod_matches_builtin_pow(bits):
         mod = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
         base = rng.getrandbits(bits + 8)
         exp = rng.getrandbits(bits)
-        assert paillier.powmod(base, exp, mod) == pow(base, exp, mod)
+        assert paillier.powmod(base, exp, mod, bits) == pow(base, exp, mod)
+
+
+@pytest.mark.parametrize("mod_bits", [768, 1024, 2048, 3072, 4096])
+def test_the_kernel_matches_builtin_pow_over_each_bound(mod_bits):
+    # bounds below, at and past a limb edge, with the exponents at both ends
+    # of each bound and bases 1, 4 and past the modulus
+    rng = random.Random(mod_bits)
+    mod = rng.getrandbits(mod_bits) | 1 | (1 << (mod_bits - 1))
+    for bits in (1, 17, 24, 64, 65, 256, mod_bits, mod_bits + 64):
+        for base in (1, 4, rng.randrange(2, mod), mod + 4, rng.getrandbits(mod_bits + 70)):
+            for exp in (0, 1, (1 << bits) - 1, rng.getrandbits(bits)):
+                assert paillier.powmod(base, exp, mod, bits) == pow(base, exp, mod), \
+                    (bits, base, exp)
 
 
 @pytest.mark.parametrize("base, exp, mod", [
@@ -47,7 +87,8 @@ def test_powmod_matches_builtin_pow(bits):
     (2**600 + 1, 2**100, 2**521 - 1),
 ])
 def test_powmod_edge_cases(base, exp, mod):
-    assert paillier.powmod(base, exp, mod) == pow(base, exp, mod)
+    bits = max(exp.bit_length(), 1)
+    assert paillier.powmod(base, exp, mod, bits) == pow(base, exp, mod)
 
 
 def test_powmod_fallback_without_libgmp(monkeypatch):
@@ -56,37 +97,127 @@ def test_powmod_fallback_without_libgmp(monkeypatch):
     mod = rng.getrandbits(1024) | 1
     for _ in range(3):
         base, exp = rng.getrandbits(1030), rng.getrandbits(1024)
-        assert paillier.powmod(base, exp, mod) == pow(base, exp, mod)
+        assert paillier.powmod(base, exp, mod, 1024) == pow(base, exp, mod)
     kp = paillier.keygen(512, random.Random(0xBB512))
     c = paillier.encrypt(kp.public, 42, rng)
     assert paillier.decrypt(kp, c) == 42
 
 
-@pytest.mark.skipif(ctypes.util.find_library("gmp") is None, reason="libgmp not installed")
+@pytest.mark.parametrize("gmp", ["libgmp", "fallback"])
+def test_an_exponent_past_its_bound_is_refused(monkeypatch, keypair_512, gmp):
+    if gmp == "fallback":
+        monkeypatch.setattr(paillier, "_gmp", None)
+    mod = 2**127 - 1
+    for bits in (0, 1, 24, 64, 256):
+        assert paillier.powmod(3, (1 << bits) - 1, mod, bits) == pow(3, (1 << bits) - 1, mod)
+        for exp in (1 << bits, (1 << bits) + 1, 1 << (bits + 64)):
+            with pytest.raises(ExponentOutOfRange):
+                paillier.powmod(3, exp, mod, bits)
+    pk = keypair_512.public
+    c = paillier.encrypt(pk, 42, random.Random(3))
+    with pytest.raises(ExponentOutOfRange):
+        paillier.he_scalar_mul(pk, c, 1 << 24, 24)
+    with pytest.raises(ExponentOutOfRange):
+        paillier.he_matvec(pk, [[c]], [1 << 24], 24)
+
+
+@_needs_gmp
+def test_an_exponent_past_its_bound_never_reaches_the_kernel(monkeypatch):
+    calls = _spy_kernel(monkeypatch)
+    with pytest.raises(ExponentOutOfRange):
+        paillier.powmod(3, 1 << 64, 2**127 - 1, 64)
+    assert calls == []
+
+
+@_needs_gmp
 def test_gmp_kernel_is_active_where_libgmp_is_installed(monkeypatch):
     # a silent fallback to builtin pow costs about 8x on every layer
     assert paillier._gmp is not None
-    calls = []
-    powm_sec = paillier._gmp.mpz_powm_sec
-    monkeypatch.setattr(paillier._gmp, "mpz_powm_sec",
-                        lambda *args: calls.append(1) or powm_sec(*args))
-    assert paillier.powmod(3, 2**64 + 1, 2**127 - 1) == pow(3, 2**64 + 1, 2**127 - 1)
-    assert calls == [1]
+    calls = _spy_kernel(monkeypatch)
+    assert paillier.powmod(3, 2**64 + 1, 2**127 - 1, 65) == pow(3, 2**64 + 1, 2**127 - 1)
+    assert calls == [(2**127 - 1, 2, 65, 3)]
 
 
-@pytest.mark.skipif(ctypes.util.find_library("gmp") is None, reason="libgmp not installed")
+@_needs_gmp
 def test_zero_scalar_runs_the_constant_time_kernel(monkeypatch, keypair_512):
     # a zero secret scalar must cost what any other does: one that skipped
     # the kernel would return at once, and the time of a reply would show
-    # which scalars are 0
+    # which scalars are 0. Scalars 0 and 2^L - 1 make the same call, with
+    # the same limb count and exponent bound.
     pk = keypair_512.public
     c = paillier.encrypt(pk, 42, random.Random(3))
-    calls = []
-    powm_sec = paillier._gmp.mpz_powm_sec
-    monkeypatch.setattr(paillier._gmp, "mpz_powm_sec",
-                        lambda *args: calls.append(1) or powm_sec(*args))
-    assert paillier.he_scalar_mul(pk, c, 0) == paillier.Ciphertext(1, c.key_id)
-    assert calls == [1]
+    calls = _spy_kernel(monkeypatch)
+    assert paillier.he_scalar_mul(pk, c, 0, 24) == paillier.Ciphertext(1, c.key_id)
+    top = paillier.he_scalar_mul(pk, c, (1 << 24) - 1, 24)
+    assert top.value == pow(c.value, (1 << 24) - 1, pk.n_sq)
+    assert [(m, n, enb) for m, n, enb, _ in calls] == [(pk.n_sq, 16, 24)] * 2
+    calls.clear()
+    paillier.he_scalar_mul(pk, c, 0)  # by default, the [0, N) range
+    assert [enb for _, _, enb, _ in calls] == [pk.key_bits]
+
+
+def _kernel_calls_of_a_run(monkeypatch, construction, ot_mode):
+    """The kernel calls of setup (keygen and the users' encryptions) and of
+    the run after it, the two parties and the run's config."""
+    cfg = ProtocolConfig(construction=construction, tau=1, p_max=2, ot_mode=ot_mode,
+                         seeds=Seeds.derive(6))
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1, 1, size=(6, 2))
+    folded = fold_labels(Dataset((X - X.mean(0)) / X.std(0), np.array([1, -1] * 3, np.int8)))
+    calls = _spy_kernel(monkeypatch)
+    cloud, csp = setup(cfg, folded)
+    at_setup = calls[:]
+    calls.clear()
+    engine.run_pair(cloud.run, csp.run)
+    return at_setup, calls, cloud, csp, cfg
+
+
+@_needs_gmp
+@pytest.mark.parametrize("construction, ot_mode", [(HE_GC, "dealer"), (SECSH_GC, "base")])
+def test_every_kernel_call_names_the_public_bound_of_its_exponent(
+        monkeypatch, construction, ot_mode):
+    at_setup, in_run, cloud, csp, cfg = _kernel_calls_of_a_run(monkeypatch, construction,
+                                                               ot_mode)
+    kp = csp.keypair if construction == HE_GC else cloud.keypair
+    pk, sk = kp.public, kp.secret
+    group = ot.GROUPS[cfg.ot_group]
+
+    def kind(m, enb, base):
+        if m == pk.n_sq:
+            return "encryption" if base == pk.h_n else "scalar multiply"
+        if m in (sk.p ** 2, sk.q ** 2) and enb != m.bit_length():
+            return "decryption"
+        if m == group.p:
+            return "base OT"
+        # keygen: Miller-Rabin on a candidate, h^N mod p^2 and mod q^2
+        return "fixed base" if m in (sk.p ** 2, sk.q ** 2) else "Miller-Rabin"
+
+    bound = {"encryption": pk.alpha_bits, "scalar multiply": cloud.fp.ring_bits,
+             "base OT": 256, "decryption": sk.p.bit_length()}
+    assert sk.p.bit_length() == sk.q.bit_length() == pk.key_bits // 2
+    seen = {"setup": set(), "run": set()}
+    for phase, calls in (("setup", at_setup), ("run", in_run)):
+        for m, n, enb, base in calls:
+            k = kind(m, enb, base)
+            assert enb == bound.get(k, m.bit_length()), (phase, k, enb)
+            assert n == -(-m.bit_length() // 64)
+            seen[phase].add(k)
+    encryptions_at_setup = {"encryption"} if construction == HE_GC else set()
+    assert seen["setup"] == {"Miller-Rabin", "fixed base"} | encryptions_at_setup
+    assert seen["run"] == {"encryption", "scalar multiply", "decryption"} | (
+        {"base OT"} if ot_mode == "base" else set())
+
+
+@_needs_gmp
+def test_keygen_runs_miller_rabin_over_the_size_of_each_candidate(monkeypatch):
+    calls = _spy_kernel(monkeypatch)
+    kp = paillier.keygen(512, random.Random(0xBB512))
+    sk = kp.secret
+    squares = [m for m, _, _, _ in calls if m in (sk.p ** 2, sk.q ** 2)]
+    assert sorted(squares) == sorted([sk.p ** 2, sk.q ** 2])
+    candidates = {m for m, _, _, _ in calls} - set(squares)
+    assert {sk.p, sk.q} <= candidates and {m.bit_length() for m in candidates} == {256}
+    assert all(enb == m.bit_length() for m, _, enb, _ in calls)
 
 
 @pytest.mark.parametrize("gmp", ["libgmp", "fallback"])
@@ -106,7 +237,7 @@ def test_legendre_matches_euler_criterion(monkeypatch, name, gmp):
         [euler[pow(x, (p - 1) // 2, p)] for x in values]
 
 
-@pytest.mark.skipif(ctypes.util.find_library("gmp") is None, reason="libgmp not installed")
+@_needs_gmp
 def test_legendre_runs_in_libgmp_where_installed(monkeypatch):
     # the base-OT subgroup check on every received element
     calls = []
@@ -152,15 +283,17 @@ def test_every_encryption_raises_h_n_to_a_half_length_exponent(monkeypatch, keyp
     calls = []
     powmod = paillier.powmod
     monkeypatch.setattr(paillier, "powmod",
-                        lambda b, e, m: calls.append((b, e, m)) or powmod(b, e, m))
+                        lambda *args: calls.append(args) or powmod(*args))
     rng = random.Random(30)
     for i in range(64):
         paillier.encrypt(pk, i, rng)
     assert len(calls) == 64
-    assert all(b == pk.h_n and m == pk.n_sq for b, _, m in calls)
     assert pk.alpha_bits == 256
+    # under the public bound of ceil(k/2) bits, whatever the exponent
+    assert all(b == pk.h_n and m == pk.n_sq and bits == pk.alpha_bits
+               for b, _, m, bits in calls)
     # at most ceil(k/2) bits, and not shortened: the top bit shows up
-    assert max(e.bit_length() for _, e, _ in calls) == pk.alpha_bits
+    assert max(e.bit_length() for _, e, _, _ in calls) == pk.alpha_bits
 
 
 @pytest.mark.parametrize("bits", [512, 2048])
@@ -234,7 +367,7 @@ def test_the_sieve_rejects_products_of_two_small_primes_without_powmod(monkeypat
     calls = []
     powmod = paillier.powmod
     monkeypatch.setattr(paillier, "powmod",
-                        lambda b, e, m: calls.append(m) or powmod(b, e, m))
+                        lambda b, e, m, bits: calls.append(m) or powmod(b, e, m, bits))
     rng = random.Random(41)
     state = rng.getstate()
     for i, p in enumerate(_PRIMES_BELOW_2000):
@@ -445,10 +578,14 @@ def test_he_dot_adds_weighted_ciphertexts_and_multiplies_zero_scalars(keypair_51
     acc = paillier.encrypt(pk, 11, rng)
     scalars, mul = [], paillier.he_scalar_mul
     monkeypatch.setattr(paillier, "he_scalar_mul",
-                        lambda pk, c, s: scalars.append(s) or mul(pk, c, s))
+                        lambda pk, c, s, bits: scalars.append((s, bits)) or mul(pk, c, s, bits))
+    out = paillier.he_dot(pk, acc, cts, [2, 0, 4], 3)
+    assert paillier.decrypt(keypair_512, out) == 11 + 2 * 3 + 4 * 7
+    assert scalars == [(2, 3), (0, 3), (4, 3)]
+    scalars.clear()
     out = paillier.he_dot(pk, acc, cts, [2, 0, 4])
     assert paillier.decrypt(keypair_512, out) == 11 + 2 * 3 + 4 * 7
-    assert scalars == [2, 0, 4]
+    assert scalars == [(2, None), (0, None), (4, None)]
 
 
 def test_he_matvec_dimension_mismatch(keypair_512):
