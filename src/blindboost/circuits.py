@@ -36,18 +36,27 @@ class Circuit:
     and_count: int = field(init=False)  # counted by the validation pass
 
     def __post_init__(self):
-        assigned = set(self.all_inputs())
+        n = self.n_wires
+        assigned = bytearray(n)  # 1 at each wire number that has a value
+        if not all(0 <= w < n for w in (*self.all_inputs(), *self.outputs)):
+            raise ValueError(f"an input or output wire is outside [0, {n})")
+        for w in self.all_inputs():
+            assigned[w] = 1
         ands = 0
-        for kind, a, b, out in self.gates:
-            if a not in assigned or (kind != NOT and b not in assigned):
-                raise ValueError(f"gate {(kind, a, b, out)} reads an unassigned wire")
-            if out in assigned:
+        for gate in self.gates:
+            kind, a, b, out = gate
+            b = a if kind == NOT else b  # a NOT reads one wire
+            if not (0 <= a < n and 0 <= b < n and 0 <= out < n):
+                raise ValueError(f"gate {gate} names a wire outside [0, {n})")
+            if not (assigned[a] and assigned[b]):
+                raise ValueError(f"gate {gate} reads an unassigned wire")
+            if assigned[out]:
                 raise ValueError(f"wire {out} assigned twice")
-            assigned.add(out)
+            assigned[out] = 1
             ands += kind == AND
         self.and_count = ands
         for o in self.outputs:
-            if o not in assigned:
+            if not assigned[o]:
                 raise ValueError(f"output wire {o} never assigned")
 
     def all_inputs(self):

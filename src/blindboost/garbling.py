@@ -2,16 +2,21 @@
 
 Inside this module a label is a 128-bit int; wherever labels leave it, a
 batch of them is one uint8 array of 16-byte little-endian labels, (count,
-16) or, for pairs, (count, 2, 16), and the AND tables leave it as bytes.
-The permute bit is the label's least significant bit. For every wire
-label1 = label0 XOR delta, with delta odd so the two labels' permute bits
-differ. The gate cipher is keyed BLAKE2s over the label bytes followed by
-the 8-byte little-endian tweak. Every AND gate is a half-gates pair of rows
-(Zahur, Rosulek and Evans, EUROCRYPT 2015); XOR and NOT gates are free.
+16) or, for pairs, (count, 2, 16). The permute bit is the label's least
+significant bit. For every wire label1 = label0 XOR delta, with delta odd
+so the two labels' permute bits differ. The gate cipher is keyed BLAKE2s
+over the label bytes followed by the 8-byte little-endian tweak. Every AND
+gate is a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT
+2015), and the AND tables are one bytes object from garbling to
+evaluation: two 16-byte rows (tg, then te) per AND gate, in gate order.
+XOR and NOT gates are free.
 
-The garbler encodes its bits on the minuend wires `inputs_a` (`encode`) and
-hands the subtrahend wires' label pairs to OT (`label_pairs`); `evaluate`
-takes both label arrays in wire order.
+`garble` returns the garbler's side, `GarblerSecrets`: delta, the input
+wires' 0-labels, the output decode map and the `GarbledCircuit` it ships.
+The evaluator holds only a `GarbledCircuit` (circuit, tables, output
+checks). The garbler encodes its bits on the minuend wires `inputs_a`
+(`encode`) and hands the subtrahend wires' label pairs to OT
+(`label_pairs`); `evaluate` takes both label arrays in wire order.
 
 Both garbling and evaluation unpack the circuit's gates as (kind, a, b,
 out) tuples and keep labels in a list indexed by wire number.
@@ -34,6 +39,7 @@ from .errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
 LABEL_BYTES = 16
 
 _LABEL_BITS = 8 * LABEL_BYTES
+_ROW_BYTES = 2 * LABEL_BYTES  # one AND gate's tg and te
 _GATE_KEY = b"blindboost-gc-v1"
 _OUT_DOMAIN = (1 << 48)
 # keyed once; each hash copies this state, so the key block is not rehashed
@@ -62,51 +68,43 @@ def _array(labels, pairs: bool = False) -> np.ndarray:
 
 @dataclass
 class GarbledCircuit:
+    """What the evaluator receives."""
     circuit: Circuit
-    and_tables: list          # per AND gate, its (tg, te) rows as 128-bit ints
+    and_tables: bytes         # per AND gate, its rows tg and te, in gate order
     output_check: np.ndarray  # per output wire, (hash for lsb 0, hash for lsb 1)
-    # garbler-side secrets; stripped from the evaluator's view
-    delta: int | None = None
-    wire_label0: list | None = None          # per wire number, its 0-label
-    output_decode: np.ndarray | None = None  # per output wire, (label0, label1)
+
+
+@dataclass
+class GarblerSecrets:
+    """The garbler's side of one garbled circuit."""
+    gc: GarbledCircuit
+    delta: np.ndarray          # (16,), the free-XOR offset
+    label0_a: np.ndarray       # per minuend wire, its 0-label
+    label0_b: np.ndarray       # per subtrahend wire, its 0-label
+    output_decode: np.ndarray  # per output wire, (label0, label1)
 
     def encode(self, bits) -> np.ndarray:
         """The label of each minuend wire for its bit."""
-        if self.wire_label0 is None:
-            raise GCEvaluationFailure("input labels are garbler-side only")
-        wires = self.circuit.inputs_a
-        if len(wires) != len(bits):
-            raise GCEvaluationFailure(f"{len(bits)} bits for {len(wires)} wires")
-        label0, delta = self.wire_label0, self.delta
-        return _array([label0[w] ^ delta if bit else label0[w]
-                       for w, bit in zip(wires, bits)])
+        bits = np.asarray(bits, dtype=bool)
+        if bits.shape != (len(self.label0_a),):
+            raise GCEvaluationFailure(f"{bits.size} bits for {len(self.label0_a)} wires")
+        return np.where(bits[:, None], self.label0_a ^ self.delta, self.label0_a)
 
     def label_pairs(self) -> np.ndarray:
         """(label0, label1) per subtrahend wire: the garbler's OT inputs."""
-        if self.wire_label0 is None:
-            raise GCEvaluationFailure("input labels are garbler-side only")
-        label0, delta = self.wire_label0, self.delta
-        return _array([x for w in self.circuit.inputs_b
-                       for x in (label0[w], label0[w] ^ delta)], pairs=True)
-
-    def tables_bytes(self) -> bytes:
-        # appended row by row: a list of every row's bytes would, for a
-        # moment, take several times the blob's memory
-        out = bytearray()
-        for tg, te in self.and_tables:
-            out += tg.to_bytes(LABEL_BYTES, "little")
-            out += te.to_bytes(LABEL_BYTES, "little")
-        return bytes(out)
+        return np.stack([self.label0_b, self.label0_b ^ self.delta], axis=1)
 
 
-def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:
+def garble(circuit: Circuit, rng: random.Random) -> GarblerSecrets:
     delta = rng.getrandbits(_LABEL_BITS) | 1
 
     label0 = [0] * circuit.n_wires
     for w in circuit.all_inputs():
         label0[w] = rng.getrandbits(_LABEL_BITS)
 
-    tables = []
+    # appended row by row: a list of every row would, for a moment, take
+    # several times the blob's memory
+    tables = bytearray()
     and_index = 0
     for kind, a, b, out in circuit.gates:
         if kind == XOR:
@@ -125,11 +123,10 @@ def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:
             te = hb0 ^ _hash1(b0 ^ delta, j1) ^ a0
             we = hb0 ^ te ^ a0 if b0 & 1 else hb0
             label0[out] = wg ^ we
-            tables.append((tg, te))
+            tables += (tg | te << _LABEL_BITS).to_bytes(_ROW_BYTES, "little")
             and_index += 1
 
-    check = []
-    decode = []
+    check, decode = [], []
     for idx, o in enumerate(circuit.outputs):
         l0 = label0[o]
         l1 = l0 ^ delta
@@ -137,23 +134,20 @@ def garble(circuit: Circuit, rng: random.Random) -> GarbledCircuit:
         check += (h1, h0) if l0 & 1 else (h0, h1)
         decode += (l0, l1)
 
-    return GarbledCircuit(circuit=circuit, and_tables=tables,
-                          output_check=_array(check, pairs=True), delta=delta,
-                          wire_label0=label0, output_decode=_array(decode, pairs=True))
+    gc = GarbledCircuit(circuit=circuit, and_tables=bytes(tables),
+                        output_check=_array(check, pairs=True))
+    return GarblerSecrets(gc=gc, delta=_array([delta])[0],
+                          label0_a=_array([label0[w] for w in circuit.inputs_a]),
+                          label0_b=_array([label0[w] for w in circuit.inputs_b]),
+                          output_decode=_array(decode, pairs=True))
 
 
-def evaluator_view(gc: GarbledCircuit) -> GarbledCircuit:
-    """The shippable half: tables and output checks, no secrets."""
-    return GarbledCircuit(circuit=gc.circuit, and_tables=gc.and_tables,
-                          output_check=gc.output_check)
-
-
-def tables_from_bytes(circuit: Circuit, buf: bytes) -> list:
-    expect = circuit.and_count * 2 * LABEL_BYTES
+def tables_from_bytes(circuit: Circuit, buf: bytes) -> bytes:
+    """`buf`, once its length fits the circuit's AND gates."""
+    expect = circuit.and_count * _ROW_BYTES
     if len(buf) != expect:
         raise GCEvaluationFailure(f"table blob has {len(buf)} bytes, expected {expect}")
-    rows = iter(_ints(buf))
-    return list(zip(rows, rows))  # consecutive row pairs, per gate
+    return buf
 
 
 def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
@@ -167,10 +161,10 @@ def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> 
     for given, wires in ((labels_a, circuit.inputs_a), (labels_b, circuit.inputs_b)):
         if given.shape != (len(wires), LABEL_BYTES):
             raise GCEvaluationFailure(f"{given.shape} labels for {len(wires)} input wires")
-    tables = gc.and_tables
-    if len(tables) != circuit.and_count or len(gc.output_check) != len(circuit.outputs):
-        raise GCEvaluationFailure(f"{len(tables)} tables and {len(gc.output_check)} "
-                                  f"output checks do not fit the circuit")
+    tables = tables_from_bytes(circuit, gc.and_tables)
+    if len(gc.output_check) != len(circuit.outputs):
+        raise GCEvaluationFailure(f"{len(gc.output_check)} output checks for "
+                                  f"{len(circuit.outputs)} output wires")
     labels = [0] * circuit.n_wires
     for w, lab in zip(circuit.all_inputs(), _ints(labels_a.tobytes() + labels_b.tobytes())):
         labels[w] = lab
@@ -183,13 +177,13 @@ def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> 
             labels[out] = labels[a]
         else:
             la, lb = labels[a], labels[b]
-            tg, te = tables[and_index]
+            off = and_index * _ROW_BYTES  # the gate's tg, then its te
             wg = _hash1(la, 2 * and_index)
             if la & 1:
-                wg ^= tg
+                wg ^= int.from_bytes(tables[off:off + LABEL_BYTES], "little")
             we = _hash1(lb, 2 * and_index + 1)
             if lb & 1:
-                we ^= te ^ la
+                we ^= int.from_bytes(tables[off + LABEL_BYTES:off + _ROW_BYTES], "little") ^ la
             labels[out] = wg ^ we
             and_index += 1
 
@@ -201,10 +195,8 @@ def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> 
     return _array(out)
 
 
-def decode_output(labels: np.ndarray, decode_map: np.ndarray | None) -> list:
+def decode_output(labels: np.ndarray, decode_map: np.ndarray) -> list:
     """Garbler-side mapping from output labels to bits."""
-    if decode_map is None:
-        raise UnknownLabel("decode map withheld")
     if labels.shape != (len(decode_map), LABEL_BYTES):
         raise GCEvaluationFailure(f"{labels.shape} output labels for "
                                   f"{len(decode_map)} output wires")

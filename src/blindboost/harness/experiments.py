@@ -87,9 +87,7 @@ def _transform_for(train_std):
 
 
 def make_trainer(base: str, tau: int, seed: int, precision_bits: int | None = None,
-                 p_max: int | None = None, collect=None):
-    p_max = p_max if p_max is not None else 2 * tau
-
+                 collect=None):
     def trainer(Xtr, ytr, fold):
         train_std = standardize(Dataset(Xtr, ytr))
         if base == "rlc":
@@ -97,7 +95,7 @@ def make_trainer(base: str, tau: int, seed: int, precision_bits: int | None = No
             if precision_bits is not None:
                 folded_dim = train_std.k + 1
                 fp = FixedPointParams.for_dimension(folded_dim, precision_bits)
-            res = boost_rlc(fold_labels(train_std).Z, tau, p_max,
+            res = boost_rlc(fold_labels(train_std).Z, tau, 2 * tau,
                             np.random.default_rng(seed + fold), fp=fp)
             if collect is not None:
                 collect.append(res)

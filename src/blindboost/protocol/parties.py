@@ -246,13 +246,13 @@ def garbler_round(ch, side, values) -> list:
     labels.
     """
     circuit, counters = side.circuit, ch.counters
-    gc = garble(circuit, side.garble_rng)
+    gs = garble(circuit, side.garble_rng)
     counters.and_gates += circuit.and_count
-    ch.send(GC_TABLES, wire.pack_blob(gc.tables_bytes())
-            + wire.pack_labels(gc.encode(record_bits(values, side.ring_bits)))
-            + wire.pack_label_pairs(gc.output_check))
-    pairs, decode = gc.label_pairs(), gc.output_decode
-    del gc  # its wire labels and tables are dead weight while Cloud evaluates
+    ch.send(GC_TABLES, wire.pack_blob(gs.gc.and_tables)
+            + wire.pack_labels(gs.encode(record_bits(values, side.ring_bits)))
+            + wire.pack_label_pairs(gs.gc.output_check))
+    pairs, decode = gs.label_pairs(), gs.output_decode
+    del gs  # its tables and minuend labels are dead weight while Cloud evaluates
     counters.ot_transfers += len(pairs)
     side.label_ot.send(ch, pairs)
     return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels), decode)

@@ -57,12 +57,11 @@ def sample_masks(count: int, value_bits: int, rng: random.Random) -> list:
 
 def masked_matvec_csp_step(z1: np.ndarray, ew: list, lam: list,
                            pk: paillier.PublicKey, rng: random.Random,
-                           ring_bits: int = 64) -> list:
+                           ring_bits: int) -> list:
     """CSP side: E(Z1 w + lambda) via pseudo-homomorphic products.
 
     z1 entries are ring representatives below 2^ring_bits, the public bound
-    of every scalar multiply (by default 64, since z1 is read as uint64);
-    ew encrypts w under Cloud's key.
+    of every scalar multiply; ew encrypts w under Cloud's key.
     """
     z1 = np.asarray(z1, dtype=np.uint64)
     if z1.ndim != 2 or z1.shape[1] != len(ew):

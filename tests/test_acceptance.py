@@ -32,7 +32,7 @@ from blindboost.encoding import (
     standardize,
 )
 from blindboost.errors import InsufficientPairsWarning, PoolExhaustedWarning
-from blindboost.garbling import decode_output, evaluate, evaluator_view, garble
+from blindboost.garbling import decode_output, evaluate, garble
 from blindboost.harness.datasets import gen_synthetic, load_csv
 from blindboost.harness.experiments import make_trainer
 from blindboost.harness.leakage import leakage_analysis
@@ -259,11 +259,10 @@ def test_criterion_05_protocol_oracle_equivalence():
 # 6. GC correctness
 
 
-def _garbled_msb(gc_pair, a, b, width):
-    gc = gc_pair
-    ev = dealer_choose(gc.label_pairs(), int_to_bits(b, width))
-    out = evaluate(evaluator_view(gc), gc.encode(int_to_bits(a, width)), ev)
-    return decode_output(out, gc.output_decode)[0]
+def _garbled_msb(gs, a, b, width):
+    ev = dealer_choose(gs.label_pairs(), int_to_bits(b, width))
+    out = evaluate(gs.gc, gs.encode(int_to_bits(a, width)), ev)
+    return decode_output(out, gs.output_decode)[0]
 
 
 def test_criterion_06_gc_correctness():

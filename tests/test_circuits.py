@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from blindboost.circuits import build_sub_msb_batch, int_to_bits, record_bits
+from blindboost.circuits import AND, NOT, XOR, Circuit, build_sub_msb_batch, int_to_bits, record_bits
 from blindboost.errors import BlindBoostError, ConstantOutOfRange, WidthOutOfRange
 
 
@@ -140,3 +140,18 @@ def test_constants_outside_the_ring_are_refused(constants):
     with pytest.raises(ConstantOutOfRange, match="constant"):
         build_sub_msb_batch(5, 2, constants)
     assert issubclass(ConstantOutOfRange, BlindBoostError)
+
+
+@pytest.mark.parametrize("gates, outputs, match", [
+    (((XOR, 0, 2, 2),), (2,), "reads an unassigned wire"),
+    (((XOR, 0, 1, 2), (AND, 0, 1, 2)), (2,), "assigned twice"),
+    ((), (2,), "never assigned"),
+    (((XOR, 0, 1, 5),), (5,), "outside"),
+    (((NOT, -1, -1, 2),), (2,), "outside"),
+    (((XOR, 0, 1, 2),), (3,), "outside"),
+], ids=["unassigned-read", "assigned-twice", "output-never-assigned",
+        "gate-past-the-wires", "negative-wire", "output-past-the-wires"])
+def test_miswired_circuits_are_refused(gates, outputs, match):
+    # wires 0 and 1 are the inputs of a 3-wire circuit
+    with pytest.raises(ValueError, match=match):
+        Circuit(n_wires=3, inputs_a=(0,), inputs_b=(1,), gates=gates, outputs=outputs)

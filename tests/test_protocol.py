@@ -925,8 +925,8 @@ def _side(circuit, ring_bits):
 def test_bytes_after_the_output_labels_are_malformed():
     circuit = build_sub_msb_batch(4, 2)
     gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
-    gc = garble(circuit, random.Random(5))  # what garbler_round garbles on Random(5)
-    out = evaluate(gc, gc.encode(gb_bits), dealer_choose(gc.label_pairs(), ev_bits))
+    gs = garble(circuit, random.Random(5))  # what garbler_round garbles on Random(5)
+    out = evaluate(gs.gc, gs.encode(gb_bits), dealer_choose(gs.label_pairs(), ev_bits))
 
     def run(reply):
         return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), _side(circuit, 4),
@@ -942,14 +942,14 @@ def test_bytes_after_the_output_labels_are_malformed():
                          ids=["11-labels", "7-labels", "trailing-byte"])
 def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
     circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
-    gc = garble(circuit, random.Random(5))
-    labels = gc.encode(record_bits([3, 9], 4))
-    dealt = ("OT", wire.pack_label_pairs(gc.label_pairs()))
+    gs = garble(circuit, random.Random(5))
+    labels = gs.encode(record_bits([3, 9], 4))
+    dealt = ("OT", wire.pack_label_pairs(gs.label_pairs()))
 
     def run(gb_labels, tail=b""):
-        ch = _Scripted([("GC_TABLES", wire.pack_blob(gc.tables_bytes())
+        ch = _Scripted([("GC_TABLES", wire.pack_blob(gs.gc.and_tables)
                          + wire.pack_labels(gb_labels)
-                         + wire.pack_label_pairs(gc.output_check) + tail), dealt])
+                         + wire.pack_label_pairs(gs.gc.output_check) + tail), dealt])
         evaluator_round(ch, _side(circuit, 4), [5, 12])
         return ch.sent
 

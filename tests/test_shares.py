@@ -81,7 +81,7 @@ def test_masked_matvec_single_cell(keypair_512):
     pk = keypair_512.public
     ew = [paillier.encrypt(pk, 2, rng)]
     out = shares.masked_matvec_csp_step(np.array([[1]], dtype=np.uint64),
-                                        ew, [7], pk, rng)
+                                        ew, [7], pk, rng, 8)
     assert paillier.decrypt(keypair_512, out[0]) == 9
 
 
@@ -90,7 +90,7 @@ def test_masked_matvec_zero_mask(keypair_512):
     pk = keypair_512.public
     z1 = np.array([[3, 4]], dtype=np.uint64)
     ew = [paillier.encrypt(pk, 5, rng), paillier.encrypt(pk, 6, rng)]
-    out = shares.masked_matvec_csp_step(z1, ew, [0], pk, rng)
+    out = shares.masked_matvec_csp_step(z1, ew, [0], pk, rng, 8)
     assert paillier.decrypt(keypair_512, out[0]) == 3 * 5 + 4 * 6
 
 
@@ -105,7 +105,7 @@ def test_masked_matvec_full_protocol_oracle(keypair_512):
     pair = shares.split(zm, L, nprng)
     lam = shares.sample_masks(10, L, rng)
     ew = [paillier.encrypt(pk, wi, rng) for wi in w]
-    enc = shares.masked_matvec_csp_step(pair.part1, ew, lam, pk, rng)
+    enc = shares.masked_matvec_csp_step(pair.part1, ew, lam, pk, rng, L)
     dec = [paillier.decrypt(keypair_512, c) for c in enc]
     qp = 1 << (L + shares.MASK_SECURITY_BITS + 1)
     # CSP-side correctness: decrypts to Z1 w + lambda
@@ -137,7 +137,7 @@ def test_masked_matvec_equals_the_row_by_row_loop(monkeypatch, bits):
     lam = shares.sample_masks(5, 16, random.Random(8))
     rng, ref_rng = random.Random(9), random.Random(9)
     try:
-        got = shares.masked_matvec_csp_step(z1, ew, lam, pk, rng)
+        got = shares.masked_matvec_csp_step(z1, ew, lam, pk, rng, 16)
     finally:
         pool.shutdown()
     expect = []
@@ -157,7 +157,7 @@ def test_masked_matvec_boundary_mask(keypair_512):
     lam_max = (1 << (L + shares.MASK_SECURITY_BITS)) - 1
     z1 = np.array([[9]], dtype=np.uint64)
     ew = [paillier.encrypt(pk, 3, rng)]
-    enc = shares.masked_matvec_csp_step(z1, ew, [lam_max], pk, rng)
+    enc = shares.masked_matvec_csp_step(z1, ew, [lam_max], pk, rng, L)
     dec = paillier.decrypt(keypair_512, enc[0])
     qp = 1 << (L + shares.MASK_SECURITY_BITS + 1)
     u0 = shares.masked_matvec_cloud_step(
@@ -182,7 +182,7 @@ def test_masked_matvec_dimension_mismatch(keypair_512):
     ew = [paillier.encrypt(pk, 1, rng)]
     with pytest.raises(DimensionMismatch):
         shares.masked_matvec_csp_step(np.zeros((2, 3), dtype=np.uint64),
-                                      ew, [0, 0], pk, rng)
+                                      ew, [0, 0], pk, rng, 17)
     with pytest.raises(DimensionMismatch):
         shares.masked_matvec_cloud_step(np.zeros((2, 3), dtype=np.uint64),
                                         [1, 2], [0, 0], FixedPointParams(7, 17))
@@ -203,7 +203,7 @@ def test_sign_recovery_through_shares(keypair_512):
     pair = shares.split(zq, p.ring_bits, nprng)
     lam = shares.sample_masks(8, p.ring_bits, rng)
     ew = [paillier.encrypt(pk, int(v), rng) for v in wq]
-    enc = shares.masked_matvec_csp_step(pair.part1, ew, lam, pk, rng)
+    enc = shares.masked_matvec_csp_step(pair.part1, ew, lam, pk, rng, p.ring_bits)
     qp = 1 << (p.ring_bits + shares.MASK_SECURITY_BITS + 1)
     dec = [paillier.decrypt(keypair_512, c) % qp for c in enc]
     u0 = shares.masked_matvec_cloud_step(pair.part0, [int(v) for v in wq], dec, p)
