@@ -41,6 +41,8 @@ class Circuit:
         if not all(0 <= w < n for w in (*self.all_inputs(), *self.outputs)):
             raise ValueError(f"an input or output wire is outside [0, {n})")
         for w in self.all_inputs():
+            if assigned[w]:
+                raise ValueError(f"input wire {w} listed twice")
             assigned[w] = 1
         ands = 0
         for gate in self.gates:

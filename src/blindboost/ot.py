@@ -8,7 +8,7 @@ Three building blocks:
   receiver answers B_i = g^{b_i} * A^{c_i} per wire; the sender encrypts
   each pair under H(B_i^a) and H((B_i/A)^a) = H(B_i^a * A^{-a}). Three
   modular exponentiations per transfer, two of them the receiver's. The
-  secrets a and b_i are 256-bit exponents (NIST SP 800-56A Rev. 3,
+  secrets a and b_i are uniform 256-bit exponents (NIST SP 800-56A Rev. 3,
   5.6.1.1.4, allows 2s bits at security strength s), and every received
   element must lie in (1, p-1) with Legendre symbol 1, in both profiles.
 * ``OTExtSender`` / ``OTExtReceiver``: semi-honest IKNP OT extension
@@ -81,8 +81,8 @@ SECRET_BITS = 256  # the public bound of every exponentiation by a secret
 
 
 def _secret(rng: random.Random) -> int:
-    """A SECRET_BITS-bit exponent with the top bit set."""
-    return rng.getrandbits(SECRET_BITS - 1) | 1 << (SECRET_BITS - 1)
+    """A uniform exponent below 2^SECRET_BITS."""
+    return rng.getrandbits(SECRET_BITS)
 
 
 def _validate_element(group: Group, x: int) -> None:

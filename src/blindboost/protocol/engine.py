@@ -97,7 +97,8 @@ def setup(cfg: ProtocolConfig, folded: FoldedMatrix):
         csp = CSPParty(cfg, fp, n, dim, keypair=kp)
     else:
         kp = paillier.keygen(cfg.key_bits, stream(cfg.seeds.cloud, b"keyg"))
-        pair = shares.split(zq, fp.ring_bits, np.random.default_rng(cfg.seeds.data))
+        share_rng = np.random.default_rng(stream(cfg.seeds.data, b"shar").getrandbits(128))
+        pair = shares.split(zq, fp.ring_bits, share_rng)
         cloud = CloudParty(cfg, fp, n, dim, own_keypair=kp, z0=pair.part0)
         csp = CSPParty(cfg, fp, n, dim, cloud_public=kp.public, z1=pair.part1)
     return cloud, csp

@@ -28,15 +28,21 @@ OT and own sign circuit), one garbled-circuit round (`garbler_round` /
 The packed reveal: each user encrypts its values already shifted into its
 record's slot, so Cloud folds its encrypted columns, a chunk of records per
 ciphertext, by adding them (`pack_columns`), and adds one fresh
-encryption of the chunk's packed masks (`mask_packed`); the key holder
-decrypts ceil(n / slots) ciphertexts and unpacks the masked values
-(`unpack_masked`). A value below 2^b gets a mask of b + sigma bits, and its
-slot is b + sigma + 1 bits wide (`reveal_width`). HE+GC's ResultEval packs
-u = Z w, with b = `FixedPointParams.product_bits(d)`; Cloud folds its d
-encrypted columns once, in SETUP, so a trial's matrix-vector product runs
+encryption of the chunk's packed masks (`packed_sign_cloud`); the key
+holder decrypts ceil(n / slots) ciphertexts and unpacks the masked values
+(`packed_sign_csp`). A value below 2^b gets a mask of b + sigma bits, and
+its slot is b + sigma + 1 bits wide (`reveal_width`). HE+GC's ResultEval
+packs u = Z w, with b = `FixedPointParams.product_bits(d)`; Cloud folds its
+d encrypted columns once, in SETUP, so a trial's matrix-vector product runs
 over ceil(n / slots) rows. Stump selection packs each feature's
-bin + y * 2^(L_s-1), with b = L_s + 1, once per feature. SecSh+GC's BaseApply
-reveal stays one ciphertext per record, with masks of the same bound.
+bin + y * 2^(L_s-1), with b = L_s + 1, once per feature. SecSh+GC's reveal
+is CSP's RESULT_EVAL_MASK, one ciphertext per record under Cloud's key,
+with masks of the same bound. Either way a trial's reveal is one message
+to the key holder.
+
+Every payload a party reads goes through one of three checked receives:
+`recv_field` (one unpacked field), `recv_exact` (a fixed payload) and
+`recv_decrypt` (an exact count of ciphertexts).
 """
 
 import functools
@@ -87,6 +93,24 @@ def recv_field(ch, phase, unpack):
     return value
 
 
+def recv_exact(ch, phase, payload: bytes, what: str) -> None:
+    """Receive a `phase` message whose payload must be exactly `payload`;
+    MalformedMessage ("`phase` does not `what`") otherwise."""
+    if expect_phase(ch.recv(), phase) != payload:
+        raise MalformedMessage(f"{phase} does not {what}")
+
+
+def recv_decrypt(ch, phase, kp, count) -> list:
+    """Receive a `phase` message of ciphertexts under `kp` and decrypt them;
+    MalformedMessage unless there are exactly `count`."""
+    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), phase), kp.public)
+    if len(cts) != count:
+        raise MalformedMessage(f"{phase} carries {len(cts)} ciphertexts, "
+                               f"expected {count}")
+    ch.counters.decryptions += count
+    return paillier.decrypt_many(kp, cts)
+
+
 def reveal_width(value_bits: int) -> int:
     """Slot width of a packed reveal of values below 2^value_bits: a value
     plus its mask from shares.sample_masks(., value_bits, .) is below
@@ -105,42 +129,6 @@ def pack_columns(pk, rows, width, counters) -> list:
               for i in range(0, len(rows), slots)]
     counters.he_adds += sum(map(len, rows)) - sum(map(len, packed))
     return packed
-
-
-def mask_packed(pk, packed_cts, masks, width, rng, counters) -> list:
-    """Cloud's half of a packed reveal: each packed ciphertext plus a fresh
-    encryption of its chunk's packed masks."""
-    packed = paillier.pack_slots(masks, width, paillier.slot_count(pk, width))
-    out = [paillier.he_add(pk, c, e)
-           for c, e in zip(packed_cts, paillier.encrypt_many(pk, packed, rng))]
-    counters.encryptions += len(packed)
-    counters.he_adds += len(packed)
-    return out
-
-
-def unpack_masked(kp, cts, count, width, counters, phase) -> list:
-    """The key holder's half of a packed reveal: the `count` masked values
-    that the `phase` message's ceil(count / slots) ciphertexts carry."""
-    slots = paillier.slot_count(kp.public, width)
-    packed = decrypt_exact(kp, cts, -(-count // slots), counters, phase)
-    return paillier.unpack_slots(packed, width, slots, count)
-
-
-def decrypt_exact(kp, cts, count, counters, phase) -> list:
-    """Decrypt the ciphertexts a `phase` message carries; MalformedMessage
-    unless there are exactly `count`."""
-    if len(cts) != count:
-        raise MalformedMessage(f"{phase} carries {len(cts)} ciphertexts, "
-                               f"expected {count}")
-    counters.decryptions += count
-    return paillier.decrypt_many(kp, cts)
-
-
-def recv_decrypt(ch, phase, kp, count) -> list:
-    """Receive a `phase` message of exactly `count` ciphertexts under `kp`
-    and decrypt them."""
-    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), phase), kp.public)
-    return decrypt_exact(kp, cts, count, ch.counters, phase)
 
 
 class LabelOT:
@@ -230,8 +218,8 @@ def open_csp(ch, cfg, n: int, dim: int, ring_bits: int, constants=(0,)) -> Side:
     ring width, checked before any circuit is built; then the base-OT
     session. The sign circuit's `constants` are CSP's own, never read from
     a message."""
-    if expect_phase(ch.recv(), SETUP) != _setup_header(n, dim, ring_bits):
-        raise MalformedMessage(f"SETUP does not declare n={n}, dim={dim}, L={ring_bits}")
+    recv_exact(ch, SETUP, _setup_header(n, dim, ring_bits),
+               f"declare n={n}, dim={dim}, L={ring_bits}")
     side = Side(cfg, cfg.seeds.csp, b"ot_s", n, ring_bits, constants)
     side.label_ot.open_sender(ch)
     return side
@@ -289,21 +277,25 @@ def packed_sign_cloud(ch, side, pk, packed_cts, value_bits) -> None:
     evaluates on lambda, so CSP learns msb((value - v) mod 2^L) for each of
     the sign circuit's constants v."""
     lam = shares.sample_masks(side.n, value_bits, side.mask_rng)
-    masked = mask_packed(pk, packed_cts, lam, reveal_width(value_bits), side.enc_rng,
-                         ch.counters)
+    width = reveal_width(value_bits)
+    packed = paillier.pack_slots(lam, width, paillier.slot_count(pk, width))
+    masked = [paillier.he_add(pk, c, e)
+              for c, e in zip(packed_cts, paillier.encrypt_many(pk, packed, side.enc_rng))]
+    ch.counters.encryptions += len(packed)
+    ch.counters.he_adds += len(packed)
     ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(masked))
     evaluator_round(ch, side, lam)
 
 
 def packed_sign_csp(ch, side, kp, value_bits) -> list:
-    """CSP's packed sign round: unpacks RESULT_EVAL_MASK's masked values,
-    garbles on them and returns the circuit's output bits, constant-major
-    (bit r * n + i is constant r on record i)."""
-    cts = paillier.ciphertexts_from_bytes(expect_phase(ch.recv(), RESULT_EVAL_MASK),
-                                          kp.public)
-    masked = unpack_masked(kp, cts, side.n, reveal_width(value_bits), ch.counters,
-                           RESULT_EVAL_MASK)
-    return garbler_round(ch, side, masked)
+    """CSP's packed sign round: decrypts RESULT_EVAL_MASK's ceil(n / slots)
+    ciphertexts, garbles on the masked values they unpack to and returns
+    the circuit's output bits, constant-major (bit r * n + i is constant r
+    on record i)."""
+    width = reveal_width(value_bits)
+    slots = paillier.slot_count(kp.public, width)
+    packed = recv_decrypt(ch, RESULT_EVAL_MASK, kp, -(-side.n // slots))
+    return garbler_round(ch, side, paillier.unpack_slots(packed, width, slots, side.n))
 
 
 class CloudParty:
@@ -342,9 +334,10 @@ class CloudParty:
         decision; returns whether CSP stops the run.
 
         HE+GC: E(u) = E(Z) w over the packed columns, then the packed sign
-        round. SecSh+GC: E(w) to CSP, which answers Z1 w + lambda under
-        Cloud's key; Cloud's u0 = Z0 w + Z1 w + lambda, and the GC round
-        gives CSP msb(u0 - lambda) = msb(Z w)."""
+        round. SecSh+GC: E(w) to CSP, whose RESULT_EVAL_MASK answers
+        Z1 w + lambda under Cloud's key; Cloud's u0 = Z0 w + Z1 w + lambda,
+        and the GC round gives CSP msb(u0 - lambda) = msb(Z w). Either way
+        a trial is one reveal to the key holder, then the GC round."""
         if t > self.cfg.p_max:
             raise IterationOutOfRange(f"iteration {t} exceeds p_max {self.cfg.p_max}")
         w = gen_rlc(self.dim - 1, self.pool_rng)
@@ -360,9 +353,8 @@ class CloudParty:
             ew = paillier.encrypt_many(self.keypair.public, wq, self.side.enc_rng)
             ch.counters.encryptions += self.dim
             ch.send(BASE_APPLY, wire.pack_u32(t) + paillier.ciphertexts_to_bytes(ew))
-            dec = recv_decrypt(ch, BASE_APPLY, self.keypair, self.n)
+            dec = recv_decrypt(ch, RESULT_EVAL_MASK, self.keypair, self.n)
             u0 = shares.masked_matvec_cloud_step(self.z0, wq, dec, self.fp)
-            ch.send(RESULT_EVAL_MASK, wire.pack_u32(t))
             evaluator_round(ch, self.side, [-u % self.fp.q for u in u0])
         return self.recv_decision(ch)[1]
 
@@ -409,7 +401,11 @@ class CSPParty:
     def trial(self, ch) -> bool:
         """The next trial, which Cloud's BASE_APPLY must name: the indicator
         vector I_t, the Update step on it and the decision sent back;
-        returns whether the run stops."""
+        returns whether the run stops.
+
+        HE+GC: the packed sign round on Cloud's RESULT_EVAL_MASK. SecSh+GC:
+        Z1 w + lambda under Cloud's key on BASE_APPLY's E(w), sent as this
+        trial's RESULT_EVAL_MASK, then the GC round on -lambda."""
         t = len(self.indicator_history) + 1
         payload = expect_phase(ch.recv(), BASE_APPLY)
         named, off = wire.unpack_u32(payload)
@@ -428,9 +424,7 @@ class CSPParty:
             ch.counters.encryptions += self.n
             ch.counters.he_scalar_muls += self.n * self.dim
             ch.counters.he_adds += self.n * self.dim
-            ch.send(BASE_APPLY, paillier.ciphertexts_to_bytes(out))
-            if expect_phase(ch.recv(), RESULT_EVAL_MASK) != wire.pack_u32(t):
-                raise MalformedMessage(f"RESULT_EVAL_MASK does not name trial {t}")
+            ch.send(RESULT_EVAL_MASK, paillier.ciphertexts_to_bytes(out))
             msb = garbler_round(ch, self.side, [-m % self.fp.q for m in lam])
         indicators = (1 - np.asarray(msb, dtype=np.uint8)).astype(np.uint8)
         self.indicator_history.append(indicators)
@@ -449,5 +443,4 @@ class CSPParty:
         while not stop and len(self.indicator_history) < self.cfg.p_max:
             stop = self.trial(ch)
         t = len(self.indicator_history)
-        if expect_phase(ch.recv(), DONE) != wire.pack_u32(t):
-            raise MalformedMessage(f"DONE does not name the last trial, {t}")
+        recv_exact(ch, DONE, wire.pack_u32(t), f"name the last trial, {t}")

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..boosting import EPSILON_FLOOR, BoostedModel, Stump, alpha, update_weights
 from ..encoding import Dataset, FixedPointParams, encode, encode_array
-from ..errors import BinCountInvalid, ConfigInvalid, MalformedMessage, PoolExhaustedWarning
+from ..errors import BinCountInvalid, ConfigInvalid, PoolExhaustedWarning
 # the GC round runs in .parties; perfbench/tracing.py wraps these names here too
 # (build_stump_error_batch only as an alias of the circuit .parties builds)
 from ..circuits import build_sub_msb_batch as build_stump_error_batch  # noqa: F401
@@ -67,10 +67,10 @@ from .parties import (
     pack_columns,
     packed_sign_cloud,
     packed_sign_csp,
-    recv_field,
+    recv_exact,
     reveal_width,
 )
-from .transcript import BASE_APPLY, DONE, Transcript, expect_phase
+from .transcript import BASE_APPLY, DONE, Transcript
 
 
 def threshold_grid(s: int) -> np.ndarray:
@@ -178,15 +178,13 @@ def _csp_loop(ch, cfg, kp, n, k, s):
     ring_bits = stump_ring_bits(s)
     side = open_csp(ch, cfg, n, k, ring_bits, range(1, s + 1))
     errors = np.zeros((2 * s * k, n), dtype=np.uint8)
-    for expected in range(k):
-        j = recv_field(ch, BASE_APPLY, wire.unpack_u32)
-        if j != expected:
-            raise MalformedMessage(f"feature {j} arrived in place of {expected}")
+    for j in range(k):
+        recv_exact(ch, BASE_APPLY, wire.pack_u32(j), f"name feature {j}")
         err = np.asarray(packed_sign_csp(ch, side, kp, ring_bits + 1), dtype=np.uint8)
         rows = errors[2 * s * j:2 * s * (j + 1)]
         rows[0::2] = err.reshape(s, n)   # "x < v -> class 1", per threshold
         rows[1::2] = 1 - rows[0::2]      # conjugates: flipped vectors
-    wire.expect_end(expect_phase(ch.recv(), DONE), 0)
+    recv_exact(ch, DONE, b"", "come empty after the last feature")
     return errors
 
 

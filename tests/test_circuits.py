@@ -142,16 +142,23 @@ def test_constants_outside_the_ring_are_refused(constants):
     assert issubclass(ConstantOutOfRange, BlindBoostError)
 
 
-@pytest.mark.parametrize("gates, outputs, match", [
-    (((XOR, 0, 2, 2),), (2,), "reads an unassigned wire"),
-    (((XOR, 0, 1, 2), (AND, 0, 1, 2)), (2,), "assigned twice"),
-    ((), (2,), "never assigned"),
-    (((XOR, 0, 1, 5),), (5,), "outside"),
-    (((NOT, -1, -1, 2),), (2,), "outside"),
-    (((XOR, 0, 1, 2),), (3,), "outside"),
+@pytest.mark.parametrize("inputs, gates, outputs, match", [
+    (((0,), (1,)), ((XOR, 0, 2, 2),), (2,), "reads an unassigned wire"),
+    (((0,), (1,)), ((XOR, 0, 1, 2), (AND, 0, 1, 2)), (2,), "assigned twice"),
+    (((0,), (1,)), (), (2,), "never assigned"),
+    (((0,), (1,)), ((XOR, 0, 1, 5),), (5,), "outside"),
+    (((0,), (1,)), ((NOT, -1, -1, 2),), (2,), "outside"),
+    (((0,), (1,)), ((XOR, 0, 1, 2),), (3,), "outside"),
+    (((0,), (0,)), ((NOT, 0, -1, 2),), (2,), "input wire 0 listed twice"),
+    (((0, 0), (1,)), ((XOR, 0, 1, 2),), (2,), "input wire 0 listed twice"),
 ], ids=["unassigned-read", "assigned-twice", "output-never-assigned",
-        "gate-past-the-wires", "negative-wire", "output-past-the-wires"])
-def test_miswired_circuits_are_refused(gates, outputs, match):
-    # wires 0 and 1 are the inputs of a 3-wire circuit
+        "gate-past-the-wires", "negative-wire", "output-past-the-wires",
+        "input-in-both-partitions", "input-twice-in-one-partition"])
+def test_miswired_circuits_are_refused(inputs, gates, outputs, match):
+    # by default wires 0 and 1 are the inputs of a 3-wire circuit; an input
+    # wire listed twice would give the garbler's and the evaluator's inputs
+    # one label
+    inputs_a, inputs_b = inputs
     with pytest.raises(ValueError, match=match):
-        Circuit(n_wires=3, inputs_a=(0,), inputs_b=(1,), gates=gates, outputs=outputs)
+        Circuit(n_wires=3, inputs_a=inputs_a, inputs_b=inputs_b, gates=gates,
+                outputs=outputs)

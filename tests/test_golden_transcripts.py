@@ -20,11 +20,11 @@ BOOST_GOLDEN = {
     (HE_GC, "dealer"):
         "d6734f40fff8830621a0d0927b15db4b88d392ef3f16c8bf5ecbddcb6bd7220d",
     (HE_GC, "base"):
-        "4799dd73c4ef83d58dfbaeb2ae0bdfe7e4bc7fbcae9ca48de80a001276702634",
+        "0ebebe8c6d072a9c35ecd9ba4edf1ae9d15d55e096b76a5b856e16ac4d43ff3c",
     (SECSH_GC, "dealer"):
-        "f28ce7d985bed851bca659c7dd807bfb38a5a0529630a9aba4e6b04cc7421f86",
+        "42eef7ae03e633a8b56e1325e80788b1844cb0ce800c279aa2c5f22d1e0e23f2",
     (SECSH_GC, "base"):
-        "e7fe4ad1d4a1b8c37857e1864d60a27a03400b6ef66f7bef4735ace4646e3a4a",
+        "a76b6c06f2eaa3626ba796a451e620c25a7318ce853d3bcc3b5dd4d16b75174b",
 }
 STUMP_GOLDEN = "f07ad38f82102990f438fd04ba1e8302ecb8762fe92a2ad6beeedbe915976348"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,

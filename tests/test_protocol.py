@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import random
 import re
 import threading
@@ -112,7 +113,7 @@ def test_secure_profile_requires_the_2048_bit_ot_group():
     assert paper_faithful(HE_GC, tau=1, p_max=2).ot_group == "modp-2048"
 
 
-_STREAM_TAGS = (b"keyg", b"user", b"mask", b"encr", b"garb", b"ot_r", b"ot_s")
+_STREAM_TAGS = (b"keyg", b"user", b"shar", b"mask", b"encr", b"garb", b"ot_r", b"ot_s")
 
 
 def _streams_meet(seeds):
@@ -363,17 +364,18 @@ def test_phase_order_and_report():
 @pytest.mark.parametrize("construction, ot_mode, session, per_trial", [
     (HE_GC, "dealer", 0, 4),
     (HE_GC, "base", 2, 6),
-    (SECSH_GC, "dealer", 0, 6),
-    (SECSH_GC, "base", 2, 8),
+    (SECSH_GC, "dealer", 0, 4),
+    (SECSH_GC, "base", 2, 6),
 ])
 def test_flights_per_construction_and_ot_mode(construction, ot_mode, session, per_trial):
     # a flight is a run of messages in one direction. Base OT opens with
     # two (Cloud's header and A, CSP's B's); its seed pairs ride with the
     # first BASE_APPLY, as Cloud's SETUP header does under dealer OT. A
-    # trial is Cloud's reveal, the tables and label pairs, the output
+    # trial is one reveal to the key holder (HE+GC: Cloud's BASE_APPLY and
+    # RESULT_EVAL_MASK; SecSh+GC: Cloud's E(w), then CSP's RESULT_EVAL_MASK
+    # riding with the tables), the tables and label pairs, the output
     # labels and the decision: base OT splits the label OT into U and its
-    # reply, SecSh+GC adds CSP's BASE_APPLY answer and Cloud's
-    # RESULT_EVAL_MASK. DONE is the last flight.
+    # reply. DONE is the last flight.
     _, transcript = run_learning(cfg_for(construction, tau=2, p_max=4, ot_mode=ot_mode),
                                  toy_folded(n=5, k=2, seed=15))
     report = transcript_report(transcript)
@@ -451,12 +453,16 @@ def test_unknown_transport_is_refused_before_keygen(monkeypatch):
 
 
 def test_socket_transport_identical_transcript():
+    # both constructions under both OT modes; SecSh+GC's CSP sends its
+    # reveal and GC_TABLES back to back, and the socket order must still be
+    # the memory order
     folded = toy_folded(n=5, k=2, seed=8)
-    cfg = cfg_for(HE_GC, tau=2, p_max=6)
-    dm_mem, t_mem = run_learning(cfg, folded, transport_kind="memory")
-    dm_sock, t_sock = run_learning(cfg, folded, transport_kind="socket")
-    assert t_mem.messages == t_sock.messages
-    assert dm_mem.to_json() == dm_sock.to_json()
+    for construction, ot_mode in itertools.product((HE_GC, SECSH_GC), ("dealer", "base")):
+        cfg = cfg_for(construction, tau=2, p_max=6, ot_mode=ot_mode)
+        dm_mem, t_mem = run_learning(cfg, folded, transport_kind="memory")
+        dm_sock, t_sock = run_learning(cfg, folded, transport_kind="socket")
+        assert t_mem.messages == t_sock.messages, (construction, ot_mode)
+        assert dm_mem.to_json() == dm_sock.to_json(), (construction, ot_mode)
 
 
 def test_pool_exhausted_run():
@@ -787,25 +793,6 @@ def test_csp_run_accepts_done_only_after_the_last_trial(tau, p_max, trials, done
         engine.run_pair(hostile_cloud, csp.run)
 
 
-@pytest.mark.parametrize("payload", [b"junk that is no trial number", wire.pack_u32(2),
-                                     wire.pack_u32(1) + b"\x00"],
-                         ids=["junk", "wrong-trial", "trailing-byte"])
-def test_csp_secsh_result_eval_requires_the_current_trial(payload):
-    # Cloud's messages: its SETUP header (0), E(w) (1), RESULT_EVAL_MASK (2)
-    cloud, csp = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
-
-    def cloud_main(ch):
-        ch = _TailOne(ch, [], 2, lambda _: payload)
-        cloud.open(ch)
-        cloud.trial(ch, 1)
-
-    with pytest.raises(MalformedMessage, match="trial 1"):
-        engine.run_pair(cloud_main, lambda ch: (csp.open(ch), csp.trial(ch)))
-    cloud, csp = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
-    run_trials(cloud, csp, 1)
-    assert len(csp.indicator_history[0]) == 3
-
-
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("bound, value, constants, slots", [
     # HE+GC ResultEval: the largest u = Z w of d = 3 columns, constant 0
@@ -825,7 +812,7 @@ def test_packed_sign_round_slot_edge(monkeypatch, bound, value, constants, slots
     lam = (1 << (bound + shares.MASK_SECURITY_BITS)) - 1
     assert (value + lam).bit_length() == width
     monkeypatch.setattr(shares, "sample_masks", lambda count, bits, rng: [lam] * count)
-    unpacked = _spy(monkeypatch, parties, "unpack_masked")
+    unpacked = _spy(monkeypatch, paillier, "unpack_slots")
     cfg = cfg_for(HE_GC)
 
     def cloud_main(ch):  # SETUP, then the round, in one session
@@ -892,11 +879,14 @@ def test_csp_result_eval_wrong_ciphertext_count(count):
 
 @pytest.mark.parametrize("count", [2, 4])  # n = 3
 def test_cloud_secsh_base_apply_reply_wrong_ciphertext_count(count):
+    # CSP's reply to BASE_APPLY is its RESULT_EVAL_MASK, one ciphertext per
+    # record
     cloud, _ = setup(cfg_for(SECSH_GC), toy_folded(n=3, k=2))
     cloud.open(_Scripted([]))  # dealer OT: SETUP is Cloud's header alone
     cts = paillier.encrypt_many(cloud.keypair.public, [0] * count, random.Random(2))
-    with pytest.raises(MalformedMessage, match=f"carries {count} ciphertexts, expected 3"):
-        cloud.trial(_Scripted([("BASE_APPLY", paillier.ciphertexts_to_bytes(cts))]), 1)
+    with pytest.raises(MalformedMessage,
+                       match=f"RESULT_EVAL_MASK carries {count} ciphertexts, expected 3"):
+        cloud.trial(_Scripted([("RESULT_EVAL_MASK", paillier.ciphertexts_to_bytes(cts))]), 1)
 
 
 def test_csp_result_eval_wrong_phase_is_phase_order_violation():

@@ -33,7 +33,7 @@ from blindboost.protocol import (
 from blindboost.protocol.config import stream
 from blindboost.protocol.parties import _setup_header
 from blindboost.protocol.stump_select import confidential_ds_select
-from blindboost.protocol.transcript import BASE_APPLY, RESULT_EVAL_MASK, SETUP, Transcript
+from blindboost.protocol.transcript import RESULT_EVAL_MASK, SETUP, Transcript
 
 SIGMA = shares.MASK_SECURITY_BITS
 
@@ -122,7 +122,7 @@ def test_boosting_reveals_are_masked_sigma_bits_past_their_bound(recording, cons
         key = csp.keypair
     else:
         # Cloud decrypts Z1 w + lambda, Z1 CSP's share
-        site = Site("SecSh+GC BaseApply", "csp->cloud", BASE_APPLY,
+        site = Site("SecSh+GC ResultEval", "csp->cloud", RESULT_EVAL_MASK,
                     [_dot(csp.z1, wq) for wq in wqs], bound, packed=False)
         key = cloud.keypair
     assert len(wqs) >= 2
@@ -171,7 +171,7 @@ def test_audit_refuses_masks_drawn_for_the_ring_width(recording, monkeypatch):
                         lambda count, value_bits, rng: sample(count, fp.ring_bits, rng))
     cfg = ProtocolConfig(construction=SECSH_GC, tau=1, p_max=3, ot_mode="dealer")
     _, transcript, cloud, csp = run_learning(cfg, folded, with_parties=True)
-    site = Site("SecSh+GC BaseApply", "csp->cloud", BASE_APPLY,
+    site = Site("SecSh+GC ResultEval", "csp->cloud", RESULT_EVAL_MASK,
                 [_dot(csp.z1, encode_array(w, fp)) for w in cloud.tried_w],
                 (d * (fp.q - 1) ** 2).bit_length(), packed=False)
     with pytest.raises(AssertionError, match="hide"):
