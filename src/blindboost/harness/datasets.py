@@ -36,6 +36,8 @@ def load_csv(path, label_column: int = -1, label_mapping: dict | None = None) ->
     if not rows:
         raise ParseError("no data rows")
     width = len(rows[0])
+    if not -width <= label_column < width:
+        raise ParseError(f"label column {label_column} outside a row of {width} columns")
     label_idx = label_column % width
     features = []
     labels = []

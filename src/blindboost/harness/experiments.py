@@ -62,17 +62,18 @@ class ExperimentSpec:
 
 
 def resolve_dataset(ref: dict, seed: int) -> Dataset:
-    if "synthetic" in ref:
-        cfg = ref["synthetic"]
+    kind = next((k for k in ("synthetic", "csv") if k in ref), None)
+    if kind is None:
+        raise ConfigInvalid(f"dataset ref needs 'synthetic' or 'csv', got {sorted(ref)}")
+    cfg = ref[kind]
+    mapping = cfg.get("label_mapping") if isinstance(cfg, dict) else None
+    if not isinstance(cfg, dict) or not isinstance(mapping, (dict, type(None))):
+        raise ConfigInvalid(f"the {kind} ref and its label_mapping must be JSON objects")
+    if kind == "synthetic":
         return gen_synthetic(int(cfg.get("n", 10_000)), int(cfg.get("k", 10)),
                              int(cfg.get("seed", seed)))
-    if "csv" in ref:
-        cfg = ref["csv"]
-        mapping = cfg.get("label_mapping")
-        return load_csv(cfg["path"], label_column=int(cfg.get("label_column", -1)),
-                        label_mapping={k: int(v) for k, v in mapping.items()}
-                        if mapping else None)
-    raise ConfigInvalid(f"dataset ref needs 'synthetic' or 'csv', got {sorted(ref)}")
+    return load_csv(cfg["path"], label_column=int(cfg.get("label_column", -1)),
+                    label_mapping={k: int(v) for k, v in mapping.items()} if mapping else None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,34 +2,36 @@
 
 Three building blocks:
 
-* ``OTSender`` / ``OTReceiver``: Diffie-Hellman base OT (Chou-Orlandi
-  shape) in the prime-order quadratic-residue subgroup of a named
-  safe-prime MODP group. The sender publishes A = g^a once per batch; the
-  receiver answers B_i = g^{b_i} * A^{c_i} per wire; the sender encrypts
-  each pair under H(B_i^a) and H((B_i/A)^a) = H(B_i^a * A^{-a}). Three
-  modular exponentiations per transfer, two of them the receiver's. The
-  secrets a and b_i are uniform 256-bit exponents (NIST SP 800-56A Rev. 3,
-  5.6.1.1.4, allows 2s bits at security strength s), and every received
-  element must lie in (1, p-1) with Legendre symbol 1, in both profiles.
+* ``OTSender`` / ``OTReceiver``: Diffie-Hellman random base OT
+  (Chou-Orlandi shape) in the prime-order quadratic-residue subgroup of a
+  named safe-prime MODP group. The sender publishes A = g^a once per
+  batch and the receiver answers B_i = g^{b_i} * A^{c_i} per wire; the
+  sender's keys are H(B_i^a) and H((B_i/A)^a) = H(B_i^a * A^{-a}), the
+  receiver's H(A^{b_i}). Three modular exponentiations per transfer, two
+  of them the receiver's. The secrets a and b_i are uniform 256-bit
+  exponents (NIST SP 800-56A Rev. 3, 5.6.1.1.4, allows 2s bits at
+  security strength s), and every received element must lie in (1, p-1)
+  with Legendre symbol 1, in both profiles.
 * ``OTExtSender`` / ``OTExtReceiver``: semi-honest IKNP OT extension
   (Ishai, Kilian, Nissim and Petrank, CRYPTO 2003). A session runs
-  KAPPA = 128 base OTs once, with the roles reversed: the extension
-  receiver is the base-OT sender of random 16-byte seed pairs, and the
-  extension sender is the base-OT receiver with a secret 128-bit choice
-  string s. Every later round of m transfers costs one message of
-  KAPPA * ceil(m/8) bytes, a bit-matrix transpose and 3m keyed hashes.
+  KAPPA = 128 random base OTs once, with the roles reversed: the base-OT
+  sender's key pairs seed the extension receiver's column streams, and
+  the keys of the base-OT receiver, whose choice string is a secret
+  128-bit s, seed the extension sender's. Every later round of m
+  transfers costs one message of KAPPA * ceil(m/8) bytes, a bit-matrix
+  transpose and 3m keyed hashes.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
   party pair, once in SETUP, whose exponentiations paillier.fan_out
   spreads over the cores (with libgmp on a 2-core x86 machine: about
   0.07 s of CPU and 0.04 s of wall time in modp-768, 0.18 s on one thread
   in modp-2048), then a few milliseconds of hashing per round (2.6 ms at
   209 transfers, 11 ms at 1216, on the same machine). Its OT bytes fall
-  below those of per-wire base OT once a run moves more than about 200
+  below those of per-wire base OT once a run moves more than about 150
   transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
-  Flagged insecure; refused when the secure profile is active.
+  Flagged insecure; ``ProtocolConfig`` refuses it in the secure profile.
 
-Labels, label pairs and the seed pairs are garbling's uint8 arrays, (count,
+Labels, keys, label pairs and key pairs are garbling's uint8 arrays, (count,
 16) and (count, 2, 16), and every step computes on them as such.
 """
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupElementInvalid, ModeNotPermittedInSecureProfile, OTFailure
+from .errors import GroupElementInvalid, OTFailure
 from .garbling import LABEL_BYTES
 from .paillier import fan_out, legendre, powmod
 
@@ -106,7 +108,7 @@ def _pick(pairs: np.ndarray, bits) -> np.ndarray:
 
 
 class OTSender:
-    """Holds the label pairs; one instance per batch."""
+    """The random base OTs' key pairs; one instance per batch."""
 
     def __init__(self, group: Group, rng: random.Random):
         self.group = group
@@ -117,11 +119,9 @@ class OTSender:
     def setup_message(self) -> int:
         return self.A
 
-    def respond(self, bs: list, pairs: np.ndarray) -> np.ndarray:
-        """Per wire i: (m0 ^ H(B^a), m1 ^ H(B^a * A^{-a})), where
-        B^a * A^{-a} = (B/A)^a."""
-        if len(bs) != len(pairs):
-            raise OTFailure("choice-message count does not match pair count")
+    def respond(self, bs: list) -> np.ndarray:
+        """The key pair (H(B^a), H(B^a * A^{-a})) of each wire, where
+        B^a * A^{-a} = (B/A)^a, as a (len(bs), 2, 16) array."""
         p = self.group.p
 
         def one(item):
@@ -131,7 +131,7 @@ class OTSender:
             return _kdf(b_a, i) + _kdf(b_a * self._A_neg_a % p, i)
 
         keys = np.frombuffer(b"".join(fan_out(one, enumerate(bs))), dtype=np.uint8)
-        return pairs ^ keys.reshape(pairs.shape)
+        return keys.reshape(len(bs), 2, LABEL_BYTES)
 
 
 class OTReceiver:
@@ -141,14 +141,12 @@ class OTReceiver:
         self.A = A
         self._rng = rng
         self._secrets = None
-        self._choices = None
 
     def choose(self, bits: list) -> list:
         """B_i = g^{b_i} * A^{c_i}. Every secret is drawn here, in order,
         before any exponentiation, so the rng's use does not depend on how
         fan_out splits the batch."""
         self._secrets = [_secret(self._rng) for _ in bits]
-        self._choices = [int(c) & 1 for c in bits]
         p = self.group.p
 
         def one(item):
@@ -156,13 +154,12 @@ class OTReceiver:
             m = powmod(self.group.g, b, p, SECRET_BITS)
             return m * self.A % p if c else m
 
-        return fan_out(one, zip(self._secrets, self._choices))
+        return fan_out(one, zip(self._secrets, [int(c) & 1 for c in bits]))
 
-    def finish(self, responses: np.ndarray) -> np.ndarray:
+    def finish(self) -> np.ndarray:
+        """The key of each choice, H(A^{b_i}), as a (choices, 16) array."""
         if self._secrets is None:
             raise OTFailure("choose() was not called")
-        if responses.shape != (len(self._secrets), 2, LABEL_BYTES):
-            raise OTFailure(f"{responses.shape} responses for {len(self._secrets)} choices")
         p = self.group.p
 
         def one(item):
@@ -170,7 +167,7 @@ class OTReceiver:
             return _kdf(powmod(self.A, b, p, SECRET_BITS), i)
 
         keys = np.frombuffer(b"".join(fan_out(one, enumerate(self._secrets))), dtype=np.uint8)
-        return _pick(responses, self._choices) ^ keys.reshape(-1, LABEL_BYTES)
+        return keys.reshape(-1, LABEL_BYTES)
 
 
 KAPPA = 128                 # base OTs per extension session
@@ -226,29 +223,32 @@ def _hash_rows(rows: np.ndarray, first: int) -> np.ndarray:
 class OTExtReceiver:
     """IKNP extension receiver: the chooser (the garbled-circuit evaluator).
 
-    It is the base-OT *sender* of KAPPA random seed pairs (k0_i, k1_i). One
-    session serves every round of a run."""
+    It is the base-OT *sender*: its KAPPA key pairs (k0_i, k1_i) seed the
+    column streams G(k0) and G(k1). One session serves every round of a
+    run."""
 
     def __init__(self, group: Group, rng: random.Random):
         self._base = OTSender(group, rng)
-        seeds = b"".join([rng.getrandbits(128).to_bytes(LABEL_BYTES, "big")
-                          for _ in range(2 * KAPPA)])
-        self._seeds = np.frombuffer(seeds, dtype=np.uint8).reshape(KAPPA, 2, LABEL_BYTES)
-        self._g0 = _Prg(self._seeds[:, 0])
-        self._g1 = _Prg(self._seeds[:, 1])
+        self._g0 = self._g1 = None
         self._next = 0              # session-wide index of the next transfer
         self._pending = None
 
     def setup_message(self) -> int:
         return self._base.setup_message()
 
-    def base_respond(self, bs: list) -> list:
-        """The KAPPA base OTs: seed pair i, one half per base choice bit."""
-        return self._base.respond(bs, self._seeds)
+    def base_respond(self, bs: list) -> None:
+        """The KAPPA base OTs: the key pairs of the extension sender's B's
+        seed the column streams. Nothing goes back."""
+        if len(bs) != KAPPA:
+            raise OTFailure(f"{len(bs)} base-OT choice messages, expected {KAPPA}")
+        keys = self._base.respond(bs)
+        self._g0, self._g1 = _Prg(keys[:, 0]), _Prg(keys[:, 1])
 
     def choose(self, bits: list) -> bytes:
         """U = T ^ G(k1) ^ r, KAPPA packed columns of ceil(m/8) bytes, where
         T = G(k0) and r are the choice bits."""
+        if self._g0 is None:
+            raise OTFailure("the base OTs have not run")
         r = np.asarray([int(c) & 1 for c in bits], dtype=np.uint8)
         nbytes = (len(r) + 7) // 8
         t = self._g0.read(nbytes)
@@ -272,7 +272,7 @@ class OTExtSender:
     """IKNP extension sender: holds the label pairs (the garbler).
 
     It is the base-OT *receiver*, with a secret KAPPA-bit choice string s;
-    it learns k_i^{s_i} of each seed pair."""
+    its keys k_i^{s_i} seed the column streams G(k^s)."""
 
     def __init__(self, group: Group, rng: random.Random, A: int):
         self._base = OTReceiver(group, rng, A)
@@ -285,8 +285,8 @@ class OTExtSender:
     def base_choose(self) -> list:
         return self._base.choose(self._s_bits.tolist())
 
-    def base_finish(self, responses: np.ndarray) -> None:
-        self._prg = _Prg(self._base.finish(responses))
+    def base_finish(self) -> None:
+        self._prg = _Prg(self._base.finish())
 
     def respond(self, u: bytes, pairs: np.ndarray) -> np.ndarray:
         """Per transfer j: (x0 ^ H(j, q_j), x1 ^ H(j, q_j ^ s)), where
@@ -306,10 +306,8 @@ class OTExtSender:
                                  _hash_rows(q_rows ^ self._s_row, first)], axis=1)
 
 
-def dealer_choose(pairs: np.ndarray, bits: list, secure_profile: bool = False) -> np.ndarray:
+def dealer_choose(pairs: np.ndarray, bits: list) -> np.ndarray:
     """Trusted-dealer shortcut; test mode only."""
-    if secure_profile:
-        raise ModeNotPermittedInSecureProfile("dealer OT is a test mode")
     if len(pairs) != len(bits):
         raise OTFailure("pair/choice count mismatch")
     return _pick(pairs, bits)

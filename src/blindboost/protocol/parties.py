@@ -135,9 +135,9 @@ class LabelOT:
     """One party's end of the evaluator-input OT, for every round of a run.
 
     In ``base`` mode `open_receiver` / `open_sender` run the IKNP extension
-    session once, as SETUP messages, before the first round: the evaluator,
-    as base-OT sender of the seed pairs, sends A; the garbler answers with
-    its KAPPA choice messages; the evaluator returns the masked seed pairs.
+    session once, as two SETUP messages, before the first round: the
+    evaluator, as random base-OT sender, sends A; the garbler answers with
+    its KAPPA choice messages; each side's base-OT keys seed its streams.
     Every round is then one U message and one reply of masked label pairs.
     ``dealer`` mode opens nothing and sends the label pairs in the clear.
     """
@@ -154,8 +154,7 @@ class LabelOT:
             return
         self._session = OTExtReceiver(GROUPS[cfg.ot_group], self._rng)
         ch.send(SETUP, wire.pack_bigints([self._session.setup_message()]))
-        bs = recv_field(ch, SETUP, wire.unpack_bigints)
-        ch.send(SETUP, wire.pack_label_pairs(self._session.base_respond(bs)))
+        self._session.base_respond(recv_field(ch, SETUP, wire.unpack_bigints))
 
     def open_sender(self, ch) -> None:
         """Garbler side of the base-OT session."""
@@ -167,13 +166,12 @@ class LabelOT:
             raise OTFailure(f"expected one base-OT setup element, got {len(elems)}")
         self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0])
         ch.send(SETUP, wire.pack_bigints(self._session.base_choose()))
-        self._session.base_finish(recv_field(ch, SETUP, wire.unpack_label_pairs))
+        self._session.base_finish()
 
     def receive(self, ch, bits) -> list:
         """Evaluator side: the labels of `bits`, one per transfer."""
         if self.cfg.ot_mode == "dealer":
-            return dealer_choose(recv_field(ch, OT, wire.unpack_label_pairs), bits,
-                                 self.cfg.secure_profile)
+            return dealer_choose(recv_field(ch, OT, wire.unpack_label_pairs), bits)
         ch.send(OT, wire.pack_blob(self._session.choose(bits)))
         return self._session.finish(recv_field(ch, OT, wire.unpack_label_pairs))
 

@@ -109,14 +109,31 @@ def test_report_command(tmp_path):
     {"bogus": 1}, [1, 2], {"kind": "CV_ACCURACY", "output_dir": "x"},
     {"dataset": {"synthetic": {}}, "output_dir": "x", "seed": 1, "bogus": 1},
     {"kind": "CV_ACCURACY", "dataset": 5, "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": 5}, "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"csv": "d.csv"}, "output_dir": "x"},
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "params": [1]},
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "seed": "5"},
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "seed": True},
 ], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key", "int-dataset",
-        "list-params", "str-seed", "bool-seed"])
+        "int-synthetic-ref", "str-csv-ref", "list-params", "str-seed", "bool-seed"])
 def test_report_spec_error_exit_code(tmp_path, capsys, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert main(["report", "--spec", str(tmp_path / "spec.json")]) == EXIT_CONFIG
+    assert "configuration error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--label-column", "3"], ["--label-column", "-4"],
+                                   ["--label-mapping", "[1]"], ["--label-mapping", "1"]],
+                         ids=["column-past-the-end", "column-before-the-start",
+                              "list-mapping", "int-mapping"])
+def test_dataset_flag_error_exit_code(tmp_path, capsys, flags):
+    csv = tmp_path / "t.csv"
+    csv.write_text("".join(f"{i % 2},{i},{1 - 2 * (i // 2 % 2)}\n" for i in range(8)))
+    train = ["train-plain", "--dataset", str(csv), "--base", "ds", "--tau", "1",
+             "--folds", "2", "--out", str(tmp_path / "r")]
+    assert main(train) == EXIT_OK
+    capsys.readouterr()
+    assert main(train + flags) == EXIT_CONFIG
     assert "configuration error: " in capsys.readouterr().err
 
 

@@ -80,6 +80,17 @@ def test_load_csv_label_column_middle(tmp_path):
     assert ds.X[1].tolist() == [3.0, 4.0]
 
 
+def test_load_csv_label_column_out_of_range(tmp_path):
+    # a column past either end is refused, not wrapped round onto a feature
+    f = tmp_path / "toy.csv"
+    f.write_text("0,5,1\n1,6,-1\n")
+    for column in (3, -4, 7):
+        with pytest.raises(ParseError, match=f"label column {column} outside"):
+            load_csv(f, label_column=column)
+    assert load_csv(f, label_column=-3).y.tolist() == load_csv(f, label_column=0).y.tolist()
+    assert load_csv(f, label_column=2).y.tolist() == [1, -1]
+
+
 def test_gen_synthetic_deterministic():
     a = gen_synthetic(100, 5, seed=9)
     b = gen_synthetic(100, 5, seed=9)

@@ -20,11 +20,11 @@ BOOST_GOLDEN = {
     (HE_GC, "dealer"):
         "d6734f40fff8830621a0d0927b15db4b88d392ef3f16c8bf5ecbddcb6bd7220d",
     (HE_GC, "base"):
-        "0ebebe8c6d072a9c35ecd9ba4edf1ae9d15d55e096b76a5b856e16ac4d43ff3c",
+        "a77dfac8d121bb1330c830ada106b8df7e40a001e84e28c33f56f02fd783df16",
     (SECSH_GC, "dealer"):
         "42eef7ae03e633a8b56e1325e80788b1844cb0ce800c279aa2c5f22d1e0e23f2",
     (SECSH_GC, "base"):
-        "a76b6c06f2eaa3626ba796a451e620c25a7318ce853d3bcc3b5dd4d16b75174b",
+        "40bd30fcce502cdfe66fc3622ddc6870792900f7f4cede74cce7486be16494a0",
 }
 STUMP_GOLDEN = "f07ad38f82102990f438fd04ba1e8302ecb8762fe92a2ad6beeedbe915976348"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,

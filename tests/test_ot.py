@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from blindboost import ot, paillier
-from blindboost.errors import (
-    GroupElementInvalid,
-    ModeNotPermittedInSecureProfile,
-    OTFailure,
-)
+from blindboost.errors import GroupElementInvalid, OTFailure
 from blindboost.protocol import engine, parties
 from blindboost.protocol.config import HE_GC, ProtocolConfig, paper_faithful, stream
 
@@ -22,9 +18,6 @@ def _pairs(rng, count):
 def _chosen(pairs, bits):
     """Label bits[i] of pair i, as a (count, 16) array."""
     return np.stack([p[b] for p, b in zip(pairs, bits)]).reshape(-1, 16)
-
-
-_ONE_PAIR = np.frombuffer(b"0" * 16 + b"1" * 16, dtype=np.uint8).reshape(1, 2, 16)
 
 
 def _spy_powmod(monkeypatch):
@@ -74,58 +67,53 @@ def test_dealer_choice():
             ot.dealer_choose(pairs, wrong)
 
 
-def test_dealer_refused_in_secure_profile():
-    with pytest.raises(ModeNotPermittedInSecureProfile):
-        ot.dealer_choose(_ONE_PAIR, [0], secure_profile=True)
-
-
-def _base_ot(pairs, bits, sender_seed, receiver_seed):
-    """Per-wire base OT in modp-768 with both ends in-process."""
-    group = ot.GROUPS["modp-768"]
+def _base_ot(bits, sender_seed, receiver_seed, group=ot.GROUPS["modp-768"]):
+    """Random base OT with both ends in-process: the sender's key pairs and
+    the receiver's keys."""
     sender = ot.OTSender(group, random.Random(sender_seed))
     receiver = ot.OTReceiver(group, random.Random(receiver_seed), sender.setup_message())
-    return receiver.finish(sender.respond(receiver.choose(bits), pairs))
+    pairs = sender.respond(receiver.choose(bits))
+    return pairs, receiver.finish()
 
 
-def test_base_ot_delivers_chosen_labels():
+def test_base_ot_receiver_key_is_the_senders_key_of_its_choice():
+    # the receiver learns the key of its choice bit and nothing that
+    # matches the other key of the pair
     rng = random.Random(2)
-    pairs = _pairs(rng, 64)
     bits = [rng.getrandbits(1) for _ in range(64)]
-    assert np.array_equal(_base_ot(pairs, bits, 3, 4), _chosen(pairs, bits))
+    pairs, keys = _base_ot(bits, 3, 4)
+    assert pairs.shape == (64, 2, 16) and keys.shape == (64, 16)
+    assert np.array_equal(keys, _chosen(pairs, bits))
+    assert not any(np.array_equal(k, p[1 - c]) for k, p, c in zip(keys, pairs, bits))
+    assert len({k.tobytes() for k in pairs.reshape(-1, 16)}) == 128
 
 
 def test_base_ot_choice_zero():
-    pair = np.frombuffer(b"A" * 16 + b"B" * 16, dtype=np.uint8).reshape(1, 2, 16)
-    assert _base_ot(pair, [0], 5, 6).tobytes() == b"A" * 16
+    pairs, keys = _base_ot([0], 5, 6)
+    assert keys.tobytes() == pairs[0, 0].tobytes() != pairs[0, 1].tobytes()
 
 
 def test_replayed_transcript_wrong_choice_gives_garbage():
-    # with a fixed transcript the receiver can decrypt only its chosen row;
-    # the other row yields neither label
-    rng = random.Random(7)
+    # with a fixed transcript the receiver's key material H(A^{b_i}) is the
+    # sender's key of its choice, whichever bit it claims; the other key
+    # stays out of reach
     group = ot.GROUPS["modp-768"]
-    pairs = _pairs(rng, 4)
     bits = [0, 1, 0, 1]
     sender = ot.OTSender(group, random.Random(8))
     receiver = ot.OTReceiver(group, random.Random(9), sender.setup_message())
-    bs = receiver.choose(bits)
-    responses = sender.respond(bs, pairs)
-    labels = receiver.finish(responses)
-    assert np.array_equal(labels, _chosen(pairs, bits))
-    # decrypt the other row with the same key material
-    for i, ((e0, e1), c) in enumerate(zip(responses, bits)):
+    pairs = sender.respond(receiver.choose(bits))
+    for i, (pair, c) in enumerate(zip(pairs, bits)):
         k = ot._kdf(ot.powmod(receiver.A, receiver._secrets[i], group.p, ot.SECRET_BITS), i)
-        wrong = (e0 if c else e1) ^ np.frombuffer(k, dtype=np.uint8)
-        assert not any(np.array_equal(wrong, x) for x in pairs[i])
+        assert k == pair[c].tobytes() != pair[1 - c].tobytes()
 
 
 def test_group_element_validation():
     group = ot.GROUPS["modp-768"]
     sender = ot.OTSender(group, random.Random(10))
     with pytest.raises(GroupElementInvalid):
-        sender.respond([1], _ONE_PAIR)
+        sender.respond([1])
     with pytest.raises(GroupElementInvalid):
-        sender.respond([group.p - 1], _ONE_PAIR)
+        sender.respond([group.p - 1])
     with pytest.raises(GroupElementInvalid):
         ot.OTReceiver(group, random.Random(11), 0)
 
@@ -135,9 +123,9 @@ def test_subgroup_check_in_secure_profile():
     sender = ot.OTSender(group, random.Random(12))
     # -4 is a non-residue (p = 3 mod 4), hence outside the order-q subgroup
     with pytest.raises(GroupElementInvalid):
-        sender.respond([group.p - 4], _ONE_PAIR)
+        sender.respond([group.p - 4])
     # a genuine subgroup element passes the check
-    sender.respond([ot.powmod(group.g, 12345, group.p, 14)], _ONE_PAIR)
+    sender.respond([ot.powmod(group.g, 12345, group.p, 14)])
 
 
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
@@ -149,15 +137,13 @@ def test_every_received_element_is_checked(monkeypatch, one_worker_pool, name):
     receiver = ot.OTExtReceiver(group, random.Random(60))
     bs = ot.OTExtSender(group, random.Random(61), receiver.setup_message()).base_choose()
     sender = ot.OTSender(group, random.Random(62))
-    pairs = _pairs(random.Random(63), 4)
     checked = _spy_checks(monkeypatch)
     for bad in (0, 1, p - 1, p, p - 4, p + 4):
         for make in (ot.OTReceiver, ot.OTExtSender):
             with pytest.raises(GroupElementInvalid):
                 make(group, random.Random(64), bad)
         # the first element is checked on the calling thread, the last on the worker
-        for respond, good in ((lambda xs: sender.respond(xs, pairs), bs[:4]),
-                              (receiver.base_respond, bs)):
+        for respond, good in ((sender.respond, bs[:4]), (receiver.base_respond, bs)):
             for where in (0, len(good) - 1):
                 checked.clear()
                 with pytest.raises(GroupElementInvalid):
@@ -189,16 +175,16 @@ def test_base_ot_secrets_are_short_and_drawn_from_the_party_stream(
 
 
 def test_count_mismatch(monkeypatch):
+    # the extension receiver takes exactly KAPPA B's, checked before any
+    # exponentiation
     group = ot.GROUPS["modp-768"]
-    sender = ot.OTSender(group, random.Random(13))
-    receiver = ot.OTReceiver(group, random.Random(17), sender.setup_message())
-    responses = sender.respond(receiver.choose([0, 1, 1]), _pairs(random.Random(18), 3))
+    receiver = ot.OTExtReceiver(group, random.Random(13))
+    bs = ot.OTExtSender(group, random.Random(17), receiver.setup_message()).base_choose()
     calls = _spy_powmod(monkeypatch)
-    with pytest.raises(OTFailure):
-        sender.respond([4, 4], _ONE_PAIR)
-    with pytest.raises(OTFailure):
-        receiver.finish(responses[:2])
-    assert calls == []  # refused before any exponentiation
+    for wrong in (bs[:-1], bs + bs[:1], []):
+        with pytest.raises(OTFailure, match=f"{len(wrong)} base-OT"):
+            receiver.base_respond(wrong)
+    assert calls == []
 
 
 def test_finish_before_choose_is_refused():
@@ -206,7 +192,14 @@ def test_finish_before_choose_is_refused():
     sender = ot.OTSender(group, random.Random(13))
     receiver = ot.OTReceiver(group, random.Random(17), sender.setup_message())
     with pytest.raises(OTFailure, match="choose"):
-        receiver.finish(_pairs(random.Random(18), 0))
+        receiver.finish()
+
+
+def test_extension_choose_before_base_ots_is_refused():
+    group = ot.GROUPS["modp-768"]
+    receiver = ot.OTExtReceiver(group, random.Random(18))
+    with pytest.raises(OTFailure, match="base OTs"):
+        receiver.choose([0, 1])
 
 
 def test_sender_second_key_matches_two_pow_formula():
@@ -216,7 +209,7 @@ def test_sender_second_key_matches_two_pow_formula():
     sender = ot.OTSender(group, random.Random(15))
     receiver = ot.OTReceiver(group, random.Random(16), sender.setup_message())
     bs = receiver.choose([rng.getrandbits(1) for _ in range(6)])
-    keys = sender.respond(bs, np.zeros((len(bs), 2, 16), dtype=np.uint8))
+    keys = sender.respond(bs)
     a, p = sender._a, group.p
     a_inv = pow(sender.A, p - 2, p)
     for i, (b, (k0, k1)) in enumerate(zip(bs, keys)):
@@ -233,7 +226,8 @@ def _ext_session(seed):
     group = ot.GROUPS["modp-768"]
     receiver = ot.OTExtReceiver(group, random.Random(seed))
     sender = ot.OTExtSender(group, random.Random(seed + 1), receiver.setup_message())
-    sender.base_finish(receiver.base_respond(sender.base_choose()))
+    receiver.base_respond(sender.base_choose())
+    sender.base_finish()
     return sender, receiver
 
 
@@ -331,9 +325,8 @@ def test_extension_rejects_malformed_messages():
                            receiver.setup_message())
     with pytest.raises(OTFailure):
         fresh.respond(u, pairs)  # base OTs not run
-    fresh.base_choose()
     with pytest.raises(OTFailure):
-        fresh.base_finish(np.zeros((1, 2, 16), dtype=np.uint8))  # count mismatch
+        fresh.base_finish()  # base_choose() not run
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +341,10 @@ def _session_outputs(seed, group):
     a = receiver.setup_message()
     sender = ot.OTExtSender(group, s_rng, a)
     bs = sender.base_choose()
-    base = receiver.base_respond(bs)
-    learned = sender._base.finish(base)
-    sender.base_finish(base)
+    key_pairs = receiver._base.respond(bs)
+    receiver.base_respond(bs)
+    keys = sender._base.finish()
+    sender.base_finish()
     rng = random.Random(seed + 2)
     rounds = []
     for m in (9, 40):
@@ -358,7 +352,7 @@ def _session_outputs(seed, group):
         u = receiver.choose([rng.getrandbits(1) for _ in range(m)])
         ys = sender.respond(u, pairs)
         rounds.append((u, ys.tobytes(), receiver.finish(ys).tobytes()))
-    return (a, bs, base.tobytes(), learned.tobytes(), rounds, r_rng.getstate(),
+    return (a, bs, key_pairs.tobytes(), keys.tobytes(), rounds, r_rng.getstate(),
             s_rng.getstate())
 
 
@@ -383,12 +377,9 @@ def test_every_base_ot_exponentiation_runs_over_the_256_bit_bound(monkeypatch, n
         return real(rp, bp, bn, ep, enb, mp, n, tp)
 
     monkeypatch.setattr(paillier._gmp, "mpn_sec_powm", spy)
-    pairs = _pairs(random.Random(54), 5)
-    sender = ot.OTSender(group, random.Random(55))
-    receiver = ot.OTReceiver(group, random.Random(56), sender.setup_message())
     bits = [0, 1, 1, 0, 1]
-    labels = receiver.finish(sender.respond(receiver.choose(bits), pairs))
-    assert np.array_equal(labels, _chosen(pairs, bits))
+    pairs, keys = _base_ot(bits, 55, 56, group)
+    assert np.array_equal(keys, _chosen(pairs, bits))
     # A and A^a, then B_i, B_i^a and A^(b_i) per transfer
     assert calls == [(group.p, group.p.bit_length() // 64, 256)] * (2 + 3 * len(bits))
     assert ot.SECRET_BITS == 256
@@ -403,9 +394,9 @@ def test_session_loops_use_a_second_thread(monkeypatch):
     bs = sender.base_choose()
     threads = [len(set(calls))]
     calls.clear()
-    base = receiver.base_respond(bs)
+    receiver.base_respond(bs)
     threads.append(len(set(calls)))
     calls.clear()
-    sender.base_finish(base)
+    sender.base_finish()
     threads.append(len(set(calls)))
     assert min(threads) >= 2

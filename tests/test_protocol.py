@@ -369,13 +369,12 @@ def test_phase_order_and_report():
 ])
 def test_flights_per_construction_and_ot_mode(construction, ot_mode, session, per_trial):
     # a flight is a run of messages in one direction. Base OT opens with
-    # two (Cloud's header and A, CSP's B's); its seed pairs ride with the
-    # first BASE_APPLY, as Cloud's SETUP header does under dealer OT. A
-    # trial is one reveal to the key holder (HE+GC: Cloud's BASE_APPLY and
-    # RESULT_EVAL_MASK; SecSh+GC: Cloud's E(w), then CSP's RESULT_EVAL_MASK
-    # riding with the tables), the tables and label pairs, the output
-    # labels and the decision: base OT splits the label OT into U and its
-    # reply. DONE is the last flight.
+    # two (Cloud's header and A, CSP's B's); under dealer OT Cloud's SETUP
+    # header rides with the first BASE_APPLY. A trial is one reveal to the
+    # key holder (HE+GC: Cloud's BASE_APPLY and RESULT_EVAL_MASK; SecSh+GC:
+    # Cloud's E(w), then CSP's RESULT_EVAL_MASK riding with the tables),
+    # the tables and label pairs, the output labels and the decision: base
+    # OT splits the label OT into U and its reply. DONE is the last flight.
     _, transcript = run_learning(cfg_for(construction, tau=2, p_max=4, ot_mode=ot_mode),
                                  toy_folded(n=5, k=2, seed=15))
     report = transcript_report(transcript)
@@ -627,9 +626,9 @@ def _label_ot_run(ot_mode, target, edit):
                     main(sender.open_sender, lambda ch: sender.send(ch, pairs)))
 
 
-# dealer: the label pairs; base: A, the B's and the seed pairs in SETUP, then
-# per round U and the masked pairs
-_OT_MESSAGES = [("dealer", 0)] + [("base", i) for i in range(7)]
+# dealer: the label pairs; base: A and the B's in SETUP, then per round U and
+# the masked pairs
+_OT_MESSAGES = [("dealer", 0)] + [("base", i) for i in range(6)]
 
 
 @pytest.mark.parametrize("ot_mode, target", _OT_MESSAGES)
@@ -705,8 +704,8 @@ def _run_edited(monkeypatch, run, target, edit):
 @pytest.mark.parametrize("kind", sorted(_MUTATED_RUNS))
 def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, kind,
                                                                   ot_mode):
-    # one edited message at a time among SETUP's seed pairs (base OT: the
-    # last SETUP message), GC_TABLES, OT and OUTPUT_LABELS: the run raises
+    # one edited message at a time among CSP's B's (base OT: the last
+    # SETUP message), GC_TABLES, OT and OUTPUT_LABELS: the run raises
     # a BlindBoostError, never a numpy, index or assertion error and never
     # a hang; only a flipped bit may go unnoticed (say, in a label that
     # the evaluator did not choose)
@@ -949,8 +948,8 @@ def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
 
 
 def test_base_ot_session_opens_once_per_run():
-    # the extension session is three SETUP messages after Cloud's header:
-    # A, the B's, the seed pairs; every round is U and the masked label pairs
+    # the extension session is two SETUP messages after Cloud's header: A
+    # and the B's; every round is U and the masked label pairs
     folded = toy_folded(n=5, k=2, seed=15)
     dm, transcript, cloud, csp = run_learning(
         cfg_for(SECSH_GC, tau=3, p_max=6, ot_mode="base"), folded,
@@ -958,7 +957,7 @@ def test_base_ot_session_opens_once_per_run():
     rounds = transcript.iterations()
     assert rounds >= 2
     setup_msgs = [d for d, phase, _ in transcript.messages if phase == "SETUP"]
-    assert setup_msgs == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
+    assert setup_msgs == ["cloud->csp", "cloud->csp", "csp->cloud"]
     ot_msgs = [d for d, phase, _ in transcript.messages if phase == "OT"]
     assert ot_msgs == ["cloud->csp", "csp->cloud"] * rounds
     L = cloud.fp.ring_bits

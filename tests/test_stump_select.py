@@ -187,14 +187,14 @@ def test_base_ot_mode_matches_dealer():
     ot_msgs = [d for d, phase, _ in r2.transcript.messages if phase == "OT"]
     assert ot_msgs == ["cloud->csp", "csp->cloud"] * k
     setup = [d for d, phase, _ in r2.transcript.messages if phase == "SETUP"]
-    assert setup == ["cloud->csp", "cloud->csp", "csp->cloud", "cloud->csp"]
+    assert setup == ["cloud->csp", "cloud->csp", "csp->cloud"]
     per_round = build_sub_msb_batch(L_s, n, (1, 2)).and_count
     for report in map(transcript_report, (r1.transcript, r2.transcript)):
         for party in ("cloud", "csp"):
             assert report["counters"][party]["ot_transfers"] == k * n * L_s
             assert report["counters"][party]["and_gates"] == k * per_round
-    # base OT: the header and A, then the B's; per feature the seed pairs or
-    # the last output labels with the reveal, the tables, U, the masked
+    # base OT: the header and A, then the B's; per feature the reveal (after
+    # the last output labels from the second on), the tables, U, the masked
     # pairs; DONE with the last output labels
     assert transcript_report(r1.transcript)["flights"] == 2 * k + 1
     assert transcript_report(r2.transcript)["flights"] == 2 + 4 * k + 1
