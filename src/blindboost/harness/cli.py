@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import errors
+from .. import errors, paillier
 from ..boosting import cv_accuracy, model_to_json
 from ..encoding import Dataset, fold_labels, standardize
 from ..ot import GROUPS
@@ -86,11 +86,12 @@ def _load_dataset(args) -> Dataset:
     ref = args.dataset
     if ref.startswith("synthetic"):
         params = ref.split(":", 1)[1].split(",") if ":" in ref else []
-        return resolve_dataset({"synthetic": dict(p.split("=") for p in params)},
-                               args.seed)
-    mapping = json.loads(args.label_mapping) if args.label_mapping else None
-    return resolve_dataset({"csv": {"path": ref, "label_column": args.label_column,
-                                    "label_mapping": mapping}}, args.seed)
+        fields = {k: int(v) for k, v in (p.split("=") for p in params)}
+        return resolve_dataset({"synthetic": fields}, args.seed)
+    csv = {"path": ref, "label_column": args.label_column}
+    if args.label_mapping:
+        csv["label_mapping"] = json.loads(args.label_mapping)
+    return resolve_dataset({"csv": csv}, args.seed)
 
 
 def _write(out_dir, name, payload):
@@ -108,8 +109,6 @@ def _write(out_dir, name, payload):
 
 
 def cmd_keygen(args):
-    from .. import paillier
-
     kp = paillier.keygen(args.bits, stream(args.seed, b"keyg"))
     payload = {"key_bits": args.bits, "n": kp.public.n, "g": kp.public.g,
                "h_n": kp.public.h_n, "lambda": kp.secret.lam, "mu": kp.secret.mu,

@@ -31,6 +31,19 @@ EXPERIMENT_KINDS = ("CV_ACCURACY", "CONVERGENCE", "PRECISION_SWEEP",
 PRECISION_GRID = (5, 7, 9, 11, 15, 20)
 
 
+def _read(obj: dict, key: str, kind: type, default=None):
+    """obj[key], or `default` where obj has no `key` (with no default, the
+    key is required): the one reader of the fields of a spec and of its
+    dataset ref, params and label mapping. ConfigInvalid unless the value's
+    type is exactly `kind` (so a bool is no int); a list must hold ints."""
+    if key not in obj and default is not None:
+        return default
+    value = obj.get(key)
+    if type(value) is not kind or kind is list and any(type(v) is not int for v in value):
+        raise ConfigInvalid(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentSpec:
     kind: str
@@ -40,12 +53,8 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, kind in (("kind", str), ("dataset", dict), ("output_dir", str),
-                           ("seed", int), ("params", dict)):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigInvalid(f"spec field {name!r} must be a {kind.__name__}, "
-                                    f"got {type(value).__name__}")
+        for f in fields(self):
+            _read(vars(self), f.name, f.type)
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigInvalid(f"unknown experiment kind {self.kind!r}")
 
@@ -65,15 +74,13 @@ def resolve_dataset(ref: dict, seed: int) -> Dataset:
     kind = next((k for k in ("synthetic", "csv") if k in ref), None)
     if kind is None:
         raise ConfigInvalid(f"dataset ref needs 'synthetic' or 'csv', got {sorted(ref)}")
-    cfg = ref[kind]
-    mapping = cfg.get("label_mapping") if isinstance(cfg, dict) else None
-    if not isinstance(cfg, dict) or not isinstance(mapping, (dict, type(None))):
-        raise ConfigInvalid(f"the {kind} ref and its label_mapping must be JSON objects")
+    cfg = _read(ref, kind, dict)
     if kind == "synthetic":
-        return gen_synthetic(int(cfg.get("n", 10_000)), int(cfg.get("k", 10)),
-                             int(cfg.get("seed", seed)))
-    return load_csv(cfg["path"], label_column=int(cfg.get("label_column", -1)),
-                    label_mapping={k: int(v) for k, v in mapping.items()} if mapping else None)
+        return gen_synthetic(_read(cfg, "n", int, 10_000), _read(cfg, "k", int, 10),
+                             _read(cfg, "seed", int, seed))
+    mapping = _read(cfg, "label_mapping", dict, {})
+    return load_csv(_read(cfg, "path", str), label_column=_read(cfg, "label_column", int, -1),
+                    label_mapping={k: _read(mapping, k, int) for k in mapping} or None)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +140,9 @@ def prefix_accuracies(model, X, y, tau_grid):
 
 def _exp_cv_accuracy(spec: ExperimentSpec, ds: Dataset) -> dict:
     p = spec.params
-    base = p.get("base", "rlc")
-    tau = int(p.get("tau", 200))
-    folds = int(p.get("folds", 10))
+    base = _read(p, "base", str, "rlc")
+    tau = _read(p, "tau", int, 200)
+    folds = _read(p, "folds", int, 10)
     runs = []
     trainer = make_trainer(base, tau, spec.seed, collect=runs)
     mean, std, per_fold = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
@@ -155,11 +162,11 @@ def _exp_cv_accuracy(spec: ExperimentSpec, ds: Dataset) -> dict:
 
 def _exp_convergence(spec: ExperimentSpec, ds: Dataset) -> dict:
     p = spec.params
-    base = p.get("base", "rlc")
-    tau_max = int(p.get("tau_max", 200))
-    grid = p.get("tau_grid") or [1, 2, 5, 10, 20, 50, 100, 150, 200]
-    grid = sorted({int(t) for t in grid if int(t) <= tau_max})
-    folds = int(p.get("folds", 10))
+    base = _read(p, "base", str, "rlc")
+    tau_max = _read(p, "tau_max", int, 200)
+    grid = _read(p, "tau_grid", list, [1, 2, 5, 10, 20, 50, 100, 150, 200])
+    grid = sorted({t for t in grid if t <= tau_max})
+    folds = _read(p, "folds", int, 10)
     fold_idx = stratified_folds(ds.y, folds, spec.seed)
     curves = {t: [] for t in grid}
     for f, test_idx in enumerate(fold_idx):
@@ -180,9 +187,9 @@ def _exp_convergence(spec: ExperimentSpec, ds: Dataset) -> dict:
 
 def _exp_precision_sweep(spec: ExperimentSpec, ds: Dataset) -> dict:
     p = spec.params
-    tau = int(p.get("tau", 200))
-    folds = int(p.get("folds", 10))
-    grid = [int(b) for b in p.get("bits_grid", PRECISION_GRID)]
+    tau = _read(p, "tau", int, 200)
+    folds = _read(p, "folds", int, 10)
+    grid = _read(p, "bits_grid", list, PRECISION_GRID)
     points = []
     for bits in grid:
         trainer = make_trainer("rlc", tau, spec.seed, precision_bits=bits)
@@ -205,10 +212,10 @@ def _protocol_counters(construction, folded, tau, seeds):
 
 def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
     p = spec.params
-    construction = p.get("construction", "he-gc")
-    tau = int(p.get("tau", 2))
-    n_grid = [int(x) for x in p.get("n_grid", (16, 32, 64, 128))]
-    k_grid = [int(x) for x in p.get("k_grid", (2, 4, 8))]
+    construction = _read(p, "construction", str, "he-gc")
+    tau = _read(p, "tau", int, 2)
+    n_grid = _read(p, "n_grid", list, (16, 32, 64, 128))
+    k_grid = _read(p, "k_grid", list, (2, 4, 8))
     seeds = Seeds.derive(spec.seed)
 
     def row(vary, sub):
@@ -237,8 +244,8 @@ def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
 
 def _exp_leakage(spec: ExperimentSpec, ds: Dataset) -> dict:
     p = spec.params
-    p_classifiers = int(p.get("p", 16))
-    pair_sample = int(p.get("pair_sample", 1_000_000))
+    p_classifiers = _read(p, "p", int, 16)
+    pair_sample = _read(p, "pair_sample", int, 1_000_000)
     rep = leakage_analysis(ds, p_classifiers, spec.seed, pair_sample)
     report = {"kind": "LEAKAGE", "seed": spec.seed, "n": ds.n, "k": ds.k,
               **rep.to_dict()}
@@ -249,9 +256,9 @@ def _exp_leakage(spec: ExperimentSpec, ds: Dataset) -> dict:
 
 def _exp_baseline_compare(spec: ExperimentSpec, ds: Dataset) -> dict:
     p = spec.params
-    folds = int(p.get("folds", 10))
-    taus = {"rlc": int(p.get("tau_rlc", 200)), "ds": int(p.get("tau_ds", 75)),
-            "lmc": int(p.get("tau_lmc", 75))}
+    folds = _read(p, "folds", int, 10)
+    taus = {"rlc": _read(p, "tau_rlc", int, 200), "ds": _read(p, "tau_ds", int, 75),
+            "lmc": _read(p, "tau_lmc", int, 75)}
     results = {}
     for base, tau in taus.items():
         trainer = make_trainer(base, tau, spec.seed)

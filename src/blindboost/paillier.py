@@ -63,24 +63,24 @@ class _Mpz(ctypes.Structure):
 
 def _load_gmp():
     """The system libgmp's mpn_sec_powm, its scratch size mpn_sec_powm_itch
-    and mpz_jacobi through ctypes, with the limb size, or None where the
-    library or one of the symbols is missing."""
+    and mpz_jacobi through ctypes, with the limb size. ImportError, naming
+    what is missing, where the library or one of the symbols is not found:
+    no secret exponent may run anywhere but in mpn_sec_powm."""
     path = ctypes.util.find_library("gmp")
     if path is None:
-        return None
+        raise ImportError("blindboost.paillier needs the system libgmp; none was found")
     ptr, size, bitcnt = ctypes.c_char_p, ctypes.c_long, ctypes.c_ulong
-    mpz_p = ctypes.POINTER(_Mpz)
     signatures = {  # name: (argument types, return type)
         "mpn_sec_powm": ([ptr, ptr, size, ptr, bitcnt, ptr, size, ptr], None),
         "mpn_sec_powm_itch": ([size, bitcnt, size], size),
-        "mpz_jacobi": ([mpz_p, mpz_p], ctypes.c_int),
+        "mpz_jacobi": ([ctypes.POINTER(_Mpz)] * 2, ctypes.c_int),
     }
-    try:
-        lib = ctypes.CDLL(path)
-        limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
-        fns = {name: getattr(lib, "__g" + name) for name in signatures}
-    except (OSError, ValueError, AttributeError):  # pragma: no cover - depends on environment
-        return None
+    lib = ctypes.CDLL(path)
+    for symbol in ["__gmp_bits_per_limb", *("__g" + name for name in signatures)]:
+        if not hasattr(lib, symbol):
+            raise ImportError(f"the libgmp at {path} lacks {symbol}")
+    limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
+    fns = {name: getattr(lib, "__g" + name) for name in signatures}
     for name, (argtypes, restype) in signatures.items():
         fns[name].argtypes, fns[name].restype = argtypes, restype
     return types.SimpleNamespace(limb_bits=limb_bits, **fns)
@@ -105,27 +105,25 @@ def powmod(base: int, exp: int, mod: int, bits: int) -> int:
     """base**exp mod mod, equal to builtin pow, for an exponent below 2^bits.
 
     `bits` is a public bound on the exponent, which the caller names and
-    which is never read off the exponent itself. GMP's mpn_sec_powm takes
-    time that depends on the operand sizes and on `bits` alone, and runs
-    through ctypes, which releases the GIL for the call, so two party
-    threads exponentiate in parallel. A zero exponent goes through it like
-    any other. ExponentOutOfRange where exp >= 2^bits, on every path.
-    Builtin pow covers what mpn_sec_powm does not take (exp < 0, a base
-    divisible by the modulus, an even modulus, mod < 3) and machines
-    without libgmp.
+    which is never read off the exponent itself. libgmp is required: its
+    mpn_sec_powm takes time that depends on the operand sizes and on `bits`
+    alone, and runs through ctypes, which releases the GIL for the call, so
+    two party threads exponentiate in parallel. A zero exponent goes
+    through it like any other. ExponentOutOfRange where exp >= 2^bits, on
+    every path. Builtin pow takes only what mpn_sec_powm cannot: exp < 0,
+    an even modulus, mod < 3 and a base divisible by the modulus.
     """
     if exp >> bits > 0:
         raise ExponentOutOfRange(f"exponent is not below its {bits}-bit bound")
-    gmp = _gmp
-    if gmp is None or exp < 0 or not mod & 1 or mod < 3 or not base % mod:
+    if exp < 0 or not mod & 1 or mod < 3 or not base % mod:
         return pow(base, exp, mod)
-    limb_bits, enb = gmp.limb_bits, max(bits, 1)
+    limb_bits, enb = _gmp.limb_bits, max(bits, 1)
     n = -(-mod.bit_length() // limb_bits)
     out = ctypes.create_string_buffer(n * limb_bits // 8)
-    gmp.mpn_sec_powm(out, _limbs(base % mod, n, limb_bits), n,
-                     _limbs(exp, -(-enb // limb_bits), limb_bits), enb,
-                     _limbs(mod, n, limb_bits), n,
-                     ctypes.create_string_buffer(_scratch_bytes(n, enb)))
+    _gmp.mpn_sec_powm(out, _limbs(base % mod, n, limb_bits), n,
+                      _limbs(exp, -(-enb // limb_bits), limb_bits), enb,
+                      _limbs(mod, n, limb_bits), n,
+                      ctypes.create_string_buffer(_scratch_bytes(n, enb)))
     return int.from_bytes(out.raw, "little")
 
 
@@ -134,19 +132,13 @@ def legendre(x: int, p: int) -> int:
 
     Runs GMP's mpz_jacobi, which is not constant time: for public x only.
     Its operands are read-only GMP integers over Python-owned limbs, as
-    GMP's MPZ_ROINIT_N builds them. Machines without libgmp get Euler's
-    criterion x^((p-1)/2) mod p.
+    GMP's MPZ_ROINIT_N builds them. libgmp is required, as for powmod.
     """
-    gmp = _gmp
-    if gmp is None:
-        r = pow(x, (p - 1) // 2, p)
-        return -1 if r == p - 1 else r
-
     def read_only(v):
-        count = -(-v.bit_length() // gmp.limb_bits)
-        return _Mpz(0, count, _limbs(v, count, gmp.limb_bits))
+        count = -(-v.bit_length() // _gmp.limb_bits)
+        return _Mpz(0, count, _limbs(v, count, _gmp.limb_bits))
 
-    return gmp.mpz_jacobi(read_only(x % p), read_only(p))
+    return _gmp.mpz_jacobi(read_only(x % p), read_only(p))
 
 
 def _usable_cpus() -> int:

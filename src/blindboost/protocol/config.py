@@ -21,9 +21,9 @@ _ROLE_TAGS = {"cloud": (b"keyg", b"mask", b"encr", b"garb", b"ot_r"),
 @dataclass(frozen=True)
 class Seeds:
     """The role seeds of a run. Two roles must never draw the same stream,
-    or one could recompute the other's secrets (CSP, say, Cloud's IKNP seed
-    pairs and with them its choice bits): role seeds under which two roles'
-    stream seeds meet are refused."""
+    or one could recompute the other's secrets (CSP, say, Cloud's HE+GC
+    mask stream, and so strip lambda from each u + lambda it decrypts):
+    role seeds under which two roles' stream seeds meet are refused."""
 
     cloud: int = 1
     csp: int = 2

@@ -114,8 +114,16 @@ def test_report_command(tmp_path):
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "params": [1]},
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "seed": "5"},
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x", "seed": True},
+    {"kind": "CV_ACCURACY", "dataset": {"csv": {}}, "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"csv": {"path": 5}}, "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": {"n": None}}, "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"csv": {"path": "x.csv", "label_column": None}},
+     "output_dir": "x"},
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x",
+     "params": {"tau": None}},
 ], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key", "int-dataset",
-        "int-synthetic-ref", "str-csv-ref", "list-params", "str-seed", "bool-seed"])
+        "int-synthetic-ref", "str-csv-ref", "list-params", "str-seed", "bool-seed",
+        "csv-ref-without-path", "int-path", "null-n", "null-label-column", "null-tau"])
 def test_report_spec_error_exit_code(tmp_path, capsys, spec):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert main(["report", "--spec", str(tmp_path / "spec.json")]) == EXIT_CONFIG

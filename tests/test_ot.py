@@ -20,32 +20,6 @@ def _chosen(pairs, bits):
     return np.stack([p[b] for p, b in zip(pairs, bits)]).reshape(-1, 16)
 
 
-def _spy_powmod(monkeypatch):
-    """Records the thread of every ot.powmod call."""
-    threads = []
-    real = ot.powmod
-
-    def spy(*args):
-        threads.append(threading.current_thread())
-        return real(*args)
-
-    monkeypatch.setattr(ot, "powmod", spy)
-    return threads
-
-
-def _spy_checks(monkeypatch):
-    """Records (thread, element) of every ot._validate_element call."""
-    checked = []
-    real = ot._validate_element
-
-    def spy(group, x):
-        checked.append((threading.current_thread(), x))
-        return real(group, x)
-
-    monkeypatch.setattr(ot, "_validate_element", spy)
-    return checked
-
-
 def test_groups_are_safe_primes():
     # p prime and (p-1)/2 prime; g = 4 lies in the order-q subgroup
     from blindboost.paillier import _is_probable_prime
@@ -129,7 +103,7 @@ def test_subgroup_check_in_secure_profile():
 
 
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
-def test_every_received_element_is_checked(monkeypatch, one_worker_pool, name):
+def test_every_received_element_is_checked(spy, one_worker_pool, name):
     # 0, 1, p - 1, p and p + 4 are out of range (p + 4 is a residue mod p);
     # p - 4 = -4 is a non-residue (p = 3 mod 4), outside the order-q subgroup
     group = ot.GROUPS[name]
@@ -137,7 +111,7 @@ def test_every_received_element_is_checked(monkeypatch, one_worker_pool, name):
     receiver = ot.OTExtReceiver(group, random.Random(60))
     bs = ot.OTExtSender(group, random.Random(61), receiver.setup_message()).base_choose()
     sender = ot.OTSender(group, random.Random(62))
-    checked = _spy_checks(monkeypatch)
+    checked = spy(ot, "_validate_element")
     for bad in (0, 1, p - 1, p, p - 4, p + 4):
         for make in (ot.OTReceiver, ot.OTExtSender):
             with pytest.raises(GroupElementInvalid):
@@ -148,7 +122,7 @@ def test_every_received_element_is_checked(monkeypatch, one_worker_pool, name):
                 checked.clear()
                 with pytest.raises(GroupElementInvalid):
                     respond(good[:where] + [bad] + good[where + 1:])
-                on_main = [t is threading.current_thread() for t, x in checked if x == bad]
+                on_main = [t is threading.current_thread() for t, (_, x) in checked if x == bad]
                 assert on_main == [where == 0]
 
 
@@ -174,13 +148,13 @@ def test_base_ot_secrets_are_short_and_drawn_from_the_party_stream(
     assert secrets() == (a, bs)
 
 
-def test_count_mismatch(monkeypatch):
+def test_count_mismatch(spy):
     # the extension receiver takes exactly KAPPA B's, checked before any
     # exponentiation
     group = ot.GROUPS["modp-768"]
     receiver = ot.OTExtReceiver(group, random.Random(13))
     bs = ot.OTExtSender(group, random.Random(17), receiver.setup_message()).base_choose()
-    calls = _spy_powmod(monkeypatch)
+    calls = spy(ot, "powmod")
     for wrong in (bs[:-1], bs + bs[:1], []):
         with pytest.raises(OTFailure, match=f"{len(wrong)} base-OT"):
             receiver.base_respond(wrong)
@@ -287,18 +261,18 @@ def test_extension_unchosen_label_stays_masked():
     assert np.array_equal(receiver.finish(responses), _chosen(pairs, bits))
 
 
-def test_extension_base_ots_check_subgroup(monkeypatch, one_worker_pool):
+def test_extension_base_ots_check_subgroup(spy, one_worker_pool):
     group = ot.GROUPS["modp-768"]
     receiver = ot.OTExtReceiver(group, random.Random(26))
     sender = ot.OTExtSender(group, random.Random(27), receiver.setup_message())
     bs = sender.base_choose()
-    checked = _spy_checks(monkeypatch)
+    checked = spy(ot, "_validate_element")
     # the first base OT runs on the calling thread, the last on the worker
     for where in (0, ot.KAPPA - 1):
         checked.clear()
         with pytest.raises(GroupElementInvalid):
             receiver.base_respond(bs[:where] + [group.p - 4] + bs[where + 1:])
-        on_main = [t is threading.current_thread() for t, x in checked if x == group.p - 4]
+        on_main = [t is threading.current_thread() for t, (_, x) in checked if x == group.p - 4]
         assert on_main == [where == 0]
     with pytest.raises(GroupElementInvalid):
         ot.OTExtSender(group, random.Random(28), group.p - 4)
@@ -363,40 +337,32 @@ def test_session_is_the_same_on_any_pool(monkeypatch, one_worker_pool, name):
     assert _session_outputs(50, ot.GROUPS[name]) == pooled
 
 
-@pytest.mark.skipif(paillier._gmp is None, reason="libgmp not installed")
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
-def test_every_base_ot_exponentiation_runs_over_the_256_bit_bound(monkeypatch, name):
+def test_every_base_ot_exponentiation_runs_over_the_256_bit_bound(kernel_calls, name):
     # the sender's a and the receiver's b_i are secrets: each kernel call
     # names 256 bits and the group's limb count, whatever the secret is
     group = ot.GROUPS[name]
-    calls = []
-    real = paillier._gmp.mpn_sec_powm
-
-    def spy(rp, bp, bn, ep, enb, mp, n, tp):
-        calls.append((int.from_bytes(mp, "little"), n, enb))
-        return real(rp, bp, bn, ep, enb, mp, n, tp)
-
-    monkeypatch.setattr(paillier._gmp, "mpn_sec_powm", spy)
     bits = [0, 1, 1, 0, 1]
     pairs, keys = _base_ot(bits, 55, 56, group)
     assert np.array_equal(keys, _chosen(pairs, bits))
     # A and A^a, then B_i, B_i^a and A^(b_i) per transfer
-    assert calls == [(group.p, group.p.bit_length() // 64, 256)] * (2 + 3 * len(bits))
+    assert [(m, n, enb) for m, n, enb, _ in kernel_calls] == \
+        [(group.p, group.p.bit_length() // 64, 256)] * (2 + 3 * len(bits))
     assert ot.SECRET_BITS == 256
 
 
 @pytest.mark.skipif(paillier._usable_cpus() < 2, reason="needs two usable CPUs")
-def test_session_loops_use_a_second_thread(monkeypatch):
+def test_session_loops_use_a_second_thread(spy):
     group = ot.GROUPS["modp-768"]
     receiver = ot.OTExtReceiver(group, random.Random(52))
     sender = ot.OTExtSender(group, random.Random(53), receiver.setup_message())
-    calls = _spy_powmod(monkeypatch)
+    calls = spy(ot, "powmod")
     bs = sender.base_choose()
-    threads = [len(set(calls))]
+    threads = [len({t for t, _ in calls})]
     calls.clear()
     receiver.base_respond(bs)
-    threads.append(len(set(calls)))
+    threads.append(len({t for t, _ in calls}))
     calls.clear()
     sender.base_finish()
-    threads.append(len(set(calls)))
+    threads.append(len({t for t, _ in calls}))
     assert min(threads) >= 2

@@ -32,22 +32,22 @@ from blindboost.protocol.config import stream
 # the powmod kernel
 
 
-_needs_gmp = pytest.mark.skipif(ctypes.util.find_library("gmp") is None,
-                                reason="libgmp not installed")
+def test_the_import_refuses_a_missing_library_or_symbol(monkeypatch):
+    # libgmp is required: no secret exponent may fall back to builtin pow
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    with pytest.raises(ImportError, match="needs the system libgmp"):
+        paillier._load_gmp()
+    monkeypatch.undo()
 
+    class WithoutSecPowm(ctypes.CDLL):
+        def __getattr__(self, name):
+            if name == "__gmpn_sec_powm":
+                raise AttributeError(name)
+            return super().__getattr__(name)
 
-def _spy_kernel(monkeypatch):
-    """Records (modulus, n, enb, base) of every mpn_sec_powm call, on any
-    thread: the limb count of the modulus and the exponent's bit bound."""
-    calls = []
-    real = paillier._gmp.mpn_sec_powm
-
-    def spy(rp, bp, bn, ep, enb, mp, n, tp):
-        calls.append((int.from_bytes(mp, "little"), n, enb, int.from_bytes(bp, "little")))
-        return real(rp, bp, bn, ep, enb, mp, n, tp)
-
-    monkeypatch.setattr(paillier._gmp, "mpn_sec_powm", spy)
-    return calls
+    monkeypatch.setattr(ctypes, "CDLL", WithoutSecPowm)
+    with pytest.raises(ImportError, match="lacks __gmpn_sec_powm"):
+        paillier._load_gmp()
 
 
 @pytest.mark.parametrize("bits", [64, 512, 1024, 2048, 4096])
@@ -91,28 +91,14 @@ def test_powmod_edge_cases(base, exp, mod):
     assert paillier.powmod(base, exp, mod, bits) == pow(base, exp, mod)
 
 
-def test_powmod_fallback_without_libgmp(monkeypatch):
-    monkeypatch.setattr(paillier, "_gmp", None)
-    rng = random.Random(2)
-    mod = rng.getrandbits(1024) | 1
-    for _ in range(3):
-        base, exp = rng.getrandbits(1030), rng.getrandbits(1024)
-        assert paillier.powmod(base, exp, mod, 1024) == pow(base, exp, mod)
-    kp = paillier.keygen(512, random.Random(0xBB512))
-    c = paillier.encrypt(kp.public, 42, rng)
-    assert paillier.decrypt(kp, c) == 42
-
-
-@pytest.mark.parametrize("gmp", ["libgmp", "fallback"])
-def test_an_exponent_past_its_bound_is_refused(monkeypatch, keypair_512, gmp):
-    if gmp == "fallback":
-        monkeypatch.setattr(paillier, "_gmp", None)
-    mod = 2**127 - 1
-    for bits in (0, 1, 24, 64, 256):
-        assert paillier.powmod(3, (1 << bits) - 1, mod, bits) == pow(3, (1 << bits) - 1, mod)
-        for exp in (1 << bits, (1 << bits) + 1, 1 << (bits + 64)):
-            with pytest.raises(ExponentOutOfRange):
-                paillier.powmod(3, exp, mod, bits)
+def test_an_exponent_past_its_bound_is_refused(keypair_512):
+    # on the kernel's path and on builtin pow's (an even modulus)
+    for mod in (2**127 - 1, 2**127):
+        for bits in (0, 1, 24, 64, 256):
+            assert paillier.powmod(3, (1 << bits) - 1, mod, bits) == pow(3, (1 << bits) - 1, mod)
+            for exp in (1 << bits, (1 << bits) + 1, 1 << (bits + 64)):
+                with pytest.raises(ExponentOutOfRange):
+                    paillier.powmod(3, exp, mod, bits)
     pk = keypair_512.public
     c = paillier.encrypt(pk, 42, random.Random(3))
     with pytest.raises(ExponentOutOfRange):
@@ -121,42 +107,35 @@ def test_an_exponent_past_its_bound_is_refused(monkeypatch, keypair_512, gmp):
         paillier.he_matvec(pk, [[c]], [1 << 24], 24)
 
 
-@_needs_gmp
-def test_an_exponent_past_its_bound_never_reaches_the_kernel(monkeypatch):
-    calls = _spy_kernel(monkeypatch)
+def test_an_exponent_past_its_bound_never_reaches_the_kernel(kernel_calls):
     with pytest.raises(ExponentOutOfRange):
         paillier.powmod(3, 1 << 64, 2**127 - 1, 64)
-    assert calls == []
+    assert kernel_calls == []
 
 
-@_needs_gmp
-def test_gmp_kernel_is_active_where_libgmp_is_installed(monkeypatch):
-    # a silent fallback to builtin pow costs about 8x on every layer
-    assert paillier._gmp is not None
-    calls = _spy_kernel(monkeypatch)
+def test_gmp_kernel_is_active_where_libgmp_is_installed(kernel_calls):
     assert paillier.powmod(3, 2**64 + 1, 2**127 - 1, 65) == pow(3, 2**64 + 1, 2**127 - 1)
-    assert calls == [(2**127 - 1, 2, 65, 3)]
+    assert kernel_calls == [(2**127 - 1, 2, 65, 3)]
 
 
-@_needs_gmp
-def test_zero_scalar_runs_the_constant_time_kernel(monkeypatch, keypair_512):
+def test_zero_scalar_runs_the_constant_time_kernel(keypair_512, kernel_calls):
     # a zero secret scalar must cost what any other does: one that skipped
     # the kernel would return at once, and the time of a reply would show
     # which scalars are 0. Scalars 0 and 2^L - 1 make the same call, with
     # the same limb count and exponent bound.
     pk = keypair_512.public
     c = paillier.encrypt(pk, 42, random.Random(3))
-    calls = _spy_kernel(monkeypatch)
+    kernel_calls.clear()
     assert paillier.he_scalar_mul(pk, c, 0, 24) == paillier.Ciphertext(1, c.key_id)
     top = paillier.he_scalar_mul(pk, c, (1 << 24) - 1, 24)
     assert top.value == pow(c.value, (1 << 24) - 1, pk.n_sq)
-    assert [(m, n, enb) for m, n, enb, _ in calls] == [(pk.n_sq, 16, 24)] * 2
-    calls.clear()
+    assert [(m, n, enb) for m, n, enb, _ in kernel_calls] == [(pk.n_sq, 16, 24)] * 2
+    kernel_calls.clear()
     paillier.he_scalar_mul(pk, c, 0)  # by default, the [0, N) range
-    assert [enb for _, _, enb, _ in calls] == [pk.key_bits]
+    assert [enb for _, _, enb, _ in kernel_calls] == [pk.key_bits]
 
 
-def _kernel_calls_of_a_run(monkeypatch, construction, ot_mode):
+def _kernel_calls_of_a_run(calls, construction, ot_mode):
     """The kernel calls of setup (keygen and the users' encryptions) and of
     the run after it, the two parties and the run's config."""
     cfg = ProtocolConfig(construction=construction, tau=1, p_max=2, ot_mode=ot_mode,
@@ -164,7 +143,7 @@ def _kernel_calls_of_a_run(monkeypatch, construction, ot_mode):
     rng = np.random.default_rng(6)
     X = rng.uniform(-1, 1, size=(6, 2))
     folded = fold_labels(Dataset((X - X.mean(0)) / X.std(0), np.array([1, -1] * 3, np.int8)))
-    calls = _spy_kernel(monkeypatch)
+    calls.clear()
     cloud, csp = setup(cfg, folded)
     at_setup = calls[:]
     calls.clear()
@@ -172,11 +151,10 @@ def _kernel_calls_of_a_run(monkeypatch, construction, ot_mode):
     return at_setup, calls, cloud, csp, cfg
 
 
-@_needs_gmp
 @pytest.mark.parametrize("construction, ot_mode", [(HE_GC, "dealer"), (SECSH_GC, "base")])
 def test_every_kernel_call_names_the_public_bound_of_its_exponent(
-        monkeypatch, construction, ot_mode):
-    at_setup, in_run, cloud, csp, cfg = _kernel_calls_of_a_run(monkeypatch, construction,
+        kernel_calls, construction, ot_mode):
+    at_setup, in_run, cloud, csp, cfg = _kernel_calls_of_a_run(kernel_calls, construction,
                                                                ot_mode)
     kp = csp.keypair if construction == HE_GC else cloud.keypair
     pk, sk = kp.public, kp.secret
@@ -208,23 +186,18 @@ def test_every_kernel_call_names_the_public_bound_of_its_exponent(
         {"base OT"} if ot_mode == "base" else set())
 
 
-@_needs_gmp
-def test_keygen_runs_miller_rabin_over_the_size_of_each_candidate(monkeypatch):
-    calls = _spy_kernel(monkeypatch)
+def test_keygen_runs_miller_rabin_over_the_size_of_each_candidate(kernel_calls):
     kp = paillier.keygen(512, random.Random(0xBB512))
     sk = kp.secret
-    squares = [m for m, _, _, _ in calls if m in (sk.p ** 2, sk.q ** 2)]
+    squares = [m for m, _, _, _ in kernel_calls if m in (sk.p ** 2, sk.q ** 2)]
     assert sorted(squares) == sorted([sk.p ** 2, sk.q ** 2])
-    candidates = {m for m, _, _, _ in calls} - set(squares)
+    candidates = {m for m, _, _, _ in kernel_calls} - set(squares)
     assert {sk.p, sk.q} <= candidates and {m.bit_length() for m in candidates} == {256}
-    assert all(enb == m.bit_length() for m, _, enb, _ in calls)
+    assert all(enb == m.bit_length() for m, _, enb, _ in kernel_calls)
 
 
-@pytest.mark.parametrize("gmp", ["libgmp", "fallback"])
 @pytest.mark.parametrize("name", sorted(ot.GROUPS))
-def test_legendre_matches_euler_criterion(monkeypatch, name, gmp):
-    if gmp == "fallback":
-        monkeypatch.setattr(paillier, "_gmp", None)
+def test_legendre_matches_euler_criterion(name):
     group = ot.GROUPS[name]
     p, rng = group.p, random.Random(70)
     residues = [pow(group.g, rng.getrandbits(256), p) for _ in range(8)]
@@ -237,16 +210,12 @@ def test_legendre_matches_euler_criterion(monkeypatch, name, gmp):
         [euler[pow(x, (p - 1) // 2, p)] for x in values]
 
 
-@_needs_gmp
-def test_legendre_runs_in_libgmp_where_installed(monkeypatch):
+def test_legendre_runs_in_libgmp_where_installed(spy):
     # the base-OT subgroup check on every received element
-    calls = []
-    jacobi = paillier._gmp.mpz_jacobi
-    monkeypatch.setattr(paillier._gmp, "mpz_jacobi",
-                        lambda *args: calls.append(1) or jacobi(*args))
+    calls = spy(paillier._gmp, "mpz_jacobi")
     p = ot.GROUPS["modp-768"].p
     assert (paillier.legendre(4, p), paillier.legendre(p - 4, p)) == (1, -1)
-    assert calls == [1, 1]
+    assert len(calls) == 2
 
 
 def test_textbook_crt_matches_plain_decrypt_2048():
@@ -765,16 +734,6 @@ def _use_pool(monkeypatch, workers):
     return pool
 
 
-def _bounded(fn, timeout=60):
-    """fn() on its own thread; fails unless it returns within `timeout` s."""
-    out = []
-    runner = threading.Thread(target=lambda: out.append(fn()), daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive() and len(out) == 1
-    return out[0]
-
-
 def _batch_outputs(kp, seed):
     pk = kp.public
     rng = random.Random(seed)
@@ -818,42 +777,28 @@ def test_batches_are_the_same_without_the_pool(monkeypatch, keypair_512, one_wor
     assert _batch_outputs(keypair_512, 40) == pooled
 
 
-def _spy_threads(monkeypatch, name):
-    """Records (thread, args) of every call to paillier.<name>."""
-    threads = []
-    real = getattr(paillier, name)
-
-    def spy(*args):
-        threads.append((threading.current_thread(), args))
-        return real(*args)
-
-    monkeypatch.setattr(paillier, name, spy)
-    return threads
-
-
-def test_errors_in_a_workers_chunk_keep_their_type(monkeypatch, keypair_512,
-                                                   keypair_512_alt, one_worker_pool):
+def test_errors_in_a_workers_chunk_keep_their_type(spy, keypair_512, keypair_512_alt,
+                                                   one_worker_pool):
     pk = keypair_512.public
     main = threading.current_thread()
     rng = random.Random(42)
     cs = [paillier.encrypt(pk, m, rng) for m in (1, 2, 3)]
     foreign = paillier.encrypt(keypair_512_alt.public, 4, rng)
-    calls = _spy_threads(monkeypatch, "encrypt")
+    calls = spy(paillier, "encrypt")
     with pytest.raises(PlaintextOutOfRange):
         paillier.encrypt_many(pk, [1, 2, 3, pk.n], random.Random(41))
     assert [t is main for t, args in calls if args[1] == pk.n] == [False]
-    calls = _spy_threads(monkeypatch, "decrypt")
+    calls = spy(paillier, "decrypt")
     with pytest.raises(KeyMismatch):
         paillier.decrypt_many(keypair_512, cs + [foreign])
     assert [t is main for t, args in calls if args[1] is foreign] == [False]
 
 
 @pytest.mark.parametrize("bits", [512, 2048])
-def test_batches_call_the_public_functions_once_per_element(monkeypatch, bits,
-                                                           one_worker_pool):
+def test_batches_call_the_public_functions_once_per_element(spy, bits, one_worker_pool):
     kp = _key(bits)
     pk = kp.public
-    spies = {name: _spy_threads(monkeypatch, name)
+    spies = {name: spy(paillier, name)
              for name in ("encrypt", "decrypt", "he_scalar_mul")}
     cs = paillier.encrypt_many(pk, range(6), random.Random(46))
     paillier.decrypt_many(kp, cs)
@@ -865,11 +810,11 @@ def test_batches_call_the_public_functions_once_per_element(monkeypatch, bits,
     assert threads == {"encrypt": 2, "decrypt": 2, "he_scalar_mul": 1 if bits < 1024 else 2}
 
 
-def test_a_batch_started_in_a_worker_runs_inline(monkeypatch, keypair_512):
+def test_a_batch_started_in_a_worker_runs_inline(monkeypatch, spy, keypair_512):
     # two workers, one of them idle: a batch that did not run inline would
     # show up on the idle one instead of deadlocking
     pool = _use_pool(monkeypatch, 2)
-    calls = _spy_threads(monkeypatch, "encrypt")
+    calls = spy(paillier, "encrypt")
     try:
         worker, cs = pool.submit(lambda: (threading.current_thread(), paillier.encrypt_many(
             keypair_512.public, range(6), random.Random(47)))).result(timeout=60)
@@ -878,7 +823,7 @@ def test_a_batch_started_in_a_worker_runs_inline(monkeypatch, keypair_512):
     assert len(cs) == 6 and {t for t, _ in calls} == {worker}
 
 
-def test_batches_with_more_workers_than_cores_and_fast_switching(monkeypatch):
+def test_batches_with_more_workers_than_cores_and_fast_switching(monkeypatch, bounded):
     # a fresh key, so the cached key constants are first computed inside
     # the batch, by whichever threads get there
     kp = paillier.keygen(512, random.Random(44))
@@ -887,8 +832,8 @@ def test_batches_with_more_workers_than_cores_and_fast_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         ms = list(range(40))
-        cs = _bounded(lambda: paillier.encrypt_many(kp.public, ms, random.Random(45)))
-        assert _bounded(lambda: paillier.decrypt_many(kp, cs)) == ms
+        cs = bounded(lambda: paillier.encrypt_many(kp.public, ms, random.Random(45)), 60)
+        assert bounded(lambda: paillier.decrypt_many(kp, cs), 60) == ms
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
@@ -897,7 +842,7 @@ def test_batches_with_more_workers_than_cores_and_fast_switching(monkeypatch):
 
 
 @pytest.mark.skipif(paillier._usable_cpus() < 2, reason="needs two usable CPUs")
-def test_a_batch_uses_a_second_thread(monkeypatch, keypair_512):
-    calls = _spy_threads(monkeypatch, "powmod")
+def test_a_batch_uses_a_second_thread(spy, keypair_512):
+    calls = spy(paillier, "powmod")
     paillier.encrypt_many(keypair_512.public, range(8), random.Random(43))
     assert len({t for t, _ in calls}) >= 2

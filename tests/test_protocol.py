@@ -3,7 +3,6 @@ import functools
 import itertools
 import random
 import re
-import threading
 import types
 
 import numpy as np
@@ -45,7 +44,6 @@ from blindboost.protocol import (
     run_learning,
     setup,
     transcript_report,
-    transport,
     wire,
 )
 from blindboost.garbling import evaluate, garble
@@ -587,37 +585,21 @@ def test_label_ot_truncated_dealer_payload_is_malformed():
         LabelOT(cfg, random.Random(4)).receive(_Scripted([("OT", truncated)]), [0, 1, 1])
 
 
-class _TailOne:
-    """A channel end that passes the payload of message number `target` of a
-    ping-pong exchange through `edit`; `sent` is shared by both ends and
-    counts messages."""
-
-    def __init__(self, ch, sent, target, edit):
-        self.ch, self.sent, self.target, self.edit = ch, sent, target, edit
-        self.counters = ch.counters
-
-    def send(self, phase, payload=b""):
-        if len(self.sent) == self.target:
-            payload = self.edit(payload)
-        self.sent.append(phase)
-        self.ch.send(phase, payload)
-
-    def recv(self):
-        return self.ch.recv()
-
-    def close(self):
-        self.ch.close()
+def _at(target, edit):
+    """An edited_pairs edit that passes the payload of message number
+    `target` through `edit`."""
+    return lambda i, message: [(message[0], edit(message[1])) if i == target else message]
 
 
-def _label_ot_run(ot_mode, target, edit):
+def _label_ot_run(edited_pairs, ot_mode, target, edit):
     """SETUP, then two rounds of label OT, with message `target` edited."""
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
     receiver, sender = LabelOT(cfg, random.Random(7)), LabelOT(cfg, random.Random(8))
-    pairs, sent = label_pairs(3), []
+    pairs = label_pairs(3)
+    edited_pairs(_at(target, edit))
 
     def main(open_session, step):
         def run(ch):
-            ch = _TailOne(ch, sent, target, edit)
             open_session(ch)
             return [step(ch) for _ in range(2)]
         return run
@@ -632,15 +614,15 @@ _OT_MESSAGES = [("dealer", 0)] + [("base", i) for i in range(6)]
 
 
 @pytest.mark.parametrize("ot_mode, target", _OT_MESSAGES)
-def test_label_ot_rejects_a_trailing_byte_on_every_message(ot_mode, target):
+def test_label_ot_rejects_a_trailing_byte_on_every_message(edited_pairs, ot_mode, target):
     with pytest.raises(MalformedMessage, match="trailing"):
-        _label_ot_run(ot_mode, target, lambda payload: payload + b"\x00")
+        _label_ot_run(edited_pairs, ot_mode, target, lambda payload: payload + b"\x00")
 
 
 @pytest.mark.parametrize("ot_mode, target", _OT_MESSAGES)
-def test_label_ot_rejects_every_message_one_byte_short(ot_mode, target):
+def test_label_ot_rejects_every_message_one_byte_short(edited_pairs, ot_mode, target):
     with pytest.raises(MalformedMessage, match="needs"):
-        _label_ot_run(ot_mode, target, lambda payload: payload[:-1])
+        _label_ot_run(edited_pairs, ot_mode, target, lambda payload: payload[:-1])
 
 
 # each protocol on a few records: (construction or stump selection, OT mode)
@@ -662,48 +644,21 @@ _EDITS = {
 }
 
 
-def _run_edited(monkeypatch, run, target, edit):
+def _run_edited(edited_pairs, bounded, run, target, edit):
     """run() over memory pairs that pass the payload of message number
     `target` through `edit`; the phases of the messages sent. A run still
     going after 30 s, or a CSP thread still alive 5 s after it, fails the
     test."""
-    pair, sent, outcome = transport.memory_pair, [], []
-
-    def edited_pair():
-        ch_cloud, ch_csp, transcript = pair()
-        return (_TailOne(ch_cloud, sent, target, edit), _TailOne(ch_csp, sent, target, edit),
-                transcript)
-
-    def bounded():
-        try:
-            run()
-        except BaseException as exc:
-            outcome.append(exc)
-
-    before = set(threading.enumerate())
-    with monkeypatch.context() as patched:
-        patched.setattr(transport, "memory_pair", edited_pair)
-        runner = threading.Thread(target=bounded, daemon=True)
-        runner.start()
-        runner.join(timeout=30)
-    # pytest.fail, not assert: the python -O run of this test strips asserts
-    if runner.is_alive():
-        pytest.fail(f"message {target} edited: the run hangs")
-    for t in set(threading.enumerate()) - before:
-        if t.name == "csp":
-            t.join(timeout=5)
-            if t.is_alive():
-                pytest.fail(f"message {target} edited: the CSP thread hangs")
-    if outcome:
-        raise outcome[0]
-    return sent
+    sent = edited_pairs(_at(target, edit))
+    bounded(run, 30)
+    return [phase for _, phase in sent]
 
 
 @pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
 @pytest.mark.parametrize("ot_mode", ["dealer", "base"])
 @pytest.mark.parametrize("kind", sorted(_MUTATED_RUNS))
-def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, kind,
-                                                                  ot_mode):
+def test_edited_label_phase_messages_finish_or_raise_typed_errors(
+        monkeypatch, bounded, edited_pairs, kind, ot_mode):
     # one edited message at a time among CSP's B's (base OT: the last
     # SETUP message), GC_TABLES, OT and OUTPUT_LABELS: the run raises
     # a BlindBoostError, never a numpy, index or assertion error and never
@@ -711,7 +666,7 @@ def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, k
     # the evaluator did not choose)
     monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 5)
     run = functools.partial(_MUTATED_RUNS[kind], ot_mode)
-    phases = _run_edited(monkeypatch, run, -1, None)
+    phases = _run_edited(edited_pairs, bounded, run, -1, None)
     targets = [[i for i, phase in enumerate(phases) if phase == label_phase]
                for label_phase in ("GC_TABLES", "OT", "OUTPUT_LABELS")]
     if ot_mode == "base":
@@ -720,7 +675,7 @@ def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, k
     for name, edit in sorted(_EDITS.items()):
         for target in [rng.choice(of_phase) for of_phase in targets]:
             try:
-                _run_edited(monkeypatch, run, target, lambda p: edit(p, rng))
+                _run_edited(edited_pairs, bounded, run, target, lambda p: edit(p, rng))
             except PartyTimeout:
                 pytest.fail(f"{name} on message {target} ({phases[target]}): a hang")
             except BlindBoostError:
@@ -731,7 +686,8 @@ def test_edited_label_phase_messages_finish_or_raise_typed_errors(monkeypatch, k
 
 @pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
 @pytest.mark.parametrize("kind", sorted(_MUTATED_RUNS))
-def test_edited_reveal_messages_finish_or_raise_typed_errors(monkeypatch, kind):
+def test_edited_reveal_messages_finish_or_raise_typed_errors(monkeypatch, bounded,
+                                                            edited_pairs, kind):
     # the sibling of the label-phase test for the reveals: one edited
     # BASE_APPLY or RESULT_EVAL_MASK message at a time (a trial or feature
     # number, E(w), CSP's masked answer, the packed masked values), under
@@ -739,13 +695,13 @@ def test_edited_reveal_messages_finish_or_raise_typed_errors(monkeypatch, kind):
     # inside a ciphertext, and the run then finishes on a wrong value
     monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 5)
     run = functools.partial(_MUTATED_RUNS[kind], "dealer")
-    phases = _run_edited(monkeypatch, run, -1, None)
+    phases = _run_edited(edited_pairs, bounded, run, -1, None)
     rng = random.Random(f"{kind}-reveals")
     for name, edit in sorted(_EDITS.items()):
         for of_phase in ("BASE_APPLY", "RESULT_EVAL_MASK"):
             target = rng.choice([i for i, phase in enumerate(phases) if phase == of_phase])
             try:
-                _run_edited(monkeypatch, run, target, lambda p: edit(p, rng))
+                _run_edited(edited_pairs, bounded, run, target, lambda p: edit(p, rng))
             except PartyTimeout:
                 pytest.fail(f"{name} on message {target} ({of_phase}): a hang")
             except BlindBoostError:

@@ -1,6 +1,5 @@
 import math
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -284,38 +283,26 @@ def test_csp_loop_rejects_hostile_cloud(keypair_512, messages, error):
         _csp_loop(ch_csp, cfg(), keypair_512, _N, _K, _S)
 
 
-def _walk_other_features(monkeypatch, edit):
+def _walk_other_features(monkeypatch, bounded, edit):
     """A selection in which Cloud walks the packed columns that `edit`
-    makes of the k it packs; returns what the run raised."""
+    makes of the k it packs; a party left waiting fails the test."""
     pack = stump_select.pack_columns
     monkeypatch.setattr(stump_select, "pack_columns",
                         lambda *args: [edit(row) for row in pack(*args)])
-    outcome = []
-
-    def run():
-        try:
-            confidential_ds_select(cfg(), toy_dataset(n=6, k=2), s=2, tau=1)
-        except Exception as exc:
-            outcome.append(exc)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive(), "a party was left waiting"
-    return outcome
+    bounded(lambda: confidential_ds_select(cfg(), toy_dataset(n=6, k=2), s=2, tau=1), 30)
 
 
-def test_csp_rejects_a_comparison_after_the_last(monkeypatch):
+def test_csp_rejects_a_comparison_after_the_last(monkeypatch, bounded):
     # Cloud runs a feature past CSP's k: CSP must refuse it, or Cloud waits
     # on it forever
-    outcome = _walk_other_features(monkeypatch, lambda row: row + row[-1:])
-    assert len(outcome) == 1 and isinstance(outcome[0], PhaseOrderViolation)
+    with pytest.raises(PhaseOrderViolation):
+        _walk_other_features(monkeypatch, bounded, lambda row: row + row[-1:])
 
 
-def test_csp_refuses_done_before_the_last_feature(monkeypatch):
+def test_csp_refuses_done_before_the_last_feature(monkeypatch, bounded):
     # Cloud runs the first of the k = 2 features in full, then sends DONE
-    outcome = _walk_other_features(monkeypatch, lambda row: row[:1])
-    assert len(outcome) == 1 and isinstance(outcome[0], PhaseOrderViolation)
+    with pytest.raises(PhaseOrderViolation):
+        _walk_other_features(monkeypatch, bounded, lambda row: row[:1])
 
 
 def _ring_bins(X, s, fp):
