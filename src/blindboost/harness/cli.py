@@ -88,10 +88,9 @@ def _load_dataset(args) -> Dataset:
         params = ref.split(":", 1)[1].split(",") if ":" in ref else []
         fields = {k: int(v) for k, v in (p.split("=") for p in params)}
         return resolve_dataset({"synthetic": fields}, args.seed)
-    csv = {"path": ref, "label_column": args.label_column}
-    if args.label_mapping:
-        csv["label_mapping"] = json.loads(args.label_mapping)
-    return resolve_dataset({"csv": csv}, args.seed)
+    mapping = {"label_mapping": json.loads(args.label_mapping)} if args.label_mapping else {}
+    return resolve_dataset({"csv": {"path": ref, "label_column": args.label_column, **mapping}},
+                           args.seed)
 
 
 def _write(out_dir, name, payload):

@@ -36,9 +36,11 @@ def _read(obj: dict, key: str, kind: type, default=None):
     key is required): the one reader of the fields of a spec and of its
     dataset ref, params and label mapping. ConfigInvalid unless the value's
     type is exactly `kind` (so a bool is no int); a list must hold ints."""
-    if key not in obj and default is not None:
+    if key not in obj:
+        if default is None:
+            raise ConfigInvalid(f"{key!r} is required")
         return default
-    value = obj.get(key)
+    value = obj[key]
     if type(value) is not kind or kind is list and any(type(v) is not int for v in value):
         raise ConfigInvalid(f"{key!r} must be of type {kind.__name__}, got {value!r}")
     return value

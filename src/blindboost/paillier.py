@@ -64,8 +64,8 @@ class _Mpz(ctypes.Structure):
 def _load_gmp():
     """The system libgmp's mpn_sec_powm, its scratch size mpn_sec_powm_itch
     and mpz_jacobi through ctypes, with the limb size. ImportError, naming
-    what is missing, where the library or one of the symbols is not found:
-    no secret exponent may run anywhere but in mpn_sec_powm."""
+    what is wrong, where the library is not found or cannot be loaded or a
+    symbol is missing: no secret exponent may run but in mpn_sec_powm."""
     path = ctypes.util.find_library("gmp")
     if path is None:
         raise ImportError("blindboost.paillier needs the system libgmp; none was found")
@@ -75,12 +75,12 @@ def _load_gmp():
         "mpn_sec_powm_itch": ([size, bitcnt, size], size),
         "mpz_jacobi": ([ctypes.POINTER(_Mpz)] * 2, ctypes.c_int),
     }
-    lib = ctypes.CDLL(path)
-    for symbol in ["__gmp_bits_per_limb", *("__g" + name for name in signatures)]:
-        if not hasattr(lib, symbol):
-            raise ImportError(f"the libgmp at {path} lacks {symbol}")
-    limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
-    fns = {name: getattr(lib, "__g" + name) for name in signatures}
+    try:  # each error names the file, or the file and the missing symbol
+        lib = ctypes.CDLL(path)
+        limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
+        fns = {name: getattr(lib, "__g" + name) for name in signatures}
+    except (OSError, ValueError, AttributeError) as exc:
+        raise ImportError(f"the libgmp at {path} cannot be used: {exc}") from exc
     for name, (argtypes, restype) in signatures.items():
         fns[name].argtypes, fns[name].restype = argtypes, restype
     return types.SimpleNamespace(limb_bits=limb_bits, **fns)

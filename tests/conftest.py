@@ -106,11 +106,12 @@ def kernel_calls(spy):
 
 @pytest.fixture
 def bounded():
-    """bounded(fn, seconds): fn() on a daemon thread, its result returned or
-    its exception raised here. The test fails (by pytest.fail, which python
-    -O keeps) where fn is still running after `seconds`, or where a party
-    thread named "csp" that started meanwhile is alive 5 s after fn ends."""
-    def run(fn, seconds):
+    """bounded(fn, seconds, csp_join=5): fn() on a daemon thread, its result
+    returned or its exception raised here. The test fails (by pytest.fail,
+    which python -O keeps) where fn is still running after `seconds`, or
+    where a party thread named "csp" that started meanwhile is alive
+    `csp_join` seconds after fn ends."""
+    def run(fn, seconds, csp_join=5):
         out, before = [], set(threading.enumerate())
 
         def target():
@@ -126,9 +127,9 @@ def bounded():
             pytest.fail(f"still running after {seconds} s")
         for t in set(threading.enumerate()) - before:
             if t.name == "csp":
-                t.join(timeout=5)
+                t.join(timeout=csp_join)
                 if t.is_alive():
-                    pytest.fail("a CSP thread is still running 5 s after its run")
+                    pytest.fail(f"a CSP thread is still running {csp_join} s after its run")
         result, exc = out[0]
         if exc is not None:
             raise exc

@@ -3,7 +3,6 @@ cause propagates. A hung party must not leave a partial result."""
 
 import contextlib
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -56,10 +55,8 @@ def test_cloud_failure_raises_within_seconds(monkeypatch, bounded, transport_kin
     monkeypatch.setattr(CloudParty, "trial", broken)
     cfg = ProtocolConfig(construction=HE_GC, tau=1, p_max=2, ot_mode="dealer")
     folded = _folded()
-    started = time.perf_counter()
     with pytest.raises(Boom):
-        bounded(lambda: run_learning(cfg, folded, transport_kind=transport_kind), 10)
-    assert time.perf_counter() - started < 5
+        bounded(lambda: run_learning(cfg, folded, transport_kind=transport_kind), 5)
 
 
 @pytest.fixture
@@ -152,8 +149,8 @@ def test_hung_csp_thread_fails_stump_selection(hung_csp):
 def test_csp_thread_waiting_on_recv_ends_with_the_run(monkeypatch, bounded, owner, name,
                                                        ch_arg, run):
     # the CSP waits for one more message after its last: the run times out,
-    # and closing both ends wakes the CSP thread from its recv (bounded
-    # fails the test if the CSP thread outlives the run)
+    # and closing both ends wakes the CSP thread from its recv at once
+    # (bounded fails the test if the CSP thread outlives the run by 1 s)
     monkeypatch.setattr(engine, "JOIN_TIMEOUT_S", 0.5)
     real = getattr(owner, name)
 
@@ -164,7 +161,7 @@ def test_csp_thread_waiting_on_recv_ends_with_the_run(monkeypatch, bounded, owne
 
     monkeypatch.setattr(owner, name, one_more_recv)
     with pytest.raises(PartyTimeout):
-        bounded(run, 30)
+        bounded(run, 30, csp_join=1)
 
 
 def _reorder(at, swap):
@@ -204,13 +201,9 @@ def test_reordered_messages_end_in_a_typed_error(monkeypatch, bounded, edited_pa
     last_done = max(i for i, m in enumerate(log) if m == ("cloud->csp", "DONE"))
     cases = [(swap, i) for swap in (True, False) for i in adjacent] + [(False, last_done)]
     for swap, at in cases:
-        what = f"{'swapping' if swap else 'dropping'} message {at} of {log}"
         edited_pairs(_reorder(at, swap))
-        started = time.perf_counter()
         try:
-            bounded(run, 10)
+            bounded(run, 5)
         except BlindBoostError:
-            if time.perf_counter() - started > 5:
-                pytest.fail(f"{what}: the error took over 5 s")
             continue
-        pytest.fail(f"{what} went unnoticed")
+        pytest.fail(f"{'swapping' if swap else 'dropping'} message {at} of {log} went unnoticed")

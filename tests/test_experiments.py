@@ -22,6 +22,8 @@ def test_spec_validation():
         ExperimentSpec(kind="NOPE", dataset={}, output_dir="x")
     with pytest.raises(ConfigInvalid):
         resolve_dataset({"nope": {}}, seed=0)
+    with pytest.raises(ConfigInvalid, match="'path' is required"):
+        resolve_dataset({"csv": {}}, seed=0)
 
 
 def test_cv_accuracy_reproducible(tmp_path):

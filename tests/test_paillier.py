@@ -37,6 +37,9 @@ def test_the_import_refuses_a_missing_library_or_symbol(monkeypatch):
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     with pytest.raises(ImportError, match="needs the system libgmp"):
         paillier._load_gmp()
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: __file__)  # no ELF file
+    with pytest.raises(ImportError, match="cannot be used: .*test_paillier"):
+        paillier._load_gmp()
     monkeypatch.undo()
 
     class WithoutSecPowm(ctypes.CDLL):
@@ -46,7 +49,7 @@ def test_the_import_refuses_a_missing_library_or_symbol(monkeypatch):
             return super().__getattr__(name)
 
     monkeypatch.setattr(ctypes, "CDLL", WithoutSecPowm)
-    with pytest.raises(ImportError, match="lacks __gmpn_sec_powm"):
+    with pytest.raises(ImportError, match="cannot be used: __gmpn_sec_powm"):
         paillier._load_gmp()
 
 
