@@ -1,12 +1,18 @@
 """Command-line driver.
 
-Subcommands: keygen, train, train-plain, ds-select, synth, leakage, bench,
-report. Every flag can also come from a config file of KEY=VALUE lines
-(--config); explicit flags win. The only environment variable honored is
-BLINDBOOST_LOG (log level).
+Subcommands: keygen, train, ds-select, synth, report. Every flag can also
+come from a config file of KEY=VALUE lines (--config); explicit flags win.
+The only environment variable honored is BLINDBOOST_LOG (log level).
+
+`report --spec` runs every experiment and exits 4 where a PRECISION_SWEEP,
+LEAKAGE or COST_SCALING report fails its kind's check (`experiments.CHECKS`).
+Plaintext CV is a CV_ACCURACY spec, its b-bit fixed-point run PRECISION_SWEEP
+with "bits_grid": [b], the characterization-vector analysis LEAKAGE, and the
+cost benchmark of seed S COST_SCALING with "seed": S, "tau": 2 on
+{"synthetic": {"n": 256, "k": 8, "seed": S}}.
 
 Exit codes: 0 success, 2 configuration error, 3 protocol failure,
-4 acceptance-check failure.
+4 a report's acceptance check failed.
 """
 
 import argparse
@@ -21,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import errors, paillier
-from ..boosting import cv_accuracy, model_to_json
+from ..boosting import model_to_json
 from ..encoding import Dataset, fold_labels, standardize
 from ..ot import GROUPS
 from ..protocol import (
@@ -35,8 +41,7 @@ from ..protocol import (
 from ..protocol.config import stream
 from ..protocol.stump_select import confidential_ds_select
 from .datasets import gen_synthetic
-from .experiments import ExperimentSpec, make_trainer, resolve_dataset, run_experiment
-from .leakage import leakage_analysis
+from .experiments import CHECKS, ExperimentSpec, resolve_dataset, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,7 +89,7 @@ def _set_config_defaults(sub, path):
 
 def _load_dataset(args) -> Dataset:
     ref = args.dataset
-    if ref.startswith("synthetic"):
+    if ref == "synthetic" or ref.startswith("synthetic:"):
         params = ref.split(":", 1)[1].split(",") if ":" in ref else []
         fields = {k: int(v) for k, v in (p.split("=") for p in params)}
         return resolve_dataset({"synthetic": fields}, args.seed)
@@ -143,21 +148,6 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_train_plain(args):
-    ds = _load_dataset(args)
-    trainer = make_trainer(args.base, args.tau, args.seed,
-                           precision_bits=args.bits if args.quantized else None)
-    mean, std, per_fold = cv_accuracy(ds.X, ds.y, args.folds, trainer,
-                                      seed=args.seed)
-    payload = {"base": args.base, "tau": args.tau, "folds": args.folds,
-               "seed": args.seed, "accuracy_mean": mean, "accuracy_std": std,
-               "per_fold": per_fold}
-    _write(args.out, f"train_plain_{args.base}.json", payload)
-    print(f"{args.base} tau={args.tau}: {100 * mean:.2f}% +- {100 * std:.2f}% "
-          f"({args.folds}-fold CV)")
-    return EXIT_OK
-
-
 def cmd_ds_select(args):
     ds = _load_dataset(args)
     std = standardize(ds)
@@ -187,48 +177,13 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def cmd_leakage(args):
-    ds = _load_dataset(args)
-    rep = leakage_analysis(ds, args.p, args.seed, args.pair_sample)
-    _write(args.out, "leakage.json", rep.to_dict())
-    ident = rep.bucket(0)
-    print(f"sampled {rep.sampled_pairs} pairs over {rep.p} classifiers; "
-          f"global mean distance {rep.global_mean:.4f}")
-    if ident is not None:
-        gap = abs(ident.mean_distance - rep.global_mean)
-        print(f"identical-CV bucket: {ident.count} pairs, mean distance "
-              f"{ident.mean_distance:.4f} (|gap| = {gap:.4f}, "
-              f"global std {rep.global_std:.4f})")
-        if gap >= rep.global_std:
-            raise CheckFailure("identical-CV bucket deviates by more than one std")
-    return EXIT_OK
-
-
-def cmd_bench(args):
-    spec = ExperimentSpec(kind="COST_SCALING",
-                          dataset={"synthetic": {"n": 256, "k": 8,
-                                                 "seed": args.seed}},
-                          output_dir=args.out, seed=args.seed,
-                          params={"construction": args.construction,
-                                  "tau": 2})
-    report = run_experiment(spec)
-    print(json.dumps(report["gc_bytes_doubling_ratios"]))
-    for ratio in report["gc_bytes_doubling_ratios"]:
-        if abs(ratio - 2.0) > 0.1:
-            raise CheckFailure(f"GC bytes did not double with n (ratio {ratio:.3f})")
-    print("cost scaling: GC bytes double with n (within 5%)")
-    return EXIT_OK
-
-
 def cmd_report(args):
     spec = ExperimentSpec.from_json(Path(args.spec).read_text())
     report = run_experiment(spec)
     print(f"{spec.kind} report written to {spec.output_dir}")
-    if spec.kind == "PRECISION_SWEEP":
-        b7 = next((pt for pt in report["points"] if pt["bits"] == 7), None)
-        if b7 and abs(b7["accuracy_mean"] - report["real_accuracy"]) > 0.02:
-            raise CheckFailure("7-bit accuracy deviates from the real-valued "
-                               "run by more than 2 points")
+    failure = spec.kind in CHECKS and CHECKS[spec.kind](report)
+    if failure:
+        raise CheckFailure(failure)
     return EXIT_OK
 
 
@@ -271,16 +226,6 @@ def build_parser():
                    help="2048-bit keys and OT group")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("train-plain", help="plaintext boosting with CV")
-    common(p)
-    p.add_argument("--base", choices=["rlc", "ds", "lmc"], default="rlc")
-    p.add_argument("--tau", type=int, default=200)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--bits", type=int, default=7)
-    p.add_argument("--quantized", action="store_true",
-                   help="use the fixed-point indicator path")
-    p.set_defaults(func=cmd_train_plain)
-
     p = sub.add_parser("ds-select", help="confidential decision-stump selection")
     common(p)
     p.add_argument("--bins", type=int, default=16)
@@ -296,18 +241,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", default="synthetic.csv")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("leakage", help="characterization-vector analysis")
-    common(p)
-    p.add_argument("--p", type=int, default=16, help="classifiers to try")
-    p.add_argument("--pair-sample", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_leakage)
-
-    p = sub.add_parser("bench", help="protocol cost benchmark")
-    common(p, dataset=False)
-    p.add_argument("--construction", choices=["he-gc", "secsh-gc"],
-                   default="he-gc")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="run an experiment spec file")
     p.add_argument("--config", default=None)

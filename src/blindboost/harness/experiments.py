@@ -25,10 +25,20 @@ from ..protocol import ProtocolConfig, Seeds, run_learning, transcript_report
 from .datasets import gen_synthetic, load_csv
 from .leakage import leakage_analysis
 
-EXPERIMENT_KINDS = ("CV_ACCURACY", "CONVERGENCE", "PRECISION_SWEEP",
-                    "COST_SCALING", "LEAKAGE", "BASELINE_COMPARE")
+# each kind's params and their defaults; a spec's params may hold no other key
+_PARAMS = {
+    "CV_ACCURACY": {"base": "rlc", "tau": 200, "folds": 10},
+    "CONVERGENCE": {"base": "rlc", "tau_max": 200, "folds": 10,
+                    "tau_grid": [1, 2, 5, 10, 20, 50, 100, 150, 200]},
+    "PRECISION_SWEEP": {"tau": 200, "folds": 10, "bits_grid": [5, 7, 9, 11, 15, 20]},
+    "COST_SCALING": {"construction": "he-gc", "tau": 2, "n_grid": [16, 32, 64, 128],
+                     "k_grid": [2, 4, 8]},
+    "LEAKAGE": {"p": 16, "pair_sample": 1_000_000},
+    "BASELINE_COMPARE": {"folds": 10, "tau_rlc": 200, "tau_ds": 75, "tau_lmc": 75},
+}
 
-PRECISION_GRID = (5, 7, 9, 11, 15, 20)
+_DATASET_KEYS = {"synthetic": ("n", "k", "seed"),
+                 "csv": ("path", "label_column", "label_mapping")}
 
 
 def _read(obj: dict, key: str, kind: type, default=None):
@@ -46,6 +56,12 @@ def _read(obj: dict, key: str, kind: type, default=None):
     return value
 
 
+def _refuse_unknown(obj: dict, known, what: str):
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigInvalid(f"{what} has unknown keys {unknown}")
+
+
 @dataclass
 class ExperimentSpec:
     kind: str
@@ -57,26 +73,33 @@ class ExperimentSpec:
     def __post_init__(self):
         for f in fields(self):
             _read(vars(self), f.name, f.type)
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _PARAMS:
             raise ConfigInvalid(f"unknown experiment kind {self.kind!r}")
+
+    def resolved_params(self) -> dict:
+        """The kind's params: the spec's values, checked, over the defaults."""
+        _refuse_unknown(self.params, _PARAMS[self.kind], "params")
+        return {key: _read(self.params, key, type(default), default)
+                for key, default in _PARAMS[self.kind].items()}
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         spec = json.loads(text)
         if not isinstance(spec, dict):
             raise ConfigInvalid(f"a spec is a JSON object, got {type(spec).__name__}")
-        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+        _refuse_unknown(spec, [f.name for f in fields(cls)], "spec")
         missing = [key for key in ("kind", "dataset", "output_dir") if key not in spec]
-        if unknown or missing:
-            raise ConfigInvalid(f"spec has unknown keys {unknown}, lacks {missing}")
+        if missing:
+            raise ConfigInvalid(f"spec lacks {missing}")
         return cls(**spec)
 
 
 def resolve_dataset(ref: dict, seed: int) -> Dataset:
-    kind = next((k for k in ("synthetic", "csv") if k in ref), None)
-    if kind is None:
-        raise ConfigInvalid(f"dataset ref needs 'synthetic' or 'csv', got {sorted(ref)}")
+    if len(ref) != 1 or next(iter(ref)) not in _DATASET_KEYS:
+        raise ConfigInvalid(f"dataset ref needs one key, 'synthetic' or 'csv', got {sorted(ref)}")
+    kind = next(iter(ref))
     cfg = _read(ref, kind, dict)
+    _refuse_unknown(cfg, _DATASET_KEYS[kind], f"the {kind} dataset ref")
     if kind == "synthetic":
         return gen_synthetic(_read(cfg, "n", int, 10_000), _read(cfg, "k", int, 10),
                              _read(cfg, "seed", int, seed))
@@ -140,11 +163,8 @@ def prefix_accuracies(model, X, y, tau_grid):
 # experiment bodies
 
 
-def _exp_cv_accuracy(spec: ExperimentSpec, ds: Dataset) -> dict:
-    p = spec.params
-    base = _read(p, "base", str, "rlc")
-    tau = _read(p, "tau", int, 200)
-    folds = _read(p, "folds", int, 10)
+def _exp_cv_accuracy(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
+    base, tau, folds = p["base"], p["tau"], p["folds"]
     runs = []
     trainer = make_trainer(base, tau, spec.seed, collect=runs)
     mean, std, per_fold = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
@@ -162,13 +182,9 @@ def _exp_cv_accuracy(spec: ExperimentSpec, ds: Dataset) -> dict:
     return report, rows, ["fold", "accuracy"]
 
 
-def _exp_convergence(spec: ExperimentSpec, ds: Dataset) -> dict:
-    p = spec.params
-    base = _read(p, "base", str, "rlc")
-    tau_max = _read(p, "tau_max", int, 200)
-    grid = _read(p, "tau_grid", list, [1, 2, 5, 10, 20, 50, 100, 150, 200])
-    grid = sorted({t for t in grid if t <= tau_max})
-    folds = _read(p, "folds", int, 10)
+def _exp_convergence(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
+    base, tau_max, folds = p["base"], p["tau_max"], p["folds"]
+    grid = sorted({t for t in p["tau_grid"] if t <= tau_max})
     fold_idx = stratified_folds(ds.y, folds, spec.seed)
     curves = {t: [] for t in grid}
     for f, test_idx in enumerate(fold_idx):
@@ -187,13 +203,10 @@ def _exp_convergence(spec: ExperimentSpec, ds: Dataset) -> dict:
     return report, points, ["tau", "accuracy_mean", "accuracy_std"]
 
 
-def _exp_precision_sweep(spec: ExperimentSpec, ds: Dataset) -> dict:
-    p = spec.params
-    tau = _read(p, "tau", int, 200)
-    folds = _read(p, "folds", int, 10)
-    grid = _read(p, "bits_grid", list, PRECISION_GRID)
+def _exp_precision_sweep(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
+    tau, folds = p["tau"], p["folds"]
     points = []
-    for bits in grid:
+    for bits in p["bits_grid"]:
         trainer = make_trainer("rlc", tau, spec.seed, precision_bits=bits)
         mean, std, _ = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
         points.append({"bits": bits, "accuracy_mean": mean, "accuracy_std": std})
@@ -212,12 +225,8 @@ def _protocol_counters(construction, folded, tau, seeds):
     return transcript_report(transcript)
 
 
-def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
-    p = spec.params
-    construction = _read(p, "construction", str, "he-gc")
-    tau = _read(p, "tau", int, 2)
-    n_grid = _read(p, "n_grid", list, (16, 32, 64, 128))
-    k_grid = _read(p, "k_grid", list, (2, 4, 8))
+def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
+    construction, tau, n_grid = p["construction"], p["tau"], p["n_grid"]
     seeds = Seeds.derive(spec.seed)
 
     def row(vary, sub):
@@ -232,7 +241,7 @@ def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
     std = standardize(ds)
     rows = [row("n", std.subset(np.arange(n))) for n in n_grid]
     rows += [row("k", Dataset(std.X[:max(n_grid), :k], std.y[:max(n_grid)]))
-             for k in k_grid]
+             for k in p["k_grid"]]
     n_rows = [r for r in rows if r["vary"] == "n"]
     ratios = [n_rows[i + 1]["gc_bytes"] / n_rows[i]["gc_bytes"]
               for i in range(len(n_rows) - 1)]
@@ -244,11 +253,8 @@ def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset) -> dict:
     return report, rows, cols
 
 
-def _exp_leakage(spec: ExperimentSpec, ds: Dataset) -> dict:
-    p = spec.params
-    p_classifiers = _read(p, "p", int, 16)
-    pair_sample = _read(p, "pair_sample", int, 1_000_000)
-    rep = leakage_analysis(ds, p_classifiers, spec.seed, pair_sample)
+def _exp_leakage(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
+    rep = leakage_analysis(ds, p["p"], spec.seed, p["pair_sample"])
     report = {"kind": "LEAKAGE", "seed": spec.seed, "n": ds.n, "k": ds.k,
               **rep.to_dict()}
     rows = [vars(b) for b in rep.buckets]
@@ -256,11 +262,9 @@ def _exp_leakage(spec: ExperimentSpec, ds: Dataset) -> dict:
                           "reliable"]
 
 
-def _exp_baseline_compare(spec: ExperimentSpec, ds: Dataset) -> dict:
-    p = spec.params
-    folds = _read(p, "folds", int, 10)
-    taus = {"rlc": _read(p, "tau_rlc", int, 200), "ds": _read(p, "tau_ds", int, 75),
-            "lmc": _read(p, "tau_lmc", int, 75)}
+def _exp_baseline_compare(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
+    folds = p["folds"]
+    taus = {"rlc": p["tau_rlc"], "ds": p["tau_ds"], "lmc": p["tau_lmc"]}
     results = {}
     for base, tau in taus.items():
         trainer = make_trainer(base, tau, spec.seed)
@@ -282,6 +286,33 @@ _BODIES = {
 }
 
 
+def _check_precision_sweep(report: dict):
+    b7 = next((pt for pt in report["points"] if pt["bits"] == 7), None)
+    if b7 and abs(b7["accuracy_mean"] - report["real_accuracy"]) > 0.02:
+        return "7-bit accuracy deviates from the real-valued run by more than 2 points"
+
+
+def _check_cost_scaling(report: dict):
+    for ratio in report["gc_bytes_doubling_ratios"]:
+        if abs(ratio - 2.0) > 0.1:
+            return f"GC bytes did not double with n (ratio {ratio:.3f})"
+
+
+def _check_leakage(report: dict):
+    ident = next((b for b in report["buckets"] if b["hamming"] == 0), None)
+    if ident and abs(ident["mean_distance"] - report["global_mean"]) >= report["global_std"]:
+        return "identical-CV bucket deviates from the global mean distance by one std or more"
+
+
+# the acceptance check of each kind that has one: why its report fails, or
+# None where the check holds
+CHECKS = {
+    "PRECISION_SWEEP": _check_precision_sweep,
+    "COST_SCALING": _check_cost_scaling,
+    "LEAKAGE": _check_leakage,
+}
+
+
 def validate_report(kind: str, report: dict):
     import jsonschema
 
@@ -294,8 +325,9 @@ def validate_report(kind: str, report: dict):
 def run_experiment(spec: ExperimentSpec):
     """Execute one experiment; writes <kind>.json and <kind>.csv, returns the
     report dict."""
+    params = spec.resolved_params()
     ds = resolve_dataset(spec.dataset, spec.seed)
-    report, rows, columns = _BODIES[spec.kind](spec, ds)
+    report, rows, columns = _BODIES[spec.kind](spec, ds, params)
     validate_report(spec.kind, report)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)

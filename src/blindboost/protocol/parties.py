@@ -40,9 +40,12 @@ is CSP's RESULT_EVAL_MASK, one ciphertext per record under Cloud's key,
 with masks of the same bound. Either way a trial's reveal is one message
 to the key holder.
 
-Every payload a party reads goes through one of three checked receives:
+Every payload a party reads goes through one of three checked receives,
 `recv_field` (one unpacked field), `recv_exact` (a fixed payload) and
-`recv_decrypt` (an exact count of ciphertexts).
+`recv_decrypt` (an exact count of ciphertexts), except three that their
+readers parse field by field after `expect_phase(ch.recv(), ...)`:
+`evaluator_round`'s GC_TABLES, `CSPParty.trial`'s BASE_APPLY and
+`CloudParty.recv_decision`'s OUTPUT_LABELS.
 """
 
 import functools

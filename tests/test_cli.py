@@ -5,7 +5,14 @@ import pytest
 
 from blindboost import errors
 from blindboost.encoding import FoldedMatrix
-from blindboost.harness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
+from blindboost.harness.cli import (
+    EXIT_CHECK,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PROTOCOL,
+    build_parser,
+    main,
+)
 from blindboost.protocol import HE_GC, ProtocolConfig
 from blindboost.protocol.engine import setup
 
@@ -27,15 +34,32 @@ def test_keygen_uses_the_protocols_key_stream(tmp_path):
     assert payload["n"] == csp.keypair.public.n
 
 
-def test_synth_then_train_plain(tmp_path, capsys):
+def _report(tmp_path, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return main(["report", "--spec", str(tmp_path / "spec.json")])
+
+
+def _csv_rows(path):
+    path.write_text("".join(f"{i % 2},{i},{1 - 2 * (i // 2 % 2)}\n" for i in range(8)))
+
+
+def test_subcommands():
+    assert sorted(build_parser()[1]) == ["ds-select", "keygen", "report", "synth", "train"]
+    for gone in ("train-plain", "leakage", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([gone])
+        assert exc.value.code == EXIT_CONFIG
+
+
+def test_synth_then_report_cv_accuracy(tmp_path):
     csv = tmp_path / "d.csv"
     rc = main(["synth", "--n", "300", "--k", "4", "--seed", "2",
                "--out", str(csv)])
     assert rc == EXIT_OK
-    rc = main(["train-plain", "--dataset", str(csv), "--base", "ds",
-               "--tau", "10", "--folds", "3", "--out", str(tmp_path / "r")])
-    assert rc == EXIT_OK
-    report = json.loads((tmp_path / "r" / "train_plain_ds.json").read_text())
+    spec = {"kind": "CV_ACCURACY", "dataset": {"csv": {"path": str(csv)}},
+            "output_dir": str(tmp_path / "r"), "params": {"base": "ds", "tau": 10, "folds": 3}}
+    assert _report(tmp_path, spec) == EXIT_OK
+    report = json.loads((tmp_path / "r" / "cv_accuracy.json").read_text())
     assert 0.5 < report["accuracy_mean"] <= 1.0
 
 
@@ -93,15 +117,16 @@ def test_config_error_exit_code(tmp_path):
     assert exc.value.code == EXIT_CONFIG
 
 
+_SMALL_CV = {"kind": "CV_ACCURACY", "dataset": {"synthetic": {"n": 30, "k": 2}},
+             "output_dir": "x", "params": {"base": "ds", "tau": 1, "folds": 2}}
+
+
 def test_report_command(tmp_path):
     spec = {"kind": "CV_ACCURACY",
             "dataset": {"synthetic": {"n": 200, "k": 4, "seed": 3}},
             "output_dir": str(tmp_path / "rep"), "seed": 5,
             "params": {"base": "ds", "tau": 8, "folds": 3}}
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(spec))
-    rc = main(["report", "--spec", str(spec_file)])
-    assert rc == EXIT_OK
+    assert _report(tmp_path, spec) == EXIT_OK
     assert (tmp_path / "rep" / "cv_accuracy.json").exists()
 
 
@@ -121,33 +146,72 @@ def test_report_command(tmp_path):
      "output_dir": "x"},
     {"kind": "CV_ACCURACY", "dataset": {"synthetic": {}}, "output_dir": "x",
      "params": {"tau": None}},
+    # unknown keys of a small run, which would otherwise pass on the defaults
+    {**_SMALL_CV, "params": {**_SMALL_CV["params"], "foldz": 9}},
+    {**_SMALL_CV, "dataset": {"synthetic": {"n": 30, "k": 2, "sed": 4}}},
+    {**_SMALL_CV, "dataset": {"synthetic": {"n": 30, "k": 2}, "csv": {"path": "x.csv"}}},
+    {**_SMALL_CV, "dataset": {"csv": {"path": "x.csv", "label_col": 0}}},
 ], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key", "int-dataset",
         "int-synthetic-ref", "str-csv-ref", "list-params", "str-seed", "bool-seed",
-        "csv-ref-without-path", "int-path", "null-n", "null-label-column", "null-tau"])
-def test_report_spec_error_exit_code(tmp_path, capsys, spec):
-    (tmp_path / "spec.json").write_text(json.dumps(spec))
-    assert main(["report", "--spec", str(tmp_path / "spec.json")]) == EXIT_CONFIG
+        "csv-ref-without-path", "int-path", "null-n", "null-label-column", "null-tau",
+        "unknown-param", "unknown-synthetic-key", "two-dataset-kinds", "unknown-csv-key"])
+def test_report_spec_error_exit_code(tmp_path, monkeypatch, capsys, spec):
+    monkeypatch.chdir(tmp_path)
+    _csv_rows(tmp_path / "x.csv")  # so that a csv ref fails on its keys, not on a missing file
+    assert _report(tmp_path, spec) == EXIT_CONFIG
     assert "configuration error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, holds, fails", [
+    ({"kind": "PRECISION_SWEEP", "dataset": {"synthetic": {"n": 100, "k": 2, "seed": 1}},
+      "seed": 1, "params": {"folds": 2, "bits_grid": [7]}}, {"tau": 20}, {"tau": 5}),
+    ({"kind": "LEAKAGE", "dataset": {"synthetic": {"n": 400, "k": 4, "seed": 3}},
+      "seed": 9, "params": {}}, {"p": 4}, {"p": 16}),
+    ({"kind": "COST_SCALING", "dataset": {"synthetic": {"n": 16, "k": 2, "seed": 3}},
+      "seed": 3, "params": {"tau": 1, "k_grid": []}}, {"n_grid": [8, 16]}, {"n_grid": [8, 12]}),
+], ids=["PRECISION_SWEEP", "LEAKAGE", "COST_SCALING"])
+def test_report_check_exit_code(tmp_path, capsys, spec, holds, fails):
+    # each pair of runs differs in one param, which decides the kind's check
+    spec = {**spec, "output_dir": str(tmp_path / "r")}
+    assert _report(tmp_path, {**spec, "params": {**spec["params"], **holds}}) == EXIT_OK
+    assert "acceptance check failed" not in capsys.readouterr().err
+    assert _report(tmp_path, {**spec, "params": {**spec["params"], **fails}}) == EXIT_CHECK
+    assert "acceptance check failed: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--label-column", "3"], ["--label-column", "-4"],
-                                   ["--label-mapping", "[1]"], ["--label-mapping", "1"]],
+                                   ["--label-mapping", "[1]"], ["--label-mapping", "1"],
+                                   ["--dataset", "synthetic:n=30,k=2,sed=3"]],
                          ids=["column-past-the-end", "column-before-the-start",
-                              "list-mapping", "int-mapping"])
+                              "list-mapping", "int-mapping", "unknown-synthetic-key"])
 def test_dataset_flag_error_exit_code(tmp_path, capsys, flags):
     csv = tmp_path / "t.csv"
-    csv.write_text("".join(f"{i % 2},{i},{1 - 2 * (i // 2 % 2)}\n" for i in range(8)))
-    train = ["train-plain", "--dataset", str(csv), "--base", "ds", "--tau", "1",
-             "--folds", "2", "--out", str(tmp_path / "r")]
-    assert main(train) == EXIT_OK
+    _csv_rows(csv)
+    select = ["ds-select", "--dataset", str(csv), "--bins", "2", "--tau", "1",
+              "--out", str(tmp_path / "r")]
+    assert main(select) == EXIT_OK
     capsys.readouterr()
-    assert main(train + flags) == EXIT_CONFIG
+    assert main(select + flags) == EXIT_CONFIG
     assert "configuration error: " in capsys.readouterr().err
 
 
-def test_bench_scaling_check(tmp_path):
-    rc = main(["bench", "--seed", "1", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
+def test_dataset_flag_reads_a_csv_named_synthetic(tmp_path, monkeypatch, capsys):
+    # only "synthetic" and "synthetic:..." name the generator; this is a file
+    monkeypatch.chdir(tmp_path)
+    _csv_rows(tmp_path / "synthetic.csv")
+    assert main(["ds-select", "--dataset", "synthetic.csv", "--bins", "2", "--tau", "1",
+                 "--out", "r"]) == EXIT_OK
+    assert "from 8 candidates" in capsys.readouterr().out  # 2 bins x 2 features x 2
+
+
+def test_cost_scaling_report_doubles_gc_bytes(tmp_path):
+    # the cost benchmark: seed 1 on 256 x 8 records, tau 2, the default grids
+    spec = {"kind": "COST_SCALING", "dataset": {"synthetic": {"n": 256, "k": 8, "seed": 1}},
+            "output_dir": str(tmp_path / "r"), "seed": 1,
+            "params": {"construction": "he-gc", "tau": 2}}
+    assert _report(tmp_path, spec) == EXIT_OK
+    report = json.loads((tmp_path / "r" / "cost_scaling.json").read_text())
+    assert [r["n"] for r in report["rows"] if r["vary"] == "n"] == [16, 32, 64, 128]
 
 
 def test_train_bitwise_reproducible(tmp_path):
