@@ -27,7 +27,6 @@ from .errors import (
     FoldTooSmall,
     InvalidBaseClassifier,
     PoolExhaustedWarning,
-    RaggedInput,
 )
 
 EPSILON_FLOOR = 1e-10
@@ -334,40 +333,6 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int = 42) -> list:
         rng.shuffle(idx)
         assignment[idx] = np.arange(len(idx)) % folds
     return [np.flatnonzero(assignment == f) for f in range(folds)]
-
-
-def cv_accuracy(X: np.ndarray, y: np.ndarray, folds: int, trainer,
-                seed: int = 42) -> tuple:
-    """Mean and sample std of accuracy over stratified folds.
-
-    `trainer(X_train, y_train, fold_index)` returns a BoostedModel; feature
-    standardization inside the trainer must use the training split only.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    fold_idx = stratified_folds(y, folds, seed)
-    accs = []
-    for f, test_idx in enumerate(fold_idx):
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[test_idx] = False
-        model, transform = trainer(X[train_mask], y[train_mask], f)
-        X_test = transform(X[test_idx]) if transform is not None else X[test_idx]
-        pred = model.predict(X_test)
-        accs.append(float((pred == y[test_idx]).mean()))
-    accs = np.asarray(accs)
-    return float(accs.mean()), float(accs.std(ddof=1)), accs.tolist()
-
-
-def characterization(indicators) -> np.ndarray:
-    """Per-record bit strings across tried classifiers (transpose of the
-    stacked indicator matrix)."""
-    rows = [np.asarray(i, dtype=np.uint8) for i in indicators]
-    if not rows:
-        raise RaggedInput("no indicator vectors given")
-    n = rows[0].shape[0]
-    if any(r.shape != (n,) for r in rows):
-        raise RaggedInput("indicator vectors differ in length")
-    return np.stack(rows, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,6 @@ class FoldTooSmall(BlindBoostError):
     pass
 
 
-class RaggedInput(BlindBoostError):
-    pass
-
-
 class PoolExhaustedWarning(UserWarning):
     """Fewer valid base classifiers than requested; a partial model is returned."""
 

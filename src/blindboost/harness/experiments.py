@@ -9,16 +9,11 @@ import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ..boosting import (
-    boost_ds,
-    boost_lmc,
-    boost_rlc,
-    cv_accuracy,
-    stratified_folds,
-)
+from ..boosting import BoostedModel, boost_ds, boost_lmc, boost_rlc, stratified_folds
 from ..encoding import Dataset, FixedPointParams, fold_labels, standardize, standardize_with
 from ..errors import ConfigInvalid
 from ..protocol import ProtocolConfig, Seeds, run_learning, transcript_report
@@ -109,54 +104,60 @@ def resolve_dataset(ref: dict, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# fold-level trainers (standardization fitted on the training split only)
+# cross-validation: one fold loop, with standardization fitted on each
+# training split alone
 
 
-def _transform_for(train_std):
-    def transform(Xte):
-        dummy = Dataset(Xte, np.ones(len(Xte), dtype=np.int8))
-        return standardize_with(dummy, train_std).X
-    return transform
+class Fit(NamedTuple):
+    model: BoostedModel
+    p_used: int | None = None    # rlc only: the classifiers tried ...
+    accepted: int | None = None  # ... and accepted
 
 
-def make_trainer(base: str, tau: int, seed: int, precision_bits: int | None = None,
-                 collect=None):
-    def trainer(Xtr, ytr, fold):
-        train_std = standardize(Dataset(Xtr, ytr))
-        if base == "rlc":
-            fp = None
-            if precision_bits is not None:
-                folded_dim = train_std.k + 1
-                fp = FixedPointParams.for_dimension(folded_dim, precision_bits)
-            res = boost_rlc(fold_labels(train_std).Z, tau, 2 * tau,
-                            np.random.default_rng(seed + fold), fp=fp)
-            if collect is not None:
-                collect.append(res)
-            model = res.model
-        elif base == "ds":
-            model = boost_ds(train_std.X, train_std.y, tau)
-        elif base == "lmc":
-            model = boost_lmc(train_std.X, train_std.y, tau)
-        else:
-            raise ConfigInvalid(f"unknown base learner {base!r}")
-        return model, _transform_for(train_std)
-
-    return trainer
+def fit(base: str, train: Dataset, tau: int, seed: int, bits: int | None = None) -> Fit:
+    """Boost `tau` rounds of `base` over a standardized training split; RLCs
+    are drawn from default_rng(seed), over the b-bit fixed point where
+    `bits` is set."""
+    if base == "rlc":
+        fp = None if bits is None else FixedPointParams.for_dimension(train.k + 1, bits)
+        run = boost_rlc(fold_labels(train).Z, tau, 2 * tau, np.random.default_rng(seed), fp=fp)
+        return Fit(run.model, run.p_used, run.accepted)
+    if base == "ds":
+        return Fit(boost_ds(train.X, train.y, tau))
+    if base == "lmc":
+        return Fit(boost_lmc(train.X, train.y, tau))
+    raise ConfigInvalid(f"unknown base learner {base!r}")
 
 
-def prefix_accuracies(model, X, y, tau_grid):
-    """Accuracy of every prefix ensemble H_T without retraining."""
+def prefix_accuracies(model: BoostedModel, X, y, tau: int) -> list:
+    """Accuracy of every prefix ensemble H_0 .. H_tau without retraining;
+    H_t = H_T for t past a model of T classifiers that stopped early."""
     scores = np.zeros(len(y))
-    out = {}
-    grid = sorted(t for t in tau_grid if t <= len(model.classifiers))
-    next_idx = 0
-    for t, (clf, a) in enumerate(zip(model.classifiers, model.alphas), start=1):
+    accs = [float((np.where(scores > 0, 1, -1) == y).mean())]
+    for clf, a in zip(model.classifiers, model.alphas):
         scores += a * clf.predict(X)
-        while next_idx < len(grid) and grid[next_idx] == t:
-            pred = np.where(scores > 0, 1, -1)
-            out[t] = float((pred == y).mean())
-            next_idx += 1
-    return out
+        accs.append(float((np.where(scores > 0, 1, -1) == y).mean()))
+    return accs + accs[-1:] * (tau + 1 - len(accs))
+
+
+def cross_validate(ds: Dataset, base: str, tau: int, folds: int, fold_seed: int,
+                   fit_seed: int, bits: int | None = None):
+    """Each stratified fold's Fit, on stream fit_seed + fold, and the test
+    accuracies of its prefixes H_0 .. H_tau as one row of a (folds, tau + 1)
+    array. The test split is standardized with the training split's
+    statistics."""
+    fits, accs = [], []
+    for f, test_idx in enumerate(stratified_folds(ds.y, folds, fold_seed)):
+        train = standardize(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
+        test = standardize_with(ds.subset(test_idx), train)
+        fits.append(fit(base, train, tau, fit_seed + f, bits))
+        accs.append(prefix_accuracies(fits[-1].model, test.X, test.y, tau))
+    return fits, np.array(accs)
+
+
+def mean_std(accs: np.ndarray) -> tuple:
+    """Mean and sample std over the folds of one column of cross_validate."""
+    return float(accs.mean()), float(accs.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,39 +166,30 @@ def prefix_accuracies(model, X, y, tau_grid):
 
 def _exp_cv_accuracy(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
     base, tau, folds = p["base"], p["tau"], p["folds"]
-    runs = []
-    trainer = make_trainer(base, tau, spec.seed, collect=runs)
-    mean, std, per_fold = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
+    fits, accs = cross_validate(ds, base, tau, folds, spec.seed, spec.seed)
+    mean, std = mean_std(accs[:, tau])
+    per_fold = accs[:, tau].tolist()
     report = {
         "kind": "CV_ACCURACY", "base": base, "tau": tau, "folds": folds,
         "seed": spec.seed, "n": ds.n, "k": ds.k,
         "accuracy_mean": mean, "accuracy_std": std, "per_fold": per_fold,
     }
-    if runs:
-        report["p_used"] = [r.p_used for r in runs]
-        report["accepted"] = [r.accepted for r in runs]
-        report["p_used_over_tau"] = float(np.mean([r.p_used / max(r.accepted, 1)
-                                                   for r in runs]))
+    if base == "rlc":
+        report["p_used"] = [f.p_used for f in fits]
+        report["accepted"] = [f.accepted for f in fits]
+        report["p_used_over_tau"] = float(np.mean([f.p_used / max(f.accepted, 1)
+                                                   for f in fits]))
     rows = [{"fold": i, "accuracy": a} for i, a in enumerate(per_fold)]
     return report, rows, ["fold", "accuracy"]
 
 
 def _exp_convergence(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
     base, tau_max, folds = p["base"], p["tau_max"], p["folds"]
-    grid = sorted({t for t in p["tau_grid"] if t <= tau_max})
-    fold_idx = stratified_folds(ds.y, folds, spec.seed)
-    curves = {t: [] for t in grid}
-    for f, test_idx in enumerate(fold_idx):
-        train_mask = np.ones(ds.n, dtype=bool)
-        train_mask[test_idx] = False
-        trainer = make_trainer(base, tau_max, spec.seed)
-        model, transform = trainer(ds.X[train_mask], ds.y[train_mask], f)
-        acc = prefix_accuracies(model, transform(ds.X[test_idx]), ds.y[test_idx], grid)
-        for t, a in acc.items():
-            curves[t].append(a)
-    points = [{"tau": t, "accuracy_mean": float(np.mean(v)),
-               "accuracy_std": float(np.std(v, ddof=1)) if len(v) > 1 else 0.0}
-              for t, v in sorted(curves.items()) if v]
+    _, accs = cross_validate(ds, base, tau_max, folds, spec.seed, spec.seed)
+    points = []
+    for t in sorted({t for t in p["tau_grid"] if 1 <= t <= tau_max}):
+        mean, std = mean_std(accs[:, t])
+        points.append({"tau": t, "accuracy_mean": mean, "accuracy_std": std})
     report = {"kind": "CONVERGENCE", "base": base, "folds": folds,
               "seed": spec.seed, "n": ds.n, "k": ds.k, "points": points}
     return report, points, ["tau", "accuracy_mean", "accuracy_std"]
@@ -206,13 +198,10 @@ def _exp_convergence(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
 def _exp_precision_sweep(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
     tau, folds = p["tau"], p["folds"]
     points = []
-    for bits in p["bits_grid"]:
-        trainer = make_trainer("rlc", tau, spec.seed, precision_bits=bits)
-        mean, std, _ = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
-        points.append({"bits": bits, "accuracy_mean": mean, "accuracy_std": std})
-    trainer = make_trainer("rlc", tau, spec.seed)
-    mean, std, _ = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
-    points.append({"bits": 0, "accuracy_mean": mean, "accuracy_std": std})  # 0 = real
+    for bits in p["bits_grid"] + [None]:  # None: the real-valued run, reported as 0
+        _, accs = cross_validate(ds, "rlc", tau, folds, spec.seed, spec.seed, bits)
+        mean, std = mean_std(accs[:, tau])
+        points.append({"bits": bits or 0, "accuracy_mean": mean, "accuracy_std": std})
     report = {"kind": "PRECISION_SWEEP", "tau": tau, "folds": folds,
               "seed": spec.seed, "n": ds.n, "k": ds.k, "points": points,
               "real_accuracy": mean}
@@ -239,6 +228,9 @@ def _exp_cost_scaling(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
                 "gc_bytes": rep["gc_bytes"], "iterations": rep["iterations"]}
 
     std = standardize(ds)
+    if max(n_grid, default=0) > std.n or max(p["k_grid"], default=0) > std.k:
+        raise ConfigInvalid(f"n_grid {n_grid} and k_grid {p['k_grid']} must stay within "
+                            f"the dataset's n = {std.n} and standardized k = {std.k}")
     rows = [row("n", std.subset(np.arange(n))) for n in n_grid]
     rows += [row("k", Dataset(std.X[:max(n_grid), :k], std.y[:max(n_grid)]))
              for k in p["k_grid"]]
@@ -264,11 +256,11 @@ def _exp_leakage(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
 
 def _exp_baseline_compare(spec: ExperimentSpec, ds: Dataset, p: dict) -> dict:
     folds = p["folds"]
-    taus = {"rlc": p["tau_rlc"], "ds": p["tau_ds"], "lmc": p["tau_lmc"]}
     results = {}
-    for base, tau in taus.items():
-        trainer = make_trainer(base, tau, spec.seed)
-        mean, std, _ = cv_accuracy(ds.X, ds.y, folds, trainer, seed=spec.seed)
+    for base in ("rlc", "ds", "lmc"):
+        tau = p[f"tau_{base}"]
+        _, accs = cross_validate(ds, base, tau, folds, spec.seed, spec.seed)
+        mean, std = mean_std(accs[:, tau])
         results[base] = {"tau": tau, "accuracy_mean": mean, "accuracy_std": std}
     report = {"kind": "BASELINE_COMPARE", "folds": folds, "seed": spec.seed,
               "n": ds.n, "k": ds.k, "results": results}
@@ -293,9 +285,10 @@ def _check_precision_sweep(report: dict):
 
 
 def _check_cost_scaling(report: dict):
-    for ratio in report["gc_bytes_doubling_ratios"]:
-        if abs(ratio - 2.0) > 0.1:
-            return f"GC bytes did not double with n (ratio {ratio:.3f})"
+    ns = [r["n"] for r in report["rows"] if r["vary"] == "n"]
+    for ratio, n0, n1 in zip(report["gc_bytes_doubling_ratios"], ns, ns[1:]):
+        if abs(ratio / (n1 / n0) - 1) > 0.05:
+            return f"GC bytes did not grow with n (ratio {ratio:.3f}, n ratio {n1 / n0:.3f})"
 
 
 def _check_leakage(report: dict):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..boosting import boost_rlc, characterization
+from ..boosting import boost_rlc
 from ..encoding import Dataset, fold_labels, standardize
 from ..errors import InsufficientPairsWarning
 
@@ -36,12 +36,6 @@ class LeakageReport:
     global_mean: float
     global_std: float
 
-    def bucket(self, hamming: int):
-        for b in self.buckets:
-            if b.hamming == hamming:
-                return b
-        return None
-
     def to_dict(self):
         return {
             "p": self.p,
@@ -61,23 +55,15 @@ def _pair_stats(x, cv, pairs):
     return ham, dist
 
 
-def characterization_from_training(dataset: Dataset, p: int,
-                                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(CVs of the tried classifiers from a plaintext boosting run, the
-    standardized records)."""
-    std = standardize(dataset)
-    folded = fold_labels(std)
-    res = boost_rlc(folded.Z, tau=p, p_max=p, rng=np.random.default_rng(seed))
-    return characterization(list(res.indicator_history)), std.X
-
-
 def leakage_analysis(dataset: Dataset, p: int, seed: int,
                      pair_sample: int = 1_000_000) -> LeakageReport:
     """Bucket sampled record pairs by CV Hamming distance.
 
     Buckets with fewer than MIN_RELIABLE_PAIRS pairs are flagged, not failed.
     """
-    cv, X = characterization_from_training(dataset, p, seed)
+    std = standardize(dataset)
+    run = boost_rlc(fold_labels(std).Z, tau=p, p_max=p, rng=np.random.default_rng(seed))
+    cv, X = run.indicator_history.T, std.X  # a record's CV is its column of indicators
     n = X.shape[0]
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed ^ 0x70616972)

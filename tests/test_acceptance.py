@@ -18,7 +18,6 @@ import pytest
 from blindboost import paillier
 from blindboost.boosting import (
     boost_rlc,
-    cv_accuracy,
     evaluate_candidate,
     gen_rlc,
     weighted_error,
@@ -34,7 +33,7 @@ from blindboost.encoding import (
 from blindboost.errors import InsufficientPairsWarning, PoolExhaustedWarning
 from blindboost.garbling import decode_output, evaluate, garble
 from blindboost.harness.datasets import gen_synthetic, load_csv
-from blindboost.harness.experiments import make_trainer
+from blindboost.harness.experiments import cross_validate, mean_std
 from blindboost.harness.leakage import leakage_analysis
 from blindboost.ot import dealer_choose
 from blindboost.protocol import (
@@ -87,19 +86,21 @@ def synthetic10k():
     return gen_synthetic(10_000, 10, SYNTH_SEED)
 
 
+def _cv(ds, base, tau, bits=None):
+    """(mean, std, fits) of a 10-fold CV: folds drawn with seed 42, each
+    fold's RLCs from stream 100 + fold."""
+    fits, accs = cross_validate(ds, base, tau, 10, fold_seed=42, fit_seed=100, bits=bits)
+    return (*mean_std(accs[:, tau]), fits)
+
+
 @pytest.fixture(scope="module")
 def rlc_cv_synthetic(synthetic10k):
-    runs = []
-    trainer = make_trainer("rlc", tau=200, seed=100, collect=runs)
-    mean, std, per_fold = cv_accuracy(synthetic10k.X, synthetic10k.y, 10,
-                                      trainer, seed=42)
-    return mean, std, runs
+    return _cv(synthetic10k, "rlc", 200)
 
 
 @pytest.fixture(scope="module")
 def ds_cv_synthetic(synthetic10k):
-    trainer = make_trainer("ds", tau=75, seed=100)
-    return cv_accuracy(synthetic10k.X, synthetic10k.y, 10, trainer, seed=42)
+    return _cv(synthetic10k, "ds", 75)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +116,14 @@ def test_criterion_01_rlc_quality_synthetic(rlc_cv_synthetic):
 
 def test_criterion_01_rlc_quality_ionosphere():
     ds = _load_uci("ionosphere")
-    trainer = make_trainer("rlc", tau=200, seed=100)
-    mean, std, _ = cv_accuracy(ds.X, ds.y, 10, trainer, seed=42)
+    mean, std, _ = _cv(ds, "rlc", 200)
     assert mean >= 0.883, f"ionosphere RLC-200 CV accuracy {mean:.4f} < 0.883"
     _passline(1, f"ionosphere RLC-200 = {100 * mean:.2f}% +- {100 * std:.2f}%")
 
 
 def test_criterion_01_rlc_quality_credit():
     ds = _load_uci("credit")
-    trainer = make_trainer("rlc", tau=200, seed=100)
-    mean, std, _ = cv_accuracy(ds.X, ds.y, 10, trainer, seed=42)
+    mean, std, _ = _cv(ds, "rlc", 200)
     assert mean >= 0.710, f"credit RLC-200 CV accuracy {mean:.4f} < 0.710"
     _passline(1, f"credit RLC-200 = {100 * mean:.2f}% +- {100 * std:.2f}%")
 
@@ -143,8 +142,7 @@ def test_criterion_02_ds_baseline_synthetic(ds_cv_synthetic):
 
 def test_criterion_02_ds_baseline_ionosphere():
     ds = _load_uci("ionosphere")
-    trainer = make_trainer("ds", tau=50, seed=100)
-    mean, std, _ = cv_accuracy(ds.X, ds.y, 10, trainer, seed=42)
+    mean, std, _ = _cv(ds, "ds", 50)
     assert 0.9202 - 0.05 <= mean <= 0.9202 + 0.05, \
         f"ionosphere DS-50 accuracy {mean:.4f} outside 92.02% +- 5 points"
     _passline(2, f"ionosphere DS-50 = {100 * mean:.2f}% +- {100 * std:.2f}%")
@@ -153,8 +151,7 @@ def test_criterion_02_ds_baseline_ionosphere():
 def test_ds_credit_band_overlap():
     # published band 74.80 +- 3.50 for 100-stump boosting on german credit
     ds = _load_uci("credit")
-    trainer = make_trainer("ds", tau=100, seed=100)
-    mean, std, _ = cv_accuracy(ds.X, ds.y, 10, trainer, seed=42)
+    mean, std, _ = _cv(ds, "ds", 100)
     assert (mean - std) <= 0.7480 + 0.0350 and (mean + std) >= 0.7480 - 0.0350, \
         f"credit DS-100 = {mean:.4f} +- {std:.4f} does not overlap the band"
     _passline(2, f"credit DS-100 = {100 * mean:.2f}% +- {100 * std:.2f}% "
@@ -189,16 +186,12 @@ def test_criterion_03_acceptance_efficiency(rlc_cv_synthetic):
 # 4. precision sweep
 
 
-def _sweep_b7_vs_real(ds, tau, folds, seed):
-    fp_trainer = make_trainer("rlc", tau=tau, seed=seed, precision_bits=7)
-    b7, _, _ = cv_accuracy(ds.X, ds.y, folds, fp_trainer, seed=42)
-    real_trainer = make_trainer("rlc", tau=tau, seed=seed)
-    real, _, _ = cv_accuracy(ds.X, ds.y, folds, real_trainer, seed=42)
-    return b7, real
+def _sweep_b7_vs_real(ds, tau):
+    return _cv(ds, "rlc", tau, bits=7)[0], _cv(ds, "rlc", tau)[0]
 
 
 def test_criterion_04_precision_sweep_synthetic(synthetic10k):
-    b7, real = _sweep_b7_vs_real(synthetic10k, tau=200, folds=10, seed=100)
+    b7, real = _sweep_b7_vs_real(synthetic10k, tau=200)
     assert abs(b7 - real) <= 0.02, \
         f"7-bit accuracy {b7:.4f} vs real {real:.4f}: gap > 2 points"
     _passline(4, f"synthetic b=7 {100 * b7:.2f}% vs real {100 * real:.2f}% "
@@ -207,7 +200,7 @@ def test_criterion_04_precision_sweep_synthetic(synthetic10k):
 
 def test_criterion_04_precision_sweep_credit():
     ds = _load_uci("credit")
-    b7, real = _sweep_b7_vs_real(ds, tau=200, folds=10, seed=100)
+    b7, real = _sweep_b7_vs_real(ds, tau=200)
     assert abs(b7 - real) <= 0.02
     _passline(4, f"credit b=7 {100 * b7:.2f}% vs real {100 * real:.2f}%")
 
@@ -370,7 +363,7 @@ def _leakage_check(ds, p, seed, pair_sample, label):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", InsufficientPairsWarning)
         rep = leakage_analysis(ds, p=p, seed=seed, pair_sample=pair_sample)
-    bucket0 = rep.bucket(0)
+    bucket0 = next((b for b in rep.buckets if b.hamming == 0), None)
     assert bucket0 is not None, f"{label}: no identical-CV pairs at p={p}"
     gap = abs(bucket0.mean_distance - rep.global_mean)
     assert gap < rep.global_std, \

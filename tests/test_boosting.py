@@ -12,8 +12,6 @@ from blindboost.boosting import (
     boost_ds,
     boost_lmc,
     boost_rlc,
-    characterization,
-    cv_accuracy,
     evaluate_candidate,
     fit_lmc,
     gen_rlc,
@@ -30,7 +28,6 @@ from blindboost.errors import (
     FoldTooSmall,
     InvalidBaseClassifier,
     PoolExhaustedWarning,
-    RaggedInput,
 )
 
 
@@ -272,7 +269,7 @@ def test_lmc_optimal_on_symmetric_gaussians():
 
 
 # ---------------------------------------------------------------------------
-# prediction / CV / characterization
+# prediction / folds / characterization
 
 
 def test_predict_single_classifier_sign():
@@ -299,25 +296,6 @@ def test_stratified_folds_cover_everything():
         stratified_folds(np.array([1, -1]), 5)
 
 
-def test_cv_constant_label_dataset_majority_rate():
-    rng = np.random.default_rng(15)
-    X = rng.normal(size=(40, 2))
-    y = np.ones(40, dtype=np.int8)
-
-    def trainer(Xtr, ytr, fold):
-        return boost_ds(Xtr, ytr, tau=3), None
-
-    mean, std, _ = cv_accuracy(X, y, folds=4, trainer=trainer)
-    assert mean == 1.0
-
-
-def test_characterization_transpose():
-    cv = characterization([np.array([1, 0]), np.array([1, 1])])
-    assert cv.tolist() == [[1, 1], [0, 1]]
-    with pytest.raises(RaggedInput):
-        characterization([np.array([1, 0]), np.array([1])])
-
-
 def test_identical_records_identical_cvs():
     rng = np.random.default_rng(16)
     X = rng.normal(size=(10, 3))
@@ -326,7 +304,7 @@ def test_identical_records_identical_cvs():
     y[7] = y[2] = -1
     Z = fold_labels(Dataset(X, y)).Z
     res = boost_rlc(Z, 10, 30, np.random.default_rng(16))
-    cv = characterization(list(res.indicator_history))
+    cv = res.indicator_history.T  # a record's CV: its indicator bit per tried classifier
     assert np.array_equal(cv[2], cv[7])
 
 

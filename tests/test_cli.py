@@ -5,6 +5,7 @@ import pytest
 
 from blindboost import errors
 from blindboost.encoding import FoldedMatrix
+from blindboost.harness import experiments
 from blindboost.harness.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -151,10 +152,16 @@ def test_report_command(tmp_path):
     {**_SMALL_CV, "dataset": {"synthetic": {"n": 30, "k": 2, "sed": 4}}},
     {**_SMALL_CV, "dataset": {"synthetic": {"n": 30, "k": 2}, "csv": {"path": "x.csv"}}},
     {**_SMALL_CV, "dataset": {"csv": {"path": "x.csv", "label_col": 0}}},
+    # cost grids past the dataset's n or standardized k
+    {"kind": "COST_SCALING", "dataset": {"synthetic": {"n": 40, "k": 2}}, "output_dir": "x",
+     "params": {"tau": 1, "n_grid": [16, 32, 64], "k_grid": [2]}},
+    {"kind": "COST_SCALING", "dataset": {"synthetic": {"n": 16, "k": 3}}, "output_dir": "x",
+     "params": {"tau": 1, "n_grid": [8, 16], "k_grid": [2, 8]}},
 ], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key", "int-dataset",
         "int-synthetic-ref", "str-csv-ref", "list-params", "str-seed", "bool-seed",
         "csv-ref-without-path", "int-path", "null-n", "null-label-column", "null-tau",
-        "unknown-param", "unknown-synthetic-key", "two-dataset-kinds", "unknown-csv-key"])
+        "unknown-param", "unknown-synthetic-key", "two-dataset-kinds", "unknown-csv-key",
+        "n-grid-past-n", "k-grid-past-k"])
 def test_report_spec_error_exit_code(tmp_path, monkeypatch, capsys, spec):
     monkeypatch.chdir(tmp_path)
     _csv_rows(tmp_path / "x.csv")  # so that a csv ref fails on its keys, not on a missing file
@@ -167,14 +174,24 @@ def test_report_spec_error_exit_code(tmp_path, monkeypatch, capsys, spec):
       "seed": 1, "params": {"folds": 2, "bits_grid": [7]}}, {"tau": 20}, {"tau": 5}),
     ({"kind": "LEAKAGE", "dataset": {"synthetic": {"n": 400, "k": 4, "seed": 3}},
       "seed": 9, "params": {}}, {"p": 4}, {"p": 16}),
+    # GC bytes grow with n on any grid; a real run never departs from it, so
+    # the failing run adds a fixed 4096 GC bytes to every row
     ({"kind": "COST_SCALING", "dataset": {"synthetic": {"n": 16, "k": 2, "seed": 3}},
-      "seed": 3, "params": {"tau": 1, "k_grid": []}}, {"n_grid": [8, 16]}, {"n_grid": [8, 12]}),
+      "seed": 3, "params": {"tau": 1, "k_grid": []}}, {"n_grid": [8, 12]}, {"n_grid": [8, 12]}),
 ], ids=["PRECISION_SWEEP", "LEAKAGE", "COST_SCALING"])
-def test_report_check_exit_code(tmp_path, capsys, spec, holds, fails):
-    # each pair of runs differs in one param, which decides the kind's check
+def test_report_check_exit_code(tmp_path, monkeypatch, capsys, spec, holds, fails):
+    # each pair of runs differs in one param (COST_SCALING: in its counters), which
+    # decides the kind's check
     spec = {**spec, "output_dir": str(tmp_path / "r")}
     assert _report(tmp_path, {**spec, "params": {**spec["params"], **holds}}) == EXIT_OK
     assert "acceptance check failed" not in capsys.readouterr().err
+    if spec["kind"] == "COST_SCALING":
+        counters = experiments._protocol_counters
+
+        def padded(*args):
+            rep = counters(*args)
+            return {**rep, "gc_bytes": rep["gc_bytes"] + 4096}
+        monkeypatch.setattr(experiments, "_protocol_counters", padded)
     assert _report(tmp_path, {**spec, "params": {**spec["params"], **fails}}) == EXIT_CHECK
     assert "acceptance check failed: " in capsys.readouterr().err
 

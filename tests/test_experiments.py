@@ -2,18 +2,21 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from blindboost.errors import ConfigInvalid, InsufficientPairsWarning
 from blindboost.harness.datasets import gen_synthetic
 from blindboost.harness.experiments import (
     ExperimentSpec,
+    cross_validate,
     prefix_accuracies,
     resolve_dataset,
     run_experiment,
 )
 from blindboost.harness.leakage import leakage_analysis
 from blindboost.boosting import boost_ds
+from blindboost.encoding import Dataset
 from blindboost.shares import MASK_SECURITY_BITS
 
 
@@ -41,15 +44,18 @@ def test_cv_accuracy_reproducible(tmp_path):
 
 def test_convergence_prefix_matches_full(tmp_path):
     ds = gen_synthetic(300, 4, seed=2)
-    from blindboost.encoding import Dataset, standardize
+    from blindboost.encoding import standardize
     std = standardize(Dataset(ds.X, ds.y))
     model = boost_ds(std.X, std.y, tau=20)
-    accs = prefix_accuracies(model, std.X, std.y, [5, 20])
+    accs = prefix_accuracies(model, std.X, std.y, 25)
     import blindboost.boosting as bb
     m5 = bb.BoostedModel(kind="ds", classifiers=model.classifiers[:5],
                          alphas=model.alphas[:5])
     assert accs[5] == float((m5.predict(std.X) == std.y).mean())
     assert accs[20] == float((model.predict(std.X) == std.y).mean())
+    # H_0 votes -1 everywhere; past the model's 20 classifiers H_t = H_20
+    assert accs[0] == float((std.y == -1).mean())
+    assert len(accs) == 26 and accs[21:] == [accs[20]] * 5
 
 
 def test_convergence_experiment(tmp_path):
@@ -57,13 +63,37 @@ def test_convergence_experiment(tmp_path):
                           dataset={"synthetic": {"n": 300, "k": 4, "seed": 5}},
                           output_dir=str(tmp_path), seed=3,
                           params={"base": "rlc", "tau_max": 30,
-                                  "tau_grid": [1, 5, 15, 30], "folds": 3})
+                                  "tau_grid": [0, 1, 5, 15, 30, 40], "folds": 3})
     report = run_experiment(spec)
     taus = [pt["tau"] for pt in report["points"]]
-    assert taus == [1, 5, 15, 30]
+    assert taus == [1, 5, 15, 30]  # grid points outside 1 .. tau_max are dropped
     # accuracy should not get dramatically worse with more classifiers
     assert report["points"][-1]["accuracy_mean"] >= \
         report["points"][0]["accuracy_mean"] - 0.05
+
+
+@pytest.mark.parametrize("base", ["rlc", "ds", "lmc"])
+def test_convergence_end_point_is_the_cv_accuracy(tmp_path, base):
+    # a fold whose model stopped before tau_max (lmc here) still counts at
+    # every later point, with H_tau = H_T
+    common = dict(dataset={"synthetic": {"n": 300, "k": 4, "seed": 5}}, seed=11)
+    cv = run_experiment(ExperimentSpec(
+        kind="CV_ACCURACY", output_dir=str(tmp_path / "cv"),
+        params={"base": base, "tau": 15, "folds": 3}, **common))
+    conv = run_experiment(ExperimentSpec(
+        kind="CONVERGENCE", output_dir=str(tmp_path / "conv"),
+        params={"base": base, "tau_max": 15, "tau_grid": [1, 5, 15], "folds": 3}, **common))
+    end = conv["points"][-1]
+    assert end["tau"] == 15
+    assert (end["accuracy_mean"], end["accuracy_std"]) == \
+        (cv["accuracy_mean"], cv["accuracy_std"])
+
+
+def test_cv_constant_label_dataset_majority_rate():
+    rng = np.random.default_rng(15)
+    ds = Dataset(rng.normal(size=(40, 2)), np.ones(40, dtype=np.int8))
+    _, accs = cross_validate(ds, "ds", 3, 4, fold_seed=42, fit_seed=0)
+    assert accs[:, 3].mean() == 1.0
 
 
 def test_precision_sweep_experiment(tmp_path):
@@ -106,13 +136,11 @@ def test_leakage_experiment_duplicates_bucket_zero():
     X = ds.X.copy()
     X[7] = X[3]
     ds.y[7] = ds.y[3]
-    from blindboost.encoding import Dataset
     dup = Dataset(X, ds.y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", InsufficientPairsWarning)
         rep = leakage_analysis(dup, p=10, seed=9, pair_sample=50_000)
-    bucket0 = rep.bucket(0)
-    assert bucket0 is not None
+    assert any(b.hamming == 0 for b in rep.buckets)
     assert sum(b.count for b in rep.buckets) == rep.sampled_pairs
 
 
