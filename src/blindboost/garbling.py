@@ -11,12 +11,14 @@ gate is a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT
 evaluation: two 16-byte rows (tg, then te) per AND gate, in gate order.
 XOR and NOT gates are free.
 
-`garble` returns the garbler's side, `GarblerSecrets`: delta, the input
-wires' 0-labels, the output decode map and the `GarbledCircuit` it ships.
-The evaluator holds only a `GarbledCircuit` (circuit, tables, output
+`garble` takes delta, which spans every circuit of a run, and the
+subtrahend wires' 0-labels from the OT that delivers the evaluator's
+labels, and returns the garbler's side, `GarblerSecrets`: delta, the
+minuend wires' 0-labels, the output decode map and the `GarbledCircuit` it
+ships. The evaluator holds only a `GarbledCircuit` (circuit, tables, output
 checks). The garbler encodes its bits on the minuend wires `inputs_a`
-(`encode`) and hands the subtrahend wires' label pairs to OT
-(`label_pairs`); `evaluate` takes both label arrays in wire order.
+(`encode`); `evaluate` takes both label arrays in wire order. Both take
+the circuit's index under its delta, which prefixes every hash tweak.
 
 Both garbling and evaluation unpack the circuit's gates as (kind, a, b,
 out) tuples and keep labels in a list indexed by wire number.
@@ -41,7 +43,8 @@ LABEL_BYTES = 16
 _LABEL_BITS = 8 * LABEL_BYTES
 _ROW_BYTES = 2 * LABEL_BYTES  # one AND gate's tg and te
 _GATE_KEY = b"blindboost-gc-v1"
-_OUT_DOMAIN = (1 << 48)
+_OUT_DOMAIN = 1 << 31  # output-check tweaks, above a circuit's gate tweaks
+_INDEX_SHIFT = 32      # the circuit's index under its delta, above both
 # keyed once; each hash copies this state, so the key block is not rehashed
 _GATE_HASH = hashlib.blake2s(key=_GATE_KEY, digest_size=LABEL_BYTES)
 
@@ -66,6 +69,16 @@ def _array(labels, pairs: bool = False) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8).reshape(shape)
 
 
+def random_delta(rng: random.Random) -> np.ndarray:
+    """A uniform label with its permute bit set: a free-XOR offset."""
+    return _array([rng.getrandbits(_LABEL_BITS) | 1])[0]
+
+
+def random_labels(rng: random.Random, count: int) -> np.ndarray:
+    """`count` uniform labels, as a (count, 16) array."""
+    return _array([rng.getrandbits(_LABEL_BITS) for _ in range(count)])
+
+
 @dataclass
 class GarbledCircuit:
     """What the evaluator receives."""
@@ -80,7 +93,6 @@ class GarblerSecrets:
     gc: GarbledCircuit
     delta: np.ndarray          # (16,), the free-XOR offset
     label0_a: np.ndarray       # per minuend wire, its 0-label
-    label0_b: np.ndarray       # per subtrahend wire, its 0-label
     output_decode: np.ndarray  # per output wire, (label0, label1)
 
     def encode(self, bits) -> np.ndarray:
@@ -90,17 +102,17 @@ class GarblerSecrets:
             raise GCEvaluationFailure(f"{bits.size} bits for {len(self.label0_a)} wires")
         return np.where(bits[:, None], self.label0_a ^ self.delta, self.label0_a)
 
-    def label_pairs(self) -> np.ndarray:
-        """(label0, label1) per subtrahend wire: the garbler's OT inputs."""
-        return np.stack([self.label0_b, self.label0_b ^ self.delta], axis=1)
 
-
-def garble(circuit: Circuit, rng: random.Random) -> GarblerSecrets:
-    delta = rng.getrandbits(_LABEL_BITS) | 1
-
+def garble(circuit: Circuit, rng: random.Random, delta: np.ndarray,
+           label0_b: np.ndarray, index: int) -> GarblerSecrets:
+    """Garble `circuit` as circuit `index` under the odd offset `delta`,
+    with the 0-labels `label0_b` on the subtrahend wires and fresh ones
+    from `rng` on the minuend wires."""
+    delta_row, delta = delta, int.from_bytes(delta.tobytes(), "little")
     label0 = [0] * circuit.n_wires
-    for w in circuit.all_inputs():
-        label0[w] = rng.getrandbits(_LABEL_BITS)
+    minuend = [rng.getrandbits(_LABEL_BITS) for _ in circuit.inputs_a]
+    for w, lab in zip(circuit.all_inputs(), minuend + _ints(label0_b.tobytes())):
+        label0[w] = lab
 
     # appended row by row: a list of every row would, for a moment, take
     # several times the blob's memory
@@ -113,7 +125,8 @@ def garble(circuit: Circuit, rng: random.Random) -> GarblerSecrets:
             label0[out] = label0[a] ^ delta
         else:
             a0, b0 = label0[a], label0[b]
-            j0, j1 = 2 * and_index, 2 * and_index + 1
+            j0 = (index << _INDEX_SHIFT) + 2 * and_index
+            j1 = j0 + 1
             ha0 = _hash1(a0, j0)
             tg = ha0 ^ _hash1(a0 ^ delta, j0)
             if b0 & 1:
@@ -127,18 +140,18 @@ def garble(circuit: Circuit, rng: random.Random) -> GarblerSecrets:
             and_index += 1
 
     check, decode = [], []
+    out_tweak = (index << _INDEX_SHIFT) + _OUT_DOMAIN
     for idx, o in enumerate(circuit.outputs):
         l0 = label0[o]
         l1 = l0 ^ delta
-        h0, h1 = _hash1(l0, _OUT_DOMAIN + idx), _hash1(l1, _OUT_DOMAIN + idx)
+        h0, h1 = _hash1(l0, out_tweak + idx), _hash1(l1, out_tweak + idx)
         check += (h1, h0) if l0 & 1 else (h0, h1)
         decode += (l0, l1)
 
     gc = GarbledCircuit(circuit=circuit, and_tables=bytes(tables),
                         output_check=_array(check, pairs=True))
-    return GarblerSecrets(gc=gc, delta=_array([delta])[0],
+    return GarblerSecrets(gc=gc, delta=delta_row,
                           label0_a=_array([label0[w] for w in circuit.inputs_a]),
-                          label0_b=_array([label0[w] for w in circuit.inputs_b]),
                           output_decode=_array(decode, pairs=True))
 
 
@@ -150,9 +163,11 @@ def tables_from_bytes(circuit: Circuit, buf: bytes) -> bytes:
     return buf
 
 
-def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
-    """Run the garbled circuit on the labels of the minuend wires and of the
-    subtrahend wires, each a (wires, 16) array in wire order.
+def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray,
+             index: int) -> np.ndarray:
+    """Run the garbled circuit, circuit `index` under its delta, on the
+    labels of the minuend wires and of the subtrahend wires, each a
+    (wires, 16) array in wire order.
 
     Returns one output label per output wire; the evaluator cannot decode
     them without the garbler's decode map.
@@ -178,10 +193,11 @@ def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> 
         else:
             la, lb = labels[a], labels[b]
             off = and_index * _ROW_BYTES  # the gate's tg, then its te
-            wg = _hash1(la, 2 * and_index)
+            j0 = (index << _INDEX_SHIFT) + 2 * and_index
+            wg = _hash1(la, j0)
             if la & 1:
                 wg ^= int.from_bytes(tables[off:off + LABEL_BYTES], "little")
-            we = _hash1(lb, 2 * and_index + 1)
+            we = _hash1(lb, j0 + 1)
             if lb & 1:
                 we ^= int.from_bytes(tables[off + LABEL_BYTES:off + _ROW_BYTES], "little") ^ la
             labels[out] = wg ^ we
@@ -189,8 +205,9 @@ def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray) -> 
 
     checks = _ints(gc.output_check.tobytes())
     out = [labels[o] for o in circuit.outputs]
+    out_tweak = (index << _INDEX_SHIFT) + _OUT_DOMAIN
     for idx, (o, lab) in enumerate(zip(circuit.outputs, out)):
-        if _hash1(lab, _OUT_DOMAIN + idx) != checks[2 * idx + (lab & 1)]:
+        if _hash1(lab, out_tweak + idx) != checks[2 * idx + (lab & 1)]:
             raise GarbledRowAuthFailure(f"output wire {o}: no clean decryption")
     return _array(out)
 

@@ -51,7 +51,8 @@ EXIT_CHECK = 4
 log = logging.getLogger("blindboost")
 
 _CONFIG_ERRORS = (errors.ConfigInvalid, errors.ParseError, errors.NonBinaryLabels,
-                  errors.BinCountInvalid, FileNotFoundError, ValueError)
+                  errors.BinCountInvalid, errors.FoldTooSmall, FileNotFoundError,
+                  ValueError)
 
 
 class CheckFailure(Exception):

@@ -13,20 +13,22 @@ Three building blocks:
   security strength s), and every received element must lie in (1, p-1)
   with Legendre symbol 1, in both profiles.
 * ``OTExtSender`` / ``OTExtReceiver``: semi-honest IKNP OT extension
-  (Ishai, Kilian, Nissim and Petrank, CRYPTO 2003). A session runs
+  (Ishai, Kilian, Nissim and Petrank, CRYPTO 2003) as correlated OT
+  (Asharov, Lindell, Schneider and Zohner, CCS 2013). A session runs
   KAPPA = 128 random base OTs once, with the roles reversed: the base-OT
   sender's key pairs seed the extension receiver's column streams, and
   the keys of the base-OT receiver, whose choice string is a secret
-  128-bit s, seed the extension sender's. Every later round of m
-  transfers costs one message of KAPPA * ceil(m/8) bytes, a bit-matrix
-  transpose and 3m keyed hashes.
+  128-bit s, seed the extension sender's; s, its permute bit set, is the
+  run's free-XOR delta. A round of m transfers is one message U of
+  KAPPA * ceil(m/8) bytes and a transpose on each side: the sender's rows
+  q_j are the 0-labels and the receiver's rows t_j = q_j ^ r_j*s the
+  labels of its choice bits r_j, so nothing is hashed and nothing goes back.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
   party pair, once in SETUP, whose exponentiations paillier.fan_out
   spreads over the cores (with libgmp on a 2-core x86 machine: about
   0.07 s of CPU and 0.04 s of wall time in modp-768, 0.18 s on one thread
-  in modp-2048), then a few milliseconds of hashing per round (2.6 ms at
-  209 transfers, 11 ms at 1216, on the same machine). Its OT bytes fall
-  below those of per-wire base OT once a run moves more than about 150
+  in modp-2048), then 16 bytes per transfer. Its OT bytes fall below
+  those of per-wire base OT once a run moves more than about 110
   transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
   Flagged insecure; ``ProtocolConfig`` refuses it in the secure profile.
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupElementInvalid, OTFailure
-from .garbling import LABEL_BYTES
+from .garbling import LABEL_BYTES, random_delta
 from .paillier import fan_out, legendre, powmod
 
 # Safe-prime MODP groups: Oakley group 1 (768 bits) and the 2048-bit group 14.
@@ -100,11 +102,6 @@ def _kdf(elem: int, index: int) -> bytes:
     raw = elem.to_bytes((elem.bit_length() + 7) // 8 or 1, "big")
     return hashlib.blake2s(raw + index.to_bytes(8, "little"),
                            key=b"blindboost-ot-v1", digest_size=LABEL_BYTES).digest()
-
-
-def _pick(pairs: np.ndarray, bits) -> np.ndarray:
-    """Label bits[i] of pair i, for every pair."""
-    return pairs[np.arange(len(pairs)), np.asarray(bits, dtype=np.intp) & 1]
 
 
 class OTSender:
@@ -170,8 +167,7 @@ class OTReceiver:
         return keys.reshape(-1, LABEL_BYTES)
 
 
-KAPPA = 128                 # base OTs per extension session
-_ROW_BYTES = KAPPA // 8     # one row of the extension matrix
+KAPPA = 8 * LABEL_BYTES     # base OTs per extension session: one row is a label
 _PRG_BLOCK = 64             # BLAKE2b digest bytes per counter value
 
 
@@ -206,20 +202,6 @@ def _rows(cols: np.ndarray, m: int) -> np.ndarray:
     return np.packbits(np.unpackbits(cols, axis=1)[:, :m].T, axis=1)
 
 
-def _hash_rows(rows: np.ndarray, first: int) -> np.ndarray:
-    """H(j, row_j) for j = first, first+1, ...: keyed BLAKE2s, tweaked by the
-    session-wide transfer index j."""
-    keyed = hashlib.blake2s(key=b"blindboost-iknp-v1", digest_size=LABEL_BYTES)
-    blob = rows.tobytes()
-    out = bytearray()
-    for j in range(len(rows)):
-        h = keyed.copy()
-        h.update((first + j).to_bytes(8, "little"))
-        h.update(blob[j * _ROW_BYTES:(j + 1) * _ROW_BYTES])
-        out += h.digest()
-    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(len(rows), LABEL_BYTES)
-
-
 class OTExtReceiver:
     """IKNP extension receiver: the chooser (the garbled-circuit evaluator).
 
@@ -230,8 +212,6 @@ class OTExtReceiver:
     def __init__(self, group: Group, rng: random.Random):
         self._base = OTSender(group, rng)
         self._g0 = self._g1 = None
-        self._next = 0              # session-wide index of the next transfer
-        self._pending = None
 
     def setup_message(self) -> int:
         return self._base.setup_message()
@@ -244,43 +224,31 @@ class OTExtReceiver:
         keys = self._base.respond(bs)
         self._g0, self._g1 = _Prg(keys[:, 0]), _Prg(keys[:, 1])
 
-    def choose(self, bits: list) -> bytes:
-        """U = T ^ G(k1) ^ r, KAPPA packed columns of ceil(m/8) bytes, where
-        T = G(k0) and r are the choice bits."""
+    def extend(self, bits: list) -> tuple:
+        """(U, t): U = T ^ G(k1) ^ r, KAPPA packed columns of ceil(m/8)
+        bytes, for the sender, and the rows t_j of T = G(k0), the labels of
+        the choice bits r_j."""
         if self._g0 is None:
             raise OTFailure("the base OTs have not run")
         r = np.asarray([int(c) & 1 for c in bits], dtype=np.uint8)
         nbytes = (len(r) + 7) // 8
         t = self._g0.read(nbytes)
         u = t ^ self._g1.read(nbytes) ^ np.packbits(r)
-        self._pending = (r, _rows(t, len(r)), self._next)
-        self._next += len(r)
-        return u.tobytes()
-
-    def finish(self, responses: np.ndarray) -> np.ndarray:
-        """The chosen label x_{r_j} = y_{r_j} ^ H(j, t_j) per transfer."""
-        if self._pending is None:
-            raise OTFailure("choose() was not called")
-        r, t_rows, first = self._pending
-        self._pending = None
-        if responses.shape != (len(r), 2, LABEL_BYTES):
-            raise OTFailure(f"{responses.shape} responses for {len(r)} choices")
-        return _pick(responses, r) ^ _hash_rows(t_rows, first)
+        return u.tobytes(), _rows(t, len(r))
 
 
 class OTExtSender:
-    """IKNP extension sender: holds the label pairs (the garbler).
+    """IKNP extension sender (the garbler).
 
-    It is the base-OT *receiver*, with a secret KAPPA-bit choice string s;
-    its keys k_i^{s_i} seed the column streams G(k^s)."""
+    It is the base-OT *receiver*, with a secret KAPPA-bit choice string s,
+    its permute bit (bit 0 of byte 0) set, which is `delta`; its keys
+    k_i^{s_i} seed the column streams G(k^s)."""
 
     def __init__(self, group: Group, rng: random.Random, A: int):
         self._base = OTReceiver(group, rng, A)
-        s = rng.getrandbits(KAPPA).to_bytes(_ROW_BYTES, "big")
-        self._s_row = np.frombuffer(s, dtype=np.uint8)
-        self._s_bits = np.unpackbits(self._s_row)
+        self.delta = random_delta(rng)
+        self._s_bits = np.unpackbits(self.delta)
         self._prg = None
-        self._next = 0
 
     def base_choose(self) -> list:
         return self._base.choose(self._s_bits.tolist())
@@ -288,26 +256,20 @@ class OTExtSender:
     def base_finish(self) -> None:
         self._prg = _Prg(self._base.finish())
 
-    def respond(self, u: bytes, pairs: np.ndarray) -> np.ndarray:
-        """Per transfer j: (x0 ^ H(j, q_j), x1 ^ H(j, q_j ^ s)), where
-        Q = G(k^s) ^ s*U holds rows q_j = t_j ^ r_j*s."""
+    def extend(self, u: bytes, m: int) -> np.ndarray:
+        """The rows q_j = t_j ^ r_j*delta of Q = G(k^s) ^ s*U, the
+        0-labels of the receiver's m wires."""
         if self._prg is None:
             raise OTFailure("the base OTs have not finished")
-        m = len(pairs)
         nbytes = (m + 7) // 8
         if len(u) != KAPPA * nbytes:
             raise OTFailure(f"U holds {len(u)} bytes, expected {KAPPA * nbytes}")
         u = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, nbytes)
-        q = self._prg.read(nbytes) ^ (u * self._s_bits[:, None])
-        q_rows = _rows(q, m)
-        first = self._next
-        self._next += m
-        return pairs ^ np.stack([_hash_rows(q_rows, first),
-                                 _hash_rows(q_rows ^ self._s_row, first)], axis=1)
+        return _rows(self._prg.read(nbytes) ^ (u * self._s_bits[:, None]), m)
 
 
 def dealer_choose(pairs: np.ndarray, bits: list) -> np.ndarray:
     """Trusted-dealer shortcut; test mode only."""
     if len(pairs) != len(bits):
         raise OTFailure("pair/choice count mismatch")
-    return _pick(pairs, bits)
+    return pairs[np.arange(len(pairs)), np.asarray(bits, dtype=np.intp) & 1]

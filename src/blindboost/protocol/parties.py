@@ -25,6 +25,10 @@ OT and own sign circuit), one garbled-circuit round (`garbler_round` /
 `evaluator_round`) and one packed sign round (`packed_sign_cloud` /
 `packed_sign_csp`).
 
+A GC round starts with the label OT (`LabelOT`), keyed by CSP's one
+free-XOR delta per run, and CSP garbles on the 0-labels it gives: a trial
+runs BASE_APPLY, RESULT_EVAL_MASK, OT, GC_TABLES, OUTPUT_LABELS.
+
 The packed reveal: each user encrypts its values already shifted into its
 record's slot, so Cloud folds its encrypted columns, a chunk of records per
 ciphertext, by adding them (`pack_columns`), and adds one fresh
@@ -63,6 +67,8 @@ from ..garbling import (
     decode_output,
     evaluate,
     garble,
+    random_delta,
+    random_labels,
     tables_from_bytes,
 )
 from ..ot import GROUPS, OTExtReceiver, OTExtSender, dealer_choose
@@ -135,20 +141,24 @@ def pack_columns(pk, rows, width, counters) -> list:
 
 
 class LabelOT:
-    """One party's end of the evaluator-input OT, for every round of a run.
+    """One party's end of the evaluator-input OT, for every round of a run:
+    correlated OT keyed by the garbler's free-XOR delta.
 
     In ``base`` mode `open_receiver` / `open_sender` run the IKNP extension
     session once, as two SETUP messages, before the first round: the
     evaluator, as random base-OT sender, sends A; the garbler answers with
-    its KAPPA choice messages; each side's base-OT keys seed its streams.
-    Every round is then one U message and one reply of masked label pairs.
-    ``dealer`` mode opens nothing and sends the label pairs in the clear.
+    its KAPPA choice messages, whose choice string is delta; each side's
+    base-OT keys seed its streams. Every round is then the evaluator's U
+    alone (`ot.OTExtSender.extend`). ``dealer`` mode opens nothing: the
+    garbler draws delta once and fresh 0-labels each round, and sends the
+    label pairs in the clear.
     """
 
     def __init__(self, cfg: ProtocolConfig, rng: random.Random):
         self.cfg = cfg
         self._rng = rng
         self._session = None
+        self._delta = None
 
     def open_receiver(self, ch) -> None:
         """Evaluator side of the base-OT session."""
@@ -160,9 +170,10 @@ class LabelOT:
         self._session.base_respond(recv_field(ch, SETUP, wire.unpack_bigints))
 
     def open_sender(self, ch) -> None:
-        """Garbler side of the base-OT session."""
+        """Garbler side of the base-OT session; either way it fixes delta."""
         cfg = self.cfg
         if cfg.ot_mode == "dealer":
+            self._delta = random_delta(self._rng)
             return
         elems = recv_field(ch, SETUP, wire.unpack_bigints)
         if len(elems) != 1:
@@ -170,21 +181,25 @@ class LabelOT:
         self._session = OTExtSender(GROUPS[cfg.ot_group], self._rng, elems[0])
         ch.send(SETUP, wire.pack_bigints(self._session.base_choose()))
         self._session.base_finish()
+        self._delta = self._session.delta
 
-    def receive(self, ch, bits) -> list:
+    def receive(self, ch, bits) -> np.ndarray:
         """Evaluator side: the labels of `bits`, one per transfer."""
         if self.cfg.ot_mode == "dealer":
             return dealer_choose(recv_field(ch, OT, wire.unpack_label_pairs), bits)
-        ch.send(OT, wire.pack_blob(self._session.choose(bits)))
-        return self._session.finish(recv_field(ch, OT, wire.unpack_label_pairs))
+        u, labels = self._session.extend(bits)
+        ch.send(OT, wire.pack_blob(u))
+        return labels
 
-    def send(self, ch, pairs) -> None:
-        """Garbler side: deliver one label of each pair."""
+    def send(self, ch, count: int) -> tuple:
+        """Garbler side: (delta, the 0-labels of the evaluator's `count`
+        wires)."""
         if self.cfg.ot_mode == "dealer":
-            ch.send(OT, wire.pack_label_pairs(pairs))
-            return
-        u = recv_field(ch, OT, wire.unpack_blob)
-        ch.send(OT, wire.pack_label_pairs(self._session.respond(u, pairs)))
+            label0 = random_labels(self._rng, count)
+            ch.send(OT, wire.pack_label_pairs(np.stack([label0, label0 ^ self._delta], 1)))
+        else:
+            label0 = self._session.extend(recv_field(ch, OT, wire.unpack_blob), count)
+        return self._delta, label0
 
 
 class Side:
@@ -202,6 +217,7 @@ class Side:
         self.garble_rng = stream(seed, b"garb")
         self.label_ot = LabelOT(cfg, stream(seed, ot_tag))
         self.circuit = build_sub_msb_batch(ring_bits, n, constants)
+        self.rounds = 0  # GC rounds so far: the next circuit's index under delta
 
 
 def open_cloud(ch, cfg, n: int, dim: int, ring_bits: int, constants=(0,)) -> Side:
@@ -229,32 +245,36 @@ def open_csp(ch, cfg, n: int, dim: int, ring_bits: int, constants=(0,)) -> Side:
 def garbler_round(ch, side, values) -> list:
     """CSP's side of one garbled-circuit round; returns the output bits.
 
-    Garbles the sign circuit, sends its tables, the labels of `values` on
-    the minuend wires and the output checks (GC_TABLES), hands over the
-    label pairs of the subtrahend wires by OT and decodes Cloud's output
-    labels.
+    Takes delta and the subtrahend wires' 0-labels from the label OT,
+    garbles the sign circuit on them, sends its tables, the labels of
+    `values` on the minuend wires and the output checks (GC_TABLES) and
+    decodes Cloud's output labels.
     """
     circuit, counters = side.circuit, ch.counters
-    gs = garble(circuit, side.garble_rng)
+    counters.ot_transfers += len(circuit.inputs_b)
+    delta, label0_b = side.label_ot.send(ch, len(circuit.inputs_b))
+    gs = garble(circuit, side.garble_rng, delta, label0_b, side.rounds)
+    side.rounds += 1
     counters.and_gates += circuit.and_count
     ch.send(GC_TABLES, wire.pack_blob(gs.gc.and_tables)
             + wire.pack_labels(gs.encode(record_bits(values, side.ring_bits)))
             + wire.pack_label_pairs(gs.gc.output_check))
-    pairs, decode = gs.label_pairs(), gs.output_decode
+    decode = gs.output_decode
     del gs  # its tables and minuend labels are dead weight while Cloud evaluates
-    counters.ot_transfers += len(pairs)
-    side.label_ot.send(ch, pairs)
     return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels), decode)
 
 
 def evaluator_round(ch, side, values) -> None:
     """Cloud's side of one garbled-circuit round.
 
-    Receives the tables, CSP's minuend labels and the output checks,
-    obtains the labels of `values` on the subtrahend wires by OT, evaluates
-    and returns the output labels (OUTPUT_LABELS) for CSP to decode.
+    Obtains the labels of `values` on the subtrahend wires by OT, receives
+    the tables, CSP's minuend labels and the output checks, evaluates and
+    returns the output labels (OUTPUT_LABELS) for CSP to decode.
     """
     circuit, counters = side.circuit, ch.counters
+    bits = record_bits(values, side.ring_bits)
+    counters.ot_transfers += len(bits)
+    own_labels = side.label_ot.receive(ch, bits)
     payload = expect_phase(ch.recv(), GC_TABLES)
     tables_blob, off = wire.unpack_blob(payload)
     garbler_labels, off = wire.unpack_labels(payload, off)
@@ -265,9 +285,8 @@ def evaluator_round(ch, side, values) -> None:
     wire.expect_end(payload, off)
     gc = GarbledCircuit(circuit=circuit, and_tables=tables_from_bytes(circuit, tables_blob),
                         output_check=checks)
-    bits = record_bits(values, side.ring_bits)
-    counters.ot_transfers += len(bits)
-    out_labels = evaluate(gc, garbler_labels, side.label_ot.receive(ch, bits))
+    out_labels = evaluate(gc, garbler_labels, own_labels, side.rounds)
+    side.rounds += 1
     counters.and_gates += circuit.and_count
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))
 

@@ -21,7 +21,7 @@ FRAME_OVERHEAD = 5  # 1 phase byte + 4 length bytes
 
 _PHASE_LETTER = {SETUP: "S", BASE_APPLY: "B", RESULT_EVAL_MASK: "R",
                  GC_TABLES: "G", OT: "O", OUTPUT_LABELS: "L", DONE: "D"}
-_ORDER_RE = re.compile(r"^S?(BRGOL)*D$")
+_ORDER_RE = re.compile(r"^S?(BROGL)*D$")
 
 
 def expect_phase(msg, phase: str) -> bytes:

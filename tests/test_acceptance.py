@@ -31,7 +31,7 @@ from blindboost.encoding import (
     standardize,
 )
 from blindboost.errors import InsufficientPairsWarning, PoolExhaustedWarning
-from blindboost.garbling import decode_output, evaluate, garble
+from blindboost.garbling import decode_output, evaluate, garble, random_delta, random_labels
 from blindboost.harness.datasets import gen_synthetic, load_csv
 from blindboost.harness.experiments import cross_validate, mean_std
 from blindboost.harness.leakage import leakage_analysis
@@ -252,9 +252,19 @@ def test_criterion_05_protocol_oracle_equivalence():
 # 6. GC correctness
 
 
-def _garbled_msb(gs, a, b, width):
-    ev = dealer_choose(gs.label_pairs(), int_to_bits(b, width))
-    out = evaluate(gs.gc, gs.encode(int_to_bits(a, width)), ev)
+def _garbled(width):
+    """One record's sign circuit in a ring of `width` bits, garbled under a
+    fresh delta, and its subtrahend wires' label pairs."""
+    rng = random.Random(width)
+    delta, label0_b = random_delta(rng), random_labels(rng, width)
+    gs = garble(build_sub_msb_batch(width, 1), rng, delta, label0_b, 0)
+    return gs, np.stack([label0_b, label0_b ^ delta], axis=1)
+
+
+def _garbled_msb(garbled, a, b, width):
+    gs, pairs = garbled
+    ev = dealer_choose(pairs, int_to_bits(b, width))
+    out = evaluate(gs.gc, gs.encode(int_to_bits(a, width)), ev, 0)
     return decode_output(out, gs.output_decode)[0]
 
 
@@ -262,7 +272,7 @@ def test_criterion_06_gc_correctness():
     mismatches = 0
     total = 0
     for width in range(2, 9):
-        gc = garble(build_sub_msb_batch(width, 1), random.Random(width))
+        gc = _garbled(width)
         for a in range(1 << width):
             for b in range(1 << width):
                 expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
@@ -270,7 +280,7 @@ def test_criterion_06_gc_correctness():
                 total += 1
     rng = random.Random(66)
     for width in (16, 25, 32):
-        gc = garble(build_sub_msb_batch(width, 1), random.Random(width))
+        gc = _garbled(width)
         for _ in range(10_000):
             a = rng.getrandbits(width)
             b = rng.getrandbits(width)

@@ -157,11 +157,14 @@ def test_report_command(tmp_path):
      "params": {"tau": 1, "n_grid": [16, 32, 64], "k_grid": [2]}},
     {"kind": "COST_SCALING", "dataset": {"synthetic": {"n": 16, "k": 3}}, "output_dir": "x",
      "params": {"tau": 1, "n_grid": [8, 16], "k_grid": [2, 8]}},
+    # more folds than records
+    {"kind": "CV_ACCURACY", "dataset": {"synthetic": {"n": 60, "k": 2, "seed": 3}},
+     "output_dir": "x", "params": {"folds": 100}},
 ], ids=["unknown-key", "list", "no-dataset", "no-kind-and-unknown-key", "int-dataset",
         "int-synthetic-ref", "str-csv-ref", "list-params", "str-seed", "bool-seed",
         "csv-ref-without-path", "int-path", "null-n", "null-label-column", "null-tau",
         "unknown-param", "unknown-synthetic-key", "two-dataset-kinds", "unknown-csv-key",
-        "n-grid-past-n", "k-grid-past-k"])
+        "n-grid-past-n", "k-grid-past-k", "folds-past-n"])
 def test_report_spec_error_exit_code(tmp_path, monkeypatch, capsys, spec):
     monkeypatch.chdir(tmp_path)
     _csv_rows(tmp_path / "x.csv")  # so that a csv ref fails on its keys, not on a missing file

@@ -18,15 +18,15 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer"):
-        "d6734f40fff8830621a0d0927b15db4b88d392ef3f16c8bf5ecbddcb6bd7220d",
+        "d757322a3bfd1bbc06fd67b5f99fb94e352e11756e82ebf504f4cf2578c80b6a",
     (HE_GC, "base"):
-        "a77dfac8d121bb1330c830ada106b8df7e40a001e84e28c33f56f02fd783df16",
+        "164cc43acc6c81193bf93ef50c06dc86b741dce791f42c01c792437458980ab4",
     (SECSH_GC, "dealer"):
-        "42eef7ae03e633a8b56e1325e80788b1844cb0ce800c279aa2c5f22d1e0e23f2",
+        "4e55b1512eb6be8be84c01f2150094e45b37fdb9c9e2288192b069c55210c2ce",
     (SECSH_GC, "base"):
-        "40bd30fcce502cdfe66fc3622ddc6870792900f7f4cede74cce7486be16494a0",
+        "61cb604ed5b3ecc20f05a776f9665a4b004054ff776c68861240be3fdc4ce9a5",
 }
-STUMP_GOLDEN = "f07ad38f82102990f438fd04ba1e8302ecb8762fe92a2ad6beeedbe915976348"
+STUMP_GOLDEN = "97528b9ee32c2b6ed0e86d1dabe7d2b99005e5d0d59d65c7dbc686d49c5dfa4a"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

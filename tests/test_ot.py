@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from blindboost import ot, paillier
+from blindboost.encoding import Dataset, fold_labels
 from blindboost.errors import GroupElementInvalid, OTFailure
-from blindboost.protocol import engine, parties
+from blindboost.protocol import engine, parties, wire
 from blindboost.protocol.config import HE_GC, ProtocolConfig, paper_faithful, stream
 
 
@@ -173,7 +174,7 @@ def test_extension_choose_before_base_ots_is_refused():
     group = ot.GROUPS["modp-768"]
     receiver = ot.OTExtReceiver(group, random.Random(18))
     with pytest.raises(OTFailure, match="base OTs"):
-        receiver.choose([0, 1])
+        receiver.extend([0, 1])
 
 
 def test_sender_second_key_matches_two_pow_formula():
@@ -218,17 +219,58 @@ def test_transpose_matches_bit_loop():
             assert got == want
 
 
+def _bit_rows(bits):
+    """r_j * 0xff.., one (16,) row per choice bit."""
+    return np.repeat(np.asarray(bits, dtype=np.uint8)[:, None] * 255, 16, axis=1)
+
+
 def test_extension_delivers_chosen_labels_over_rounds():
+    # correlated OT over several rounds of one session: the sender's pair
+    # for wire j is (q_j, q_j ^ delta), and the receiver's own row t_j is
+    # the label of its choice, t_j ^ q_j = r_j * delta, row by row
     sender, receiver = _ext_session(20)
     rng = random.Random(21)
     for _ in range(3):
         for m in (1, 7, 8, 209):
-            pairs = _pairs(rng, m)
             bits = [rng.getrandbits(1) for _ in range(m)]
-            u = receiver.choose(bits)
+            u, t = receiver.extend(bits)
             assert len(u) == ot.KAPPA * ((m + 7) // 8)
-            got = receiver.finish(sender.respond(u, pairs))
-            assert np.array_equal(got, _chosen(pairs, bits))
+            q = sender.extend(u, m)
+            assert t.shape == q.shape == (m, 16)
+            assert np.array_equal(t ^ q, _bit_rows(bits) & sender.delta)
+            assert len({row.tobytes() for row in q}) == m  # fresh 0-labels
+
+
+def test_delta_permute_bit_is_one(spy):
+    # delta is the base-choice string s with bit 0 of byte 0, the lsb of
+    # the little-endian label, forced to 1 before the base OTs choose
+    group = ot.GROUPS["modp-768"]
+    for seed in range(40):
+        sender = ot.OTExtSender(group, random.Random(seed), group.g)
+        assert sender.delta.shape == (16,) and sender.delta[0] & 1 == 1
+    # the one bit forced, the rest as drawn; the base OTs choose its bits
+    drawn = (random.Random(3).getrandbits(128) | 1).to_bytes(16, "little")
+    sender = ot.OTExtSender(group, random.Random(3), group.g)
+    assert sender.delta.tobytes() == drawn
+    chosen = spy(ot.OTReceiver, "choose", lambda receiver, bits: bits)
+    sender.base_choose()
+    assert chosen == [np.unpackbits(np.frombuffer(drawn, dtype=np.uint8)).tolist()]
+
+
+def test_u_of_the_wrong_length_ends_in_ot_failure(edited_pairs):
+    # a well-framed U one byte per column short for the round's m
+    # transfers: the garbler refuses it before it garbles
+    def edit(i, message):
+        phase, payload = message
+        if phase != "OT":
+            return [message]
+        return [(phase, wire.pack_blob(payload[4:-ot.KAPPA]))]
+
+    edited_pairs(edit)
+    with pytest.raises(OTFailure, match="U holds"):
+        engine.run_learning(ProtocolConfig(HE_GC, tau=1, p_max=2),
+                            fold_labels(Dataset(np.linspace(-1, 1, 8).reshape(4, 2),
+                                                np.array([1, -1, 1, -1]))))
 
 
 def test_extension_same_choices_give_fresh_u():
@@ -237,28 +279,12 @@ def test_extension_same_choices_give_fresh_u():
     sender, receiver = _ext_session(22)
     rng = random.Random(23)
     bits = [rng.getrandbits(1) for _ in range(40)]
-    pairs = _pairs(rng, 40)
     seen = []
     for _ in range(2):
-        u = receiver.choose(bits)
-        seen.append(u)
-        assert np.array_equal(receiver.finish(sender.respond(u, pairs)),
-                              _chosen(pairs, bits))
-    assert seen[0] != seen[1]
-
-
-def test_extension_unchosen_label_stays_masked():
-    sender, receiver = _ext_session(24)
-    rng = random.Random(25)
-    pairs = _pairs(rng, 64)
-    bits = [rng.getrandbits(1) for _ in range(64)]
-    responses = sender.respond(receiver.choose(bits), pairs)
-    r, t_rows, first = receiver._pending
-    masks = ot._hash_rows(t_rows, first)
-    for j, ((y0, y1), c) in enumerate(zip(responses, r)):
-        other = (y0 if c else y1) ^ masks[j]
-        assert not any(np.array_equal(other, x) for x in pairs[j])
-    assert np.array_equal(receiver.finish(responses), _chosen(pairs, bits))
+        u, labels = receiver.extend(bits)
+        seen.append((u, labels.tobytes()))
+        assert np.array_equal(labels ^ sender.extend(u, 40), _bit_rows(bits) & sender.delta)
+    assert seen[0][0] != seen[1][0] and seen[0][1] != seen[1][1]
 
 
 def test_extension_base_ots_check_subgroup(spy, one_worker_pool):
@@ -281,24 +307,17 @@ def test_extension_base_ots_check_subgroup(spy, one_worker_pool):
 def test_extension_rejects_malformed_messages():
     sender, receiver = _ext_session(30)
     rng = random.Random(31)
-    pairs = _pairs(rng, 9)
     bits = [rng.getrandbits(1) for _ in range(9)]
-    u = receiver.choose(bits)
+    u, _ = receiver.extend(bits)
     for bad_u in (u[:-1], u + b"\x00", b""):
         with pytest.raises(OTFailure):
-            sender.respond(bad_u, pairs)
-    responses = sender.respond(u, pairs)
+            sender.extend(bad_u, 9)
     with pytest.raises(OTFailure):
-        receiver.finish(responses[:-1])
-    receiver.choose(bits)
-    with pytest.raises(OTFailure):
-        receiver.finish(responses[:, :, :5])  # labels of the wrong length
-    with pytest.raises(OTFailure):
-        receiver.finish(responses)  # no choose() since the last finish
+        sender.extend(u, 17)  # U of 9 choices for 17 transfers
     fresh = ot.OTExtSender(ot.GROUPS["modp-768"], random.Random(32),
                            receiver.setup_message())
     with pytest.raises(OTFailure):
-        fresh.respond(u, pairs)  # base OTs not run
+        fresh.extend(u, 9)  # base OTs not run
     with pytest.raises(OTFailure):
         fresh.base_finish()  # base_choose() not run
 
@@ -322,10 +341,8 @@ def _session_outputs(seed, group):
     rng = random.Random(seed + 2)
     rounds = []
     for m in (9, 40):
-        pairs = _pairs(rng, m)
-        u = receiver.choose([rng.getrandbits(1) for _ in range(m)])
-        ys = sender.respond(u, pairs)
-        rounds.append((u, ys.tobytes(), receiver.finish(ys).tobytes()))
+        u, t = receiver.extend([rng.getrandbits(1) for _ in range(m)])
+        rounds.append((u, t.tobytes(), sender.extend(u, m).tobytes()))
     return (a, bs, key_pairs.tobytes(), keys.tobytes(), rounds, r_rng.getstate(),
             s_rng.getstate())
 

@@ -22,6 +22,7 @@ from blindboost.encoding import (
 from blindboost.errors import (
     BlindBoostError,
     ConfigInvalid,
+    GarbledRowAuthFailure,
     IterationOutOfRange,
     MalformedMessage,
     ModeNotPermittedInSecureProfile,
@@ -46,7 +47,7 @@ from blindboost.protocol import (
     transcript_report,
     wire,
 )
-from blindboost.garbling import evaluate, garble
+from blindboost.garbling import evaluate, garble, random_delta, random_labels
 from blindboost.ot import dealer_choose
 from blindboost.protocol.parties import (
     CloudParty,
@@ -307,7 +308,7 @@ def test_result_eval_all_correct_on_separable_toy():
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     folded = fold_labels(Dataset(X, y))
     cloud, csp = setup(cfg_for(HE_GC, tau=3, p_max=10), folded)
-    assert run_trials(cloud, csp, 8).phase_sequence() == "S" + "BRGOL" * 8
+    assert run_trials(cloud, csp, 8).phase_sequence() == "S" + "BROGL" * 8
     assert any(ind.all() for ind in csp.indicator_history)
 
 
@@ -346,7 +347,7 @@ def test_cross_construction_agreement():
 def test_phase_order_and_report():
     folded = toy_folded(n=6, k=2, seed=6)
     dm, transcript = run_learning(cfg_for(HE_GC, tau=2, p_max=6), folded)
-    assert re.match(r"^S(BRGOL)+D$", transcript.phase_sequence())
+    assert re.match(r"^S(BROGL)+D$", transcript.phase_sequence())
     report = transcript_report(transcript)
     assert report["iterations"] == transcript.iterations()
     assert report["counters"]["csp"]["encryptions"] == 0  # HE+GC: CSP never encrypts
@@ -361,7 +362,7 @@ def test_phase_order_and_report():
 
 @pytest.mark.parametrize("construction, ot_mode, session, per_trial", [
     (HE_GC, "dealer", 0, 4),
-    (HE_GC, "base", 2, 6),
+    (HE_GC, "base", 2, 4),
     (SECSH_GC, "dealer", 0, 4),
     (SECSH_GC, "base", 2, 6),
 ])
@@ -369,10 +370,11 @@ def test_flights_per_construction_and_ot_mode(construction, ot_mode, session, pe
     # a flight is a run of messages in one direction. Base OT opens with
     # two (Cloud's header and A, CSP's B's); under dealer OT Cloud's SETUP
     # header rides with the first BASE_APPLY. A trial is one reveal to the
-    # key holder (HE+GC: Cloud's BASE_APPLY and RESULT_EVAL_MASK; SecSh+GC:
-    # Cloud's E(w), then CSP's RESULT_EVAL_MASK riding with the tables),
-    # the tables and label pairs, the output labels and the decision: base
-    # OT splits the label OT into U and its reply. DONE is the last flight.
+    # key holder, the label OT, the tables, the output labels and the
+    # decision. Dealer OT: CSP's label pairs ride with the tables (and, in
+    # SecSh+GC, behind CSP's RESULT_EVAL_MASK). Base OT: Cloud's U rides
+    # with its HE+GC reveal, but in SecSh+GC Cloud sends it only after it
+    # decrypts CSP's RESULT_EVAL_MASK. DONE is the last flight.
     _, transcript = run_learning(cfg_for(construction, tau=2, p_max=4, ot_mode=ot_mode),
                                  toy_folded(n=5, k=2, seed=15))
     report = transcript_report(transcript)
@@ -556,13 +558,13 @@ def _opened(cfg):
 @pytest.mark.parametrize("ot_mode", ["dealer", "base"])
 def test_label_ot_wrong_phase_is_phase_order_violation(ot_mode):
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
-    pairs = label_pairs(1)
     receiver, sender = _opened(cfg)
-    with pytest.raises(PhaseOrderViolation):
-        receiver.receive(_Scripted([("GC_TABLES", b"")]), [1])
-    if ot_mode == "base":  # the dealer-mode sender receives nothing
+    if ot_mode == "dealer":  # a round's one message goes to the evaluator
         with pytest.raises(PhaseOrderViolation):
-            sender.send(_Scripted([("OUTPUT_LABELS", b"")]), pairs)
+            receiver.receive(_Scripted([("GC_TABLES", b"")]), [1])
+    else:  # it goes to the garbler
+        with pytest.raises(PhaseOrderViolation):
+            sender.send(_Scripted([("OUTPUT_LABELS", b"")]), 1)
         # the session's messages belong to SETUP
         with pytest.raises(PhaseOrderViolation):
             LabelOT(cfg, random.Random(3)).open_receiver(_Scripted([("OT", b"")]))
@@ -592,24 +594,22 @@ def _at(target, edit):
 
 
 def _label_ot_run(edited_pairs, ot_mode, target, edit):
-    """SETUP, then two rounds of label OT, with message `target` edited."""
+    """SETUP, then four rounds of label OT, with message `target` edited."""
     cfg = cfg_for(HE_GC, ot_mode=ot_mode)
     receiver, sender = LabelOT(cfg, random.Random(7)), LabelOT(cfg, random.Random(8))
-    pairs = label_pairs(3)
     edited_pairs(_at(target, edit))
 
     def main(open_session, step):
         def run(ch):
             open_session(ch)
-            return [step(ch) for _ in range(2)]
+            return [step(ch) for _ in range(4)]
         return run
 
     engine.run_pair(main(receiver.open_receiver, lambda ch: receiver.receive(ch, [0, 1, 1])),
-                    main(sender.open_sender, lambda ch: sender.send(ch, pairs)))
+                    main(sender.open_sender, lambda ch: sender.send(ch, 3)))
 
 
-# dealer: the label pairs; base: A and the B's in SETUP, then per round U and
-# the masked pairs
+# dealer: the label pairs; base: A and the B's in SETUP, then each round's U
 _OT_MESSAGES = [("dealer", 0)] + [("base", i) for i in range(6)]
 
 
@@ -682,6 +682,28 @@ def test_edited_label_phase_messages_finish_or_raise_typed_errors(
                 continue
             if name != "flip":
                 pytest.fail(f"{name} on message {target} ({phases[target]}) went unnoticed")
+
+
+@pytest.mark.parametrize("ot_mode", ["dealer", "base"])
+@pytest.mark.parametrize("construction", [HE_GC, SECSH_GC])
+def test_trial_one_tables_replayed_into_trial_two_fail_the_output_check(
+        edited_pairs, construction, ot_mode):
+    # trial 2 garbles the same circuit under the same delta as trial 1, but
+    # on fresh 0-labels and from other tweaks: trial 1's GC_TABLES, sent
+    # again in its place, fails Cloud's output check
+    tables = []
+
+    def replay(i, message):
+        if message[0] != "GC_TABLES":
+            return [message]
+        tables.append(message)
+        return [tables[0]]
+
+    edited_pairs(replay)
+    with pytest.raises(GarbledRowAuthFailure, match="no clean decryption"):
+        run_learning(cfg_for(construction, tau=2, p_max=4, ot_mode=ot_mode),
+                     toy_folded(n=4, k=2, seed=3))
+    assert len(tables) == 2 and tables[0] != tables[1]
 
 
 @pytest.mark.filterwarnings("ignore::blindboost.errors.PoolExhaustedWarning")
@@ -861,17 +883,28 @@ def test_short_or_invalid_decision_is_malformed(payload):
 
 
 def _side(circuit, ring_bits):
-    """A dealer-OT Side over `circuit`, garbling on Random(5)."""
-    return types.SimpleNamespace(
-        circuit=circuit, ring_bits=ring_bits, garble_rng=random.Random(5),
-        label_ot=LabelOT(cfg_for(HE_GC, ot_mode="dealer"), random.Random(6)))
+    """A dealer-OT Side over `circuit` before its first round: garbling on
+    Random(5), its label OT opened on Random(6)."""
+    label_ot = LabelOT(cfg_for(HE_GC, ot_mode="dealer"), random.Random(6))
+    label_ot.open_sender(None)  # dealer OT: draws delta, sends nothing
+    return types.SimpleNamespace(circuit=circuit, ring_bits=ring_bits,
+                                 garble_rng=random.Random(5), label_ot=label_ot, rounds=0)
+
+
+def _garbled(circuit):
+    """What garbler_round garbles on a fresh _side, and the label pairs that
+    its dealer OT sends."""
+    rng = random.Random(6)
+    delta, label0_b = random_delta(rng), random_labels(rng, len(circuit.inputs_b))
+    gs = garble(circuit, random.Random(5), delta, label0_b, 0)
+    return gs, np.stack([label0_b, label0_b ^ delta], axis=1)
 
 
 def test_bytes_after_the_output_labels_are_malformed():
     circuit = build_sub_msb_batch(4, 2)
     gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
-    gs = garble(circuit, random.Random(5))  # what garbler_round garbles on Random(5)
-    out = evaluate(gs.gc, gs.encode(gb_bits), dealer_choose(gs.label_pairs(), ev_bits))
+    gs, pairs = _garbled(circuit)
+    out = evaluate(gs.gc, gs.encode(gb_bits), dealer_choose(pairs, ev_bits), 0)
 
     def run(reply):
         return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), _side(circuit, 4),
@@ -887,14 +920,14 @@ def test_bytes_after_the_output_labels_are_malformed():
                          ids=["11-labels", "7-labels", "trailing-byte"])
 def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
     circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
-    gs = garble(circuit, random.Random(5))
+    gs, pairs = _garbled(circuit)
     labels = gs.encode(record_bits([3, 9], 4))
-    dealt = ("OT", wire.pack_label_pairs(gs.label_pairs()))
+    dealt = ("OT", wire.pack_label_pairs(pairs))
 
     def run(gb_labels, tail=b""):
-        ch = _Scripted([("GC_TABLES", wire.pack_blob(gs.gc.and_tables)
-                         + wire.pack_labels(gb_labels)
-                         + wire.pack_label_pairs(gs.gc.output_check) + tail), dealt])
+        ch = _Scripted([dealt, ("GC_TABLES", wire.pack_blob(gs.gc.and_tables)
+                                + wire.pack_labels(gb_labels)
+                                + wire.pack_label_pairs(gs.gc.output_check) + tail)])
         evaluator_round(ch, _side(circuit, 4), [5, 12])
         return ch.sent
 
@@ -905,7 +938,7 @@ def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
 
 def test_base_ot_session_opens_once_per_run():
     # the extension session is two SETUP messages after Cloud's header: A
-    # and the B's; every round is U and the masked label pairs
+    # and the B's; every round is Cloud's U, and nothing comes back
     folded = toy_folded(n=5, k=2, seed=15)
     dm, transcript, cloud, csp = run_learning(
         cfg_for(SECSH_GC, tau=3, p_max=6, ot_mode="base"), folded,
@@ -915,7 +948,7 @@ def test_base_ot_session_opens_once_per_run():
     setup_msgs = [d for d, phase, _ in transcript.messages if phase == "SETUP"]
     assert setup_msgs == ["cloud->csp", "cloud->csp", "csp->cloud"]
     ot_msgs = [d for d, phase, _ in transcript.messages if phase == "OT"]
-    assert ot_msgs == ["cloud->csp", "csp->cloud"] * rounds
+    assert ot_msgs == ["cloud->csp"] * rounds
     L = cloud.fp.ring_bits
     report = transcript_report(transcript)
     assert report["counters"]["cloud"]["ot_transfers"] == 5 * L * rounds

@@ -140,8 +140,8 @@ def test_gc_gate_counter_scales_with_grid():
         "ot_transfers": rounds * n * L_s,
     }
     assert counters["user"]["encryptions"] == n * k  # bin + y * 2^(L_s-1) per feature
-    # dealer OT: SETUP, BASE_APPLY and RESULT_EVAL_MASK, then the tables
-    # and the label pairs, per feature; the output labels go with the next
+    # dealer OT: SETUP, BASE_APPLY and RESULT_EVAL_MASK, then the label
+    # pairs and the tables, per feature; the output labels go with the next
     # feature's reveal or with DONE
     assert report["flights"] == 2 * k + 1
 
@@ -180,11 +180,11 @@ def test_base_ot_mode_matches_dealer():
     r2 = confidential_ds_select(cfg(seed=15, ot_mode="base"), ds, s=2, tau=1)
     assert np.array_equal(r1.error_vectors, r2.error_vectors)
     assert r1.selected_indices == r2.selected_indices
-    # the base-OT session runs in SETUP: each feature's round is U and its
-    # reply, n * L_s transfers, L_s = 2 at s = 2
+    # the base-OT session runs in SETUP: each feature's round is one U, of
+    # n * L_s transfers, L_s = 2 at s = 2
     n, k, L_s = 8, 2, 2
     ot_msgs = [d for d, phase, _ in r2.transcript.messages if phase == "OT"]
-    assert ot_msgs == ["cloud->csp", "csp->cloud"] * k
+    assert ot_msgs == ["cloud->csp"] * k
     setup = [d for d, phase, _ in r2.transcript.messages if phase == "SETUP"]
     assert setup == ["cloud->csp", "cloud->csp", "csp->cloud"]
     per_round = build_sub_msb_batch(L_s, n, (1, 2)).and_count
@@ -192,11 +192,11 @@ def test_base_ot_mode_matches_dealer():
         for party in ("cloud", "csp"):
             assert report["counters"][party]["ot_transfers"] == k * n * L_s
             assert report["counters"][party]["and_gates"] == k * per_round
-    # base OT: the header and A, then the B's; per feature the reveal (after
-    # the last output labels from the second on), the tables, U, the masked
-    # pairs; DONE with the last output labels
+    # base OT: the header and A, then the B's; per feature the reveal and U
+    # (after the last output labels from the second on), then the tables;
+    # DONE with the last output labels
     assert transcript_report(r1.transcript)["flights"] == 2 * k + 1
-    assert transcript_report(r2.transcript)["flights"] == 2 + 4 * k + 1
+    assert transcript_report(r2.transcript)["flights"] == 2 + 2 * k + 1
 
 
 # CSP's own shape in the hostile runs below: n = 2 records, k = 2 features

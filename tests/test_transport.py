@@ -137,13 +137,17 @@ def test_phase_order_validation():
     t.record("cloud->csp", "SETUP", b"")
     t.record("cloud->csp", "BASE_APPLY", b"")
     t.record("cloud->csp", "RESULT_EVAL_MASK", b"")
+    t.record("cloud->csp", "OT", b"")
     t.record("csp->cloud", "GC_TABLES", b"")
-    t.record("csp->cloud", "OT", b"")
     t.record("cloud->csp", "OUTPUT_LABELS", b"")
     t.record("cloud->csp", "DONE", b"")
     t.validate_phase_order()
-    bad = Transcript()
-    bad.record("cloud->csp", "OT", b"")
-    bad.record("cloud->csp", "DONE", b"")
-    with pytest.raises(PhaseOrderViolation):
-        bad.validate_phase_order()
+    # the label OT comes before the tables it keys, never after them
+    for phases in (("OT", "DONE"),
+                   ("BASE_APPLY", "RESULT_EVAL_MASK", "GC_TABLES", "OT", "OUTPUT_LABELS",
+                    "DONE")):
+        bad = Transcript()
+        for phase in phases:
+            bad.record("cloud->csp", phase, b"")
+        with pytest.raises(PhaseOrderViolation):
+            bad.validate_phase_order()

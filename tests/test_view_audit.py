@@ -30,10 +30,13 @@ from blindboost.protocol import (
     Seeds,
     run_learning,
 )
+from blindboost.garbling import random_delta
+from blindboost.ot import KAPPA
+from blindboost.protocol import wire
 from blindboost.protocol.config import stream
 from blindboost.protocol.parties import _setup_header
 from blindboost.protocol.stump_select import confidential_ds_select
-from blindboost.protocol.transcript import RESULT_EVAL_MASK, SETUP, Transcript
+from blindboost.protocol.transcript import OT, RESULT_EVAL_MASK, SETUP, Transcript
 
 SIGMA = shares.MASK_SECURITY_BITS
 
@@ -176,3 +179,40 @@ def test_audit_refuses_masks_drawn_for_the_ring_width(recording, monkeypatch):
                 (d * (fp.q - 1) ** 2).bit_length(), packed=False)
     with pytest.raises(AssertionError, match="hide"):
         audit_reveals(transcript, cloud.keypair, [site])
+
+
+def _base_ot_run(kind):
+    """A base-OT run of `kind` recorded with payloads: its transcript, GC
+    rounds, transfers per round and CSP's free-XOR delta, the first draw of
+    CSP's ot_s stream (as `ot.OTExtSender` makes it)."""
+    cfg = ProtocolConfig(construction=SECSH_GC if kind == "secsh-gc" else HE_GC, tau=2,
+                         p_max=6, ot_mode="base", seeds=Seeds.derive(6))
+    if kind == "stump":
+        ds, s = _dataset(24, 3, seed=82), 3
+        transcript = confidential_ds_select(cfg, ds, s=s).transcript
+        m = len(ds.y) * ((s - 1).bit_length() + 1)  # n records of L_s bits
+    else:
+        folded = fold_labels(_dataset(13, 3, seed=81))
+        _, transcript = run_learning(cfg, folded)
+        m = len(folded.Z) * FixedPointParams.for_dimension(folded.Z.shape[1]).ring_bits
+    return transcript, transcript.iterations(), m, random_delta(stream(cfg.seeds.csp, b"ot_s"))
+
+
+@pytest.mark.parametrize("kind", ["he-gc", "secsh-gc", "stump"])
+def test_base_ot_rounds_show_csp_only_u_and_cloud_no_label_pair(recording, kind):
+    # correlated OT keyed by delta: each GC round's label OT is Cloud's U
+    # alone, KAPPA packed columns of ceil(m/8) bytes for m transfers; CSP
+    # sends no OT message, so Cloud never holds a label pair, and delta
+    # travels in no payload Cloud receives
+    transcript, rounds, m, delta = _base_ot_run(kind)
+    assert rounds >= 2
+    recorded = [(d, phase, p) for (d, phase, _), p
+                in zip(transcript.messages, transcript.payloads)]
+    us = [(d, p) for d, phase, p in recorded if phase == OT]
+    assert [d for d, _ in us] == ["cloud->csp"] * rounds
+    assert all(p == wire.pack_blob(p[4:]) and len(p) - 4 == KAPPA * -(-m // 8)
+               for _, p in us)
+    to_cloud = [(phase, p) for d, phase, p in recorded if d == "csp->cloud"]
+    assert OT not in {phase for phase, _ in to_cloud}
+    assert delta[0] & 1 == 1
+    assert not any(delta.tobytes() in p for _, p in to_cloud)
