@@ -11,14 +11,24 @@ gate is a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT
 evaluation: two 16-byte rows (tg, then te) per AND gate, in gate order.
 XOR and NOT gates are free.
 
-`garble` takes delta, which spans every circuit of a run, and the
-subtrahend wires' 0-labels from the OT that delivers the evaluator's
-labels, and returns the garbler's side, `GarblerSecrets`: delta, the
-minuend wires' 0-labels, the output decode map and the `GarbledCircuit` it
-ships. The evaluator holds only a `GarbledCircuit` (circuit, tables, output
-checks). The garbler encodes its bits on the minuend wires `inputs_a`
-(`encode`); `evaluate` takes both label arrays in wire order. Both take
-the circuit's index under its delta, which prefixes every hash tweak.
+`garble` takes the garbler's bits on the minuend wires `inputs_a`, delta,
+which spans every circuit of a run, and the subtrahend wires' 0-labels from
+the OT that delivers the evaluator's labels. It returns the garbler's side,
+`GarblerSecrets`: delta, the output decode map and the `GarbledCircuit` it
+ships (circuit, tables, output checks), all the evaluator holds. `evaluate`
+takes the subtrahend labels in wire order. Both take the circuit's index
+under its delta, which prefixes every hash tweak.
+
+The garbler's bits cost no bytes: a minuend wire's 0-label is bit * delta,
+so its active label is all zeros, which the evaluator uses unsent. A
+garbler-input label always gives the evaluator one known label per wire;
+this one is public, with permute bit 0, so the evaluator's view does not
+depend on the garbler's bits, and only the garbler knows which of
+{0, delta} is the 0-label. The other label, delta, stays hidden under the
+tweakable circular-correlation-robust hash that free-XOR and half-gates
+already assume, with every tweak unique in a run. A wire that depends only
+on the garbler's inputs has an active label the evaluator could compute
+itself, so it shows nothing either.
 
 Both garbling and evaluation unpack the circuit's gates as (kind, a, b,
 out) tuples and keep labels in a list indexed by wire number.
@@ -92,25 +102,19 @@ class GarblerSecrets:
     """The garbler's side of one garbled circuit."""
     gc: GarbledCircuit
     delta: np.ndarray          # (16,), the free-XOR offset
-    label0_a: np.ndarray       # per minuend wire, its 0-label
     output_decode: np.ndarray  # per output wire, (label0, label1)
 
-    def encode(self, bits) -> np.ndarray:
-        """The label of each minuend wire for its bit."""
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (len(self.label0_a),):
-            raise GCEvaluationFailure(f"{bits.size} bits for {len(self.label0_a)} wires")
-        return np.where(bits[:, None], self.label0_a ^ self.delta, self.label0_a)
 
-
-def garble(circuit: Circuit, rng: random.Random, delta: np.ndarray,
-           label0_b: np.ndarray, index: int) -> GarblerSecrets:
+def garble(circuit: Circuit, bits, delta: np.ndarray, label0_b: np.ndarray,
+           index: int) -> GarblerSecrets:
     """Garble `circuit` as circuit `index` under the odd offset `delta`,
-    with the 0-labels `label0_b` on the subtrahend wires and fresh ones
-    from `rng` on the minuend wires."""
+    with the 0-labels `label0_b` on the subtrahend wires and bit * delta on
+    the minuend wire of each of the garbler's `bits`."""
+    if len(bits) != len(circuit.inputs_a):
+        raise GCEvaluationFailure(f"{len(bits)} bits for {len(circuit.inputs_a)} wires")
     delta_row, delta = delta, int.from_bytes(delta.tobytes(), "little")
     label0 = [0] * circuit.n_wires
-    minuend = [rng.getrandbits(_LABEL_BITS) for _ in circuit.inputs_a]
+    minuend = [delta if bit else 0 for bit in bits]
     for w, lab in zip(circuit.all_inputs(), minuend + _ints(label0_b.tobytes())):
         label0[w] = lab
 
@@ -150,9 +154,7 @@ def garble(circuit: Circuit, rng: random.Random, delta: np.ndarray,
 
     gc = GarbledCircuit(circuit=circuit, and_tables=bytes(tables),
                         output_check=_array(check, pairs=True))
-    return GarblerSecrets(gc=gc, delta=delta_row,
-                          label0_a=_array([label0[w] for w in circuit.inputs_a]),
-                          output_decode=_array(decode, pairs=True))
+    return GarblerSecrets(gc=gc, delta=delta_row, output_decode=_array(decode, pairs=True))
 
 
 def tables_from_bytes(circuit: Circuit, buf: bytes) -> bytes:
@@ -163,25 +165,23 @@ def tables_from_bytes(circuit: Circuit, buf: bytes) -> bytes:
     return buf
 
 
-def evaluate(gc: GarbledCircuit, labels_a: np.ndarray, labels_b: np.ndarray,
-             index: int) -> np.ndarray:
+def evaluate(gc: GarbledCircuit, labels_b: np.ndarray, index: int) -> np.ndarray:
     """Run the garbled circuit, circuit `index` under its delta, on the
-    labels of the minuend wires and of the subtrahend wires, each a
-    (wires, 16) array in wire order.
+    subtrahend wires' labels, a (wires, 16) array in wire order, and the
+    all-zero label on every minuend wire.
 
     Returns one output label per output wire; the evaluator cannot decode
     them without the garbler's decode map.
     """
     circuit = gc.circuit
-    for given, wires in ((labels_a, circuit.inputs_a), (labels_b, circuit.inputs_b)):
-        if given.shape != (len(wires), LABEL_BYTES):
-            raise GCEvaluationFailure(f"{given.shape} labels for {len(wires)} input wires")
+    if labels_b.shape != (len(circuit.inputs_b), LABEL_BYTES):
+        raise GCEvaluationFailure(f"{labels_b.shape} labels for {len(circuit.inputs_b)} wires")
     tables = tables_from_bytes(circuit, gc.and_tables)
     if len(gc.output_check) != len(circuit.outputs):
         raise GCEvaluationFailure(f"{len(gc.output_check)} output checks for "
                                   f"{len(circuit.outputs)} output wires")
     labels = [0] * circuit.n_wires
-    for w, lab in zip(circuit.all_inputs(), _ints(labels_a.tobytes() + labels_b.tobytes())):
+    for w, lab in zip(circuit.inputs_b, _ints(labels_b.tobytes())):
         labels[w] = lab
 
     and_index = 0

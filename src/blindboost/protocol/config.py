@@ -13,8 +13,8 @@ SECSH_GC = "secsh-gc"
 # the stream tags each role draws: the parties' in parties.Side and
 # engine's key generation, the users' in engine.encrypt_submissions and
 # engine.setup's SecSh+GC share split
-_ROLE_TAGS = {"cloud": (b"keyg", b"mask", b"encr", b"garb", b"ot_r"),
-              "csp": (b"keyg", b"mask", b"encr", b"garb", b"ot_s"),
+_ROLE_TAGS = {"cloud": (b"keyg", b"mask", b"encr", b"ot_r"),
+              "csp": (b"keyg", b"mask", b"encr", b"ot_s"),
               "data": (b"user", b"shar")}
 
 

@@ -26,8 +26,11 @@ OT and own sign circuit), one garbled-circuit round (`garbler_round` /
 `packed_sign_csp`).
 
 A GC round starts with the label OT (`LabelOT`), keyed by CSP's one
-free-XOR delta per run, and CSP garbles on the 0-labels it gives: a trial
-runs BASE_APPLY, RESULT_EVAL_MASK, OT, GC_TABLES, OUTPUT_LABELS.
+free-XOR delta per run. CSP garbles on the 0-labels it gives and its own
+bits, `garble(circuit, bits, delta, label0_b, index)`, and Cloud evaluates
+on its OT labels, `evaluate(gc, labels_b, index)`, so GC_TABLES is the AND
+tables and the output checks: a trial runs BASE_APPLY, RESULT_EVAL_MASK,
+OT, GC_TABLES, OUTPUT_LABELS.
 
 The packed reveal: each user encrypts its values already shifted into its
 record's slot, so Cloud folds its encrypted columns, a chunk of records per
@@ -214,7 +217,6 @@ class Side:
         self.ring_bits = ring_bits
         self.mask_rng = stream(seed, b"mask")
         self.enc_rng = stream(seed, b"encr")
-        self.garble_rng = stream(seed, b"garb")
         self.label_ot = LabelOT(cfg, stream(seed, ot_tag))
         self.circuit = build_sub_msb_batch(ring_bits, n, constants)
         self.rounds = 0  # GC rounds so far: the next circuit's index under delta
@@ -245,47 +247,42 @@ def open_csp(ch, cfg, n: int, dim: int, ring_bits: int, constants=(0,)) -> Side:
 def garbler_round(ch, side, values) -> list:
     """CSP's side of one garbled-circuit round; returns the output bits.
 
-    Takes delta and the subtrahend wires' 0-labels from the label OT,
-    garbles the sign circuit on them, sends its tables, the labels of
-    `values` on the minuend wires and the output checks (GC_TABLES) and
-    decodes Cloud's output labels.
+    Takes delta and the subtrahend wires' 0-labels `label0_b` from the
+    label OT, garbles the sign circuit on them and on the `bits` of `values`,
+    sends its tables and the output checks (GC_TABLES) and decodes Cloud's
+    output labels.
     """
     circuit, counters = side.circuit, ch.counters
     counters.ot_transfers += len(circuit.inputs_b)
     delta, label0_b = side.label_ot.send(ch, len(circuit.inputs_b))
-    gs = garble(circuit, side.garble_rng, delta, label0_b, side.rounds)
+    gs = garble(circuit, record_bits(values, side.ring_bits), delta, label0_b, side.rounds)
     side.rounds += 1
     counters.and_gates += circuit.and_count
     ch.send(GC_TABLES, wire.pack_blob(gs.gc.and_tables)
-            + wire.pack_labels(gs.encode(record_bits(values, side.ring_bits)))
             + wire.pack_label_pairs(gs.gc.output_check))
     decode = gs.output_decode
-    del gs  # its tables and minuend labels are dead weight while Cloud evaluates
+    del gs  # its tables are dead weight while Cloud evaluates
     return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels), decode)
 
 
 def evaluator_round(ch, side, values) -> None:
     """Cloud's side of one garbled-circuit round.
 
-    Obtains the labels of `values` on the subtrahend wires by OT, receives
-    the tables, CSP's minuend labels and the output checks, evaluates and
-    returns the output labels (OUTPUT_LABELS) for CSP to decode.
+    Obtains the labels `labels_b` of `values` by OT, receives the tables
+    and the output checks, evaluates and returns the output labels
+    (OUTPUT_LABELS) for CSP to decode.
     """
     circuit, counters = side.circuit, ch.counters
     bits = record_bits(values, side.ring_bits)
     counters.ot_transfers += len(bits)
-    own_labels = side.label_ot.receive(ch, bits)
+    labels_b = side.label_ot.receive(ch, bits)
     payload = expect_phase(ch.recv(), GC_TABLES)
     tables_blob, off = wire.unpack_blob(payload)
-    garbler_labels, off = wire.unpack_labels(payload, off)
-    if len(garbler_labels) != len(circuit.inputs_a):
-        raise MalformedMessage(f"GC_TABLES carries {len(garbler_labels)} garbler "
-                               f"labels for {len(circuit.inputs_a)} wires")
     checks, off = wire.unpack_label_pairs(payload, off)
     wire.expect_end(payload, off)
     gc = GarbledCircuit(circuit=circuit, and_tables=tables_from_bytes(circuit, tables_blob),
                         output_check=checks)
-    out_labels = evaluate(gc, garbler_labels, own_labels, side.rounds)
+    out_labels = evaluate(gc, labels_b, side.rounds)
     side.rounds += 1
     counters.and_gates += circuit.and_count
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))

@@ -22,7 +22,7 @@ from blindboost.boosting import (
     gen_rlc,
     weighted_error,
 )
-from blindboost.circuits import build_sub_msb_batch, int_to_bits
+from blindboost.circuits import build_sub_msb_batch, record_bits
 from blindboost.encoding import (
     Dataset,
     FixedPointParams,
@@ -252,41 +252,46 @@ def test_criterion_05_protocol_oracle_equivalence():
 # 6. GC correctness
 
 
-def _garbled(width):
-    """One record's sign circuit in a ring of `width` bits, garbled under a
-    fresh delta, and its subtrahend wires' label pairs."""
-    rng = random.Random(width)
-    delta, label0_b = random_delta(rng), random_labels(rng, width)
-    gs = garble(build_sub_msb_batch(width, 1), rng, delta, label0_b, 0)
+def _garbled(width, a_values, seed):
+    """The sign circuit of len(a_values) records in a ring of `width` bits,
+    garbled on the minuends `a_values` under a fresh delta drawn from
+    Random(seed), and its subtrahend wires' label pairs."""
+    rng = random.Random(seed)
+    circuit = build_sub_msb_batch(width, len(a_values))
+    delta, label0_b = random_delta(rng), random_labels(rng, len(circuit.inputs_b))
+    gs = garble(circuit, record_bits(a_values, width), delta, label0_b, 0)
     return gs, np.stack([label0_b, label0_b ^ delta], axis=1)
 
 
-def _garbled_msb(garbled, a, b, width):
+def _garbled_msbs(garbled, b_values, width):
+    """The decoded msb((a - b) mod 2^width) of each record, on `b_values`."""
     gs, pairs = garbled
-    ev = dealer_choose(pairs, int_to_bits(b, width))
-    out = evaluate(gs.gc, gs.encode(int_to_bits(a, width)), ev, 0)
-    return decode_output(out, gs.output_decode)[0]
+    out = evaluate(gs.gc, dealer_choose(pairs, record_bits(b_values, width)), 0)
+    return decode_output(out, gs.output_decode)
+
+
+def _msb(a, b, width):
+    return 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
 
 
 def test_criterion_06_gc_correctness():
     mismatches = 0
     total = 0
     for width in range(2, 9):
-        gc = _garbled(width)
-        for a in range(1 << width):
+        for a in range(1 << width):  # one garbling per minuend
+            gc = _garbled(width, [a], seed=width << 8 | a)
             for b in range(1 << width):
-                expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
-                mismatches += _garbled_msb(gc, a, b, width) != expect
+                mismatches += _garbled_msbs(gc, [b], width) != [_msb(a, b, width)]
                 total += 1
     rng = random.Random(66)
-    for width in (16, 25, 32):
-        gc = _garbled(width)
-        for _ in range(10_000):
-            a = rng.getrandbits(width)
-            b = rng.getrandbits(width)
-            expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
-            mismatches += _garbled_msb(gc, a, b, width) != expect
-            total += 1
+    for width in (16, 25, 32):  # one 10^4-record circuit per width
+        a_values = [rng.getrandbits(width) for _ in range(10_000)]
+        b_values = [rng.getrandbits(width) for _ in range(10_000)]
+        got = _garbled_msbs(_garbled(width, a_values, seed=width), b_values, width)
+        expect = [_msb(a, b, width) for a, b in zip(a_values, b_values)]
+        assert len(got) == len(expect)
+        mismatches += sum(g != e for g, e in zip(got, expect))
+        total += len(expect)
     assert mismatches == 0, f"{mismatches} sign-check mismatches"
     _passline(6, f"sub_msb exhaustive L<=8 plus 3x10^4 wide random pairs: "
                  f"0/{total} mismatches")

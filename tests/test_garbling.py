@@ -12,6 +12,7 @@ from blindboost.circuits import (
     Circuit,
     build_sub_msb_batch,
     int_to_bits,
+    record_bits,
 )
 from blindboost.errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
 from blindboost.garbling import (
@@ -23,14 +24,14 @@ from blindboost.garbling import (
 )
 
 
-def _garble(circuit, seed):
-    """garble on Random(seed), after delta and the subtrahend 0-labels are
-    drawn from it, as dealer OT draws them; returns the garbler's side and
-    the subtrahend wires' (label0, label1) pairs."""
+def _garble(circuit, seed, a_bits):
+    """garble the minuend bits `a_bits` under delta and the subtrahend
+    0-labels drawn from Random(seed), as dealer OT draws them; returns the
+    garbler's side and the subtrahend wires' (label0, label1) pairs."""
     rng = random.Random(seed)
     delta = garbling.random_delta(rng)
     label0_b = garbling.random_labels(rng, len(circuit.inputs_b))
-    gs = garble(circuit, rng, delta, label0_b, 0)
+    gs = garble(circuit, a_bits, delta, label0_b, 0)
     return gs, np.stack([label0_b, label0_b ^ delta], axis=1)
 
 
@@ -39,9 +40,14 @@ def _chosen(pairs, b_bits):
     return pairs[np.arange(len(pairs)), np.asarray(b_bits, dtype=np.intp)]
 
 
-def _run(gs, pairs, a_bits, b_bits, index=0):
-    out = evaluate(gs.gc, gs.encode(a_bits), _chosen(pairs, b_bits), index)
+def _run(gs, pairs, b_bits, index=0):
+    out = evaluate(gs.gc, _chosen(pairs, b_bits), index)
     return decode_output(out, gs.output_decode)
+
+
+def _garbled_run(circuit, seed, a_bits, b_bits):
+    """Garble `a_bits` on Random(seed), evaluate on `b_bits` and decode."""
+    return _run(*_garble(circuit, seed, a_bits), b_bits)
 
 
 def single_and_circuit():
@@ -55,41 +61,44 @@ def single_xor_circuit():
 
 
 def test_and_gate_truth_table():
-    gs, pairs = _garble(single_and_circuit(), 0)
     for a, b in itertools.product((0, 1), repeat=2):
-        assert _run(gs, pairs, [a], [b]) == [a & b]
+        assert _garbled_run(single_and_circuit(), 0, [a], [b]) == [a & b]
 
 
 def test_xor_circuit_emits_no_tables():
-    gs, pairs = _garble(single_xor_circuit(), 1)
-    assert gs.gc.and_tables == b""
     for a, b in itertools.product((0, 1), repeat=2):
-        assert _run(gs, pairs, [a], [b]) == [a ^ b]
+        gs, pairs = _garble(single_xor_circuit(), 1, [a])
+        assert gs.gc.and_tables == b""
+        assert _run(gs, pairs, [b]) == [a ^ b]
 
 
 def test_identity_passthrough():
+    # the garbler's input wire is the output: the evaluator holds its
+    # all-zero label, and only the decode map gives the bit
     c = Circuit(n_wires=1, inputs_a=(0,), inputs_b=(), gates=(), outputs=(0,))
-    gs, pairs = _garble(c, 2)
-    lab = gs.encode([1])
-    out = evaluate(gs.gc, lab, _chosen(pairs, []), 0)
-    assert np.array_equal(out, lab)
-    assert decode_output(out, gs.output_decode) == [1]
+    for bit in (0, 1):
+        gs, pairs = _garble(c, 2, [bit])
+        out = evaluate(gs.gc, _chosen(pairs, []), 0)
+        assert not out.any()
+        assert decode_output(out, gs.output_decode) == [bit]
 
 
-def _input_pairs(gs, pairs):
-    """(label0, label1) of every input wire, minuend wires first."""
-    zeros = [0] * len(gs.gc.circuit.inputs_a)
-    minuend = np.stack([gs.encode(zeros), gs.encode([1 for _ in zeros])], axis=1)
+def _input_pairs(gs, pairs, a_bits):
+    """(label0, label1) of every input wire, minuend wires first: a minuend
+    wire's pair is (0, delta) for bit 0 and (delta, 0) for bit 1."""
+    zero = np.zeros_like(gs.delta)
+    minuend = np.array([(gs.delta, zero) if bit else (zero, gs.delta) for bit in a_bits])
     return np.concatenate([minuend, pairs])
 
 
 def test_free_xor_invariant_structural():
     c = build_sub_msb_batch(6, 1)
-    gs, pairs = _garble(c, 3)
+    a_bits = int_to_bits(37, 6)
+    gs, pairs = _garble(c, 3, a_bits)
     delta = gs.delta.tobytes()
     # every other wire's label1 is its label0 ^ delta by construction
     assert gs.delta[0] & 1 == 1
-    for l0, l1 in _input_pairs(gs, pairs):
+    for l0, l1 in _input_pairs(gs, pairs, a_bits):
         assert (l0 ^ l1).tobytes() == delta
         # permute bits of the two labels always differ
         assert (l0[0] ^ l1[0]) & 1 == 1
@@ -98,10 +107,10 @@ def test_free_xor_invariant_structural():
 def test_sub_msb_garbled_exhaustive_small():
     for width in (2, 3, 4):
         c = build_sub_msb_batch(width, 1)
-        gs, pairs = _garble(c, width)
         for a in range(1 << width):
+            gs, pairs = _garble(c, width, int_to_bits(a, width))
             for b in range(1 << width):
-                got = _run(gs, pairs, int_to_bits(a, width), int_to_bits(b, width))
+                got = _run(gs, pairs, int_to_bits(b, width))
                 expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
                 assert got == [expect]
 
@@ -111,47 +120,67 @@ def test_garbled_decodes_like_plain_circuit():
     c = build_sub_msb_batch(width, 1)
     rng = random.Random(17)
     cases = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(64)]
-    gs, pairs = _garble(c, 5)
     for a, b in cases:
         a_bits, b_bits = int_to_bits(a, width), int_to_bits(b, width)
-        assert _run(gs, pairs, a_bits, b_bits) == c.evaluate_plain(a_bits, b_bits)
+        assert _garbled_run(c, 5, a_bits, b_bits) == c.evaluate_plain(a_bits, b_bits)
 
 
 def test_regarble_new_seed_same_outputs_different_tables():
     c = build_sub_msb_batch(5, 1)
-    gs1, pairs1 = _garble(c, 7)
-    gs2, pairs2 = _garble(c, 8)
-    assert gs1.gc.and_tables != gs2.gc.and_tables
     for a, b in ((0, 0), (3, 9), (31, 30), (16, 16)):
-        assert _run(gs1, pairs1, int_to_bits(a, 5), int_to_bits(b, 5)) == \
-            _run(gs2, pairs2, int_to_bits(a, 5), int_to_bits(b, 5))
+        a_bits, b_bits = int_to_bits(a, 5), int_to_bits(b, 5)
+        gs1, pairs1 = _garble(c, 7, a_bits)
+        gs2, pairs2 = _garble(c, 8, a_bits)
+        assert gs1.gc.and_tables != gs2.gc.and_tables
+        assert _run(gs1, pairs1, b_bits) == _run(gs2, pairs2, b_bits)
+
+
+def test_flipping_a_garbler_bit_changes_the_output_not_the_evaluator_inputs():
+    # the garbler's bits live only in its 0-labels: the evaluator's inputs
+    # to evaluate, its OT labels and no minuend label at all, are the same
+    # bytes whichever bits the garbler holds, yet the output follows them
+    width = 8
+    c = build_sub_msb_batch(width, 1)
+    a, b = 100, 37  # a - b = 63: msb 0; with a's bit 7 flipped, 191: msb 1
+    b_bits = int_to_bits(b, width)
+    flipped = int_to_bits(a, width)
+    flipped[7] ^= 1
+    runs = []
+    for a_bits in (int_to_bits(a, width), flipped):
+        gs, pairs = _garble(c, 13, a_bits)
+        labels_b = _chosen(pairs, b_bits)
+        runs.append((labels_b.tobytes(), decode_output(evaluate(gs.gc, labels_b, 0),
+                                                        gs.output_decode)))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == c.evaluate_plain(int_to_bits(a, width), b_bits) == [0]
+    assert runs[1][1] == c.evaluate_plain(flipped, b_bits) == [1]
 
 
 def test_corrupted_table_raises_auth_failure():
-    gs, pairs = _garble(single_and_circuit(), 9)
-    # flip byte 3 of both rows
-    tables = bytearray(gs.gc.and_tables)
-    for off in (3, 16 + 3):
-        tables[off] ^= 0xFF
-    gs.gc.and_tables = bytes(tables)
     failures = 0
     for a, b in itertools.product((0, 1), repeat=2):
+        gs, pairs = _garble(single_and_circuit(), 9, [a])
+        # flip byte 3 of both rows
+        tables = bytearray(gs.gc.and_tables)
+        for off in (3, 16 + 3):
+            tables[off] ^= 0xFF
+        gs.gc.and_tables = bytes(tables)
         try:
-            _run(gs, pairs, [a], [b])
+            _run(gs, pairs, [b])
         except GarbledRowAuthFailure:
             failures += 1
     assert failures >= 1
 
 
 def test_decode_unknown_label():
-    gs, _ = _garble(single_and_circuit(), 10)
+    gs, _ = _garble(single_and_circuit(), 10, [1])
     zero = np.zeros((1, 16), dtype=np.uint8)
     with pytest.raises(UnknownLabel):
         decode_output(zero, gs.output_decode)
 
 
 def test_decode_wrong_label_count():
-    gs, _ = _garble(build_sub_msb_batch(4, 3), 10)
+    gs, _ = _garble(build_sub_msb_batch(4, 3), 10, [0] * 12)
     labels = gs.output_decode[:, 0]
     assert decode_output(labels, gs.output_decode) == [0, 0, 0]
     for wrong in (labels[:1], np.concatenate([labels, labels[:1]])):
@@ -159,20 +188,19 @@ def test_decode_wrong_label_count():
             decode_output(wrong, gs.output_decode)
 
 
-def test_encode_wrong_bit_count():
-    gs, _ = _garble(build_sub_msb_batch(4, 3), 10)
-    wires = gs.gc.circuit.inputs_a
-    bits = [1] * len(wires)
-    assert gs.encode(bits).shape == (len(wires), 16)
+def test_garble_wrong_bit_count():
+    c = build_sub_msb_batch(4, 3)
+    bits = [1] * len(c.inputs_a)
+    assert len(_garble(c, 10, bits)[0].gc.output_check) == 3
     for wrong in (bits[:-1], bits + [1]):  # one bit too few, one too many
         with pytest.raises(GCEvaluationFailure):
-            gs.encode(wrong)
+            _garble(c, 10, wrong)
 
 
 def test_evaluator_circuit_holds_no_garbler_secret():
     # what the evaluator receives has no field for delta, input labels or
     # the decode map; those live only on the garbler's side
-    gs, _ = _garble(build_sub_msb_batch(4, 3), 10)
+    gs, _ = _garble(build_sub_msb_batch(4, 3), 10, [0] * 12)
     assert [f.name for f in dataclasses.fields(GarbledCircuit)] == \
         ["circuit", "and_tables", "output_check"]
     assert set(vars(gs.gc)) == {"circuit", "and_tables", "output_check"}
@@ -180,21 +208,23 @@ def test_evaluator_circuit_holds_no_garbler_secret():
 
 
 def test_evaluate_rejects_malformed_inputs():
-    gs, pairs = _garble(single_and_circuit(), 12)
+    gs, pairs = _garble(single_and_circuit(), 12, [1])
     view = gs.gc
-    ga, ev = gs.encode([1]), _chosen(pairs, [1])
+    ev = _chosen(pairs, [1])
     with pytest.raises(GCEvaluationFailure):
-        evaluate(view, ga, ev[:, :15], 0)  # short label
+        evaluate(view, ev[:, :15], 0)  # short label
     with pytest.raises(GCEvaluationFailure):
-        evaluate(view, ga, ev[:0], 0)  # missing label
+        evaluate(view, ev[:0], 0)  # missing label
+    with pytest.raises(GCEvaluationFailure):
+        evaluate(view, np.concatenate([ev, ev]), 0)  # a label for a minuend wire too
     view.and_tables = view.and_tables[:-1]
     with pytest.raises(GCEvaluationFailure):
-        evaluate(view, ga, ev, 0)  # table bytes do not fit the circuit
+        evaluate(view, ev, 0)  # table bytes do not fit the circuit
 
 
 def test_tables_round_trip_bytes():
     c = build_sub_msb_batch(6, 1)
-    tables = _garble(c, 11)[0].gc.and_tables
+    tables = _garble(c, 11, [0] * 6)[0].gc.and_tables
     assert len(tables) == c.and_count * 2 * 16
     assert tables_from_bytes(c, tables) == tables
     for wrong in (tables[:-1], tables + b"\x00"):
@@ -208,9 +238,8 @@ def test_mixed_gate_circuit_exhaustive():
                 gates=(("NOT", 0, -1, 3), ("XOR", 3, 1, 4),
                        (AND, 4, 2, 5), ("NOT", 5, -1, 6)),
                 outputs=(5, 6))
-    gs, pairs = _garble(c, 20)
     for a0, a1, b0 in itertools.product((0, 1), repeat=3):
-        got = _run(gs, pairs, [a0, a1], [b0])
+        got = _garbled_run(c, 20, [a0, a1], [b0])
         v5 = ((a0 ^ 1) ^ a1) & b0
         assert got == [v5, v5 ^ 1]
 
@@ -219,11 +248,10 @@ def test_sub_msb_garbled_wide_random():
     rng = random.Random(12)
     for width in (16, 25, 32):
         c = build_sub_msb_batch(width, 1)
-        gs, pairs = _garble(c, width * 3)
         for _ in range(60):
             a = rng.getrandbits(width)
             b = rng.getrandbits(width)
-            got = _run(gs, pairs, int_to_bits(a, width), int_to_bits(b, width))
+            got = _garbled_run(c, width * 3, int_to_bits(a, width), int_to_bits(b, width))
             expect = 1 if ((a - b) % (1 << width)) >= (1 << (width - 1)) else 0
             assert got == [expect]
 
@@ -235,6 +263,7 @@ def test_consecutive_indices_under_one_delta_use_disjoint_tweaks(monkeypatch):
     c = build_sub_msb_batch(5, 2)
     rng = random.Random(30)
     delta = garbling.random_delta(rng)
+    a_bits, b_bits = int_to_bits(9, 5) * 2, int_to_bits(22, 5) * 2
     hash1, tweaks = garbling._hash1, []
     monkeypatch.setattr(garbling, "_hash1",
                         lambda label, tweak: tweaks.append(tweak) or hash1(label, tweak))
@@ -242,32 +271,36 @@ def test_consecutive_indices_under_one_delta_use_disjoint_tweaks(monkeypatch):
     for index in (0, 1):
         tweaks.clear()
         label0_b = garbling.random_labels(rng, len(c.inputs_b))
-        gs = garble(c, rng, delta, label0_b, index)
+        gs = garble(c, a_bits, delta, label0_b, index)
         assert len(set(tweaks)) == 2 * c.and_count + len(c.outputs)
         rounds.append((gs, np.stack([label0_b, label0_b ^ delta], axis=1), set(tweaks)))
     assert rounds[0][2].isdisjoint(rounds[1][2])
     monkeypatch.setattr(garbling, "_hash1", hash1)
-    a_bits, b_bits = int_to_bits(9, 5) * 2, int_to_bits(22, 5) * 2
     for index, (gs, pairs, _) in enumerate(rounds):
         assert np.array_equal(gs.delta, delta)
-        assert _run(gs, pairs, a_bits, b_bits, index) == c.evaluate_plain(a_bits, b_bits)
+        assert _run(gs, pairs, b_bits, index) == c.evaluate_plain(a_bits, b_bits)
         with pytest.raises(GarbledRowAuthFailure):
-            _run(gs, pairs, a_bits, b_bits, 1 - index)
+            _run(gs, pairs, b_bits, 1 - index)
 
 
 # SHA-256 of the AND tables, of the output checks and of every input wire's
-# (label0, label1) pair, for _garble(build_sub_msb_batch(17, 4), 5). The
-# table hash was first recorded from the byte-label implementation, and
-# re-recorded when delta and the subtrahend 0-labels became garble's
-# inputs and the output checks' tweaks moved to 2^31 + output index.
-GARBLE_GOLDEN = ("4d9c16f0a31fec26bc6093048d7164a9a09f66ca7bb68d165fa2981b05c87df8",
-                 "e02421fbb9f4ed802a70941557318c457a42aca5a9e382f82d35a232ff1005e4",
-                 "d025995bed307df2691ce7e1406b80d33b4d8d754a44b622d61e9613bc5f3b58")
+# (label0, label1) pair, for _garble(build_sub_msb_batch(17, 4), 5,
+# _GOLDEN_BITS). The table hash was first recorded from the byte-label
+# implementation, and re-recorded when delta and the subtrahend 0-labels
+# became garble's inputs, when the output checks' tweaks moved to
+# 2^31 + output index, and when the minuend 0-labels became bit * delta
+# (so the pairs hash covers the subtrahend pairs and the {0, delta}
+# minuend pairs).
+_GOLDEN_BITS = record_bits([70_001, 3, 131_071, 65_536], 17)
+GARBLE_GOLDEN = ("125c04d540ca41a361a6bd212e038a8ea9cbbae8b92a5d5f56a5d10e0bd24d6f",
+                 "4c196ec0d2e805e31dd3efe8be9b07e9c2c512e93ace5496024d92c1a2d57f50",
+                 "c8a1c3e6bd7ca5c584594f89249f3a8d0c05f7865eb05441fb8577053406639b")
 
 
 def test_garbled_bytes_known_answer():
     c = build_sub_msb_batch(17, 4)
-    gs, pairs = _garble(c, 5)
+    gs, pairs = _garble(c, 5, _GOLDEN_BITS)
     assert (hashlib.sha256(gs.gc.and_tables).hexdigest(),
             hashlib.sha256(gs.gc.output_check.tobytes()).hexdigest(),
-            hashlib.sha256(_input_pairs(gs, pairs).tobytes()).hexdigest()) == GARBLE_GOLDEN
+            hashlib.sha256(_input_pairs(gs, pairs, _GOLDEN_BITS).tobytes()).hexdigest()) \
+        == GARBLE_GOLDEN

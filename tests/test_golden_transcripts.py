@@ -18,15 +18,15 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer"):
-        "d757322a3bfd1bbc06fd67b5f99fb94e352e11756e82ebf504f4cf2578c80b6a",
+        "0ff110598e8dcf53f8c6dd8a4ec3743213296b96cc45d27ab6bfa7862bff449b",
     (HE_GC, "base"):
-        "164cc43acc6c81193bf93ef50c06dc86b741dce791f42c01c792437458980ab4",
+        "af4cd013e7df77b05b6457a73cf7051a4fae4a26062c76a6cb74d6880f14afe0",
     (SECSH_GC, "dealer"):
-        "4e55b1512eb6be8be84c01f2150094e45b37fdb9c9e2288192b069c55210c2ce",
+        "d3f64faca816e680942830fefa82ee9ac2506986e4a965a0c2fff45e85eab938",
     (SECSH_GC, "base"):
-        "61cb604ed5b3ecc20f05a776f9665a4b004054ff776c68861240be3fdc4ce9a5",
+        "19b6cccd9c3afe2304f4a1966c0bf1ff5b023e227fb9e9489e987f2f7d43a891",
 }
-STUMP_GOLDEN = "97528b9ee32c2b6ed0e86d1dabe7d2b99005e5d0d59d65c7dbc686d49c5dfa4a"
+STUMP_GOLDEN = "851a81e9045611c3f8fdd3ae001c6e6917ea441453b8cd51b68ac49de62a51a1"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

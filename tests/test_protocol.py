@@ -23,6 +23,7 @@ from blindboost.errors import (
     BlindBoostError,
     ConfigInvalid,
     GarbledRowAuthFailure,
+    GCEvaluationFailure,
     IterationOutOfRange,
     MalformedMessage,
     ModeNotPermittedInSecureProfile,
@@ -112,7 +113,7 @@ def test_secure_profile_requires_the_2048_bit_ot_group():
     assert paper_faithful(HE_GC, tau=1, p_max=2).ot_group == "modp-2048"
 
 
-_STREAM_TAGS = (b"keyg", b"user", b"shar", b"mask", b"encr", b"garb", b"ot_r", b"ot_s")
+_STREAM_TAGS = (b"keyg", b"user", b"shar", b"mask", b"encr", b"ot_r", b"ot_s")
 
 
 def _streams_meet(seeds):
@@ -883,28 +884,28 @@ def test_short_or_invalid_decision_is_malformed(payload):
 
 
 def _side(circuit, ring_bits):
-    """A dealer-OT Side over `circuit` before its first round: garbling on
-    Random(5), its label OT opened on Random(6)."""
+    """A dealer-OT Side over `circuit` before its first round, its label OT
+    opened on Random(6)."""
     label_ot = LabelOT(cfg_for(HE_GC, ot_mode="dealer"), random.Random(6))
     label_ot.open_sender(None)  # dealer OT: draws delta, sends nothing
     return types.SimpleNamespace(circuit=circuit, ring_bits=ring_bits,
-                                 garble_rng=random.Random(5), label_ot=label_ot, rounds=0)
+                                 label_ot=label_ot, rounds=0)
 
 
-def _garbled(circuit):
-    """What garbler_round garbles on a fresh _side, and the label pairs that
-    its dealer OT sends."""
+def _garbled(circuit, bits):
+    """What garbler_round garbles on `bits` on a fresh _side, and the label
+    pairs that its dealer OT sends."""
     rng = random.Random(6)
     delta, label0_b = random_delta(rng), random_labels(rng, len(circuit.inputs_b))
-    gs = garble(circuit, random.Random(5), delta, label0_b, 0)
+    gs = garble(circuit, bits, delta, label0_b, 0)
     return gs, np.stack([label0_b, label0_b ^ delta], axis=1)
 
 
 def test_bytes_after_the_output_labels_are_malformed():
     circuit = build_sub_msb_batch(4, 2)
     gb_bits, ev_bits = record_bits([3, 9], 4), record_bits([5, 12], 4)
-    gs, pairs = _garbled(circuit)
-    out = evaluate(gs.gc, gs.encode(gb_bits), dealer_choose(pairs, ev_bits), 0)
+    gs, pairs = _garbled(circuit, gb_bits)
+    out = evaluate(gs.gc, dealer_choose(pairs, ev_bits), 0)
 
     def run(reply):
         return garbler_round(_Scripted([("OUTPUT_LABELS", reply)]), _side(circuit, 4),
@@ -916,24 +917,30 @@ def test_bytes_after_the_output_labels_are_malformed():
             run(wire.pack_labels(out) + tail)
 
 
-@pytest.mark.parametrize("count, tail", [(11, b""), (7, b""), (8, b"\x00")],
-                         ids=["11-labels", "7-labels", "trailing-byte"])
-def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(count, tail):
+# the field of the garbler's 8 minuend labels that GC_TABLES once carried
+# between the tables and the output checks
+_MINUEND_LABEL_FIELD = wire.pack_labels(random_labels(random.Random(7), 8))
+
+
+@pytest.mark.parametrize("middle, tail", [(_MINUEND_LABEL_FIELD, b""), (b"", b"\x00")],
+                         ids=["parent-layout", "trailing-byte"])
+def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(middle, tail):
+    # GC_TABLES is the AND tables, then the output checks: the older layout
+    # with the minuend labels between them, or a byte after the checks,
+    # ends in a typed error
     circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
-    gs, pairs = _garbled(circuit)
-    labels = gs.encode(record_bits([3, 9], 4))
+    gs, pairs = _garbled(circuit, record_bits([3, 9], 4))
     dealt = ("OT", wire.pack_label_pairs(pairs))
 
-    def run(gb_labels, tail=b""):
-        ch = _Scripted([dealt, ("GC_TABLES", wire.pack_blob(gs.gc.and_tables)
-                                + wire.pack_labels(gb_labels)
+    def run(middle=b"", tail=b""):
+        ch = _Scripted([dealt, ("GC_TABLES", wire.pack_blob(gs.gc.and_tables) + middle
                                 + wire.pack_label_pairs(gs.gc.output_check) + tail)])
         evaluator_round(ch, _side(circuit, 4), [5, 12])
         return ch.sent
 
-    assert run(labels) == ["OUTPUT_LABELS"]
-    with pytest.raises(MalformedMessage):
-        run(np.concatenate([labels, labels])[:count], tail)
+    assert run() == ["OUTPUT_LABELS"]
+    with pytest.raises((MalformedMessage, GCEvaluationFailure)):
+        run(middle, tail)
 
 
 def test_base_ot_session_opens_once_per_run():

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from blindboost import paillier, shares
+from blindboost.circuits import build_sub_msb_batch
 from blindboost.encoding import Dataset, FixedPointParams, encode_array, fold_labels
 from blindboost.protocol import (
     HE_GC,
@@ -35,8 +36,14 @@ from blindboost.ot import KAPPA
 from blindboost.protocol import wire
 from blindboost.protocol.config import stream
 from blindboost.protocol.parties import _setup_header
-from blindboost.protocol.stump_select import confidential_ds_select
-from blindboost.protocol.transcript import OT, RESULT_EVAL_MASK, SETUP, Transcript
+from blindboost.protocol.stump_select import confidential_ds_select, stump_ring_bits
+from blindboost.protocol.transcript import (
+    GC_TABLES,
+    OT,
+    RESULT_EVAL_MASK,
+    SETUP,
+    Transcript,
+)
 
 SIGMA = shares.MASK_SECURITY_BITS
 
@@ -216,3 +223,44 @@ def test_base_ot_rounds_show_csp_only_u_and_cloud_no_label_pair(recording, kind)
     assert OT not in {phase for phase, _ in to_cloud}
     assert delta[0] & 1 == 1
     assert not any(delta.tobytes() in p for _, p in to_cloud)
+
+
+def _gc_run(kind, ot_mode):
+    """A run of `kind` under `ot_mode` recorded with payloads: its
+    transcript, the sign circuit of its GC rounds and CSP's free-XOR delta,
+    the first draw of CSP's ot_s stream under either OT mode."""
+    cfg = ProtocolConfig(construction=SECSH_GC if kind == "secsh-gc" else HE_GC, tau=2,
+                         p_max=6, ot_mode=ot_mode, seeds=Seeds.derive(6))
+    if kind == "stump":
+        ds, s = _dataset(24, 3, seed=82), 3
+        transcript = confidential_ds_select(cfg, ds, s=s).transcript
+        circuit = build_sub_msb_batch(stump_ring_bits(s), len(ds.y), range(1, s + 1))
+    else:
+        folded = fold_labels(_dataset(13, 3, seed=81))
+        _, transcript = run_learning(cfg, folded)
+        ring_bits = FixedPointParams.for_dimension(folded.Z.shape[1]).ring_bits
+        circuit = build_sub_msb_batch(ring_bits, len(folded.Z))
+    return transcript, circuit, random_delta(stream(cfg.seeds.csp, b"ot_s"))
+
+
+@pytest.mark.parametrize("ot_mode", ["dealer", "base"])
+@pytest.mark.parametrize("kind", ["he-gc", "secsh-gc", "stump"])
+def test_cloud_receives_no_label_of_a_csp_wire(recording, kind, ot_mode):
+    # each minuend wire's 0-label is bit * delta, so the label Cloud uses
+    # there is all zeros and the wire's one non-zero label is delta: delta
+    # is in no payload Cloud receives, at any offset, and every GC_TABLES
+    # is the AND-table blob and the output checks, nothing else
+    transcript, circuit, delta = _gc_run(kind, ot_mode)
+    assert delta[0] & 1 == 1
+    to_cloud = [(phase, p) for (d, phase, _), p
+                in zip(transcript.messages, transcript.payloads) if d == "csp->cloud"]
+    assert not any(delta.tobytes() in p for _, p in to_cloud)
+    tables = [p for phase, p in to_cloud if phase == GC_TABLES]
+    assert len(tables) == transcript.iterations() >= 2
+    and_bytes, check_bytes = circuit.and_count * 32, len(circuit.outputs) * 32
+    for p in tables:
+        assert len(p) == 4 + and_bytes + 4 + check_bytes
+        blob, off = wire.unpack_blob(p)
+        checks, off = wire.unpack_label_pairs(p, off)
+        assert (len(blob), checks.shape, off) == (and_bytes, (len(circuit.outputs), 2, 16),
+                                                  len(p))
