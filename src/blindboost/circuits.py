@@ -34,6 +34,10 @@ class Circuit:
     gates: tuple
     outputs: tuple
     and_count: int = field(init=False)  # counted by the validation pass
+    # the AND gates, by their order among the ANDs, whose first input
+    # depends on inputs_a alone through XOR and NOT: the evaluator's label
+    # there is the all-zero label, so it never reads the gate's tg row
+    te_only: frozenset = field(init=False)
 
     def __post_init__(self):
         n = self.n_wires
@@ -44,7 +48,10 @@ class Circuit:
             if assigned[w]:
                 raise ValueError(f"input wire {w} listed twice")
             assigned[w] = 1
-        ands = 0
+        from_a = bytearray(n)  # 1 at each wire that depends on inputs_a alone
+        for w in self.inputs_a:
+            from_a[w] = 1
+        ands, te_only = 0, []
         for gate in self.gates:
             kind, a, b, out = gate
             b = a if kind == NOT else b  # a NOT reads one wire
@@ -55,8 +62,14 @@ class Circuit:
             if assigned[out]:
                 raise ValueError(f"wire {out} assigned twice")
             assigned[out] = 1
-            ands += kind == AND
+            if kind == AND:
+                if from_a[a]:
+                    te_only.append(ands)
+                ands += 1
+            else:
+                from_a[out] = from_a[a] and from_a[b]
         self.and_count = ands
+        self.te_only = frozenset(te_only)
         for o in self.outputs:
             if not assigned[o]:
                 raise ValueError(f"output wire {o} never assigned")

@@ -61,10 +61,6 @@ class ConstantOutOfRange(BlindBoostError):
     """A circuit's public constant lies outside [0, 2^width), or none is given."""
 
 
-class GarbledRowAuthFailure(BlindBoostError):
-    """No garbled row decrypts cleanly; the tables were corrupted in transit."""
-
-
 class UnknownLabel(BlindBoostError):
     pass
 

@@ -8,14 +8,15 @@ so the two labels' permute bits differ. The gate cipher is keyed BLAKE2s
 over the label bytes followed by the 8-byte little-endian tweak. Every AND
 gate is a half-gates pair of rows (Zahur, Rosulek and Evans, EUROCRYPT
 2015), and the AND tables are one bytes object from garbling to
-evaluation: two 16-byte rows (tg, then te) per AND gate, in gate order.
-XOR and NOT gates are free.
+evaluation: per AND gate its 16-byte rows tg, then te, in gate order, or
+te alone for a gate in the circuit's `te_only`, whose tg the evaluator
+never reads. XOR and NOT gates are free.
 
 `garble` takes the garbler's bits on the minuend wires `inputs_a`, delta,
 which spans every circuit of a run, and the subtrahend wires' 0-labels from
 the OT that delivers the evaluator's labels. It returns the garbler's side,
 `GarblerSecrets`: delta, the output decode map and the `GarbledCircuit` it
-ships (circuit, tables, output checks), all the evaluator holds. `evaluate`
+ships (circuit and AND tables), all the evaluator holds. `evaluate`
 takes the subtrahend labels in wire order. Both take the circuit's index
 under its delta, which prefixes every hash tweak.
 
@@ -28,15 +29,19 @@ depend on the garbler's bits, and only the garbler knows which of
 tweakable circular-correlation-robust hash that free-XOR and half-gates
 already assume, with every tweak unique in a run. A wire that depends only
 on the garbler's inputs has an active label the evaluator could compute
-itself, so it shows nothing either.
+itself, so it shows nothing either. One reached from them through XOR and
+NOT alone has the all-zero active label, so an AND gate with such a first
+input ships no tg row.
 
 Both garbling and evaluation unpack the circuit's gates as (kind, a, b,
 out) tuples and keep labels in a list indexed by wire number.
 
-Corruption detection: the garbler ships, per output wire, the hashes of both
-output labels ordered by permute bit. The evaluator checks its computed
-label against the entry selected by that label's own permute bit, which
-reveals nothing it does not already know.
+Corruption is caught by the garbler: the evaluator returns its full output
+labels, and `decode_output` accepts only a label equal to one of the
+wire's two. A corrupted or replayed table row that the evaluator reads
+gives it a wrong label, which passes only by being the wire's other
+label: a guess of delta, which the evaluator does not know. So tables
+corrupted in transit decode to the right bits or raise UnknownLabel.
 """
 
 import hashlib
@@ -46,15 +51,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import NOT, XOR, Circuit
-from .errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
+from .errors import GCEvaluationFailure, UnknownLabel
 
 LABEL_BYTES = 16
 
 _LABEL_BITS = 8 * LABEL_BYTES
 _ROW_BYTES = 2 * LABEL_BYTES  # one AND gate's tg and te
 _GATE_KEY = b"blindboost-gc-v1"
-_OUT_DOMAIN = 1 << 31  # output-check tweaks, above a circuit's gate tweaks
-_INDEX_SHIFT = 32      # the circuit's index under its delta, above both
+_INDEX_SHIFT = 32  # the circuit's index under its delta, above its gate tweaks
 # keyed once; each hash copies this state, so the key block is not rehashed
 _GATE_HASH = hashlib.blake2s(key=_GATE_KEY, digest_size=LABEL_BYTES)
 
@@ -93,8 +97,7 @@ def random_labels(rng: random.Random, count: int) -> np.ndarray:
 class GarbledCircuit:
     """What the evaluator receives."""
     circuit: Circuit
-    and_tables: bytes         # per AND gate, its rows tg and te, in gate order
-    output_check: np.ndarray  # per output wire, (hash for lsb 0, hash for lsb 1)
+    and_tables: bytes  # per AND gate, its rows tg (unless te_only) and te, in gate order
 
 
 @dataclass
@@ -121,7 +124,7 @@ def garble(circuit: Circuit, bits, delta: np.ndarray, label0_b: np.ndarray,
     # appended row by row: a list of every row would, for a moment, take
     # several times the blob's memory
     tables = bytearray()
-    and_index = 0
+    and_index, te_only = 0, circuit.te_only
     for kind, a, b, out in circuit.gates:
         if kind == XOR:
             label0[out] = label0[a] ^ label0[b]
@@ -140,26 +143,20 @@ def garble(circuit: Circuit, bits, delta: np.ndarray, label0_b: np.ndarray,
             te = hb0 ^ _hash1(b0 ^ delta, j1) ^ a0
             we = hb0 ^ te ^ a0 if b0 & 1 else hb0
             label0[out] = wg ^ we
-            tables += (tg | te << _LABEL_BITS).to_bytes(_ROW_BYTES, "little")
+            if and_index in te_only:
+                tables += te.to_bytes(LABEL_BYTES, "little")
+            else:
+                tables += (tg | te << _LABEL_BITS).to_bytes(_ROW_BYTES, "little")
             and_index += 1
 
-    check, decode = [], []
-    out_tweak = (index << _INDEX_SHIFT) + _OUT_DOMAIN
-    for idx, o in enumerate(circuit.outputs):
-        l0 = label0[o]
-        l1 = l0 ^ delta
-        h0, h1 = _hash1(l0, out_tweak + idx), _hash1(l1, out_tweak + idx)
-        check += (h1, h0) if l0 & 1 else (h0, h1)
-        decode += (l0, l1)
-
-    gc = GarbledCircuit(circuit=circuit, and_tables=bytes(tables),
-                        output_check=_array(check, pairs=True))
-    return GarblerSecrets(gc=gc, delta=delta_row, output_decode=_array(decode, pairs=True))
+    decode = [lab for o in circuit.outputs for lab in (label0[o], label0[o] ^ delta)]
+    return GarblerSecrets(gc=GarbledCircuit(circuit=circuit, and_tables=bytes(tables)),
+                          delta=delta_row, output_decode=_array(decode, pairs=True))
 
 
 def tables_from_bytes(circuit: Circuit, buf: bytes) -> bytes:
-    """`buf`, once its length fits the circuit's AND gates."""
-    expect = circuit.and_count * _ROW_BYTES
+    """`buf`, once its length fits the rows of the circuit's AND gates."""
+    expect = circuit.and_count * _ROW_BYTES - len(circuit.te_only) * LABEL_BYTES
     if len(buf) != expect:
         raise GCEvaluationFailure(f"table blob has {len(buf)} bytes, expected {expect}")
     return buf
@@ -177,14 +174,11 @@ def evaluate(gc: GarbledCircuit, labels_b: np.ndarray, index: int) -> np.ndarray
     if labels_b.shape != (len(circuit.inputs_b), LABEL_BYTES):
         raise GCEvaluationFailure(f"{labels_b.shape} labels for {len(circuit.inputs_b)} wires")
     tables = tables_from_bytes(circuit, gc.and_tables)
-    if len(gc.output_check) != len(circuit.outputs):
-        raise GCEvaluationFailure(f"{len(gc.output_check)} output checks for "
-                                  f"{len(circuit.outputs)} output wires")
     labels = [0] * circuit.n_wires
     for w, lab in zip(circuit.inputs_b, _ints(labels_b.tobytes())):
         labels[w] = lab
 
-    and_index = 0
+    and_index, off, te_only = 0, 0, circuit.te_only  # off: the gate's first row
     for kind, a, b, out in circuit.gates:
         if kind == XOR:
             labels[out] = labels[a] ^ labels[b]
@@ -192,33 +186,32 @@ def evaluate(gc: GarbledCircuit, labels_b: np.ndarray, index: int) -> np.ndarray
             labels[out] = labels[a]
         else:
             la, lb = labels[a], labels[b]
-            off = and_index * _ROW_BYTES  # the gate's tg, then its te
             j0 = (index << _INDEX_SHIFT) + 2 * and_index
             wg = _hash1(la, j0)
-            if la & 1:
-                wg ^= int.from_bytes(tables[off:off + LABEL_BYTES], "little")
+            if and_index not in te_only:  # a te_only gate's la is all zeros
+                if la & 1:
+                    wg ^= int.from_bytes(tables[off:off + LABEL_BYTES], "little")
+                off += LABEL_BYTES
             we = _hash1(lb, j0 + 1)
             if lb & 1:
-                we ^= int.from_bytes(tables[off + LABEL_BYTES:off + _ROW_BYTES], "little") ^ la
+                we ^= int.from_bytes(tables[off:off + LABEL_BYTES], "little") ^ la
             labels[out] = wg ^ we
+            off += LABEL_BYTES
             and_index += 1
-
-    checks = _ints(gc.output_check.tobytes())
-    out = [labels[o] for o in circuit.outputs]
-    out_tweak = (index << _INDEX_SHIFT) + _OUT_DOMAIN
-    for idx, (o, lab) in enumerate(zip(circuit.outputs, out)):
-        if _hash1(lab, out_tweak + idx) != checks[2 * idx + (lab & 1)]:
-            raise GarbledRowAuthFailure(f"output wire {o}: no clean decryption")
-    return _array(out)
+    return _array([labels[o] for o in circuit.outputs])
 
 
 def decode_output(labels: np.ndarray, decode_map: np.ndarray) -> list:
-    """Garbler-side mapping from output labels to bits."""
+    """Garbler-side mapping from output labels to bits; UnknownLabel names
+    the first output whose label is neither of its two."""
     if labels.shape != (len(decode_map), LABEL_BYTES):
         raise GCEvaluationFailure(f"{labels.shape} output labels for "
                                   f"{len(decode_map)} output wires")
     is0 = (labels == decode_map[:, 0]).all(axis=1)
     is1 = (labels == decode_map[:, 1]).all(axis=1)
-    if not (is0 | is1).all():
-        raise UnknownLabel("label matches neither decode entry")
+    unknown = np.flatnonzero(~(is0 | is1))
+    if unknown.size:
+        raise UnknownLabel(f"output {unknown[0]} of {len(decode_map)}: the label matches "
+                           f"neither of its two; the garbled tables or the output labels "
+                           f"were corrupted or replayed")
     return is1.astype(np.uint8).tolist()

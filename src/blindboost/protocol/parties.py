@@ -29,8 +29,10 @@ A GC round starts with the label OT (`LabelOT`), keyed by CSP's one
 free-XOR delta per run. CSP garbles on the 0-labels it gives and its own
 bits, `garble(circuit, bits, delta, label0_b, index)`, and Cloud evaluates
 on its OT labels, `evaluate(gc, labels_b, index)`, so GC_TABLES is the AND
-tables and the output checks: a trial runs BASE_APPLY, RESULT_EVAL_MASK,
-OT, GC_TABLES, OUTPUT_LABELS.
+tables alone: a trial runs BASE_APPLY, RESULT_EVAL_MASK, OT, GC_TABLES,
+OUTPUT_LABELS. Cloud decodes nothing and checks no label; CSP's
+`decode_output` catches corrupted or replayed tables in the labels Cloud
+returns.
 
 The packed reveal: each user encrypts its values already shifted into its
 record's slot, so Cloud folds its encrypted columns, a chunk of records per
@@ -49,10 +51,10 @@ to the key holder.
 
 Every payload a party reads goes through one of three checked receives,
 `recv_field` (one unpacked field), `recv_exact` (a fixed payload) and
-`recv_decrypt` (an exact count of ciphertexts), except three that their
+`recv_decrypt` (an exact count of ciphertexts), except two that their
 readers parse field by field after `expect_phase(ch.recv(), ...)`:
-`evaluator_round`'s GC_TABLES, `CSPParty.trial`'s BASE_APPLY and
-`CloudParty.recv_decision`'s OUTPUT_LABELS.
+`CSPParty.trial`'s BASE_APPLY and `CloudParty.recv_decision`'s
+OUTPUT_LABELS.
 """
 
 import functools
@@ -249,8 +251,8 @@ def garbler_round(ch, side, values) -> list:
 
     Takes delta and the subtrahend wires' 0-labels `label0_b` from the
     label OT, garbles the sign circuit on them and on the `bits` of `values`,
-    sends its tables and the output checks (GC_TABLES) and decodes Cloud's
-    output labels.
+    sends its AND tables (GC_TABLES) and decodes Cloud's output labels,
+    which raises UnknownLabel on a label the tables should not have given.
     """
     circuit, counters = side.circuit, ch.counters
     counters.ot_transfers += len(circuit.inputs_b)
@@ -258,8 +260,7 @@ def garbler_round(ch, side, values) -> list:
     gs = garble(circuit, record_bits(values, side.ring_bits), delta, label0_b, side.rounds)
     side.rounds += 1
     counters.and_gates += circuit.and_count
-    ch.send(GC_TABLES, wire.pack_blob(gs.gc.and_tables)
-            + wire.pack_label_pairs(gs.gc.output_check))
+    ch.send(GC_TABLES, wire.pack_blob(gs.gc.and_tables))
     decode = gs.output_decode
     del gs  # its tables are dead weight while Cloud evaluates
     return decode_output(recv_field(ch, OUTPUT_LABELS, wire.unpack_labels), decode)
@@ -268,21 +269,17 @@ def garbler_round(ch, side, values) -> list:
 def evaluator_round(ch, side, values) -> None:
     """Cloud's side of one garbled-circuit round.
 
-    Obtains the labels `labels_b` of `values` by OT, receives the tables
-    and the output checks, evaluates and returns the output labels
-    (OUTPUT_LABELS) for CSP to decode.
+    Obtains the labels `labels_b` of `values` by OT, receives the AND
+    tables, evaluates and returns the output labels (OUTPUT_LABELS) for
+    CSP to decode.
     """
     circuit, counters = side.circuit, ch.counters
     bits = record_bits(values, side.ring_bits)
     counters.ot_transfers += len(bits)
     labels_b = side.label_ot.receive(ch, bits)
-    payload = expect_phase(ch.recv(), GC_TABLES)
-    tables_blob, off = wire.unpack_blob(payload)
-    checks, off = wire.unpack_label_pairs(payload, off)
-    wire.expect_end(payload, off)
-    gc = GarbledCircuit(circuit=circuit, and_tables=tables_from_bytes(circuit, tables_blob),
-                        output_check=checks)
-    out_labels = evaluate(gc, labels_b, side.rounds)
+    tables = tables_from_bytes(circuit, recv_field(ch, GC_TABLES, wire.unpack_blob))
+    out_labels = evaluate(GarbledCircuit(circuit=circuit, and_tables=tables), labels_b,
+                          side.rounds)
     side.rounds += 1
     counters.and_gates += circuit.and_count
     ch.send(OUTPUT_LABELS, wire.pack_labels(out_labels))

@@ -134,6 +134,20 @@ def test_constant_comparisons_and_gate_budget():
     assert c.and_count == count * ((width - 1) + 0 + 0 + 14 + 13 + 12 + 15)
 
 
+def test_te_only_marks_the_and_gates_whose_first_input_is_inputs_a_alone():
+    # each record's first AND, AND(NOT a_0, b_0), and no other AND of the
+    # sign circuit, with or without constants
+    for width, count, constants in ((2, 1, (0,)), (5, 3, (0,)), (6, 4, (1, 5, 32))):
+        c = build_sub_msb_batch(width, count, constants)
+        per_record = c.and_count // count
+        assert c.te_only == {i * per_record for i in range(count)}
+    # through XOR and NOT only: an AND of inputs_a wires is no longer theirs alone
+    c = Circuit(n_wires=8, inputs_a=(0, 1), inputs_b=(2,),
+                gates=((XOR, 0, 1, 3), (NOT, 3, -1, 4), (AND, 4, 2, 5),
+                       (AND, 0, 1, 6), (AND, 6, 2, 7)), outputs=(5, 7))
+    assert (c.and_count, c.te_only) == (3, {0, 1})
+
+
 @pytest.mark.parametrize("constants", [(), (-1,), (1 << 5,), (0, 3, 40)],
                          ids=["empty", "negative", "2^width", "one-past-the-ring"])
 def test_constants_outside_the_ring_are_refused(constants):

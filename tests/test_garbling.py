@@ -14,7 +14,7 @@ from blindboost.circuits import (
     int_to_bits,
     record_bits,
 )
-from blindboost.errors import GarbledRowAuthFailure, GCEvaluationFailure, UnknownLabel
+from blindboost.errors import GCEvaluationFailure, UnknownLabel
 from blindboost.garbling import (
     GarbledCircuit,
     decode_output,
@@ -157,19 +157,52 @@ def test_flipping_a_garbler_bit_changes_the_output_not_the_evaluator_inputs():
 
 
 def test_corrupted_table_raises_auth_failure():
+    # the AND gate's first input is the garbler's, so its one row is te;
+    # the evaluator reads it on the one of b's labels with permute bit 1,
+    # and the garbler's decode then finds a label that is neither of the
+    # output's two
     failures = 0
     for a, b in itertools.product((0, 1), repeat=2):
         gs, pairs = _garble(single_and_circuit(), 9, [a])
-        # flip byte 3 of both rows
-        tables = bytearray(gs.gc.and_tables)
-        for off in (3, 16 + 3):
-            tables[off] ^= 0xFF
-        gs.gc.and_tables = bytes(tables)
+        assert len(gs.gc.and_tables) == 16
+        gs.gc.and_tables = bytes([gs.gc.and_tables[0] ^ 0xFF]) + gs.gc.and_tables[1:]
+        out = evaluate(gs.gc, _chosen(pairs, [b]), 0)
         try:
-            _run(gs, pairs, [b])
-        except GarbledRowAuthFailure:
+            bits = decode_output(out, gs.output_decode)
+        except UnknownLabel as exc:
+            assert "output 0 of 1" in str(exc) and "corrupted or replayed" in str(exc)
             failures += 1
-    assert failures >= 1
+            continue
+        assert bits == [a & b]
+    assert failures == 2
+
+
+def test_table_flips_decode_right_or_raise_unknown_label():
+    # one flipped bit in every byte of the tables in turn, on every input
+    # pair: the garbler decodes the plain circuit's bits or raises
+    # UnknownLabel, never a wrong bit
+    width = 3
+    c = build_sub_msb_batch(width, 1, (0, 1))
+    raised = 0
+    for a in range(1 << width):
+        a_bits = int_to_bits(a, width)
+        gs, pairs = _garble(c, 40 + a, a_bits)
+        tables = gs.gc.and_tables
+        assert len(tables) == 16 * (2 * c.and_count - 1)
+        for off in range(len(tables)):
+            flipped = bytearray(tables)
+            flipped[off] ^= 1 << off % 8
+            gc = GarbledCircuit(circuit=c, and_tables=bytes(flipped))
+            for b in range(1 << width):
+                b_bits = int_to_bits(b, width)
+                out = evaluate(gc, _chosen(pairs, b_bits), 0)
+                try:
+                    bits = decode_output(out, gs.output_decode)
+                except UnknownLabel:
+                    raised += 1
+                    continue
+                assert bits == c.evaluate_plain(a_bits, b_bits)
+    assert raised > 0
 
 
 def test_decode_unknown_label():
@@ -191,7 +224,7 @@ def test_decode_wrong_label_count():
 def test_garble_wrong_bit_count():
     c = build_sub_msb_batch(4, 3)
     bits = [1] * len(c.inputs_a)
-    assert len(_garble(c, 10, bits)[0].gc.output_check) == 3
+    assert len(_garble(c, 10, bits)[0].output_decode) == 3
     for wrong in (bits[:-1], bits + [1]):  # one bit too few, one too many
         with pytest.raises(GCEvaluationFailure):
             _garble(c, 10, wrong)
@@ -202,8 +235,8 @@ def test_evaluator_circuit_holds_no_garbler_secret():
     # the decode map; those live only on the garbler's side
     gs, _ = _garble(build_sub_msb_batch(4, 3), 10, [0] * 12)
     assert [f.name for f in dataclasses.fields(GarbledCircuit)] == \
-        ["circuit", "and_tables", "output_check"]
-    assert set(vars(gs.gc)) == {"circuit", "and_tables", "output_check"}
+        ["circuit", "and_tables"]
+    assert set(vars(gs.gc)) == {"circuit", "and_tables"}
     assert type(gs.gc.and_tables) is bytes
 
 
@@ -225,7 +258,9 @@ def test_evaluate_rejects_malformed_inputs():
 def test_tables_round_trip_bytes():
     c = build_sub_msb_batch(6, 1)
     tables = _garble(c, 11, [0] * 6)[0].gc.and_tables
-    assert len(tables) == c.and_count * 2 * 16
+    # two rows per AND gate but the first, AND(NOT a_0, b_0), which ships te alone
+    assert c.te_only == {0}
+    assert len(tables) == (c.and_count * 2 - 1) * 16
     assert tables_from_bytes(c, tables) == tables
     for wrong in (tables[:-1], tables + b"\x00"):
         with pytest.raises(GCEvaluationFailure, match="table blob"):
@@ -244,6 +279,18 @@ def test_mixed_gate_circuit_exhaustive():
         assert got == [v5, v5 ^ 1]
 
 
+def test_te_only_gates_exhaustive():
+    # ANDs 0 and 1 ship te alone, and AND 2's first input, an AND of the
+    # garbler's wires, is a wire with two rows
+    c = Circuit(n_wires=8, inputs_a=(0, 1), inputs_b=(2,),
+                gates=(("XOR", 0, 1, 3), ("NOT", 3, -1, 4), (AND, 4, 2, 5),
+                       (AND, 0, 1, 6), (AND, 6, 2, 7)), outputs=(5, 7))
+    for a0, a1, b0 in itertools.product((0, 1), repeat=3):
+        gs, pairs = _garble(c, 21, [a0, a1])
+        assert len(gs.gc.and_tables) == 4 * 16
+        assert _run(gs, pairs, [b0]) == [(a0 ^ a1 ^ 1) & b0, a0 & a1 & b0]
+
+
 def test_sub_msb_garbled_wide_random():
     rng = random.Random(12)
     for width in (16, 25, 32):
@@ -258,8 +305,9 @@ def test_sub_msb_garbled_wide_random():
 
 def test_consecutive_indices_under_one_delta_use_disjoint_tweaks(monkeypatch):
     # a run garbles one circuit per round under one delta: circuit 1 takes
-    # none of circuit 0's tweaks, two per AND gate and one per output wire,
-    # and each evaluates only at its own index
+    # none of circuit 0's tweaks, two per AND gate, and each evaluates only
+    # at its own index: at the other, the garbler's decode rejects its
+    # output labels
     c = build_sub_msb_batch(5, 2)
     rng = random.Random(30)
     delta = garbling.random_delta(rng)
@@ -272,28 +320,28 @@ def test_consecutive_indices_under_one_delta_use_disjoint_tweaks(monkeypatch):
         tweaks.clear()
         label0_b = garbling.random_labels(rng, len(c.inputs_b))
         gs = garble(c, a_bits, delta, label0_b, index)
-        assert len(set(tweaks)) == 2 * c.and_count + len(c.outputs)
+        assert len(set(tweaks)) == 2 * c.and_count
         rounds.append((gs, np.stack([label0_b, label0_b ^ delta], axis=1), set(tweaks)))
     assert rounds[0][2].isdisjoint(rounds[1][2])
     monkeypatch.setattr(garbling, "_hash1", hash1)
     for index, (gs, pairs, _) in enumerate(rounds):
         assert np.array_equal(gs.delta, delta)
         assert _run(gs, pairs, b_bits, index) == c.evaluate_plain(a_bits, b_bits)
-        with pytest.raises(GarbledRowAuthFailure):
-            _run(gs, pairs, b_bits, 1 - index)
+        out = evaluate(gs.gc, _chosen(pairs, b_bits), 1 - index)
+        with pytest.raises(UnknownLabel, match="corrupted or replayed"):
+            decode_output(out, gs.output_decode)
 
 
-# SHA-256 of the AND tables, of the output checks and of every input wire's
-# (label0, label1) pair, for _garble(build_sub_msb_batch(17, 4), 5,
-# _GOLDEN_BITS). The table hash was first recorded from the byte-label
-# implementation, and re-recorded when delta and the subtrahend 0-labels
-# became garble's inputs, when the output checks' tweaks moved to
-# 2^31 + output index, and when the minuend 0-labels became bit * delta
-# (so the pairs hash covers the subtrahend pairs and the {0, delta}
-# minuend pairs).
+# SHA-256 of the AND tables and of every input wire's (label0, label1)
+# pair, for _garble(build_sub_msb_batch(17, 4), 5, _GOLDEN_BITS). The table
+# hash was first recorded from the byte-label implementation, and
+# re-recorded when delta and the subtrahend 0-labels became garble's
+# inputs, when the minuend 0-labels became bit * delta (so the pairs hash
+# covers the subtrahend pairs and the {0, delta} minuend pairs), and when
+# each record's first AND gate stopped shipping its unread tg row: the
+# tables are the earlier ones with those four rows cut out.
 _GOLDEN_BITS = record_bits([70_001, 3, 131_071, 65_536], 17)
-GARBLE_GOLDEN = ("125c04d540ca41a361a6bd212e038a8ea9cbbae8b92a5d5f56a5d10e0bd24d6f",
-                 "4c196ec0d2e805e31dd3efe8be9b07e9c2c512e93ace5496024d92c1a2d57f50",
+GARBLE_GOLDEN = ("fa9c20865abbed62dfd95e237f086178b72f5a036b25f835edc4f83f4a12488b",
                  "c8a1c3e6bd7ca5c584594f89249f3a8d0c05f7865eb05441fb8577053406639b")
 
 
@@ -301,6 +349,5 @@ def test_garbled_bytes_known_answer():
     c = build_sub_msb_batch(17, 4)
     gs, pairs = _garble(c, 5, _GOLDEN_BITS)
     assert (hashlib.sha256(gs.gc.and_tables).hexdigest(),
-            hashlib.sha256(gs.gc.output_check.tobytes()).hexdigest(),
             hashlib.sha256(_input_pairs(gs, pairs, _GOLDEN_BITS).tobytes()).hexdigest()) \
         == GARBLE_GOLDEN

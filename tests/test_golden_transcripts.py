@@ -18,15 +18,15 @@ from blindboost.protocol.transcript import Transcript
 
 BOOST_GOLDEN = {
     (HE_GC, "dealer"):
-        "0ff110598e8dcf53f8c6dd8a4ec3743213296b96cc45d27ab6bfa7862bff449b",
+        "6e1f8e51416c9ff25fb7a13d2e164f334c529c0319417e562ddd74cf56ab6802",
     (HE_GC, "base"):
-        "af4cd013e7df77b05b6457a73cf7051a4fae4a26062c76a6cb74d6880f14afe0",
+        "25a273c93dd9d6b59bdcc9f191f4a14c45195f0e62a04976e9779b6177b7aaac",
     (SECSH_GC, "dealer"):
-        "d3f64faca816e680942830fefa82ee9ac2506986e4a965a0c2fff45e85eab938",
+        "eed9400dc08f0d90f574679037a78d8e4fe9f3f2fd240b95cd7b69498d8a3c78",
     (SECSH_GC, "base"):
-        "19b6cccd9c3afe2304f4a1966c0bf1ff5b023e227fb9e9489e987f2f7d43a891",
+        "86174649ee9a7ce5d34ae17e21b1d3e8a8258a702df4e5cc5dcef5ee4f2b48cd",
 }
-STUMP_GOLDEN = "851a81e9045611c3f8fdd3ae001c6e6917ea441453b8cd51b68ac49de62a51a1"
+STUMP_GOLDEN = "fe4c84a178b786dabf952d0ec3ea18995d95ca0d14d3f06e9d0b801f6308134f"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

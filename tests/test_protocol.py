@@ -22,7 +22,6 @@ from blindboost.encoding import (
 from blindboost.errors import (
     BlindBoostError,
     ConfigInvalid,
-    GarbledRowAuthFailure,
     GCEvaluationFailure,
     IterationOutOfRange,
     MalformedMessage,
@@ -32,6 +31,7 @@ from blindboost.errors import (
     PartyTimeout,
     PhaseOrderViolation,
     PoolExhaustedWarning,
+    UnknownLabel,
 )
 from blindboost.protocol import (
     HE_GC,
@@ -687,11 +687,12 @@ def test_edited_label_phase_messages_finish_or_raise_typed_errors(
 
 @pytest.mark.parametrize("ot_mode", ["dealer", "base"])
 @pytest.mark.parametrize("construction", [HE_GC, SECSH_GC])
-def test_trial_one_tables_replayed_into_trial_two_fail_the_output_check(
+def test_trial_one_tables_replayed_raise_unknown_label(
         edited_pairs, construction, ot_mode):
     # trial 2 garbles the same circuit under the same delta as trial 1, but
-    # on fresh 0-labels and from other tweaks: trial 1's GC_TABLES, sent
-    # again in its place, fails Cloud's output check
+    # on fresh 0-labels and from other tweaks: on trial 1's GC_TABLES, sent
+    # again in its place, Cloud evaluates to labels that CSP's decode
+    # rejects, and the run raises that root cause
     tables = []
 
     def replay(i, message):
@@ -701,7 +702,7 @@ def test_trial_one_tables_replayed_into_trial_two_fail_the_output_check(
         return [tables[0]]
 
     edited_pairs(replay)
-    with pytest.raises(GarbledRowAuthFailure, match="no clean decryption"):
+    with pytest.raises(UnknownLabel, match="corrupted or replayed"):
         run_learning(cfg_for(construction, tau=2, p_max=4, ot_mode=ot_mode),
                      toy_folded(n=4, k=2, seed=3))
     assert len(tables) == 2 and tables[0] != tables[1]
@@ -917,30 +918,32 @@ def test_bytes_after_the_output_labels_are_malformed():
             run(wire.pack_labels(out) + tail)
 
 
-# the field of the garbler's 8 minuend labels that GC_TABLES once carried
-# between the tables and the output checks
+# what GC_TABLES once carried after the tables of build_sub_msb_batch(4, 2):
+# the output checks, a pair of 16-byte hashes per output wire, after the
+# garbler's 8 minuend labels in the layout before that
+_CHECKS_FIELD = wire.pack_label_pairs(random_labels(random.Random(8), 4).reshape(2, 2, 16))
 _MINUEND_LABEL_FIELD = wire.pack_labels(random_labels(random.Random(7), 8))
 
 
-@pytest.mark.parametrize("middle, tail", [(_MINUEND_LABEL_FIELD, b""), (b"", b"\x00")],
-                         ids=["parent-layout", "trailing-byte"])
-def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(middle, tail):
-    # GC_TABLES is the AND tables, then the output checks: the older layout
-    # with the minuend labels between them, or a byte after the checks,
-    # ends in a typed error
-    circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires
+@pytest.mark.parametrize("tail", [_CHECKS_FIELD, _MINUEND_LABEL_FIELD + _CHECKS_FIELD,
+                                  b"\x00"],
+                         ids=["parent-layout", "minuend-label-layout", "trailing-byte"])
+def test_evaluator_round_rejects_labels_or_bytes_that_do_not_fit(tail):
+    # GC_TABLES is the AND-table blob alone: the earlier layouts, with the
+    # output checks after it and the minuend labels before them, or a byte
+    # after it, end in a typed error
+    circuit = build_sub_msb_batch(4, 2)  # 8 garbler wires, 2 output wires
     gs, pairs = _garbled(circuit, record_bits([3, 9], 4))
     dealt = ("OT", wire.pack_label_pairs(pairs))
 
-    def run(middle=b"", tail=b""):
-        ch = _Scripted([dealt, ("GC_TABLES", wire.pack_blob(gs.gc.and_tables) + middle
-                                + wire.pack_label_pairs(gs.gc.output_check) + tail)])
+    def run(tail=b""):
+        ch = _Scripted([dealt, ("GC_TABLES", wire.pack_blob(gs.gc.and_tables) + tail)])
         evaluator_round(ch, _side(circuit, 4), [5, 12])
         return ch.sent
 
     assert run() == ["OUTPUT_LABELS"]
     with pytest.raises((MalformedMessage, GCEvaluationFailure)):
-        run(middle, tail)
+        run(tail)
 
 
 def test_base_ot_session_opens_once_per_run():

@@ -249,7 +249,8 @@ def test_cloud_receives_no_label_of_a_csp_wire(recording, kind, ot_mode):
     # each minuend wire's 0-label is bit * delta, so the label Cloud uses
     # there is all zeros and the wire's one non-zero label is delta: delta
     # is in no payload Cloud receives, at any offset, and every GC_TABLES
-    # is the AND-table blob and the output checks, nothing else
+    # is the AND-table blob alone: two rows per AND gate, one (te) for a
+    # gate whose first input is CSP's alone
     transcript, circuit, delta = _gc_run(kind, ot_mode)
     assert delta[0] & 1 == 1
     to_cloud = [(phase, p) for (d, phase, _), p
@@ -257,10 +258,8 @@ def test_cloud_receives_no_label_of_a_csp_wire(recording, kind, ot_mode):
     assert not any(delta.tobytes() in p for _, p in to_cloud)
     tables = [p for phase, p in to_cloud if phase == GC_TABLES]
     assert len(tables) == transcript.iterations() >= 2
-    and_bytes, check_bytes = circuit.and_count * 32, len(circuit.outputs) * 32
+    row_bytes = (2 * circuit.and_count - len(circuit.te_only)) * 16
     for p in tables:
-        assert len(p) == 4 + and_bytes + 4 + check_bytes
+        assert len(p) == 4 + row_bytes
         blob, off = wire.unpack_blob(p)
-        checks, off = wire.unpack_label_pairs(p, off)
-        assert (len(blob), checks.shape, off) == (and_bytes, (len(circuit.outputs), 2, 16),
-                                                  len(p))
+        assert (len(blob), off) == (row_bytes, len(p))
