@@ -7,10 +7,15 @@ NOT; XOR and NOT are free under the garbling scheme, so the subtractor only
 materializes its borrow chain - one AND per bit position below the msb.
 
 The circuit may compare each difference d = (a - b) mod 2^L with public
-constants v: msb((d - v) mod 2^L) is a borrow chain against v's constant
-bits (Kolesnikov, Sadeghi and Schneider, CANS 2009), one AND per position
-above v's lowest set bit. The boosting protocols use the constant 0 alone,
-which is the plain sign check; stump selection uses its s thresholds.
+constants v: msb((d - v) mod 2^L) is d's top bit against the borrow of
+d - v out of the low bits, a chain against v's constant bits (Kolesnikov,
+Sadeghi and Schneider, CANS 2009). The borrow into bit i depends on v only
+through v mod 2^i, so a record's constants share one chain of nodes
+(i, v mod 2^i), and under free-XOR (Kolesnikov and Schneider, ICALP 2008)
+the two ways to extend a node share one AND: s - 1 ANDs per record for the
+constants 1 ... s, s a power of two. The boosting protocols use the
+constant 0 alone, which is the plain sign check and takes no chain; stump
+selection uses its s thresholds.
 
 A gate is a plain (kind, a, b, out) tuple, b = -1 for NOT: the garbler and
 the evaluator unpack it once per gate visit, and CPython unpacks an exact
@@ -108,13 +113,10 @@ class _Builder:
         return tuple(self.wire() for _ in range(count))
 
     def emit(self, kind, a, b=-1):
-        out = self.wire()
+        out = self.next_wire  # wire(), inlined: a build emits every gate here
+        self.next_wire = out + 1
         self.gates.append((kind, a, b, out))
         return out
-
-
-def _lowest_set_bit(v: int) -> int:
-    return (v & -v).bit_length() - 1
 
 
 def _sub_gates(bld: _Builder, a, b, low: int) -> list:
@@ -146,29 +148,34 @@ def _sub_gates(bld: _Builder, a, b, low: int) -> list:
     return d
 
 
-def _msb_minus_constant(bld: _Builder, d, nd, v: int):
-    """msb((d - v) mod 2^L) for a public v, as a borrow chain against v's
-    constant bits; nd[i] is NOT d[i]. Below v's lowest set bit t the borrow
-    is 0, and out of position t it is ~d_t. From there the borrow c is a
-    wire w with c = w ^ inv: a 0 bit of v gives c' = ~d_i & c, a 1 bit
-    c' = ~(d_i & ~c), each one AND when inv equals the bit, so a NOT turns
-    w over only where v's bits switch between 0 and 1."""
-    L = len(d)
-    if v == 0:
-        return d[L - 1]
-    t = _lowest_set_bit(v)
-    if t == L - 1:
-        return bld.emit(NOT, d[L - 1])
-    w, inv = d[t], 1
-    for i in range(t + 1, L - 1):
-        bit = (v >> i) & 1
-        if inv != bit:
-            w, inv = bld.emit(NOT, w), bit
-        w = bld.emit(AND, d[i] if bit else nd[i], w)
-    msb = bld.emit(XOR, d[L - 1], w)
-    if inv != (v >> (L - 1)) & 1:
-        msb = bld.emit(NOT, msb)
-    return msb
+def _borrow_plan(width: int, constants):
+    """The borrow-chain nodes that every record's comparisons share, planned
+    once per circuit. Node (i, r), for 1 <= i <= width - 1 and r = v mod 2^i
+    != 0 of some constant v, holds g = [d mod 2^i >= r], the NOT of the
+    borrow into bit i of d - v; for r = 0 that is 1 and needs no wire.
+
+    Returns (steps, finals). A step (i, parent, zero, one) extends the
+    node (i, r) in slot `parent` through bit i into its children at level
+    i + 1: `zero` keeps r, `one` is r + 2^i, each a slot of the per-record
+    node list or -1 where no constant passes. parent = -1 is the node
+    r = 0, whose 1-child is d_i and whose 0-child stays the node 0. Per
+    constant v, finals holds (x, node): its output is d_(width-1) ^ x,
+    XORed with the node of r = v mod 2^(width-1) unless r = 0 (node -1),
+    so x = v's top bit ^ [r != 0]."""
+    slot = {}  # (i, r) -> index in the per-record node list
+    steps = []
+    # below each constant's lowest set bit, v mod 2^(i+1) is 0: no node
+    lowest = min(((v & -v).bit_length() - 1 for v in constants if v), default=width - 1)
+    for i in range(lowest, width - 1):
+        level = sorted({v % (2 << i) for v in constants} - {0})
+        for r in level:
+            slot[i + 1, r] = len(slot)
+        for r in sorted({r % (1 << i) for r in level}):
+            steps.append((i, slot.get((i, r), -1), slot.get((i + 1, r), -1),
+                          slot.get((i + 1, r | 1 << i), -1)))
+    top = 1 << (width - 1)
+    return steps, tuple(((v >= top) ^ (v % top != 0), slot.get((width - 1, v % top), -1))
+                        for v in constants)
 
 
 def build_sub_msb_batch(width: int, count: int, constants=(0,)) -> Circuit:
@@ -177,11 +184,17 @@ def build_sub_msb_batch(width: int, count: int, constants=(0,)) -> Circuit:
     msb((d - v_r) mod 2^width) of record i. Input partitions are
     instance-major, LSB first.
 
-    Each record takes d once, width - 1 AND gates, and each nonzero
-    constant with lowest set bit t adds max(width - 2 - t, 0) more: the
-    constant 2^(width-1) costs one NOT and no AND. With the
-    constant 0 alone the circuit is msb((a - b) mod 2^width): d's top bit
-    is the only one materialized."""
+    Each record takes d once, width - 1 AND gates, and one more per node
+    of the shared borrow chain (`_borrow_plan`): per distinct
+    (i, v mod 2^i) with t < i <= width - 2, t the lowest set bit of v.
+    That is never more than the max(width - 2 - t, 0) of one chain per
+    constant, and s - 1 in all for the constants 1 ... s, s a power of
+    two. A node holds g, the NOT of the borrow c, so the chain needs no
+    NOT gate: extending g through bit i takes the one AND q = d_i & g, a 0
+    bit of v gives d_i | g = d_i ^ g ^ q and a 1 bit q itself. Then
+    msb((d - v) mod 2^width) = d_(width-1) ^ v_(width-1) ^ ~g. With
+    the constant 0 alone the circuit is msb((a - b) mod 2^width): d's top
+    bit is the only one materialized."""
     if not 2 <= width <= 128:
         raise WidthOutOfRange(f"width must be in [2, 128], got {width}")
     if count < 1:
@@ -190,20 +203,28 @@ def build_sub_msb_batch(width: int, count: int, constants=(0,)) -> Circuit:
     if not constants or not all(0 <= v < 1 << width for v in constants):
         raise ConstantOutOfRange(f"need at least one constant in [0, 2^{width}), "
                                  f"got {constants}")
-    nonzero = [v for v in constants if v]
-    low = min(map(_lowest_set_bit, nonzero), default=width - 1)
-    # the positions where some constant's chain reads NOT d_i
-    flipped = sorted({i for v in nonzero for i in range(_lowest_set_bit(v) + 1, width - 1)
-                      if not (v >> i) & 1})
+    steps, finals = _borrow_plan(width, constants)
+    low = steps[0][0] if steps else width - 1  # the lowest bit of d a step reads
+    flip = any(x for x, _ in finals)  # some output reads NOT d_(width-1)
     bld = _Builder()
     a = bld.wires(width * count)
     b = bld.wires(width * count)
     outs = [[] for _ in constants]
+    g = [0] * (2 * len(steps))  # the nodes' wires; a step makes at most two
     for i in range(count):
         d = _sub_gates(bld, a[i * width:(i + 1) * width], b[i * width:(i + 1) * width], low)
-        nd = {j: bld.emit(NOT, d[j]) for j in flipped}
-        for r, v in enumerate(constants):
-            outs[r].append(_msb_minus_constant(bld, d, nd, v))
+        for j, parent, zero, one in steps:
+            if parent < 0:
+                g[one] = d[j]
+                continue
+            q = bld.emit(AND, d[j], g[parent])
+            if zero >= 0:
+                g[zero] = bld.emit(XOR, bld.emit(XOR, d[j], g[parent]), q)
+            if one >= 0:
+                g[one] = q
+        msb = (d[width - 1], bld.emit(NOT, d[width - 1]) if flip else None)
+        for out, (x, node) in zip(outs, finals):
+            out.append(msb[x] if node < 0 else bld.emit(XOR, msb[x], g[node]))
     return Circuit(n_wires=bld.next_wire, inputs_a=a, inputs_b=b,
                    gates=tuple(bld.gates), outputs=tuple(o for row in outs for o in row))
 

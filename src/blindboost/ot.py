@@ -25,11 +25,12 @@ Three building blocks:
   labels of its choice bits r_j, so nothing is hashed and nothing goes back.
   This is what the protocols' ``base`` OT mode runs: 128 base OTs per
   party pair, once in SETUP, whose exponentiations paillier.fan_out
-  spreads over the cores (with libgmp on a 2-core x86 machine: about
-  0.07 s of CPU and 0.04 s of wall time in modp-768, 0.18 s on one thread
-  in modp-2048), then 16 bytes per transfer. Its OT bytes fall below
-  those of per-wire base OT once a run moves more than about 110
-  transfers.
+  splits between the calling thread and the pool. With libgmp on a 2-core
+  x86 machine that pays in modp-2048 (a session in 0.13 s on the pool
+  against 0.22 s on one thread) but not in modp-768, where a session
+  takes about 0.03 s either way and spends more CPU on the pool. Then 16
+  bytes per transfer. Its OT bytes fall below those of per-wire base OT
+  once a run moves more than about 110 transfers.
 * ``dealer``: a trusted dealer hands the receiver the chosen labels directly.
   Flagged insecure; ``ProtocolConfig`` refuses it in the secure profile.
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -43,7 +44,6 @@ def test_sub_msb_width_bounds():
 
 
 def test_sub_msb_wide_random():
-    import random
     rng = random.Random(0)
     for width in (16, 25, 32):
         c = build_sub_msb_batch(width, 1)
@@ -55,7 +55,6 @@ def test_sub_msb_wide_random():
 
 
 def test_batch_matches_single():
-    import random
     rng = random.Random(1)
     width, count = 6, 5
     batch = build_sub_msb_batch(width, count)
@@ -112,26 +111,81 @@ def _constant_tuples(width):
             (top, top, 3 % (1 << width))]           # a repeat
 
 
-@pytest.mark.parametrize("width", range(2, 7))
-def test_constant_comparisons_exhaustive_small_widths(width):
+def _assert_exhaustive(width, constants):
     # every a and b at once: record i of the batch is (a, b_i) for all b
     q = 1 << width
+    c = build_sub_msb_batch(width, q, constants)
+    assert len(c.outputs) == len(constants) * q
+    for a in range(q):
+        got = c.evaluate_plain(record_bits([a] * q, width), record_bits(range(q), width))
+        want = [msb_oracle((a - b) % q, v, width) for v in constants for b in range(q)]
+        assert got == want, (width, constants, a)
+
+
+@pytest.mark.parametrize("width", range(2, 7))
+def test_constant_comparisons_exhaustive_small_widths(width):
     for constants in _constant_tuples(width):
-        c = build_sub_msb_batch(width, q, constants)
-        assert len(c.outputs) == len(constants) * q
-        for a in range(q):
-            got = c.evaluate_plain(record_bits([a] * q, width), record_bits(range(q), width))
-            want = [msb_oracle((a - b) % q, v, width) for v in constants for b in range(q)]
-            assert got == want, (width, constants, a)
+        _assert_exhaustive(width, constants)
 
 
 def test_constant_comparisons_and_gate_budget():
-    # d once per record (width - 1 ANDs), then width - 2 - t per nonzero
-    # constant whose lowest set bit is t; 0 and 2^(width-1) take none
+    # d once per record (width - 1 ANDs), then one per node of the shared
+    # borrow chain; these constants share no low bits above their lowest
+    # set bit t, so each nonzero one takes its own width - 2 - t, and 0 and
+    # 2^(width-1) take none
     width, count = 17, 3
     constants = (0, 1 << 16, 398, 284, (1 << 17) - 56, 1)
     c = build_sub_msb_batch(width, count, constants)
     assert c.and_count == count * ((width - 1) + 0 + 0 + 14 + 13 + 12 + 15)
+
+
+def _per_constant_budget(width, constants):
+    # one borrow chain per constant: max(width - 2 - t, 0) ANDs, t its
+    # lowest set bit, and none for 0
+    return sum(max(width - 2 - ((v & -v).bit_length() - 1), 0) for v in constants if v)
+
+
+def _shared_nodes(width, constants):
+    # the distinct (i, v mod 2^i) with t < i <= width - 2
+    return len({(i, v % (1 << i)) for v in constants if v
+                for i in range((v & -v).bit_length(), width - 1)})
+
+
+def test_shared_chain_and_gate_counts():
+    # the thresholds 1 ... s of stump selection, s a power of two: s - 1
+    # ANDs per record, subtractor included
+    for s in (2, 4, 8, 16, 32):
+        width = s.bit_length()  # ceil(log2 s) + 1
+        c = build_sub_msb_batch(width, 3, tuple(range(1, s + 1)))
+        assert c.and_count == 3 * (s - 1), s
+    # any constants: one AND per shared node, never more than one chain per
+    # constant took
+    rng = random.Random(38)
+    for _ in range(200):
+        width = rng.randint(2, 8)
+        constants = tuple(rng.randrange(1 << width) for _ in range(rng.randint(1, 12)))
+        per_record = build_sub_msb_batch(width, 1, constants).and_count - (width - 1)
+        assert per_record == _shared_nodes(width, constants), (width, constants)
+        assert per_record <= _per_constant_budget(width, constants), (width, constants)
+
+
+def _random_constant_tuples(width, rng):
+    # 0, 2^(width-1) and a repeat in every tuple, among random constants
+    q, top = 1 << width, 1 << (width - 1)
+    tuples = []
+    for _ in range(3):
+        picked = [rng.randrange(q) for _ in range(rng.randint(1, 6))]
+        picked += [0, top, rng.choice(picked)]
+        rng.shuffle(picked)
+        tuples.append(tuple(picked))
+    return tuples
+
+
+@pytest.mark.parametrize("width", range(2, 8))
+def test_shared_chain_exhaustive_on_random_constants(width):
+    # which nodes the constants share depends on their low bits
+    for constants in _random_constant_tuples(width, random.Random(width)):
+        _assert_exhaustive(width, constants)
 
 
 def test_te_only_marks_the_and_gates_whose_first_input_is_inputs_a_alone():

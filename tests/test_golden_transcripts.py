@@ -26,7 +26,7 @@ BOOST_GOLDEN = {
     (SECSH_GC, "base"):
         "86174649ee9a7ce5d34ae17e21b1d3e8a8258a702df4e5cc5dcef5ee4f2b48cd",
 }
-STUMP_GOLDEN = "fe4c84a178b786dabf952d0ec3ea18995d95ca0d14d3f06e9d0b801f6308134f"
+STUMP_GOLDEN = "60651f7a2466c3218e7ca440a7c2a75bfc4beab384ee34f585ca8229ec18284e"
 # The model that run selects: SHA-256 of its (48, 24) uint8 error vectors,
 # its indices and its alphas, recorded when stump selection still ran its
 # own circuit; a re-recorded STUMP_GOLDEN must leave them as they are.

@@ -106,13 +106,15 @@ def test_gc_gate_counter_scales_with_grid():
     L_s = 3  # ceil(log2(4)) + 1: bins 0 ... 4 against the constants 1 ... 4
     assert stump_ring_bits(s) == L_s
     # one round per feature, on a circuit that takes each record's bin once
-    # (L_s - 1 ANDs) and compares it with each constant c (L_s - 2 - t
-    # ANDs, t the lowest set bit of c; none for c = 2^(L_s-1), a NOT)
+    # (L_s - 1 ANDs) and compares it with every constant c through one
+    # shared borrow chain: one AND per distinct (i, c mod 2^i) with
+    # t < i <= L_s - 2, t the lowest set bit of c
     constants = range(1, s + 1)
     per_round = build_sub_msb_batch(L_s, n, constants).and_count
-    lowest = [(c & -c).bit_length() - 1 for c in constants]
-    assert per_round == n * ((L_s - 1) + sum(max(L_s - 2 - t, 0) for t in lowest))
-    assert per_round == 40
+    lowest = {c: (c & -c).bit_length() - 1 for c in constants}
+    nodes = {(i, c % (1 << i)) for c in constants for i in range(lowest[c] + 1, L_s - 1)}
+    assert per_round == n * ((L_s - 1) + len(nodes))
+    assert per_round == 30
     rounds = k
     # packed reveals under a 512-bit N: a feature's slot holds
     # bin + y * 2^(L_s-1) <= 2^L_s plus an (L_s + 1 + sigma)-bit mask, 45
